@@ -22,6 +22,71 @@
 //!   [`Rank::recover`], and continue with the shrunken rank set — the
 //!   substrate for the paper's §V fault-tolerance design.
 //!
+//! # The rendezvous: slots, a generation word, spin-then-park
+//!
+//! The price of one small allreduce is the price of the de-centralized
+//! scheme, so the common case — all active ranks arrive within microseconds
+//! of each other — neither parks a thread nor touches the allocator.
+//!
+//! **State.** Each rank owns a cache-line-padded *slot* holding reusable
+//! contribution buffers (f64 / [`BinnedSum`] / bytes). One *board* holds the
+//! combined result and the [`CommStats`]. Two atomic words drive the
+//! protocol: `ctl = [CLOSED | n_active | arrived]` and the generation
+//! `epoch`, the count of collectives completed or aborted so far. Slots and
+//! board sit behind locks that the protocol keeps uncontended (there is no
+//! `unsafe` here); failure bookkeeping sits behind a mutex + condvar that
+//! only `fail`, `recover`, poisoning and parked waiters touch.
+//!
+//! **One collective of generation `g`.** A rank (1) checks `ctl` is open and
+//! reads `epoch = g`, (2) fills its own slot, (3) `fetch_add`s `arrived`.
+//! The value that add returns is one consistent snapshot of
+//! `(CLOSED, n_active, arrived)`, so exactly one rank learns it is the last
+//! arrival. That rank (4) reads every active slot **in rank order** and
+//! writes the result to the board (the binned path merges exactly and
+//! renders once), records the operation in `CommStats` once, zeroes
+//! `arrived`, and (5) stores `epoch = g + 1`. The others wait for
+//! `epoch != g`, then (6) every rank copies the result from the board
+//! straight into the caller's buffer.
+//!
+//! **Spin, then park.** A waiter polls `epoch` — back to back for about a
+//! microsecond, then yielding its core between polls — for `SPIN_BUDGET`,
+//! about the cost of one park + wake, so an unlucky spin at most doubles the
+//! old price, and only then sleeps on the condvar. When the world has more
+//! active ranks than [`std::thread::available_parallelism`] the spin is
+//! skipped: a spinner would hold the core the rank it waits for needs.
+//!
+//! **No wake-up is lost.** A parker increments `sleepers`, re-checks
+//! `epoch` under the mutex and only then waits; the publisher stores `epoch`
+//! and then reads `sleepers`; all four accesses are `SeqCst`. Either the
+//! publisher's read sees the parker — then it takes the mutex before
+//! notifying, so the parker is already inside `wait` (which released the
+//! mutex) or has yet to re-check and will see the new `epoch` — or the
+//! increment comes after that read in the total order, hence after the
+//! `epoch` store, and the parker's re-check sees it.
+//!
+//! **No buffer is overwritten before its last reader.** The board is
+//! written only in step 4 of generation `g + 1`, which needs every active
+//! rank's step 3 of `g + 1`, which follows that rank's step 6 of `g` in
+//! program order. A slot is written by its owner in step 2 of `g + 1`,
+//! after the owner saw `epoch = g + 1`, which was stored after step 4 of `g`
+//! finished reading slots; per-rank results (gather to the root, scatter)
+//! are moved into the recipient's own slot in step 4 and taken by it in
+//! step 6. Release on the `arrived` add / the `epoch` store and acquire on
+//! the matching loads (plus the locks themselves) carry the data.
+//!
+//! **Failure and poison stay on the slow path.** `fail` sets `CLOSED` and
+//! decrements `n_active` in one atomic update under the mutex; if deposits
+//! were in flight it names `g` the aborted generation and bumps `epoch`.
+//! A rank that finds `CLOSED` — on entry, in the value its `arrived` add
+//! returned, or after its wait — takes the mutex to learn which of
+//! *poisoned* (panic), *this generation aborted* or *failure pending*
+//! (`RanksFailed`) applies; `CLOSED` is set before `epoch` moves, so no
+//! waiter can miss it. One aborted-generation word suffices because nothing
+//! can be in flight again until every survivor has passed `recover`, which
+//! reopens `ctl` with `arrived = 0`. A signature mismatch or a malformed
+//! reduction is detected by the last arrival while combining; it poisons
+//! the world so every rank unwinds instead of deadlocking.
+//!
 //! The [`cluster`] module contains the analytic performance model that maps
 //! measured kernel-work and communication profiles onto the paper's
 //! 48-core-node cluster (DESIGN.md §2 documents this substitution).
@@ -40,10 +105,12 @@ pub mod stats {
 
 pub use stats::{CategoryStats, CommCategory, CommStats, OpKind, Snapshot};
 
-use exa_obs::{Recorder, RegionKind, Tracer};
-use parking_lot::{Condvar, Mutex};
+use exa_obs::{Recorder, RegionGuard, RegionKind, Tracer};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 /// Errors surfaced by collective operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,50 +130,111 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Payload {
-    F64(Vec<f64>),
-    /// Reproducible-mode reduction contribution: one superaccumulator per
-    /// output element. Merged exactly; the combined result is rendered to
-    /// [`Payload::F64`] once so every reader sees the identical bits.
-    Bins(Vec<BinnedSum>),
-    Bytes(Vec<u8>),
-    /// One byte blob per rank (gather result / scatter input).
-    PerRank(Vec<Vec<u8>>),
-    Unit,
+/// How long a waiter polls the generation word before it parks: of the
+/// order of one park + wake on the condvar (35–45 µs measured between two
+/// ranks), so a wait the spin does not catch costs at most about twice what
+/// parking at once would have.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Polls of the generation word a waiter makes back to back (a microsecond
+/// or so) before it starts yielding the core between polls.
+const PAUSE_POLLS: u32 = 64;
+
+/// `ctl` layout: bit 63 closes the fast path (failure pending or world
+/// poisoned), bits 32..63 count the active ranks, bits 0..32 the deposits
+/// of the generation in flight.
+const CLOSED: u64 = 1 << 63;
+const ARRIVED_MASK: u64 = (1 << 32) - 1;
+const ONE_ACTIVE: u64 = 1 << 32;
+
+fn arrived(ctl: u64) -> usize {
+    (ctl & ARRIVED_MASK) as usize
+}
+
+fn n_active(ctl: u64) -> usize {
+    ((ctl & !CLOSED) >> 32) as usize
+}
+
+/// Cores this process may run on, read once (the query walks cgroup files).
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Collective signature checked for consistency across ranks. The stats
 /// `category` is deliberately NOT part of the signature: for broadcasts the
 /// receivers cannot know the category before decoding the payload, so the
-/// root's category is authoritative (falling back to the first depositor's
-/// when the root rank is dead, which can only happen for root-less ops).
+/// root's category is authoritative (falling back to the lowest active
+/// rank's when the root rank is dead, which can only happen for root-less
+/// ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OpSig {
     kind: OpKind,
     root: usize,
 }
 
-struct State {
+/// Which of a slot's (or the board's) buffers holds the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    Nothing,
+    F64,
+    /// Reproducible-mode reduction contribution: one superaccumulator per
+    /// output element. Merged exactly; the combined result is rendered to
+    /// f64 once so every reader sees the identical bits.
+    Bins,
+    Bytes,
+    /// One byte blob per rank (scatter input / gather result).
+    PerRank,
+}
+
+/// One rank's deposit for the collective in flight. The buffers keep their
+/// capacity from call to call; payloads the API takes by value are moved in.
+struct SlotBuf {
+    op: OpSig,
+    category: CommCategory,
+    held: Held,
+    f64s: Vec<f64>,
+    bins: Vec<BinnedSum>,
+    bytes: Vec<u8>,
+    per_rank: Vec<Vec<u8>>,
+}
+
+/// Padded to two cache lines (adjacent-line prefetch) so one rank filling
+/// its slot never invalidates a neighbour's.
+#[repr(align(128))]
+struct Slot {
+    /// Cleared by [`Rank::fail`] (under the slow-path mutex); read lock-free
+    /// by [`Rank::active_ranks`] and by the combining rank.
+    active: AtomicBool,
+    buf: Mutex<SlotBuf>,
+}
+
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// The combined result of the last completed collective, plus the world's
+/// statistics (recorded by the one rank that combines, so they need no
+/// lock of their own).
+struct Board {
+    stats: CommStats,
+    category: CommCategory,
+    wire_bytes: u64,
+    held: Held,
+    f64s: Vec<f64>,
+    bins: Vec<BinnedSum>,
+    bytes: Vec<u8>,
+    per_rank: Vec<Vec<u8>>,
+}
+
+/// Failure bookkeeping, behind the mutex the condvar pairs with.
+struct Slow {
     /// Set when a rank panicked mid-collective; all other ranks panic too
     /// instead of deadlocking.
     poisoned: bool,
-    // Failure handling.
     pending_failure: bool,
     failed: BTreeSet<usize>,
-    active: Vec<bool>,
-    n_active: usize,
-    // Current collective.
-    gen: u64,
-    arrived: usize,
-    contributions: Vec<Option<Payload>>,
-    op: Option<OpSig>,
-    /// `(came_from_root, category)` — root's entry wins.
-    category: Option<(bool, CommCategory)>,
-    result: Option<Payload>,
-    result_gen: u64,
-    remaining_readers: usize,
-    aborted: BTreeSet<u64>,
+    /// The generation `fail` aborted while deposits were in flight.
+    aborted: Option<u64>,
     // Recovery barrier.
     rec_gen: u64,
     rec_arrived: usize,
@@ -114,9 +242,394 @@ struct State {
 
 struct Ctx {
     size: usize,
-    state: Mutex<State>,
+    /// A waiter spins only while the active ranks number at most `cores`,
+    /// and for at most `spin_budget` (tests force either path with these).
+    cores: usize,
+    spin_budget: Duration,
+    ctl: Padded<AtomicU64>,
+    epoch: Padded<AtomicU64>,
+    /// Waiters parked (or about to park) on `cv`.
+    sleepers: AtomicUsize,
+    slots: Box<[Slot]>,
+    board: RwLock<Board>,
+    slow: Mutex<Slow>,
     cv: Condvar,
-    stats: Mutex<CommStats>,
+}
+
+const POISONED: &str = "communicator poisoned by another rank's panic";
+
+impl Ctx {
+    fn new(size: usize, cores: usize, spin_budget: Duration) -> Ctx {
+        let slots = (0..size)
+            .map(|_| Slot {
+                active: AtomicBool::new(true),
+                buf: Mutex::new(SlotBuf {
+                    op: OpSig {
+                        kind: OpKind::Barrier,
+                        root: 0,
+                    },
+                    category: CommCategory::Control,
+                    held: Held::Nothing,
+                    f64s: Vec::new(),
+                    bins: Vec::new(),
+                    bytes: Vec::new(),
+                    per_rank: Vec::new(),
+                }),
+            })
+            .collect();
+        Ctx {
+            size,
+            cores,
+            spin_budget,
+            ctl: Padded(AtomicU64::new(size as u64 * ONE_ACTIVE)),
+            epoch: Padded(AtomicU64::new(0)),
+            sleepers: AtomicUsize::new(0),
+            slots,
+            board: RwLock::new(Board {
+                stats: CommStats::default(),
+                category: CommCategory::Control,
+                wire_bytes: 0,
+                held: Held::Nothing,
+                f64s: Vec::new(),
+                bins: Vec::new(),
+                bytes: Vec::new(),
+                per_rank: Vec::new(),
+            }),
+            slow: Mutex::new(Slow {
+                poisoned: false,
+                pending_failure: false,
+                failed: BTreeSet::new(),
+                aborted: None,
+                rec_gen: 0,
+                rec_arrived: 0,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    // A rank that panics while combining unwinds through the board's write
+    // guard; the world is poisoned by then and every later access only
+    // reads statistics, so the std lock's own poison flag carries nothing.
+    fn board(&self) -> RwLockReadGuard<'_, Board> {
+        self.board.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn board_mut(&self) -> RwLockWriteGuard<'_, Board> {
+        self.board.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn active_slots(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.active.load(Ordering::Acquire))
+    }
+
+    fn active_ranks(&self) -> Vec<usize> {
+        self.active_slots().map(|(r, _)| r).collect()
+    }
+
+    /// Step 1: the generation a collective entered now belongs to, or the
+    /// reason the fast path is closed.
+    fn enter(&self) -> Result<u64, CommError> {
+        if self.ctl.0.load(Ordering::Acquire) & CLOSED != 0 {
+            return Err(self.refusal());
+        }
+        Ok(self.epoch.0.load(Ordering::Acquire))
+    }
+
+    /// The failure bookkeeping of a world found closed — unless the cause
+    /// is poison: then this rank unwinds like the one that panicked.
+    fn closed_cause(&self) -> MutexGuard<'_, Slow> {
+        let slow = self.slow.lock();
+        if slow.poisoned {
+            drop(slow);
+            panic!("{POISONED}");
+        }
+        slow
+    }
+
+    /// Why a closed world refuses a deposit: a failure awaits
+    /// acknowledgement.
+    fn refusal(&self) -> CommError {
+        let slow = self.closed_cause();
+        debug_assert!(slow.pending_failure, "ctl closed without a cause");
+        CommError::RanksFailed(slow.failed.clone())
+    }
+
+    /// Steps 3–5 for the caller's slot, already filled: arrive, then
+    /// combine (last arrival) or wait for generation `gen` to end.
+    fn arrive(&self, op: OpSig, gen: u64) -> Result<(), CommError> {
+        // AcqRel: releases this rank's slot to the combiner and, for the
+        // last arrival, acquires every earlier depositor's.
+        let prev = self.ctl.0.fetch_add(1, Ordering::AcqRel);
+        if prev & CLOSED != 0 {
+            // `fail` or a poisoning got in between `enter` and here; the
+            // stray count is wiped when `recover` reopens the word.
+            return Err(self.refusal());
+        }
+        if arrived(prev) + 1 == n_active(prev) {
+            self.complete(op, gen);
+            return Ok(());
+        }
+        self.wait(gen, n_active(prev));
+        if self.ctl.0.load(Ordering::Acquire) & CLOSED == 0 {
+            return Ok(());
+        }
+        // Closed since: poisoned, this generation aborted, or a failure
+        // that landed after it completed (then the result stands).
+        let slow = self.closed_cause();
+        if slow.aborted == Some(gen) {
+            return Err(CommError::RanksFailed(slow.failed.clone()));
+        }
+        Ok(())
+    }
+
+    /// Last arrival: combine, then publish the next generation.
+    fn complete(&self, op: OpSig, gen: u64) {
+        // A combine panic (signature mismatch, malformed payloads) poisons
+        // the world so waiters unwind too.
+        if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.combine(op)))
+        {
+            self.poison();
+            std::panic::resume_unwind(e);
+        }
+        // No rank is outside this collective, so nothing races the reset.
+        self.ctl.0.fetch_and(!ARRIVED_MASK, Ordering::AcqRel);
+        self.epoch.0.store(gen + 1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _slow = self.slow.lock();
+            self.cv.notify_all();
+        }
+    }
+
+    fn poison(&self) {
+        let mut slow = self.slow.lock();
+        slow.poisoned = true;
+        self.ctl.0.fetch_or(CLOSED, Ordering::SeqCst);
+        self.epoch.0.fetch_add(1, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// Block until `epoch` leaves `gen`: poll for the spin budget when every
+    /// active rank can have a core — back to back first, then yielding the
+    /// core between polls — and park after that.
+    fn wait(&self, gen: u64, n_active: usize) {
+        if n_active <= self.cores {
+            let t0 = Instant::now();
+            let mut polls = 0u32;
+            loop {
+                if self.epoch.0.load(Ordering::Acquire) != gen {
+                    return;
+                }
+                polls += 1;
+                if polls <= PAUSE_POLLS {
+                    std::hint::spin_loop();
+                } else if t0.elapsed() < self.spin_budget {
+                    // Past the first microsecond the rank awaited may be
+                    // off-core (another world, a pool thread): let it run.
+                    std::thread::yield_now();
+                } else {
+                    break;
+                }
+            }
+        }
+        let mut slow = self.slow.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.epoch.0.load(Ordering::SeqCst) == gen {
+            self.cv.wait(&mut slow);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The recovery barrier's last arrival (or a failure that completes it):
+    /// clear the failure state and reopen the fast path with no deposits.
+    fn finish_recovery(&self, slow: &mut Slow) {
+        slow.pending_failure = false;
+        slow.aborted = None;
+        slow.rec_gen += 1;
+        slow.rec_arrived = 0;
+        if !slow.poisoned {
+            // Every survivor is inside `recover`, so nothing races this.
+            let ctl = self.ctl.0.load(Ordering::Acquire);
+            self.ctl
+                .0
+                .store(ctl & !(CLOSED | ARRIVED_MASK), Ordering::Release);
+        }
+    }
+
+    /// Step 4: deterministic combination of the deposited payloads onto the
+    /// board (or, for per-rank results, into the recipients' slots), and the
+    /// one `CommStats` record of this collective. Only the last arrival runs
+    /// this, while every other active rank waits.
+    fn combine(&self, op: OpSig) {
+        let mut board = self.board_mut();
+        let board = &mut *board;
+
+        // Pass 1: signatures, the authoritative category (the root's, else
+        // the lowest active rank's) and whether any rank shipped bins.
+        let mut category = None;
+        let mut any_bins = false;
+        for (r, slot) in self.active_slots() {
+            let buf = slot.buf.lock();
+            assert!(
+                buf.op == op,
+                "collective mismatch: rank {r} called {:?} while {:?} is in flight",
+                buf.op,
+                op
+            );
+            if category.is_none() || r == op.root {
+                category = Some(buf.category);
+            }
+            any_bins |= buf.held == Held::Bins;
+        }
+        let category = category.expect("the combining rank is active");
+        // The deposit of the root a broadcast or scatter reads from.
+        let root_deposit = || {
+            let root = &self.slots[op.root];
+            assert!(
+                root.active.load(Ordering::Acquire),
+                "root {} of the {:?} has failed",
+                op.root,
+                op.kind
+            );
+            root.buf.lock()
+        };
+
+        board.held = Held::Nothing;
+        let wire_bytes = match op.kind {
+            OpKind::Allreduce | OpKind::Reduce => {
+                if any_bins {
+                    self.sum_binned(board);
+                } else {
+                    self.sum_in_rank_order(board);
+                }
+                board.held = Held::F64;
+                8 * board.f64s.len() as u64
+            }
+            OpKind::Broadcast => {
+                // Swap, not copy: the root's buffer becomes the board's and
+                // the board's old one the root's next deposit buffer.
+                let mut buf = root_deposit();
+                board.held = buf.held;
+                match buf.held {
+                    Held::Bytes => {
+                        std::mem::swap(&mut board.bytes, &mut buf.bytes);
+                        board.bytes.len() as u64
+                    }
+                    Held::F64 => {
+                        std::mem::swap(&mut board.f64s, &mut buf.f64s);
+                        8 * board.f64s.len() as u64
+                    }
+                    _ => panic!("broadcast root {} contributed no data", op.root),
+                }
+            }
+            OpKind::Gather | OpKind::Allgather => {
+                // Every active rank's blob in rank order; inactive ranks
+                // leave empty slots so indices stay stable.
+                board.per_rank.clear();
+                board.per_rank.resize_with(self.size, Vec::new);
+                for (r, slot) in self.active_slots() {
+                    let mut buf = slot.buf.lock();
+                    if buf.held == Held::Bytes {
+                        board.per_rank[r] = std::mem::take(&mut buf.bytes);
+                    }
+                }
+                let bytes = board.per_rank.iter().map(|b| b.len() as u64).sum();
+                if op.kind == OpKind::Allgather {
+                    board.held = Held::PerRank;
+                } else {
+                    // Only the root reads a gather: hand it the blobs.
+                    let mut root = self.slots[op.root].buf.lock();
+                    root.per_rank = std::mem::take(&mut board.per_rank);
+                }
+                bytes
+            }
+            OpKind::Scatter => {
+                let mut blobs = {
+                    let mut root = root_deposit();
+                    assert!(
+                        root.held == Held::PerRank,
+                        "scatter root {} must contribute per-rank blobs",
+                        op.root
+                    );
+                    std::mem::take(&mut root.per_rank)
+                };
+                let bytes = blobs.iter().map(|b| b.len() as u64).sum();
+                for (r, slot) in self.active_slots() {
+                    slot.buf.lock().bytes = std::mem::take(&mut blobs[r]);
+                }
+                bytes
+            }
+            OpKind::Barrier => 0,
+        };
+        board.category = category;
+        board.wire_bytes = wire_bytes;
+        board.stats.record(category, op.kind, wire_bytes);
+    }
+
+    /// Fast-mode reduction: the first active rank's vector, plus every
+    /// other's in rank order.
+    fn sum_in_rank_order(&self, board: &mut Board) {
+        let mut first = true;
+        for (r, slot) in self.active_slots() {
+            let buf = slot.buf.lock();
+            assert!(
+                buf.held == Held::F64,
+                "rank {r} contributed a non-f64 payload to a reduction"
+            );
+            if std::mem::take(&mut first) {
+                board.f64s.clear();
+                board.f64s.extend_from_slice(&buf.f64s);
+                continue;
+            }
+            assert_eq!(
+                board.f64s.len(),
+                buf.f64s.len(),
+                "reduction length mismatch at rank {r}"
+            );
+            for (x, y) in board.f64s.iter_mut().zip(&buf.f64s) {
+                *x += y;
+            }
+        }
+    }
+
+    /// Reproducible contributions force the binned path: bins merge exactly
+    /// (order- and grouping-invariant) and stray fast-mode f64 contributions
+    /// — possible only in a mixed-mode world the sentinel is about to abort
+    /// — are deposited into the bins so the collective still completes
+    /// deterministically. The result is rendered to f64 exactly once.
+    fn sum_binned(&self, board: &mut Board) {
+        let mut first = true;
+        for (r, slot) in self.active_slots() {
+            let buf = slot.buf.lock();
+            let len = match buf.held {
+                Held::Bins => buf.bins.len(),
+                Held::F64 => buf.f64s.len(),
+                _ => panic!("rank {r} contributed a non-reduction payload"),
+            };
+            if std::mem::take(&mut first) {
+                board.bins.clear();
+                board.bins.resize(len, BinnedSum::new());
+            }
+            assert_eq!(
+                board.bins.len(),
+                len,
+                "reduction length mismatch at rank {r}"
+            );
+            if buf.held == Held::Bins {
+                for (x, b) in board.bins.iter_mut().zip(&buf.bins) {
+                    x.merge(b);
+                }
+            } else {
+                for (x, &y) in board.bins.iter_mut().zip(&buf.f64s) {
+                    x.add(y);
+                }
+            }
+        }
+        board.f64s.clear();
+        board.f64s.extend(board.bins.iter().map(BinnedSum::render));
+    }
 }
 
 /// Registry handles for collective instrumentation, resolved once so the
@@ -188,6 +701,15 @@ impl World {
         F: Fn(Rank) -> T + Sync,
         T: Send,
     {
+        Self::run_on(Ctx::new(n, cores(), SPIN_BUDGET), recorder, f)
+    }
+
+    fn run_on<F, T>(ctx: Ctx, recorder: Option<&Arc<Recorder>>, f: F) -> Vec<T>
+    where
+        F: Fn(Rank) -> T + Sync,
+        T: Send,
+    {
+        let n = ctx.size;
         assert!(n >= 1, "need at least one rank");
         if let Some(rec) = recorder {
             assert!(
@@ -196,29 +718,7 @@ impl World {
                 rec.n_ranks()
             );
         }
-        let ctx = Arc::new(Ctx {
-            size: n,
-            state: Mutex::new(State {
-                poisoned: false,
-                pending_failure: false,
-                failed: BTreeSet::new(),
-                active: vec![true; n],
-                n_active: n,
-                gen: 0,
-                arrived: 0,
-                contributions: vec![None; n],
-                op: None,
-                category: None,
-                result: None,
-                result_gen: 0,
-                remaining_readers: 0,
-                aborted: BTreeSet::new(),
-                rec_gen: 0,
-                rec_arrived: 0,
-            }),
-            cv: Condvar::new(),
-            stats: Mutex::new(CommStats::default()),
-        });
+        let ctx = Arc::new(ctx);
         let f = &f;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
@@ -254,29 +754,25 @@ impl Rank {
         self.ctx.size
     }
 
-    /// The currently active (non-failed) ranks, ascending.
+    /// The currently active (non-failed) ranks, ascending. Lock-free: read
+    /// from the per-rank flags [`Rank::fail`] clears.
     pub fn active_ranks(&self) -> Vec<usize> {
-        let st = self.ctx.state.lock();
-        st.active
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| a.then_some(i))
-            .collect()
+        self.ctx.active_ranks()
     }
 
-    /// Number of currently active ranks.
+    /// Number of currently active ranks (lock-free).
     pub fn active_count(&self) -> usize {
-        self.ctx.state.lock().n_active
+        n_active(self.ctx.ctl.0.load(Ordering::Acquire))
     }
 
     /// Snapshot of the accumulated communication statistics.
     pub fn stats(&self) -> CommStats {
-        self.ctx.stats.lock().clone()
+        self.ctx.board().stats.clone()
     }
 
     /// Reset the accumulated statistics (benchmark harness use).
     pub fn reset_stats(&self) {
-        *self.ctx.stats.lock() = CommStats::default();
+        self.ctx.board_mut().stats = CommStats::default();
     }
 
     /// Account traffic that is modeled but not physically moved through the
@@ -287,7 +783,7 @@ impl Rank {
     /// rank timelines stay identical when a single rank accounts modeled
     /// traffic on behalf of the world.
     pub fn account(&self, category: CommCategory, kind: OpKind, bytes: u64) {
-        self.ctx.stats.lock().record(category, kind, bytes);
+        self.ctx.board_mut().stats.record(category, kind, bytes);
     }
 
     /// This rank's trace handle, when running under [`World::run_traced`].
@@ -295,126 +791,46 @@ impl Rank {
         self.tracer.as_ref()
     }
 
-    fn run_collective(
+    /// One collective up to the point where its result can be read:
+    /// `deposit` fills this rank's slot, then the rank arrives and the
+    /// collective is combined or waited for.
+    fn exchange(
         &self,
         op: OpSig,
         category: CommCategory,
-        payload: Payload,
-    ) -> Result<Payload, CommError> {
-        // Span covering synchronization + payload exchange. Declared before
-        // the guard so it closes after the lock is released.
-        let _wait = self
+        deposit: impl FnOnce(&mut SlotBuf),
+    ) -> Result<Delivery<'_>, CommError> {
+        let wait = self
             .tracer
             .as_ref()
             .map(|t| t.region(RegionKind::CollectiveWait));
         // Live-metrics twin of the trace span: pay for the clock read only
         // when the registry is on.
-        let metrics_t0 = exa_obs::metrics::enabled().then(std::time::Instant::now);
+        let metrics_t0 = exa_obs::metrics::enabled().then(Instant::now);
         let ctx = &*self.ctx;
-        let mut st = ctx.state.lock();
+        let slot = &ctx.slots[self.id];
         debug_assert!(
-            st.active[self.id],
+            slot.active.load(Ordering::Acquire),
             "failed rank {} called a collective",
             self.id
         );
-        // Entry: refuse on pending failure, drain any previous result.
-        loop {
-            if st.poisoned {
-                panic!("communicator poisoned by another rank's panic");
-            }
-            if st.pending_failure {
-                return Err(CommError::RanksFailed(st.failed.clone()));
-            }
-            if st.result.is_none() {
-                break;
-            }
-            ctx.cv.wait(&mut st);
+        let gen = ctx.enter()?;
+        {
+            let mut buf = slot.buf.lock();
+            buf.op = op;
+            buf.category = category;
+            buf.held = Held::Nothing;
+            deposit(&mut buf);
         }
-        let my_gen = st.gen;
-        match &st.op {
-            None => st.op = Some(op),
-            Some(existing) => {
-                if *existing != op {
-                    let existing = *existing;
-                    st.poisoned = true;
-                    ctx.cv.notify_all();
-                    drop(st);
-                    panic!(
-                        "collective mismatch: rank {} called {:?} while {:?} is in flight",
-                        self.id, op, existing
-                    );
-                }
-            }
-        }
-        let from_root = self.id == op.root;
-        match st.category {
-            None => st.category = Some((from_root, category)),
-            Some((true, _)) => {}
-            Some((false, _)) if from_root => st.category = Some((true, category)),
-            Some((false, _)) => {}
-        }
-        st.contributions[self.id] = Some(payload);
-        st.arrived += 1;
-
-        if st.arrived == st.n_active {
-            // Last arrival: combine deterministically in rank order and
-            // record the operation once. A combine panic (malformed
-            // payloads) poisons the world so waiters unwind too.
-            let result =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| combine(&st, op))) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        st.poisoned = true;
-                        ctx.cv.notify_all();
-                        drop(st);
-                        std::panic::resume_unwind(e);
-                    }
-                };
-            let (_, cat) = st.category.expect("category recorded by a depositor");
-            ctx.stats.lock().record(cat, op.kind, wire_bytes(&result));
-            st.result = Some(result);
-            st.result_gen = my_gen;
-            st.remaining_readers = st.n_active;
-            ctx.cv.notify_all();
-        } else {
-            loop {
-                if st.poisoned {
-                    panic!("communicator poisoned by another rank's panic");
-                }
-                if st.aborted.contains(&my_gen) {
-                    return Err(CommError::RanksFailed(st.failed.clone()));
-                }
-                if st.result.is_some() && st.result_gen == my_gen {
-                    break;
-                }
-                ctx.cv.wait(&mut st);
-            }
-        }
-
-        let out = st.result.clone().expect("result present");
-        // The authoritative (root-preferred) category, read before the last
-        // reader resets it — so every rank traces the identical event.
-        let traced_category = st.category.expect("category present").1;
-        st.remaining_readers -= 1;
-        if st.remaining_readers == 0 {
-            st.result = None;
-            st.gen += 1;
-            st.arrived = 0;
-            st.op = None;
-            st.category = None;
-            for c in st.contributions.iter_mut() {
-                *c = None;
-            }
-            ctx.cv.notify_all();
-        }
-        drop(st);
-        if let Some(t) = &self.tracer {
-            t.collective(op.kind, traced_category, wire_bytes(&out));
-        }
-        if let Some(t0) = metrics_t0 {
-            collective_metrics().observe(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(out)
+        ctx.arrive(op, gen)?;
+        Ok(Delivery {
+            board: ctx.board(),
+            slot,
+            rank: self,
+            kind: op.kind,
+            metrics_t0,
+            _wait: wait,
+        })
     }
 
     /// Start a [`Collective`] under `category`. New operation variants
@@ -457,16 +873,19 @@ impl Rank {
             kind: OpKind::Broadcast,
             root,
         };
-        let payload = if self.id == root {
-            Payload::Bytes(std::mem::take(data))
-        } else {
-            Payload::Unit
-        };
-        let out = self.run_collective(op, category, payload)?;
-        let Payload::Bytes(v) = out else {
-            unreachable!("broadcast returns bytes")
-        };
-        *data = v;
+        let is_root = self.id == root;
+        let d = self.exchange(op, category, |buf| {
+            if is_root {
+                buf.held = Held::Bytes;
+                buf.bytes.clear();
+                buf.bytes.extend_from_slice(data);
+            }
+        })?;
+        if !is_root {
+            assert!(d.board.held == Held::Bytes, "broadcast returns bytes");
+            data.clear();
+            data.extend_from_slice(&d.board.bytes);
+        }
         Ok(())
     }
 
@@ -481,16 +900,19 @@ impl Rank {
             kind: OpKind::Broadcast,
             root,
         };
-        let payload = if self.id == root {
-            Payload::F64(std::mem::take(data))
-        } else {
-            Payload::Unit
-        };
-        let out = self.run_collective(op, category, payload)?;
-        let Payload::F64(v) = out else {
-            unreachable!("broadcast_f64 returns f64")
-        };
-        *data = v;
+        let is_root = self.id == root;
+        let d = self.exchange(op, category, |buf| {
+            if is_root {
+                buf.held = Held::F64;
+                buf.f64s.clear();
+                buf.f64s.extend_from_slice(data);
+            }
+        })?;
+        if !is_root {
+            assert!(d.board.held == Held::F64, "broadcast_f64 returns f64");
+            data.clear();
+            data.extend_from_slice(&d.board.f64s);
+        }
         Ok(())
     }
 
@@ -506,11 +928,15 @@ impl Rank {
             kind: OpKind::Gather,
             root,
         };
-        let out = self.run_collective(op, category, Payload::Bytes(data))?;
-        let Payload::PerRank(blobs) = out else {
-            unreachable!("gather returns per-rank blobs")
-        };
-        Ok(if self.id == root { blobs } else { Vec::new() })
+        let d = self.exchange(op, category, |buf| {
+            buf.held = Held::Bytes;
+            buf.bytes = data;
+        })?;
+        Ok(if self.id == root {
+            std::mem::take(&mut d.slot.buf.lock().per_rank)
+        } else {
+            Vec::new()
+        })
     }
 
     /// Gather every rank's byte blob and hand the full rank-indexed set to
@@ -526,11 +952,11 @@ impl Rank {
             kind: OpKind::Allgather,
             root: 0,
         };
-        let out = self.run_collective(op, category, Payload::Bytes(data))?;
-        let Payload::PerRank(blobs) = out else {
-            unreachable!("allgather returns per-rank blobs")
-        };
-        Ok(blobs)
+        let d = self.exchange(op, category, |buf| {
+            buf.held = Held::Bytes;
+            buf.bytes = data;
+        })?;
+        Ok(d.board.per_rank.clone())
     }
 
     /// Scatter rank-indexed byte blobs from `root`; each rank receives its
@@ -546,31 +972,27 @@ impl Rank {
             kind: OpKind::Scatter,
             root,
         };
-        let payload = if self.id == root {
+        let is_root = self.id == root;
+        if is_root {
             assert_eq!(
                 data.len(),
                 self.ctx.size,
                 "scatter needs one blob per world slot"
             );
-            Payload::PerRank(data)
-        } else {
-            Payload::Unit
-        };
-        let out = self.run_collective(op, category, payload)?;
-        let Payload::PerRank(blobs) = out else {
-            unreachable!("scatter returns per-rank blobs")
-        };
-        Ok(blobs[self.id].clone())
+        }
+        let d = self.exchange(op, category, |buf| {
+            if is_root {
+                buf.held = Held::PerRank;
+                buf.per_rank = data;
+            }
+        })?;
+        let mine = std::mem::take(&mut d.slot.buf.lock().bytes);
+        Ok(mine)
     }
 
     /// Synchronization barrier (a zero-byte parallel region).
     pub fn barrier(&self, category: CommCategory) -> Result<(), CommError> {
-        let op = OpSig {
-            kind: OpKind::Barrier,
-            root: 0,
-        };
-        self.run_collective(op, category, Payload::Unit)?;
-        Ok(())
+        self.collective(category).barrier()
     }
 
     /// Declare this rank failed. May only be called at a quiescent point
@@ -578,35 +1000,38 @@ impl Rank {
     /// The rank must not communicate afterwards.
     pub fn fail(&self) {
         let ctx = &*self.ctx;
-        let mut st = ctx.state.lock();
-        assert!(st.active[self.id], "rank {} failed twice", self.id);
-        st.failed.insert(self.id);
-        st.active[self.id] = false;
-        st.n_active -= 1;
-        st.pending_failure = true;
-        if st.result.is_none() && st.arrived > 0 {
+        let mut slow = ctx.slow.lock();
+        assert!(
+            ctx.slots[self.id].active.swap(false, Ordering::AcqRel),
+            "rank {} failed twice",
+            self.id
+        );
+        slow.failed.insert(self.id);
+        slow.pending_failure = true;
+        // Close the fast path and shrink the world in one step, so the
+        // value a depositor's `arrived` add returns never pairs the old
+        // open flag with the new rank count.
+        let prev = ctx
+            .ctl
+            .0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
+                Some((c | CLOSED) - ONE_ACTIVE)
+            })
+            .expect("the update closure always returns Some");
+        if prev & CLOSED == 0 && arrived(prev) > 0 {
             // Abort the in-flight collecting phase: depositors will observe
             // the aborted generation and unwind.
-            let gen = st.gen;
-            st.aborted.insert(gen);
-            st.gen += 1;
-            st.arrived = 0;
-            st.op = None;
-            st.category = None;
-            for c in st.contributions.iter_mut() {
-                *c = None;
-            }
+            let gen = ctx.epoch.0.load(Ordering::SeqCst);
+            slow.aborted = Some(gen);
+            ctx.epoch.0.store(gen + 1, Ordering::SeqCst);
         }
         // A failure can shrink the world while every survivor is already
         // parked in the recovery barrier (simultaneous deaths where the
         // survivors acknowledged the first failure before the second rank
         // declared itself). The barrier completes on `rec_arrived ==
         // n_active`, so re-check it here — no survivor will arrive again.
-        if st.rec_arrived > 0 && st.rec_arrived == st.n_active {
-            st.pending_failure = false;
-            st.aborted.clear();
-            st.rec_gen += 1;
-            st.rec_arrived = 0;
+        if slow.rec_arrived > 0 && slow.rec_arrived == n_active(prev) - 1 {
+            ctx.finish_recovery(&mut slow);
         }
         ctx.cv.notify_all();
     }
@@ -616,31 +1041,49 @@ impl Rank {
     /// (cumulative) and the surviving rank list.
     pub fn recover(&self) -> (BTreeSet<usize>, Vec<usize>) {
         let ctx = &*self.ctx;
-        let mut st = ctx.state.lock();
-        let my_rec = st.rec_gen;
-        st.rec_arrived += 1;
-        if st.rec_arrived == st.n_active {
-            st.pending_failure = false;
-            st.aborted.clear();
-            st.rec_gen += 1;
-            st.rec_arrived = 0;
+        let mut slow = ctx.slow.lock();
+        let my_rec = slow.rec_gen;
+        slow.rec_arrived += 1;
+        if slow.rec_arrived == n_active(ctx.ctl.0.load(Ordering::Acquire)) {
+            ctx.finish_recovery(&mut slow);
             ctx.cv.notify_all();
         } else {
-            while st.rec_gen == my_rec {
-                if st.poisoned {
-                    panic!("communicator poisoned by another rank's panic");
+            while slow.rec_gen == my_rec {
+                if slow.poisoned {
+                    drop(slow);
+                    panic!("{POISONED}");
                 }
-                ctx.cv.wait(&mut st);
+                ctx.cv.wait(&mut slow);
             }
         }
-        let failed = st.failed.clone();
-        let survivors = st
-            .active
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| a.then_some(i))
-            .collect();
-        (failed, survivors)
+        (slow.failed.clone(), ctx.active_ranks())
+    }
+}
+
+/// A collective this rank has come out of: the board (read-locked — no rank
+/// can write it before this rank deposits again), the rank's own slot, and
+/// on drop the trace event and live metrics of the operation.
+struct Delivery<'a> {
+    board: RwLockReadGuard<'a, Board>,
+    slot: &'a Slot,
+    rank: &'a Rank,
+    kind: OpKind,
+    metrics_t0: Option<Instant>,
+    // Declared last so the span closes after the event is emitted and the
+    // board released: it covers synchronization + payload exchange.
+    _wait: Option<RegionGuard>,
+}
+
+impl Drop for Delivery<'_> {
+    fn drop(&mut self) {
+        // The authoritative (root-preferred) category — every rank traces
+        // the identical event.
+        if let Some(t) = &self.rank.tracer {
+            t.collective(self.kind, self.board.category, self.board.wire_bytes);
+        }
+        if let Some(t0) = self.metrics_t0 {
+            collective_metrics().observe(t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -672,51 +1115,55 @@ impl Collective<'_> {
         self
     }
 
-    fn sum_payload(&self, data: &[f64]) -> Payload {
-        match self.mode {
-            ReduceKind::Fast => Payload::F64(data.to_vec()),
-            ReduceKind::Reproducible => Payload::Bins(
-                data.iter()
-                    .map(|&x| {
+    fn op(&self, kind: OpKind) -> OpSig {
+        let root = match kind {
+            OpKind::Reduce => self.root,
+            _ => 0,
+        };
+        OpSig { kind, root }
+    }
+
+    fn exchange_sum(&self, kind: OpKind, data: &[f64]) -> Result<Delivery<'_>, CommError> {
+        self.rank
+            .exchange(self.op(kind), self.category, |buf| match self.mode {
+                ReduceKind::Fast => {
+                    buf.held = Held::F64;
+                    buf.f64s.clear();
+                    buf.f64s.extend_from_slice(data);
+                }
+                ReduceKind::Reproducible => {
+                    buf.held = Held::Bins;
+                    buf.bins.clear();
+                    buf.bins.extend(data.iter().map(|&x| {
                         let mut b = BinnedSum::new();
                         b.add(x);
                         b
-                    })
-                    .collect(),
-            ),
-        }
+                    }));
+                }
+            })
+    }
+
+    fn exchange_bins(&self, kind: OpKind, bins: Vec<BinnedSum>) -> Result<Delivery<'_>, CommError> {
+        self.rank.exchange(self.op(kind), self.category, |buf| {
+            buf.held = Held::Bins;
+            buf.bins = bins;
+        })
     }
 
     /// Sum-allreduce `data` in place; every active rank receives the
     /// bit-identical result.
     pub fn allreduce_sum(self, data: &mut [f64]) -> Result<(), CommError> {
-        let op = OpSig {
-            kind: OpKind::Allreduce,
-            root: 0,
-        };
-        let payload = self.sum_payload(data);
-        let out = self.rank.run_collective(op, self.category, payload)?;
-        let Payload::F64(v) = out else {
-            unreachable!("allreduce returns f64")
-        };
-        data.copy_from_slice(&v);
+        let d = self.exchange_sum(OpKind::Allreduce, data)?;
+        data.copy_from_slice(&d.board.f64s);
         Ok(())
     }
 
     /// Sum-reduce toward the configured root; non-root buffers are left
     /// untouched.
     pub fn reduce_sum(self, data: &mut [f64]) -> Result<(), CommError> {
-        let op = OpSig {
-            kind: OpKind::Reduce,
-            root: self.root,
-        };
-        let payload = self.sum_payload(data);
-        let out = self.rank.run_collective(op, self.category, payload)?;
+        let d = self.exchange_sum(OpKind::Reduce, data)?;
         if self.rank.id == self.root {
-            let Payload::F64(v) = out else {
-                unreachable!("reduce returns f64")
-            };
-            data.copy_from_slice(&v);
+            data.copy_from_slice(&d.board.f64s);
         }
         Ok(())
     }
@@ -726,168 +1173,27 @@ impl Collective<'_> {
     /// result to f64 once, so the bits every rank receives depend only on
     /// the global addend multiset — not on the rank count or the split.
     pub fn allreduce_binned(self, bins: Vec<BinnedSum>) -> Result<Vec<f64>, CommError> {
-        let op = OpSig {
-            kind: OpKind::Allreduce,
-            root: 0,
-        };
-        let out = self
-            .rank
-            .run_collective(op, self.category, Payload::Bins(bins))?;
-        let Payload::F64(v) = out else {
-            unreachable!("allreduce returns f64")
-        };
-        Ok(v)
+        let d = self.exchange_bins(OpKind::Allreduce, bins)?;
+        Ok(d.board.f64s.clone())
     }
 
     /// Reproducible-mode reduce toward the configured root. Only the root
     /// receives the rendered sums; other ranks get an empty vector.
     pub fn reduce_binned(self, bins: Vec<BinnedSum>) -> Result<Vec<f64>, CommError> {
-        let op = OpSig {
-            kind: OpKind::Reduce,
-            root: self.root,
-        };
-        let out = self
-            .rank
-            .run_collective(op, self.category, Payload::Bins(bins))?;
-        if self.rank.id != self.root {
-            return Ok(Vec::new());
-        }
-        let Payload::F64(v) = out else {
-            unreachable!("reduce returns f64")
-        };
-        Ok(v)
+        let d = self.exchange_bins(OpKind::Reduce, bins)?;
+        Ok(if self.rank.id == self.root {
+            d.board.f64s.clone()
+        } else {
+            Vec::new()
+        })
     }
 
     /// Synchronization barrier under this builder's category (resize and
     /// recovery points).
     pub fn barrier(self) -> Result<(), CommError> {
-        let op = OpSig {
-            kind: OpKind::Barrier,
-            root: 0,
-        };
-        self.rank.run_collective(op, self.category, Payload::Unit)?;
+        self.rank
+            .exchange(self.op(OpKind::Barrier), self.category, |_| ())?;
         Ok(())
-    }
-}
-
-/// Deterministic combination of the deposited payloads.
-fn combine(st: &State, op: OpSig) -> Payload {
-    match op.kind {
-        OpKind::Allreduce | OpKind::Reduce => {
-            // Reproducible contributions force the binned path: bins merge
-            // exactly (order- and grouping-invariant) and stray fast-mode
-            // f64 contributions — possible only in a mixed-mode world the
-            // sentinel is about to abort — are deposited into the bins so
-            // the collective still completes deterministically. The result
-            // is rendered to f64 exactly once.
-            let any_bins = st
-                .contributions
-                .iter()
-                .enumerate()
-                .any(|(r, c)| st.active[r] && matches!(c, Some(Payload::Bins(_))));
-            if any_bins {
-                let mut acc: Option<Vec<BinnedSum>> = None;
-                for (r, c) in st.contributions.iter().enumerate() {
-                    if !st.active[r] {
-                        continue;
-                    }
-                    match c {
-                        Some(Payload::Bins(bins)) => {
-                            let a = acc.get_or_insert_with(|| vec![BinnedSum::new(); bins.len()]);
-                            assert_eq!(
-                                a.len(),
-                                bins.len(),
-                                "reduction length mismatch at rank {r}"
-                            );
-                            for (x, b) in a.iter_mut().zip(bins) {
-                                x.merge(b);
-                            }
-                        }
-                        Some(Payload::F64(v)) => {
-                            let a = acc.get_or_insert_with(|| vec![BinnedSum::new(); v.len()]);
-                            assert_eq!(a.len(), v.len(), "reduction length mismatch at rank {r}");
-                            for (x, &y) in a.iter_mut().zip(v) {
-                                x.add(y);
-                            }
-                        }
-                        _ => panic!("rank {r} contributed a non-reduction payload"),
-                    }
-                }
-                let acc = acc.expect("no contributions");
-                return Payload::F64(acc.iter().map(BinnedSum::render).collect());
-            }
-            let mut acc: Option<Vec<f64>> = None;
-            for (r, c) in st.contributions.iter().enumerate() {
-                if !st.active[r] {
-                    continue;
-                }
-                let Some(Payload::F64(v)) = c else {
-                    panic!("rank {r} contributed a non-f64 payload to a reduction")
-                };
-                match &mut acc {
-                    None => acc = Some(v.clone()),
-                    Some(a) => {
-                        assert_eq!(a.len(), v.len(), "reduction length mismatch at rank {r}");
-                        for (x, y) in a.iter_mut().zip(v) {
-                            *x += y;
-                        }
-                    }
-                }
-            }
-            Payload::F64(acc.expect("no contributions"))
-        }
-        OpKind::Broadcast => {
-            let c = st.contributions[op.root]
-                .clone()
-                .expect("root did not contribute");
-            assert!(
-                !matches!(c, Payload::Unit),
-                "broadcast root {} contributed no data",
-                op.root
-            );
-            c
-        }
-        OpKind::Gather | OpKind::Allgather => {
-            // Collect every active rank's blob in rank order; inactive
-            // ranks contribute empty slots so indices stay stable. For
-            // Gather only the root reads the result; for Allgather every
-            // rank does.
-            let blobs: Vec<Vec<u8>> = st
-                .contributions
-                .iter()
-                .map(|c| match c {
-                    Some(Payload::Bytes(b)) => b.clone(),
-                    _ => Vec::new(),
-                })
-                .collect();
-            Payload::PerRank(blobs)
-        }
-        OpKind::Scatter => {
-            let c = st.contributions[op.root]
-                .clone()
-                .expect("root did not contribute");
-            let Payload::PerRank(blobs) = c else {
-                panic!("scatter root {} must contribute per-rank blobs", op.root)
-            };
-            Payload::PerRank(blobs)
-        }
-        OpKind::Barrier => Payload::Unit,
-    }
-}
-
-/// The paper's byte-counting convention: payload size, independent of the
-/// number of ranks.
-fn wire_bytes(result: &Payload) -> u64 {
-    match result {
-        Payload::F64(v) => 8 * v.len() as u64,
-        // Reduction results are always rendered to F64 before accounting;
-        // bins only appear as contributions. Counted at their logical f64
-        // width so both reduce modes account identical traffic (the
-        // paper's hardware-independent convention).
-        Payload::Bins(v) => 8 * v.len() as u64,
-        Payload::Bytes(b) => b.len() as u64,
-        Payload::PerRank(blobs) => blobs.iter().map(|b| b.len() as u64).sum(),
-        Payload::Unit => 0,
     }
 }
 
@@ -1387,6 +1693,136 @@ mod tests {
         });
         for r in results {
             assert_eq!(r, 200.0 * n as f64);
+        }
+    }
+
+    /// How waiters of a test world wait: spinning for good (a budget no test
+    /// outlives, on however many cores) or parking at once.
+    #[derive(Debug, Clone, Copy)]
+    enum Waiters {
+        Spin,
+        Park,
+    }
+
+    /// Runs the world on a watched thread: a waiter the failure or poison
+    /// never reaches would otherwise hang the suite instead of failing it.
+    fn run_waiting<T: Send + 'static>(
+        n: usize,
+        how: Waiters,
+        f: impl Fn(Rank) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let ctx = match how {
+            Waiters::Spin => Ctx::new(n, usize::MAX, Duration::from_secs(3600)),
+            Waiters::Park => Ctx::new(n, 0, Duration::ZERO),
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(World::run_on(ctx, None, f));
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{how:?}: a waiter is stuck"))
+    }
+
+    /// Spin until `n` ranks have deposited into the generation in flight —
+    /// from then on they are inside their wait.
+    fn await_deposits(rank: &Rank, n: usize) {
+        while arrived(rank.ctx.ctl.0.load(Ordering::Acquire)) < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn failure_aborts_waiters_and_recovery_shrinks_the_world() {
+        for how in [Waiters::Spin, Waiters::Park] {
+            let results = run_waiting(3, how, move |rank| {
+                if rank.id() == 2 {
+                    // Both survivors have deposited: the failure must reach
+                    // them inside their wait, not at their entry check.
+                    await_deposits(&rank, 2);
+                    rank.fail();
+                    return -1.0;
+                }
+                let mut d = [1.0];
+                match rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods) {
+                    Err(CommError::RanksFailed(set)) => assert_eq!(set, BTreeSet::from([2])),
+                    Ok(()) => panic!("{how:?}: the aborted generation completed"),
+                }
+                assert_eq!(rank.active_count(), 2);
+                assert_eq!(rank.active_ranks(), vec![0, 1]);
+                let (failed, survivors) = rank.recover();
+                assert_eq!(failed, BTreeSet::from([2]));
+                assert_eq!(survivors, vec![0, 1]);
+                let mut d = [1.0];
+                rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods)
+                    .unwrap();
+                d[0]
+            });
+            assert_eq!(results, vec![2.0, 2.0, -1.0], "{how:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_while_combining_poisons_every_waiter() {
+        // Rank 2 arrives last with a payload that cannot be combined (wrong
+        // length) or another operation altogether: it panics while
+        // combining, and the two ranks already waiting must unwind too.
+        for how in [Waiters::Spin, Waiters::Park] {
+            for mismatch_op in [false, true] {
+                let messages = run_waiting(3, how, move |rank| {
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if rank.id() != 2 {
+                            let mut d = [1.0];
+                            let _ = rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods);
+                        } else if mismatch_op {
+                            await_deposits(&rank, 2);
+                            let _ = rank.barrier(CommCategory::Control);
+                        } else {
+                            await_deposits(&rank, 2);
+                            let mut d = [1.0, 2.0];
+                            let _ = rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods);
+                        }
+                    }));
+                    let payload = outcome.expect_err("every rank must panic");
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default()
+                });
+                let cause = if mismatch_op {
+                    "collective mismatch"
+                } else {
+                    "reduction length mismatch"
+                };
+                assert!(messages[2].contains(cause), "{how:?}: {messages:?}");
+                assert_eq!(messages[0], POISONED, "{how:?}");
+                assert_eq!(messages[1], POISONED, "{how:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failure_after_completion_leaves_the_result_standing() {
+        // Rank 1 fails right after the collective completed, possibly before
+        // rank 0 has looked at the closed word: rank 0 must still read the
+        // result, and only its *next* collective reports the failure.
+        for how in [Waiters::Spin, Waiters::Park] {
+            let results = run_waiting(2, how, |rank| {
+                let mut d = [rank.id() as f64 + 1.0];
+                rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods)
+                    .unwrap();
+                if rank.id() == 1 {
+                    rank.fail();
+                    return d[0];
+                }
+                let mut e = [1.0];
+                assert!(rank
+                    .allreduce_sum(&mut e, CommCategory::SiteLikelihoods)
+                    .is_err());
+                assert_eq!(rank.recover().1, vec![0]);
+                d[0]
+            });
+            assert_eq!(results, vec![3.0, 3.0], "{how:?}");
         }
     }
 }

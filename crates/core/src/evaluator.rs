@@ -20,6 +20,9 @@ pub struct DecentralizedEvaluator {
     rank: Rank,
     tree: Tree,
     engine: Engine,
+    /// `engine.global_indices()`, hoisted: every reduction maps local
+    /// partitions to global slots. Refreshed by [`Self::replace_engine`].
+    globals: Vec<usize>,
     n_partitions: usize,
     branch_mode: BranchMode,
     /// Replicated model parameters for **all** partitions — every rank
@@ -68,6 +71,7 @@ impl DecentralizedEvaluator {
         DecentralizedEvaluator {
             rank,
             tree,
+            globals: engine.global_indices(),
             engine,
             n_partitions,
             branch_mode,
@@ -134,6 +138,7 @@ impl DecentralizedEvaluator {
     /// per-site rates are data-local and reset to 1; the next model-
     /// optimization round re-fits them (documented recovery semantics).
     pub fn replace_engine(&mut self, engine: Engine) {
+        self.globals = engine.global_indices();
         self.engine = engine;
         let state = self.snapshot();
         apply_global_params(&mut self.engine, &state);
@@ -278,7 +283,7 @@ impl Evaluator for DecentralizedEvaluator {
         let total = match self.reduce {
             ReduceKind::Fast => {
                 let per_local = self.engine.evaluate(&d);
-                let mut buf = vec![per_local.iter().sum::<f64>()];
+                let mut buf = [per_local.iter().sum::<f64>()];
                 let r = self
                     .rank
                     .allreduce_sum(&mut buf, CommCategory::SiteLikelihoods);
@@ -309,7 +314,7 @@ impl Evaluator for DecentralizedEvaluator {
             ReduceKind::Fast => {
                 let per_local = self.engine.evaluate(&d);
                 let mut buf = vec![0.0; self.n_partitions];
-                for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+                for (local, &global) in self.globals.iter().enumerate() {
                     buf[global] += per_local[local];
                 }
                 let r = self
@@ -319,7 +324,7 @@ impl Evaluator for DecentralizedEvaluator {
                 buf
             }
             ReduceKind::Reproducible => {
-                let globals = self.engine.global_indices();
+                let globals = &self.globals;
                 let mut bins = vec![BinnedSum::new(); self.n_partitions];
                 self.engine.evaluate_with_terms(&d, &mut |local, terms| {
                     bins[globals[local]].add_slice(terms)
@@ -355,7 +360,7 @@ impl Evaluator for DecentralizedEvaluator {
                 BranchMode::Joint => 1,
                 BranchMode::PerPartition => self.n_partitions,
             };
-            let globals = self.engine.global_indices();
+            let globals = &self.globals;
             let mut bins = vec![BinnedSum::new(); 2 * p];
             self.engine
                 .derivatives_with_terms(lengths, &mut |local, t1, t2| {
@@ -375,7 +380,7 @@ impl Evaluator for DecentralizedEvaluator {
         match self.branch_mode {
             BranchMode::Joint => {
                 // The paper's second allreduce: 2 doubles.
-                let mut buf = vec![d1.iter().sum::<f64>(), d2.iter().sum::<f64>()];
+                let mut buf = [d1.iter().sum::<f64>(), d2.iter().sum::<f64>()];
                 let r = self
                     .rank
                     .allreduce_sum(&mut buf, CommCategory::BranchLength);
@@ -387,7 +392,7 @@ impl Evaluator for DecentralizedEvaluator {
                 // Under -M the message grows to 2p doubles (§IV-D).
                 let p = self.n_partitions;
                 let mut buf = vec![0.0; 2 * p];
-                for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+                for (local, &global) in self.globals.iter().enumerate() {
                     buf[global] += d1[local];
                     buf[p + global] += d2[local];
                 }
@@ -432,8 +437,7 @@ impl Evaluator for DecentralizedEvaluator {
                         }
                     }
                     BranchMode::PerPartition => {
-                        for (local, global) in self.engine.global_indices().into_iter().enumerate()
-                        {
+                        for (local, &global) in self.globals.iter().enumerate() {
                             for (e, &(g1, g2)) in sweep[local].iter().enumerate() {
                                 buf[e * p + global] += g1;
                                 buf[(n_edges + e) * p + global] += g2;
@@ -448,7 +452,7 @@ impl Evaluator for DecentralizedEvaluator {
                 buf
             }
             ReduceKind::Reproducible => {
-                let globals = self.engine.global_indices();
+                let globals = &self.globals;
                 let mut bins = vec![BinnedSum::new(); 2 * p * n_edges];
                 self.engine
                     .edge_gradient_with_terms(&plan, &mut |local, edge, t1, t2| {
@@ -487,7 +491,7 @@ impl Evaluator for DecentralizedEvaluator {
         // arguments (derived from identical reduced likelihoods).
         assert_eq!(alphas.len(), self.n_partitions);
         self.alphas = alphas.to_vec();
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+        for (local, &global) in self.globals.iter().enumerate() {
             self.engine.set_alpha(local, alphas[global]);
         }
         self.tree.invalidate_all();
@@ -502,7 +506,7 @@ impl Evaluator for DecentralizedEvaluator {
         for (g, &v) in values.iter().enumerate() {
             self.gtr_rates[g][rate_index] = v;
         }
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+        for (local, &global) in self.globals.iter().enumerate() {
             self.engine.set_gtr_rate(local, rate_index, values[global]);
         }
         self.tree.invalidate_all();
@@ -517,13 +521,13 @@ impl Evaluator for DecentralizedEvaluator {
         // Per-site rates are optimized on local data only; the global
         // normalization needs a single 2-double reduction (the paper's
         // "additional MPI calls to handle the CAT model").
-        let buf = match self.reduce {
+        let (num, den) = match self.reduce {
             ReduceKind::Fast => {
                 let (num, den) = self.engine.optimize_site_rates(&d);
-                let mut buf = vec![num, den];
+                let mut buf = [num, den];
                 let r = self.rank.allreduce_sum(&mut buf, CommCategory::ModelParams);
                 self.comm_ok(r);
-                buf
+                (buf[0], buf[1])
             }
             ReduceKind::Reproducible => {
                 let mut bins = vec![BinnedSum::new(); 2];
@@ -536,12 +540,13 @@ impl Evaluator for DecentralizedEvaluator {
                     .rank
                     .collective(CommCategory::ModelParams)
                     .allreduce_binned(bins);
-                self.comm_ok(r)
+                let buf = self.comm_ok(r);
+                (buf[0], buf[1])
             }
         };
         self.after_collective();
-        if buf[0] > 0.0 {
-            self.engine.finalize_site_rates(buf[1] / buf[0]);
+        if num > 0.0 {
+            self.engine.finalize_site_rates(den / num);
         }
         self.tree.invalidate_all();
     }

@@ -24,6 +24,8 @@ pub struct ForkJoinEvaluator {
     rank: Rank,
     tree: Tree,
     engine: Engine,
+    /// `engine.global_indices()`, hoisted: local → global partition slots.
+    globals: Vec<usize>,
     n_partitions: usize,
     branch_mode: BranchMode,
     reduce: ReduceKind,
@@ -61,6 +63,7 @@ impl ForkJoinEvaluator {
         ForkJoinEvaluator {
             rank,
             tree,
+            globals: engine.global_indices(),
             engine,
             n_partitions,
             branch_mode,
@@ -186,14 +189,14 @@ impl Evaluator for ForkJoinEvaluator {
         match self.reduce {
             ReduceKind::Fast => {
                 let per_local = self.engine.evaluate(&d);
-                let mut total = vec![per_local.iter().sum::<f64>()];
+                let mut total = [per_local.iter().sum::<f64>()];
                 self.rank
                     .reduce_sum(0, &mut total, CommCategory::SiteLikelihoods)
                     .expect("reduce failed");
                 total[0]
             }
             ReduceKind::Reproducible => {
-                let bins = evaluate_bins(&mut self.engine, &d, 1);
+                let bins = evaluate_bins(&mut self.engine, &self.globals, &d, 1);
                 self.rank
                     .collective(CommCategory::SiteLikelihoods)
                     .reduce_binned(bins)
@@ -213,7 +216,7 @@ impl Evaluator for ForkJoinEvaluator {
             ReduceKind::Fast => {
                 let per_local = self.engine.evaluate(&d);
                 let mut lnls = vec![0.0; self.n_partitions];
-                for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+                for (local, &global) in self.globals.iter().enumerate() {
                     lnls[global] += per_local[local];
                 }
                 self.rank
@@ -222,7 +225,7 @@ impl Evaluator for ForkJoinEvaluator {
                 lnls
             }
             ReduceKind::Reproducible => {
-                let bins = evaluate_bins(&mut self.engine, &d, self.n_partitions);
+                let bins = evaluate_bins(&mut self.engine, &self.globals, &d, self.n_partitions);
                 self.rank
                     .collective(CommCategory::SiteLikelihoods)
                     .reduce_binned(bins)
@@ -257,7 +260,7 @@ impl Evaluator for ForkJoinEvaluator {
             ReduceKind::Fast => {
                 let (d1, d2) = self.engine.derivatives(lengths);
                 let mut buf =
-                    derivative_buffer(&self.engine, self.branch_mode, self.n_partitions, &d1, &d2);
+                    derivative_buffer(&self.globals, self.branch_mode, self.n_partitions, &d1, &d2);
                 self.rank
                     .reduce_sum(0, &mut buf, CommCategory::BranchLength)
                     .expect("reduce failed");
@@ -266,6 +269,7 @@ impl Evaluator for ForkJoinEvaluator {
             ReduceKind::Reproducible => {
                 let bins = derivative_bins(
                     &mut self.engine,
+                    &self.globals,
                     self.branch_mode,
                     self.n_partitions,
                     lengths,
@@ -309,7 +313,7 @@ impl Evaluator for ForkJoinEvaluator {
             ReduceKind::Fast => {
                 let sweep = self.engine.edge_gradient(&plan);
                 let mut buf = gradient_buffer(
-                    &self.engine,
+                    &self.globals,
                     self.branch_mode,
                     self.n_partitions,
                     &sweep,
@@ -321,8 +325,13 @@ impl Evaluator for ForkJoinEvaluator {
                 buf
             }
             ReduceKind::Reproducible => {
-                let bins =
-                    gradient_bins(&mut self.engine, self.branch_mode, self.n_partitions, &plan);
+                let bins = gradient_bins(
+                    &mut self.engine,
+                    &self.globals,
+                    self.branch_mode,
+                    self.n_partitions,
+                    &plan,
+                );
                 self.rank
                     .collective(CommCategory::BranchLength)
                     .reduce_binned(bins)
@@ -356,7 +365,7 @@ impl Evaluator for ForkJoinEvaluator {
             CommCategory::ModelParams,
         );
         self.alphas = alphas.to_vec();
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+        for (local, &global) in self.globals.iter().enumerate() {
             self.engine.set_alpha(local, alphas[global]);
         }
         self.tree.invalidate_all();
@@ -378,7 +387,7 @@ impl Evaluator for ForkJoinEvaluator {
         for (g, &v) in values.iter().enumerate() {
             self.gtr_rates[g][rate_index] = v;
         }
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
+        for (local, &global) in self.globals.iter().enumerate() {
             self.engine.set_gtr_rate(local, rate_index, values[global]);
         }
         self.tree.invalidate_all();
@@ -394,28 +403,30 @@ impl Evaluator for ForkJoinEvaluator {
             CommCategory::TraversalDescriptor,
         );
         self.engine.execute(&d);
-        let buf = match self.reduce {
+        let (num, den) = match self.reduce {
             ReduceKind::Fast => {
                 let (num, den) = self.engine.optimize_site_rates(&d);
-                let mut buf = vec![num, den];
+                let mut buf = [num, den];
                 self.rank
                     .reduce_sum(0, &mut buf, CommCategory::ModelParams)
                     .expect("reduce failed");
-                buf
+                (buf[0], buf[1])
             }
             ReduceKind::Reproducible => {
                 let bins = site_rate_bins(&mut self.engine, &d);
-                self.rank
+                let buf = self
+                    .rank
                     .collective(CommCategory::ModelParams)
                     .reduce_binned(bins)
-                    .expect("reduce failed")
+                    .expect("reduce failed");
+                (buf[0], buf[1])
             }
         };
-        let scale = if buf[0] > 0.0 { buf[1] / buf[0] } else { 1.0 };
+        let scale = if num > 0.0 { den / num } else { 1.0 };
         // PSR rate values themselves stay data-local on each worker; only
         // the scale is broadcast.
         self.command(&WorkerCmd::SetPsrScale(scale), CommCategory::ModelParams);
-        if buf[0] > 0.0 {
+        if num > 0.0 {
             self.engine.finalize_site_rates(scale);
         }
         self.tree.invalidate_all();

@@ -39,6 +39,8 @@ pub fn worker_loop(
     assignment: &exa_sched::RankAssignment,
     aln: &CompressedAlignment,
 ) -> (WorkCounters, u64) {
+    // Local → global partition slots, fixed for the life of the engine.
+    let globals = engine.global_indices();
     loop {
         let mut buf = Vec::new();
         rank.broadcast_bytes(0, &mut buf, CommCategory::TraversalDescriptor)
@@ -53,12 +55,12 @@ pub fn worker_loop(
                 match reduce {
                     ReduceKind::Fast => {
                         let per_local = engine.evaluate(&d);
-                        let mut total = vec![per_local.iter().sum::<f64>()];
+                        let mut total = [per_local.iter().sum::<f64>()];
                         rank.reduce_sum(0, &mut total, CommCategory::SiteLikelihoods)
                             .expect("reduce failed");
                     }
                     ReduceKind::Reproducible => {
-                        let bins = evaluate_bins(&mut engine, &d, 1);
+                        let bins = evaluate_bins(&mut engine, &globals, &d, 1);
                         rank.collective(CommCategory::SiteLikelihoods)
                             .reduce_binned(bins)
                             .expect("reduce failed");
@@ -71,14 +73,14 @@ pub fn worker_loop(
                     ReduceKind::Fast => {
                         let per_local = engine.evaluate(&d);
                         let mut lnls = vec![0.0; n_partitions];
-                        for (local, global) in engine.global_indices().into_iter().enumerate() {
+                        for (local, &global) in globals.iter().enumerate() {
                             lnls[global] += per_local[local];
                         }
                         rank.reduce_sum(0, &mut lnls, CommCategory::SiteLikelihoods)
                             .expect("reduce failed");
                     }
                     ReduceKind::Reproducible => {
-                        let bins = evaluate_bins(&mut engine, &d, n_partitions);
+                        let bins = evaluate_bins(&mut engine, &globals, &d, n_partitions);
                         rank.collective(CommCategory::SiteLikelihoods)
                             .reduce_binned(bins)
                             .expect("reduce failed");
@@ -92,24 +94,25 @@ pub fn worker_loop(
             WorkerCmd::Derivatives(lengths) => match reduce {
                 ReduceKind::Fast => {
                     let (d1, d2) = engine.derivatives(&lengths);
-                    let mut buf = derivative_buffer(&engine, branch_mode, n_partitions, &d1, &d2);
+                    let mut buf = derivative_buffer(&globals, branch_mode, n_partitions, &d1, &d2);
                     rank.reduce_sum(0, &mut buf, CommCategory::BranchLength)
                         .expect("reduce failed");
                 }
                 ReduceKind::Reproducible => {
-                    let bins = derivative_bins(&mut engine, branch_mode, n_partitions, &lengths);
+                    let bins =
+                        derivative_bins(&mut engine, &globals, branch_mode, n_partitions, &lengths);
                     rank.collective(CommCategory::BranchLength)
                         .reduce_binned(bins)
                         .expect("reduce failed");
                 }
             },
             WorkerCmd::SetAlphas(alphas) => {
-                for (local, global) in engine.global_indices().into_iter().enumerate() {
+                for (local, &global) in globals.iter().enumerate() {
                     engine.set_alpha(local, alphas[global]);
                 }
             }
             WorkerCmd::SetGtrRate { index, values } => {
-                for (local, global) in engine.global_indices().into_iter().enumerate() {
+                for (local, &global) in globals.iter().enumerate() {
                     engine.set_gtr_rate(local, index as usize, values[global]);
                 }
             }
@@ -118,7 +121,7 @@ pub fn worker_loop(
                 match reduce {
                     ReduceKind::Fast => {
                         let (num, den) = engine.optimize_site_rates(&d);
-                        let mut buf = vec![num, den];
+                        let mut buf = [num, den];
                         rank.reduce_sum(0, &mut buf, CommCategory::ModelParams)
                             .expect("reduce failed");
                     }
@@ -148,7 +151,7 @@ pub fn worker_loop(
                     ReduceKind::Fast => {
                         let sweep = engine.edge_gradient(&plan);
                         let mut buf = gradient_buffer(
-                            &engine,
+                            &globals,
                             branch_mode,
                             n_partitions,
                             &sweep,
@@ -158,7 +161,8 @@ pub fn worker_loop(
                             .expect("reduce failed");
                     }
                     ReduceKind::Reproducible => {
-                        let bins = gradient_bins(&mut engine, branch_mode, n_partitions, &plan);
+                        let bins =
+                            gradient_bins(&mut engine, &globals, branch_mode, n_partitions, &plan);
                         rank.collective(CommCategory::BranchLength)
                             .reduce_binned(bins)
                             .expect("reduce failed");
@@ -179,10 +183,10 @@ pub fn worker_loop(
 /// run `engine.execute(&d)` first.
 pub(crate) fn evaluate_bins(
     engine: &mut Engine,
+    globals: &[usize],
     d: &TraversalDescriptor,
     n_slots: usize,
 ) -> Vec<BinnedSum> {
-    let globals = engine.global_indices();
     let mut bins = vec![BinnedSum::new(); n_slots];
     engine.evaluate_with_terms(d, &mut |local, terms| {
         let slot = if n_slots == 1 { 0 } else { globals[local] };
@@ -195,6 +199,7 @@ pub(crate) fn evaluate_bins(
 /// layout with every slot fed the raw per-site addends.
 pub(crate) fn derivative_bins(
     engine: &mut Engine,
+    globals: &[usize],
     branch_mode: BranchMode,
     n_partitions: usize,
     lengths: &[f64],
@@ -203,7 +208,6 @@ pub(crate) fn derivative_bins(
         BranchMode::Joint => 1,
         BranchMode::PerPartition => n_partitions,
     };
-    let globals = engine.global_indices();
     let mut bins = vec![BinnedSum::new(); 2 * p];
     engine.derivatives_with_terms(lengths, &mut |local, t1, t2| {
         let slot = if p == 1 { 0 } else { globals[local] };
@@ -230,7 +234,7 @@ pub(crate) fn site_rate_bins(engine: &mut Engine, d: &TraversalDescriptor) -> Ve
 /// reduced pair carries exactly the bits the per-edge route would have
 /// produced. Shared with the master so the wire layout matches exactly.
 pub(crate) fn gradient_buffer(
-    engine: &Engine,
+    globals: &[usize],
     branch_mode: BranchMode,
     n_partitions: usize,
     sweep: &[Vec<(f64, f64)>],
@@ -250,7 +254,7 @@ pub(crate) fn gradient_buffer(
             }
         }
         BranchMode::PerPartition => {
-            for (local, global) in engine.global_indices().into_iter().enumerate() {
+            for (local, &global) in globals.iter().enumerate() {
                 for (e, &(d1, d2)) in sweep[local].iter().enumerate() {
                     buf[e * p + global] += d1;
                     buf[(n_edges + e) * p + global] += d2;
@@ -268,6 +272,7 @@ pub(crate) fn gradient_buffer(
 /// collectives.
 pub(crate) fn gradient_bins(
     engine: &mut Engine,
+    globals: &[usize],
     branch_mode: BranchMode,
     n_partitions: usize,
     plan: &exa_phylo::tree::traversal::GradientPlan,
@@ -276,7 +281,6 @@ pub(crate) fn gradient_bins(
         BranchMode::Joint => 1,
         BranchMode::PerPartition => n_partitions,
     };
-    let globals = engine.global_indices();
     let n_edges = plan.n_edges;
     let mut bins = vec![BinnedSum::new(); 2 * p * n_edges];
     engine.edge_gradient_with_terms(plan, &mut |local, edge, t1, t2| {
@@ -290,7 +294,7 @@ pub(crate) fn gradient_bins(
 /// Assemble the derivative reduction buffer (shared with the master so the
 /// wire layout matches exactly).
 pub(crate) fn derivative_buffer(
-    engine: &Engine,
+    globals: &[usize],
     branch_mode: BranchMode,
     n_partitions: usize,
     d1: &[f64],
@@ -300,7 +304,7 @@ pub(crate) fn derivative_buffer(
         BranchMode::Joint => vec![d1.iter().sum::<f64>(), d2.iter().sum::<f64>()],
         BranchMode::PerPartition => {
             let mut buf = vec![0.0; 2 * n_partitions];
-            for (local, global) in engine.global_indices().into_iter().enumerate() {
+            for (local, &global) in globals.iter().enumerate() {
                 buf[global] += d1[local];
                 buf[n_partitions + global] += d2[local];
             }

@@ -21,6 +21,17 @@ for kernel in scalar simd; do
   done
 done
 
+echo "==> exa-comm under oversubscription (release, 8 test threads)"
+# The spin-then-park wait with four times as many runnable worlds as this
+# box has cores: spinners must hand their core over, parkers must be woken.
+RUST_TEST_THREADS=8 cargo test -q -p exa-comm --release
+
+echo "==> benchmark self-check (offline build against crates/, --quick run, schema)"
+# benchmark/ is its own package with path dependencies on crates/*: a change
+# here that breaks its build or its result schema must fail this script,
+# not the driver's run of BENCHMARK.json.
+benchmark/check.sh
+
 echo "==> examl smoke run (sentinel + heartbeat + repeat compression)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
