@@ -109,34 +109,6 @@ pub fn replicate_trace_path(path: &Path, replicate: usize) -> PathBuf {
     }
 }
 
-/// Run the best-tree search plus `replicates` bootstrap searches and
-/// compute bipartition support.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `RunConfig::new(n_ranks).bootstrap(replicates, seed).run(&aln)` instead"
-)]
-pub fn run_bootstrap(aln: &CompressedAlignment, cfg: &BootstrapConfig) -> BootstrapOutput {
-    bootstrap_impl(aln, cfg, None, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_bootstrap`] with optional tracing: when `trace_out` is set, the
-/// best-tree run's Chrome trace goes to that path and each replicate's to
-/// [`replicate_trace_path`] of it.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `RunConfig::new(n_ranks).bootstrap(replicates, seed).run(&aln)` instead"
-)]
-pub fn run_bootstrap_traced(
-    aln: &CompressedAlignment,
-    cfg: &BootstrapConfig,
-    trace_out: Option<&Path>,
-) -> std::io::Result<BootstrapOutput> {
-    bootstrap_impl(aln, cfg, trace_out, None).map_err(|e| match e {
-        RunError::Io(io) => io,
-        other => panic!("{other}"),
-    })
-}
-
 /// Resolve the informational kernel label for a reconstructed (resumed)
 /// bootstrap best run without a live world to negotiate on: forced choices
 /// resolve directly, `Auto` resolves to this host's local capability (every
@@ -168,8 +140,7 @@ fn local_reduce(choice: ReduceChoice) -> ReduceKind {
     }
 }
 
-/// The bootstrap driver behind [`crate::RunConfig::run`] and the deprecated
-/// `run_bootstrap*` shims. When `trace_out` is set, the best-tree run's
+/// The bootstrap driver behind [`crate::RunConfig::run`]. When `trace_out` is set, the best-tree run's
 /// Chrome trace goes to that path and each replicate's to
 /// [`replicate_trace_path`] of it (one trace per replicate — replicates run
 /// sequentially, so sharing one recorder would interleave them).

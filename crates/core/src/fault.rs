@@ -229,7 +229,11 @@ impl DecentralizedHooks {
         let psr_rates = if self.cfg.rate_model == RateModelKind::Psr {
             let local = exa_sched::capture_site_rates(de.engine(), &self.assignment, &self.aln);
             let blob = serde_json::to_vec(&local).expect("PSR rate blob serializes");
-            let Ok(blobs) = de.rank().allgather_bytes(blob, CommCategory::Control) else {
+            let Ok(blobs) = de
+                .exchange()
+                .rank()
+                .allgather_bytes(blob, CommCategory::Control)
+            else {
                 // A rank failed mid-gather: skip this generation; recovery
                 // runs at the driver level and the next boundary retries.
                 return;
@@ -385,6 +389,7 @@ impl DecentralizedHooks {
         // the live (measured, not modeled) load-imbalance ratio.
         let kernel_ns = de.engine().work().kernel_ns;
         let gathered = de
+            .exchange()
             .rank()
             .allgather_bytes(kernel_ns.to_le_bytes().to_vec(), CommCategory::Control);
         let Ok(blobs) = gathered else {
@@ -421,7 +426,7 @@ impl DecentralizedHooks {
             collectives_per_sec,
             comm_bytes: stats.total_bytes(),
             imbalance: imbalance_ratio(&per_rank),
-            sentinel_syncs: de.sentinel_syncs(),
+            sentinel_syncs: de.exchange().sentinel_syncs(),
             divergence: "ok".to_string(),
             kernel: Some(de.engine().kernel_kind().label().to_string()),
             repeat_ratio: Some(work.repeat_ratio()),

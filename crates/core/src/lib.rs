@@ -31,7 +31,7 @@ pub mod sentinel;
 
 pub use capability::{Capability, CapabilityRequests, Caps, Negotiated};
 pub use cli::{CliConfig, CliError};
-pub use evaluator::DecentralizedEvaluator;
+pub use evaluator::{Allreduce, DecentralizedEvaluator};
 pub use run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome, Scheme};
 pub use sentinel::{DivergenceFault, FaultComponent};
 
@@ -663,16 +663,17 @@ fn rank_main(
     };
     let tree = build_starting_tree(&aln, &cfg.starting_tree, blens, cfg.seed);
 
-    let mut eval = DecentralizedEvaluator::new(
-        rank.clone(),
+    let mut eval = DecentralizedEvaluator::with_exchange(
+        Allreduce::new(rank.clone()),
         tree,
         engine,
         aln.n_partitions(),
         cfg.branch_mode,
-    );
-    eval.set_reduce(reduce);
-    eval.set_gradient(gradient);
-    eval.set_sentinel(cfg.verify_replicas, cfg.divergence_fault);
+    )
+    .with_reduce(reduce)
+    .with_gradient(gradient);
+    eval.exchange_mut()
+        .set_sentinel(cfg.verify_replicas, cfg.divergence_fault);
 
     // 3. Checkpoint resume, phase 2: restore the replicated state (every
     //    rank restores from the identical parsed payload, the in-process
@@ -703,7 +704,7 @@ fn rank_main(
         // gradient-mode world runs different collective *sequences*, so it
         // must be refused here, not discovered as a length mismatch (or a
         // deadlock) inside the first smoothing reduction.
-        eval.initial_sentinel_sync();
+        Allreduce::initial_sentinel_sync(&mut eval);
         run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref())
     }));
 
@@ -716,7 +717,7 @@ fn rank_main(
                 work: eval.engine().work(),
                 mem_bytes: eval.engine().clv_bytes(),
                 stats: rank.stats(),
-                sentinel_syncs: eval.sentinel_syncs(),
+                sentinel_syncs: eval.exchange().sentinel_syncs(),
                 kernel: eval.engine().kernel_kind(),
                 site_repeats: eval.engine().site_repeats(),
                 reduce: eval.reduce(),

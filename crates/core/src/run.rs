@@ -1,13 +1,10 @@
 //! The unified run entrypoint.
 //!
-//! Historically every combination of scheme × tracing × divergence handling
-//! got its own free function (`run_decentralized`, `run_decentralized_traced`,
-//! `run_decentralized_checked`, `run_forkjoin`, `run_forkjoin_traced`,
-//! `run_bootstrap`, `run_bootstrap_traced`, …) — nine entrypoints whose
-//! signatures drifted apart as features landed. [`RunConfig`] replaces the
-//! lot: one builder-style configuration, one [`RunConfig::run`] call, one
-//! [`RunOutcome`] that always carries the negotiated kernel backend, the
-//! optional trace and the end-of-run [`HealthReport`].
+//! Every combination of scheme × tracing × divergence handling × bootstrap
+//! goes through [`RunConfig`]: one builder-style configuration, one
+//! [`RunConfig::run`] call, one [`RunOutcome`] that always carries the
+//! negotiated kernel backend, the optional trace and the end-of-run
+//! [`HealthReport`].
 //!
 //! ```no_run
 //! # let aln: exa_bio::patterns::CompressedAlignment = unimplemented!();
@@ -21,9 +18,6 @@
 //!     .expect("replicas stayed bit-identical");
 //! println!("lnL {} with {} kernels", outcome.result.lnl, outcome.kernel.label());
 //! ```
-//!
-//! The old entrypoints survived one release cycle as `#[deprecated]` shims
-//! and have since been removed.
 
 use crate::bootstrap::{bootstrap_impl, BootstrapConfig};
 use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointHeader, CheckpointPayload};

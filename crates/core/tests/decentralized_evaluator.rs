@@ -1,72 +1,153 @@
-//! Unit-level tests of the de-centralized evaluator against the sequential
-//! reference, inside small rank worlds.
+//! Op-level tests of the one evaluator under its three exchanges — no
+//! exchange (sequential), allreduce between replicas (de-centralized), and
+//! broadcast + reduce-to-master (fork-join) — inside small rank worlds.
 
 use exa_bio::stats::global_frequencies;
-use exa_comm::{CommCategory, World};
+use exa_comm::{CommCategory, Rank, ReduceKind, World};
+use exa_forkjoin::{ForkJoinEvaluator, ToMaster};
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::Tree;
-use exa_phylo::{KernelChoice, SiteRepeats};
+use exa_phylo::{Engine, GradientMode, KernelChoice, SiteRepeats};
 use exa_sched::build_engine;
-use exa_search::evaluator::{BranchMode, Evaluator, SequentialEvaluator};
+use exa_search::evaluator::{per_edge_full_gradient, BranchMode, Evaluator, SequentialEvaluator};
 use exa_simgen::workloads;
-use examl_core::DecentralizedEvaluator;
+use examl_core::{Allreduce, DecentralizedEvaluator};
 use std::sync::Arc;
 
-fn sequential(w: &workloads::Workload, seed: u64) -> SequentialEvaluator {
-    let freqs = global_frequencies(&w.compressed);
-    let assignment = exa_sched::distribute(&w.compressed, 1, exa_sched::Strategy::Cyclic);
-    let engine = build_engine(
-        &w.compressed,
-        &assignment[0],
-        &freqs,
+/// Which exchange an op script runs under, and over how many ranks.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    Sequential,
+    /// `n` replicas, every one of them runs the script.
+    Allreduce(usize),
+    /// Rank 0 runs the script; `n - 1` workers execute its commands.
+    ForkJoin(usize),
+}
+
+/// Evaluator configuration shared by every rank of a scheme run.
+#[derive(Debug, Clone, Copy)]
+struct Setup {
+    mode: BranchMode,
+    reduce: ReduceKind,
+    gradient: GradientMode,
+    tree_seed: u64,
+}
+
+impl Setup {
+    fn joint(tree_seed: u64) -> Setup {
+        Setup {
+            mode: BranchMode::Joint,
+            reduce: ReduceKind::Fast,
+            gradient: GradientMode::Off,
+            tree_seed,
+        }
+    }
+}
+
+fn rank_engine(w: &workloads::Workload, n_ranks: usize, id: usize) -> Engine {
+    let aln = &w.compressed;
+    let assignments = exa_sched::distribute(aln, n_ranks, exa_sched::Strategy::Cyclic);
+    build_engine(
+        aln,
+        &assignments[id],
+        &global_frequencies(aln),
         &exa_sched::EngineSpec::new(
             RateModelKind::Gamma,
             KernelChoice::from_env().resolve_local(),
             SiteRepeats::On,
         ),
         None,
-    );
-    let tree = Tree::random(w.compressed.n_taxa(), 1, seed);
-    SequentialEvaluator::new(tree, engine, w.compressed.n_partitions(), BranchMode::Joint)
+    )
 }
+
+/// Run `script` on an evaluator of the given scheme; one result per rank
+/// that runs search logic (1 sequentially and under fork-join, `n` under
+/// allreduce). The rank handle lets scripts read comm statistics.
+fn run_scheme<T: Send>(
+    scheme: Scheme,
+    w: &Arc<workloads::Workload>,
+    setup: Setup,
+    script: impl Fn(&mut dyn Evaluator, Option<&Rank>) -> T + Sync,
+) -> Vec<T> {
+    let p = w.compressed.n_partitions();
+    let blens = match setup.mode {
+        BranchMode::Joint => 1,
+        BranchMode::PerPartition => p,
+    };
+    let tree = || Tree::random(w.compressed.n_taxa(), blens, setup.tree_seed);
+    match scheme {
+        Scheme::Sequential => {
+            let mut eval = SequentialEvaluator::new(tree(), rank_engine(w, 1, 0), p, setup.mode)
+                .with_reduce(setup.reduce)
+                .with_gradient(setup.gradient);
+            vec![script(&mut eval, None)]
+        }
+        Scheme::Allreduce(n) => World::run(n, |rank| {
+            let mut eval = DecentralizedEvaluator::with_exchange(
+                Allreduce::new(rank.clone()),
+                tree(),
+                rank_engine(w, n, rank.id()),
+                p,
+                setup.mode,
+            )
+            .with_reduce(setup.reduce)
+            .with_gradient(setup.gradient);
+            script(&mut eval, Some(&rank))
+        }),
+        Scheme::ForkJoin(n) => World::run(n, |rank| {
+            let engine = rank_engine(w, n, rank.id());
+            if rank.id() != 0 {
+                let assignments =
+                    exa_sched::distribute(&w.compressed, n, exa_sched::Strategy::Cyclic);
+                exa_forkjoin::worker::worker_loop(
+                    rank.clone(),
+                    engine,
+                    setup.mode,
+                    p,
+                    setup.reduce,
+                    &assignments[rank.id()],
+                    &w.compressed,
+                );
+                return None;
+            }
+            let mut eval = ForkJoinEvaluator::with_exchange(
+                ToMaster::new(rank.clone()),
+                tree(),
+                engine,
+                p,
+                setup.mode,
+            )
+            .with_reduce(setup.reduce)
+            .with_gradient(setup.gradient);
+            let result = script(&mut eval, Some(&rank));
+            eval.exchange_mut().shutdown_workers();
+            Some(result)
+        })
+        .into_iter()
+        .flatten()
+        .collect(),
+    }
+}
+
+const ALL_SCHEMES: [Scheme; 3] = [
+    Scheme::Sequential,
+    Scheme::Allreduce(3),
+    Scheme::ForkJoin(3),
+];
 
 #[test]
 fn distributed_evaluate_matches_sequential_bitwise_per_rank() {
     let w = Arc::new(workloads::partitioned(7, 2, 80, 3));
-    let seed = 5;
-    let mut seq = sequential(&w, seed);
-    let expect = seq.evaluate(0);
+    let setup = Setup::joint(5);
+    let evaluate = |e: &mut dyn Evaluator, _: Option<&Rank>| e.evaluate(0);
+    let expect = run_scheme(Scheme::Sequential, &w, setup, evaluate)[0];
 
-    for ranks in [2usize, 3] {
-        let w2 = Arc::clone(&w);
-        let results = World::run(ranks, move |rank| {
-            let freqs = global_frequencies(&w2.compressed);
-            let assignments = exa_sched::distribute(
-                &w2.compressed,
-                rank.world_size(),
-                exa_sched::Strategy::Cyclic,
-            );
-            let engine = build_engine(
-                &w2.compressed,
-                &assignments[rank.id()],
-                &freqs,
-                &exa_sched::EngineSpec::new(
-                    RateModelKind::Gamma,
-                    KernelChoice::from_env().resolve_local(),
-                    SiteRepeats::On,
-                ),
-                None,
-            );
-            let tree = Tree::random(w2.compressed.n_taxa(), 1, seed);
-            let mut eval = DecentralizedEvaluator::new(
-                rank.clone(),
-                tree,
-                engine,
-                w2.compressed.n_partitions(),
-                BranchMode::Joint,
-            );
-            eval.evaluate(0)
-        });
+    for scheme in [
+        Scheme::Allreduce(2),
+        Scheme::Allreduce(3),
+        Scheme::ForkJoin(3),
+    ] {
+        let results = run_scheme(scheme, &w, setup, evaluate);
         // All ranks bit-identical with each other.
         for pair in results.windows(2) {
             assert_eq!(pair[0].to_bits(), pair[1].to_bits());
@@ -75,141 +156,152 @@ fn distributed_evaluate_matches_sequential_bitwise_per_rank() {
         // differs across rank counts, so allow float-level tolerance).
         assert!(
             (results[0] - expect).abs() < 1e-8,
-            "ranks={ranks}: {} vs {expect}",
+            "{scheme:?}: {} vs {expect}",
             results[0]
         );
+    }
+
+    // The reproducible reduction removes even that tolerance: the reduced
+    // bits depend on neither the scheme nor the split.
+    let setup = Setup {
+        reduce: ReduceKind::Reproducible,
+        ..setup
+    };
+    let expect = run_scheme(Scheme::Sequential, &w, setup, evaluate)[0];
+    for scheme in [
+        Scheme::Allreduce(2),
+        Scheme::Allreduce(3),
+        Scheme::ForkJoin(3),
+    ] {
+        for lnl in run_scheme(scheme, &w, setup, evaluate) {
+            assert_eq!(lnl.to_bits(), expect.to_bits(), "{scheme:?}");
+        }
     }
 }
 
 #[test]
 fn distributed_derivatives_match_sequential() {
     let w = Arc::new(workloads::partitioned(7, 2, 80, 9));
-    let seed = 7;
-    let mut seq = sequential(&w, seed);
-    seq.prepare_derivatives(2);
-    let (ed1, ed2) = seq.derivatives(&[0.15]);
-
-    let w2 = Arc::clone(&w);
-    let results = World::run(3, move |rank| {
-        let freqs = global_frequencies(&w2.compressed);
-        let assignments = exa_sched::distribute(
-            &w2.compressed,
-            rank.world_size(),
-            exa_sched::Strategy::Cyclic,
-        );
-        let engine = build_engine(
-            &w2.compressed,
-            &assignments[rank.id()],
-            &freqs,
-            &exa_sched::EngineSpec::new(
-                RateModelKind::Gamma,
-                KernelChoice::from_env().resolve_local(),
-                SiteRepeats::On,
-            ),
-            None,
-        );
-        let tree = Tree::random(w2.compressed.n_taxa(), 1, seed);
-        let mut eval = DecentralizedEvaluator::new(
-            rank.clone(),
-            tree,
-            engine,
-            w2.compressed.n_partitions(),
-            BranchMode::Joint,
-        );
-        eval.prepare_derivatives(2);
-        let (d1, d2) = eval.derivatives(&[0.15]);
+    let setup = Setup::joint(7);
+    let derivatives = |e: &mut dyn Evaluator, _: Option<&Rank>| {
+        e.prepare_derivatives(2);
+        let (d1, d2) = e.derivatives(&[0.15]);
         (d1[0], d2[0])
-    });
-    for &(d1, d2) in &results {
-        assert!((d1 - ed1[0]).abs() < 1e-7, "{d1} vs {}", ed1[0]);
-        assert!((d2 - ed2[0]).abs() < 1e-6, "{d2} vs {}", ed2[0]);
+    };
+    let (ed1, ed2) = run_scheme(Scheme::Sequential, &w, setup, derivatives)[0];
+
+    for scheme in [Scheme::Allreduce(3), Scheme::ForkJoin(3)] {
+        for (d1, d2) in run_scheme(scheme, &w, setup, derivatives) {
+            assert!((d1 - ed1).abs() < 1e-7, "{scheme:?}: {d1} vs {ed1}");
+            assert!((d2 - ed2).abs() < 1e-6, "{scheme:?}: {d2} vs {ed2}");
+        }
     }
 }
 
 #[test]
 fn evaluate_uses_one_double_partitioned_uses_p() {
-    // The §III-B wire contract: plain evaluation allreduces a single
-    // double; only the model-optimization form carries the p-vector.
+    // The §III-B wire contract: plain evaluation reduces a single double;
+    // only the model-optimization form carries the p-vector. Fork-join
+    // reduces the same payloads — and pays a descriptor broadcast on top.
     let w = Arc::new(workloads::partitioned(6, 4, 40, 11));
-    let results = World::run(2, move |rank| {
-        let freqs = global_frequencies(&w.compressed);
-        let assignments = exa_sched::distribute(
-            &w.compressed,
-            rank.world_size(),
-            exa_sched::Strategy::Cyclic,
+    for scheme in [Scheme::Allreduce(2), Scheme::ForkJoin(2)] {
+        let results = run_scheme(scheme, &w, Setup::joint(3), |eval, rank| {
+            let rank = rank.expect("rank schemes only");
+            let lnl_bytes = || rank.stats().get(CommCategory::SiteLikelihoods).bytes;
+            rank.reset_stats();
+            let _ = eval.evaluate(0);
+            let after_plain = lnl_bytes();
+            let _ = eval.evaluate_partitioned(0);
+            let descriptors = rank.stats().get(CommCategory::TraversalDescriptor).bytes;
+            (after_plain, lnl_bytes() - after_plain, descriptors)
+        });
+        let (plain, partitioned, descriptors) = results[0];
+        assert_eq!(plain, 8, "plain evaluate must reduce exactly one double");
+        assert_eq!(partitioned, 8 * 4, "partitioned evaluate carries p doubles");
+        assert_eq!(
+            descriptors > 0,
+            matches!(scheme, Scheme::ForkJoin(_)),
+            "{scheme:?}: only fork-join broadcasts descriptors"
         );
-        let engine = build_engine(
-            &w.compressed,
-            &assignments[rank.id()],
-            &freqs,
-            &exa_sched::EngineSpec::new(
-                RateModelKind::Gamma,
-                KernelChoice::from_env().resolve_local(),
-                SiteRepeats::On,
-            ),
-            None,
-        );
-        let tree = Tree::random(w.compressed.n_taxa(), 1, 3);
-        let mut eval = DecentralizedEvaluator::new(
-            rank.clone(),
-            tree,
-            engine,
-            w.compressed.n_partitions(),
-            BranchMode::Joint,
-        );
-        rank.reset_stats();
-        let _ = eval.evaluate(0);
-        let after_plain = rank.stats().get(CommCategory::SiteLikelihoods).bytes;
-        let _ = eval.evaluate_partitioned(0);
-        let after_part = rank.stats().get(CommCategory::SiteLikelihoods).bytes;
-        (after_plain, after_part - after_plain)
-    });
-    let (plain, partitioned) = results[0];
-    assert_eq!(plain, 8, "plain evaluate must allreduce exactly one double");
-    assert_eq!(partitioned, 8 * 4, "partitioned evaluate carries p doubles");
+    }
 }
 
 #[test]
 fn snapshot_restore_in_rank_world() {
     let w = Arc::new(workloads::partitioned(6, 2, 60, 17));
-    let results = World::run(2, move |rank| {
-        let freqs = global_frequencies(&w.compressed);
-        let assignments = exa_sched::distribute(
-            &w.compressed,
-            rank.world_size(),
-            exa_sched::Strategy::Cyclic,
-        );
-        let engine = build_engine(
-            &w.compressed,
-            &assignments[rank.id()],
-            &freqs,
-            &exa_sched::EngineSpec::new(
-                RateModelKind::Gamma,
-                KernelChoice::from_env().resolve_local(),
-                SiteRepeats::On,
-            ),
-            None,
-        );
-        let tree = Tree::random(w.compressed.n_taxa(), 1, 3);
-        let mut eval = DecentralizedEvaluator::new(
-            rank.clone(),
-            tree,
-            engine,
-            w.compressed.n_partitions(),
-            BranchMode::Joint,
-        );
-        eval.set_alphas(&[0.4, 2.0]);
-        let before = eval.evaluate(0);
-        let snap = eval.snapshot();
-        eval.set_alphas(&[1.0, 1.0]);
-        eval.tree_mut().set_length(0, 0, 1.3);
-        let perturbed = eval.evaluate(0);
-        eval.restore(&snap);
-        let restored = eval.evaluate(0);
-        (before, perturbed, restored)
-    });
-    for &(before, perturbed, restored) in &results {
-        assert_ne!(before.to_bits(), perturbed.to_bits());
-        assert!((before - restored).abs() < 1e-9, "{before} vs {restored}");
+    for scheme in [
+        Scheme::Sequential,
+        Scheme::Allreduce(2),
+        Scheme::ForkJoin(3),
+    ] {
+        let results = run_scheme(scheme, &w, Setup::joint(3), |eval, _| {
+            eval.set_alphas(&[0.4, 2.0]);
+            let before = eval.evaluate(0);
+            let snap = eval.snapshot();
+            eval.set_alphas(&[1.0, 1.0]);
+            eval.tree_mut().set_length(0, 0, 1.3);
+            let perturbed = eval.evaluate(0);
+            eval.restore(&snap);
+            let restored = eval.evaluate(0);
+            (before, perturbed, restored)
+        });
+        for &(before, perturbed, restored) in &results {
+            assert_ne!(before.to_bits(), perturbed.to_bits(), "{scheme:?}");
+            assert!(
+                (before - restored).abs() < 1e-9,
+                "{scheme:?}: {before} vs {restored}"
+            );
+        }
+    }
+}
+
+fn bits(g: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    g.iter()
+        .map(|e| e.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn full_gradient_matches_the_per_edge_oracle_bitwise() {
+    // One sweep + one fat reduction must reproduce, entry for entry and bit
+    // for bit, what `n_edges` prepare/derivative rounds give — under every
+    // exchange, both reductions and both branch modes.
+    let w = Arc::new(workloads::partitioned(7, 3, 60, 21));
+    for scheme in ALL_SCHEMES {
+        for reduce in [ReduceKind::Fast, ReduceKind::Reproducible] {
+            for mode in [BranchMode::Joint, BranchMode::PerPartition] {
+                let setup = Setup {
+                    mode,
+                    reduce,
+                    gradient: GradientMode::On,
+                    tree_seed: 13,
+                };
+                let results = run_scheme(scheme, &w, setup, |eval, _| {
+                    (eval.full_gradient(), per_edge_full_gradient(eval))
+                });
+                let what = format!("{scheme:?} {reduce:?} {mode:?}");
+                for (swept, oracle) in &results {
+                    let n_edges = oracle.d1.len();
+                    assert!(swept.swept && !oracle.swept, "{what}");
+                    assert_eq!(oracle.collectives, n_edges as u64, "{what}");
+                    let expected = u64::from(!matches!(scheme, Scheme::Sequential));
+                    assert_eq!(swept.collectives, expected, "{what}");
+                    assert_eq!(swept.d1.len(), n_edges, "{what}");
+                    assert_eq!(bits(&swept.d1), bits(&oracle.d1), "{what}: d1");
+                    assert_eq!(bits(&swept.d2), bits(&oracle.d2), "{what}: d2");
+                }
+                // Reproducible sums do not depend on the scheme either.
+                if reduce == ReduceKind::Reproducible {
+                    let seq = run_scheme(Scheme::Sequential, &w, setup, |eval, _| {
+                        eval.full_gradient().d1
+                    });
+                    assert_eq!(
+                        bits(&results[0].0.d1),
+                        bits(&seq[0]),
+                        "{what}: vs sequential"
+                    );
+                }
+            }
+        }
     }
 }

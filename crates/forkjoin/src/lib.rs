@@ -22,7 +22,7 @@ pub mod master;
 pub mod protocol;
 pub mod worker;
 
-pub use master::ForkJoinEvaluator;
+pub use master::{ForkJoinEvaluator, ToMaster};
 
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommStats, ReduceKind, World};
@@ -211,7 +211,7 @@ impl SearchHooks for MasterHooks<'_> {
             .every_secs
             .is_some_and(|secs| self.last_checkpoint.elapsed().as_secs_f64() >= secs);
         if ctrl.checkpoint_armed && (on_cadence || time_due || preempt) {
-            let psr_rates = fj.collect_site_rates(self.aln, self.assignments);
+            let psr_rates = ToMaster::collect_site_rates(fj, self.aln, self.assignments);
             let snap = SearchSnapshot {
                 iteration: info.iteration,
                 lnl_bits: info.lnl.to_bits(),
@@ -227,7 +227,7 @@ impl SearchHooks for MasterHooks<'_> {
         if preempt {
             // Master death would strand the workers mid-broadcast: release
             // them first, then unwind.
-            fj.shutdown_workers();
+            fj.exchange_mut().shutdown_workers();
             exa_obs::mark(|| format!("preempt:{}", info.iteration));
             std::panic::panic_any(PreemptPanic {
                 iteration: info.iteration,
@@ -236,7 +236,7 @@ impl SearchHooks for MasterHooks<'_> {
         }
         if let Some(kill) = ctrl.inject_kill {
             if self.checkpoints >= kill.after_checkpoints {
-                fj.shutdown_workers();
+                fj.exchange_mut().shutdown_workers();
                 std::panic::panic_any(KillPanic {
                     after_checkpoints: kill.after_checkpoints,
                     iteration: info.iteration,
@@ -249,29 +249,6 @@ impl SearchHooks for MasterHooks<'_> {
         // A master failure is catastrophic by design (§III-A).
         false
     }
-}
-
-/// Run a fork-join inference: rank 0 is the master, the rest are workers.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `examl_core::RunConfig::new(n_ranks).scheme(Scheme::ForkJoin).run(&aln)` \
-            or `exa_forkjoin::execute` directly"
-)]
-pub fn run_forkjoin(aln: &CompressedAlignment, cfg: &ForkJoinConfig) -> RunOutput {
-    execute(aln, cfg, None)
-}
-
-/// [`run_forkjoin`] with an optional [`Recorder`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `examl_core::RunConfig` with `collect_trace(true)`, or `exa_forkjoin::execute`"
-)]
-pub fn run_forkjoin_traced(
-    aln: &CompressedAlignment,
-    cfg: &ForkJoinConfig,
-    recorder: Option<&std::sync::Arc<Recorder>>,
-) -> RunOutput {
-    execute(aln, cfg, recorder)
 }
 
 /// Execute a fork-join inference: rank 0 is the master, the rest are
@@ -381,19 +358,19 @@ pub fn execute_controlled(
                 BranchMode::PerPartition => aln.n_partitions(),
             };
             let tree = build_starting_tree(&aln, &cfg.starting_tree, blens, cfg.seed);
-            let mut eval = ForkJoinEvaluator::new(
-                rank.clone(),
+            let mut eval = ForkJoinEvaluator::with_exchange(
+                ToMaster::new(rank.clone()),
                 tree,
                 engine,
                 aln.n_partitions(),
                 cfg.branch_mode,
-                cfg.reduce,
             )
+            .with_reduce(cfg.reduce)
             .with_gradient(cfg.gradient);
             // Resume: install the checkpointed PSR rates on every rank
             // (broadcast), then the replicated master state.
             let resume_point = ctrl.as_ref().and_then(|c| c.resume.as_ref()).map(|snap| {
-                eval.distribute_site_rates(&snap.psr_rates, &aln, &assignments);
+                ToMaster::distribute_site_rates(&mut eval, &snap.psr_rates, &aln, &assignments);
                 eval.restore(&snap.state);
                 exa_obs::mark(|| format!("resume:{}", snap.iteration));
                 snap.resume_point()
@@ -410,7 +387,7 @@ pub fn execute_controlled(
             }));
             match outcome {
                 Ok(result) => {
-                    eval.shutdown_workers();
+                    eval.exchange_mut().shutdown_workers();
                     RankReport::Master {
                         result,
                         state: Box::new(eval.snapshot()),

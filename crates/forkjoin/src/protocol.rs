@@ -8,6 +8,7 @@
 use exa_phylo::tree::traversal::{
     GradSource, GradStep, GradientPlan, TraversalDescriptor, TraversalEntry,
 };
+use exa_search::exchange::Op;
 
 /// Commands the master broadcasts to the workers.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,6 +114,50 @@ impl W {
         self.u32(s.node as u32);
         self.u32(s.from_outside.map_or(NO_OUTSIDE, |e| e as u32));
         self.f64s(&s.lengths);
+    }
+    /// A search-level operation, straight from the borrowed descriptor /
+    /// plan / parameter slice the evaluator holds.
+    fn op(&mut self, op: &Op<'_>) {
+        match *op {
+            Op::Evaluate(d) => {
+                self.u8(TAG_EVALUATE);
+                self.descriptor(d);
+            }
+            Op::EvaluatePartitioned(d) => {
+                self.u8(TAG_EVALUATE_PARTITIONED);
+                self.descriptor(d);
+            }
+            Op::PrepareDerivatives(d) => {
+                self.u8(TAG_PREPARE);
+                self.descriptor(d);
+            }
+            Op::Derivatives(ts) => {
+                self.u8(TAG_DERIVATIVES);
+                self.f64s(ts);
+            }
+            Op::SetAlphas(a) => {
+                self.u8(TAG_SET_ALPHAS);
+                self.f64s(a);
+            }
+            Op::SetGtrRate { index, values } => {
+                self.u8(TAG_SET_GTR);
+                self.u8(index as u8);
+                self.f64s(values);
+            }
+            Op::OptimizeSiteRates(d) => {
+                self.u8(TAG_OPT_SITE_RATES);
+                self.descriptor(d);
+            }
+            Op::SetPsrScale(s) => {
+                self.u8(TAG_SET_PSR_SCALE);
+                self.f64(s);
+            }
+            Op::Gradient { descriptor, plan } => {
+                self.u8(TAG_GRADIENT);
+                self.descriptor(descriptor);
+                self.plan(plan);
+            }
+        }
     }
     fn plan(&mut self, p: &GradientPlan) {
         self.u32(p.root_edge as u32);
@@ -259,48 +304,31 @@ impl<'a> R<'a> {
     }
 }
 
+/// Encode a search-level operation for broadcast without owning (or
+/// cloning) its descriptor, plan or parameter array. Byte-identical to
+/// [`encode`] of the corresponding [`WorkerCmd`].
+pub fn encode_op(op: &Op<'_>) -> Vec<u8> {
+    let mut w = W(Vec::new());
+    w.op(op);
+    w.0
+}
+
 /// Encode a command for broadcast.
 pub fn encode(cmd: &WorkerCmd) -> Vec<u8> {
     let mut w = W(Vec::new());
     match cmd {
-        WorkerCmd::Evaluate(d) => {
-            w.u8(TAG_EVALUATE);
-            w.descriptor(d);
-        }
-        WorkerCmd::EvaluatePartitioned(d) => {
-            w.u8(TAG_EVALUATE_PARTITIONED);
-            w.descriptor(d);
-        }
-        WorkerCmd::PrepareDerivatives(d) => {
-            w.u8(TAG_PREPARE);
-            w.descriptor(d);
-        }
-        WorkerCmd::Derivatives(ts) => {
-            w.u8(TAG_DERIVATIVES);
-            w.f64s(ts);
-        }
-        WorkerCmd::SetAlphas(a) => {
-            w.u8(TAG_SET_ALPHAS);
-            w.f64s(a);
-        }
-        WorkerCmd::SetGtrRate { index, values } => {
-            w.u8(TAG_SET_GTR);
-            w.u8(*index);
-            w.f64s(values);
-        }
-        WorkerCmd::OptimizeSiteRates(d) => {
-            w.u8(TAG_OPT_SITE_RATES);
-            w.descriptor(d);
-        }
-        WorkerCmd::SetPsrScale(s) => {
-            w.u8(TAG_SET_PSR_SCALE);
-            w.f64(*s);
-        }
-        WorkerCmd::Gradient { descriptor, plan } => {
-            w.u8(TAG_GRADIENT);
-            w.descriptor(descriptor);
-            w.plan(plan);
-        }
+        WorkerCmd::Evaluate(d) => w.op(&Op::Evaluate(d)),
+        WorkerCmd::EvaluatePartitioned(d) => w.op(&Op::EvaluatePartitioned(d)),
+        WorkerCmd::PrepareDerivatives(d) => w.op(&Op::PrepareDerivatives(d)),
+        WorkerCmd::Derivatives(ts) => w.op(&Op::Derivatives(ts)),
+        WorkerCmd::SetAlphas(a) => w.op(&Op::SetAlphas(a)),
+        WorkerCmd::SetGtrRate { index, values } => w.op(&Op::SetGtrRate {
+            index: *index as usize,
+            values,
+        }),
+        WorkerCmd::OptimizeSiteRates(d) => w.op(&Op::OptimizeSiteRates(d)),
+        WorkerCmd::SetPsrScale(s) => w.op(&Op::SetPsrScale(*s)),
+        WorkerCmd::Gradient { descriptor, plan } => w.op(&Op::Gradient { descriptor, plan }),
         WorkerCmd::Shutdown => w.u8(TAG_SHUTDOWN),
         WorkerCmd::GatherSiteRates => w.u8(TAG_GATHER_SITE_RATES),
         WorkerCmd::SetSiteRates(table) => {

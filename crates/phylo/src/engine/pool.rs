@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A concrete intra-rank thread count, `1..=`[`ThreadCount::MAX`].
@@ -170,9 +170,31 @@ struct PoolShared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
     job_done: Condvar,
-    /// Work-claiming cursor: each task index is claimed by exactly one
-    /// thread via `fetch_add`.
-    cursor: AtomicUsize,
+    /// Work-claiming cursor, `epoch << 32 | next index`: each task index is
+    /// claimed by exactly one thread (see [`claim`]), and only by a thread
+    /// holding the closure of the job that index belongs to.
+    cursor: AtomicU64,
+}
+
+/// Claim the next task index of the job published under `epoch`, or `None`
+/// once that job's indices are exhausted — or the cursor has moved on to a
+/// later job. The epoch tag is what stops a worker that picked job *k* up
+/// but was descheduled until *k* completed from taking an index of job
+/// *k + 1* and running it with *k*'s closure, whose borrow has ended by
+/// then. A compare-exchange succeeds only on the cursor's latest value, so
+/// a claim can never be made against a stale epoch.
+fn claim(cursor: &AtomicU64, epoch: u64, n_tasks: usize) -> Option<usize> {
+    let mut cur = cursor.load(Ordering::SeqCst);
+    loop {
+        let i = (cur & u64::from(u32::MAX)) as usize;
+        if cur >> 32 != epoch & u64::from(u32::MAX) || i >= n_tasks {
+            return None;
+        }
+        match cursor.compare_exchange_weak(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(_) => return Some(i),
+            Err(now) => cur = now,
+        }
+    }
 }
 
 /// Persistent intra-rank worker pool: `threads - 1` spawned workers plus
@@ -199,7 +221,7 @@ impl WorkerPool {
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
+            cursor: AtomicU64::new(0),
         });
         let handles = (1..threads)
             .map(|_| {
@@ -237,17 +259,19 @@ impl WorkerPool {
         let job: Job = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
-        {
+        assert!(n_tasks <= u32::MAX as usize, "task index must fit 32 bits");
+        let epoch = {
             let mut st = self.shared.state.lock().unwrap();
             st.job = Some(job);
             st.n_tasks = n_tasks;
             st.pending = n_tasks;
             st.epoch += 1;
-            self.shared.cursor.store(0, Ordering::SeqCst);
-        }
+            self.shared.cursor.store(st.epoch << 32, Ordering::SeqCst);
+            st.epoch
+        };
         self.shared.work_ready.notify_all();
         // The caller is an executor too.
-        run_tasks(&self.shared, job, n_tasks);
+        run_tasks(&self.shared, job, epoch, n_tasks);
         let mut st = self.shared.state.lock().unwrap();
         while st.pending > 0 {
             st = self.shared.job_done.wait(st).unwrap();
@@ -273,15 +297,11 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Claim and run tasks until the cursor is exhausted. Every claimed index
-/// decrements `pending` exactly once, panic or not, so the caller's
-/// completion wait always terminates.
-fn run_tasks(shared: &PoolShared, job: Job, n_tasks: usize) {
-    loop {
-        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n_tasks {
-            return;
-        }
+/// Claim and run tasks of the job published under `epoch` until its
+/// indices are exhausted. Every claimed index decrements `pending` exactly
+/// once, panic or not, so the caller's completion wait always terminates.
+fn run_tasks(shared: &PoolShared, job: Job, epoch: u64, n_tasks: usize) {
+    while let Some(i) = claim(&shared.cursor, epoch, n_tasks) {
         let result = catch_unwind(AssertUnwindSafe(|| job(i)));
         let mut st = shared.state.lock().unwrap();
         if let Err(payload) = result {
@@ -314,7 +334,7 @@ fn worker_loop(shared: &PoolShared) {
                 st = shared.work_ready.wait(st).unwrap();
             }
         };
-        run_tasks(shared, job, n_tasks);
+        run_tasks(shared, job, seen_epoch, n_tasks);
     }
 }
 
@@ -407,6 +427,31 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn late_worker_never_runs_a_finished_jobs_closure() {
+        // Back-to-back 2-task jobs on more executors than tasks: a worker
+        // that wakes for job k only after job k completed must not claim an
+        // index of job k+1 and run it with job k's closure. The closures
+        // all outlive the loop, so such a stale call shows up here as a
+        // miscount instead of a use-after-free.
+        let pool = WorkerPool::new(8);
+        let hits: Vec<AtomicU64> = (0..20_000).map(|_| AtomicU64::new(0)).collect();
+        let jobs: Vec<Box<dyn Fn(usize) + Sync + '_>> = hits
+            .iter()
+            .map(|h| {
+                Box::new(move |_: usize| {
+                    h.fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn Fn(usize) + Sync + '_>
+            })
+            .collect();
+        for job in &jobs {
+            pool.run(2, job.as_ref());
+        }
+        for (j, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 2, "job {j}");
         }
     }
 

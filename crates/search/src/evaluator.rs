@@ -1,7 +1,10 @@
 //! The [`Evaluator`] trait — the seam between the (shared) search algorithm
-//! and the three execution back-ends — plus the sequential reference
-//! implementation.
+//! and the execution back-ends — and its one implementation,
+//! [`ExchangeEvaluator`], which the three schemes instantiate with their
+//! [`Exchange`] (see [`crate::exchange`]).
 
+use crate::exchange::{Exchange, LocalLikelihood, NoExchange, Op};
+use exa_comm::ReduceKind;
 use exa_phylo::engine::Engine;
 use exa_phylo::model::gtr::NUM_FREE_RATES;
 use exa_phylo::model::rates::RateModelKind;
@@ -281,118 +284,157 @@ pub fn kernel_fingerprint(
     )
 }
 
-/// Helper shared by all back-ends: push global (α, GTR) parameters into an
-/// engine's local partitions.
-///
-/// The existing model object is mutated (`set_rates`) rather than rebuilt
-/// with `GtrModel::new`: reconstruction would re-normalize the already
-/// normalized base frequencies, shifting them by an ULP and making a
-/// restored engine bitwise-different from the live engine it snapshots —
-/// which breaks the checkpoint/restart replay guarantee. `set_rates` also
-/// applies the same clamping the in-run `set_gtr_rate` path does.
-pub fn apply_global_params(engine: &mut Engine, state: &GlobalState) {
-    for (local, global) in engine.global_indices().into_iter().enumerate() {
-        let (mut model, mut rates) = engine.model_state(local);
-        if let Some(&a) = state.alphas.get(global) {
-            rates.set_alpha(a);
-        }
-        model.set_rates(&state.gtr_rates[global]);
-        engine.set_model_state(local, model, rates);
-    }
+/// The one [`Evaluator`] implementation: the replicated search state (tree,
+/// model parameters, last per-partition likelihoods) over this rank's
+/// [`LocalLikelihood`], with every byte of communication delegated to an
+/// [`Exchange`]. The three execution schemes are its three instantiations —
+/// [`SequentialEvaluator`] here, the de-centralized and fork-join ones in
+/// their crates.
+pub struct ExchangeEvaluator<X> {
+    tree: Tree,
+    local: LocalLikelihood,
+    /// Negotiated full-tree gradient mode. Under `On` a smoothing pass's
+    /// seed derivatives come from one analytic sweep + one fat reduction
+    /// instead of `n_edges` per-edge collectives (bitwise-identical values
+    /// either way).
+    gradient: GradientMode,
+    /// Replicated model parameters for **all** partitions — every rank
+    /// tracks all of them even for partitions it holds no data of, which is
+    /// what makes post-failure redistribution trivial.
+    alphas: Vec<f64>,
+    gtr_rates: Vec<[f64; NUM_FREE_RATES]>,
+    last_lnl: Vec<f64>,
+    exchange: X,
 }
 
 /// The sequential back-end: one engine holding all data, no communication.
 /// This is both the correctness reference for the parallel schemes and the
 /// single-rank execution path.
-pub struct SequentialEvaluator {
-    tree: Tree,
-    engine: Engine,
-    n_partitions: usize,
-    branch_mode: BranchMode,
-    gradient: GradientMode,
-    alphas: Vec<f64>,
-    gtr_rates: Vec<[f64; NUM_FREE_RATES]>,
-    last_lnl: Vec<f64>,
-}
+pub type SequentialEvaluator = ExchangeEvaluator<NoExchange>;
 
 impl SequentialEvaluator {
     /// Wrap a tree and a full-data engine. The tree's branch-length arity
     /// must match the mode (1 for joint, `n_partitions` for per-partition).
     pub fn new(tree: Tree, engine: Engine, n_partitions: usize, branch_mode: BranchMode) -> Self {
-        let expected = match branch_mode {
-            BranchMode::Joint => 1,
-            BranchMode::PerPartition => n_partitions,
-        };
+        Self::with_exchange(NoExchange, tree, engine, n_partitions, branch_mode)
+    }
+}
+
+impl<X: Exchange> ExchangeEvaluator<X> {
+    /// Wrap the replicated tree and this rank's local engine. The tree's
+    /// branch-length arity must match the mode (1 for joint, `n_partitions`
+    /// for per-partition). Starts with the fast reduction and the per-edge
+    /// gradient route; see [`Self::with_reduce`] / [`Self::with_gradient`].
+    pub fn with_exchange(
+        exchange: X,
+        tree: Tree,
+        engine: Engine,
+        n_partitions: usize,
+        branch_mode: BranchMode,
+    ) -> Self {
+        let local = LocalLikelihood::new(engine, n_partitions, branch_mode, ReduceKind::Fast);
         assert_eq!(
             tree.blen_count(),
-            expected,
+            local.arity(),
             "tree branch-length arity mismatch"
         );
-        let alphas = match engine.rate_kind() {
-            RateModelKind::Gamma => (0..engine.n_partitions())
-                .map(|i| engine.alpha(i).unwrap())
-                .collect(),
+        // Partitions this rank holds no data of start from the engine
+        // defaults every rank's local slices are built with.
+        let mut alphas = match local.engine().rate_kind() {
+            RateModelKind::Gamma => vec![1.0; n_partitions],
             RateModelKind::Psr => Vec::new(),
         };
-        let gtr_rates = (0..engine.n_partitions())
-            .map(|i| {
-                let r = engine.gtr_rates(i);
-                [r[0], r[1], r[2], r[3], r[4]]
-            })
-            .collect();
-        SequentialEvaluator {
+        let mut gtr_rates = vec![[1.0; NUM_FREE_RATES]; n_partitions];
+        for (l, &global) in local.globals().iter().enumerate() {
+            if let Some(a) = local.engine().alpha(l) {
+                alphas[global] = a;
+            }
+            gtr_rates[global].copy_from_slice(&local.engine().gtr_rates(l)[..NUM_FREE_RATES]);
+        }
+        ExchangeEvaluator {
             tree,
-            engine,
-            n_partitions,
-            branch_mode,
+            local,
             gradient: GradientMode::Off,
             alphas,
             gtr_rates,
             last_lnl: vec![0.0; n_partitions],
+            exchange,
         }
     }
 
-    /// Select the full-tree gradient mode (builder style). There is no
-    /// communication to save sequentially, but `On` still collapses a
-    /// smoothing pass's `2(2n-3)` kernel dispatches into one sweep, and it
-    /// keeps the single-rank path exercising the same code the distributed
-    /// schemes negotiate.
+    /// Install the negotiated reduction scheme (builder style). Under
+    /// `Reproducible` every collective ships binned superaccumulators
+    /// instead of pre-summed f64s, so the reduced bits are invariant under
+    /// the rank count and the data split (the elastic-resize prerequisite).
+    pub fn with_reduce(mut self, reduce: ReduceKind) -> Self {
+        self.local.set_reduce(reduce);
+        self
+    }
+
+    /// Select the full-tree gradient mode (builder style). Sequentially
+    /// there is no communication to save, but `On` still collapses a
+    /// smoothing pass's `2(2n-3)` kernel dispatches into one sweep; the
+    /// fork-join workers are command-driven and need no negotiation.
     pub fn with_gradient(mut self, gradient: GradientMode) -> Self {
         self.gradient = gradient;
         self
     }
 
-    /// The gradient mode this evaluator runs with.
+    /// The reduction scheme in force.
+    pub fn reduce(&self) -> ReduceKind {
+        self.local.reduce()
+    }
+
+    /// The gradient mode in force.
     pub fn gradient(&self) -> GradientMode {
         self.gradient
     }
 
-    /// Access the inner engine (tests, statistics).
+    /// The local engine (work counters, memory accounting, tests).
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.local.engine()
     }
 
-    /// Mutable engine access (advanced use/testing).
+    /// Mutable engine access (checkpoint rate tables, advanced testing).
     pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+        self.local.engine_mut()
+    }
+
+    /// The scheme's communication half (its rank handle, sentinel, …).
+    pub fn exchange(&self) -> &X {
+        &self.exchange
+    }
+
+    pub fn exchange_mut(&mut self) -> &mut X {
+        &mut self.exchange
+    }
+
+    /// Replace the local engine after data redistribution, pushing the
+    /// replicated model parameters into the fresh local slices. PSR
+    /// per-site rates are data-local and reset to 1; the next model-
+    /// optimization round re-fits them (documented recovery semantics).
+    pub fn replace_engine(&mut self, engine: Engine) {
+        self.local.replace_engine(engine);
+        self.local.install_params(&self.alphas, &self.gtr_rates);
+        self.tree.invalidate_all();
     }
 }
 
-impl Evaluator for SequentialEvaluator {
+impl<X: Exchange> Evaluator for ExchangeEvaluator<X> {
     fn n_taxa(&self) -> usize {
         self.tree.n_taxa()
     }
 
     fn n_partitions(&self) -> usize {
-        self.n_partitions
+        self.local.n_partitions()
     }
 
     fn branch_mode(&self) -> BranchMode {
-        self.branch_mode
+        self.local.branch_mode()
     }
 
     fn rate_kind(&self) -> RateModelKind {
-        self.engine.rate_kind()
+        self.local.engine().rate_kind()
     }
 
     fn tree(&self) -> &Tree {
@@ -404,18 +446,25 @@ impl Evaluator for SequentialEvaluator {
     }
 
     fn evaluate(&mut self, edge: EdgeId) -> f64 {
-        // Sequential: no communication, so the partitioned form is free.
-        self.evaluate_partitioned(edge)
+        if X::LOCAL_ONLY {
+            return self.evaluate_partitioned(edge);
+        }
+        // ONE reduction of a single double: the overall log-likelihood is
+        // all the replicas need to stay in lock-step (§III-B).
+        let d = self.tree.traversal_descriptor(edge);
+        self.exchange.announce(&Op::Evaluate(&d));
+        let total = self.exchange.combine(self.local.evaluate(&d, false))[0];
+        X::after_collective(self);
+        total
     }
 
     fn evaluate_partitioned(&mut self, edge: EdgeId) -> f64 {
         let d = self.tree.traversal_descriptor(edge);
-        self.engine.execute(&d);
-        let per_local = self.engine.evaluate(&d);
-        self.last_lnl = vec![0.0; self.n_partitions];
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
-            self.last_lnl[global] = per_local[local];
-        }
+        self.exchange.announce(&Op::EvaluatePartitioned(&d));
+        let reduced = self.exchange.combine(self.local.evaluate(&d, true));
+        self.last_lnl.copy_from_slice(reduced);
+        X::after_collective(self);
+        // Fixed global-order sum of identical inputs → identical totals.
         self.last_lnl.iter().sum()
     }
 
@@ -425,61 +474,46 @@ impl Evaluator for SequentialEvaluator {
 
     fn prepare_derivatives(&mut self, edge: EdgeId) {
         let d = self.tree.traversal_descriptor(edge);
-        self.engine.execute(&d);
-        self.engine.prepare_derivatives(&d);
+        self.exchange.announce(&Op::PrepareDerivatives(&d));
+        self.local.prepare_derivatives(&d);
     }
 
     fn derivatives(&mut self, lengths: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let (d1, d2) = self.engine.derivatives(lengths);
-        match self.branch_mode {
-            BranchMode::Joint => (vec![d1.iter().sum()], vec![d2.iter().sum()]),
-            BranchMode::PerPartition => {
-                let mut g1 = vec![0.0; self.n_partitions];
-                let mut g2 = vec![0.0; self.n_partitions];
-                for (local, global) in self.engine.global_indices().into_iter().enumerate() {
-                    g1[global] = d1[local];
-                    g2[global] = d2[local];
-                }
-                (g1, g2)
-            }
-        }
+        self.exchange.announce(&Op::Derivatives(lengths));
+        let reduced = self.exchange.combine(self.local.derivatives(lengths));
+        let (d1, d2) = reduced.split_at(reduced.len() / 2);
+        let pair = (d1.to_vec(), d2.to_vec());
+        X::after_collective(self);
+        pair
     }
 
     fn full_gradient(&mut self) -> FullGradient {
         if self.gradient == GradientMode::Off {
             return per_edge_full_gradient(self);
         }
+        // One announcement carries the orientation descriptor and the sweep
+        // plan; ONE fat reduction replaces the `n_edges` per-edge ones.
         let d = self.tree.traversal_descriptor(0);
-        self.engine.execute(&d);
         let plan = self.tree.gradient_plan(0);
-        let sweep = self.engine.edge_gradient(&plan);
-        let globals = self.engine.global_indices();
-        let mut d1 = vec![Vec::new(); plan.n_edges];
-        let mut d2 = vec![Vec::new(); plan.n_edges];
-        for (e, (g1, g2)) in d1.iter_mut().zip(d2.iter_mut()).enumerate() {
-            match self.branch_mode {
-                // Same local-index summation order as `derivatives`, so the
-                // fold is bitwise identical to the per-edge route's.
-                BranchMode::Joint => {
-                    *g1 = vec![sweep.iter().map(|p| p[e].0).sum()];
-                    *g2 = vec![sweep.iter().map(|p| p[e].1).sum()];
-                }
-                BranchMode::PerPartition => {
-                    *g1 = vec![0.0; self.n_partitions];
-                    *g2 = vec![0.0; self.n_partitions];
-                    for (local, &global) in globals.iter().enumerate() {
-                        g1[global] = sweep[local][e].0;
-                        g2[global] = sweep[local][e].1;
-                    }
-                }
-            }
-        }
-        FullGradient {
-            d1,
-            d2,
-            collectives: 0,
+        self.exchange.announce(&Op::Gradient {
+            descriptor: &d,
+            plan: &plan,
+        });
+        let reduced = self.exchange.combine(self.local.gradient(&d, &plan));
+        let (d1, d2) = reduced.split_at(reduced.len() / 2);
+        let per_edge = |half: &[f64]| -> Vec<Vec<f64>> {
+            half.chunks(half.len() / plan.n_edges)
+                .map(<[f64]>::to_vec)
+                .collect()
+        };
+        let gradient = FullGradient {
+            d1: per_edge(d1),
+            d2: per_edge(d2),
+            collectives: u64::from(!X::LOCAL_ONLY),
             swept: true,
-        }
+        };
+        X::after_collective(self);
+        gradient
     }
 
     fn alphas(&self) -> Vec<f64> {
@@ -487,11 +521,14 @@ impl Evaluator for SequentialEvaluator {
     }
 
     fn set_alphas(&mut self, alphas: &[f64]) {
-        assert_eq!(alphas.len(), self.n_partitions);
+        assert_eq!(alphas.len(), self.n_partitions());
+        // Fork-join must broadcast the full parameter array — with 1000
+        // partitions this is the 8 kB-per-region traffic of §III-A. The
+        // replicas instead all execute this call with identical arguments
+        // (derived from identical reduced likelihoods).
+        self.exchange.announce(&Op::SetAlphas(alphas));
         self.alphas = alphas.to_vec();
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
-            self.engine.set_alpha(local, alphas[global]);
-        }
+        self.local.set_alphas(alphas);
         self.tree.invalidate_all();
     }
 
@@ -500,25 +537,33 @@ impl Evaluator for SequentialEvaluator {
     }
 
     fn set_gtr_rate(&mut self, rate_index: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.n_partitions);
-        for (g, &v) in values.iter().enumerate() {
-            self.gtr_rates[g][rate_index] = v;
+        assert_eq!(values.len(), self.n_partitions());
+        self.exchange.announce(&Op::SetGtrRate {
+            index: rate_index,
+            values,
+        });
+        for (rates, &v) in self.gtr_rates.iter_mut().zip(values) {
+            rates[rate_index] = v;
         }
-        for (local, global) in self.engine.global_indices().into_iter().enumerate() {
-            self.engine.set_gtr_rate(local, rate_index, values[global]);
-        }
+        self.local.set_gtr_rate(rate_index, values);
         self.tree.invalidate_all();
     }
 
     fn optimize_site_rates(&mut self) {
-        if self.engine.rate_kind() != RateModelKind::Psr {
+        if self.rate_kind() != RateModelKind::Psr {
             return;
         }
         let d = self.tree.full_traversal_descriptor(0);
-        self.engine.execute(&d);
-        let (num, den) = self.engine.optimize_site_rates(&d);
+        self.exchange.announce(&Op::OptimizeSiteRates(&d));
+        let reduced = self.exchange.combine(self.local.optimize_site_rates(&d));
+        let (num, den) = (reduced[0], reduced[1]);
+        X::after_collective(self);
+        // The rate values themselves stay data-local on every rank; only
+        // the scale travels.
+        let scale = if num > 0.0 { den / num } else { 1.0 };
+        self.exchange.announce(&Op::SetPsrScale(scale));
         if num > 0.0 {
-            self.engine.finalize_site_rates(den / num);
+            self.local.engine_mut().finalize_site_rates(scale);
         }
         self.tree.invalidate_all();
     }
@@ -535,7 +580,18 @@ impl Evaluator for SequentialEvaluator {
         self.tree = state.tree.clone();
         self.alphas = state.alphas.clone();
         self.gtr_rates = state.gtr_rates.clone();
-        apply_global_params(&mut self.engine, state);
+        // Tree-less peers must see the restored parameters too.
+        if !self.alphas.is_empty() {
+            self.exchange.announce(&Op::SetAlphas(&self.alphas));
+        }
+        for index in 0..NUM_FREE_RATES {
+            let values = self.gtr_rate(index);
+            self.exchange.announce(&Op::SetGtrRate {
+                index,
+                values: &values,
+            });
+        }
+        self.local.install_params(&self.alphas, &self.gtr_rates);
         self.tree.invalidate_all();
     }
 
@@ -544,11 +600,12 @@ impl Evaluator for SequentialEvaluator {
     }
 
     fn backend_fingerprint(&self) -> u64 {
+        let engine = self.local.engine();
         kernel_fingerprint(
-            self.engine.kernel_kind(),
-            self.engine.site_repeats(),
-            "fast",
-            self.engine.threads(),
+            engine.kernel_kind(),
+            engine.site_repeats(),
+            self.local.reduce().label(),
+            engine.threads(),
             self.gradient,
         )
     }

@@ -9,7 +9,10 @@
 //!
 //! Components:
 //!
-//! * [`evaluator`] — the trait and the sequential reference back-end,
+//! * [`evaluator`] — the trait and its one implementation over an
+//!   [`exchange::Exchange`] (sequential = no exchange),
+//! * [`exchange`] — each reducing operation's wire layout, written once,
+//!   and the seam the three schemes implement,
 //! * [`branch`] — Newton–Raphson branch-length optimization and smoothing
 //!   passes (joint or per-partition `-M` mode),
 //! * [`model`] — batched model-parameter optimization: α and GTR rates via
@@ -22,6 +25,7 @@
 pub mod branch;
 pub mod driver;
 pub mod evaluator;
+pub mod exchange;
 pub mod model;
 pub mod parsimony;
 pub mod spr;
@@ -32,7 +36,7 @@ pub use driver::{
 };
 pub use evaluator::{
     kernel_fingerprint, per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator,
-    FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
+    ExchangeEvaluator, FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
 };
 
 use serde::{Deserialize, Serialize};

@@ -13,13 +13,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (once per kernel backend x site-repeats setting)"
+echo "==> cargo test (env-blind packages once, the rest per kernel backend x site-repeats setting)"
+# These packages neither read EXAML_KERNEL / EXAML_SITE_REPEATS nor build an
+# exa-phylo Engine (see their Cargo.toml: exa-simgen uses only exa-phylo's
+# models and trees), so a second run under another combination would
+# execute the same instructions again.
+env_blind=(exa-bio exa-obs exa-comm exa-simgen)
+test_t0=$SECONDS
+cargo test -q "${env_blind[@]/#/--package=}"
 for kernel in scalar simd; do
   for repeats in on off; do
     echo "    EXAML_KERNEL=$kernel EXAML_SITE_REPEATS=$repeats"
-    EXAML_KERNEL="$kernel" EXAML_SITE_REPEATS="$repeats" cargo test -q --workspace
+    EXAML_KERNEL="$kernel" EXAML_SITE_REPEATS="$repeats" \
+      cargo test -q --workspace "${env_blind[@]/#/--exclude=}"
   done
 done
+echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 4 kernel x repeats passes)"
 
 echo "==> exa-comm under oversubscription (release, 8 test threads)"
 # The spin-then-park wait with four times as many runnable worlds as this

@@ -1,0 +1,191 @@
+//! Golden pin for the evaluator layer: literal lnL bits, trees and full
+//! `CommStats` captured from the build *before* the three hand-written
+//! `Evaluator` impls were folded into one core (commit a197a77), so the
+//! refactor — and any later change to a wire layout or a summation order —
+//! must reproduce every bit and every byte count, not merely agree with
+//! itself. `evaluator_golden.txt` holds one line per pinned run; a mismatch
+//! prints the line the current build produces.
+
+use exa_bio::stats::global_frequencies;
+use exa_comm::ReduceChoice;
+use exa_phylo::model::rates::RateModelKind;
+use exa_phylo::tree::Tree;
+use exa_phylo::{GradientChoice, GradientMode, KernelChoice, SiteRepeats};
+use exa_search::evaluator::{BranchMode, Evaluator, SequentialEvaluator};
+use exa_search::SearchConfig;
+use exa_simgen::workloads;
+use examl_core::{RunConfig, Scheme};
+
+const GOLDEN: &str = include_str!("evaluator_golden.txt");
+
+/// The pinned line for `label` (`label<TAB>payload`).
+fn golden(label: &str) -> &'static str {
+    GOLDEN
+        .lines()
+        .find_map(|l| l.strip_prefix(label)?.strip_prefix('\t'))
+        .unwrap_or_else(|| panic!("no golden line for {label}"))
+}
+
+fn check(label: &str, actual: &str) {
+    assert_eq!(
+        actual,
+        golden(label),
+        "golden mismatch; current build gives:\n{label}\t{actual}"
+    );
+}
+
+const MODELS: [(&str, RateModelKind, BranchMode); 3] = [
+    ("gamma-joint", RateModelKind::Gamma, BranchMode::Joint),
+    ("gamma-M", RateModelKind::Gamma, BranchMode::PerPartition),
+    ("psr-joint", RateModelKind::Psr, BranchMode::Joint),
+];
+
+/// One scheme × {fast, reproducible} × {Γ joint, Γ -M, PSR joint} ×
+/// {gradient on, off} at 3 ranks: final lnL bits, Newick and
+/// the serialized `CommStats` (calls + bytes per category × op kind).
+fn driver_runs_reproduce_the_pin(scheme_label: &str, scheme: Scheme) {
+    let w = workloads::partitioned(8, 3, 60, 41);
+    for reduce in [ReduceChoice::Fast, ReduceChoice::Reproducible] {
+        for (model_label, rate_model, branch_mode) in MODELS {
+            for gradient in [GradientChoice::On, GradientChoice::Off] {
+                let out = RunConfig::new(3)
+                    .scheme(scheme)
+                    .rate_model(rate_model)
+                    .branch_mode(branch_mode)
+                    .reduce(reduce)
+                    .gradient(gradient)
+                    .seed(17)
+                    .search(SearchConfig {
+                        max_iterations: 1,
+                        ..SearchConfig::fast()
+                    })
+                    .run(&w.compressed)
+                    .expect("pinned run must complete");
+                let label = format!(
+                    "{scheme_label}/{}/{model_label}/gradient-{}",
+                    reduce.label(),
+                    gradient.label()
+                );
+                let actual = format!(
+                    "{:016x}\t{}\t{}",
+                    out.result.lnl.to_bits(),
+                    out.tree_newick,
+                    serde_json::to_string(&out.comm_stats).unwrap()
+                );
+                check(&label, &actual);
+            }
+        }
+    }
+}
+
+#[test]
+fn decentralized_runs_reproduce_the_pinned_bits_trees_and_comm_stats() {
+    driver_runs_reproduce_the_pin("decentralized", Scheme::Decentralized);
+}
+
+#[test]
+fn forkjoin_runs_reproduce_the_pinned_bits_trees_and_comm_stats() {
+    driver_runs_reproduce_the_pin("forkjoin", Scheme::ForkJoin);
+}
+
+/// A sequential evaluator over a single-rank whole-partition assignment
+/// whose shares are listed in *reverse*, so the engine's local partition
+/// order differs from the global one: joint derivative sums run in local
+/// order, `evaluate` sums `last_per_partition` in global order, and the
+/// scripted sequence below pins the bits of both.
+fn sequential_scrambled(
+    w: &workloads::Workload,
+    kind: RateModelKind,
+    mode: BranchMode,
+    gradient: GradientMode,
+) -> SequentialEvaluator {
+    let aln = &w.compressed;
+    let mut assignment =
+        exa_sched::distribute(aln, 1, exa_sched::Strategy::MonolithicLpt).remove(0);
+    assignment.shares.reverse();
+    let engine = exa_sched::build_engine(
+        aln,
+        &assignment,
+        &global_frequencies(aln),
+        &exa_sched::EngineSpec::new(
+            kind,
+            KernelChoice::from_env().resolve_local(),
+            SiteRepeats::On,
+        ),
+        None,
+    );
+    let globals = engine.global_indices();
+    assert!(
+        globals.windows(2).any(|p| p[0] > p[1]),
+        "local order must differ from global order: {globals:?}"
+    );
+    let p = aln.n_partitions();
+    let blens = match mode {
+        BranchMode::Joint => 1,
+        BranchMode::PerPartition => p,
+    };
+    let tree = Tree::random(aln.n_taxa(), blens, 23);
+    SequentialEvaluator::new(tree, engine, p, mode).with_gradient(gradient)
+}
+
+/// Run the fixed op script and return every produced f64 as hex bits.
+fn scripted_bits(eval: &mut SequentialEvaluator) -> String {
+    let p = eval.n_partitions();
+    let arity = match eval.branch_mode() {
+        BranchMode::Joint => 1,
+        BranchMode::PerPartition => p,
+    };
+    let mut bits: Vec<u64> = Vec::new();
+    let mut push = |vals: &[f64]| bits.extend(vals.iter().map(|v| v.to_bits()));
+
+    push(&[eval.evaluate(0)]);
+    push(eval.last_per_partition());
+    if eval.rate_kind() == RateModelKind::Gamma {
+        let alphas: Vec<f64> = (0..p).map(|i| 0.3 + 0.45 * i as f64).collect();
+        eval.set_alphas(&alphas);
+    }
+    let rates: Vec<f64> = (0..p).map(|i| 0.8 + 0.7 * i as f64).collect();
+    eval.set_gtr_rate(1, &rates);
+    push(&[eval.evaluate_partitioned(2)]);
+    push(eval.last_per_partition());
+    eval.optimize_site_rates();
+    push(&[eval.evaluate(1)]);
+
+    eval.prepare_derivatives(3);
+    let lengths: Vec<f64> = (0..arity).map(|i| 0.07 + 0.05 * i as f64).collect();
+    let (d1, d2) = eval.derivatives(&lengths);
+    push(&d1);
+    push(&d2);
+
+    let g = eval.full_gradient();
+    for (e1, e2) in g.d1.iter().zip(&g.d2) {
+        push(e1);
+        push(e2);
+    }
+    push(&[g.collectives as f64]);
+
+    let snap = eval.snapshot();
+    eval.tree_mut().set_length(0, 0, 0.9);
+    eval.set_gtr_rate(3, &vec![2.5; p]);
+    push(&[eval.evaluate(0)]);
+    eval.restore(&snap);
+    push(&[eval.evaluate(0)]);
+    push(eval.last_per_partition());
+
+    bits.iter()
+        .map(|b| format!("{b:016x}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+#[test]
+fn sequential_op_script_reproduces_the_pinned_bits_in_scrambled_local_order() {
+    let w = workloads::partitioned(7, 4, 60, 29);
+    for (model_label, kind, mode) in MODELS {
+        for gradient in [GradientMode::On, GradientMode::Off] {
+            let mut eval = sequential_scrambled(&w, kind, mode, gradient);
+            let label = format!("sequential/{model_label}/gradient-{}", gradient.label());
+            check(&label, &scripted_bits(&mut eval));
+        }
+    }
+}
