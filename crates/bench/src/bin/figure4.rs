@@ -150,7 +150,7 @@ fn main() {
                 cfg.strategy = strategy;
                 cfg.search = search.clone();
                 cfg.seed = 5;
-                cfg.batch = false;
+                cfg.modes.batch = false;
                 let t0 = std::time::Instant::now();
                 let out = execute(&w.compressed, &cfg, None);
                 MeasuredRun::new(

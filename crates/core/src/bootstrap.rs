@@ -13,43 +13,15 @@
 //! driver.
 
 use crate::checkpoint::{self, BootstrapProgress, Checkpoint, CheckpointHeader, CheckpointPayload};
-use crate::run::RunError;
-use crate::{decentralized_impl, InferenceConfig, RunOutput};
+use crate::run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome};
+use crate::{capability, decentralized_impl};
 use exa_bio::patterns::{CompressedAlignment, CompressedPartition};
-use exa_comm::{CommStats, ReduceChoice, ReduceKind};
-use exa_phylo::engine::{KernelChoice, KernelKind, RepeatsChoice, SiteRepeats, WorkCounters};
 use exa_phylo::tree::bipartitions::bipartitions;
 use exa_search::evaluator::SearchSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-
-/// Bootstrap configuration.
-#[derive(Debug, Clone)]
-pub struct BootstrapConfig {
-    /// Number of bootstrap replicates.
-    pub replicates: usize,
-    /// Master seed; replicate `i` uses `seed + i` for both resampling and
-    /// its starting tree.
-    pub seed: u64,
-    /// Inference settings shared by the best-tree run and every replicate.
-    pub base: InferenceConfig,
-}
-
-/// Result of a full bootstrap analysis.
-#[derive(Debug)]
-pub struct BootstrapOutput {
-    /// The ML run on the original alignment.
-    pub best: RunOutput,
-    /// Per-replicate final log-likelihoods.
-    pub replicate_lnls: Vec<f64>,
-    /// Support (% of replicates) per canonical bipartition of the best
-    /// tree.
-    pub support: HashMap<Vec<usize>, f64>,
-    /// Best tree with support labels, Newick.
-    pub annotated_newick: String,
-}
 
 /// Multinomially resample the pattern weights of one partition (total site
 /// count preserved). Patterns drawn zero times are dropped.
@@ -109,41 +81,13 @@ pub fn replicate_trace_path(path: &Path, replicate: usize) -> PathBuf {
     }
 }
 
-/// Resolve the informational kernel label for a reconstructed (resumed)
-/// bootstrap best run without a live world to negotiate on: forced choices
-/// resolve directly, `Auto` resolves to this host's local capability (every
-/// rank of an in-process world shares the host, so this matches what the
-/// original negotiation produced).
-fn local_kernel(choice: KernelChoice) -> KernelKind {
-    match choice {
-        KernelChoice::Scalar => KernelKind::Scalar,
-        KernelChoice::Simd => KernelKind::Simd,
-        KernelChoice::Auto => KernelKind::from_capability_level(choice.capability_level()),
-    }
-}
-
-/// [`local_kernel`]'s analogue for subtree-repeat compression.
-fn local_site_repeats(choice: RepeatsChoice) -> SiteRepeats {
-    match choice {
-        RepeatsChoice::On => SiteRepeats::On,
-        RepeatsChoice::Off => SiteRepeats::Off,
-        RepeatsChoice::Auto => SiteRepeats::from_capability_level(choice.capability_level()),
-    }
-}
-
-/// [`local_kernel`]'s analogue for the collective reduction mode.
-fn local_reduce(choice: ReduceChoice) -> ReduceKind {
-    match choice {
-        ReduceChoice::Fast => ReduceKind::Fast,
-        ReduceChoice::Reproducible => ReduceKind::Reproducible,
-        ReduceChoice::Auto => ReduceKind::from_capability_level(choice.advertised_level()),
-    }
-}
-
-/// The bootstrap driver behind [`crate::RunConfig::run`]. When `trace_out` is set, the best-tree run's
-/// Chrome trace goes to that path and each replicate's to
-/// [`replicate_trace_path`] of it (one trace per replicate — replicates run
-/// sequentially, so sharing one recorder would interleave them).
+/// The bootstrap driver behind [`crate::RunConfig::run`]: the best-tree run
+/// under `cfg`, then `bs.replicates` resampled runs, returned as the best
+/// run's outcome with the support summary attached. When `bs.trace_out` is
+/// set, the best-tree run's Chrome trace goes to that path and each
+/// replicate's to [`replicate_trace_path`] of it (one trace per replicate —
+/// replicates run sequentially, so sharing one recorder would interleave
+/// them).
 ///
 /// Checkpointing: a checkpoint committed *during* the best-tree search
 /// carries `bootstrap: None` and resuming it re-enters that search; after
@@ -155,52 +99,50 @@ fn local_reduce(choice: ReduceChoice) -> ReduceKind {
 /// directory).
 pub(crate) fn bootstrap_impl(
     aln: &CompressedAlignment,
-    cfg: &BootstrapConfig,
-    trace_out: Option<&Path>,
+    cfg: &RunConfig,
+    bs: &BootstrapOptions,
     resume: Option<&CheckpointPayload>,
-) -> Result<BootstrapOutput, RunError> {
+) -> Result<RunOutcome, RunError> {
+    /// One traced-or-not run: the outcome and its committed checkpoints.
     fn run_one(
         aln: &CompressedAlignment,
-        cfg: &InferenceConfig,
+        cfg: &RunConfig,
         trace_path: Option<PathBuf>,
         resume: Option<&CheckpointPayload>,
-    ) -> Result<RunOutput, RunError> {
-        match trace_path {
-            None => Ok(decentralized_impl(aln, cfg, None, resume)?),
-            Some(path) => {
-                let recorder = exa_obs::Recorder::new(cfg.n_ranks);
-                let out = decentralized_impl(aln, cfg, Some(&recorder), resume)?;
-                let trace = exa_obs::Recorder::finish(recorder);
-                exa_obs::write_chrome_trace(&path, &trace)?;
-                Ok(out)
-            }
+    ) -> Result<(RunOutcome, u64), RunError> {
+        let recorder = trace_path
+            .is_some()
+            .then(|| exa_obs::Recorder::new(cfg.n_ranks));
+        let out = decentralized_impl(aln, cfg, recorder.as_ref(), resume)?;
+        if let (Some(path), Some(recorder)) = (trace_path, recorder) {
+            exa_obs::write_chrome_trace(&path, &exa_obs::Recorder::finish(recorder))?;
         }
+        Ok(out)
     }
+    let trace_out = bs.trace_out.as_deref();
+    // What a resumed best run is reported with and what the
+    // between-replicate headers carry: every rank of an in-process world
+    // shares the host, so the (by then gone) world negotiated exactly what
+    // the configuration resolves to locally.
+    let modes = capability::resolve_local(&cfg.capability_requests(0));
 
-    let (best, mut counts, mut replicate_lnls, start) = match resume {
+    let (mut best, mut committed, mut counts, mut replicate_lnls, start) = match resume {
         // Between-replicate checkpoint: the best run already finished —
-        // reconstruct its output (communication/work counters are gone
+        // reconstruct its outcome (communication/work counters are gone
         // with the original world and report as zero) and pick the
         // replicate loop back up where it left off.
-        Some(p) if p.bootstrap.is_some() => {
-            let progress = p.bootstrap.as_ref().expect("guarded by is_some");
-            let state = progress.best_state.clone();
-            let tree_newick = state.tree.to_newick(&aln.taxa);
-            let best = RunOutput {
-                result: progress.best_result.clone(),
-                state,
-                tree_newick,
-                comm_stats: CommStats::default(),
-                work: WorkCounters::default(),
-                mem_bytes: 0,
-                survivors: (0..cfg.base.n_ranks).collect(),
-                sentinel_syncs: 0,
-                kernel: local_kernel(cfg.base.kernel),
-                site_repeats: local_site_repeats(cfg.base.site_repeats),
-                reduce: local_reduce(cfg.base.reduce),
-                threads: cfg.base.threads.resolve_local().get(),
-                gradient: cfg.base.gradient.resolve_local(),
-                checkpoints: 0,
+        Some(CheckpointPayload {
+            bootstrap: Some(progress),
+            ..
+        }) => {
+            let best = RunOutcome {
+                survivors: (0..cfg.n_ranks).collect(),
+                ..RunOutcome::new(
+                    progress.best_result.clone(),
+                    progress.best_state.clone(),
+                    &aln.taxa,
+                    &modes,
+                )
             };
             let counts: HashMap<Vec<usize>, usize> = progress
                 .split_counts
@@ -212,22 +154,22 @@ pub(crate) fn bootstrap_impl(
                 .iter()
                 .map(|&b| f64::from_bits(b))
                 .collect();
-            (best, counts, lnls, progress.completed.min(cfg.replicates))
+            (best, 0, counts, lnls, progress.completed.min(bs.replicates))
         }
         // Mid-best-run checkpoint (or no checkpoint): run (or resume) the
         // best-tree search, then start the replicates from scratch.
         _ => {
-            let best = run_one(aln, &cfg.base, trace_out.map(Path::to_path_buf), resume)?;
-            (best, HashMap::new(), Vec::new(), 0)
+            let (best, committed) = run_one(aln, cfg, trace_out.map(Path::to_path_buf), resume)?;
+            (best, committed, HashMap::new(), Vec::new(), 0)
         }
     };
     let best_splits = bipartitions(&best.state.tree);
-    let mut committed = best.checkpoints;
+    let header = CheckpointHeader::new(cfg, aln, "decentralized", &modes);
 
-    for r in start..cfg.replicates {
-        let replicate_seed = cfg.seed.wrapping_add(r as u64);
+    for r in start..bs.replicates {
+        let replicate_seed = bs.seed.wrapping_add(r as u64);
         let resampled = resample_alignment(aln, replicate_seed);
-        let mut rcfg = cfg.base.clone();
+        let mut rcfg = cfg.clone();
         rcfg.seed = replicate_seed;
         // Replicates never checkpoint, kill, resume, fault-inject or
         // heartbeat (the sentinel cadence, if any, stays on — replicas
@@ -238,7 +180,7 @@ pub(crate) fn bootstrap_impl(
         rcfg.fault_plan = crate::fault::FaultPlan::none();
         rcfg.divergence_fault = None;
         rcfg.health_out = None;
-        let out = run_one(
+        let (out, _) = run_one(
             &resampled,
             &rcfg,
             trace_out.map(|p| replicate_trace_path(p, r)),
@@ -249,7 +191,7 @@ pub(crate) fn bootstrap_impl(
             *counts.entry(split).or_insert(0) += 1;
         }
 
-        if let Some(dir) = &cfg.base.checkpoint_out {
+        if let Some(dir) = &cfg.checkpoint_out {
             // Sorted split order so the checkpoint bytes are a pure
             // function of the progress (HashMap order is not).
             let mut split_counts: Vec<(Vec<usize>, u32)> =
@@ -269,36 +211,19 @@ pub(crate) fn bootstrap_impl(
                 state: best.state.clone(),
                 psr_rates: Vec::new(),
             };
-            let header = CheckpointHeader {
-                format_version: 0, // sealed by Checkpoint::build
-                scheme: "decentralized".into(),
-                kernel: best.kernel.label().into(),
-                site_repeats: best.site_repeats.label().into(),
-                rank_count: cfg.base.n_ranks,
-                rate_model: format!("{:?}", cfg.base.rate_model),
-                branch_mode: format!("{:?}", cfg.base.branch_mode),
-                seed: cfg.base.seed,
-                n_taxa: aln.n_taxa(),
-                n_partitions: aln.n_partitions(),
-                iteration: best.result.iterations,
-                payload_len: 0,
-                payload_fingerprint: 0,
-                reduce_mode: Some(best.reduce.label().into()),
-                gradient: Some(best.gradient.label().into()),
-            };
             let ckpt = Checkpoint::build(
-                header,
+                header.clone(),
                 CheckpointPayload {
                     snapshot,
                     bootstrap: Some(progress),
                 },
             );
-            checkpoint::save_generation_keeping(dir, &ckpt, cfg.base.checkpoint_keep)?;
+            checkpoint::save_generation_keeping(dir, &ckpt, cfg.checkpoint_keep)?;
             committed += 1;
             // Driver-level kill injection: replicate boundaries count
             // toward the same committed-checkpoint budget as in-search
             // boundaries, so a chaos harness can kill between replicates.
-            if let Some(k) = cfg.base.inject_kill {
+            if let Some(k) = cfg.inject_kill {
                 if committed >= k.after_checkpoints {
                     return Err(RunError::Killed {
                         after_checkpoints: committed,
@@ -309,7 +234,7 @@ pub(crate) fn bootstrap_impl(
         }
     }
 
-    let denom = cfg.replicates.max(1) as f64;
+    let denom = bs.replicates.max(1) as f64;
     let support: HashMap<Vec<usize>, f64> = best_splits
         .iter()
         .map(|s| {
@@ -319,14 +244,12 @@ pub(crate) fn bootstrap_impl(
             )
         })
         .collect();
-    let annotated_newick = best.state.tree.to_newick_with_support(&aln.taxa, &support);
-
-    Ok(BootstrapOutput {
-        best,
+    best.bootstrap = Some(BootstrapSummary {
+        annotated_newick: best.state.tree.to_newick_with_support(&aln.taxa, &support),
         replicate_lnls,
         support,
-        annotated_newick,
-    })
+    });
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -387,17 +310,17 @@ mod tests {
         // Clean simulated data: every split of the generating tree should
         // receive high support across replicates.
         let w = workloads::partitioned(6, 1, 400, 13);
-        let mut base = InferenceConfig::new(2);
-        base.search = SearchConfig {
-            max_iterations: 2,
-            ..SearchConfig::fast()
-        };
-        let cfg = BootstrapConfig {
-            replicates: 5,
-            seed: 99,
-            base,
-        };
-        let out = bootstrap_impl(&w.compressed, &cfg, None, None).unwrap();
+        let cfg = RunConfig::new(2)
+            .search(SearchConfig {
+                max_iterations: 2,
+                ..SearchConfig::fast()
+            })
+            .bootstrap(5, 99);
+        let bs = cfg.bootstrap.as_ref().unwrap();
+        let out = bootstrap_impl(&w.compressed, &cfg, bs, None)
+            .unwrap()
+            .bootstrap
+            .unwrap();
         assert_eq!(out.replicate_lnls.len(), 5);
         assert!(out.annotated_newick.ends_with(");"));
         // 6 taxa → 3 internal splits on the best tree.

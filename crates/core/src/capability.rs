@@ -7,7 +7,7 @@
 //! totally-ordered capability (a higher level is a superset of a lower
 //! one), so heterogeneous worlds agree by everyone adopting the minimum
 //! advertised level — the same protocol MPI codes use for feature
-//! negotiation at startup.
+//! negotiation at startup. The outcome is one [`Modes`] record.
 //!
 //! Historically each setting ran its own one-byte allgather, and only when
 //! its choice was `Auto`. This module replaces those with ONE packed
@@ -23,231 +23,175 @@ use exa_phylo::engine::{
     GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
     ThreadCount, ThreadsChoice,
 };
+use exa_search::Modes;
 
-/// A negotiable compute capability: a value with a stable label and a
+/// A negotiable setting as the operator asks for it: either an explicit
+/// mode or `auto`. The mode is a small totally-ordered capability — a
 /// monotone level, reconstructible from a negotiated minimum level.
-pub trait Capability: Copy {
-    /// Stable label (trace marks, health JSON, fingerprints).
-    fn label(self) -> &'static str;
-    /// Monotone capability level this value advertises.
-    fn level(self) -> u8;
-    /// The value a negotiated minimum level resolves to.
-    fn from_level(level: u8) -> Self;
+pub trait Choice: Copy + PartialEq {
+    /// The resolved mode this choice negotiates down to.
+    type Mode: Copy;
+    /// The "let the world decide" value.
+    const AUTO: Self;
+    /// What this choice resolves to without a world (`auto` = the best this
+    /// host offers).
+    fn resolve_local(self) -> Self::Mode;
+    /// Monotone capability level a mode advertises on the wire.
+    fn level(mode: Self::Mode) -> u8;
+    /// The mode a negotiated minimum level resolves to.
+    fn from_level(level: u8) -> Self::Mode;
 }
 
-impl Capability for KernelKind {
-    fn label(self) -> &'static str {
-        KernelKind::label(&self)
+impl Choice for KernelChoice {
+    type Mode = KernelKind;
+    const AUTO: Self = KernelChoice::Auto;
+    fn resolve_local(self) -> KernelKind {
+        KernelChoice::resolve_local(self)
     }
-    fn level(self) -> u8 {
-        self.capability_level()
+    fn level(mode: KernelKind) -> u8 {
+        mode.capability_level()
     }
-    fn from_level(level: u8) -> Self {
+    fn from_level(level: u8) -> KernelKind {
         KernelKind::from_capability_level(level)
     }
 }
 
-impl Capability for SiteRepeats {
-    fn label(self) -> &'static str {
-        SiteRepeats::label(&self)
+impl Choice for RepeatsChoice {
+    type Mode = SiteRepeats;
+    const AUTO: Self = RepeatsChoice::Auto;
+    fn resolve_local(self) -> SiteRepeats {
+        RepeatsChoice::resolve_local(self)
     }
-    fn level(self) -> u8 {
-        self.capability_level()
+    fn level(mode: SiteRepeats) -> u8 {
+        mode.capability_level()
     }
-    fn from_level(level: u8) -> Self {
+    fn from_level(level: u8) -> SiteRepeats {
         SiteRepeats::from_capability_level(level)
     }
 }
 
-impl Capability for ReduceKind {
-    fn label(self) -> &'static str {
-        ReduceKind::label(self)
+impl Choice for ReduceChoice {
+    type Mode = ReduceKind;
+    const AUTO: Self = ReduceChoice::Auto;
+    fn resolve_local(self) -> ReduceKind {
+        ReduceChoice::resolve_local(self)
     }
-    fn level(self) -> u8 {
-        self.capability_level()
+    fn level(mode: ReduceKind) -> u8 {
+        mode.capability_level()
     }
-    fn from_level(level: u8) -> Self {
+    fn from_level(level: u8) -> ReduceKind {
         ReduceKind::from_capability_level(level)
     }
 }
 
-impl Capability for ThreadCount {
-    fn label(self) -> &'static str {
-        ThreadCount::label(self)
+/// `auto` resolves to one thread: threading is strictly opt-in, so an auto
+/// world always runs serial ranks.
+impl Choice for ThreadsChoice {
+    type Mode = ThreadCount;
+    const AUTO: Self = ThreadsChoice::Auto;
+    fn resolve_local(self) -> ThreadCount {
+        ThreadsChoice::resolve_local(self)
     }
-    fn level(self) -> u8 {
-        self.capability_level()
+    fn level(mode: ThreadCount) -> u8 {
+        mode.capability_level()
     }
-    fn from_level(level: u8) -> Self {
+    fn from_level(level: u8) -> ThreadCount {
         ThreadCount::from_capability_level(level)
     }
 }
 
-impl Capability for GradientMode {
-    fn label(self) -> &'static str {
-        GradientMode::label(&self)
+/// `auto` resolves to `on`: the sweep is pure software, so a world of auto
+/// ranks runs the gradient pass.
+impl Choice for GradientChoice {
+    type Mode = GradientMode;
+    const AUTO: Self = GradientChoice::Auto;
+    fn resolve_local(self) -> GradientMode {
+        GradientChoice::resolve_local(self)
     }
-    fn level(self) -> u8 {
-        self.capability_level()
+    fn level(mode: GradientMode) -> u8 {
+        mode.capability_level()
     }
-    fn from_level(level: u8) -> Self {
+    fn from_level(level: u8) -> GradientMode {
         GradientMode::from_capability_level(level)
     }
 }
 
 /// How one rank enters the exchange for one capability slot.
 #[derive(Debug, Clone, Copy)]
-pub enum Request<T: Capability> {
-    /// Resolve locally (an explicit CLI choice or a per-rank test
-    /// override). The forced level is still advertised — so the packed
-    /// exchange stays uniform — but the gathered minimum is ignored.
-    Forced(T),
-    /// `Auto`: advertise this level, adopt the world minimum.
+pub enum Request<C: Choice> {
+    /// Resolve locally (an explicit choice or a per-rank test override).
+    /// The forced level is still advertised — so the packed exchange stays
+    /// uniform — but the gathered minimum is ignored.
+    Forced(C::Mode),
+    /// `auto`: advertise this level, adopt the world minimum.
     Negotiate { advertise: u8 },
 }
 
-impl<T: Capability> Request<T> {
+impl<C: Choice> Request<C> {
+    /// The one request rule, shared by every slot: a non-empty per-rank
+    /// override table (test hook, indexed cyclically by rank id) forces its
+    /// entry; an explicit choice forces itself; `auto` advertises what this
+    /// host resolves it to and adopts the world minimum.
+    pub fn new(rank_id: usize, choice: C, override_table: Option<&[C::Mode]>) -> Request<C> {
+        match override_table {
+            Some(table) if !table.is_empty() => Request::Forced(table[rank_id % table.len()]),
+            _ if choice == C::AUTO => Request::Negotiate {
+                advertise: C::level(choice.resolve_local()),
+            },
+            _ => Request::Forced(choice.resolve_local()),
+        }
+    }
+
     fn advertised(&self) -> u8 {
         match self {
-            Request::Forced(v) => v.level(),
+            Request::Forced(mode) => C::level(*mode),
             Request::Negotiate { advertise } => *advertise,
         }
     }
 
-    fn resolve(&self, world_min: u8) -> Negotiated<T> {
+    fn resolve(&self, world_min: u8) -> C::Mode {
         match self {
-            Request::Forced(v) => Negotiated {
-                value: *v,
-                negotiated: false,
-            },
-            Request::Negotiate { .. } => Negotiated {
-                value: T::from_level(world_min),
-                negotiated: true,
-            },
+            Request::Forced(mode) => *mode,
+            Request::Negotiate { .. } => C::from_level(world_min),
         }
     }
 }
 
-/// One resolved capability: the value plus whether it came out of the
-/// exchange (`Auto`) or was forced locally.
-#[derive(Debug, Clone, Copy)]
-pub struct Negotiated<T> {
-    pub value: T,
-    pub negotiated: bool,
-}
-
-/// All five capability requests of one rank, in wire-slot order.
+/// All five capability requests of one rank, in wire-slot order, plus the
+/// configured (never negotiated) batching switch that completes a
+/// [`Modes`].
 #[derive(Debug, Clone, Copy)]
 pub struct CapabilityRequests {
-    pub kernel: Request<KernelKind>,
-    pub site_repeats: Request<SiteRepeats>,
-    pub reduce: Request<ReduceKind>,
-    pub threads: Request<ThreadCount>,
-    pub gradient: Request<GradientMode>,
+    pub kernel: Request<KernelChoice>,
+    pub site_repeats: Request<RepeatsChoice>,
+    pub reduce: Request<ReduceChoice>,
+    pub threads: Request<ThreadsChoice>,
+    pub gradient: Request<GradientChoice>,
+    pub batch: bool,
 }
 
-/// The negotiated compute configuration of one rank.
-#[derive(Debug, Clone, Copy)]
-pub struct Caps {
-    pub kernel: Negotiated<KernelKind>,
-    pub site_repeats: Negotiated<SiteRepeats>,
-    pub reduce: Negotiated<ReduceKind>,
-    pub threads: Negotiated<ThreadCount>,
-    pub gradient: Negotiated<GradientMode>,
-}
+impl CapabilityRequests {
+    /// The wire packet: one advertised level per slot.
+    fn advertised(&self) -> [u8; 5] {
+        [
+            self.kernel.advertised(),
+            self.site_repeats.advertised(),
+            self.reduce.advertised(),
+            self.threads.advertised(),
+            self.gradient.advertised(),
+        ]
+    }
 
-/// Build the kernel-slot request from a choice plus an optional per-rank
-/// override table (test hook; indexed cyclically by rank id).
-pub fn kernel_request(
-    rank_id: usize,
-    choice: KernelChoice,
-    override_table: Option<&[KernelKind]>,
-) -> Request<KernelKind> {
-    if let Some(table) = override_table {
-        return Request::Forced(table[rank_id % table.len().max(1)]);
-    }
-    match choice {
-        KernelChoice::Scalar => Request::Forced(KernelKind::Scalar),
-        KernelChoice::Simd => Request::Forced(KernelKind::Simd),
-        KernelChoice::Auto => Request::Negotiate {
-            advertise: choice.capability_level(),
-        },
-    }
-}
-
-/// Build the site-repeats-slot request, same protocol as
-/// [`kernel_request`].
-pub fn repeats_request(
-    rank_id: usize,
-    choice: RepeatsChoice,
-    override_table: Option<&[SiteRepeats]>,
-) -> Request<SiteRepeats> {
-    if let Some(table) = override_table {
-        return Request::Forced(table[rank_id % table.len().max(1)]);
-    }
-    match choice {
-        RepeatsChoice::On => Request::Forced(SiteRepeats::On),
-        RepeatsChoice::Off => Request::Forced(SiteRepeats::Off),
-        RepeatsChoice::Auto => Request::Negotiate {
-            advertise: choice.capability_level(),
-        },
-    }
-}
-
-/// Build the reduce-slot request, same protocol as [`kernel_request`].
-pub fn reduce_request(
-    rank_id: usize,
-    choice: ReduceChoice,
-    override_table: Option<&[ReduceKind]>,
-) -> Request<ReduceKind> {
-    if let Some(table) = override_table {
-        return Request::Forced(table[rank_id % table.len().max(1)]);
-    }
-    match choice {
-        ReduceChoice::Fast => Request::Forced(ReduceKind::Fast),
-        ReduceChoice::Reproducible => Request::Forced(ReduceKind::Reproducible),
-        ReduceChoice::Auto => Request::Negotiate {
-            advertise: choice.advertised_level(),
-        },
-    }
-}
-
-/// Build the threads-slot request, same protocol as [`kernel_request`].
-/// An explicit count forces; `auto` negotiates (and advertises 1 — threading
-/// is strictly opt-in, so an auto world always resolves to serial).
-pub fn threads_request(
-    rank_id: usize,
-    choice: ThreadsChoice,
-    override_table: Option<&[ThreadCount]>,
-) -> Request<ThreadCount> {
-    if let Some(table) = override_table {
-        return Request::Forced(table[rank_id % table.len().max(1)]);
-    }
-    match choice {
-        ThreadsChoice::Count(n) => Request::Forced(n),
-        ThreadsChoice::Auto => Request::Negotiate {
-            advertise: choice.capability_level(),
-        },
-    }
-}
-
-/// Build the gradient-slot request, same protocol as [`kernel_request`].
-/// `on`/`off` force; `auto` negotiates (advertising `on` — the sweep is pure
-/// software, so a world of auto ranks resolves to the gradient pass).
-pub fn gradient_request(
-    rank_id: usize,
-    choice: GradientChoice,
-    override_table: Option<&[GradientMode]>,
-) -> Request<GradientMode> {
-    if let Some(table) = override_table {
-        return Request::Forced(table[rank_id % table.len().max(1)]);
-    }
-    match choice {
-        GradientChoice::On => Request::Forced(GradientMode::On),
-        GradientChoice::Off => Request::Forced(GradientMode::Off),
-        GradientChoice::Auto => Request::Negotiate {
-            advertise: choice.capability_level(),
-        },
+    /// Resolve every slot against the per-slot world minimum.
+    fn resolve(&self, world_min: [u8; 5]) -> Modes {
+        Modes {
+            kernel: self.kernel.resolve(world_min[0]),
+            site_repeats: self.site_repeats.resolve(world_min[1]),
+            reduce: self.reduce.resolve(world_min[2]),
+            threads: self.threads.resolve(world_min[3]),
+            gradient: self.gradient.resolve(world_min[4]),
+            batch: self.batch,
+        }
     }
 }
 
@@ -255,47 +199,28 @@ pub fn gradient_request(
 /// allgather, min per slot over every rank that contributed (a failed rank
 /// leaves an empty slot, which the survivors skip — they still agree
 /// because they all saw the same gather).
-pub fn negotiate(rank: &Rank, req: &CapabilityRequests) -> Caps {
-    let packet = vec![
-        req.kernel.advertised(),
-        req.site_repeats.advertised(),
-        req.reduce.advertised(),
-        req.threads.advertised(),
-        req.gradient.advertised(),
-    ];
-    let n_slots = packet.len();
+pub fn negotiate(rank: &Rank, req: &CapabilityRequests) -> Modes {
+    let mut world_min = req.advertised();
     let gathered = rank
-        .allgather_bytes(packet.clone(), CommCategory::Control)
+        .allgather_bytes(world_min.to_vec(), CommCategory::Control)
         .expect("capability negotiation cannot proceed after a rank failure");
-    let min_of = |slot: usize| {
-        gathered
-            .iter()
-            .filter(|b| b.len() == n_slots)
-            .map(|b| b[slot])
-            .min()
-            .unwrap_or(packet[slot])
-    };
-    Caps {
-        kernel: req.kernel.resolve(min_of(0)),
-        site_repeats: req.site_repeats.resolve(min_of(1)),
-        reduce: req.reduce.resolve(min_of(2)),
-        threads: req.threads.resolve(min_of(3)),
-        gradient: req.gradient.resolve(min_of(4)),
+    let n_slots = world_min.len();
+    for packet in gathered.iter().filter(|b| b.len() == n_slots) {
+        for (min, &level) in world_min.iter_mut().zip(packet) {
+            *min = (*min).min(level);
+        }
     }
+    req.resolve(world_min)
 }
 
 /// Resolve the requests without any communication — what a single-rank
-/// world would negotiate. Used by the fork-join scheme (whose workers take
-/// the master's resolved settings via the command stream, not a gather)
-/// and by daemon capability reporting.
-pub fn resolve_local(req: &CapabilityRequests) -> Caps {
-    Caps {
-        kernel: req.kernel.resolve(req.kernel.advertised()),
-        site_repeats: req.site_repeats.resolve(req.site_repeats.advertised()),
-        reduce: req.reduce.resolve(req.reduce.advertised()),
-        threads: req.threads.resolve(req.threads.advertised()),
-        gradient: req.gradient.resolve(req.gradient.advertised()),
-    }
+/// world would negotiate, and (every rank of an in-process world shares the
+/// host) what a uniform world of any width negotiates. Used by the
+/// fork-join scheme (whose workers take the master's resolved settings via
+/// the command stream, not a gather), by bootstrap resume (the original
+/// world is gone) and by daemon capability reporting.
+pub fn resolve_local(req: &CapabilityRequests) -> Modes {
+    req.resolve(req.advertised())
 }
 
 #[cfg(test)]
@@ -303,32 +228,46 @@ mod tests {
     use super::*;
     use exa_comm::World;
 
-    fn auto_requests(rank_id: usize) -> CapabilityRequests {
+    /// The requests of a rank whose five choices are these and whose
+    /// override tables are unset.
+    fn requests(
+        kernel: KernelChoice,
+        site_repeats: RepeatsChoice,
+        reduce: ReduceChoice,
+        threads: ThreadsChoice,
+        gradient: GradientChoice,
+    ) -> CapabilityRequests {
         CapabilityRequests {
-            kernel: kernel_request(rank_id, KernelChoice::Auto, None),
-            site_repeats: repeats_request(rank_id, RepeatsChoice::Auto, None),
-            reduce: reduce_request(rank_id, ReduceChoice::Auto, None),
-            threads: threads_request(rank_id, ThreadsChoice::Auto, None),
-            gradient: gradient_request(rank_id, GradientChoice::Auto, None),
+            kernel: Request::new(0, kernel, None),
+            site_repeats: Request::new(0, site_repeats, None),
+            reduce: Request::new(0, reduce, None),
+            threads: Request::new(0, threads, None),
+            gradient: Request::new(0, gradient, None),
+            batch: true,
         }
+    }
+
+    fn auto_requests() -> CapabilityRequests {
+        requests(
+            KernelChoice::Auto,
+            RepeatsChoice::Auto,
+            ReduceChoice::Auto,
+            ThreadsChoice::Auto,
+            GradientChoice::Auto,
+        )
     }
 
     #[test]
     fn auto_world_agrees_on_local_resolution() {
-        let caps: Vec<Caps> = World::run(4, |rank| {
-            let req = auto_requests(rank.id());
-            negotiate(&rank, &req)
-        });
-        let local = resolve_local(&auto_requests(0));
-        for c in &caps {
-            assert_eq!(c.kernel.value, local.kernel.value);
-            assert_eq!(c.site_repeats.value, local.site_repeats.value);
-            assert_eq!(c.reduce.value, ReduceKind::Reproducible);
-            assert!(c.reduce.negotiated);
-            assert_eq!(c.threads.value.get(), 1, "auto threads resolve serial");
-            assert!(c.threads.negotiated);
-            assert_eq!(c.gradient.value, GradientMode::On, "auto gradient is on");
-            assert!(c.gradient.negotiated);
+        let modes: Vec<Modes> = World::run(4, |rank| negotiate(&rank, &auto_requests()));
+        let local = resolve_local(&auto_requests());
+        for m in &modes {
+            assert_eq!(m.kernel, local.kernel);
+            assert_eq!(m.site_repeats, local.site_repeats);
+            assert_eq!(m.reduce, ReduceKind::Reproducible);
+            assert_eq!(m.threads.get(), 1, "auto threads resolve serial");
+            assert_eq!(m.gradient, GradientMode::On, "auto gradient is on");
+            assert_eq!(*m, local);
         }
     }
 
@@ -337,7 +276,7 @@ mod tests {
         // One rank advertises a weaker kernel level; the whole world adopts
         // it. The weak rank forces (local resolution), the others negotiate
         // — forced slots keep their value, negotiated slots take the min.
-        let caps: Vec<Caps> = World::run(3, |rank| {
+        let modes: Vec<Modes> = World::run(3, |rank| {
             let req = CapabilityRequests {
                 kernel: if rank.id() == 1 {
                     Request::Forced(KernelKind::Scalar)
@@ -346,77 +285,145 @@ mod tests {
                         advertise: KernelKind::Simd.capability_level(),
                     }
                 },
-                site_repeats: repeats_request(rank.id(), RepeatsChoice::On, None),
-                reduce: reduce_request(rank.id(), ReduceChoice::Fast, None),
-                threads: threads_request(rank.id(), ThreadsChoice::Auto, None),
-                gradient: gradient_request(rank.id(), GradientChoice::Auto, None),
+                ..requests(
+                    KernelChoice::Auto,
+                    RepeatsChoice::On,
+                    ReduceChoice::Fast,
+                    ThreadsChoice::Auto,
+                    GradientChoice::Auto,
+                )
             };
             negotiate(&rank, &req)
         });
-        for (id, c) in caps.iter().enumerate() {
-            assert_eq!(c.kernel.value, KernelKind::Scalar, "rank {id}");
-            assert_eq!(c.kernel.negotiated, id != 1);
-            assert_eq!(c.site_repeats.value, SiteRepeats::On);
-            assert!(!c.site_repeats.negotiated);
-            assert_eq!(c.reduce.value, ReduceKind::Fast);
+        for (id, m) in modes.iter().enumerate() {
+            assert_eq!(m.kernel, KernelKind::Scalar, "rank {id}");
+            assert_eq!(m.site_repeats, SiteRepeats::On);
+            assert_eq!(m.reduce, ReduceKind::Fast);
         }
     }
 
     #[test]
     fn forced_slots_ignore_the_gathered_minimum() {
-        let caps: Vec<Caps> = World::run(2, |rank| {
+        let modes: Vec<Modes> = World::run(2, |rank| {
             let req = CapabilityRequests {
                 // Rank 0 forces Simd while rank 1 advertises Scalar: the
                 // forced rank keeps Simd (mixed worlds are a test hook; the
                 // sentinel catches them).
-                kernel: if rank.id() == 0 {
-                    Request::Forced(KernelKind::Simd)
-                } else {
-                    Request::Forced(KernelKind::Scalar)
-                },
-                site_repeats: repeats_request(rank.id(), RepeatsChoice::Off, None),
-                reduce: reduce_request(
+                kernel: Request::new(
+                    rank.id(),
+                    KernelChoice::Auto,
+                    Some(&[KernelKind::Simd, KernelKind::Scalar]),
+                ),
+                reduce: Request::new(
                     rank.id(),
                     ReduceChoice::Fast,
                     Some(&[ReduceKind::Fast, ReduceKind::Reproducible]),
                 ),
-                threads: threads_request(rank.id(), ThreadsChoice::Auto, None),
-                gradient: gradient_request(
+                gradient: Request::new(
                     rank.id(),
                     GradientChoice::Auto,
                     Some(&[GradientMode::On, GradientMode::Off]),
                 ),
+                ..requests(
+                    KernelChoice::Auto,
+                    RepeatsChoice::Off,
+                    ReduceChoice::Fast,
+                    ThreadsChoice::Auto,
+                    GradientChoice::Auto,
+                )
             };
             negotiate(&rank, &req)
         });
-        assert_eq!(caps[0].kernel.value, KernelKind::Simd);
-        assert_eq!(caps[1].kernel.value, KernelKind::Scalar);
-        assert_eq!(caps[0].reduce.value, ReduceKind::Fast);
-        assert_eq!(caps[1].reduce.value, ReduceKind::Reproducible);
+        assert_eq!(modes[0].kernel, KernelKind::Simd);
+        assert_eq!(modes[1].kernel, KernelKind::Scalar);
+        assert_eq!(modes[0].reduce, ReduceKind::Fast);
+        assert_eq!(modes[1].reduce, ReduceKind::Reproducible);
         // Forced (override-table) gradient slots likewise keep their value.
-        assert_eq!(caps[0].gradient.value, GradientMode::On);
-        assert_eq!(caps[1].gradient.value, GradientMode::Off);
+        assert_eq!(modes[0].gradient, GradientMode::On);
+        assert_eq!(modes[1].gradient, GradientMode::Off);
     }
 
     #[test]
     fn negotiated_thread_counts_adopt_the_world_minimum() {
-        let caps: Vec<Caps> = World::run(3, |rank| {
+        let modes: Vec<Modes> = World::run(3, |rank| {
             let req = CapabilityRequests {
-                kernel: kernel_request(rank.id(), KernelChoice::Scalar, None),
-                site_repeats: repeats_request(rank.id(), RepeatsChoice::Off, None),
-                reduce: reduce_request(rank.id(), ReduceChoice::Fast, None),
                 // Heterogeneous advertisements: 8, 2, 4 — negotiated slots
                 // must all land on 2, the only width every rank can run.
                 threads: Request::Negotiate {
                     advertise: ThreadCount::new([8, 2, 4][rank.id()]).capability_level(),
                 },
-                gradient: gradient_request(rank.id(), GradientChoice::Off, None),
+                ..requests(
+                    KernelChoice::Scalar,
+                    RepeatsChoice::Off,
+                    ReduceChoice::Fast,
+                    ThreadsChoice::Auto,
+                    GradientChoice::Off,
+                )
             };
             negotiate(&rank, &req)
         });
-        for (id, c) in caps.iter().enumerate() {
-            assert_eq!(c.threads.value.get(), 2, "rank {id}");
-            assert!(c.threads.negotiated);
+        for (id, m) in modes.iter().enumerate() {
+            assert_eq!(m.threads.get(), 2, "rank {id}");
+        }
+    }
+
+    #[test]
+    fn uniform_world_negotiates_what_resolve_local_answers() {
+        // The equivalence fork-join, bootstrap resume and the daemon rely
+        // on instead of negotiating: over every combination of choices, a
+        // world whose ranks all ask for the same thing resolves to exactly
+        // what one rank resolves locally.
+        use {GradientChoice as G, KernelChoice as K, ReduceChoice as R, RepeatsChoice as S};
+        let threads = [
+            ThreadsChoice::Auto,
+            ThreadsChoice::Count(ThreadCount::new(2)),
+        ];
+        for kernel in [K::Scalar, K::Simd, K::Auto] {
+            for site_repeats in [S::On, S::Off, S::Auto] {
+                for reduce in [R::Fast, R::Reproducible, R::Auto] {
+                    for threads in threads {
+                        for gradient in [G::On, G::Off, G::Auto] {
+                            let req = requests(kernel, site_repeats, reduce, threads, gradient);
+                            let local = resolve_local(&req);
+                            for m in World::run(2, |rank| negotiate(&rank, &req)) {
+                                assert_eq!(m, local, "{req:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_override_table_is_no_override() {
+        // `"reduce_override": []` in a submitted job spec used to index out
+        // of bounds on every rank thread; an empty table now means "no
+        // override" in all five slots.
+        for rank_id in [0, 3] {
+            let req = CapabilityRequests {
+                kernel: Request::new(rank_id, KernelChoice::Scalar, Some(&[])),
+                site_repeats: Request::new(rank_id, RepeatsChoice::Off, Some(&[])),
+                reduce: Request::new(rank_id, ReduceChoice::Reproducible, Some(&[])),
+                threads: Request::new(
+                    rank_id,
+                    ThreadsChoice::Count(ThreadCount::new(3)),
+                    Some(&[]),
+                ),
+                gradient: Request::new(rank_id, GradientChoice::Off, Some(&[])),
+                batch: false,
+            };
+            assert_eq!(
+                resolve_local(&req),
+                Modes {
+                    kernel: KernelKind::Scalar,
+                    site_repeats: SiteRepeats::Off,
+                    reduce: ReduceKind::Reproducible,
+                    threads: ThreadCount::new(3),
+                    gradient: GradientMode::Off,
+                    batch: false,
+                }
+            );
         }
     }
 }

@@ -34,8 +34,10 @@
 //! [`load_latest`] falls back to the previous intact generation when the
 //! newest is torn.
 
+use crate::RunConfig;
+use exa_bio::patterns::CompressedAlignment;
 use exa_search::evaluator::{GlobalState, SearchSnapshot};
-use exa_search::SearchResult;
+use exa_search::{Modes, SearchResult};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,11 +64,11 @@ pub struct CheckpointHeader {
     /// `"forkjoin"`). Informational: resume under the other scheme is
     /// allowed (the replicated state is scheme-agnostic).
     pub scheme: String,
-    /// Negotiated likelihood-kernel backend label. Elastic on resume —
-    /// backends are bitwise identical by contract.
+    /// Label of the negotiated likelihood-kernel backend. Elastic on
+    /// resume — backends are bitwise identical by contract.
     pub kernel: String,
-    /// Negotiated site-repeats label. Elastic on resume for the same
-    /// reason.
+    /// Label of the negotiated site-repeats setting. Elastic on resume
+    /// for the same reason.
     pub site_repeats: String,
     /// World size that wrote the checkpoint. Elastic on resume: the
     /// replicated state redistributes over any rank count.
@@ -89,7 +91,7 @@ pub struct CheckpointHeader {
     pub payload_len: u64,
     /// FNV-1a 64 of the payload bytes.
     pub payload_fingerprint: u64,
-    /// Negotiated reduction-mode label (`"fast"`/`"reproducible"`). `None`
+    /// Label of the negotiated reduction mode (`"fast"`/`"reproducible"`). `None`
     /// on checkpoints written before reduce-mode selection existed (treated
     /// as `"fast"` on resume). Gates `rank_count` elasticity: a fast-mode
     /// lnL trajectory is a function of the rank count, so resuming it on a
@@ -100,6 +102,40 @@ pub struct CheckpointHeader {
     /// seeding is bitwise result-neutral, so a run may resume under a
     /// different mode and continue the same trajectory.
     pub gradient: Option<String>,
+}
+
+impl CheckpointHeader {
+    /// The header of a checkpoint `scheme` writes for the run `cfg` over
+    /// `aln` computing with `modes`. The payload-derived fields
+    /// (`format_version`, `iteration`, `payload_len`,
+    /// `payload_fingerprint`) are sealed by [`Checkpoint::build`].
+    pub fn new(
+        cfg: &RunConfig,
+        aln: &CompressedAlignment,
+        scheme: &str,
+        modes: &Modes,
+    ) -> CheckpointHeader {
+        CheckpointHeader {
+            format_version: 0,
+            scheme: scheme.into(),
+            kernel: modes.kernel.label().into(),
+            site_repeats: modes.site_repeats.label().into(),
+            // The configured width, not the momentary surviving width: the
+            // snapshot is replicated state from the full-width trajectory,
+            // and the resume gate compares trajectory identities.
+            rank_count: cfg.n_ranks,
+            rate_model: format!("{:?}", cfg.rate_model),
+            branch_mode: format!("{:?}", cfg.branch_mode),
+            seed: cfg.seed,
+            n_taxa: aln.n_taxa(),
+            n_partitions: aln.n_partitions(),
+            iteration: 0,
+            payload_len: 0,
+            payload_fingerprint: 0,
+            reduce_mode: Some(modes.reduce.label().into()),
+            gradient: Some(modes.gradient.label().into()),
+        }
+    }
 }
 
 /// Bootstrap progress folded into checkpoints written between replicates,

@@ -21,18 +21,16 @@
 //! lost — only the current iteration's partial work is redone.
 
 use crate::checkpoint::{self, Checkpoint, CheckpointHeader, CheckpointPayload};
-use crate::{die_now, DecentralizedEvaluator, InferenceConfig};
-use exa_bio::patterns::CompressedAlignment;
+use crate::{die_now, DecentralizedEvaluator, WorldContext};
 use exa_comm::{CommCategory, Rank};
 use exa_obs::{imbalance_ratio, HeartbeatRecord};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{CommFailurePanic, Evaluator, GlobalState, SearchSnapshot};
-use exa_search::{BoundaryInfo, KillPanic, PreemptPanic, SearchHooks};
+use exa_search::{BoundaryInfo, KillPanic, Modes, PreemptPanic, SearchHooks};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A scripted set of rank failures, for tests, examples and the fault
@@ -72,21 +70,23 @@ impl FaultPlan {
 }
 
 /// Per-rank heartbeat state, active only when `health_out` is configured.
+/// The file itself belongs to the run, not to a rank: the driver truncates
+/// it once before the world starts (fresh runs only) and whichever rank is
+/// the writer at a boundary appends.
 struct HealthState {
     path: PathBuf,
     last_instant: Instant,
     last_regions: u64,
-    created: bool,
 }
 
 /// Iteration hooks for a de-centralized rank: checkpointing, heartbeats,
 /// scripted faults, recovery.
-pub struct DecentralizedHooks {
+pub struct DecentralizedHooks<'a> {
     rank: Rank,
-    aln: Arc<CompressedAlignment>,
-    freqs: Arc<Vec<[f64; 4]>>,
-    cfg: Arc<InferenceConfig>,
-    shared: Arc<exa_sched::SharedSlices>,
+    ctx: &'a WorldContext<'a>,
+    /// The modes negotiated at startup: stamped into every heartbeat and
+    /// checkpoint header, and kept across engine rebuilds.
+    modes: Modes,
     /// This rank's current data assignment (kept in sync with recoveries;
     /// needed to map local PSR rates to global pattern indices).
     assignment: exa_sched::RankAssignment,
@@ -118,29 +118,24 @@ pub struct DecentralizedHooks {
     health: Option<HealthState>,
 }
 
-impl DecentralizedHooks {
+impl<'a> DecentralizedHooks<'a> {
     /// Build hooks, snapshotting the evaluator's initial state.
-    pub fn new(
+    pub(crate) fn new(
         rank: Rank,
-        aln: Arc<CompressedAlignment>,
-        freqs: Arc<Vec<[f64; 4]>>,
-        cfg: Arc<InferenceConfig>,
-        shared: Arc<exa_sched::SharedSlices>,
+        ctx: &'a WorldContext<'a>,
+        modes: Modes,
         assignment: exa_sched::RankAssignment,
         eval: &DecentralizedEvaluator,
-    ) -> DecentralizedHooks {
-        let health = cfg.health_out.clone().map(|path| HealthState {
+    ) -> DecentralizedHooks<'a> {
+        let health = ctx.cfg.health_out.clone().map(|path| HealthState {
             path,
             last_instant: Instant::now(),
             last_regions: 0,
-            created: false,
         });
         DecentralizedHooks {
             rank,
-            aln,
-            freqs,
-            cfg,
-            shared,
+            ctx,
+            modes,
             assignment,
             snapshot: eval.snapshot(),
             snapshot_iteration: 0,
@@ -177,18 +172,18 @@ impl DecentralizedHooks {
     /// The collective only runs when either feature is configured, so plain
     /// runs pay nothing. Returns `(preempt, time_due)`.
     fn boundary_agreement(&mut self) -> (bool, bool) {
-        let preempt_armed = self.cfg.preempt.is_some();
-        let time_armed =
-            self.cfg.checkpoint_every_secs.is_some() && self.cfg.checkpoint_out.is_some();
+        let cfg = self.ctx.cfg;
+        let preempt_armed = cfg.preempt.is_some();
+        let time_armed = cfg.checkpoint_every_secs.is_some() && cfg.checkpoint_out.is_some();
         if !preempt_armed && !time_armed {
             return (false, false);
         }
         let mut bits = 0u8;
-        if self.cfg.preempt.as_ref().is_some_and(|p| p.is_requested()) {
+        if cfg.preempt.as_ref().is_some_and(|p| p.is_requested()) {
             bits |= 1;
         }
-        if let Some(secs) = self.cfg.checkpoint_every_secs {
-            if self.cfg.checkpoint_out.is_some()
+        if let Some(secs) = cfg.checkpoint_every_secs {
+            if cfg.checkpoint_out.is_some()
                 && self.last_checkpoint_instant.elapsed().as_secs_f64() >= secs
             {
                 bits |= 2;
@@ -214,10 +209,11 @@ impl DecentralizedHooks {
     /// collective stays aligned); only the lowest-id active rank writes
     /// the file.
     fn maybe_checkpoint(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo, force: bool) {
-        let Some(dir) = self.cfg.checkpoint_out.clone() else {
+        let cfg = self.ctx.cfg;
+        let Some(dir) = cfg.checkpoint_out.clone() else {
             return;
         };
-        let every = self.cfg.checkpoint_every;
+        let every = cfg.checkpoint_every;
         let on_cadence = every > 0 && info.iteration.is_multiple_of(every);
         if !on_cadence && !force {
             return;
@@ -226,8 +222,8 @@ impl DecentralizedHooks {
             .as_any_mut()
             .downcast_mut::<DecentralizedEvaluator>()
             .expect("de-centralized hooks require the de-centralized evaluator");
-        let psr_rates = if self.cfg.rate_model == RateModelKind::Psr {
-            let local = exa_sched::capture_site_rates(de.engine(), &self.assignment, &self.aln);
+        let psr_rates = if cfg.rate_model == RateModelKind::Psr {
+            let local = exa_sched::capture_site_rates(de.engine(), &self.assignment, self.ctx.aln);
             let blob = serde_json::to_vec(&local).expect("PSR rate blob serializes");
             let Ok(blobs) = de
                 .exchange()
@@ -244,7 +240,7 @@ impl DecentralizedHooks {
                     serde_json::from_slice(b).expect("PSR rate blob parses");
                 parts.extend(v);
             }
-            exa_sched::merge_site_rates(&self.aln, parts)
+            exa_sched::merge_site_rates(self.ctx.aln, parts)
         } else {
             Vec::new()
         };
@@ -265,34 +261,14 @@ impl DecentralizedHooks {
             state: self.snapshot.clone(),
             psr_rates,
         };
-        let header = CheckpointHeader {
-            format_version: 0, // sealed by Checkpoint::build
-            scheme: "decentralized".into(),
-            kernel: de.engine().kernel_kind().label().into(),
-            site_repeats: de.engine().site_repeats().label().into(),
-            // The configured width, not the momentary surviving width: the
-            // snapshot is replicated state from the full-width trajectory,
-            // and the resume gate compares trajectory identities.
-            rank_count: self.cfg.n_ranks,
-            rate_model: format!("{:?}", self.cfg.rate_model),
-            branch_mode: format!("{:?}", self.cfg.branch_mode),
-            seed: self.cfg.seed,
-            n_taxa: self.aln.n_taxa(),
-            n_partitions: self.aln.n_partitions(),
-            iteration: 0,
-            payload_len: 0,
-            payload_fingerprint: 0,
-            reduce_mode: Some(de.reduce().label().into()),
-            gradient: Some(de.gradient().label().into()),
-        };
         let ckpt = Checkpoint::build(
-            header,
+            CheckpointHeader::new(cfg, self.ctx.aln, "decentralized", &self.modes),
             CheckpointPayload {
                 snapshot,
                 bootstrap: None,
             },
         );
-        checkpoint::save_generation_keeping(&dir, &ckpt, self.cfg.checkpoint_keep)
+        checkpoint::save_generation_keeping(&dir, &ckpt, cfg.checkpoint_keep)
             .expect("checkpoint write failed");
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.last_checkpoint_ms = Some(elapsed_ms);
@@ -308,8 +284,8 @@ impl DecentralizedHooks {
     /// work. PSR per-site rates are data-local and reset, exactly like
     /// recovery; the next model-optimization round re-fits them.
     fn maybe_resize(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
-        let Some(&(_, width)) = self
-            .cfg
+        let cfg = self.ctx.cfg;
+        let Some(&(_, width)) = cfg
             .resize_plan
             .iter()
             .find(|&&(iter, _)| iter == info.iteration)
@@ -317,26 +293,13 @@ impl DecentralizedHooks {
             return;
         };
         let world = self.rank.world_size();
-        let assignments = crate::padded_assignments(&self.aln, width, world, self.cfg.strategy);
+        let assignments = crate::padded_assignments(self.ctx.aln, width, world, cfg.strategy);
         self.assignment = assignments[self.rank.id()].clone();
         let de = eval
             .as_any_mut()
             .downcast_mut::<DecentralizedEvaluator>()
             .expect("de-centralized hooks require the de-centralized evaluator");
-        let engine = exa_sched::build_engine(
-            &self.aln,
-            &self.assignment,
-            &self.freqs,
-            &exa_sched::EngineSpec {
-                rate_model: self.cfg.rate_model,
-                kernel: de.engine().kernel_kind(),
-                site_repeats: de.engine().site_repeats(),
-                threads: de.engine().threads(),
-                batch: self.cfg.batch,
-            },
-            Some(&self.shared),
-        );
-        de.replace_engine(engine);
+        de.replace_engine(self.ctx.build_engine(&self.assignment, &self.modes));
         self.resizes += 1;
         // Stamped on every rank — trace event sequences stay comparable.
         exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));
@@ -349,7 +312,7 @@ impl DecentralizedHooks {
     /// the event (so recovery is disabled) and abort at their next
     /// collective.
     fn maybe_kill(&mut self, info: &BoundaryInfo) {
-        let Some(kill) = self.cfg.inject_kill else {
+        let Some(kill) = self.ctx.cfg.inject_kill else {
             return;
         };
         if self.kill_event.is_some() || self.checkpoints_written < kill.after_checkpoints {
@@ -428,30 +391,25 @@ impl DecentralizedHooks {
             imbalance: imbalance_ratio(&per_rank),
             sentinel_syncs: de.exchange().sentinel_syncs(),
             divergence: "ok".to_string(),
-            kernel: Some(de.engine().kernel_kind().label().to_string()),
+            kernel: Some(self.modes.kernel.label().to_string()),
             repeat_ratio: Some(work.repeat_ratio()),
             clv_saved: Some(work.clv_saved),
             last_checkpoint_iter: self.last_checkpoint_iter,
             checkpoint_write_ms: self.last_checkpoint_ms,
-            reduce: Some(de.reduce().label().to_string()),
-            threads: Some(de.engine().threads() as u64),
-            gradient: Some(de.gradient().label().to_string()),
+            reduce: Some(self.modes.reduce.label().to_string()),
+            threads: Some(self.modes.threads.get() as u64),
+            gradient: Some(self.modes.gradient.label().to_string()),
         };
-        let line = rec.to_json_line();
-        let written = if health.created {
-            OpenOptions::new()
-                .append(true)
-                .open(&health.path)
-                .and_then(|mut f| writeln!(f, "{line}"))
-        } else {
-            File::create(&health.path).and_then(|mut f| writeln!(f, "{line}"))
-        };
-        written.expect("heartbeat write failed");
-        health.created = true;
+        OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&health.path)
+            .and_then(|mut f| writeln!(f, "{}", rec.to_json_line()))
+            .expect("heartbeat write failed");
     }
 }
 
-impl SearchHooks for DecentralizedHooks {
+impl SearchHooks for DecentralizedHooks<'_> {
     fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
         self.snapshot = eval.snapshot();
         self.snapshot_iteration = info.iteration;
@@ -479,7 +437,12 @@ impl SearchHooks for DecentralizedHooks {
         // Injected kill (checkpoint/restart chaos testing), then scripted
         // death (fault-injection testing of §V).
         self.maybe_kill(info);
-        if self.cfg.fault_plan.fires(self.rank.id(), info.iteration) {
+        if self
+            .ctx
+            .cfg
+            .fault_plan
+            .fires(self.rank.id(), info.iteration)
+        {
             die_now(&self.rank);
         }
 
@@ -507,26 +470,14 @@ impl SearchHooks for DecentralizedHooks {
         //    engine keeps the kernel backend negotiated at startup — the
         //    survivors already agreed on it, and re-negotiating here would
         //    require a collective the failed rank can no longer join.
-        let assignments = exa_sched::distribute(&self.aln, survivors.len(), self.cfg.strategy);
+        let assignments =
+            exa_sched::distribute(self.ctx.aln, survivors.len(), self.ctx.cfg.strategy);
         self.assignment = assignments[my_index].clone();
         let de = eval
             .as_any_mut()
             .downcast_mut::<DecentralizedEvaluator>()
             .expect("de-centralized hooks require the de-centralized evaluator");
-        let engine = exa_sched::build_engine(
-            &self.aln,
-            &assignments[my_index],
-            &self.freqs,
-            &exa_sched::EngineSpec {
-                rate_model: self.cfg.rate_model,
-                kernel: de.engine().kernel_kind(),
-                site_repeats: de.engine().site_repeats(),
-                threads: de.engine().threads(),
-                batch: self.cfg.batch,
-            },
-            Some(&self.shared),
-        );
-        de.replace_engine(engine);
+        de.replace_engine(self.ctx.build_engine(&self.assignment, &self.modes));
 
         // 3. Rewind to the last consistent boundary and retry.
         de.restore(&self.snapshot);

@@ -19,11 +19,12 @@
 //! println!("lnL {} with {} kernels", outcome.result.lnl, outcome.kernel.label());
 //! ```
 
-use crate::bootstrap::{bootstrap_impl, BootstrapConfig};
+use crate::bootstrap::bootstrap_impl;
+use crate::capability::{self, CapabilityRequests, Request};
 use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointHeader, CheckpointPayload};
 use crate::fault::FaultPlan;
 use crate::sentinel::DivergenceFault;
-use crate::{decentralized_impl, InferenceConfig, RunAbort, RunOutput};
+use crate::{decentralized_impl, RunAbort};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommStats, ReduceChoice, ReduceKind};
 use exa_obs::{HealthReport, Recorder, ReplicaDivergence, RunTrace};
@@ -33,7 +34,9 @@ use exa_phylo::engine::{
 };
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{GlobalState, SearchSnapshot};
-use exa_search::{BranchMode, KillSpec, PreemptSignal, SearchConfig, SearchResult, StartingTree};
+use exa_search::{
+    BranchMode, KillSpec, Modes, PreemptSignal, SearchConfig, SearchResult, StartingTree,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -167,11 +170,9 @@ impl From<RunAbort> for RunError {
     }
 }
 
-/// Everything a run produces, regardless of scheme.
-///
-/// The search fields mirror the historical `RunOutput` so migrating callers
-/// is mechanical; on top of those, every outcome reports the kernel backend
-/// the ranks computed with, the merged trace (when requested) and the
+/// Everything a run produces, regardless of scheme: the search result and
+/// final state, the world's communication and kernel work, the modes the
+/// ranks computed with, the merged trace (when requested) and the
 /// end-of-run health summary.
 #[derive(Debug)]
 pub struct RunOutcome {
@@ -215,8 +216,39 @@ pub struct RunOutcome {
     pub bootstrap: Option<BootstrapSummary>,
 }
 
-/// Builder-style configuration for [`RunConfig::run`], the single
-/// entrypoint replacing the `run_*` function family.
+impl RunOutcome {
+    /// The outcome of a search that ended in `state` computing with
+    /// `modes`: zero counters, all ranks unaccounted, no trace, bootstrap
+    /// or health yet — the drivers fill in what they measured.
+    pub(crate) fn new(
+        result: SearchResult,
+        state: GlobalState,
+        taxa: &[String],
+        modes: &Modes,
+    ) -> RunOutcome {
+        RunOutcome {
+            tree_newick: state.tree.to_newick(taxa),
+            result,
+            state,
+            comm_stats: CommStats::default(),
+            work: WorkCounters::default(),
+            mem_bytes: 0,
+            survivors: Vec::new(),
+            sentinel_syncs: 0,
+            kernel: modes.kernel,
+            site_repeats: modes.site_repeats,
+            reduce: modes.reduce,
+            threads: modes.threads.get(),
+            gradient: modes.gradient,
+            trace: None,
+            health: HealthReport::default(),
+            bootstrap: None,
+        }
+    }
+}
+
+/// Builder-style configuration for [`RunConfig::run`], the one run
+/// configuration every layer below reads.
 ///
 /// Serializable: the serve daemon spools jobs as `RunConfig` JSON. The
 /// `preempt` handle is process-local and round-trips as `null` (a
@@ -308,16 +340,15 @@ impl RunConfig {
     /// Defaults for `n_ranks` ranks: de-centralized scheme, Γ model, no
     /// tracing, sentinel off, kernel from `EXAML_KERNEL` (default `auto`).
     pub fn new(n_ranks: usize) -> RunConfig {
-        let base = InferenceConfig::new(n_ranks);
         RunConfig {
             scheme: Scheme::Decentralized,
             n_ranks,
-            rate_model: base.rate_model,
-            branch_mode: base.branch_mode,
-            strategy: base.strategy,
-            search: base.search,
-            seed: base.seed,
-            starting_tree: base.starting_tree,
+            rate_model: RateModelKind::Gamma,
+            branch_mode: BranchMode::Joint,
+            strategy: exa_sched::Strategy::Cyclic,
+            search: SearchConfig::default(),
+            seed: 42,
+            starting_tree: StartingTree::Random,
             checkpoint_out: None,
             checkpoint_every: 1,
             checkpoint_keep: checkpoint::KEEP_GENERATIONS,
@@ -329,17 +360,17 @@ impl RunConfig {
             verify_replicas: 0,
             divergence_fault: None,
             health_out: None,
-            kernel: base.kernel,
+            kernel: KernelChoice::from_env(),
             kernel_override: None,
-            site_repeats: base.site_repeats,
+            site_repeats: RepeatsChoice::from_env(),
             site_repeats_override: None,
-            reduce: base.reduce,
+            reduce: ReduceChoice::Fast,
             reduce_override: None,
-            threads: base.threads,
+            threads: ThreadsChoice::from_env(),
             threads_override: None,
-            gradient: base.gradient,
+            gradient: GradientChoice::from_env(),
             gradient_override: None,
-            batch: base.batch,
+            batch: true,
             resize_plan: Vec::new(),
             collect_trace: false,
             bootstrap: None,
@@ -554,60 +585,34 @@ impl RunConfig {
         self
     }
 
-    /// The equivalent de-centralized [`InferenceConfig`] (the type the
-    /// per-rank machinery consumes).
-    pub fn inference_config(&self) -> InferenceConfig {
-        InferenceConfig {
-            n_ranks: self.n_ranks,
-            rate_model: self.rate_model,
-            branch_mode: self.branch_mode,
-            strategy: self.strategy,
-            search: self.search.clone(),
-            seed: self.seed,
-            starting_tree: self.starting_tree.clone(),
-            checkpoint_out: self.checkpoint_out.clone(),
-            checkpoint_every: self.checkpoint_every,
-            checkpoint_keep: self.checkpoint_keep,
-            checkpoint_every_secs: self.checkpoint_every_secs,
-            preempt: self.preempt.clone(),
-            resume_from: self.resume_from.clone(),
-            inject_kill: self.inject_kill,
-            fault_plan: self.fault_plan.clone(),
-            verify_replicas: self.verify_replicas,
-            divergence_fault: self.divergence_fault,
-            health_out: self.health_out.clone(),
-            kernel: self.kernel,
-            kernel_override: self.kernel_override.clone(),
-            site_repeats: self.site_repeats,
-            site_repeats_override: self.site_repeats_override.clone(),
-            reduce: self.reduce,
-            reduce_override: self.reduce_override.clone(),
-            threads: self.threads,
-            threads_override: self.threads_override.clone(),
-            gradient: self.gradient,
-            gradient_override: self.gradient_override.clone(),
+    /// Rank `rank_id`'s entries into the one-time packed capability
+    /// exchange (see [`capability::negotiate`]).
+    pub fn capability_requests(&self, rank_id: usize) -> CapabilityRequests {
+        CapabilityRequests {
+            kernel: Request::new(rank_id, self.kernel, self.kernel_override.as_deref()),
+            site_repeats: Request::new(
+                rank_id,
+                self.site_repeats,
+                self.site_repeats_override.as_deref(),
+            ),
+            reduce: Request::new(rank_id, self.reduce, self.reduce_override.as_deref()),
+            threads: Request::new(rank_id, self.threads, self.threads_override.as_deref()),
+            gradient: Request::new(rank_id, self.gradient, self.gradient_override.as_deref()),
             batch: self.batch,
-            resize_plan: self.resize_plan.clone(),
         }
     }
 
-    /// The reduce mode this configuration resolves to without a world: an
-    /// explicit choice is itself; `Auto` resolves to the highest level this
-    /// build supports (reproducible). In-process negotiation over uniform
-    /// advertisements yields the same answer.
-    fn resolved_reduce(&self) -> ReduceKind {
-        match self.reduce {
-            ReduceChoice::Fast => ReduceKind::Fast,
-            ReduceChoice::Reproducible | ReduceChoice::Auto => ReduceKind::Reproducible,
-        }
-    }
-
-    /// The gradient mode this configuration resolves to without a world:
-    /// an explicit choice is itself; `Auto` resolves to `On` (every build
-    /// computes analytic gradients). In-process negotiation over uniform
-    /// advertisements yields the same answer.
-    fn resolved_gradient(&self) -> GradientMode {
-        self.gradient.resolve_local()
+    /// The communicator width a run needs: the configured rank count, plus
+    /// head-room up to the widest target in the resize plan (a world cannot
+    /// grow past the ranks it launched with; ranks beyond the current width
+    /// hold no data but keep replicating the search).
+    pub fn world_size(&self) -> usize {
+        self.resize_plan
+            .iter()
+            .map(|&(_, w)| w)
+            .chain(std::iter::once(self.n_ranks))
+            .max()
+            .expect("chain is non-empty")
     }
 
     /// Execute the configured run.
@@ -627,7 +632,7 @@ impl RunConfig {
                  rank-count-invariant reductions keep the lnL trajectory \
                  bitwise stable across a width change"
             );
-            let world = self.inference_config().world_size();
+            let world = self.world_size();
             for &(iter, width) in &self.resize_plan {
                 assert!(
                     width >= 1 && width <= world,
@@ -658,60 +663,36 @@ impl RunConfig {
             n_taxa: aln.n_taxa(),
             n_partitions: aln.n_partitions(),
             rank_count: self.n_ranks,
-            reduce: self.resolved_reduce().label().into(),
+            reduce: capability::resolve_local(&self.capability_requests(0))
+                .reduce
+                .label()
+                .into(),
         };
         checkpoint::validate_resume(&ckpt.header, &ctx)?;
         Ok(Some(ckpt))
     }
 
     fn run_decentralized(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
-        let cfg = self.inference_config();
-        let resume = self.load_resume(aln)?;
-        if let Some(bs) = &self.bootstrap {
-            let bs_cfg = BootstrapConfig {
-                replicates: bs.replicates,
-                seed: bs.seed,
-                base: cfg,
-            };
-            let resume = resume.map(|c| c.payload);
-            let out = bootstrap_impl(aln, &bs_cfg, bs.trace_out.as_deref(), resume.as_ref())?;
-            let summary = BootstrapSummary {
-                replicate_lnls: out.replicate_lnls,
-                support: out.support,
-                annotated_newick: out.annotated_newick,
-            };
-            let health = self.health_report(
-                aln,
-                out.best.sentinel_syncs,
-                None,
-                out.best.kernel,
-                out.best.site_repeats,
-                out.best.reduce,
-                out.best.threads,
-                out.best.gradient,
-                &out.best.work,
-            );
-            return Ok(assemble(out.best, None, health, Some(summary)));
+        let resume = self.load_resume(aln)?.map(|c| c.payload);
+        // The heartbeat file belongs to the run, not to whichever rank is
+        // its writer at some boundary: start it empty here, once, and let
+        // every writer append. A resumed run continues its history.
+        if let (Some(path), None) = (&self.health_out, &self.resume_from) {
+            std::fs::File::create(path)?;
         }
-        let resume = resume.map(|c| c.payload);
-        // The recorder needs one buffer per comm-world rank, which under a
-        // resize plan is the widest planned width, not the starting one.
-        let recorder = self.collect_trace.then(|| Recorder::new(cfg.world_size()));
-        let out = decentralized_impl(aln, &cfg, recorder.as_ref(), resume.as_ref())?;
-        let trace = recorder.map(Recorder::finish);
-        record_run_metrics("decentralized", out.kernel, trace.as_ref());
-        let health = self.health_report(
-            aln,
-            out.sentinel_syncs,
-            trace.as_ref(),
-            out.kernel,
-            out.site_repeats,
-            out.reduce,
-            out.threads,
-            out.gradient,
-            &out.work,
-        );
-        Ok(assemble(out, trace, health, None))
+        let mut out = if let Some(bs) = &self.bootstrap {
+            bootstrap_impl(aln, self, bs, resume.as_ref())?
+        } else {
+            // The recorder needs one buffer per comm-world rank, which under
+            // a resize plan is the widest planned width, not the starting one.
+            let recorder = self.collect_trace.then(|| Recorder::new(self.world_size()));
+            let (mut out, _) = decentralized_impl(aln, self, recorder.as_ref(), resume.as_ref())?;
+            out.trace = recorder.map(Recorder::finish);
+            record_run_metrics("decentralized", out.kernel, out.trace.as_ref());
+            out
+        };
+        out.health = self.health_report(aln, &out);
+        Ok(out)
     }
 
     fn run_forkjoin(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
@@ -728,57 +709,14 @@ impl RunConfig {
         crate::install_control_panic_silencer();
         let resume = self.load_resume(aln)?;
         // All ranks of an in-process world share one machine; resolving
-        // `auto` locally yields the same answer a negotiation would.
-        let kernel = match self.kernel_override.as_deref() {
-            Some([first, rest @ ..]) => {
-                assert!(
-                    rest.iter().all(|k| k == first),
-                    "fork-join has no replica sentinel; refusing a mixed kernel override"
-                );
-                *first
-            }
-            _ => self.kernel.resolve_local(),
-        };
-        let site_repeats = match self.site_repeats_override.as_deref() {
-            Some([first, rest @ ..]) => {
-                assert!(
-                    rest.iter().all(|r| r == first),
-                    "fork-join has no replica sentinel; refusing a mixed repeats override"
-                );
-                *first
-            }
-            _ => self.site_repeats.resolve_local(),
-        };
-        let reduce = match self.reduce_override.as_deref() {
-            Some([first, rest @ ..]) => {
-                assert!(
-                    rest.iter().all(|r| r == first),
-                    "fork-join has no replica sentinel; refusing a mixed reduce override"
-                );
-                *first
-            }
-            _ => self.resolved_reduce(),
-        };
-        let threads = match self.threads_override.as_deref() {
-            Some([first, rest @ ..]) => {
-                assert!(
-                    rest.iter().all(|t| t == first),
-                    "fork-join has no replica sentinel; refusing a mixed threads override"
-                );
-                first.get()
-            }
-            _ => self.threads.resolve_local().get(),
-        };
-        let gradient = match self.gradient_override.as_deref() {
-            Some([first, rest @ ..]) => {
-                assert!(
-                    rest.iter().all(|g| g == first),
-                    "fork-join has no replica sentinel; refusing a mixed gradient override"
-                );
-                *first
-            }
-            _ => self.resolved_gradient(),
-        };
+        // `auto` locally yields the same answer a negotiation would. The
+        // workers take the master's modes via the command stream.
+        let modes = capability::resolve_local(&self.capability_requests(0));
+        assert!(
+            (1..self.n_ranks)
+                .all(|r| capability::resolve_local(&self.capability_requests(r)) == modes),
+            "fork-join has no replica sentinel; refusing a mixed override table"
+        );
         let fj = exa_forkjoin::ForkJoinConfig {
             n_ranks: self.n_ranks,
             rate_model: self.rate_model,
@@ -787,35 +725,14 @@ impl RunConfig {
             search: self.search.clone(),
             seed: self.seed,
             starting_tree: self.starting_tree.clone(),
-            kernel,
-            site_repeats,
-            reduce,
-            threads,
-            batch: self.batch,
-            gradient,
+            modes,
         };
         let recorder = self.collect_trace.then(|| Recorder::new(self.n_ranks));
         // Checkpoint sink: the fork-join crate hands the master's snapshot
         // up here, where the self-describing header and the generation
         // rotation live.
         let dir = self.checkpoint_out.clone();
-        let header = CheckpointHeader {
-            format_version: 0, // sealed by Checkpoint::build
-            scheme: "forkjoin".into(),
-            kernel: kernel.label().into(),
-            site_repeats: site_repeats.label().into(),
-            rank_count: self.n_ranks,
-            rate_model: format!("{:?}", self.rate_model),
-            branch_mode: format!("{:?}", self.branch_mode),
-            seed: self.seed,
-            n_taxa: aln.n_taxa(),
-            n_partitions: aln.n_partitions(),
-            iteration: 0,
-            payload_len: 0,
-            payload_fingerprint: 0,
-            reduce_mode: Some(reduce.label().into()),
-            gradient: Some(gradient.label().into()),
-        };
+        let header = CheckpointHeader::new(self, aln, "forkjoin", &modes);
         let keep = self.checkpoint_keep;
         let sink = move |snap: &SearchSnapshot| -> std::io::Result<()> {
             let t0 = std::time::Instant::now();
@@ -867,54 +784,24 @@ impl RunConfig {
                 })
             }
         };
-        let trace = recorder.map(Recorder::finish);
-        record_run_metrics("forkjoin", kernel, trace.as_ref());
-        let health = self.health_report(
-            aln,
-            0,
-            trace.as_ref(),
-            kernel,
-            site_repeats,
-            reduce,
-            threads,
-            gradient,
-            &out.work,
-        );
-        Ok(RunOutcome {
-            result: out.result,
-            state: out.state,
-            tree_newick: out.tree_newick,
+        let mut outcome = RunOutcome {
             comm_stats: out.comm_stats,
             work: out.work,
             mem_bytes: out.mem_bytes,
             survivors: (0..self.n_ranks).collect(),
-            sentinel_syncs: 0,
-            kernel,
-            site_repeats,
-            reduce,
-            threads,
-            gradient,
-            trace,
-            health,
-            bootstrap: None,
-        })
+            trace: recorder.map(Recorder::finish),
+            ..RunOutcome::new(out.result, out.state, &aln.taxa, &modes)
+        };
+        record_run_metrics("forkjoin", modes.kernel, outcome.trace.as_ref());
+        outcome.health = self.health_report(aln, &outcome);
+        Ok(outcome)
     }
 
-    /// End-of-run health summary: sentinel verdict, measured (trace) vs
-    /// predicted (scheduler) load imbalance, heartbeat count, kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn health_report(
-        &self,
-        aln: &CompressedAlignment,
-        sentinel_syncs: u64,
-        trace: Option<&RunTrace>,
-        kernel: KernelKind,
-        site_repeats: SiteRepeats,
-        reduce: ReduceKind,
-        threads: usize,
-        gradient: GradientMode,
-        work: &WorkCounters,
-    ) -> HealthReport {
+    /// End-of-run health summary of `out`: sentinel verdict, measured
+    /// (trace) vs predicted (scheduler) load imbalance, heartbeat count, the
+    /// modes the ranks computed with.
+    fn health_report(&self, aln: &CompressedAlignment, out: &RunOutcome) -> HealthReport {
+        let trace = out.trace.as_ref();
         let measured = trace.and_then(|t| {
             let ratio = exa_obs::imbalance_ratio(&t.kernel_profile().rank_totals());
             (ratio > 0.0).then_some(ratio)
@@ -929,17 +816,17 @@ impl RunConfig {
             .unwrap_or(0);
         HealthReport {
             sentinel_cadence: self.verify_replicas,
-            sentinel_syncs,
+            sentinel_syncs: out.sentinel_syncs,
             divergence: None,
             measured_imbalance: measured,
             predicted_imbalance: Some(predicted),
             heartbeats,
-            kernel: Some(kernel.label().to_string()),
-            site_repeats: Some(site_repeats.label().to_string()),
-            repeat_ratio: Some(work.repeat_ratio()),
-            reduce: Some(reduce.label().to_string()),
-            threads: Some(threads as u64),
-            gradient: Some(gradient.label().to_string()),
+            kernel: Some(out.kernel.label().to_string()),
+            site_repeats: Some(out.site_repeats.label().to_string()),
+            repeat_ratio: Some(out.work.repeat_ratio()),
+            reduce: Some(out.reduce.label().to_string()),
+            threads: Some(out.threads as u64),
+            gradient: Some(out.gradient.label().to_string()),
             critical_path: trace
                 .and_then(RunTrace::critical_path)
                 .map(|cp| cp.summary()),
@@ -986,30 +873,4 @@ pub(crate) fn observe_checkpoint_write(scheme: &str, ms: f64) {
             &[("scheme", scheme)],
         )
         .observe(ms);
-}
-
-fn assemble(
-    out: RunOutput,
-    trace: Option<RunTrace>,
-    health: HealthReport,
-    bootstrap: Option<BootstrapSummary>,
-) -> RunOutcome {
-    RunOutcome {
-        result: out.result,
-        state: out.state,
-        tree_newick: out.tree_newick,
-        comm_stats: out.comm_stats,
-        work: out.work,
-        mem_bytes: out.mem_bytes,
-        survivors: out.survivors,
-        sentinel_syncs: out.sentinel_syncs,
-        kernel: out.kernel,
-        site_repeats: out.site_repeats,
-        reduce: out.reduce,
-        threads: out.threads,
-        gradient: out.gradient,
-        trace,
-        health,
-        bootstrap,
-    }
 }

@@ -27,14 +27,11 @@ pub use master::{ForkJoinEvaluator, ToMaster};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommStats, ReduceKind, World};
 use exa_obs::Recorder;
-use exa_phylo::engine::{
-    GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
-    ThreadsChoice, WorkCounters,
-};
+use exa_phylo::engine::{GradientChoice, KernelChoice, RepeatsChoice, ThreadsChoice, WorkCounters};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{CommFailurePanic, Evaluator, GlobalState, SearchSnapshot};
 use exa_search::{
-    build_starting_tree, run_search_from, BoundaryInfo, BranchMode, KillPanic, KillSpec,
+    build_starting_tree, run_search_from, BoundaryInfo, BranchMode, KillPanic, KillSpec, Modes,
     PreemptPanic, PreemptSignal, SearchConfig, SearchHooks, SearchResult, StartingTree,
 };
 use serde::{Deserialize, Serialize};
@@ -54,31 +51,11 @@ pub struct ForkJoinConfig {
     pub seed: u64,
     /// Starting-tree policy (must match across comparison runs).
     pub starting_tree: StartingTree,
-    /// Resolved likelihood-kernel backend every rank computes with. The
-    /// ranks of an in-process fork-join world share one machine, so there
-    /// is no capability negotiation here — callers resolve `auto` locally
-    /// (see `KernelChoice::resolve_local`).
-    pub kernel: KernelKind,
-    /// Resolved subtree-repeat compression setting, uniform across the
-    /// ranks for the same reason the kernel is (callers resolve `auto`
-    /// locally; see `RepeatsChoice::resolve_local`).
-    pub site_repeats: SiteRepeats,
-    /// Resolved collective reduction mode, uniform across the ranks (the
-    /// command stream carries the master's resolution, so workers never
-    /// negotiate). `Reproducible` makes every summed reduction
-    /// rank-count-invariant.
-    pub reduce: ReduceKind,
-    /// Resolved intra-rank worker-pool width, uniform across the ranks
-    /// (resolved locally like the kernel; bitwise result-neutral).
-    pub threads: usize,
-    /// Pack small partitions into cache-sized kernel batches (bitwise
-    /// result-neutral; purely a dispatch-overhead optimization).
-    pub batch: bool,
-    /// Resolved gradient-BLO mode, uniform across the ranks (the master's
-    /// command stream drives the workers, so no negotiation). `On` replaces
-    /// the per-edge seed collectives of each smoothing pass with one
-    /// full-tree sweep + one fat reduction; bitwise result-neutral.
-    pub gradient: GradientMode,
+    /// The resolved modes every rank computes with. The ranks of an
+    /// in-process fork-join world share one machine and the workers take
+    /// the master's settings via the command stream, so there is no
+    /// capability negotiation here — callers resolve `auto` locally.
+    pub modes: Modes,
 }
 
 impl ForkJoinConfig {
@@ -92,12 +69,14 @@ impl ForkJoinConfig {
             search: SearchConfig::default(),
             seed: 42,
             starting_tree: StartingTree::Random,
-            kernel: KernelChoice::from_env().resolve_local(),
-            site_repeats: RepeatsChoice::from_env().resolve_local(),
-            reduce: ReduceKind::Fast,
-            threads: ThreadsChoice::from_env().resolve_local().get(),
-            batch: true,
-            gradient: GradientChoice::from_env().resolve_local(),
+            modes: Modes {
+                kernel: KernelChoice::from_env().resolve_local(),
+                site_repeats: RepeatsChoice::from_env().resolve_local(),
+                reduce: ReduceKind::Fast,
+                threads: ThreadsChoice::from_env().resolve_local(),
+                gradient: GradientChoice::from_env().resolve_local(),
+                batch: true,
+            },
         }
     }
 }
@@ -316,26 +295,15 @@ pub fn execute_controlled(
             &freqs,
             &exa_sched::EngineSpec {
                 rate_model: cfg.rate_model,
-                kernel: cfg.kernel,
-                site_repeats: cfg.site_repeats,
-                threads: cfg.threads,
-                batch: cfg.batch,
+                kernel: cfg.modes.kernel,
+                site_repeats: cfg.modes.site_repeats,
+                threads: cfg.modes.threads.get(),
+                batch: cfg.modes.batch,
             },
             Some(&shared),
         );
         examl_obs_batch_metrics(&engine);
-        exa_obs::mark(|| format!("{}{}", exa_obs::KERNEL_BACKEND_MARK, cfg.kernel.label()));
-        exa_obs::mark(|| format!("{}{}", exa_obs::SITE_REPEATS_MARK, cfg.site_repeats.label()));
-        exa_obs::mark(|| format!("{}{}", exa_obs::REDUCE_MODE_MARK, cfg.reduce.label()));
-        exa_obs::mark(|| format!("{}{}", exa_obs::THREADS_MARK, engine.threads()));
-        exa_obs::mark(|| format!("{}{}", exa_obs::GRADIENT_MARK, cfg.gradient.label()));
-        exa_obs::mark(|| {
-            format!(
-                "{}{}",
-                exa_obs::BATCH_MARK,
-                if cfg.batch { "on" } else { "off" }
-            )
-        });
+        cfg.modes.stamp_trace();
         if rank.id() == 0 {
             // Account the initial data distribution (modeled; see the
             // de-centralized driver for the rationale).
@@ -365,8 +333,7 @@ pub fn execute_controlled(
                 aln.n_partitions(),
                 cfg.branch_mode,
             )
-            .with_reduce(cfg.reduce)
-            .with_gradient(cfg.gradient);
+            .with_modes(&cfg.modes);
             // Resume: install the checkpointed PSR rates on every rank
             // (broadcast), then the replicated master state.
             let resume_point = ctrl.as_ref().and_then(|c| c.resume.as_ref()).map(|snap| {
@@ -417,7 +384,7 @@ pub fn execute_controlled(
                 engine,
                 cfg.branch_mode,
                 aln.n_partitions(),
-                cfg.reduce,
+                cfg.modes.reduce,
                 &assignments[rank.id()],
                 &aln,
             );

@@ -35,7 +35,7 @@ fn worker_count_does_not_change_result() {
         let mut cfg = ForkJoinConfig::new(ranks);
         cfg.search = quick();
         cfg.seed = 9;
-        cfg.reduce = exa_comm::ReduceKind::Reproducible;
+        cfg.modes.reduce = exa_comm::ReduceKind::Reproducible;
         lnls.push(execute(&w.compressed, &cfg, None).result.lnl);
     }
     for pair in lnls.windows(2) {

@@ -66,18 +66,25 @@ pub const CHECKPOINT_MARK: &str = "checkpoint:";
 /// both cases window correctly because ranks share the recorder clock.
 pub const ITERATION_MARK: &str = "iteration:";
 
+/// The reserved mode marks and the `otherData` key [`chrome_trace`] hoists
+/// each one's suffix into, in the order the keys are written.
+const OTHER_DATA: [(&str, &str); 6] = [
+    (KERNEL_BACKEND_MARK, "kernel_backend"),
+    (SITE_REPEATS_MARK, "site_repeats"),
+    (REDUCE_MODE_MARK, "reduce_mode"),
+    (THREADS_MARK, "threads"),
+    (BATCH_MARK, "batch"),
+    (GRADIENT_MARK, "gradient"),
+];
+
 /// Render a trace in Chrome `trace_event` JSON ("JSON object format"):
 /// one process, one thread per rank, `B`/`E` span events for regions and
 /// `i` instant events for collectives and marks. Loadable in Perfetto and
-/// `chrome://tracing`. A reserved [`KERNEL_BACKEND_MARK`] mark (emitted once
-/// by rank 0) is additionally surfaced as `otherData.kernel_backend`.
+/// `chrome://tracing`. The first occurrence of each reserved mode mark
+/// (e.g. [`KERNEL_BACKEND_MARK`]) is additionally surfaced in the top-level
+/// `otherData` header (`otherData.kernel_backend`, …).
 pub fn chrome_trace(trace: &RunTrace) -> Value {
-    let mut kernel_backend: Option<String> = None;
-    let mut site_repeats: Option<String> = None;
-    let mut reduce_mode: Option<String> = None;
-    let mut threads: Option<String> = None;
-    let mut batch: Option<String> = None;
-    let mut gradient: Option<String> = None;
+    let mut hoisted: [Option<&str>; OTHER_DATA.len()] = [None; OTHER_DATA.len()];
     let mut events: Vec<Value> = Vec::with_capacity(trace.total_events() + trace.n_ranks());
     for rank in 0..trace.n_ranks() {
         // Thread-name metadata so the timeline rows read "rank 0", …
@@ -126,23 +133,10 @@ pub fn chrome_trace(trace: &RunTrace) -> Value {
                     ));
                 }
                 EventKind::Mark { label } => {
-                    if let Some(kind) = label.strip_prefix(KERNEL_BACKEND_MARK) {
-                        kernel_backend.get_or_insert_with(|| kind.to_string());
-                    }
-                    if let Some(setting) = label.strip_prefix(SITE_REPEATS_MARK) {
-                        site_repeats.get_or_insert_with(|| setting.to_string());
-                    }
-                    if let Some(mode) = label.strip_prefix(REDUCE_MODE_MARK) {
-                        reduce_mode.get_or_insert_with(|| mode.to_string());
-                    }
-                    if let Some(n) = label.strip_prefix(THREADS_MARK) {
-                        threads.get_or_insert_with(|| n.to_string());
-                    }
-                    if let Some(b) = label.strip_prefix(BATCH_MARK) {
-                        batch.get_or_insert_with(|| b.to_string());
-                    }
-                    if let Some(g) = label.strip_prefix(GRADIENT_MARK) {
-                        gradient.get_or_insert_with(|| g.to_string());
+                    for (slot, (prefix, _)) in hoisted.iter_mut().zip(OTHER_DATA) {
+                        if slot.is_none() {
+                            *slot = label.strip_prefix(prefix);
+                        }
                     }
                     fields.push(entry("ph", str_v("i")));
                     fields.push(entry("s", str_v("t")));
@@ -172,25 +166,11 @@ pub fn chrome_trace(trace: &RunTrace) -> Value {
         entry("traceEvents", Value::Array(events)),
         entry("displayTimeUnit", str_v("ms")),
     ];
-    let mut other = Vec::new();
-    if let Some(kind) = kernel_backend {
-        other.push(entry("kernel_backend", str_v(kind)));
-    }
-    if let Some(setting) = site_repeats {
-        other.push(entry("site_repeats", str_v(setting)));
-    }
-    if let Some(mode) = reduce_mode {
-        other.push(entry("reduce_mode", str_v(mode)));
-    }
-    if let Some(n) = threads {
-        other.push(entry("threads", str_v(n)));
-    }
-    if let Some(b) = batch {
-        other.push(entry("batch", str_v(b)));
-    }
-    if let Some(g) = gradient {
-        other.push(entry("gradient", str_v(g)));
-    }
+    let other: Vec<(String, Value)> = hoisted
+        .iter()
+        .zip(OTHER_DATA)
+        .filter_map(|(suffix, (_, key))| suffix.map(|s| entry(key, str_v(s))))
+        .collect();
     if !other.is_empty() {
         top.push(entry("otherData", Value::Map(other)));
     }

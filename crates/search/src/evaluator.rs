@@ -4,8 +4,9 @@
 //! [`Exchange`] (see [`crate::exchange`]).
 
 use crate::exchange::{Exchange, LocalLikelihood, NoExchange, Op};
+use crate::modes::Modes;
 use exa_comm::ReduceKind;
-use exa_phylo::engine::Engine;
+use exa_phylo::engine::{Engine, ThreadCount};
 use exa_phylo::model::gtr::NUM_FREE_RATES;
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::{EdgeId, Tree};
@@ -253,37 +254,6 @@ pub fn per_edge_full_gradient<E: Evaluator + ?Sized>(eval: &mut E) -> FullGradie
     }
 }
 
-/// The canonical [`Evaluator::backend_fingerprint`] digest for an engine's
-/// compute configuration: FNV-1a over the kernel label, the site-repeats
-/// setting, the reduction-mode label, the intra-rank thread count and the
-/// gradient mode. All engine-backed evaluators use this so that identical
-/// backends hash identically across schemes — and a rank that silently
-/// resolved a different repeats setting, reduction mode (which would change
-/// the bits of every collective sum), thread count or gradient mode
-/// (result-neutral, but a heterogeneous world breaks the hybrid execution
-/// model's uniformity contract and skews the collective counts ranks must
-/// agree on) trips the sentinel like a kernel mismatch does, at the first
-/// fingerprint sync.
-pub fn kernel_fingerprint(
-    kind: exa_phylo::KernelKind,
-    repeats: exa_phylo::SiteRepeats,
-    reduce: &str,
-    threads: usize,
-    gradient: GradientMode,
-) -> u64 {
-    exa_obs::fnv1a(
-        format!(
-            "{}+repeats:{}+reduce:{}+threads:{}+gradient:{}",
-            kind.label(),
-            repeats.label(),
-            reduce,
-            threads,
-            gradient.label()
-        )
-        .as_bytes(),
-    )
-}
-
 /// The one [`Evaluator`] implementation: the replicated search state (tree,
 /// model parameters, last per-partition likelihoods) over this rank's
 /// [`LocalLikelihood`], with every byte of communication delegated to an
@@ -293,7 +263,7 @@ pub fn kernel_fingerprint(
 pub struct ExchangeEvaluator<X> {
     tree: Tree,
     local: LocalLikelihood,
-    /// Negotiated full-tree gradient mode. Under `On` a smoothing pass's
+    /// The run's full-tree gradient mode. Under `On` a smoothing pass's
     /// seed derivatives come from one analytic sweep + one fat reduction
     /// instead of `n_edges` per-edge collectives (bitwise-identical values
     /// either way).
@@ -380,14 +350,10 @@ impl<X: Exchange> ExchangeEvaluator<X> {
         self
     }
 
-    /// The reduction scheme in force.
-    pub fn reduce(&self) -> ReduceKind {
-        self.local.reduce()
-    }
-
-    /// The gradient mode in force.
-    pub fn gradient(&self) -> GradientMode {
-        self.gradient
+    /// Install the run's resolved reduction scheme and gradient route (the
+    /// other modes are already built into the engine).
+    pub fn with_modes(self, modes: &Modes) -> Self {
+        self.with_reduce(modes.reduce).with_gradient(modes.gradient)
     }
 
     /// The local engine (work counters, memory accounting, tests).
@@ -600,14 +566,18 @@ impl<X: Exchange> Evaluator for ExchangeEvaluator<X> {
     }
 
     fn backend_fingerprint(&self) -> u64 {
+        // Read back from the engine and the exchange layer — what this rank
+        // actually computes with, not what it was told to.
         let engine = self.local.engine();
-        kernel_fingerprint(
-            engine.kernel_kind(),
-            engine.site_repeats(),
-            self.local.reduce().label(),
-            engine.threads(),
-            self.gradient,
-        )
+        Modes {
+            kernel: engine.kernel_kind(),
+            site_repeats: engine.site_repeats(),
+            reduce: self.local.reduce(),
+            threads: ThreadCount::new(engine.threads()),
+            gradient: self.gradient,
+            batch: true, // not part of the digest
+        }
+        .fingerprint()
     }
 }
 

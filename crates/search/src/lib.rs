@@ -19,6 +19,8 @@
 //!   lockstep Brent (one parallel region evaluates proposals for *all*
 //!   partitions, the load-balance fix from ref. 23), and PSR per-site rates,
 //! * [`spr`] — lazy SPR rounds with rearrangement radius,
+//! * [`modes`] — the resolved compute modes of a run as one record
+//!   (sentinel digest, trace marks, labels),
 //! * [`driver`] — the hill-climbing loop with iteration hooks for
 //!   checkpointing and fault recovery.
 
@@ -27,6 +29,7 @@ pub mod driver;
 pub mod evaluator;
 pub mod exchange;
 pub mod model;
+pub mod modes;
 pub mod parsimony;
 pub mod spr;
 
@@ -35,9 +38,10 @@ pub use driver::{
     PreemptSignal, ResumePoint, SearchHooks, SearchResult,
 };
 pub use evaluator::{
-    kernel_fingerprint, per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator,
-    ExchangeEvaluator, FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
+    per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator, ExchangeEvaluator,
+    FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
 };
+pub use modes::Modes;
 
 use serde::{Deserialize, Serialize};
 

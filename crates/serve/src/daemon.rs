@@ -37,7 +37,7 @@ use exa_bio::patterns::CompressedAlignment;
 use exa_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use exa_obs::{ServeHeartbeat, TenantGauge};
 use exa_search::PreemptSignal;
-use examl_core::{checkpoint, RunError};
+use examl_core::{capability, checkpoint, RunConfig, RunError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -248,11 +248,10 @@ struct Core {
     pool_target: usize,
     metrics: DaemonMetrics,
     started_at: Instant,
-    /// Locally-resolved capability labels, advertised in the heartbeat.
-    kernel_label: &'static str,
-    site_repeats_label: &'static str,
-    reduce_label: &'static str,
-    gradient_label: &'static str,
+    /// What a run left on the CLI's defaults computes with on this host
+    /// (every `EXAML_*` choice resolved locally), advertised in the
+    /// heartbeat.
+    modes: exa_search::Modes,
     health_seq: u64,
 }
 
@@ -303,16 +302,11 @@ impl Daemon {
             pool_target: 0,
             metrics,
             started_at: Instant::now(),
-            kernel_label: exa_phylo::engine::KernelChoice::from_env()
-                .resolve_local()
-                .label(),
-            site_repeats_label: exa_phylo::engine::RepeatsChoice::from_env()
-                .resolve_local()
-                .label(),
-            reduce_label: exa_comm::ReduceChoice::from_env().resolve_local().label(),
-            gradient_label: exa_phylo::engine::GradientChoice::from_env()
-                .resolve_local()
-                .label(),
+            modes: capability::resolve_local(
+                &RunConfig::new(1)
+                    .reduce(exa_comm::ReduceChoice::from_env())
+                    .capability_requests(0),
+            ),
             health_seq: 0,
         };
         core.replay(events);
@@ -696,11 +690,11 @@ impl Core {
             },
             tenants,
             version: Some(env!("CARGO_PKG_VERSION").to_string()),
-            kernel: Some(self.kernel_label.to_string()),
-            site_repeats: Some(self.site_repeats_label.to_string()),
+            kernel: Some(self.modes.kernel.label().to_string()),
+            site_repeats: Some(self.modes.site_repeats.label().to_string()),
             uptime_secs: Some(self.started_at.elapsed().as_secs_f64()),
-            reduce: Some(self.reduce_label.to_string()),
-            gradient: Some(self.gradient_label.to_string()),
+            reduce: Some(self.modes.reduce.label().to_string()),
+            gradient: Some(self.modes.gradient.label().to_string()),
         }
     }
 

@@ -29,6 +29,8 @@ for kernel in scalar simd; do
   done
 done
 echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 4 kernel x repeats passes)"
+# ROADMAP item 4's other tracked number: non-test lines under crates/*/src.
+echo "crates/ non-test lines: $(scripts/loc.sh | awk 'END{print $1}')"
 
 echo "==> exa-comm under oversubscription (release, 8 test threads)"
 # The spin-then-park wait with four times as many runnable worlds as this

@@ -103,3 +103,38 @@ fn failure_under_psr_model() {
     let out = c.run(&w.compressed).unwrap();
     assert!(out.result.lnl.is_finite());
 }
+
+#[test]
+fn heartbeat_file_survives_a_change_of_writer() {
+    // The lowest-id active rank writes the heartbeat file. When rank 0 dies
+    // the next writer must append: the records rank 0 wrote before dying
+    // stay, and the health report counts every line.
+    let w = workload(9);
+    let path = std::env::temp_dir().join(format!("examl_ft_health_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let mut c = cfg(3, FaultPlan::kill(0, 1));
+    c.health_out = Some(path.clone());
+    let out = c.run(&w.compressed).unwrap();
+    assert_eq!(out.survivors, vec![1, 2]);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let iterations: Vec<u64> = text
+        .lines()
+        .map(|l| {
+            serde_json::from_str::<exa_obs::HeartbeatRecord>(l)
+                .expect("heartbeat parses")
+                .iteration
+        })
+        .collect();
+    assert_eq!(
+        iterations.first(),
+        Some(&0),
+        "the dead writer's records were wiped: {iterations:?}"
+    );
+    assert!(
+        iterations.windows(2).all(|w| w[0] <= w[1]),
+        "iterations must never decrease: {iterations:?}"
+    );
+    assert_eq!(out.health.heartbeats, iterations.len() as u64);
+}

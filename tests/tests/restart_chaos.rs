@@ -328,3 +328,49 @@ fn checkpoint_resumes_across_gradient_modes() {
         );
     }
 }
+
+#[test]
+fn resumed_run_appends_to_the_heartbeat_file() {
+    // A resumed attempt continues the job's heartbeat history (the daemon
+    // serves it as `GET /job-health/<id>`); only a fresh run truncates.
+    let w = workloads::partitioned(8, 2, 100, 53);
+    let dir = tmp_dir("health_append");
+    let health = dir.join("health.jsonl");
+    let cfg = base_cfg(
+        Scheme::Decentralized,
+        KernelChoice::Scalar,
+        RepeatsChoice::Off,
+    )
+    .checkpoint(dir.join("ckpt"), 1)
+    .health_out(&health);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A stale file from an unrelated earlier run must not leak into a
+    // fresh one.
+    std::fs::write(&health, "stale\n").unwrap();
+
+    let killed = cfg.clone().inject_kill(KillSpec {
+        after_checkpoints: 1,
+        rank: None,
+    });
+    assert!(matches!(
+        killed.run(&w.compressed),
+        Err(RunError::Killed { .. })
+    ));
+    let first_attempt = std::fs::read_to_string(&health).unwrap();
+    assert!(!first_attempt.contains("stale"), "fresh runs truncate");
+    let first_lines = first_attempt.lines().count();
+    assert!(first_lines >= 1, "the killed attempt wrote heartbeats");
+
+    let resumed = cfg.resume(dir.join("ckpt")).run(&w.compressed).unwrap();
+    let both = std::fs::read_to_string(&health).unwrap();
+    assert!(
+        both.starts_with(&first_attempt),
+        "the resumed attempt wiped the first attempt's records"
+    );
+    assert!(
+        both.lines().count() > first_lines,
+        "resumed attempt appends"
+    );
+    assert_eq!(resumed.health.heartbeats, both.lines().count() as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
