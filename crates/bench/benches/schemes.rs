@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
+use examl_core::{RunConfig, Scheme};
 
 fn quick_search() -> SearchConfig {
     SearchConfig {
@@ -30,7 +31,7 @@ fn bench_schemes(c: &mut Criterion) {
             &partitions,
             |b, _| {
                 b.iter(|| {
-                    let mut cfg = examl_core::RunConfig::new(4);
+                    let mut cfg = RunConfig::new(4);
                     cfg.search = quick_search();
                     std::hint::black_box(cfg.run(&w.compressed).unwrap())
                 });
@@ -41,9 +42,9 @@ fn bench_schemes(c: &mut Criterion) {
             &partitions,
             |b, _| {
                 b.iter(|| {
-                    let mut cfg = exa_forkjoin::ForkJoinConfig::new(4);
+                    let mut cfg = RunConfig::new(4).scheme(Scheme::ForkJoin);
                     cfg.search = quick_search();
-                    std::hint::black_box(exa_forkjoin::execute(&w.compressed, &cfg, None))
+                    std::hint::black_box(cfg.run(&w.compressed).unwrap())
                 });
             },
         );
@@ -52,12 +53,12 @@ fn bench_schemes(c: &mut Criterion) {
 
     // Print the communication comparison once (the paper's actual metric).
     let w = workloads::partitioned_52taxa(16, 30, 3);
-    let mut cfg = examl_core::RunConfig::new(4);
+    let mut cfg = RunConfig::new(4);
     cfg.search = quick_search();
     let dec = cfg.run(&w.compressed).unwrap();
-    let mut fcfg = exa_forkjoin::ForkJoinConfig::new(4);
+    let mut fcfg = RunConfig::new(4).scheme(Scheme::ForkJoin);
     fcfg.search = quick_search();
-    let fj = exa_forkjoin::execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
     eprintln!(
         "16 partitions: fork-join {} regions / {} bytes vs de-centralized {} regions / {} bytes",
         fj.comm_stats.total_regions(),

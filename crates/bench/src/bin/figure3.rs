@@ -14,11 +14,11 @@
 //! reproduces the §IV-C ExaML-vs-RAxML-Light comparison at 32 nodes.
 
 use exa_comm::cluster::{modeled_time, ClusterSpec};
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_bench::{fmt_secs, write_json, write_markdown, MeasuredRun};
+use examl_core::{RunConfig, Scheme};
 use serde::Serialize;
 
 /// The paper's pattern count for this dataset.
@@ -85,7 +85,7 @@ fn main() {
             RateModelKind::Gamma => "GAMMA",
         };
         eprintln!("running ExaML under {label} on {ranks} in-process ranks ...");
-        let mut cfg = examl_core::RunConfig::new(ranks);
+        let mut cfg = RunConfig::new(ranks);
         cfg.rate_model = kind;
         cfg.search = search.clone();
         cfg.seed = 11;
@@ -120,12 +120,12 @@ fn main() {
         // §IV-C comparison at 32 nodes: ExaML vs RAxML-Light (reduction in
         // collective count is the only difference — unpartitioned data).
         eprintln!("running RAxML-Light under {label} for the 32-node comparison ...");
-        let mut fcfg = ForkJoinConfig::new(ranks);
+        let mut fcfg = RunConfig::new(ranks).scheme(Scheme::ForkJoin);
         fcfg.rate_model = kind;
         fcfg.search = search.clone();
         fcfg.seed = 11;
         let t0 = std::time::Instant::now();
-        let fj_out = execute(&w.compressed, &fcfg, None);
+        let fj_out = fcfg.run(&w.compressed).unwrap();
         let fj = MeasuredRun::new(
             fj_out.result.lnl,
             fj_out.result.iterations,

@@ -15,12 +15,12 @@
 //! model in `exa_comm::cluster` (substitution documented in DESIGN.md §2).
 
 use exa_comm::cluster::{modeled_time, ClusterSpec};
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::BranchMode;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_bench::{fmt_secs, write_json, write_markdown, MeasuredRun};
+use examl_core::{RunConfig, Scheme};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -113,7 +113,7 @@ fn main() {
             // --- ExaML (de-centralized, batched kernels) ---
             eprintln!("  ExaML, {model_label} ...");
             let measured = median_of_three(|| {
-                let mut cfg = examl_core::RunConfig::new(ranks);
+                let mut cfg = RunConfig::new(ranks);
                 cfg.rate_model = kind;
                 cfg.branch_mode = mode;
                 cfg.strategy = strategy;
@@ -144,15 +144,15 @@ fn main() {
             // --- RAxML-Light (fork-join, per-partition dispatch) ---
             eprintln!("  RAxML-Light, {model_label} ...");
             let measured = median_of_three(|| {
-                let mut cfg = ForkJoinConfig::new(ranks);
+                let mut cfg = RunConfig::new(ranks).scheme(Scheme::ForkJoin);
                 cfg.rate_model = kind;
                 cfg.branch_mode = mode;
                 cfg.strategy = strategy;
                 cfg.search = search.clone();
                 cfg.seed = 5;
-                cfg.modes.batch = false;
+                cfg.batch = false;
                 let t0 = std::time::Instant::now();
-                let out = execute(&w.compressed, &cfg, None);
+                let out = cfg.run(&w.compressed).unwrap();
                 MeasuredRun::new(
                     out.result.lnl,
                     out.result.iterations,

@@ -19,12 +19,12 @@
 //! | # bytes (MB)                    | 2841  | 1809 | 1763  | 626  |
 
 use exa_comm::CommCategory;
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::BranchMode;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_bench::{write_json, write_markdown};
+use examl_core::{RunConfig, Scheme};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -65,7 +65,7 @@ fn main() {
     let mut columns = Vec::new();
     for (label, kind, mode) in configs {
         eprintln!("running fork-join: {label} ...");
-        let mut cfg = ForkJoinConfig::new(ranks);
+        let mut cfg = RunConfig::new(ranks).scheme(Scheme::ForkJoin);
         cfg.rate_model = kind;
         cfg.branch_mode = mode;
         cfg.search = SearchConfig {
@@ -74,7 +74,7 @@ fn main() {
             ..SearchConfig::default()
         };
         cfg.seed = 7;
-        let out = execute(&w.compressed, &cfg, None);
+        let out = cfg.run(&w.compressed).unwrap();
         let s = &out.comm_stats;
         columns.push(Table1Column {
             config: label.to_string(),

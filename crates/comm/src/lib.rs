@@ -681,7 +681,8 @@ pub struct World;
 
 impl World {
     /// Run `f` on `n` rank threads; returns each rank's result in rank
-    /// order. Panics in any rank propagate.
+    /// order. A panic in any rank poisons the world (every other rank
+    /// panics at its next collective) and propagates.
     pub fn run<F, T>(n: usize, f: F) -> Vec<T>
     where
         F: Fn(Rank) -> T + Sync,
@@ -731,7 +732,20 @@ impl World {
                     scope.spawn(move || {
                         let tracer = recorder.as_ref().map(|r| r.tracer(id));
                         let _tls = tracer.clone().map(exa_obs::install_tracer);
-                        f(Rank { id, ctx, tracer })
+                        let rank = Rank {
+                            id,
+                            ctx: Arc::clone(&ctx),
+                            tracer,
+                        };
+                        // A rank that unwinds out of `f` will never join
+                        // another collective: poison the world first, so
+                        // peers parked in one (or entering one later)
+                        // unwind too instead of waiting for it forever.
+                        let run = std::panic::AssertUnwindSafe(|| f(rank));
+                        std::panic::catch_unwind(run).unwrap_or_else(|e| {
+                            ctx.poison();
+                            std::panic::resume_unwind(e)
+                        })
                     })
                 })
                 .collect();
@@ -1758,6 +1772,37 @@ mod tests {
                 d[0]
             });
             assert_eq!(results, vec![2.0, 2.0, -1.0], "{how:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_outside_any_collective_poisons_the_world() {
+        // Rank 1 unwinds out of its closure before its first collective —
+        // alone, with nothing mid-combine to notice it. Rank 0 must unwind
+        // out of the collective it is waiting in, and out of any later one,
+        // instead of hanging; rank 1's panic then propagates at the join.
+        for how in [Waiters::Spin, Waiters::Park] {
+            let refused = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&refused);
+            let joined = std::panic::catch_unwind(move || {
+                run_waiting(2, how, move |rank| {
+                    if rank.id() == 1 {
+                        await_deposits(&rank, 1);
+                        panic!("rank 1 gives up");
+                    }
+                    for _ in 0..2 {
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                rank.barrier(CommCategory::Control)
+                            }));
+                        let payload = outcome.expect_err("a dead rank's peer must unwind");
+                        assert_eq!(payload.downcast_ref::<String>().unwrap(), POISONED);
+                        seen.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            });
+            assert!(joined.is_err(), "{how:?}: rank 1's panic must propagate");
+            assert_eq!(refused.load(Ordering::SeqCst), 2, "{how:?}");
         }
     }
 

@@ -14,7 +14,8 @@
 
 use crate::checkpoint::{self, BootstrapProgress, Checkpoint, CheckpointHeader, CheckpointPayload};
 use crate::run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome};
-use crate::{capability, decentralized_impl};
+use crate::scheme::SchemeExchange;
+use crate::{capability, run_world, Allreduce};
 use exa_bio::patterns::{CompressedAlignment, CompressedPartition};
 use exa_phylo::tree::bipartitions::bipartitions;
 use exa_search::evaluator::SearchSnapshot;
@@ -113,7 +114,7 @@ pub(crate) fn bootstrap_impl(
         let recorder = trace_path
             .is_some()
             .then(|| exa_obs::Recorder::new(cfg.n_ranks));
-        let out = decentralized_impl(aln, cfg, recorder.as_ref(), resume)?;
+        let out = run_world::<Allreduce>(aln, cfg, recorder.as_ref(), resume)?;
         if let (Some(path), Some(recorder)) = (trace_path, recorder) {
             exa_obs::write_chrome_trace(&path, &exa_obs::Recorder::finish(recorder))?;
         }
@@ -135,7 +136,7 @@ pub(crate) fn bootstrap_impl(
             bootstrap: Some(progress),
             ..
         }) => {
-            let best = RunOutcome {
+            let mut best = RunOutcome {
                 survivors: (0..cfg.n_ranks).collect(),
                 ..RunOutcome::new(
                     progress.best_result.clone(),
@@ -144,6 +145,11 @@ pub(crate) fn bootstrap_impl(
                     &modes,
                 )
             };
+            // No world ran, so no driver held the assignment table the
+            // health report's predicted imbalance comes from.
+            let assignments = exa_sched::distribute(aln, cfg.n_ranks, cfg.strategy);
+            best.health.predicted_imbalance =
+                Some(exa_sched::balance::balance_stats(aln, &assignments).imbalance);
             let counts: HashMap<Vec<usize>, usize> = progress
                 .split_counts
                 .iter()
@@ -164,7 +170,7 @@ pub(crate) fn bootstrap_impl(
         }
     };
     let best_splits = bipartitions(&best.state.tree);
-    let header = CheckpointHeader::new(cfg, aln, "decentralized", &modes);
+    let header = CheckpointHeader::new(cfg, aln, Allreduce::LABEL, &modes);
 
     for r in start..bs.replicates {
         let replicate_seed = bs.seed.wrapping_add(r as u64);

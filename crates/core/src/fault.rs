@@ -19,18 +19,33 @@
 //!
 //! Because every rank already holds the complete search state, no state is
 //! lost — only the current iteration's partial work is redone.
+//!
+//! The hooks themselves (`BoundaryHooks`) serve a searching rank of
+//! either scheme: what every search does at a boundary — checkpoint cadence
+//! and commit, preemption, injected kills — is written once over
+//! `SchemeExchange`, and what needs replicas (heartbeats, scripted
+//! deaths, elastic resizes and the recovery above) is `Allreduce`'s
+//! implementation of that trait, at the bottom of this file.
 
 use crate::checkpoint::{self, Checkpoint, CheckpointHeader, CheckpointPayload};
-use crate::{die_now, DecentralizedEvaluator, WorldContext};
+use crate::scheme::SchemeExchange;
+use crate::{
+    die_now, Allreduce, CheckpointFailed, DecentralizedEvaluator, RunConfig, WorldContext,
+};
+use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommCategory, Rank};
 use exa_obs::{imbalance_ratio, HeartbeatRecord};
 use exa_phylo::model::rates::RateModelKind;
-use exa_search::evaluator::{CommFailurePanic, Evaluator, GlobalState, SearchSnapshot};
+use exa_search::evaluator::{
+    CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState, SearchSnapshot,
+};
 use exa_search::{BoundaryInfo, KillPanic, Modes, PreemptPanic, SearchHooks};
 use serde::{Deserialize, Serialize};
 use std::fs::OpenOptions;
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// A scripted set of rank failures, for tests, examples and the fault
@@ -79,27 +94,24 @@ struct HealthState {
     last_regions: u64,
 }
 
-/// Iteration hooks for a de-centralized rank: checkpointing, heartbeats,
-/// scripted faults, recovery.
-pub struct DecentralizedHooks<'a> {
+/// Iteration-boundary hooks of a searching rank under either scheme:
+/// checkpoint cadence and commit, preemption, injected kills — and, through
+/// [`SchemeExchange`], what only a replicated search adds (heartbeats,
+/// scripted faults, resizes, recovery).
+pub(crate) struct BoundaryHooks<'a, X> {
     rank: Rank,
     ctx: &'a WorldContext<'a>,
-    /// The modes negotiated at startup: stamped into every heartbeat and
+    /// The modes agreed at startup: stamped into every heartbeat and
     /// checkpoint header, and kept across engine rebuilds.
     modes: Modes,
     /// This rank's current data assignment (kept in sync with recoveries;
     /// needed to map local PSR rates to global pattern indices).
     assignment: exa_sched::RankAssignment,
-    /// Snapshot at the last iteration boundary (the recovery point).
+    /// Snapshot at the last iteration boundary: what a checkpoint commits
+    /// and where recovery rewinds to.
     snapshot: GlobalState,
-    snapshot_iteration: usize,
-    snapshot_lnl: f64,
-    /// Recoveries performed (observability for tests).
-    pub recoveries: usize,
-    /// Planned elastic resizes executed (observability for tests).
-    pub resizes: usize,
-    /// Checkpoint generations committed so far. Every rank counts them
-    /// (the cadence is deterministic) even though only the writer rank
+    /// Checkpoint generations committed so far. Every searching rank counts
+    /// them (the cadence is deterministic) even though only the writer rank
     /// performs the write — this is what aligns `--inject-kill` across the
     /// world.
     checkpoints_written: u64,
@@ -109,108 +121,94 @@ pub struct DecentralizedHooks<'a> {
     last_checkpoint_ms: Option<f64>,
     /// When the last checkpoint committed (or the run started), for the
     /// `checkpoint_every_secs` time cadence. Rank-local; the per-boundary
-    /// due/not-due decision is made collectively so the ranks stay aligned.
+    /// due/not-due decision goes through [`SchemeExchange::agree`].
     last_checkpoint_instant: Instant,
-    /// Set once an injected kill has fired anywhere in the world:
-    /// `(after_checkpoints, iteration)`. Disables recovery — a killed run
-    /// must abort, not heal.
-    kill_event: Option<(u64, usize)>,
     health: Option<HealthState>,
+    _exchange: PhantomData<X>,
 }
 
-impl<'a> DecentralizedHooks<'a> {
+impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
     /// Build hooks, snapshotting the evaluator's initial state.
     pub(crate) fn new(
         rank: Rank,
         ctx: &'a WorldContext<'a>,
         modes: Modes,
         assignment: exa_sched::RankAssignment,
-        eval: &DecentralizedEvaluator,
-    ) -> DecentralizedHooks<'a> {
+        eval: &ExchangeEvaluator<X>,
+    ) -> Self {
         let health = ctx.cfg.health_out.clone().map(|path| HealthState {
             path,
             last_instant: Instant::now(),
             last_regions: 0,
         });
-        DecentralizedHooks {
+        BoundaryHooks {
             rank,
             ctx,
             modes,
             assignment,
             snapshot: eval.snapshot(),
-            snapshot_iteration: 0,
-            snapshot_lnl: f64::NEG_INFINITY,
-            recoveries: 0,
-            resizes: 0,
             checkpoints_written: 0,
             last_checkpoint_iter: None,
             last_checkpoint_ms: None,
             last_checkpoint_instant: Instant::now(),
-            kill_event: None,
             health,
+            _exchange: PhantomData,
         }
     }
 
     /// Checkpoint generations committed so far (world-level count).
-    pub fn checkpoints_written(&self) -> u64 {
+    pub(crate) fn checkpoints_written(&self) -> u64 {
         self.checkpoints_written
     }
 
-    /// The injected kill that fired, if any: `(after_checkpoints,
-    /// iteration)`.
-    pub fn kill_event(&self) -> Option<(u64, usize)> {
-        self.kill_event
+    /// Files belong to the run, not to a rank: whichever rank is the
+    /// lowest active one at a boundary writes — the master, in a fork-join
+    /// world, whose ranks never fail.
+    fn is_writer(&self) -> bool {
+        self.rank.active_ranks().first() == Some(&self.rank.id())
     }
 
-    /// The per-boundary preemption / time-cadence agreement. Both signals
+    /// The per-boundary preemption / time-cadence decision. Both signals
     /// are inherently rank-local (a `PreemptSignal` flips asynchronously,
-    /// wall clocks drift), so acting on a local read would let ranks take
-    /// different paths at the same boundary and deadlock the collectives.
-    /// Instead every rank contributes one bit-mask byte on an allgather
-    /// (bit 0 = preempt requested, bit 1 = time cadence due) and all adopt
-    /// the OR — the same minimum-capability pattern as kernel negotiation.
-    /// The collective only runs when either feature is configured, so plain
+    /// wall clocks drift), so where several ranks search, acting on a local
+    /// read would let them take different paths at the same boundary and
+    /// deadlock the collectives: the exchange turns the local bits into the
+    /// world's. Only consulted when either feature is configured, so plain
     /// runs pay nothing. Returns `(preempt, time_due)`.
-    fn boundary_agreement(&mut self) -> (bool, bool) {
+    fn boundary_agreement(&self, exchange: &X) -> (bool, bool) {
         let cfg = self.ctx.cfg;
-        let preempt_armed = cfg.preempt.is_some();
-        let time_armed = cfg.checkpoint_every_secs.is_some() && cfg.checkpoint_out.is_some();
-        if !preempt_armed && !time_armed {
+        let time_cadence = cfg
+            .checkpoint_every_secs
+            .filter(|_| cfg.checkpoint_out.is_some());
+        if cfg.preempt.is_none() && time_cadence.is_none() {
             return (false, false);
         }
         let mut bits = 0u8;
         if cfg.preempt.as_ref().is_some_and(|p| p.is_requested()) {
             bits |= 1;
         }
-        if let Some(secs) = cfg.checkpoint_every_secs {
-            if cfg.checkpoint_out.is_some()
-                && self.last_checkpoint_instant.elapsed().as_secs_f64() >= secs
-            {
-                bits |= 2;
-            }
+        if time_cadence
+            .is_some_and(|secs| self.last_checkpoint_instant.elapsed().as_secs_f64() >= secs)
+        {
+            bits |= 2;
         }
-        let Ok(blobs) = self.rank.allgather_bytes(vec![bits], CommCategory::Control) else {
-            // A rank failed mid-gather: skip both signals this boundary;
-            // recovery runs at the driver level and the next boundary
-            // re-agrees.
-            return (false, false);
-        };
-        let all = blobs
-            .iter()
-            .filter_map(|b| b.first().copied())
-            .fold(0u8, |a, b| a | b);
+        let all = exchange.agree(bits).unwrap_or(0);
         (all & 1 != 0, all & 2 != 0)
     }
 
     /// Commit a checkpoint generation if one is due at this boundary —
     /// on the iteration cadence, or forced (time cadence / preemption).
-    /// Under PSR, *every* active rank joins the rate allgather (the cadence
-    /// is deterministic and `force` is collectively agreed, so the
-    /// collective stays aligned); only the lowest-id active rank writes
-    /// the file.
-    fn maybe_checkpoint(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo, force: bool) {
+    /// Every searching rank joins the PSR rate gather (the cadence is
+    /// deterministic and `force` is agreed, so the collective stays
+    /// aligned); only the writer rank writes the file.
+    fn maybe_checkpoint(
+        &mut self,
+        eval: &mut ExchangeEvaluator<X>,
+        info: &BoundaryInfo,
+        force: bool,
+    ) {
         let cfg = self.ctx.cfg;
-        let Some(dir) = cfg.checkpoint_out.clone() else {
+        let Some(dir) = &cfg.checkpoint_out else {
             return;
         };
         let every = cfg.checkpoint_every;
@@ -218,39 +216,16 @@ impl<'a> DecentralizedHooks<'a> {
         if !on_cadence && !force {
             return;
         }
-        let de = eval
-            .as_any_mut()
-            .downcast_mut::<DecentralizedEvaluator>()
-            .expect("de-centralized hooks require the de-centralized evaluator");
-        let psr_rates = if cfg.rate_model == RateModelKind::Psr {
-            let local = exa_sched::capture_site_rates(de.engine(), &self.assignment, self.ctx.aln);
-            let blob = serde_json::to_vec(&local).expect("PSR rate blob serializes");
-            let Ok(blobs) = de
-                .exchange()
-                .rank()
-                .allgather_bytes(blob, CommCategory::Control)
-            else {
-                // A rank failed mid-gather: skip this generation; recovery
-                // runs at the driver level and the next boundary retries.
-                return;
-            };
-            let mut parts: Vec<(usize, Vec<usize>, Vec<u64>)> = Vec::new();
-            for b in blobs.iter().filter(|b| !b.is_empty()) {
-                let v: Vec<(usize, Vec<usize>, Vec<u64>)> =
-                    serde_json::from_slice(b).expect("PSR rate blob parses");
-                parts.extend(v);
-            }
-            exa_sched::merge_site_rates(self.ctx.aln, parts)
-        } else {
-            Vec::new()
+        let Some(psr_rates) = X::gather_site_rates(eval, self.ctx.aln, &self.assignment) else {
+            return;
         };
         self.checkpoints_written += 1;
         self.last_checkpoint_iter = Some(info.iteration as u64);
         self.last_checkpoint_instant = Instant::now();
-        // All ranks mark the committed generation (identically — trace
-        // event sequences stay comparable across ranks).
+        // Every searching rank marks the committed generation (identically
+        // — trace event sequences stay comparable across replicas).
         exa_obs::mark(|| format!("{}{}", exa_obs::CHECKPOINT_MARK, info.iteration));
-        if self.rank.active_ranks().first() != Some(&self.rank.id()) {
+        if !self.is_writer() {
             return;
         }
         let t0 = Instant::now();
@@ -262,98 +237,216 @@ impl<'a> DecentralizedHooks<'a> {
             psr_rates,
         };
         let ckpt = Checkpoint::build(
-            CheckpointHeader::new(cfg, self.ctx.aln, "decentralized", &self.modes),
+            CheckpointHeader::new(cfg, self.ctx.aln, X::LABEL, &self.modes),
             CheckpointPayload {
                 snapshot,
                 bootstrap: None,
             },
         );
-        checkpoint::save_generation_keeping(&dir, &ckpt, cfg.checkpoint_keep)
-            .expect("checkpoint write failed");
+        if let Err(e) = checkpoint::save_generation_keeping(dir, &ckpt, cfg.checkpoint_keep) {
+            // The run fails with the error instead of searching on
+            // unprotected — and the peers must learn that, not wait.
+            self.leave_alone(eval.exchange_mut(), CheckpointFailed(e));
+        }
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.last_checkpoint_ms = Some(elapsed_ms);
-        crate::run::observe_checkpoint_write("decentralized", elapsed_ms);
+        crate::run::observe_checkpoint_write(X::LABEL, elapsed_ms);
     }
 
-    /// Execute the elastic-resize plan at this boundary, if an entry fires:
-    /// recompute the data distribution at the new width (padded with empty
-    /// assignments up to the fixed comm world) and rebuild the local engine
-    /// from the shared alignment — the same redistribution mechanics as §V
-    /// failure recovery, but planned, collective-free (every rank derives
-    /// the identical step from the shared config) and without losing any
-    /// work. PSR per-site rates are data-local and reset, exactly like
-    /// recovery; the next model-optimization round re-fits them.
-    fn maybe_resize(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
-        let cfg = self.ctx.cfg;
-        let Some(&(_, width)) = cfg
-            .resize_plan
-            .iter()
-            .find(|&&(iter, _)| iter == info.iteration)
-        else {
-            return;
-        };
-        let world = self.rank.world_size();
-        let assignments = crate::padded_assignments(self.ctx.aln, width, world, cfg.strategy);
-        self.assignment = assignments[self.rank.id()].clone();
-        let de = eval
-            .as_any_mut()
-            .downcast_mut::<DecentralizedEvaluator>()
-            .expect("de-centralized hooks require the de-centralized evaluator");
-        de.replace_engine(self.ctx.build_engine(&self.assignment, &self.modes));
-        self.resizes += 1;
-        // Stamped on every rank — trace event sequences stay comparable.
-        exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));
+    /// Unwind out of the search with `payload` while the peers carry on:
+    /// flag the world as aborting (a peer that sees this rank gone must end
+    /// its run too, not heal around it), release them, then panic.
+    fn leave_alone<P: std::any::Any + Send>(&self, exchange: &mut X, payload: P) -> ! {
+        self.ctx.aborting.store(true, Ordering::SeqCst);
+        exchange.leave(true);
+        std::panic::panic_any(payload)
     }
 
     /// Fire the injected kill once the configured number of checkpoints
-    /// has been committed. All ranks evaluate the same deterministic
-    /// condition: with no victim rank every rank dies here; with a victim,
-    /// that rank fails its communicator and dies while the others record
-    /// the event (so recovery is disabled) and abort at their next
-    /// collective.
-    fn maybe_kill(&mut self, info: &BoundaryInfo) {
+    /// has been committed. Every searching rank evaluates the same
+    /// deterministic condition: with no victim rank all of them die here;
+    /// with a victim, that rank leaves alone and the others abort at their
+    /// next collective.
+    fn maybe_kill(&self, exchange: &mut X, info: &BoundaryInfo) {
         let Some(kill) = self.ctx.cfg.inject_kill else {
             return;
         };
-        if self.kill_event.is_some() || self.checkpoints_written < kill.after_checkpoints {
+        if self.checkpoints_written < kill.after_checkpoints {
             return;
         }
-        self.kill_event = Some((kill.after_checkpoints, info.iteration));
         let payload = KillPanic {
             after_checkpoints: kill.after_checkpoints,
             iteration: info.iteration,
         };
         match kill.rank {
-            None => std::panic::panic_any(payload),
-            Some(victim) if victim == self.rank.id() => {
-                self.rank.fail();
-                std::panic::panic_any(payload);
+            None => {
+                exchange.leave(false);
+                std::panic::panic_any(payload)
             }
-            Some(_) => {
-                // Survivor of a targeted kill: the victim's failure surfaces
-                // at our next collective; `on_failure` sees the kill event
-                // and aborts instead of recovering.
-            }
+            Some(victim) if victim == self.rank.id() => self.leave_alone(exchange, payload),
+            Some(_) => {}
+        }
+    }
+}
+
+impl<X: SchemeExchange> SearchHooks for BoundaryHooks<'_, X> {
+    fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
+        let eval = typed::<X>(eval);
+        self.snapshot = eval.snapshot();
+
+        // Settle the asynchronous signals (preemption request, wall-clock
+        // checkpoint cadence) before acting on either.
+        let (preempt, time_due) = self.boundary_agreement(eval.exchange());
+
+        // A preemption forces a final generation at this boundary so no
+        // work is lost.
+        self.maybe_checkpoint(eval, info, preempt || time_due);
+
+        X::heartbeat(self, eval, info);
+
+        if preempt {
+            eval.exchange_mut().leave(false);
+            exa_obs::mark(|| format!("preempt:{}", info.iteration));
+            std::panic::panic_any(PreemptPanic {
+                iteration: info.iteration,
+                checkpoints: self.checkpoints_written,
+            });
+        }
+
+        // Injected kill (checkpoint/restart chaos testing), then what is
+        // planned for this boundary, after its checkpoint and heartbeat
+        // captured the state before it.
+        self.maybe_kill(eval.exchange_mut(), info);
+        X::planned_events(self, eval, info);
+    }
+
+    fn on_failure(&mut self, eval: &mut dyn Evaluator, _failure: &CommFailurePanic) -> bool {
+        // A comm failure in an aborting world is the abort propagating (an
+        // injected kill's victim, a checkpoint writer that could not
+        // write): end the run instead of healing, so the restart harness
+        // exercises the checkpoint path rather than §V recovery.
+        !self.ctx.aborting.load(Ordering::SeqCst) && X::recover(self, typed::<X>(eval))
+    }
+}
+
+/// The evaluator the driver built these hooks for.
+fn typed<X: SchemeExchange>(eval: &mut dyn Evaluator) -> &mut ExchangeEvaluator<X> {
+    eval.as_any_mut()
+        .downcast_mut()
+        .expect("boundary hooks run under the evaluator their driver built")
+}
+
+/// De-centralized: every rank searches, so every step that reads something
+/// rank-local is a collective over the replicas, and the replicated state
+/// is what makes heartbeats, scripted faults, elastic resizes and §V
+/// recovery possible at all.
+impl SchemeExchange for Allreduce {
+    const LABEL: &'static str = "decentralized";
+
+    /// One packed allgather, `Auto` slots adopt the world minimum.
+    fn modes(rank: &Rank, cfg: &RunConfig) -> Modes {
+        crate::capability::negotiate(rank, &cfg.capability_requests(rank.id()))
+    }
+
+    fn connect(rank: Rank, cfg: &RunConfig) -> Allreduce {
+        let mut exchange = Allreduce::new(rank);
+        exchange.set_sentinel(cfg.verify_replicas, cfg.divergence_fault);
+        exchange
+    }
+
+    /// This rank's slice of the gathered global rate table goes straight
+    /// into its engine (elastic across any rank count, since the table is
+    /// complete); every rank restores from the identical parsed payload,
+    /// the in-process analogue of ExaML's parallel binary-file read; then a
+    /// restart barrier so no rank races ahead into the search while others
+    /// are still rebuilding.
+    fn install_resume(
+        eval: &mut DecentralizedEvaluator,
+        snapshot: &SearchSnapshot,
+        aln: &CompressedAlignment,
+        assignment: &exa_sched::RankAssignment,
+    ) {
+        if !snapshot.psr_rates.is_empty() {
+            exa_sched::apply_site_rates(eval.engine_mut(), assignment, aln, &snapshot.psr_rates);
+        }
+        eval.restore(&snapshot.state);
+        exa_obs::mark(|| format!("resume:{}", snapshot.iteration));
+        eval.exchange()
+            .rank()
+            .barrier(CommCategory::Control)
+            .expect("restart barrier cannot proceed after a rank failure");
+    }
+
+    /// Sync #1 fires before the search's first collective: a mixed
+    /// gradient-mode world runs different collective *sequences*, so it
+    /// must be refused here, not discovered as a length mismatch (or a
+    /// deadlock) inside the first smoothing reduction.
+    fn before_search(eval: &mut DecentralizedEvaluator) {
+        Allreduce::initial_sentinel_sync(eval);
+    }
+
+    fn sentinel_syncs(&self) -> u64 {
+        Allreduce::sentinel_syncs(self)
+    }
+
+    /// Every rank contributes its bit-mask byte on an allgather and all
+    /// adopt the OR — the same pattern as capability negotiation.
+    fn agree(&self, bits: u8) -> Option<u8> {
+        let blobs = self
+            .rank()
+            .allgather_bytes(vec![bits], CommCategory::Control)
+            .ok()?;
+        Some(blobs.iter().filter_map(|b| b.first()).fold(0, |a, b| a | b))
+    }
+
+    fn gather_site_rates(
+        eval: &mut DecentralizedEvaluator,
+        aln: &CompressedAlignment,
+        assignment: &exa_sched::RankAssignment,
+    ) -> Option<Vec<Vec<u64>>> {
+        if eval.rate_kind() != RateModelKind::Psr {
+            return Some(Vec::new());
+        }
+        let local = exa_sched::capture_site_rates(eval.engine(), assignment, aln);
+        let blob = serde_json::to_vec(&local).expect("PSR rate blob serializes");
+        let blobs = eval
+            .exchange()
+            .rank()
+            .allgather_bytes(blob, CommCategory::Control)
+            .ok()?;
+        let mut parts: Vec<(usize, Vec<usize>, Vec<u64>)> = Vec::new();
+        for b in blobs.iter().filter(|b| !b.is_empty()) {
+            let v: Vec<(usize, Vec<usize>, Vec<u64>)> =
+                serde_json::from_slice(b).expect("PSR rate blob parses");
+            parts.extend(v);
+        }
+        Some(exa_sched::merge_site_rates(aln, parts))
+    }
+
+    /// Replicas that leave together need no release; one that leaves alone
+    /// fails its communicator so the others' next collective aborts.
+    fn leave(&mut self, alone: bool) {
+        if alone {
+            self.rank().fail();
         }
     }
 
     /// Emit one heartbeat record. Every active rank joins the kernel-time
     /// allgather (the same `cfg` enables heartbeats on all of them, so the
     /// collective stays aligned); only the lowest-id active rank writes.
-    fn heartbeat(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
-        let Some(health) = self.health.as_mut() else {
+    fn heartbeat(
+        hooks: &mut BoundaryHooks<'_, Allreduce>,
+        eval: &mut DecentralizedEvaluator,
+        info: &BoundaryInfo,
+    ) {
+        if hooks.health.is_none() {
             return;
-        };
-        let de = eval
-            .as_any_mut()
-            .downcast_mut::<DecentralizedEvaluator>()
-            .expect("de-centralized hooks require the de-centralized evaluator");
+        }
         // Exchange cumulative measured kernel time so the writer can report
         // the live (measured, not modeled) load-imbalance ratio.
-        let kernel_ns = de.engine().work().kernel_ns;
-        let gathered = de
-            .exchange()
-            .rank()
+        let kernel_ns = eval.engine().work().kernel_ns;
+        let gathered = hooks
+            .rank
             .allgather_bytes(kernel_ns.to_le_bytes().to_vec(), CommCategory::Control);
         let Ok(blobs) = gathered else {
             // A rank failed mid-heartbeat: skip this record; recovery runs
@@ -365,12 +458,11 @@ impl<'a> DecentralizedHooks<'a> {
             .filter(|b| b.len() == 8)
             .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
             .collect();
-        // With no master, the lowest-id active rank writes (same rule as
-        // checkpoints).
-        if self.rank.active_ranks().first() != Some(&self.rank.id()) {
+        if !hooks.is_writer() {
             return;
         }
-        let stats = self.rank.stats();
+        let health = hooks.health.as_mut().expect("checked on entry");
+        let stats = hooks.rank.stats();
         let now = Instant::now();
         let dt = now.duration_since(health.last_instant).as_secs_f64();
         let regions = stats.total_regions();
@@ -381,7 +473,8 @@ impl<'a> DecentralizedHooks<'a> {
         };
         health.last_instant = now;
         health.last_regions = regions;
-        let work = de.engine().work();
+        let work = eval.engine().work();
+        let modes = &hooks.modes;
         let rec = HeartbeatRecord {
             iteration: info.iteration as u64,
             lnl: info.lnl,
@@ -389,16 +482,16 @@ impl<'a> DecentralizedHooks<'a> {
             collectives_per_sec,
             comm_bytes: stats.total_bytes(),
             imbalance: imbalance_ratio(&per_rank),
-            sentinel_syncs: de.exchange().sentinel_syncs(),
+            sentinel_syncs: eval.exchange().sentinel_syncs(),
             divergence: "ok".to_string(),
-            kernel: Some(self.modes.kernel.label().to_string()),
+            kernel: Some(modes.kernel.label().to_string()),
             repeat_ratio: Some(work.repeat_ratio()),
             clv_saved: Some(work.clv_saved),
-            last_checkpoint_iter: self.last_checkpoint_iter,
-            checkpoint_write_ms: self.last_checkpoint_ms,
-            reduce: Some(self.modes.reduce.label().to_string()),
-            threads: Some(self.modes.threads.get() as u64),
-            gradient: Some(self.modes.gradient.label().to_string()),
+            last_checkpoint_iter: hooks.last_checkpoint_iter,
+            checkpoint_write_ms: hooks.last_checkpoint_ms,
+            reduce: Some(modes.reduce.label().to_string()),
+            threads: Some(modes.threads.get() as u64),
+            gradient: Some(modes.gradient.label().to_string()),
         };
         OpenOptions::new()
             .create(true)
@@ -407,81 +500,64 @@ impl<'a> DecentralizedHooks<'a> {
             .and_then(|mut f| writeln!(f, "{}", rec.to_json_line()))
             .expect("heartbeat write failed");
     }
-}
 
-impl SearchHooks for DecentralizedHooks<'_> {
-    fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
-        self.snapshot = eval.snapshot();
-        self.snapshot_iteration = info.iteration;
-        self.snapshot_lnl = info.lnl;
-
-        // Agree collectively on asynchronous signals (preemption request,
-        // wall-clock checkpoint cadence) before acting on either.
-        let (preempt, time_due) = self.boundary_agreement();
-
-        // Checkpoint: with no master, the lowest-id active rank writes. A
-        // preemption forces a final generation at this boundary so no work
-        // is lost.
-        self.maybe_checkpoint(eval, info, preempt || time_due);
-
-        self.heartbeat(eval, info);
-
-        if preempt {
-            exa_obs::mark(|| format!("preempt:{}", info.iteration));
-            std::panic::panic_any(PreemptPanic {
-                iteration: info.iteration,
-                checkpoints: self.checkpoints_written,
-            });
+    /// Scripted death (fault-injection testing of §V), then the elastic-
+    /// resize plan, if an entry fires at this boundary: recompute the data
+    /// distribution at the new width (padded with empty assignments up to
+    /// the fixed comm world) and rebuild the local engine from the shared
+    /// alignment — the same redistribution mechanics as §V failure
+    /// recovery, but planned, collective-free (every rank derives the
+    /// identical step from the shared config) and without losing any work.
+    /// PSR per-site rates are data-local and reset, exactly like recovery;
+    /// the next model-optimization round re-fits them.
+    fn planned_events(
+        hooks: &mut BoundaryHooks<'_, Allreduce>,
+        eval: &mut DecentralizedEvaluator,
+        info: &BoundaryInfo,
+    ) {
+        let cfg = hooks.ctx.cfg;
+        if cfg.fault_plan.fires(hooks.rank.id(), info.iteration) {
+            die_now(&hooks.rank);
         }
-
-        // Injected kill (checkpoint/restart chaos testing), then scripted
-        // death (fault-injection testing of §V).
-        self.maybe_kill(info);
-        if self
-            .ctx
-            .cfg
-            .fault_plan
-            .fires(self.rank.id(), info.iteration)
-        {
-            die_now(&self.rank);
-        }
-
-        // Planned elastic resize, after the boundary's checkpoint and
-        // heartbeat captured the pre-resize assignment.
-        self.maybe_resize(eval, info);
+        let Some(&(_, width)) = cfg
+            .resize_plan
+            .iter()
+            .find(|&&(iter, _)| iter == info.iteration)
+        else {
+            return;
+        };
+        let world = hooks.rank.world_size();
+        let assignments = crate::padded_assignments(hooks.ctx.aln, width, world, cfg.strategy);
+        hooks.assignment = assignments[hooks.rank.id()].clone();
+        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment, &hooks.modes));
+        // Stamped on every rank — trace event sequences stay comparable.
+        exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));
     }
 
-    fn on_failure(&mut self, eval: &mut dyn Evaluator, _failure: &CommFailurePanic) -> bool {
-        // A comm failure after an injected kill is the kill propagating —
-        // abort instead of healing, so the restart harness exercises the
-        // checkpoint path rather than §V recovery.
-        if self.kill_event.is_some() {
-            return false;
-        }
+    /// §V recovery.
+    fn recover(
+        hooks: &mut BoundaryHooks<'_, Allreduce>,
+        eval: &mut DecentralizedEvaluator,
+    ) -> bool {
         // 1. Acknowledge and learn the surviving rank set.
-        let (_failed, survivors) = self.rank.recover();
+        let (_failed, survivors) = hooks.rank.recover();
         let my_index = survivors
             .iter()
-            .position(|&r| r == self.rank.id())
+            .position(|&r| r == hooks.rank.id())
             .expect("a failed rank cannot recover");
 
         // 2. Redistribute: recompute the assignment over the survivors and
         //    rebuild the local engine from the shared alignment. The rebuilt
-        //    engine keeps the kernel backend negotiated at startup — the
-        //    survivors already agreed on it, and re-negotiating here would
-        //    require a collective the failed rank can no longer join.
+        //    engine keeps the modes negotiated at startup — the survivors
+        //    already agreed on them, and re-negotiating here would require a
+        //    collective the failed rank can no longer join.
         let assignments =
-            exa_sched::distribute(self.ctx.aln, survivors.len(), self.ctx.cfg.strategy);
-        self.assignment = assignments[my_index].clone();
-        let de = eval
-            .as_any_mut()
-            .downcast_mut::<DecentralizedEvaluator>()
-            .expect("de-centralized hooks require the de-centralized evaluator");
-        de.replace_engine(self.ctx.build_engine(&self.assignment, &self.modes));
+            exa_sched::distribute(hooks.ctx.aln, survivors.len(), hooks.ctx.cfg.strategy);
+        hooks.assignment = assignments[my_index].clone();
+        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment, &hooks.modes));
 
         // 3. Rewind to the last consistent boundary and retry.
-        de.restore(&self.snapshot);
-        self.recoveries += 1;
+        eval.restore(&hooks.snapshot);
         true
     }
 }

@@ -19,6 +19,11 @@
 //! for free: when a rank dies, survivors redistribute its data (from the
 //! binary alignment) and resume from the last iteration boundary — see
 //! [`fault`].
+//!
+//! The driver around the search — world, per-rank setup, boundary hooks,
+//! aggregation — is scheme-agnostic and lives here once: [`RunConfig::run`]
+//! runs it under this crate's [`Allreduce`] or under `exa-forkjoin`'s
+//! `ToMaster`, the paper's baseline (§III-A).
 
 pub mod bootstrap;
 pub mod capability;
@@ -27,6 +32,7 @@ pub mod cli;
 pub mod evaluator;
 pub mod fault;
 pub mod run;
+mod scheme;
 pub mod sentinel;
 
 pub use capability::{CapabilityRequests, Choice};
@@ -39,15 +45,19 @@ use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommCategory, CommStats, Rank, World};
 use exa_obs::Recorder;
 use exa_phylo::engine::WorkCounters;
-use exa_search::evaluator::GlobalState;
+use exa_search::evaluator::{CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState};
 use exa_search::{
     build_starting_tree, run_search_from, BranchMode, KillPanic, Modes, PreemptPanic, SearchResult,
 };
+use scheme::SchemeExchange;
+use std::any::Any;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// What every rank thread of one in-process world reads and none writes:
-/// the run's inputs, borrowed for the lifetime of the world, plus the
-/// derived tables each rank would otherwise rebuild.
+/// What every rank thread of one in-process world reads: the run's inputs,
+/// borrowed for the lifetime of the world, plus the derived tables each
+/// rank would otherwise rebuild.
 pub(crate) struct WorldContext<'a> {
     pub aln: &'a CompressedAlignment,
     pub cfg: &'a RunConfig,
@@ -56,10 +66,19 @@ pub(crate) struct WorldContext<'a> {
     /// One set of Arc-wrapped tip/weight buffers for the whole world:
     /// ranks holding a full partition alias these instead of cloning.
     pub shared: exa_sched::SharedSlices,
+    /// The deterministic data distribution the world starts with: spread
+    /// over the configured rank count; ranks beyond it are resize head-room
+    /// and hold an empty assignment until the plan grows into them.
+    pub assignments: Vec<exa_sched::RankAssignment>,
     /// Pre-validated payload of the checkpoint generation to restart from
     /// (loaded once by the caller; every rank restores from the same parsed
     /// state).
     pub resume: Option<&'a checkpoint::CheckpointPayload>,
+    /// The one thing a rank writes: set by a rank that leaves the search
+    /// alone (an injected kill's victim, a checkpoint writer that could not
+    /// write) before it releases its peers, so they end the run at their
+    /// next collective instead of healing around the gap.
+    pub aborting: AtomicBool,
 }
 
 impl WorldContext<'_> {
@@ -108,81 +127,56 @@ pub(crate) fn padded_assignments(
     assignments
 }
 
-/// Why a de-centralized run aborted instead of producing a result.
-#[derive(Debug)]
-pub(crate) enum RunAbort {
-    /// The replica-divergence sentinel tripped.
-    Divergence(exa_obs::ReplicaDivergence),
-    /// An injected kill terminated the run after `after_checkpoints`
-    /// committed checkpoints, at iteration boundary `iteration`.
-    Killed {
-        after_checkpoints: u64,
-        iteration: usize,
-    },
-    /// A [`exa_search::PreemptSignal`] was honoured at iteration boundary
-    /// `iteration`; `checkpoints` generations (including the preemption
-    /// checkpoint, when one was written) are on disk.
-    Preempted { iteration: usize, checkpoints: u64 },
+/// What each rank thread reports back: its engine's kernel work and CLV
+/// memory, and how it left the search.
+struct RankReport {
+    work: WorkCounters,
+    mem_bytes: u64,
+    end: RankEnd,
 }
 
-/// What each rank thread reports back.
-enum RankReport {
-    Survived {
+enum RankEnd {
+    /// The search ran to its end on this rank.
+    Finished {
         result: SearchResult,
         state: Box<GlobalState>,
-        work: WorkCounters,
-        mem_bytes: u64,
         stats: CommStats,
         sentinel_syncs: u64,
         modes: Modes,
         checkpoints: u64,
     },
-    Died {
-        work: WorkCounters,
-        mem_bytes: u64,
-    },
-    /// The sentinel tripped: every rank aborted with the same diagnostic.
-    Diverged {
-        work: WorkCounters,
-        mem_bytes: u64,
-        diagnostic: Box<exa_obs::ReplicaDivergence>,
-    },
-    /// An injected kill (`--inject-kill`) terminated this rank.
-    Killed {
-        work: WorkCounters,
-        mem_bytes: u64,
-        after_checkpoints: u64,
-        iteration: usize,
-    },
-    /// A cooperative preemption stopped this rank at a boundary.
-    Preempted {
-        work: WorkCounters,
-        mem_bytes: u64,
-        iteration: usize,
-        checkpoints: u64,
-    },
+    /// The run stops with this error: the sentinel tripped (every rank
+    /// derived the same diagnostic), an injected kill or a preemption fired
+    /// at a boundary, or the checkpoint could not be written.
+    Stopped(RunError),
+    /// Left without a result of its own: a worker served out, a scripted
+    /// death, or a rank released by a peer that stopped alone.
+    Left,
 }
 
 /// Per-rank panic payload for a scripted death (unwinds out of the search).
 struct RankDiedPanic;
+
+/// Panic payload of the checkpoint writer when the write fails.
+pub(crate) struct CheckpointFailed(pub checkpoint::CheckpointError);
 
 /// Silence the default panic hook for the payloads this crate uses as
 /// control flow (scripted deaths, comm failures, sentinel divergence) —
 /// they are always caught and turned into reports/diagnostics, so the
 /// default hook's per-thread `Box<dyn Any>` message and backtrace are pure
 /// noise. Installed once, process-wide, wrapping the previous hook.
-pub(crate) fn install_control_panic_silencer() {
+fn install_control_panic_silencer() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            if p.downcast_ref::<RankDiedPanic>().is_some()
-                || p.downcast_ref::<exa_obs::ReplicaDivergence>().is_some()
-                || p.downcast_ref::<exa_search::evaluator::CommFailurePanic>()
-                    .is_some()
-                || p.downcast_ref::<KillPanic>().is_some()
-                || p.downcast_ref::<PreemptPanic>().is_some()
+            if p.is::<RankDiedPanic>()
+                || p.is::<exa_obs::ReplicaDivergence>()
+                || p.is::<CommFailurePanic>()
+                || p.is::<KillPanic>()
+                || p.is::<PreemptPanic>()
+                || p.is::<CheckpointFailed>()
             {
                 return;
             }
@@ -191,131 +185,89 @@ pub(crate) fn install_control_panic_silencer() {
     });
 }
 
-/// The de-centralized scheme driver behind [`RunConfig::run`]. `resume` is
-/// the pre-validated payload of the checkpoint generation to restart from.
-/// Returns the outcome — its `trace`, `health` and `bootstrap` are for the
-/// caller to fill — and the checkpoint generations committed during the
-/// run.
-pub(crate) fn decentralized_impl(
+/// The scheme driver behind [`RunConfig::run`]: one world, every rank in
+/// [`rank_main`] under exchange `X`. `resume` is the pre-validated payload
+/// of the checkpoint generation to restart from. Returns the outcome — its
+/// `trace`, `bootstrap` and the rest of `health` are for the caller to fill
+/// — and the checkpoint generations committed during the run.
+pub(crate) fn run_world<X: SchemeExchange>(
     aln: &CompressedAlignment,
     cfg: &RunConfig,
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&checkpoint::CheckpointPayload>,
-) -> Result<(RunOutcome, u64), RunAbort> {
+) -> Result<(RunOutcome, u64), RunError> {
     assert!(
         aln.n_taxa() >= 4,
         "need at least 4 taxa for a meaningful search"
     );
     install_control_panic_silencer();
-    let ctx = WorldContext {
-        aln,
-        cfg,
-        freqs: exa_bio::stats::global_frequencies(aln),
-        shared: exa_sched::SharedSlices::build(aln),
-        resume,
-    };
-
     // The comm world is sized for the widest point of the resize plan up
     // front: collectives need a fixed membership, so growth happens into
     // pre-allocated head-room ranks that idle (zero local data) until the
     // plan reaches them.
     let world = cfg.world_size();
-    let reports: Vec<RankReport> = World::run_traced(world, recorder, |rank| rank_main(rank, &ctx));
+    let ctx = WorldContext {
+        aln,
+        cfg,
+        freqs: exa_bio::stats::global_frequencies(aln),
+        shared: exa_sched::SharedSlices::build(aln),
+        assignments: padded_assignments(aln, cfg.n_ranks, world, cfg.strategy),
+        resume,
+        aborting: AtomicBool::new(false),
+    };
+    let reports = World::run_traced(world, recorder, |rank| rank_main::<X>(rank, &ctx));
 
-    // Aggregate: all survivors must agree bit-for-bit; pick the first.
+    // Aggregate: all finishers must agree bit-for-bit; pick the first. A
+    // stop is either world-wide or came from the lowest rank that saw it.
     let mut work = WorkCounters::default();
-    let mut mem = 0u64;
-    let mut chosen: Option<(SearchResult, Box<GlobalState>, CommStats, Modes)> = None;
+    let mut mem_bytes = 0u64;
+    let mut chosen = None;
     let mut lnls: Vec<u64> = Vec::new();
     let mut syncs = 0u64;
     let mut ckpts = 0u64;
-    let mut divergence: Option<Box<exa_obs::ReplicaDivergence>> = None;
-    let mut killed: Option<(u64, usize)> = None;
-    let mut preempted: Option<(usize, u64)> = None;
+    let mut stopped = None;
     for r in reports {
-        match r {
-            RankReport::Survived {
+        work = work.merge(&r.work);
+        mem_bytes += r.mem_bytes;
+        match r.end {
+            RankEnd::Finished {
                 result,
                 state,
-                work: w,
-                mem_bytes,
                 stats,
                 sentinel_syncs,
                 modes,
                 checkpoints,
             } => {
-                work = work.merge(&w);
-                mem += mem_bytes;
                 lnls.push(result.lnl.to_bits());
                 syncs = syncs.max(sentinel_syncs);
                 ckpts = ckpts.max(checkpoints);
                 chosen.get_or_insert((result, state, stats, modes));
             }
-            RankReport::Died { work: w, mem_bytes } => {
-                work = work.merge(&w);
-                mem += mem_bytes;
+            RankEnd::Stopped(e) => {
+                stopped.get_or_insert(e);
             }
-            RankReport::Diverged {
-                work: w,
-                mem_bytes,
-                diagnostic,
-            } => {
-                work = work.merge(&w);
-                mem += mem_bytes;
-                // Every rank derived the identical verdict from the same
-                // allgathered fingerprints; keep one.
-                divergence = Some(diagnostic);
-            }
-            RankReport::Killed {
-                work: w,
-                mem_bytes,
-                after_checkpoints,
-                iteration,
-            } => {
-                work = work.merge(&w);
-                mem += mem_bytes;
-                killed = Some((after_checkpoints, iteration));
-            }
-            RankReport::Preempted {
-                work: w,
-                mem_bytes,
-                iteration,
-                checkpoints,
-            } => {
-                work = work.merge(&w);
-                mem += mem_bytes;
-                preempted = Some((iteration, checkpoints));
-            }
+            RankEnd::Left => {}
         }
     }
-    if let Some(d) = divergence {
-        return Err(RunAbort::Divergence(*d));
-    }
-    if let Some((after_checkpoints, iteration)) = killed {
-        return Err(RunAbort::Killed {
-            after_checkpoints,
-            iteration,
-        });
-    }
-    if let Some((iteration, checkpoints)) = preempted {
-        return Err(RunAbort::Preempted {
-            iteration,
-            checkpoints,
-        });
+    if let Some(e) = stopped {
+        return Err(e);
     }
     assert!(
         lnls.windows(2).all(|w| w[0] == w[1]),
         "de-centralized replicas diverged: {lnls:?}"
     );
-    let (result, state, stats, modes) = chosen.expect("at least one rank must survive");
-    let outcome = RunOutcome {
-        comm_stats: stats,
+    let (result, state, comm_stats, modes) = chosen.expect("at least one rank must finish");
+    let mut outcome = RunOutcome {
+        comm_stats,
         work,
-        mem_bytes: mem,
+        mem_bytes,
         survivors: (0..world).filter(|r| !cfg.fault_plan.kills(*r)).collect(),
         sentinel_syncs: syncs,
         ..RunOutcome::new(result, *state, &aln.taxa, &modes)
     };
+    let data_ranks = &ctx.assignments[..cfg.n_ranks];
+    outcome.health.predicted_imbalance =
+        Some(exa_sched::balance::balance_stats(aln, data_ranks).imbalance);
     Ok((outcome, ckpts))
 }
 
@@ -346,157 +298,115 @@ fn record_batch_metrics(engine: &exa_phylo::Engine) {
     .set(engine.n_partitions() as f64 / batches as f64);
 }
 
-fn rank_main(rank: Rank, ctx: &WorldContext<'_>) -> RankReport {
+fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankReport {
     let (aln, cfg) = (ctx.aln, ctx.cfg);
-    // 1. Deterministic data distribution — every rank computes the same
-    //    assignment table locally (no coordination needed). Data starts
-    //    spread over the configured rank count; ranks beyond it are resize
-    //    head-room and hold an empty assignment until the plan grows into
-    //    them.
-    let assignments = padded_assignments(aln, cfg.n_ranks, rank.world_size(), cfg.strategy);
-    // Agree on the compute modes before building any engine: one packed
-    // allgather, `Auto` slots adopt the world minimum. Every rank stamps
-    // the winners into its trace so post-hoc analysis knows what the run
-    // computed with.
-    let modes = capability::negotiate(&rank, &cfg.capability_requests(rank.id()));
+    // 1. This rank's row of the world's assignment table, and the compute
+    //    modes, settled before any engine is built. Every rank stamps the
+    //    modes into its trace so post-hoc analysis knows what the run
+    //    computed with.
+    let assignment = &ctx.assignments[rank.id()];
+    let modes = X::modes(&rank, cfg);
     modes.stamp_trace();
-    let mut engine = ctx.build_engine(&assignments[rank.id()], &modes);
+    let engine = ctx.build_engine(assignment, &modes);
     record_batch_metrics(&engine);
-    // Checkpoint resume, phase 1: per-pattern PSR rates go straight into
-    // the fresh engine (this rank's slice of the gathered global table —
-    // elastic across any rank count, since the table is complete).
-    if let Some(p) = ctx.resume {
-        if !p.snapshot.psr_rates.is_empty() {
-            exa_sched::apply_site_rates(
-                &mut engine,
-                &assignments[rank.id()],
-                aln,
-                &p.snapshot.psr_rates,
-            );
-        }
-    }
     // Account the initial data distribution (real ExaML reads the binary
     // alignment via MPI I/O; the in-process world shares memory, so this
     // traffic is modeled, not moved): one scatter of each rank's slice.
     if rank.id() == 0 {
-        let bytes: u64 = assignments
+        let bytes: u64 = ctx
+            .assignments
             .iter()
             .flat_map(|a| exa_sched::materialize(aln, a))
             .map(|(_, p)| (p.tips.iter().map(Vec::len).sum::<usize>() + 4 * p.weights.len()) as u64)
             .sum();
         rank.account(CommCategory::Control, exa_comm::OpKind::Scatter, bytes);
     }
+    let engine = match X::serve(&rank, engine, ctx, &modes) {
+        ControlFlow::Continue(engine) => engine,
+        ControlFlow::Break((work, mem_bytes)) => {
+            return RankReport {
+                work,
+                mem_bytes,
+                end: RankEnd::Left,
+            }
+        }
+    };
 
-    // 2. Identical starting tree on every rank (deterministic policy).
+    // 2. Identical starting tree on every searching rank (deterministic
+    //    policy), then the checkpointed state over it when resuming.
     let blens = match cfg.branch_mode {
         BranchMode::Joint => 1,
         BranchMode::PerPartition => aln.n_partitions(),
     };
     let tree = build_starting_tree(aln, &cfg.starting_tree, blens, cfg.seed);
-
-    let mut eval = DecentralizedEvaluator::with_exchange(
-        Allreduce::new(rank.clone()),
+    let mut eval = ExchangeEvaluator::with_exchange(
+        X::connect(rank.clone(), cfg),
         tree,
         engine,
         aln.n_partitions(),
         cfg.branch_mode,
     )
     .with_modes(&modes);
-    eval.exchange_mut()
-        .set_sentinel(cfg.verify_replicas, cfg.divergence_fault);
-
-    // 3. Checkpoint resume, phase 2: restore the replicated state (every
-    //    rank restores from the identical parsed payload, the in-process
-    //    analogue of ExaML's parallel binary-file read), then a restart
-    //    barrier so no rank races ahead into the search while others are
-    //    still rebuilding.
     let resume_point = ctx.resume.map(|p| {
-        use exa_search::Evaluator as _;
-        eval.restore(&p.snapshot.state);
-        exa_obs::mark(|| format!("resume:{}", p.snapshot.iteration));
-        rank.barrier(CommCategory::Control)
-            .expect("restart barrier cannot proceed after a rank failure");
+        X::install_resume(&mut eval, &p.snapshot, aln, assignment);
         p.snapshot.resume_point()
     });
 
-    let mut hooks = fault::DecentralizedHooks::new(
-        rank.clone(),
-        ctx,
-        modes,
-        assignments[rank.id()].clone(),
-        &eval,
-    );
-
+    // 3. The search. However it ends, the peers are released before this
+    //    rank's report is read: at the end here, before any unwind in the
+    //    hooks.
+    let mut hooks = fault::BoundaryHooks::new(rank.clone(), ctx, modes, assignment.clone(), &eval);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Sync #1 fires before the search's first collective: a mixed
-        // gradient-mode world runs different collective *sequences*, so it
-        // must be refused here, not discovered as a length mismatch (or a
-        // deadlock) inside the first smoothing reduction.
-        Allreduce::initial_sentinel_sync(&mut eval);
-        run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref())
+        X::before_search(&mut eval);
+        let result = run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref());
+        eval.exchange_mut().leave(false);
+        result
     }));
+    let end = match outcome {
+        Ok(result) => RankEnd::Finished {
+            result,
+            state: Box::new(eval.snapshot()),
+            stats: rank.stats(),
+            sentinel_syncs: eval.exchange().sentinel_syncs(),
+            modes,
+            checkpoints: hooks.checkpoints_written(),
+        },
+        Err(payload) => how_it_stopped(payload, ctx),
+    };
+    RankReport {
+        work: eval.engine().work(),
+        mem_bytes: eval.engine().clv_bytes(),
+        end,
+    }
+}
 
-    match outcome {
-        Ok(result) => {
-            use exa_search::Evaluator as _;
-            RankReport::Survived {
-                result,
-                state: Box::new(eval.snapshot()),
-                work: eval.engine().work(),
-                mem_bytes: eval.engine().clv_bytes(),
-                stats: rank.stats(),
-                sentinel_syncs: eval.exchange().sentinel_syncs(),
-                modes,
-                checkpoints: hooks.checkpoints_written(),
-            }
-        }
-        Err(payload) => {
-            if payload.downcast_ref::<RankDiedPanic>().is_some() {
-                RankReport::Died {
-                    work: eval.engine().work(),
-                    mem_bytes: eval.engine().clv_bytes(),
-                }
-            } else if let Some(k) = payload.downcast_ref::<KillPanic>() {
-                RankReport::Killed {
-                    work: eval.engine().work(),
-                    mem_bytes: eval.engine().clv_bytes(),
-                    after_checkpoints: k.after_checkpoints,
-                    iteration: k.iteration,
-                }
-            } else if let Some(p) = payload.downcast_ref::<PreemptPanic>() {
-                RankReport::Preempted {
-                    work: eval.engine().work(),
-                    mem_bytes: eval.engine().clv_bytes(),
-                    iteration: p.iteration,
-                    checkpoints: p.checkpoints,
-                }
-            } else if payload
-                .downcast_ref::<exa_search::evaluator::CommFailurePanic>()
-                .is_some()
-                && hooks.kill_event().is_some()
-            {
-                // Survivor of a targeted kill: the victim's death surfaced
-                // as a comm failure with recovery disabled.
-                let (after_checkpoints, iteration) =
-                    hooks.kill_event().expect("kill event just checked");
-                RankReport::Killed {
-                    work: eval.engine().work(),
-                    mem_bytes: eval.engine().clv_bytes(),
-                    after_checkpoints,
-                    iteration,
-                }
-            } else if let Some(d) = payload.downcast_ref::<exa_obs::ReplicaDivergence>() {
-                // Caught here (not at join) so the structured diagnostic
-                // survives — `World::run` re-panics with a plain message.
-                RankReport::Diverged {
-                    work: eval.engine().work(),
-                    mem_bytes: eval.engine().clv_bytes(),
-                    diagnostic: Box::new(d.clone()),
-                }
-            } else {
-                std::panic::resume_unwind(payload);
-            }
-        }
+/// Turn the control payload a rank's search unwound with into its report;
+/// anything else keeps unwinding (and poisons the world on its way out).
+/// Caught here, not at join, so the structured payloads survive —
+/// `World::run` re-panics with a plain message.
+fn how_it_stopped(payload: Box<dyn Any + Send>, ctx: &WorldContext<'_>) -> RankEnd {
+    let payload = match payload.downcast::<CheckpointFailed>() {
+        Ok(failed) => return RankEnd::Stopped(RunError::Checkpoint(failed.0)),
+        Err(other) => other,
+    };
+    if let Some(k) = payload.downcast_ref::<KillPanic>() {
+        RankEnd::Stopped(RunError::Killed {
+            after_checkpoints: k.after_checkpoints,
+            iteration: k.iteration,
+        })
+    } else if let Some(p) = payload.downcast_ref::<PreemptPanic>() {
+        RankEnd::Stopped(RunError::Preempted {
+            iteration: p.iteration,
+            checkpoints: p.checkpoints,
+        })
+    } else if let Some(d) = payload.downcast_ref::<exa_obs::ReplicaDivergence>() {
+        RankEnd::Stopped(RunError::Divergence(d.clone()))
+    } else if payload.is::<RankDiedPanic>()
+        || (payload.is::<CommFailurePanic>() && ctx.aborting.load(Ordering::SeqCst))
+    {
+        RankEnd::Left
+    } else {
+        std::panic::resume_unwind(payload)
     }
 }
 

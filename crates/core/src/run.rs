@@ -21,10 +21,11 @@
 
 use crate::bootstrap::bootstrap_impl;
 use crate::capability::{self, CapabilityRequests, Request};
-use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointHeader, CheckpointPayload};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::fault::FaultPlan;
+use crate::scheme::SchemeExchange;
 use crate::sentinel::DivergenceFault;
-use crate::{decentralized_impl, RunAbort};
+use crate::{run_world, Allreduce};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommStats, ReduceChoice, ReduceKind};
 use exa_obs::{HealthReport, Recorder, ReplicaDivergence, RunTrace};
@@ -33,7 +34,7 @@ use exa_phylo::engine::{
     ThreadCount, ThreadsChoice, WorkCounters,
 };
 use exa_phylo::model::rates::RateModelKind;
-use exa_search::evaluator::{GlobalState, SearchSnapshot};
+use exa_search::evaluator::GlobalState;
 use exa_search::{
     BranchMode, KillSpec, Modes, PreemptSignal, SearchConfig, SearchResult, StartingTree,
 };
@@ -96,7 +97,7 @@ pub enum RunError {
     /// and the run resumes bit-identically via [`RunConfig::resume`].
     Preempted { iteration: usize, checkpoints: u64 },
     /// Checkpoint load/validation failed (corrupt file, incompatible
-    /// header, empty directory).
+    /// header, empty directory), or a generation could not be written.
     Checkpoint(CheckpointError),
     /// Trace or support-file I/O failed.
     Io(std::io::Error),
@@ -145,28 +146,6 @@ impl From<std::io::Error> for RunError {
 impl From<CheckpointError> for RunError {
     fn from(e: CheckpointError) -> RunError {
         RunError::Checkpoint(e)
-    }
-}
-
-impl From<RunAbort> for RunError {
-    fn from(a: RunAbort) -> RunError {
-        match a {
-            RunAbort::Divergence(d) => RunError::Divergence(d),
-            RunAbort::Killed {
-                after_checkpoints,
-                iteration,
-            } => RunError::Killed {
-                after_checkpoints,
-                iteration,
-            },
-            RunAbort::Preempted {
-                iteration,
-                checkpoints,
-            } => RunError::Preempted {
-                iteration,
-                checkpoints,
-            },
-        }
     }
 }
 
@@ -641,8 +620,20 @@ impl RunConfig {
             }
         }
         match self.scheme {
-            Scheme::Decentralized => self.run_decentralized(aln),
-            Scheme::ForkJoin => self.run_forkjoin(aln),
+            Scheme::Decentralized => self.run_scheme::<Allreduce>(aln),
+            Scheme::ForkJoin => {
+                assert!(
+                    self.bootstrap.is_none(),
+                    "bootstrap requires the de-centralized scheme"
+                );
+                assert!(
+                    self.inject_kill
+                        .is_none_or(|k| matches!(k.rank, None | Some(0))),
+                    "fork-join kill injection targets the master (rank 0); \
+                     worker ranks run no boundary hooks"
+                );
+                self.run_scheme::<exa_forkjoin::ToMaster>(aln)
+            }
         }
     }
 
@@ -672,7 +663,12 @@ impl RunConfig {
         Ok(Some(ckpt))
     }
 
-    fn run_decentralized(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
+    /// The run under exchange `X`: one world (or the bootstrap's sequence
+    /// of them), then what is measured from outside it.
+    fn run_scheme<X: SchemeExchange>(
+        &self,
+        aln: &CompressedAlignment,
+    ) -> Result<RunOutcome, RunError> {
         let resume = self.load_resume(aln)?.map(|c| c.payload);
         // The heartbeat file belongs to the run, not to whichever rank is
         // its writer at some boundary: start it empty here, once, and let
@@ -686,128 +682,25 @@ impl RunConfig {
             // The recorder needs one buffer per comm-world rank, which under
             // a resize plan is the widest planned width, not the starting one.
             let recorder = self.collect_trace.then(|| Recorder::new(self.world_size()));
-            let (mut out, _) = decentralized_impl(aln, self, recorder.as_ref(), resume.as_ref())?;
+            let (mut out, _) = run_world::<X>(aln, self, recorder.as_ref(), resume.as_ref())?;
             out.trace = recorder.map(Recorder::finish);
-            record_run_metrics("decentralized", out.kernel, out.trace.as_ref());
+            record_run_metrics(X::LABEL, out.kernel, out.trace.as_ref());
             out
         };
-        out.health = self.health_report(aln, &out);
+        out.health = self.health_report(&out);
         Ok(out)
     }
 
-    fn run_forkjoin(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
-        assert!(
-            self.bootstrap.is_none(),
-            "bootstrap requires the de-centralized scheme"
-        );
-        assert!(
-            self.inject_kill
-                .is_none_or(|k| matches!(k.rank, None | Some(0))),
-            "fork-join kill injection targets the master (rank 0); \
-             worker ranks run no boundary hooks"
-        );
-        crate::install_control_panic_silencer();
-        let resume = self.load_resume(aln)?;
-        // All ranks of an in-process world share one machine; resolving
-        // `auto` locally yields the same answer a negotiation would. The
-        // workers take the master's modes via the command stream.
-        let modes = capability::resolve_local(&self.capability_requests(0));
-        assert!(
-            (1..self.n_ranks)
-                .all(|r| capability::resolve_local(&self.capability_requests(r)) == modes),
-            "fork-join has no replica sentinel; refusing a mixed override table"
-        );
-        let fj = exa_forkjoin::ForkJoinConfig {
-            n_ranks: self.n_ranks,
-            rate_model: self.rate_model,
-            branch_mode: self.branch_mode,
-            strategy: self.strategy,
-            search: self.search.clone(),
-            seed: self.seed,
-            starting_tree: self.starting_tree.clone(),
-            modes,
-        };
-        let recorder = self.collect_trace.then(|| Recorder::new(self.n_ranks));
-        // Checkpoint sink: the fork-join crate hands the master's snapshot
-        // up here, where the self-describing header and the generation
-        // rotation live.
-        let dir = self.checkpoint_out.clone();
-        let header = CheckpointHeader::new(self, aln, "forkjoin", &modes);
-        let keep = self.checkpoint_keep;
-        let sink = move |snap: &SearchSnapshot| -> std::io::Result<()> {
-            let t0 = std::time::Instant::now();
-            let dir = dir.as_deref().expect("sink only called when checkpointing");
-            let ckpt = Checkpoint::build(
-                header.clone(),
-                CheckpointPayload {
-                    snapshot: snap.clone(),
-                    bootstrap: None,
-                },
-            );
-            let res = checkpoint::save_generation_keeping(dir, &ckpt, keep)
-                .map(|_| ())
-                .map_err(std::io::Error::other);
-            observe_checkpoint_write("forkjoin", t0.elapsed().as_secs_f64() * 1e3);
-            res
-        };
-        let ctrl = (self.checkpoint_out.is_some()
-            || resume.is_some()
-            || self.inject_kill.is_some()
-            || self.preempt.is_some())
-        .then(|| exa_forkjoin::RestartControl {
-            checkpoint_armed: self.checkpoint_out.is_some(),
-            every: if self.checkpoint_out.is_some() {
-                self.checkpoint_every
-            } else {
-                0
-            },
-            every_secs: self
-                .checkpoint_every_secs
-                .filter(|_| self.checkpoint_out.is_some()),
-            sink: &sink,
-            resume: resume.map(|c| c.payload.snapshot),
-            inject_kill: self.inject_kill,
-            preempt: self.preempt.clone(),
-        });
-        let out = match exa_forkjoin::execute_controlled(aln, &fj, recorder.as_ref(), ctrl) {
-            Ok(out) => out,
-            Err(exa_forkjoin::Stop::Killed(k)) => {
-                return Err(RunError::Killed {
-                    after_checkpoints: k.after_checkpoints,
-                    iteration: k.iteration,
-                })
-            }
-            Err(exa_forkjoin::Stop::Preempted(p)) => {
-                return Err(RunError::Preempted {
-                    iteration: p.iteration,
-                    checkpoints: p.checkpoints,
-                })
-            }
-        };
-        let mut outcome = RunOutcome {
-            comm_stats: out.comm_stats,
-            work: out.work,
-            mem_bytes: out.mem_bytes,
-            survivors: (0..self.n_ranks).collect(),
-            trace: recorder.map(Recorder::finish),
-            ..RunOutcome::new(out.result, out.state, &aln.taxa, &modes)
-        };
-        record_run_metrics("forkjoin", modes.kernel, outcome.trace.as_ref());
-        outcome.health = self.health_report(aln, &outcome);
-        Ok(outcome)
-    }
-
     /// End-of-run health summary of `out`: sentinel verdict, measured
-    /// (trace) vs predicted (scheduler) load imbalance, heartbeat count, the
-    /// modes the ranks computed with.
-    fn health_report(&self, aln: &CompressedAlignment, out: &RunOutcome) -> HealthReport {
+    /// (trace) vs predicted (scheduler, filled in by the driver that held
+    /// the assignment table) load imbalance, heartbeat count, the modes the
+    /// ranks computed with.
+    fn health_report(&self, out: &RunOutcome) -> HealthReport {
         let trace = out.trace.as_ref();
         let measured = trace.and_then(|t| {
             let ratio = exa_obs::imbalance_ratio(&t.kernel_profile().rank_totals());
             (ratio > 0.0).then_some(ratio)
         });
-        let assignments = exa_sched::distribute(aln, self.n_ranks, self.strategy);
-        let predicted = exa_sched::balance::balance_stats(aln, &assignments).imbalance;
         let heartbeats = self
             .health_out
             .as_ref()
@@ -819,7 +712,7 @@ impl RunConfig {
             sentinel_syncs: out.sentinel_syncs,
             divergence: None,
             measured_imbalance: measured,
-            predicted_imbalance: Some(predicted),
+            predicted_imbalance: out.health.predicted_imbalance,
             heartbeats,
             kernel: Some(out.kernel.label().to_string()),
             site_repeats: Some(out.site_repeats.label().to_string()),

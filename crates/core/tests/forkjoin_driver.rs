@@ -1,10 +1,17 @@
-//! Fork-join driver tests at crate level (the cross-scheme equivalence
-//! lives in the workspace integration suite).
+//! The world driver under the fork-join exchange (the cross-scheme
+//! equivalence lives in the workspace integration suite).
 
 use exa_comm::CommCategory;
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
+use examl_core::{RunConfig, Scheme};
+
+/// Fork-join defaults for `ranks` ranks with the one-iteration search.
+fn forkjoin(ranks: usize) -> RunConfig {
+    RunConfig::new(ranks)
+        .scheme(Scheme::ForkJoin)
+        .search(quick())
+}
 
 fn quick() -> SearchConfig {
     SearchConfig {
@@ -17,9 +24,7 @@ fn quick() -> SearchConfig {
 fn single_rank_forkjoin_works() {
     // Degenerate fork-join: master with zero workers.
     let w = workloads::partitioned(6, 2, 60, 3);
-    let mut cfg = ForkJoinConfig::new(1);
-    cfg.search = quick();
-    let out = execute(&w.compressed, &cfg, None);
+    let out = forkjoin(1).run(&w.compressed).unwrap();
     assert!(out.result.lnl.is_finite() && out.result.lnl < 0.0);
     out.state.tree.check_invariants().unwrap();
 }
@@ -32,11 +37,10 @@ fn worker_count_does_not_change_result() {
     let w = workloads::partitioned(6, 2, 60, 5);
     let mut lnls = Vec::new();
     for ranks in [1usize, 2, 3] {
-        let mut cfg = ForkJoinConfig::new(ranks);
-        cfg.search = quick();
-        cfg.seed = 9;
-        cfg.modes.reduce = exa_comm::ReduceKind::Reproducible;
-        lnls.push(execute(&w.compressed, &cfg, None).result.lnl);
+        let cfg = forkjoin(ranks)
+            .seed(9)
+            .reduce(exa_comm::ReduceChoice::Reproducible);
+        lnls.push(cfg.run(&w.compressed).unwrap().result.lnl);
     }
     for pair in lnls.windows(2) {
         assert!(pair[0].to_bits() == pair[1].to_bits(), "{lnls:?}");
@@ -53,10 +57,8 @@ fn worker_count_is_benign_under_fast_reduce() {
     let w = workloads::partitioned(6, 2, 60, 5);
     let mut lnls = Vec::new();
     for ranks in [1usize, 2, 3] {
-        let mut cfg = ForkJoinConfig::new(ranks);
-        cfg.search = quick();
-        cfg.seed = 9;
-        lnls.push(execute(&w.compressed, &cfg, None).result.lnl);
+        let cfg = forkjoin(ranks).seed(9);
+        lnls.push(cfg.run(&w.compressed).unwrap().result.lnl);
     }
     for pair in lnls.windows(2) {
         assert!((pair[0] - pair[1]).abs() < 1e-2, "{lnls:?}");
@@ -68,9 +70,7 @@ fn every_operation_broadcasts_a_descriptor_or_parameters() {
     // The defining property of fork-join: all coordination flows through
     // master broadcasts.
     let w = workloads::partitioned(6, 3, 60, 7);
-    let mut cfg = ForkJoinConfig::new(3);
-    cfg.search = quick();
-    let out = execute(&w.compressed, &cfg, None);
+    let out = forkjoin(3).run(&w.compressed).unwrap();
     let s = &out.comm_stats;
     assert!(s.get(CommCategory::TraversalDescriptor).regions > 0);
     assert!(s.get(CommCategory::ModelParams).regions > 0);
@@ -89,13 +89,10 @@ fn every_operation_broadcasts_a_descriptor_or_parameters() {
 #[test]
 fn mps_strategy_works_under_forkjoin() {
     let w = workloads::partitioned(6, 8, 40, 11);
-    let mut cyc = ForkJoinConfig::new(3);
-    cyc.search = quick();
-    cyc.seed = 3;
-    let mut mps = cyc.clone();
-    mps.strategy = exa_sched::Strategy::MonolithicLpt;
-    let a = execute(&w.compressed, &cyc, None);
-    let b = execute(&w.compressed, &mps, None);
+    let cyc = forkjoin(3).seed(3);
+    let mps = cyc.clone().strategy(exa_sched::Strategy::MonolithicLpt);
+    let a = cyc.run(&w.compressed).unwrap();
+    let b = mps.run(&w.compressed).unwrap();
     assert!((a.result.lnl - b.result.lnl).abs() < 1e-6);
 }
 
@@ -103,13 +100,10 @@ fn mps_strategy_works_under_forkjoin() {
 fn parsimony_start_beats_or_matches_random_start() {
     use exa_search::StartingTree;
     let w = workloads::partitioned(8, 2, 120, 13);
-    let mut random = ForkJoinConfig::new(2);
-    random.search = quick();
-    random.starting_tree = StartingTree::Random;
-    let mut pars = random.clone();
-    pars.starting_tree = StartingTree::Parsimony;
-    let lr = execute(&w.compressed, &random, None).result.lnl;
-    let lp = execute(&w.compressed, &pars, None).result.lnl;
+    let random = forkjoin(2).starting_tree(StartingTree::Random);
+    let pars = random.clone().starting_tree(StartingTree::Parsimony);
+    let lr = random.run(&w.compressed).unwrap().result.lnl;
+    let lp = pars.run(&w.compressed).unwrap().result.lnl;
     // With only 1 search iteration, a better start shows through.
     assert!(lp >= lr - 1.0, "parsimony {lp} vs random {lr}");
 }

@@ -51,19 +51,20 @@ impl ToMaster {
     }
 
     /// Checkpoint support: gather the data-local PSR per-pattern rates
-    /// from every rank (workers + the master's own slice) into the full
-    /// `table[partition][pattern]` rate-bits table. Empty under Γ.
+    /// from every rank (workers + the master's own slice, `assignment`)
+    /// into the full `table[partition][pattern]` rate-bits table. Empty
+    /// under Γ.
     pub fn collect_site_rates(
         eval: &mut ForkJoinEvaluator,
         aln: &CompressedAlignment,
-        assignments: &[exa_sched::RankAssignment],
+        assignment: &exa_sched::RankAssignment,
     ) -> Vec<Vec<u64>> {
         if eval.rate_kind() != RateModelKind::Psr {
             return Vec::new();
         }
         let this = eval.exchange();
         this.broadcast(encode(&WorkerCmd::GatherSiteRates), CommCategory::Control);
-        let own = exa_sched::capture_site_rates(eval.engine(), &assignments[0], aln);
+        let own = exa_sched::capture_site_rates(eval.engine(), assignment, aln);
         let blob = crate::protocol::encode_site_rate_capture(&own);
         let blobs = this
             .rank
@@ -77,13 +78,13 @@ impl ToMaster {
     }
 
     /// Restart support: broadcast a full PSR rate table so every worker
-    /// (and the master's own engine) installs its slice, then invalidate
-    /// all CLVs. No-op for an empty table (Γ checkpoints).
+    /// (and the master's own engine, over `assignment`) installs its slice,
+    /// then invalidate all CLVs. No-op for an empty table (Γ checkpoints).
     pub fn distribute_site_rates(
         eval: &mut ForkJoinEvaluator,
         table: &[Vec<u64>],
         aln: &CompressedAlignment,
-        assignments: &[exa_sched::RankAssignment],
+        assignment: &exa_sched::RankAssignment,
     ) {
         if table.is_empty() {
             return;
@@ -92,7 +93,7 @@ impl ToMaster {
             encode(&WorkerCmd::SetSiteRates(table.to_vec())),
             CommCategory::ModelParams,
         );
-        exa_sched::apply_site_rates(eval.engine_mut(), &assignments[0], aln, table);
+        exa_sched::apply_site_rates(eval.engine_mut(), assignment, aln, table);
         eval.tree_mut().invalidate_all();
     }
 }

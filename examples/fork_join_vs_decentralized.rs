@@ -9,9 +9,8 @@
 //! ```
 
 use exa_comm::{CommCategory, CommStats};
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_simgen::workloads;
-use examl_core::RunConfig;
+use examl_core::{RunConfig, Scheme};
 
 fn print_stats(label: &str, stats: &CommStats) {
     println!("  {label}:");
@@ -51,10 +50,10 @@ fn main() {
     let w = workloads::partitioned_52taxa(partitions, chunk_len, 99);
 
     println!("\n=== fork-join (RAxML-Light scheme) on {ranks} ranks ===");
-    let mut fcfg = ForkJoinConfig::new(ranks);
+    let mut fcfg = RunConfig::new(ranks).scheme(Scheme::ForkJoin);
     fcfg.seed = seed;
     let t0 = std::time::Instant::now();
-    let fj = execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
     let fj_time = t0.elapsed();
     println!(
         "  lnL = {:.4} after {} iterations ({fj_time:.2?})",

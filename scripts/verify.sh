@@ -19,13 +19,23 @@ echo "==> cargo test (env-blind packages once, the rest per kernel backend x sit
 # models and trees), so a second run under another combination would
 # execute the same instructions again.
 env_blind=(exa-bio exa-obs exa-comm exa-simgen)
+# A hang is a red build, not a stuck one: every test pass runs under a
+# generous bound and names itself when it hits it.
+bounded_test() { # LABEL CARGO-TEST-ARGS...
+  local label="$1" status=0
+  shift
+  timeout 30m cargo test -q "$@" || status=$?
+  [ "$status" -ne 124 ] || echo "TIMEOUT: test pass '$label' still running after 30 min"
+  return "$status"
+}
 test_t0=$SECONDS
-cargo test -q "${env_blind[@]/#/--package=}"
+bounded_test "env-blind packages" "${env_blind[@]/#/--package=}"
 for kernel in scalar simd; do
   for repeats in on off; do
     echo "    EXAML_KERNEL=$kernel EXAML_SITE_REPEATS=$repeats"
     EXAML_KERNEL="$kernel" EXAML_SITE_REPEATS="$repeats" \
-      cargo test -q --workspace "${env_blind[@]/#/--exclude=}"
+      bounded_test "workspace, kernel=$kernel site-repeats=$repeats" \
+      --workspace "${env_blind[@]/#/--exclude=}"
   done
 done
 echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 4 kernel x repeats passes)"
@@ -35,7 +45,7 @@ echo "crates/ non-test lines: $(scripts/loc.sh | awk 'END{print $1}')"
 echo "==> exa-comm under oversubscription (release, 8 test threads)"
 # The spin-then-park wait with four times as many runnable worlds as this
 # box has cores: spinners must hand their core over, parkers must be woken.
-RUST_TEST_THREADS=8 cargo test -q -p exa-comm --release
+RUST_TEST_THREADS=8 bounded_test "exa-comm oversubscribed" -p exa-comm --release
 
 echo "==> benchmark self-check (offline build against crates/, --quick run, schema)"
 # benchmark/ is its own package with path dependencies on crates/*: a change

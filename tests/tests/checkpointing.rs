@@ -6,7 +6,7 @@ use exa_comm::ReduceChoice;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_core::checkpoint::{self, CheckpointError};
-use examl_core::{RunConfig, RunError};
+use examl_core::{RunConfig, RunError, Scheme};
 
 fn workload() -> workloads::Workload {
     workloads::partitioned(8, 2, 100, 41)
@@ -226,4 +226,46 @@ fn crash_mid_write_leaves_previous_generation_loadable() {
         "torn file must yield a structured error, got {err}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint that cannot be written (the "directory" is a regular file —
+/// the portable stand-in for `ENOSPC`) must fail the run with the I/O error.
+/// Before the drivers were merged the writer rank panicked outside any
+/// collective and its peers parked in their next one forever, so the run
+/// is watched from outside: a hang fails the test instead of the suite.
+#[test]
+fn a_checkpoint_write_error_fails_the_run_instead_of_hanging() {
+    let w = workload();
+    for scheme in [Scheme::Decentralized, Scheme::ForkJoin] {
+        let dir = tmp_dir(&format!("unwritable_{scheme:?}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, b"occupied").unwrap();
+        let cfg = RunConfig::new(2)
+            .scheme(scheme)
+            .search(SearchConfig {
+                max_iterations: 2,
+                ..SearchConfig::fast()
+            })
+            .checkpoint(&blocker, 1);
+        let aln = w.compressed.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(cfg.run(&aln).map(|out| out.result.lnl));
+        });
+        let t0 = std::time::Instant::now();
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{scheme:?}: the run hung on a checkpoint write error"));
+        match outcome {
+            Err(RunError::Checkpoint(CheckpointError::Io(_))) => {}
+            other => panic!("{scheme:?}: expected a checkpoint I/O error, got {other:?}"),
+        }
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(30),
+            "{scheme:?}: took {:?} to report the error",
+            t0.elapsed()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -8,7 +8,7 @@
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
-use examl_core::RunConfig;
+use examl_core::{RunConfig, Scheme};
 
 fn cfg(ranks: usize, kind: RateModelKind) -> RunConfig {
     let mut cfg = RunConfig::new(ranks);
@@ -51,13 +51,13 @@ fn more_ranks_than_partitions_under_psr() {
 #[test]
 fn empty_ranks_under_forkjoin_psr() {
     let w = workloads::partitioned(6, 2, 60, 7);
-    let mut cfg = exa_forkjoin::ForkJoinConfig::new(4);
+    let mut cfg = RunConfig::new(4).scheme(Scheme::ForkJoin);
     cfg.rate_model = RateModelKind::Psr;
     cfg.strategy = exa_sched::Strategy::MonolithicLpt;
     cfg.search = SearchConfig {
         max_iterations: 1,
         ..SearchConfig::fast()
     };
-    let out = exa_forkjoin::execute(&w.compressed, &cfg, None);
+    let out = cfg.run(&w.compressed).unwrap();
     assert!(out.result.lnl.is_finite());
 }

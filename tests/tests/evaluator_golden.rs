@@ -189,3 +189,117 @@ fn sequential_op_script_reproduces_the_pinned_bits_in_scrambled_local_order() {
         }
     }
 }
+
+/// Every `Mark` label rank `rank` emitted, in order.
+fn mark_labels(trace: &exa_obs::RunTrace, rank: usize) -> String {
+    trace
+        .events(rank)
+        .iter()
+        .filter_map(|e| match &e.kind {
+            exa_obs::EventKind::Mark { label } => Some(label.as_str()),
+            _ => None,
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The restart paths of one scheme × {Γ, PSR} at 3 ranks, cadence 1, traced
+/// (captured at commit 99589d8, before the two scheme drivers were merged):
+/// run A is killed by injection after its first checkpoint, run B resumes
+/// it to completion, run C is preempted by a signal raised before it
+/// starts. Pinned: both `RunError`s, B's lnL bits / Newick / `CommStats`
+/// (the resume broadcast, the PSR rate gathers, the single `Shutdown`), the
+/// generations on disk, the newest generation's header (its payload
+/// fingerprint covers the payload bytes) and the ordered marks of ranks 0
+/// and 1. The modes are forced so the literals hold under any `EXAML_*`.
+fn restart_paths_reproduce_the_pin(scheme_label: &str, scheme: Scheme) {
+    use exa_phylo::engine::{ThreadCount, ThreadsChoice};
+    use exa_phylo::RepeatsChoice;
+    use exa_search::{KillSpec, PreemptSignal};
+    use examl_core::checkpoint;
+
+    let w = workloads::partitioned(8, 3, 60, 41);
+    for (model_label, rate_model) in [("gamma", RateModelKind::Gamma), ("psr", RateModelKind::Psr)]
+    {
+        let label = |what: &str| format!("restart/{scheme_label}/{model_label}/{what}");
+        let dir = std::env::temp_dir().join(format!(
+            "examl_golden_{scheme_label}_{model_label}_{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let (killed_dir, preempted_dir) = (dir.join("killed"), dir.join("preempted"));
+        let base = |ckpt: &std::path::Path| {
+            RunConfig::new(3)
+                .scheme(scheme)
+                .rate_model(rate_model)
+                .kernel(KernelChoice::Scalar)
+                .site_repeats(RepeatsChoice::On)
+                .threads(ThreadsChoice::Count(ThreadCount::new(1)))
+                .gradient(GradientChoice::On)
+                .seed(17)
+                .search(SearchConfig {
+                    max_iterations: 3,
+                    ..SearchConfig::fast()
+                })
+                .checkpoint(ckpt, 1)
+                .collect_trace(true)
+        };
+        let on_disk = |ckpt: &std::path::Path| {
+            let generations = checkpoint::list_generations(ckpt).unwrap().len();
+            let header = checkpoint::load_latest(ckpt).unwrap().header;
+            format!("{generations}\t{}", serde_json::to_string(&header).unwrap())
+        };
+
+        let a = base(&killed_dir)
+            .inject_kill(KillSpec {
+                after_checkpoints: 1,
+                rank: None,
+            })
+            .run(&w.compressed)
+            .expect_err("run A is killed");
+        check(
+            &label("A-killed"),
+            &format!("{a:?}\t{}", on_disk(&killed_dir)),
+        );
+
+        let b = base(&killed_dir)
+            .resume(&killed_dir)
+            .run(&w.compressed)
+            .expect("run B resumes to completion");
+        check(
+            &label("B-resumed"),
+            &format!(
+                "{:016x}\t{}\t{}\t{}",
+                b.result.lnl.to_bits(),
+                b.tree_newick,
+                serde_json::to_string(&b.comm_stats).unwrap(),
+                on_disk(&killed_dir)
+            ),
+        );
+        let trace = b.trace.as_ref().expect("collect_trace was set");
+        check(&label("B-marks-rank0"), &mark_labels(trace, 0));
+        check(&label("B-marks-rank1"), &mark_labels(trace, 1));
+
+        let signal = PreemptSignal::new();
+        signal.request();
+        let c = base(&preempted_dir)
+            .preempt(signal)
+            .run(&w.compressed)
+            .expect_err("run C is preempted");
+        check(
+            &label("C-preempted"),
+            &format!("{c:?}\t{}", on_disk(&preempted_dir)),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn decentralized_restart_paths_reproduce_the_pinned_errors_stats_headers_and_marks() {
+    restart_paths_reproduce_the_pin("decentralized", Scheme::Decentralized);
+}
+
+#[test]
+fn forkjoin_restart_paths_reproduce_the_pinned_errors_stats_headers_and_marks() {
+    restart_paths_reproduce_the_pin("forkjoin", Scheme::ForkJoin);
+}

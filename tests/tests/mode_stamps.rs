@@ -51,6 +51,9 @@ fn stamps(name: &str, scheme: Scheme) -> String {
     let w = workloads::partitioned(8, 2, 60, 41);
     let dir = tmp_dir(name);
     let health_path = dir.join("health.jsonl");
+    // What an earlier run left at the same path must not be counted as
+    // this run's: a fresh run starts its heartbeat file empty.
+    std::fs::write(&health_path, "stale heartbeat of an earlier run\n").unwrap();
     let out = RunConfig::new(2)
         .scheme(scheme)
         .kernel(KernelChoice::Scalar)
@@ -81,8 +84,13 @@ fn stamps(name: &str, scheme: Scheme) -> String {
         out.gradient.label()
     )
     .unwrap();
-    if let Ok(text) = std::fs::read_to_string(&health_path) {
-        let last = text.lines().last().expect("at least one heartbeat");
+    let text = std::fs::read_to_string(&health_path).expect("the run started its heartbeat file");
+    assert!(!text.contains("stale"), "heartbeat file not truncated");
+    assert_eq!(out.health.heartbeats, text.lines().count() as u64);
+    if scheme == Scheme::ForkJoin {
+        assert_eq!(out.health.heartbeats, 0, "only replicas write heartbeats");
+    }
+    if let Some(last) = text.lines().last() {
         let hb: HeartbeatRecord = serde_json::from_str(last).expect("heartbeat parses");
         writeln!(
             s,

@@ -3,14 +3,13 @@
 //! therefore produce the same tree and likelihood; and both must match the
 //! sequential reference. These tests run all three end-to-end.
 
-use exa_forkjoin::{execute, ForkJoinConfig};
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::bipartitions::rf_distance;
 use exa_phylo::tree::Tree;
 use exa_search::evaluator::BranchMode;
 use exa_search::{run_search, NoHooks, SearchConfig, SequentialEvaluator};
 use exa_simgen::workloads;
-use examl_core::RunConfig;
+use examl_core::{RunConfig, Scheme};
 
 fn small_workload(seed: u64) -> workloads::Workload {
     workloads::partitioned(8, 2, 120, seed)
@@ -82,10 +81,10 @@ fn forkjoin_matches_decentralized_exactly() {
     dcfg.seed = seed;
     let dec = dcfg.run(&w.compressed).unwrap();
 
-    let mut fcfg = ForkJoinConfig::new(3);
+    let mut fcfg = RunConfig::new(3).scheme(Scheme::ForkJoin);
     fcfg.search = fast_search();
     fcfg.seed = seed;
-    let fj = execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
 
     assert!(
         (dec.result.lnl - fj.result.lnl).abs() < 1e-6,
@@ -154,11 +153,11 @@ fn psr_schemes_agree() {
     dcfg.seed = seed;
     let dec = dcfg.run(&w.compressed).unwrap();
 
-    let mut fcfg = ForkJoinConfig::new(2);
+    let mut fcfg = RunConfig::new(2).scheme(Scheme::ForkJoin);
     fcfg.search = fast_search();
     fcfg.rate_model = RateModelKind::Psr;
     fcfg.seed = seed;
-    let fj = execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
 
     // PSR rates are optimized on pattern subsets, so the quantization is
     // distribution-dependent in principle; with identical distribution
@@ -182,11 +181,11 @@ fn per_partition_branch_mode_agrees_across_schemes() {
     dcfg.seed = seed;
     let dec = dcfg.run(&w.compressed).unwrap();
 
-    let mut fcfg = ForkJoinConfig::new(2);
+    let mut fcfg = RunConfig::new(2).scheme(Scheme::ForkJoin);
     fcfg.search = fast_search();
     fcfg.branch_mode = BranchMode::PerPartition;
     fcfg.seed = seed;
-    let fj = execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
 
     assert!(
         (dec.result.lnl - fj.result.lnl).abs() < 1e-6,
@@ -208,10 +207,10 @@ fn communication_profile_matches_the_paper_story() {
     dcfg.seed = seed;
     let dec = dcfg.run(&w.compressed).unwrap();
 
-    let mut fcfg = ForkJoinConfig::new(3);
+    let mut fcfg = RunConfig::new(3).scheme(Scheme::ForkJoin);
     fcfg.search = fast_search();
     fcfg.seed = seed;
-    let fj = execute(&w.compressed, &fcfg, None);
+    let fj = fcfg.run(&w.compressed).unwrap();
 
     // (i) The de-centralized scheme never broadcasts traversal descriptors.
     assert_eq!(
