@@ -8,19 +8,6 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-fn entry(k: &str, v: Value) -> (String, Value) {
-    (k.to_string(), v)
-}
-
-fn str_v(s: impl Into<String>) -> Value {
-    Value::Str(s.into())
-}
-
-/// Microseconds (Chrome's `ts`/`dur` unit) from nanoseconds.
-fn us(ts_ns: u64) -> Value {
-    Value::Float(ts_ns as f64 / 1000.0)
-}
-
 /// Reserved mark-label prefix that stamps the likelihood-kernel backend
 /// into a trace. [`chrome_trace`] hoists the suffix into the top-level
 /// `otherData` header so the backend is visible without scanning events.
@@ -77,113 +64,120 @@ const OTHER_DATA: [(&str, &str); 6] = [
     (GRADIENT_MARK, "gradient"),
 ];
 
-/// Render a trace in Chrome `trace_event` JSON ("JSON object format"):
-/// one process, one thread per rank, `B`/`E` span events for regions and
-/// `i` instant events for collectives and marks. Loadable in Perfetto and
-/// `chrome://tracing`. The first occurrence of each reserved mode mark
-/// (e.g. [`KERNEL_BACKEND_MARK`]) is additionally surfaced in the top-level
-/// `otherData` header (`otherData.kernel_backend`, …).
-pub fn chrome_trace(trace: &RunTrace) -> Value {
+/// Microseconds (Chrome's `ts`/`dur` unit) from nanoseconds, as the exact
+/// decimal (`2.000`, `0.007`): always with a fraction, so it parses back to
+/// a float — the `f64` nearest `ns / 1000`.
+struct Micros(u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    }
+}
+
+/// A JSON string literal. Only mark labels need it: every other string in
+/// the document is one of this crate's own identifier-like labels.
+fn json_str(s: &str) -> String {
+    serde_json::to_string(s).expect("string serialization cannot fail")
+}
+
+/// Stream a trace as Chrome `trace_event` JSON ("JSON object format"): one
+/// process, one thread per rank, `B`/`E` span events for regions, `X`
+/// complete events for kernels and `i` instant events for collectives and
+/// marks. Loadable in Perfetto and `chrome://tracing`. The first occurrence
+/// of each reserved mode mark (e.g. [`KERNEL_BACKEND_MARK`]) is additionally
+/// surfaced in the top-level `otherData` header (`otherData.kernel_backend`,
+/// …). Each event is formatted straight into `out`: a small job's trace is
+/// already thousands of events, and building them as a `Value` tree first
+/// took 8× as long (EXPERIMENTS.md, "Daemon serving path").
+fn write_trace(out: &mut impl std::io::Write, trace: &RunTrace) -> std::io::Result<()> {
     let mut hoisted: [Option<&str>; OTHER_DATA.len()] = [None; OTHER_DATA.len()];
-    let mut events: Vec<Value> = Vec::with_capacity(trace.total_events() + trace.n_ranks());
+    out.write_all(b"{\"traceEvents\":[")?;
     for rank in 0..trace.n_ranks() {
+        if rank > 0 {
+            out.write_all(b",")?;
+        }
         // Thread-name metadata so the timeline rows read "rank 0", …
-        events.push(Value::Map(vec![
-            entry("name", str_v("thread_name")),
-            entry("ph", str_v("M")),
-            entry("pid", Value::UInt(0)),
-            entry("tid", Value::UInt(rank as u64)),
-            entry(
-                "args",
-                Value::Map(vec![entry("name", str_v(format!("rank {rank}")))]),
-            ),
-        ]));
+        write!(
+            out,
+            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{rank},"args":{{"name":"rank {rank}"}}}}"#
+        )?;
         for e in trace.events(rank) {
-            let mut fields = vec![
-                entry("pid", Value::UInt(0)),
-                entry("tid", Value::UInt(rank as u64)),
-                entry("ts", us(e.ts_ns)),
-            ];
+            write!(out, r#",{{"pid":0,"tid":{rank},"ts":{}"#, Micros(e.ts_ns))?;
             match &e.kind {
-                EventKind::RegionBegin { region } => {
-                    fields.push(entry("ph", str_v("B")));
-                    fields.push(entry("name", str_v(region.label())));
-                    fields.push(entry("cat", str_v("region")));
-                }
-                EventKind::RegionEnd { region } => {
-                    fields.push(entry("ph", str_v("E")));
-                    fields.push(entry("name", str_v(region.label())));
-                    fields.push(entry("cat", str_v("region")));
-                }
+                EventKind::RegionBegin { region } => write!(
+                    out,
+                    r#","ph":"B","name":"{}","cat":"region"}}"#,
+                    region.label()
+                )?,
+                EventKind::RegionEnd { region } => write!(
+                    out,
+                    r#","ph":"E","name":"{}","cat":"region"}}"#,
+                    region.label()
+                )?,
                 EventKind::Collective {
                     op,
                     category,
                     bytes,
-                } => {
-                    fields.push(entry("ph", str_v("i")));
-                    fields.push(entry("s", str_v("t")));
-                    fields.push(entry("name", str_v(op.label())));
-                    fields.push(entry("cat", str_v("collective")));
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![
-                            entry("category", str_v(format!("{category:?}"))),
-                            entry("bytes", Value::UInt(*bytes)),
-                        ]),
-                    ));
-                }
+                } => write!(
+                    out,
+                    r#","ph":"i","s":"t","name":"{}","cat":"collective","args":{{"category":"{category:?}","bytes":{bytes}}}}}"#,
+                    op.label()
+                )?,
                 EventKind::Mark { label } => {
                     for (slot, (prefix, _)) in hoisted.iter_mut().zip(OTHER_DATA) {
                         if slot.is_none() {
                             *slot = label.strip_prefix(prefix);
                         }
                     }
-                    fields.push(entry("ph", str_v("i")));
-                    fields.push(entry("s", str_v("t")));
-                    fields.push(entry("name", str_v(label.clone())));
-                    fields.push(entry("cat", str_v("mark")));
+                    write!(
+                        out,
+                        r#","ph":"i","s":"t","name":{},"cat":"mark"}}"#,
+                        json_str(label)
+                    )?
                 }
+                // Chrome "complete" event: begin + duration in one record.
                 EventKind::Kernel {
                     region,
                     partition,
                     dur_ns,
-                } => {
-                    // Chrome "complete" event: begin + duration in one record.
-                    fields.push(entry("ph", str_v("X")));
-                    fields.push(entry("dur", us(*dur_ns)));
-                    fields.push(entry("name", str_v(region.label())));
-                    fields.push(entry("cat", str_v("kernel")));
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![entry("partition", Value::UInt(*partition as u64))]),
-                    ));
-                }
+                } => write!(
+                    out,
+                    r#","ph":"X","dur":{},"name":"{}","cat":"kernel","args":{{"partition":{partition}}}}}"#,
+                    Micros(*dur_ns),
+                    region.label()
+                )?,
             }
-            events.push(Value::Map(fields));
         }
     }
-    let mut top = vec![
-        entry("traceEvents", Value::Array(events)),
-        entry("displayTimeUnit", str_v("ms")),
-    ];
-    let other: Vec<(String, Value)> = hoisted
-        .iter()
-        .zip(OTHER_DATA)
-        .filter_map(|(suffix, (_, key))| suffix.map(|s| entry(key, str_v(s))))
-        .collect();
-    if !other.is_empty() {
-        top.push(entry("otherData", Value::Map(other)));
+    out.write_all(b"],\"displayTimeUnit\":\"ms\"")?;
+    let mut sep = r#","otherData":{"#;
+    for (suffix, (_, key)) in hoisted.iter().zip(OTHER_DATA) {
+        if let Some(suffix) = suffix {
+            write!(out, r#"{sep}"{key}":{}"#, json_str(suffix))?;
+            sep = ",";
+        }
     }
-    Value::Map(top)
+    if sep == "," {
+        out.write_all(b"}")?;
+    }
+    out.write_all(b"}\n")
 }
 
-/// Serialize [`chrome_trace`] to `path`.
+/// The document [`write_chrome_trace`] writes, parsed.
+pub fn chrome_trace(trace: &RunTrace) -> Value {
+    let mut text = Vec::new();
+    write_trace(&mut text, trace).expect("writing to memory cannot fail");
+    serde_json::from_slice(&text).expect("the exporter writes valid JSON")
+}
+
+/// Write the trace to `path` as Chrome `trace_event` JSON.
 pub fn write_chrome_trace(path: &Path, trace: &RunTrace) -> std::io::Result<()> {
-    let value = chrome_trace(trace);
-    let json = serde_json::to_string(&value).map_err(|e| std::io::Error::other(e.to_string()))?;
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")
+    // 64 KiB: at the default 8 KiB the `write` calls were a third of the
+    // export.
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, std::fs::File::create(path)?);
+    write_trace(&mut out, trace)?;
+    out.flush()
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -363,7 +357,10 @@ mod tests {
         let v = chrome_trace(&trace);
         let map = v.as_map("trace").unwrap();
         let other = serde::field(map, "otherData").as_map("otherData").unwrap();
-        assert_eq!(serde::field(other, "kernel_backend"), &str_v("simd"));
+        assert_eq!(
+            serde::field(other, "kernel_backend"),
+            &Value::Str("simd".into())
+        );
     }
 
     #[test]
@@ -399,9 +396,9 @@ mod tests {
         let v = chrome_trace(&trace);
         let map = v.as_map("trace").unwrap();
         let other = serde::field(map, "otherData").as_map("otherData").unwrap();
-        assert_eq!(serde::field(other, "threads"), &str_v("4"));
-        assert_eq!(serde::field(other, "batch"), &str_v("on"));
-        assert_eq!(serde::field(other, "gradient"), &str_v("on"));
+        assert_eq!(serde::field(other, "threads"), &Value::Str("4".into()));
+        assert_eq!(serde::field(other, "batch"), &Value::Str("on".into()));
+        assert_eq!(serde::field(other, "gradient"), &Value::Str("on".into()));
     }
 
     #[test]

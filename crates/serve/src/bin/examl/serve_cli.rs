@@ -46,6 +46,8 @@ verbs:\n\
     --cost N                scheduler cost estimate (default 1)\n\
     --ranks N --iterations N --radius N --epsilon X --seed N\n\
                             forwarded into the job's RunConfig\n\
+    --trace                 collect the job's trace; GET /trace/ID serves\n\
+                            it as Chrome JSON once the job completed\n\
   status ID  print one job as JSON        cancel ID   cancel a job\n\
   wait ID    block until terminal [--timeout-secs S (default 600)]\n\
   resize N   retarget the worker pool to N threads (grow spawns now;\n\
@@ -245,6 +247,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     let mut ranks = 2usize;
     let mut search = SearchConfig::default();
     let mut seed = 42u64;
+    let mut trace = false;
     let mut it = rest.into_iter();
     macro_rules! val {
         ($flag:expr) => {
@@ -274,6 +277,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
             "--radius" => search.spr_radius = num!("--radius"),
             "--epsilon" => search.epsilon = num!("--epsilon"),
             "--seed" => seed = num!("--seed"),
+            "--trace" => trace = true,
             other => return fail(&format!("unexpected argument {other:?}")),
         }
     }
@@ -286,7 +290,10 @@ fn submit_main(args: Vec<String>) -> ExitCode {
         cost,
         alignment,
         partitions,
-        config: RunConfig::new(ranks).search(search).seed(seed),
+        config: RunConfig::new(ranks)
+            .search(search)
+            .seed(seed)
+            .collect_trace(trace),
     };
     match client.submit(&spec) {
         Ok(id) => {
@@ -400,10 +407,10 @@ fn daemon_main(args: Vec<String>) -> ExitCode {
     let _ = std::io::Write::flush(&mut std::io::stdout());
     signal::install();
     let accept = http::spawn(daemon.clone(), listener);
-    // Serve until a termination signal or a client shutdown request.
-    while !signal::termination_requested() && !daemon.is_shutting_down() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    // Serve until a termination signal or a client shutdown request. The
+    // signal handler can only set a flag, so that one is polled; a client's
+    // shutdown ends the wait at once.
+    while !signal::termination_requested() && !daemon.wait_shutdown(Duration::from_millis(100)) {}
     daemon.shutdown();
     let _ = accept.join();
     eprintln!("daemon stopped (running jobs checkpointed and re-queued)");

@@ -5,13 +5,19 @@
 //! one response line ([`Client::stream_health`] reads several). Keeping the
 //! client connectionless sidesteps keep-alive state on both ends; daemon
 //! operations are rare enough that the three-way handshake is noise.
+//! Nothing here polls: [`Client::wait`] is one `wait` request that the
+//! daemon answers when the job is terminal.
 
 use crate::{JobId, JobSpec, JobStatus};
 use exa_obs::ServeHeartbeat;
 use serde::{field, Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// How long the daemon may take to answer a request that does not itself
+/// wait.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Daemon address, e.g. `127.0.0.1:7711`.
 #[derive(Debug, Clone)]
@@ -24,17 +30,28 @@ impl Client {
         Client { addr: addr.into() }
     }
 
-    fn rpc(&self, req: &Value) -> Result<Value, String> {
-        let stream = TcpStream::connect(&self.addr)
+    /// Connect and send `req` as one line in one segment.
+    fn request(&self, req: &Value, read_timeout: Duration) -> Result<TcpStream, String> {
+        let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
+            .set_read_timeout(Some(read_timeout))
             .map_err(|e| e.to_string())?;
-        let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-        let line = serde_json::to_string(req).map_err(|e| e.to_string())?;
-        writeln!(writer, "{line}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream);
+        let mut line = serde_json::to_string(req).map_err(|e| e.to_string())?;
+        line.push('\n');
+        stream
+            .write_all(line.as_bytes())
+            .map_err(|e| e.to_string())?;
+        Ok(stream)
+    }
+
+    fn rpc(&self, req: &Value) -> Result<Value, String> {
+        self.rpc_within(req, RESPONSE_TIMEOUT)
+    }
+
+    fn rpc_within(&self, req: &Value, read_timeout: Duration) -> Result<Value, String> {
+        let mut reader = BufReader::new(self.request(req, read_timeout)?);
         let mut resp = String::new();
         reader.read_line(&mut resp).map_err(|e| e.to_string())?;
         let v: Value = serde_json::from_str(&resp).map_err(|e| format!("bad response: {e}"))?;
@@ -64,14 +81,27 @@ impl Client {
         field(entries, "id").as_u64("id").map_err(|e| e.0)
     }
 
-    /// Snapshot one job.
-    pub fn status(&self, id: JobId) -> Result<JobStatus, String> {
-        let resp = self.rpc(&Self::op(
-            "status",
-            vec![("id".to_string(), Value::UInt(id))],
-        ))?;
+    /// `status` (a zero `timeout`) or `wait`: the job as it is once it is
+    /// terminal or `timeout` has passed.
+    fn job(&self, op: &str, id: JobId, timeout: Duration) -> Result<JobStatus, String> {
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        let resp = self.rpc_within(
+            &Self::op(
+                op,
+                vec![
+                    ("id".to_string(), Value::UInt(id)),
+                    ("timeout_ms".to_string(), Value::UInt(timeout_ms)),
+                ],
+            ),
+            timeout.saturating_add(RESPONSE_TIMEOUT),
+        )?;
         let entries = resp.as_map("response").map_err(|e| e.0)?;
         JobStatus::from_value(field(entries, "job")).map_err(|e| e.0)
+    }
+
+    /// Snapshot one job.
+    pub fn status(&self, id: JobId) -> Result<JobStatus, String> {
+        self.job("status", id, Duration::ZERO)
     }
 
     /// Cancel a job; `Ok(true)` when a cancellation was initiated.
@@ -123,12 +153,6 @@ impl Client {
         count: u64,
         interval_ms: u64,
     ) -> Result<Vec<ServeHeartbeat>, String> {
-        let stream = TcpStream::connect(&self.addr)
-            .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .map_err(|e| e.to_string())?;
-        let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
         let req = Self::op(
             "stream-health",
             vec![
@@ -136,9 +160,7 @@ impl Client {
                 ("interval_ms".to_string(), Value::UInt(interval_ms)),
             ],
         );
-        let line = serde_json::to_string(&req).map_err(|e| e.to_string())?;
-        writeln!(writer, "{line}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
+        let stream = self.request(&req, RESPONSE_TIMEOUT)?;
         let reader = BufReader::new(stream);
         let mut out = Vec::new();
         for line in reader.lines() {
@@ -177,19 +199,15 @@ impl Client {
         self.rpc(&Self::op("shutdown", vec![])).map(|_| ())
     }
 
-    /// Poll `status` until the job reaches a terminal state or `timeout`
-    /// elapses.
+    /// Block until the job reaches a terminal state or `timeout` elapses
+    /// (an error): one `wait` request, answered by the daemon when either
+    /// happens.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Result<JobStatus, String> {
-        let start = Instant::now();
-        loop {
-            let st = self.status(id)?;
-            if st.state.is_terminal() {
-                return Ok(st);
-            }
-            if start.elapsed() > timeout {
-                return Err(format!("job {id} still {:?} after {timeout:?}", st.state));
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        let st = self.job("wait", id, timeout)?;
+        if st.state.is_terminal() {
+            Ok(st)
+        } else {
+            Err(format!("job {id} still {:?} after {timeout:?}", st.state))
         }
     }
 }

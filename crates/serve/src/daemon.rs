@@ -3,7 +3,8 @@
 //! checkpoint-preemption.
 //!
 //! All mutable state lives in one `Mutex<Core>`; workers park on a condvar
-//! and race for dispatches through [`scheduler::FairShare`]. The invariant
+//! (as do [`Daemon::wait`] callers, woken by the same job transitions) and
+//! race for dispatches through [`scheduler::FairShare`]. The invariant
 //! that makes the queue crash-safe: **every state transition is fsynced to
 //! the journal before it takes effect in memory**, so replaying the journal
 //! always reconstructs a state the daemon actually passed through (modulo a
@@ -39,9 +40,16 @@ use exa_obs::{ServeHeartbeat, TenantGauge};
 use exa_search::PreemptSignal;
 use examl_core::{capability, checkpoint, RunConfig, RunError};
 use std::collections::BTreeMap;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Per-job spool file holding the Chrome trace of a job whose spec set
+/// `collect_trace`.
+pub const TRACE_FILE: &str = "trace.json";
+/// Per-job spool file holding the run's heartbeat JSON lines.
+pub const HEALTH_FILE: &str = "health.jsonl";
 
 /// Daemon-wide policy: spool location, pool size, scheduling and checkpoint
 /// knobs applied to every job.
@@ -253,6 +261,9 @@ struct Core {
     /// heartbeat.
     modes: exa_search::Modes,
     health_seq: u64,
+    /// Addresses of the listeners serving this daemon; shutdown connects to
+    /// each once so an accept loop blocked in `accept()` wakes up.
+    listeners: Vec<SocketAddr>,
 }
 
 struct Inner {
@@ -308,6 +319,7 @@ impl Daemon {
                     .capability_requests(0),
             ),
             health_seq: 0,
+            listeners: Vec::new(),
         };
         core.replay(events);
         let workers = core.cfg.workers.max(1);
@@ -376,6 +388,21 @@ impl Daemon {
         core.jobs.get(&id).map(|e| snapshot(id, e))
     }
 
+    /// Park until job `id` is terminal, `timeout` has passed or the daemon
+    /// shuts down, whichever is first, and snapshot the job as it is then.
+    /// `None` for an unknown id.
+    pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
+        let pending = |core: &mut Core| {
+            !core.shutdown && core.jobs.get(&id).is_some_and(|e| !e.state.is_terminal())
+        };
+        let (core, _) = self
+            .inner
+            .cv
+            .wait_timeout_while(lock(&self.inner), timeout, pending)
+            .unwrap_or_else(|e| e.into_inner());
+        core.jobs.get(&id).map(|e| snapshot(id, e))
+    }
+
     /// Snapshot every job, in id order.
     pub fn list(&self) -> Vec<JobStatus> {
         let core = lock(&self.inner);
@@ -397,6 +424,7 @@ impl Daemon {
                 let entry = core.jobs.get_mut(&id).unwrap();
                 entry.state = JobState::Cancelled;
                 core.metrics.cancelled.inc();
+                self.inner.cv.notify_all();
                 Ok(true)
             }
             JobState::Running => {
@@ -481,14 +509,25 @@ impl Daemon {
         lock(&self.inner).metrics.http_request_ms(verb)
     }
 
-    /// Path of a per-job spool artifact (`trace.json`, `health.jsonl`),
-    /// or `None` for an unknown job id. The file itself may not exist yet —
-    /// callers map that to 404.
-    pub fn job_artifact(&self, id: JobId, file: &str) -> Option<PathBuf> {
+    /// Path of a per-job spool artifact ([`TRACE_FILE`], [`HEALTH_FILE`]),
+    /// or why the job has none. The file itself may not exist yet — callers
+    /// map both to 404.
+    pub fn job_artifact(&self, id: JobId, file: &str) -> Result<PathBuf, String> {
         let core = lock(&self.inner);
-        core.jobs
-            .contains_key(&id)
-            .then(|| core.job_dir(id).join(file))
+        let entry = core
+            .jobs
+            .get(&id)
+            .ok_or_else(|| format!("no such job {id}"))?;
+        if file == TRACE_FILE && !entry.spec.config.collect_trace {
+            return Err(format!("job {id} was not traced"));
+        }
+        Ok(core.job_dir(id).join(file))
+    }
+
+    /// The accept loop on `addr` serves this daemon: [`Daemon::shutdown`]
+    /// will wake it with one throw-away connection.
+    pub(crate) fn register_listener(&self, addr: SocketAddr) {
+        lock(&self.inner).listeners.push(addr);
     }
 
     /// Whether shutdown has been requested.
@@ -496,11 +535,23 @@ impl Daemon {
         lock(&self.inner).shutdown
     }
 
-    /// Stop accepting work, checkpoint-preempt running jobs (journaled as
-    /// `Preempted`, so a later daemon resumes them), join the pool, and
-    /// compact the journal.
+    /// Park for `timeout` or until shutdown is requested; `true` when it
+    /// was. What a periodic loop sleeps on, so that shutdown never waits
+    /// out its period.
+    pub fn wait_shutdown(&self, timeout: Duration) -> bool {
+        let (core, _) = self
+            .inner
+            .cv
+            .wait_timeout_while(lock(&self.inner), timeout, |core| !core.shutdown)
+            .unwrap_or_else(|e| e.into_inner());
+        core.shutdown
+    }
+
+    /// Stop accepting work, release every parked `wait` and accept loop,
+    /// checkpoint-preempt running jobs (journaled as `Preempted`, so a later
+    /// daemon resumes them), join the pool, and compact the journal.
     pub fn shutdown(&self) {
-        {
+        let listeners = {
             let mut core = lock(&self.inner);
             core.shutdown = true;
             for entry in core.jobs.values() {
@@ -509,16 +560,29 @@ impl Daemon {
                 }
             }
             self.inner.cv.notify_all();
+            std::mem::take(&mut core.listeners)
+        };
+        for mut addr in listeners {
+            // A wildcard bind is reached through loopback. A failed connect
+            // means the listener is already gone.
+            if addr.ip().is_unspecified() {
+                addr.set_ip(if addr.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
         }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for h in handles {
+        // The pool stays locked across the joins: of two concurrent calls
+        // (the listener's `shutdown` op and `examl serve daemon`'s main
+        // thread, which that op wakes at once) neither returns, and the
+        // process does not exit, before the running jobs have checkpointed.
+        let mut handles = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        for h in handles.drain(..) {
             let _ = h.join();
         }
+        drop(handles);
         let mut core = lock(&self.inner);
         let snapshot_events = core.compaction_events();
         let _ = core.journal.compact(&snapshot_events);
@@ -898,7 +962,9 @@ fn load_alignment(path: &Path, partitions: Option<&Path>) -> Result<CompressedAl
 }
 
 /// Execute one dispatch outside the lock. The spec's `RunConfig` is taken
-/// verbatim except for the spool-owned fields.
+/// verbatim except for the spool-owned fields; in particular the spec's own
+/// `collect_trace` decides whether the job pays for a trace and leaves a
+/// [`TRACE_FILE`].
 fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JobOutcome {
     if let Err(e) = std::fs::create_dir_all(&d.job_dir) {
         return JobOutcome::Error(format!("cannot create job dir: {e}"));
@@ -914,17 +980,14 @@ fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JobOutcome {
     run.checkpoint_every_secs = cfg.checkpoint_every_secs;
     run.checkpoint_keep = cfg.checkpoint_keep;
     run.preempt = Some(d.signal.clone());
-    run.health_out = Some(d.job_dir.join("health.jsonl"));
+    run.health_out = Some(d.job_dir.join(HEALTH_FILE));
     run.resume_from = d.resume.then(|| ckpt_dir.clone());
     run.inject_kill = None;
-    // Collect the per-rank trace so `GET /trace/<id>` can serve a Chrome
-    // trace and the health report gains its critical-path block.
-    run.collect_trace = true;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.run(&compressed)));
     match outcome {
         Ok(Ok(out)) => {
             if let Some(trace) = &out.trace {
-                let _ = exa_obs::write_chrome_trace(&d.job_dir.join("trace.json"), trace);
+                let _ = exa_obs::write_chrome_trace(&d.job_dir.join(TRACE_FILE), trace);
             }
             JobOutcome::Done {
                 lnl: out.result.lnl,

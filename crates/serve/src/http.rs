@@ -4,43 +4,71 @@
 //! The daemon sniffs the first byte of each connection: `{` starts the
 //! JSON-lines protocol (one request object per line, one response object
 //! per line — what [`crate::client`] speaks), anything else is parsed as an
-//! HTTP/1.1 request. Both surfaces expose the same six operations:
+//! HTTP/1.1 request. Both surfaces expose the same operations:
 //!
-//! | HTTP                      | JSON-lines `op`  |
-//! |---------------------------|------------------|
-//! | `POST /submit` (spec body)| `submit`         |
-//! | `GET /status/<id>`        | `status`         |
-//! | `POST /cancel/<id>`       | `cancel`         |
-//! | `GET /list`               | `list`           |
-//! | `GET /health`             | `health`         |
-//! | `GET /stream-health`      | `stream-health`  |
-//! | `GET /metrics`            | `metrics`        |
-//! | `GET /trace/<id>`         | —                |
-//! | `GET /job-health/<id>`    | —                |
-//! | `POST /resize/<workers>`  | `resize`         |
-//! | `POST /shutdown`          | `shutdown`       |
+//! | HTTP                          | JSON-lines `op`  |
+//! |-------------------------------|------------------|
+//! | `POST /submit` (spec body)    | `submit`         |
+//! | `GET /status/<id>`            | `status`         |
+//! | `GET /wait/<id>?timeout_ms=T` | `wait`           |
+//! | `POST /cancel/<id>`           | `cancel`         |
+//! | `GET /list`                   | `list`           |
+//! | `GET /health`                 | `health`         |
+//! | `GET /stream-health`          | `stream-health`  |
+//! | `GET /metrics`                | `metrics`        |
+//! | `GET /trace/<id>`             | —                |
+//! | `GET /job-health/<id>`        | —                |
+//! | `POST /resize/<workers>`      | `resize`         |
+//! | `POST /shutdown`              | `shutdown`       |
 //!
+//! `wait` (`{"op":"wait","id":N,"timeout_ms":T}`) answers like `status`,
+//! but not before the job is terminal, `T` ms have passed (default 0) or the
+//! daemon shuts down: the handler parks on the daemon's condvar
+//! ([`Daemon::wait`]), so a client learns of completion without polling.
 //! `stream-health` emits one [`ServeHeartbeat`] JSON line per interval
 //! (`?count=N&interval_ms=M`) until the count is reached, the client goes
 //! away, or the daemon shuts down. `GET /metrics` returns the Prometheus
 //! text exposition of the daemon + process registries (the JSON-lines
 //! `metrics` op wraps the same text in `{"ok":true,"text":...}`).
-//! `GET /trace/<id>` serves the job's Chrome trace (written on
-//! completion); `GET /job-health/<id>` serves its heartbeat ndjson.
+//! `GET /trace/<id>` serves the job's Chrome trace, written on completion
+//! and only when the job's spec asked for it (`config.collect_trace`; a job
+//! that did not is a JSON 404 `job <id> was not traced`);
+//! `GET /job-health/<id>` serves its heartbeat ndjson.
 //! Everything else responds with a single JSON object `{"ok":true,...}` or
 //! `{"ok":false,"error":...}`. Per-verb handling latency is recorded in
 //! the daemon's `exa_http_request_ms` histogram.
 //!
 //! The parser is deliberately tiny: request line + `Content-Length`, no
-//! chunked encoding, no keep-alive. Each connection is one thread; the
-//! accept loop polls non-blocking so daemon shutdown is observed promptly.
+//! chunked encoding, no keep-alive on HTTP. Each connection is one thread.
+//! Every response — a JSON line, an HTTP head with its body, one
+//! `stream-health` line — is assembled in one buffer and sent with one
+//! `write_all` on a `TCP_NODELAY` socket, so a request costs the daemon's
+//! work and not a delayed-ACK stall. The accept loop blocks in `accept()`;
+//! [`Daemon::shutdown`] wakes it with a throw-away connection, and nothing
+//! in this module sleeps.
+//!
+//! Input is bounded before it is buffered: a JSON-lines request line or an
+//! HTTP body above `MAX_REQUEST_BYTES` (1 MiB) is refused (`request too
+//! large` / `413`) and the connection closed, an HTTP head above
+//! `MAX_HEAD_BYTES` (64 KiB) is a `431`, and a request that has not arrived
+//! whole within `REQUEST_TIMEOUT` (30 s) of the previous response loses its
+//! connection whether the peer is idle or trickling bytes.
 
-use crate::daemon::Daemon;
+use crate::daemon::{Daemon, HEALTH_FILE, TRACE_FILE};
 use crate::{JobId, JobSpec};
 use serde::{field, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// A request must arrive whole within this long of the connection opening
+/// or of the previous response.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+/// Longest JSON-lines request line and longest HTTP body accepted; a
+/// `JobSpec` is under a kilobyte.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+/// Longest HTTP head (request line and headers) accepted.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 fn ok_with(extra: Vec<(String, Value)>) -> Value {
     let mut m = vec![("ok".to_string(), Value::Bool(true))];
@@ -76,11 +104,17 @@ fn handle_op(daemon: &Daemon, op: &str, req: &Value) -> (Value, bool) {
             },
             Err(e) => (err_with(format!("bad spec: {}", e.0)), false),
         },
-        "status" => match id_of(entries) {
-            Ok(id) => match daemon.status(id) {
-                Some(st) => (ok_with(vec![("job".to_string(), st.to_value())]), false),
-                None => (err_with(format!("no such job {id}")), false),
-            },
+        // `status` is a `wait` that is not prepared to wait.
+        "status" | "wait" => match id_of(entries) {
+            Ok(id) => {
+                let timeout_ms = field(entries, "timeout_ms")
+                    .as_u64("timeout_ms")
+                    .unwrap_or(0);
+                match daemon.wait(id, Duration::from_millis(timeout_ms)) {
+                    Some(st) => (ok_with(vec![("job".to_string(), st.to_value())]), false),
+                    None => (err_with(format!("no such job {id}")), false),
+                }
+            }
             Err(e) => (err_with(e), false),
         },
         "cancel" => match id_of(entries) {
@@ -129,18 +163,24 @@ fn handle_op(daemon: &Daemon, op: &str, req: &Value) -> (Value, bool) {
     }
 }
 
-/// Write heartbeats until `count` lines, a write error, or shutdown.
-fn stream_health(daemon: &Daemon, out: &mut dyn Write, count: u64, interval: Duration) {
+/// Write heartbeats — each line one segment; `buf` arrives holding what
+/// must precede the first (the HTTP head) — until `count` lines, a write
+/// error, or shutdown. The interval is a wait on the daemon's condvar, so
+/// shutdown ends the stream at once rather than an interval later.
+fn stream_health(
+    daemon: &Daemon,
+    conn: &mut Conn,
+    mut buf: Vec<u8>,
+    count: u64,
+    interval: Duration,
+) {
     for i in 0..count {
-        let line = daemon.health().to_json_line();
-        if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+        buf.extend_from_slice(daemon.health().to_json_line().as_bytes());
+        buf.push(b'\n');
+        if conn.send(&buf).is_err() || i + 1 == count || daemon.wait_shutdown(interval) {
             return;
         }
-        let _ = out.flush();
-        if daemon.is_shutting_down() || i + 1 == count {
-            return;
-        }
-        std::thread::sleep(interval);
+        buf.clear();
     }
 }
 
@@ -153,36 +193,98 @@ fn stream_params(req: &Value) -> (u64, Duration) {
     (count.max(1), Duration::from_millis(interval))
 }
 
-fn handle_jsonl(daemon: &Daemon, stream: TcpStream, first: u8) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut pending = vec![first];
-    loop {
-        let mut rest = String::new();
-        match reader.read_line(&mut rest) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(_) => return,
+/// The read half of a connection. Every read's timeout is the time left to
+/// `at`, so a peer trickling a byte at a time loses its handler thread at
+/// the same moment an idle one does.
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
         }
-        pending.extend_from_slice(rest.as_bytes());
-        let line = match String::from_utf8(std::mem::take(&mut pending)) {
-            Ok(l) => l,
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+struct Conn {
+    reader: BufReader<Deadline>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> std::io::Result<Conn> {
+        // A response is one `write_all`; without Nagle it is also one
+        // segment, sent now, whatever the peer has or has not ACKed.
+        stream.set_nodelay(true)?;
+        Ok(Conn {
+            writer: stream.try_clone()?,
+            reader: BufReader::new(Deadline {
+                stream,
+                at: Instant::now() + REQUEST_TIMEOUT,
+            }),
+        })
+    }
+
+    /// Send one whole response; the next request's clock starts now.
+    fn send(&mut self, response: &[u8]) -> std::io::Result<()> {
+        let sent = self.writer.write_all(response);
+        self.reader.get_mut().at = Instant::now() + REQUEST_TIMEOUT;
+        sent
+    }
+
+    /// Send a refusal and hang up. What the peer is still sending is
+    /// discarded first (to EOF or the request deadline): closing a socket
+    /// with unread input resets it, which can cost the peer the refusal.
+    fn refuse(&mut self, response: &[u8]) {
+        let _ = self.send(response);
+        let _ = self.writer.shutdown(std::net::Shutdown::Write);
+        let _ = std::io::copy(&mut self.reader, &mut std::io::sink());
+    }
+}
+
+enum Line {
+    Complete,
+    TooLong,
+    Closed,
+}
+
+/// Append one line (through its `\n`, or to EOF) to `line`, buffering at
+/// most `cap + 1` bytes of it.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>, cap: usize) -> Line {
+    match reader.by_ref().take(cap as u64 + 1).read_until(b'\n', line) {
+        Ok(0) | Err(_) => Line::Closed,
+        Ok(n) if n > cap && !line.ends_with(b"\n") => Line::TooLong,
+        Ok(_) => Line::Complete,
+    }
+}
+
+fn handle_jsonl(daemon: &Daemon, conn: &mut Conn) {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match read_line(&mut conn.reader, &mut line, MAX_REQUEST_BYTES) {
+            Line::Complete => {}
+            Line::TooLong => return conn.refuse(&json_line(&err_with("request too large"))),
+            Line::Closed => return,
+        }
+        if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let req: Value = match serde_json::from_str(&line) {
+        let req: Value = match serde_json::from_slice(&line) {
             Ok(v) => v,
             Err(e) => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    to_line(&err_with(format!("bad request: {e}")))
-                );
+                if conn
+                    .send(&json_line(&err_with(format!("bad request: {e}"))))
+                    .is_err()
+                {
+                    return;
+                }
                 continue;
             }
         };
@@ -194,16 +296,15 @@ fn handle_jsonl(daemon: &Daemon, stream: TcpStream, first: u8) {
             .unwrap_or_default();
         if op == "stream-health" {
             let (count, interval) = stream_params(&req);
-            stream_health(daemon, &mut writer, count, interval);
-            let _ = writeln!(writer, "{}", to_line(&ok_with(vec![])));
+            stream_health(daemon, conn, Vec::new(), count, interval);
+            let _ = conn.send(&json_line(&ok_with(vec![])));
             continue;
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let (resp, shutdown) = handle_op(daemon, &op, &req);
-        if writeln!(writer, "{}", to_line(&resp)).is_err() {
+        if conn.send(&json_line(&resp)).is_err() {
             return;
         }
-        let _ = writer.flush();
         observe_request(daemon, &op, t0);
         if shutdown {
             daemon.shutdown();
@@ -216,42 +317,49 @@ fn to_line(v: &Value) -> String {
     serde_json::to_string(v).expect("value serialization cannot fail")
 }
 
-fn http_response(out: &mut dyn Write, status: &str, body: &str) {
-    http_response_typed(out, status, "application/json", body);
+/// One JSON-lines response: the object and its newline in one buffer.
+fn json_line(v: &Value) -> Vec<u8> {
+    let mut line = to_line(v).into_bytes();
+    line.push(b'\n');
+    line
 }
 
-fn http_response_typed(out: &mut dyn Write, status: &str, content_type: &str, body: &str) {
-    let _ = write!(
-        out,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+/// One HTTP response, head and body in one buffer.
+fn http_response(status: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    let _ = out.flush();
+    )
+    .into_bytes();
+    out.extend_from_slice(body);
+    out
 }
 
-/// Serve a per-job spool file (`trace.json`, `health.jsonl`) or a JSON 404
-/// when the job or the file doesn't exist (yet).
-fn serve_artifact(daemon: &Daemon, out: &mut dyn Write, id: JobId, file: &str, content_type: &str) {
+fn http_json(status: &str, body: &Value) -> Vec<u8> {
+    http_response(status, "application/json", to_line(body).as_bytes())
+}
+
+/// Serve a per-job spool file ([`TRACE_FILE`], [`HEALTH_FILE`]), or a JSON
+/// 404 saying why there is none: no such job, the job's spec did not ask for
+/// a trace, or the file doesn't exist (yet).
+fn serve_artifact(daemon: &Daemon, conn: &mut Conn, id: JobId, file: &str, content_type: &str) {
     let body = daemon
         .job_artifact(id, file)
-        .and_then(|p| std::fs::read_to_string(p).ok());
-    match body {
-        Some(body) => http_response_typed(out, "200 OK", content_type, &body),
-        None => http_response(
-            out,
-            "404 Not Found",
-            &to_line(&err_with(format!("no {file} for job {id}"))),
-        ),
-    }
+        .and_then(|p| std::fs::read(p).map_err(|_| format!("no {file} for job {id}")));
+    let _ = conn.send(&match body {
+        Ok(body) => http_response("200 OK", content_type, &body),
+        Err(why) => http_json("404 Not Found", &err_with(why)),
+    });
 }
 
 /// Record one request's handling latency under its verb label. Arbitrary
 /// wire strings collapse to `unknown` so a client can't mint unbounded
 /// label values.
-fn observe_request(daemon: &Daemon, verb: &str, t0: std::time::Instant) {
+fn observe_request(daemon: &Daemon, verb: &str, t0: Instant) {
     const KNOWN: &[&str] = &[
         "submit",
         "status",
+        "wait",
         "cancel",
         "list",
         "health",
@@ -272,222 +380,195 @@ fn observe_request(daemon: &Daemon, verb: &str, t0: std::time::Instant) {
         .observe(t0.elapsed().as_secs_f64() * 1e3);
 }
 
-/// Parse `?count=N&interval_ms=M` from a path's query string.
-fn query_params(path: &str) -> (u64, Duration) {
-    let mut count = u64::MAX;
-    let mut interval = 200u64;
-    if let Some((_, query)) = path.split_once('?') {
-        for pair in query.split('&') {
-            if let Some((k, v)) = pair.split_once('=') {
-                match k {
-                    "count" => count = v.parse().unwrap_or(count),
-                    "interval_ms" => interval = v.parse().unwrap_or(interval),
-                    _ => {}
-                }
-            }
-        }
-    }
-    (count.max(1), Duration::from_millis(interval))
+/// A query string's `k=v` pairs as request entries. Only unsigned-integer
+/// values are kept: no route reads any other kind.
+fn query_entries(query: &str) -> Vec<(String, Value)> {
+    query
+        .split('&')
+        .filter_map(|pair| {
+            let (k, v) = pair.split_once('=')?;
+            Some((k.to_string(), Value::UInt(v.parse().ok()?)))
+        })
+        .collect()
 }
 
-fn handle_http(daemon: &Daemon, stream: TcpStream, first: u8) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // Re-assemble the head: first sniffed byte + everything to the blank
-    // line.
-    let mut head = vec![first];
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        head.extend_from_slice(line.as_bytes());
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            http_response(&mut writer, "431 Request Header Fields Too Large", "{}");
-            return;
+fn handle_http(daemon: &Daemon, conn: &mut Conn) {
+    // The head: everything to the blank line.
+    let mut head = Vec::new();
+    while !(head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n")) {
+        let room = MAX_HEAD_BYTES.saturating_sub(head.len());
+        match read_line(&mut conn.reader, &mut head, room) {
+            Line::Complete => {}
+            Line::TooLong => {
+                return conn.refuse(&http_json(
+                    "431 Request Header Fields Too Large",
+                    &err_with("request head too large"),
+                ))
+            }
+            Line::Closed => return,
         }
     }
-    let head = String::from_utf8_lossy(&head).into_owned();
-    let mut lines = head.lines();
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => {
-            http_response(&mut writer, "400 Bad Request", "{}");
-            return;
-        }
+    let bad_request = |conn: &mut Conn, why: String| {
+        let _ = conn.send(&http_json("400 Bad Request", &err_with(why)));
     };
+    let head = String::from_utf8_lossy(&head);
+    let mut lines = head.lines();
+    let mut parts = lines.next().unwrap_or_default().split_whitespace();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return bad_request(conn, "bad request line".into());
+    };
+    // The length is checked against the cap before anything is allocated
+    // for it.
     let content_length = lines
         .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length.min(16 * 1024 * 1024)];
-    if reader.read_exact(&mut body).is_err() && content_length > 0 {
-        http_response(&mut writer, "400 Bad Request", "{}");
-        return;
+        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
+        .map_or(Ok(0), |(_, v)| v.trim().parse::<u64>());
+    let mut body = match content_length {
+        Ok(n) if n <= MAX_REQUEST_BYTES as u64 => vec![0u8; n as usize],
+        Ok(_) => {
+            return conn.refuse(&http_json(
+                "413 Content Too Large",
+                &err_with("request too large"),
+            ))
+        }
+        Err(_) => return bad_request(conn, "bad Content-Length".into()),
+    };
+    if conn.reader.read_exact(&mut body).is_err() {
+        return bad_request(conn, "body shorter than Content-Length".into());
     }
-    let route = path.split('?').next().unwrap_or("");
-    let t0 = std::time::Instant::now();
-    let (op, req): (String, Value) = match (method.as_str(), route) {
-        ("POST", "/submit") => {
-            let spec: Value = match serde_json::from_slice(&body) {
-                Ok(v) => v,
-                Err(e) => {
-                    http_response(
-                        &mut writer,
-                        "400 Bad Request",
-                        &to_line(&err_with(format!("bad body: {e}"))),
-                    );
-                    return;
-                }
-            };
-            (
-                "submit".into(),
-                Value::Map(vec![("spec".to_string(), spec)]),
-            )
-        }
-        ("GET", "/list") => ("list".into(), Value::Map(vec![])),
-        ("GET", "/health") => ("health".into(), Value::Map(vec![])),
-        ("GET", "/metrics") => {
+    let (route, query) = path.split_once('?').unwrap_or((path, ""));
+    // `/<verb>/<number>` routes.
+    let numbered = route
+        .strip_prefix('/')
+        .and_then(|r| r.split_once('/'))
+        .and_then(|(verb, n)| Some((verb, n.parse::<u64>().ok()?)));
+    let request = |key: &str, v: Value| Value::Map(vec![(key.to_string(), v)]);
+    let t0 = Instant::now();
+    let (op, req): (&str, Value) = match (method, route, numbered) {
+        ("POST", "/submit", _) => match serde_json::from_slice(&body) {
+            Ok(spec) => ("submit", request("spec", spec)),
+            Err(e) => return bad_request(conn, format!("bad body: {e}")),
+        },
+        ("GET", "/list", _) => ("list", Value::Map(vec![])),
+        ("GET", "/health", _) => ("health", Value::Map(vec![])),
+        ("POST", "/shutdown", _) => ("shutdown", Value::Map(vec![])),
+        ("GET", "/metrics", _) => {
             let text = daemon.metrics_text();
-            http_response_typed(&mut writer, "200 OK", "text/plain; version=0.0.4", &text);
-            observe_request(daemon, "metrics", t0);
-            return;
+            let _ = conn.send(&http_response(
+                "200 OK",
+                "text/plain; version=0.0.4",
+                text.as_bytes(),
+            ));
+            return observe_request(daemon, "metrics", t0);
         }
-        ("POST", "/shutdown") => ("shutdown".into(), Value::Map(vec![])),
-        ("GET", "/stream-health") => {
-            let (count, interval) = query_params(&path);
-            let _ = write!(
-                writer,
-                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
-            );
-            stream_health(daemon, &mut writer, count, interval);
-            return;
+        ("GET", "/stream-health", _) => {
+            let (count, interval) = stream_params(&Value::Map(query_entries(query)));
+            let head = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n";
+            return stream_health(daemon, conn, head.to_vec(), count, interval);
         }
-        (m, p) => {
-            let id_route = |prefix: &str| -> Option<JobId> {
-                p.strip_prefix(prefix).and_then(|s| s.parse().ok())
-            };
-            if m == "GET" {
-                if let Some(id) = id_route("/trace/") {
-                    serve_artifact(daemon, &mut writer, id, "trace.json", "application/json");
-                    observe_request(daemon, "trace", t0);
-                    return;
-                }
-                if let Some(id) = id_route("/job-health/") {
-                    serve_artifact(
-                        daemon,
-                        &mut writer,
-                        id,
-                        "health.jsonl",
-                        "application/x-ndjson",
-                    );
-                    observe_request(daemon, "job-health", t0);
-                    return;
-                }
-                if let Some(id) = id_route("/status/") {
-                    (
-                        "status".into(),
-                        Value::Map(vec![("id".to_string(), Value::UInt(id))]),
-                    )
-                } else {
-                    http_response(
-                        &mut writer,
-                        "404 Not Found",
-                        &to_line(&err_with("no route")),
-                    );
-                    return;
-                }
-            } else if m == "POST" {
-                if let Some(id) = id_route("/cancel/") {
-                    (
-                        "cancel".into(),
-                        Value::Map(vec![("id".to_string(), Value::UInt(id))]),
-                    )
-                } else if let Some(n) = id_route("/resize/") {
-                    (
-                        "resize".into(),
-                        Value::Map(vec![("workers".to_string(), Value::UInt(n))]),
-                    )
-                } else {
-                    http_response(
-                        &mut writer,
-                        "404 Not Found",
-                        &to_line(&err_with("no route")),
-                    );
-                    return;
-                }
-            } else {
-                http_response(
-                    &mut writer,
-                    "404 Not Found",
-                    &to_line(&err_with("no route")),
-                );
-                return;
-            }
+        ("GET", _, Some(("trace", id))) => {
+            serve_artifact(daemon, conn, id, TRACE_FILE, "application/json");
+            return observe_request(daemon, "trace", t0);
+        }
+        ("GET", _, Some(("job-health", id))) => {
+            serve_artifact(daemon, conn, id, HEALTH_FILE, "application/x-ndjson");
+            return observe_request(daemon, "job-health", t0);
+        }
+        ("GET", _, Some(("status", id))) => ("status", request("id", Value::UInt(id))),
+        ("GET", _, Some(("wait", id))) => {
+            let mut entries = query_entries(query);
+            entries.push(("id".to_string(), Value::UInt(id)));
+            ("wait", Value::Map(entries))
+        }
+        ("POST", _, Some(("cancel", id))) => ("cancel", request("id", Value::UInt(id))),
+        ("POST", _, Some(("resize", n))) => ("resize", request("workers", Value::UInt(n))),
+        _ => {
+            let _ = conn.send(&http_json("404 Not Found", &err_with("no route")));
+            return;
         }
     };
-    let (resp, shutdown) = handle_op(daemon, &op, &req);
+    let (resp, shutdown) = handle_op(daemon, op, &req);
     let ok = matches!(
-        resp.as_map("response").ok().map(|m| field(m, "ok").clone()),
+        resp.as_map("response").ok().map(|m| field(m, "ok")),
         Some(Value::Bool(true))
     );
-    http_response(
-        &mut writer,
+    let _ = conn.send(&http_json(
         if ok { "200 OK" } else { "400 Bad Request" },
-        &to_line(&resp),
-    );
-    observe_request(daemon, &op, t0);
+        &resp,
+    ));
+    observe_request(daemon, op, t0);
     if shutdown {
         daemon.shutdown();
     }
 }
 
-fn handle_conn(daemon: Daemon, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut first = [0u8; 1];
-    match stream.read(&mut first) {
-        Ok(1) => {}
-        _ => return,
-    }
-    if first[0] == b'{' {
-        handle_jsonl(&daemon, stream, first[0]);
-    } else {
-        handle_http(&daemon, stream, first[0]);
+fn handle_conn(daemon: Daemon, stream: TcpStream) {
+    let Ok(mut conn) = Conn::new(stream) else {
+        return;
+    };
+    // `{` opens the JSON-lines protocol, anything else is taken for HTTP.
+    let first = conn.reader.fill_buf().ok().and_then(|b| b.first().copied());
+    match first {
+        Some(b'{') => handle_jsonl(&daemon, &mut conn),
+        Some(_) => handle_http(&daemon, &mut conn),
+        None => {}
     }
 }
 
 /// Serve connections on `listener` until the daemon shuts down. Returns
-/// the join handle of the accept thread.
+/// the join handle of the accept thread, which blocks in `accept()`:
+/// [`Daemon::shutdown`] wakes it with one throw-away connection to the
+/// address registered here.
 pub fn spawn(daemon: Daemon, listener: TcpListener) -> std::thread::JoinHandle<()> {
+    let addr = listener
+        .local_addr()
+        .expect("a bound listener has a local address");
+    daemon.register_listener(addr);
     std::thread::spawn(move || {
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let d = daemon.clone();
-                    std::thread::spawn(move || handle_conn(d, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if daemon.is_shutting_down() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(_) => return,
-            }
+        // Registering and raising the shutdown flag take the same lock:
+        // either shutdown saw the address and its connection ends the
+        // `accept` below, or the flag is already up here.
+        while !daemon.is_shutting_down() {
+            let Ok((stream, _)) = listener.accept() else {
+                return;
+            };
+            let d = daemon.clone();
+            std::thread::spawn(move || handle_conn(d, stream));
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every one of a trickling peer's bytes arrives well inside any
+    /// per-read timeout; only the shrinking one stops it.
+    #[test]
+    fn a_trickling_peer_is_cut_off_at_the_request_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_nodelay(true).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // A byte per segment, never a newline, until the reader hangs up.
+        let trickle = std::thread::spawn(move || while peer.write_all(b"x").is_ok() {});
+        let t0 = Instant::now();
+        let mut reader = BufReader::new(Deadline {
+            stream,
+            at: t0 + Duration::from_millis(200),
+        });
+        let mut line = Vec::new();
+        assert!(matches!(
+            read_line(&mut reader, &mut line, 1 << 30),
+            Line::Closed
+        ));
+        let took = t0.elapsed();
+        assert!(
+            (Duration::from_millis(200)..Duration::from_secs(2)).contains(&took),
+            "{took:?}"
+        );
+        assert!(!line.is_empty(), "the trickle was being read");
+        drop(reader);
+        trickle.join().unwrap();
+    }
 }

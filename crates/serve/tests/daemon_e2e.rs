@@ -196,11 +196,23 @@ fn shutdown_journal_replay_resumes_to_bitwise_identical_lnl() {
     let id = daemon.submit(spec).unwrap();
     wait_for(&daemon, id, |s| *s == JobState::Running, "running");
     // Graceful shutdown: checkpoint-preempt, journal `Preempted`, compact.
+    // Two callers at once, as when a client's `shutdown` op wakes the
+    // daemon's main thread: whichever comes second must wait for the pool
+    // too, or the process would exit under the job's final checkpoint.
+    let first = {
+        let daemon = daemon.clone();
+        std::thread::spawn(move || daemon.shutdown())
+    };
+    while !daemon.is_shutting_down() {
+        std::thread::yield_now();
+    }
     daemon.shutdown();
-    assert!(
-        !daemon.status(id).unwrap().state.is_terminal(),
-        "shutdown must leave the interrupted job resumable, not failed"
+    assert_eq!(
+        daemon.status(id).unwrap().state,
+        JobState::Queued,
+        "shutdown must leave the interrupted job resumable, not running or failed"
     );
+    first.join().unwrap();
     drop(daemon);
 
     // A fresh daemon on the same spool replays the journal and finishes
@@ -261,4 +273,60 @@ fn resize_grows_and_shrinks_the_worker_pool() {
     let state = wait_for(&daemon, id, JobState::is_terminal, "terminal");
     assert_eq!(completed_lnl(&state).to_bits(), reference.to_bits());
     daemon.shutdown();
+}
+
+#[test]
+fn a_job_is_traced_only_when_its_spec_asks() {
+    use std::io::{Read, Write};
+    let fx = Fixture::new("trace_opt_in");
+    let plain = fx.spec("batch", 0, 2);
+    let mut traced = plain.clone();
+    traced.config = traced.config.collect_trace(true);
+    let reference = fx.reference_lnl(&plain, "trace_opt_in");
+
+    let daemon = Daemon::start(DaemonConfig::new(fx.spool())).unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept = exa_serve::http::spawn(daemon.clone(), listener);
+    let plain_id = daemon.submit(plain).unwrap();
+    let traced_id = daemon.submit(traced).unwrap();
+
+    // Tracing changes what a job leaves behind, not what it computes.
+    let artifact = |id: u64| fx.spool().join(format!("jobs/{id:08}/trace.json"));
+    for id in [plain_id, traced_id] {
+        let status = daemon.wait(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(completed_lnl(&status.state).to_bits(), reference.to_bits());
+    }
+    assert!(
+        !artifact(plain_id).exists(),
+        "an untraced job wrote a trace"
+    );
+    let trace: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(artifact(traced_id)).unwrap()).unwrap();
+    let events = serde::field(trace.as_map("trace").unwrap(), "traceEvents");
+    assert!(!events.as_array("traceEvents").unwrap().is_empty());
+
+    let get = |path: &str| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        answer
+    };
+    let answer = get(&format!("/trace/{traced_id}"));
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    assert!(answer.contains("\"traceEvents\""));
+    let answer = get(&format!("/trace/{plain_id}"));
+    assert!(answer.starts_with("HTTP/1.1 404"), "{answer}");
+    assert!(
+        answer.ends_with(&format!(
+            r#"{{"ok":false,"error":"job {plain_id} was not traced"}}"#
+        )),
+        "{answer}"
+    );
+    let answer = get("/trace/99");
+    assert!(answer.starts_with("HTTP/1.1 404"), "{answer}");
+    assert!(answer.contains("no such job 99"), "{answer}");
+    daemon.shutdown();
+    accept.join().unwrap();
 }

@@ -257,7 +257,7 @@ done
 examl_serve health --to "$addr" | jq -e '.queue_depth >= 1' >/dev/null \
   || { echo "queue depth gauge missing the backlog"; exit 1; }
 high_id="$(examl_serve submit --to "$addr" --alignment "$tmp/serve.phy" \
-  --tenant interactive --priority 9 --iterations 2 --seed 7)"
+  --tenant interactive --priority 9 --iterations 2 --seed 7 --trace)"
 examl_serve wait --to "$addr" "$high_id" --timeout-secs 300 >/dev/null
 low_status="$(examl_serve wait --to "$addr" "$low_id" --timeout-secs 300)"
 for jid in $extra_ids; do
@@ -289,10 +289,15 @@ printf '%s\n' "$metrics" | grep -q '^# TYPE exa_queue_wait_ms histogram' \
 completed_again="$(curl -sf "http://$addr/metrics" | sed -n 's/^exa_jobs_completed_total //p')"
 [ "$completed_again" -ge "$completed_prom" ] \
   || { echo "completed counter went backwards: $completed_prom -> $completed_again"; exit 1; }
-# Per-job observability artifacts over HTTP: the merged Chrome trace and
-# the health report written next to the job's spool directory.
+# Per-job observability artifacts over HTTP: the merged Chrome trace (of
+# the one job submitted with --trace; the others are a JSON 404) and the
+# health report written next to the job's spool directory.
 curl -sf "http://$addr/trace/$high_id" | jq -e '.traceEvents | length > 0' >/dev/null \
   || { echo "/trace/$high_id missing or empty"; exit 1; }
+untraced="$(curl -s -w '\n%{http_code}' "http://$addr/trace/$low_id")"
+[ "$(printf '%s' "$untraced" | tail -n 1)" = 404 ] \
+  && printf '%s' "$untraced" | head -n 1 | jq -e '.ok == false and (.error | test("was not traced"))' >/dev/null \
+  || { echo "/trace/$low_id (untraced job) must be a JSON 404: $untraced"; exit 1; }
 curl -sf "http://$addr/job-health/$high_id" | head -n 1 | jq -e '.iteration >= 0' >/dev/null \
   || { echo "/job-health/$high_id missing heartbeats"; exit 1; }
 examl_serve shutdown --to "$addr" >/dev/null

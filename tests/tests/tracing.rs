@@ -18,6 +18,7 @@ use exa_obs::{RegionKind, RunTrace};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_core::{RunConfig, Scheme};
+use serde::Value;
 
 fn small_workload(seed: u64) -> workloads::Workload {
     workloads::partitioned(8, 2, 120, seed)
@@ -193,4 +194,255 @@ fn chrome_trace_export_roundtrips_via_json() {
         .unwrap();
     // All events + one thread-name metadata record per rank.
     assert_eq!(events.len(), trace.total_events() + trace.n_ranks());
+}
+
+/// Test oracle: the exporter as it was before it streamed — the whole
+/// document built as a `Value` tree, one `Map` per event. The production
+/// writer must keep producing this document.
+fn reference_chrome_trace(trace: &RunTrace) -> Value {
+    use exa_obs::EventKind;
+    const OTHER_DATA: [(&str, &str); 6] = [
+        (exa_obs::KERNEL_BACKEND_MARK, "kernel_backend"),
+        (exa_obs::SITE_REPEATS_MARK, "site_repeats"),
+        (exa_obs::REDUCE_MODE_MARK, "reduce_mode"),
+        (exa_obs::THREADS_MARK, "threads"),
+        (exa_obs::BATCH_MARK, "batch"),
+        (exa_obs::GRADIENT_MARK, "gradient"),
+    ];
+    fn entry(k: &str, v: Value) -> (String, Value) {
+        (k.to_string(), v)
+    }
+    fn str_v(s: impl Into<String>) -> Value {
+        Value::Str(s.into())
+    }
+    fn us(ts_ns: u64) -> Value {
+        Value::Float(ts_ns as f64 / 1000.0)
+    }
+    let mut hoisted: [Option<&str>; OTHER_DATA.len()] = [None; OTHER_DATA.len()];
+    let mut events: Vec<Value> = Vec::new();
+    for rank in 0..trace.n_ranks() {
+        events.push(Value::Map(vec![
+            entry("name", str_v("thread_name")),
+            entry("ph", str_v("M")),
+            entry("pid", Value::UInt(0)),
+            entry("tid", Value::UInt(rank as u64)),
+            entry(
+                "args",
+                Value::Map(vec![entry("name", str_v(format!("rank {rank}")))]),
+            ),
+        ]));
+        for e in trace.events(rank) {
+            let mut fields = vec![
+                entry("pid", Value::UInt(0)),
+                entry("tid", Value::UInt(rank as u64)),
+                entry("ts", us(e.ts_ns)),
+            ];
+            match &e.kind {
+                EventKind::RegionBegin { region } => {
+                    fields.push(entry("ph", str_v("B")));
+                    fields.push(entry("name", str_v(region.label())));
+                    fields.push(entry("cat", str_v("region")));
+                }
+                EventKind::RegionEnd { region } => {
+                    fields.push(entry("ph", str_v("E")));
+                    fields.push(entry("name", str_v(region.label())));
+                    fields.push(entry("cat", str_v("region")));
+                }
+                EventKind::Collective {
+                    op,
+                    category,
+                    bytes,
+                } => {
+                    fields.push(entry("ph", str_v("i")));
+                    fields.push(entry("s", str_v("t")));
+                    fields.push(entry("name", str_v(op.label())));
+                    fields.push(entry("cat", str_v("collective")));
+                    fields.push(entry(
+                        "args",
+                        Value::Map(vec![
+                            entry("category", str_v(format!("{category:?}"))),
+                            entry("bytes", Value::UInt(*bytes)),
+                        ]),
+                    ));
+                }
+                EventKind::Mark { label } => {
+                    for (slot, (prefix, _)) in hoisted.iter_mut().zip(OTHER_DATA) {
+                        if slot.is_none() {
+                            *slot = label.strip_prefix(prefix);
+                        }
+                    }
+                    fields.push(entry("ph", str_v("i")));
+                    fields.push(entry("s", str_v("t")));
+                    fields.push(entry("name", str_v(label.clone())));
+                    fields.push(entry("cat", str_v("mark")));
+                }
+                EventKind::Kernel {
+                    region,
+                    partition,
+                    dur_ns,
+                } => {
+                    fields.push(entry("ph", str_v("X")));
+                    fields.push(entry("dur", us(*dur_ns)));
+                    fields.push(entry("name", str_v(region.label())));
+                    fields.push(entry("cat", str_v("kernel")));
+                    fields.push(entry(
+                        "args",
+                        Value::Map(vec![entry("partition", Value::UInt(*partition as u64))]),
+                    ));
+                }
+            }
+            events.push(Value::Map(fields));
+        }
+    }
+    let mut top = vec![
+        entry("traceEvents", Value::Array(events)),
+        entry("displayTimeUnit", str_v("ms")),
+    ];
+    let other: Vec<(String, Value)> = hoisted
+        .iter()
+        .zip(OTHER_DATA)
+        .filter_map(|(suffix, (_, key))| suffix.map(|s| entry(key, str_v(s))))
+        .collect();
+    if !other.is_empty() {
+        top.push(entry("otherData", Value::Map(other)));
+    }
+    Value::Map(top)
+}
+
+/// Every event kind, whole and fractional microsecond stamps, two mode
+/// marks (the second `kernel_backend` must not displace the first) and a
+/// label that needs every JSON escape.
+fn synthetic_trace() -> RunTrace {
+    use exa_obs::{CommCategory, EventKind, OpKind, TraceEvent};
+    let at = |ts_ns, kind| TraceEvent { ts_ns, kind };
+    let mark = |ts_ns, label: String| at(ts_ns, EventKind::Mark { label });
+    RunTrace {
+        per_rank: vec![
+            vec![
+                mark(0, format!("{}simd", exa_obs::KERNEL_BACKEND_MARK)),
+                mark(1, format!("{}4", exa_obs::THREADS_MARK)),
+                at(
+                    1000,
+                    EventKind::RegionBegin {
+                        region: RegionKind::Newview,
+                    },
+                ),
+                at(
+                    2500,
+                    EventKind::RegionEnd {
+                        region: RegionKind::Newview,
+                    },
+                ),
+                at(
+                    3000,
+                    EventKind::Collective {
+                        op: OpKind::Allreduce,
+                        category: CommCategory::SiteLikelihoods,
+                        bytes: 24,
+                    },
+                ),
+            ],
+            vec![
+                mark(7, format!("{}scalar", exa_obs::KERNEL_BACKEND_MARK)),
+                mark(2_000_000, "quote\" back\\slash\nnew\tline \u{1} µs".into()),
+                at(
+                    86_400_000_000_123,
+                    EventKind::Kernel {
+                        region: RegionKind::Evaluate,
+                        partition: 3,
+                        dur_ns: 900,
+                    },
+                ),
+            ],
+            vec![],
+        ],
+    }
+}
+
+fn written_chrome_trace(trace: &RunTrace, name: &str) -> Value {
+    let path = std::env::temp_dir().join(format!("examl_{name}_{}.json", std::process::id()));
+    exa_obs::write_chrome_trace(&path, trace).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    serde_json::from_str(&text).unwrap()
+}
+
+#[test]
+fn streamed_chrome_trace_is_the_value_tree_document() {
+    let synthetic = synthetic_trace();
+    let reference = reference_chrome_trace(&synthetic);
+    assert_eq!(written_chrome_trace(&synthetic, "synthetic"), reference);
+    assert_eq!(exa_obs::chrome_trace(&synthetic), reference);
+    let other = serde::field(reference.as_map("trace").unwrap(), "otherData");
+    assert_eq!(
+        serde_json::to_string(other).unwrap(),
+        r#"{"kernel_backend":"simd","threads":"4"}"#
+    );
+
+    let w = small_workload(31);
+    let (trace, _) = traced_decentralized(&w, 2, 3);
+    let reference = reference_chrome_trace(&trace);
+    let written = written_chrome_trace(&trace, "two_ranks");
+    assert_eq!(written, reference);
+    let events = serde::field(written.as_map("trace").unwrap(), "traceEvents")
+        .as_array("traceEvents")
+        .unwrap();
+    let phases: std::collections::BTreeSet<&str> = events
+        .iter()
+        .map(|e| {
+            serde::field(e.as_map("event").unwrap(), "ph")
+                .as_str("ph")
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(
+        phases.into_iter().collect::<Vec<_>>(),
+        ["B", "E", "M", "X", "i"]
+    );
+}
+
+/// Export cost on a trace the size of a `serve_flood` daemon job's
+/// (12 taxa, 2 × 150 sites, one rank, one iteration): the `Value`-tree
+/// exporter against the streaming one, best of 20 each. Prints; run with
+/// `cargo test --release -p examl-integration-tests --test tracing -- --ignored --nocapture`.
+#[test]
+#[ignore = "timing report for EXPERIMENTS.md, not a check"]
+fn export_timing_value_tree_vs_streaming() {
+    use std::io::Write;
+    let w = workloads::partitioned(12, 2, 150, 8);
+    let out = RunConfig::new(1)
+        .starting_tree(exa_search::StartingTree::Parsimony)
+        .search(SearchConfig {
+            max_iterations: 1,
+            ..SearchConfig::default()
+        })
+        .collect_trace(true)
+        .run(&w.compressed)
+        .unwrap();
+    let trace = out.trace.unwrap();
+    let path =
+        std::env::temp_dir().join(format!("examl_export_timing_{}.json", std::process::id()));
+    let best_ms = |f: &dyn Fn()| {
+        (0..20)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let value_tree = best_ms(&|| {
+        let json = serde_json::to_string(&reference_chrome_trace(&trace)).unwrap();
+        let mut f = std::fs::File::create(&path).unwrap();
+        f.write_all(json.as_bytes()).unwrap();
+        f.write_all(b"\n").unwrap();
+    });
+    let streaming = best_ms(&|| exa_obs::write_chrome_trace(&path, &trace).unwrap());
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    std::fs::remove_file(&path).ok();
+    println!(
+        "{} events, {bytes} bytes: value tree {value_tree:.2} ms, streaming {streaming:.2} ms ({:.1}x)",
+        trace.total_events(),
+        value_tree / streaming
+    );
 }
