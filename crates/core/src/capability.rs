@@ -28,11 +28,36 @@ use exa_search::Modes;
 /// A negotiable setting as the operator asks for it: either an explicit
 /// mode or `auto`. The mode is a small totally-ordered capability — a
 /// monotone level, reconstructible from a negotiated minimum level.
+///
+/// The impl is also where a mode's operator surface is written, once: the
+/// command-line rows of [`crate::cli`] are generated from these constants.
 pub trait Choice: Copy + PartialEq {
     /// The resolved mode this choice negotiates down to.
     type Mode: Copy;
     /// The "let the world decide" value.
     const AUTO: Self;
+    /// The command-line flag that sets this choice, as `--help` shows it
+    /// (`--name VALUE`).
+    const FLAG: &'static str;
+    /// The environment variable the type's `from_env` reads the default
+    /// from.
+    const ENV: &'static str;
+    /// The accepted values, as an error message names them.
+    const VALUES: &'static str;
+    /// The `--help` paragraph of [`Choice::FLAG`].
+    const HELP: &'static str;
+    /// The fault-injection flag that forces a per-rank mode table past
+    /// negotiation, for the modes that have one: `--name GRAMMAR`.
+    const OVERRIDE: Option<&'static str> = None;
+    /// Parse a [`Choice::FLAG`] / [`Choice::ENV`] value.
+    fn parse(s: &str) -> Option<Self>;
+    /// Parse one entry of an override table: any explicit choice, as the
+    /// mode it forces.
+    fn parse_mode(s: &str) -> Option<Self::Mode> {
+        Self::parse(s)
+            .filter(|c| *c != Self::AUTO)
+            .map(Self::resolve_local)
+    }
     /// What this choice resolves to without a world (`auto` = the best this
     /// host offers).
     fn resolve_local(self) -> Self::Mode;
@@ -45,6 +70,14 @@ pub trait Choice: Copy + PartialEq {
 impl Choice for KernelChoice {
     type Mode = KernelKind;
     const AUTO: Self = KernelChoice::Auto;
+    const FLAG: &'static str = "--kernel MODE";
+    const ENV: &'static str = "EXAML_KERNEL";
+    const VALUES: &'static str = "scalar, simd or auto";
+    const HELP: &'static str = "likelihood-kernel backend: scalar | simd | auto (default auto: \
+        ranks negotiate the fastest backend all of them support)";
+    fn parse(s: &str) -> Option<Self> {
+        KernelChoice::parse(s)
+    }
     fn resolve_local(self) -> KernelKind {
         KernelChoice::resolve_local(self)
     }
@@ -59,6 +92,14 @@ impl Choice for KernelChoice {
 impl Choice for RepeatsChoice {
     type Mode = SiteRepeats;
     const AUTO: Self = RepeatsChoice::Auto;
+    const FLAG: &'static str = "--site-repeats MODE";
+    const ENV: &'static str = "EXAML_SITE_REPEATS";
+    const VALUES: &'static str = "on, off or auto";
+    const HELP: &'static str = "subtree-repeat CLV compression: on | off | auto (default auto: \
+        ranks negotiate a uniform setting, resolving to on)";
+    fn parse(s: &str) -> Option<Self> {
+        RepeatsChoice::parse(s)
+    }
     fn resolve_local(self) -> SiteRepeats {
         RepeatsChoice::resolve_local(self)
     }
@@ -73,6 +114,16 @@ impl Choice for RepeatsChoice {
 impl Choice for ReduceChoice {
     type Mode = ReduceKind;
     const AUTO: Self = ReduceChoice::Auto;
+    const FLAG: &'static str = "--reduce MODE";
+    const ENV: &'static str = "EXAML_REDUCE";
+    const VALUES: &'static str = "fast, reproducible or auto";
+    const HELP: &'static str = "collective reduction mode: fast | reproducible | auto \
+        (reproducible sums are bitwise invariant to rank count and summation order; default fast)";
+    const OVERRIDE: Option<&'static str> =
+        Some("--reduce-override fast|reproducible[,fast|reproducible...]");
+    fn parse(s: &str) -> Option<Self> {
+        ReduceChoice::parse(s)
+    }
     fn resolve_local(self) -> ReduceKind {
         ReduceChoice::resolve_local(self)
     }
@@ -89,6 +140,16 @@ impl Choice for ReduceChoice {
 impl Choice for ThreadsChoice {
     type Mode = ThreadCount;
     const AUTO: Self = ThreadsChoice::Auto;
+    const FLAG: &'static str = "--threads MODE";
+    const ENV: &'static str = "EXAML_THREADS";
+    const VALUES: &'static str = "a count or auto";
+    const HELP: &'static str = "intra-rank worker threads per rank executing kernel batches \
+        task-parallel: a count or auto (bitwise invisible: the lnL trajectory is identical at \
+        any count; default auto, negotiated to the world minimum)";
+    const OVERRIDE: Option<&'static str> = Some("--threads-override N[,N...]");
+    fn parse(s: &str) -> Option<Self> {
+        ThreadsChoice::parse(s)
+    }
     fn resolve_local(self) -> ThreadCount {
         ThreadsChoice::resolve_local(self)
     }
@@ -105,6 +166,16 @@ impl Choice for ThreadsChoice {
 impl Choice for GradientChoice {
     type Mode = GradientMode;
     const AUTO: Self = GradientChoice::Auto;
+    const FLAG: &'static str = "--gradient MODE";
+    const ENV: &'static str = "EXAML_GRADIENT";
+    const VALUES: &'static str = "on, off or auto";
+    const HELP: &'static str = "gradient-driven branch-length optimization: on | off | auto (on \
+        computes all edge derivatives in one full-tree sweep with a single collective per \
+        smoothing pass; bitwise result-neutral; default auto, negotiated to the world minimum)";
+    const OVERRIDE: Option<&'static str> = Some("--gradient-override on|off[,on|off...]");
+    fn parse(s: &str) -> Option<Self> {
+        GradientChoice::parse(s)
+    }
     fn resolve_local(self) -> GradientMode {
         GradientChoice::resolve_local(self)
     }

@@ -474,7 +474,6 @@ impl SchemeExchange for Allreduce {
         health.last_instant = now;
         health.last_regions = regions;
         let work = eval.engine().work();
-        let modes = &hooks.modes;
         let rec = HeartbeatRecord {
             iteration: info.iteration as u64,
             lnl: info.lnl,
@@ -484,14 +483,11 @@ impl SchemeExchange for Allreduce {
             imbalance: imbalance_ratio(&per_rank),
             sentinel_syncs: eval.exchange().sentinel_syncs(),
             divergence: "ok".to_string(),
-            kernel: Some(modes.kernel.label().to_string()),
             repeat_ratio: Some(work.repeat_ratio()),
             clv_saved: Some(work.clv_saved),
             last_checkpoint_iter: hooks.last_checkpoint_iter,
             checkpoint_write_ms: hooks.last_checkpoint_ms,
-            reduce: Some(modes.reduce.label().to_string()),
-            threads: Some(modes.threads.get() as u64),
-            gradient: Some(modes.gradient.label().to_string()),
+            modes: Some(hooks.modes.label_map()),
         };
         OpenOptions::new()
             .create(true)

@@ -36,7 +36,7 @@ mod scheme;
 pub mod sentinel;
 
 pub use capability::{CapabilityRequests, Choice};
-pub use cli::{CliConfig, CliError};
+pub use cli::{Cli, CliError};
 pub use evaluator::{Allreduce, DecentralizedEvaluator};
 pub use run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome, Scheme};
 pub use sentinel::{DivergenceFault, FaultComponent};

@@ -197,8 +197,9 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// The outcome of a search that ended in `state` computing with
-    /// `modes`: zero counters, all ranks unaccounted, no trace, bootstrap
-    /// or health yet — the drivers fill in what they measured.
+    /// `modes`: zero counters, all ranks unaccounted, no trace or bootstrap
+    /// yet, a health report that names the modes and nothing else — the
+    /// drivers fill in what they measured.
     pub(crate) fn new(
         result: SearchResult,
         state: GlobalState,
@@ -220,7 +221,10 @@ impl RunOutcome {
             threads: modes.threads.get(),
             gradient: modes.gradient,
             trace: None,
-            health: HealthReport::default(),
+            health: HealthReport {
+                modes: Some(modes.label_map()),
+                ..HealthReport::default()
+            },
             bootstrap: None,
         }
     }
@@ -317,7 +321,10 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Defaults for `n_ranks` ranks: de-centralized scheme, Γ model, no
-    /// tracing, sentinel off, kernel from `EXAML_KERNEL` (default `auto`).
+    /// tracing, sentinel off, and the five negotiated modes from their
+    /// environment variables — `EXAML_KERNEL`, `EXAML_SITE_REPEATS`,
+    /// `EXAML_THREADS`, `EXAML_GRADIENT` (unset: `auto`) and `EXAML_REDUCE`
+    /// (unset: `fast`).
     pub fn new(n_ranks: usize) -> RunConfig {
         RunConfig {
             scheme: Scheme::Decentralized,
@@ -343,7 +350,7 @@ impl RunConfig {
             kernel_override: None,
             site_repeats: RepeatsChoice::from_env(),
             site_repeats_override: None,
-            reduce: ReduceChoice::Fast,
+            reduce: ReduceChoice::from_env(),
             reduce_override: None,
             threads: ThreadsChoice::from_env(),
             threads_override: None,
@@ -594,30 +601,42 @@ impl RunConfig {
             .expect("chain is non-empty")
     }
 
-    /// Execute the configured run.
-    pub fn run(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
-        assert!(
-            self.inject_kill.is_none() || self.checkpoint_out.is_some(),
-            "--inject-kill requires --checkpoint-out (kills are counted in checkpoints)"
-        );
-        if !self.resize_plan.is_empty() {
-            assert!(
-                self.scheme == Scheme::Decentralized,
-                "--resize-at requires the de-centralized scheme"
+    /// Whether the settings describe a run at all. [`RunConfig::run`]
+    /// panics on what this rejects; a front end reports it as a usage
+    /// error instead.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.inject_kill.is_some() && self.checkpoint_out.is_none() {
+            return Err(
+                "--inject-kill requires --checkpoint-out (kills are counted in checkpoints)",
             );
-            assert!(
-                !matches!(self.reduce, ReduceChoice::Fast),
+        }
+        if self.resize_plan.is_empty() {
+            return Ok(());
+        }
+        if self.scheme != Scheme::Decentralized {
+            return Err("--resize-at requires the de-centralized scheme");
+        }
+        if matches!(self.reduce, ReduceChoice::Fast) {
+            return Err(
                 "--resize-at requires --reduce reproducible (or auto): only \
                  rank-count-invariant reductions keep the lnL trajectory \
-                 bitwise stable across a width change"
+                 bitwise stable across a width change",
             );
-            let world = self.world_size();
-            for &(iter, width) in &self.resize_plan {
-                assert!(
-                    width >= 1 && width <= world,
-                    "resize to width {width} at iteration {iter} outside 1..={world}"
-                );
-            }
+        }
+        Ok(())
+    }
+
+    /// Execute the configured run.
+    pub fn run(&self, aln: &CompressedAlignment) -> Result<RunOutcome, RunError> {
+        if let Err(why) = self.validate() {
+            panic!("{why}");
+        }
+        let world = self.world_size();
+        for &(iter, width) in &self.resize_plan {
+            assert!(
+                width >= 1 && width <= world,
+                "resize to width {width} at iteration {iter} outside 1..={world}"
+            );
         }
         match self.scheme {
             Scheme::Decentralized => self.run_scheme::<Allreduce>(aln),
@@ -692,9 +711,9 @@ impl RunConfig {
     }
 
     /// End-of-run health summary of `out`: sentinel verdict, measured
-    /// (trace) vs predicted (scheduler, filled in by the driver that held
-    /// the assignment table) load imbalance, heartbeat count, the modes the
-    /// ranks computed with.
+    /// (trace) load imbalance, heartbeat count — around what the driver
+    /// already filled in because only it held them: the predicted imbalance
+    /// (assignment table) and the modes the ranks computed with.
     fn health_report(&self, out: &RunOutcome) -> HealthReport {
         let trace = out.trace.as_ref();
         let measured = trace.and_then(|t| {
@@ -710,19 +729,13 @@ impl RunConfig {
         HealthReport {
             sentinel_cadence: self.verify_replicas,
             sentinel_syncs: out.sentinel_syncs,
-            divergence: None,
             measured_imbalance: measured,
-            predicted_imbalance: out.health.predicted_imbalance,
             heartbeats,
-            kernel: Some(out.kernel.label().to_string()),
-            site_repeats: Some(out.site_repeats.label().to_string()),
             repeat_ratio: Some(out.work.repeat_ratio()),
-            reduce: Some(out.reduce.label().to_string()),
-            threads: Some(out.threads as u64),
-            gradient: Some(out.gradient.label().to_string()),
             critical_path: trace
                 .and_then(RunTrace::critical_path)
                 .map(|cp| cp.summary()),
+            ..out.health.clone()
         }
     }
 }

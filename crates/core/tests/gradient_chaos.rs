@@ -79,7 +79,7 @@ impl Fixture {
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
                 let rec = HeartbeatRecord::from_json_line(l).unwrap();
-                assert_eq!(rec.gradient.as_deref(), Some(gradient.label()));
+                assert_eq!(rec.modes.unwrap()["gradient"], gradient.label());
                 (rec.iteration, rec.lnl.to_bits())
             })
             .collect();

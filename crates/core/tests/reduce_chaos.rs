@@ -60,7 +60,7 @@ impl Fixture {
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
                 let rec = HeartbeatRecord::from_json_line(l).unwrap();
-                assert_eq!(rec.reduce.as_deref(), Some("reproducible"));
+                assert_eq!(rec.modes.unwrap()["reduce"], "reproducible");
                 (rec.iteration, rec.lnl.to_bits())
             })
             .collect();

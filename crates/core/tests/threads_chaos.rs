@@ -71,7 +71,7 @@ impl Fixture {
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
                 let rec = HeartbeatRecord::from_json_line(l).unwrap();
-                assert_eq!(rec.threads, Some(threads as u64));
+                assert_eq!(rec.modes.unwrap()["threads"], threads.to_string());
                 (rec.iteration, rec.lnl.to_bits())
             })
             .collect();

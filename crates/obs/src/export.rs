@@ -8,36 +8,14 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Reserved mark-label prefix that stamps the likelihood-kernel backend
-/// into a trace. [`chrome_trace`] hoists the suffix into the top-level
-/// `otherData` header so the backend is visible without scanning events.
-pub const KERNEL_BACKEND_MARK: &str = "kernel_backend:";
-
-/// Reserved mark-label prefix that stamps the site-repeats setting
-/// (`"on"`/`"off"`) into a trace; hoisted into `otherData.site_repeats` the
-/// same way [`KERNEL_BACKEND_MARK`] is.
-pub const SITE_REPEATS_MARK: &str = "site_repeats:";
-
-/// Reserved mark-label prefix that stamps the negotiated reduction mode
-/// (`"fast"`/`"reproducible"`) into a trace; hoisted into
-/// `otherData.reduce_mode` the same way [`KERNEL_BACKEND_MARK`] is.
-pub const REDUCE_MODE_MARK: &str = "reduce_mode:";
-
-/// Reserved mark-label prefix that stamps the negotiated intra-rank thread
-/// count into a trace; hoisted into `otherData.threads` the same way
-/// [`KERNEL_BACKEND_MARK`] is. Per-rank *batch counts* are deliberately not
-/// marked (they differ across ranks under MPS and would break trace
-/// rank-parity) — those go to the metrics registry instead.
-pub const THREADS_MARK: &str = "threads:";
-
-/// Reserved mark-label prefix that stamps the batching setting
-/// (`"on"`/`"off"`) into a trace; hoisted into `otherData.batch`.
-pub const BATCH_MARK: &str = "batch:";
-
-/// Reserved mark-label prefix that stamps the negotiated gradient-BLO mode
-/// (`"on"`/`"off"`) into a trace; hoisted into `otherData.gradient` the
-/// same way [`KERNEL_BACKEND_MARK`] is.
-pub const GRADIENT_MARK: &str = "gradient:";
+/// Reserved mark-label prefix of a mode stamp, `mode:<key>=<label>`: one
+/// per compute mode the run resolved (which modes exist is the stamping
+/// layer's business, not this crate's). [`chrome_trace`] hoists every such
+/// mark into the top-level `otherData` header as `otherData.<key>`, so the
+/// modes are visible without scanning events. Per-rank *batch counts* are
+/// deliberately not marked (they differ across ranks under MPS and would
+/// break trace rank-parity) — those go to the metrics registry instead.
+pub const MODE_MARK: &str = "mode:";
 
 /// Reserved mark-label prefix stamped (on every rank) each time a
 /// checkpoint generation is committed; the suffix is the search iteration
@@ -52,17 +30,6 @@ pub const CHECKPOINT_MARK: &str = "checkpoint:";
 /// scheme every rank emits them, on fork-join only the master does, and
 /// both cases window correctly because ranks share the recorder clock.
 pub const ITERATION_MARK: &str = "iteration:";
-
-/// The reserved mode marks and the `otherData` key [`chrome_trace`] hoists
-/// each one's suffix into, in the order the keys are written.
-const OTHER_DATA: [(&str, &str); 6] = [
-    (KERNEL_BACKEND_MARK, "kernel_backend"),
-    (SITE_REPEATS_MARK, "site_repeats"),
-    (REDUCE_MODE_MARK, "reduce_mode"),
-    (THREADS_MARK, "threads"),
-    (BATCH_MARK, "batch"),
-    (GRADIENT_MARK, "gradient"),
-];
 
 /// Microseconds (Chrome's `ts`/`dur` unit) from nanoseconds, as the exact
 /// decimal (`2.000`, `0.007`): always with a fraction, so it parses back to
@@ -85,13 +52,13 @@ fn json_str(s: &str) -> String {
 /// process, one thread per rank, `B`/`E` span events for regions, `X`
 /// complete events for kernels and `i` instant events for collectives and
 /// marks. Loadable in Perfetto and `chrome://tracing`. The first occurrence
-/// of each reserved mode mark (e.g. [`KERNEL_BACKEND_MARK`]) is additionally
-/// surfaced in the top-level `otherData` header (`otherData.kernel_backend`,
-/// …). Each event is formatted straight into `out`: a small job's trace is
-/// already thousands of events, and building them as a `Value` tree first
-/// took 8× as long (EXPERIMENTS.md, "Daemon serving path").
+/// of each [`MODE_MARK`] key is additionally surfaced in the top-level
+/// `otherData` header (`otherData.kernel`, …), in order of first
+/// appearance. Each event is formatted straight into `out`: a small job's
+/// trace is already thousands of events, and building them as a `Value`
+/// tree first took 8× as long (EXPERIMENTS.md, "Daemon serving path").
 fn write_trace(out: &mut impl std::io::Write, trace: &RunTrace) -> std::io::Result<()> {
-    let mut hoisted: [Option<&str>; OTHER_DATA.len()] = [None; OTHER_DATA.len()];
+    let mut hoisted: Vec<(&str, &str)> = Vec::new();
     out.write_all(b"{\"traceEvents\":[")?;
     for rank in 0..trace.n_ranks() {
         if rank > 0 {
@@ -125,9 +92,12 @@ fn write_trace(out: &mut impl std::io::Write, trace: &RunTrace) -> std::io::Resu
                     op.label()
                 )?,
                 EventKind::Mark { label } => {
-                    for (slot, (prefix, _)) in hoisted.iter_mut().zip(OTHER_DATA) {
-                        if slot.is_none() {
-                            *slot = label.strip_prefix(prefix);
+                    let stamp = label
+                        .strip_prefix(MODE_MARK)
+                        .and_then(|s| s.split_once('='));
+                    if let Some((key, value)) = stamp {
+                        if !hoisted.iter().any(|(k, _)| *k == key) {
+                            hoisted.push((key, value));
                         }
                     }
                     write!(
@@ -152,11 +122,9 @@ fn write_trace(out: &mut impl std::io::Write, trace: &RunTrace) -> std::io::Resu
     }
     out.write_all(b"],\"displayTimeUnit\":\"ms\"")?;
     let mut sep = r#","otherData":{"#;
-    for (suffix, (_, key)) in hoisted.iter().zip(OTHER_DATA) {
-        if let Some(suffix) = suffix {
-            write!(out, r#"{sep}"{key}":{}"#, json_str(suffix))?;
-            sep = ",";
-        }
+    for (key, value) in &hoisted {
+        write!(out, "{sep}{}:{}", json_str(key), json_str(value))?;
+        sep = ",";
     }
     if sep == "," {
         out.write_all(b"}")?;
@@ -339,66 +307,41 @@ mod tests {
     }
 
     #[test]
-    fn kernel_backend_mark_is_hoisted_into_other_data() {
+    fn mode_marks_are_hoisted_into_other_data() {
         // No mark → no otherData header.
         let plain = serde_json::to_string(&chrome_trace(&sample_trace())).unwrap();
         assert!(!plain.contains("otherData"), "{plain}");
 
+        // Whatever keys the stamping layer uses are hoisted, first value
+        // per key, in order of first appearance; a mark that merely starts
+        // with the prefix is not a stamp.
         let mut trace = sample_trace();
-        trace.per_rank[0].insert(
-            0,
-            TraceEvent {
-                ts_ns: 0,
-                kind: EventKind::Mark {
-                    label: format!("{KERNEL_BACKEND_MARK}simd"),
+        let labels = ["mode:kernel=simd", "mode:threads=4", "mode:novel=x=y"];
+        for (i, label) in labels.into_iter().enumerate() {
+            trace.per_rank[0].insert(
+                i,
+                TraceEvent {
+                    ts_ns: 0,
+                    kind: EventKind::Mark {
+                        label: label.into(),
+                    },
                 },
-            },
-        );
+            );
+        }
+        for label in ["mode:kernel=scalar", "mode:unkeyed"] {
+            trace.per_rank[1].push(TraceEvent {
+                ts_ns: 9000,
+                kind: EventKind::Mark {
+                    label: label.into(),
+                },
+            });
+        }
         let v = chrome_trace(&trace);
-        let map = v.as_map("trace").unwrap();
-        let other = serde::field(map, "otherData").as_map("otherData").unwrap();
+        let other = serde::field(v.as_map("trace").unwrap(), "otherData");
         assert_eq!(
-            serde::field(other, "kernel_backend"),
-            &Value::Str("simd".into())
+            serde_json::to_string(other).unwrap(),
+            r#"{"kernel":"simd","threads":"4","novel":"x=y"}"#
         );
-    }
-
-    #[test]
-    fn threads_and_batch_marks_are_hoisted_into_other_data() {
-        let mut trace = sample_trace();
-        trace.per_rank[0].insert(
-            0,
-            TraceEvent {
-                ts_ns: 0,
-                kind: EventKind::Mark {
-                    label: format!("{THREADS_MARK}4"),
-                },
-            },
-        );
-        trace.per_rank[0].insert(
-            1,
-            TraceEvent {
-                ts_ns: 0,
-                kind: EventKind::Mark {
-                    label: format!("{BATCH_MARK}on"),
-                },
-            },
-        );
-        trace.per_rank[0].insert(
-            2,
-            TraceEvent {
-                ts_ns: 0,
-                kind: EventKind::Mark {
-                    label: format!("{GRADIENT_MARK}on"),
-                },
-            },
-        );
-        let v = chrome_trace(&trace);
-        let map = v.as_map("trace").unwrap();
-        let other = serde::field(map, "otherData").as_map("otherData").unwrap();
-        assert_eq!(serde::field(other, "threads"), &Value::Str("4".into()));
-        assert_eq!(serde::field(other, "batch"), &Value::Str("on".into()));
-        assert_eq!(serde::field(other, "gradient"), &Value::Str("on".into()));
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! `--health-out FILE`), cheap enough to tail from another terminal or feed
 //! a dashboard; [`HealthReport`] condenses the same signals into the CLI's
 //! end-of-run summary.
+//!
+//! All three sinks carry the compute modes a run resolved as one `modes`
+//! table, `key → label` (`"kernel" → "simd"`, `"threads" → "2"`, …). Which
+//! modes exist is the producing layer's business (`exa_search::Modes`);
+//! this module stores and renders the table without knowing its keys.
 
 use crate::aggregate::CriticalPathSummary;
 use crate::fingerprint::ReplicaDivergence;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One periodic status record, serialized as a single JSON line.
@@ -36,10 +42,6 @@ pub struct HeartbeatRecord {
     /// before the next heartbeat, so a diverged status never appears here —
     /// the field documents that the run was verified up to this record.
     pub divergence: String,
-    /// Label of the likelihood-kernel backend in use (`"scalar"`/`"simd"`).
-    /// `None` when absent, so heartbeat files written before the field
-    /// existed still parse.
-    pub kernel: Option<String>,
     /// Subtree-repeat compression ratio so far:
     /// `(clv_updates + clv_saved) / clv_updates`, i.e. how many times more
     /// CLV columns a repeat-blind run would have computed. 1.0 when
@@ -55,15 +57,9 @@ pub struct HeartbeatRecord {
     /// (gather + encode + fsync + rename). `None` on legacy records or
     /// before the first checkpoint.
     pub checkpoint_write_ms: Option<f64>,
-    /// Label of the negotiated reduction mode (`"fast"`/`"reproducible"`).
-    /// `None` on legacy records.
-    pub reduce: Option<String>,
-    /// Intra-rank worker threads the run negotiated. `None` on legacy
-    /// records.
-    pub threads: Option<u64>,
-    /// Label of the negotiated gradient-BLO mode (`"on"`/`"off"`). `None`
-    /// on legacy records.
-    pub gradient: Option<String>,
+    /// The modes the run computes with. `None` on records written before
+    /// the modes were nested (those carried some of them as flat fields).
+    pub modes: Option<BTreeMap<String, String>>,
 }
 
 impl HeartbeatRecord {
@@ -111,23 +107,13 @@ pub struct ServeHeartbeat {
     /// Daemon build version (`CARGO_PKG_VERSION`). `None` on legacy
     /// records.
     pub version: Option<String>,
-    /// Locally-negotiated likelihood-kernel capability (`"scalar"`/
-    /// `"simd"` — what a single-node job would resolve `auto` to). `None`
-    /// on legacy records.
-    pub kernel: Option<String>,
-    /// Locally-resolved site-repeats capability (`"on"`/`"off"`). `None`
-    /// on legacy records.
-    pub site_repeats: Option<String>,
     /// Seconds since this daemon process started. `None` on legacy
     /// records.
     pub uptime_secs: Option<f64>,
-    /// Locally-resolved reduction-mode capability (`"fast"`/
-    /// `"reproducible"` — what a single-node job would resolve `auto` to).
-    /// `None` on legacy records.
-    pub reduce: Option<String>,
-    /// Locally-resolved gradient-BLO capability (`"on"`/`"off"`). `None`
-    /// on legacy records.
-    pub gradient: Option<String>,
+    /// What a job left on the defaults computes with on this host (every
+    /// `auto` resolved locally). `None` on records written before the
+    /// modes were nested.
+    pub modes: Option<BTreeMap<String, String>>,
 }
 
 /// Per-tenant slice of a [`ServeHeartbeat`].
@@ -209,12 +195,9 @@ pub struct HealthReport {
     pub predicted_imbalance: Option<f64>,
     /// Heartbeat records written.
     pub heartbeats: u64,
-    /// Label of the likelihood-kernel backend the run used (`None` when
-    /// the producing layer predates kernel selection).
-    pub kernel: Option<String>,
-    /// Site-repeats setting the run used (`"on"`/`"off"`; `None` when the
-    /// producing layer predates repeat compression).
-    pub site_repeats: Option<String>,
+    /// The modes the run computed with (`None` on a report nobody filled
+    /// in, or one written before the modes were nested).
+    pub modes: Option<BTreeMap<String, String>>,
     /// Subtree-repeat compression ratio over the whole run:
     /// `(clv_updates + clv_saved) / clv_updates`.
     pub repeat_ratio: Option<f64>,
@@ -222,15 +205,6 @@ pub struct HealthReport {
     /// straggler-induced idle), from [`crate::RunTrace::critical_path`].
     /// `None` when tracing was off or the trace had no iteration marks.
     pub critical_path: Option<CriticalPathSummary>,
-    /// Reduction mode the run negotiated (`"fast"`/`"reproducible"`;
-    /// `None` when the producing layer predates reduce-mode selection).
-    pub reduce: Option<String>,
-    /// Intra-rank worker threads per rank the run negotiated (`None` when
-    /// the producing layer predates the worker pool).
-    pub threads: Option<u64>,
-    /// Gradient-BLO mode the run negotiated (`"on"`/`"off"`; `None` when
-    /// the producing layer predates the gradient sweep).
-    pub gradient: Option<String>,
 }
 
 impl HealthReport {
@@ -238,29 +212,11 @@ impl HealthReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "run health");
-        if let Some(kernel) = &self.kernel {
-            let _ = writeln!(out, "  kernel: {kernel}");
+        for (key, label) in self.modes.iter().flatten() {
+            let _ = writeln!(out, "  {key}: {label}");
         }
-        if let Some(reduce) = &self.reduce {
-            let _ = writeln!(out, "  reduce: {reduce}");
-        }
-        if let Some(threads) = self.threads {
-            let _ = writeln!(out, "  threads: {threads}");
-        }
-        if let Some(gradient) = &self.gradient {
-            let _ = writeln!(out, "  gradient: {gradient}");
-        }
-        match (&self.site_repeats, self.repeat_ratio) {
-            (Some(setting), Some(ratio)) => {
-                let _ = writeln!(
-                    out,
-                    "  site repeats: {setting} (compression ratio {ratio:.3})"
-                );
-            }
-            (Some(setting), None) => {
-                let _ = writeln!(out, "  site repeats: {setting}");
-            }
-            (None, _) => {}
+        if let Some(ratio) = self.repeat_ratio {
+            let _ = writeln!(out, "  repeat compression ratio: {ratio:.3}");
         }
         match (self.sentinel_cadence, &self.divergence) {
             (0, _) => {
@@ -333,6 +289,15 @@ mod tests {
     use super::*;
     use crate::fingerprint::Component;
 
+    fn modes(entries: &[(&str, &str)]) -> Option<BTreeMap<String, String>> {
+        Some(
+            entries
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        )
+    }
+
     fn record() -> HeartbeatRecord {
         HeartbeatRecord {
             iteration: 3,
@@ -343,14 +308,11 @@ mod tests {
             imbalance: 1.25,
             sentinel_syncs: 4,
             divergence: "ok".into(),
-            kernel: Some("simd".into()),
             repeat_ratio: Some(2.5),
             clv_saved: Some(1200),
             last_checkpoint_iter: Some(2),
             checkpoint_write_ms: Some(0.75),
-            reduce: Some("fast".into()),
-            threads: Some(2),
-            gradient: Some("on".into()),
+            modes: modes(&[("kernel", "simd"), ("reduce", "fast"), ("threads", "2")]),
         }
     }
 
@@ -359,30 +321,31 @@ mod tests {
         let r = record();
         let line = r.to_json_line();
         assert!(!line.contains('\n'), "must be a single line: {line}");
+        assert!(
+            line.ends_with(r#","modes":{"kernel":"simd","reduce":"fast","threads":"2"}}"#),
+            "{line}"
+        );
         let back = HeartbeatRecord::from_json_line(&line).unwrap();
         assert_eq!(r, back);
         assert!(HeartbeatRecord::from_json_line("not json").is_err());
 
-        // Lines written before the kernel/repeat fields existed still parse.
+        // Lines written before the optional fields existed still parse.
         let legacy = line
-            .replace(",\"kernel\":\"simd\"", "")
             .replace(",\"repeat_ratio\":2.5", "")
             .replace(",\"clv_saved\":1200", "")
             .replace(",\"last_checkpoint_iter\":2", "")
             .replace(",\"checkpoint_write_ms\":0.75", "")
-            .replace(",\"reduce\":\"fast\"", "")
-            .replace(",\"threads\":2", "")
-            .replace(",\"gradient\":\"on\"", "");
+            .replace(
+                r#","modes":{"kernel":"simd","reduce":"fast","threads":"2"}"#,
+                "",
+            );
         assert_ne!(legacy, line);
         let back = HeartbeatRecord::from_json_line(&legacy).unwrap();
-        assert_eq!(back.kernel, None);
         assert_eq!(back.repeat_ratio, None);
         assert_eq!(back.clv_saved, None);
         assert_eq!(back.last_checkpoint_iter, None);
         assert_eq!(back.checkpoint_write_ms, None);
-        assert_eq!(back.reduce, None);
-        assert_eq!(back.threads, None);
-        assert_eq!(back.gradient, None);
+        assert_eq!(back.modes, None);
     }
 
     #[test]
@@ -414,11 +377,8 @@ mod tests {
                 },
             ],
             version: Some("0.1.0".into()),
-            kernel: Some("simd".into()),
-            site_repeats: Some("on".into()),
             uptime_secs: Some(12.5),
-            reduce: Some("fast".into()),
-            gradient: Some("on".into()),
+            modes: modes(&[("kernel", "simd"), ("site_repeats", "on")]),
         };
         let line = hb.to_json_line();
         assert!(!line.contains('\n'), "must be a single line: {line}");
@@ -428,19 +388,13 @@ mod tests {
         // Lines written before the capability fields existed still parse.
         let legacy = line
             .replace(",\"version\":\"0.1.0\"", "")
-            .replace(",\"kernel\":\"simd\"", "")
-            .replace(",\"site_repeats\":\"on\"", "")
             .replace(",\"uptime_secs\":12.5", "")
-            .replace(",\"reduce\":\"fast\"", "")
-            .replace(",\"gradient\":\"on\"", "");
+            .replace(r#","modes":{"kernel":"simd","site_repeats":"on"}"#, "");
         assert_ne!(legacy, line);
         let back = ServeHeartbeat::from_json_line(&legacy).unwrap();
         assert_eq!(back.version, None);
-        assert_eq!(back.kernel, None);
-        assert_eq!(back.site_repeats, None);
         assert_eq!(back.uptime_secs, None);
-        assert_eq!(back.reduce, None);
-        assert_eq!(back.gradient, None);
+        assert_eq!(back.modes, None);
 
         let tagged = JobHeartbeat {
             job: 7,
@@ -469,8 +423,12 @@ mod tests {
             measured_imbalance: Some(1.08),
             predicted_imbalance: Some(1.05),
             heartbeats: 5,
-            kernel: Some("simd".into()),
-            site_repeats: Some("on".into()),
+            modes: modes(&[
+                ("kernel", "simd"),
+                ("reduce", "reproducible"),
+                ("site_repeats", "on"),
+                ("threads", "2"),
+            ]),
             repeat_ratio: Some(2.125),
             critical_path: Some(CriticalPathSummary {
                 iterations: 4,
@@ -483,17 +441,13 @@ mod tests {
                 hottest_partition: Some(3),
                 hottest_partition_ns: 400,
             }),
-            reduce: Some("reproducible".into()),
-            threads: Some(2),
-            gradient: Some("on".into()),
         };
         let text = clean.render();
-        assert!(text.contains("kernel: simd"), "{text}");
-        assert!(text.contains("reduce: reproducible"), "{text}");
-        assert!(text.contains("threads: 2"), "{text}");
-        assert!(text.contains("gradient: on"), "{text}");
-        assert!(text.contains("site repeats: on"), "{text}");
-        assert!(text.contains("compression ratio 2.125"), "{text}");
+        assert!(text.contains("  kernel: simd\n"), "{text}");
+        assert!(text.contains("  reduce: reproducible\n"), "{text}");
+        assert!(text.contains("  threads: 2\n"), "{text}");
+        assert!(text.contains("  site_repeats: on\n"), "{text}");
+        assert!(text.contains("compression ratio: 2.125"), "{text}");
         assert!(text.contains("replicas bit-identical"), "{text}");
         assert!(text.contains("cadence 64"), "{text}");
         assert!(text.contains("measured 1.080"), "{text}");

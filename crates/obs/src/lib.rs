@@ -47,8 +47,7 @@ pub use aggregate::{
 };
 pub use events::{EventKind, RegionKind, TraceEvent};
 pub use export::{
-    chrome_trace, summary_table, write_chrome_trace, BATCH_MARK, CHECKPOINT_MARK, GRADIENT_MARK,
-    ITERATION_MARK, KERNEL_BACKEND_MARK, REDUCE_MODE_MARK, SITE_REPEATS_MARK, THREADS_MARK,
+    chrome_trace, summary_table, write_chrome_trace, CHECKPOINT_MARK, ITERATION_MARK, MODE_MARK,
 };
 pub use fingerprint::{
     check_agreement, fnv1a, Component, Fnv1a, ReplicaDivergence, StateFingerprint, FNV_OFFSET,

@@ -4,13 +4,15 @@
 //! site-repeats setting, reduction mode, thread count and gradient route
 //! (and packs its partitions under the same `batch` switch). The drivers
 //! resolve those once — by negotiation or locally — into a [`Modes`] and
-//! hand that one value to every consumer. The record owns the three views
-//! every sink derives from it: the sentinel digest, the trace marks and the
-//! labels.
+//! hand that one value to every consumer. The record owns the two views
+//! every sink derives from it: the sentinel digest and the label table
+//! ([`Modes::labels`]) that the trace marks, heartbeats and health reports
+//! all carry without knowing which modes exist.
 
 use exa_comm::ReduceKind;
 use exa_phylo::engine::{GradientMode, KernelKind, SiteRepeats, ThreadCount};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// What a world computes with, after `auto` has been resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,13 +30,18 @@ pub struct Modes {
 }
 
 impl Modes {
-    /// Stable label of the batching switch (trace mark suffix).
-    pub fn batch_label(&self) -> &'static str {
-        if self.batch {
-            "on"
-        } else {
-            "off"
-        }
+    /// Every mode as `(key, label)`: the one table the trace marks, the
+    /// heartbeat and health JSON (`modes.<key>`) and the trace's
+    /// `otherData.<key>` are written from.
+    pub fn labels(&self) -> [(&'static str, &'static str); 6] {
+        [
+            ("kernel", self.kernel.label()),
+            ("site_repeats", self.site_repeats.label()),
+            ("reduce", self.reduce.label()),
+            ("threads", self.threads.label()),
+            ("gradient", self.gradient.label()),
+            ("batch", if self.batch { "on" } else { "off" }),
+        ]
     }
 
     /// The [`crate::Evaluator::backend_fingerprint`] digest: FNV-1a over
@@ -58,21 +65,19 @@ impl Modes {
         )
     }
 
-    /// Stamp the six mode marks into the calling rank's trace
-    /// (`exa_obs::chrome_trace` hoists them into `otherData`). Every rank
-    /// of a world stamps identically, preserving cross-rank event-sequence
-    /// parity.
+    /// [`Modes::labels`] as the owned `modes` table the heartbeat and
+    /// health records carry.
+    pub fn label_map(&self) -> BTreeMap<String, String> {
+        self.labels().map(|(k, l)| (k.into(), l.into())).into()
+    }
+
+    /// Stamp one `mode:<key>=<label>` mark per mode into the calling
+    /// rank's trace (`exa_obs::chrome_trace` hoists them into `otherData`).
+    /// Every rank of a world stamps identically, preserving cross-rank
+    /// event-sequence parity.
     pub fn stamp_trace(&self) {
-        let stamps = [
-            (exa_obs::KERNEL_BACKEND_MARK, self.kernel.label()),
-            (exa_obs::SITE_REPEATS_MARK, self.site_repeats.label()),
-            (exa_obs::REDUCE_MODE_MARK, self.reduce.label()),
-            (exa_obs::THREADS_MARK, self.threads.label()),
-            (exa_obs::GRADIENT_MARK, self.gradient.label()),
-            (exa_obs::BATCH_MARK, self.batch_label()),
-        ];
-        for (prefix, label) in stamps {
-            exa_obs::mark(|| format!("{prefix}{label}"));
+        for (key, label) in self.labels() {
+            exa_obs::mark(|| format!("{}{key}={label}", exa_obs::MODE_MARK));
         }
     }
 }

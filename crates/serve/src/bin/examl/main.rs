@@ -4,15 +4,8 @@
 //! distribution), `-M` (per-partition branch lengths), Γ/PSR model choice,
 //! checkpoint/restart and configurable rank counts.
 //!
-//! ```text
-//! examl --phylip data.phy [--partitions parts.txt] [--ranks 4]
-//!       [--model GAMMA|PSR] [--kernel scalar|simd|auto] [-Q] [-M] [--seed 42]
-//!       [--starting-tree random|parsimony|<file.nwk>]
-//!       [--iterations 10] [--radius 5] [--epsilon 0.1]
-//!       [--checkpoint-out DIR [--checkpoint-every 1]] [--resume DIR]
-//!       [--binary-out data.exml | --binary-in data.exml]
-//!       [--out-tree result.nwk] [--trace-out trace.json] [--quiet]
-//! ```
+//! `examl --help` lists every flag; it is rendered from the same table
+//! that parses them (`examl_core::cli`).
 //!
 //! `examl serve …` runs the multi-tenant inference daemon and its client
 //! verbs (see [`serve_cli`]). A plain run installs a SIGINT/SIGTERM bridge:
@@ -20,105 +13,33 @@
 //! when `--checkpoint-out` is armed, and the process exits with code 4 so
 //! wrappers can tell "interrupted but resumable" from real failures.
 //!
-//! Flag parsing lives in `examl_core::cli` and the run orchestration in
-//! `examl_core::RunConfig` — this binary only wires the two together and
-//! formats the output.
+//! Flag parsing lives in `examl_core::cli`, which hands back the
+//! `examl_core::RunConfig` to execute — this binary only loads the inputs,
+//! runs it and formats the output.
 
 mod serve_cli;
 
 use exa_bio::partition::{parse_partition_file, PartitionScheme};
 use exa_bio::patterns::CompressedAlignment;
-use exa_comm::{CommCategory, ReduceChoice};
-use exa_search::{BranchMode, PreemptSignal, SearchConfig, StartingTree};
-use examl_core::{CliConfig, CliError, RunConfig};
+use exa_comm::CommCategory;
+use exa_search::{PreemptSignal, StartingTree};
+use examl_core::cli::Io;
+use examl_core::{Cli, CliError};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: examl (--phylip FILE | --fasta FILE | --binary-in FILE) [options]\n\
-options:\n\
-  --partitions FILE      RAxML-style partition file (DNA, name = a-b)\n\
-  --ranks N              number of ranks (default 4)\n\
-  --model GAMMA|PSR      rate heterogeneity model (default GAMMA)\n\
-  --kernel K             likelihood-kernel backend: scalar | simd | auto\n\
-                         (default auto: ranks negotiate the fastest backend\n\
-                         all of them support; also via EXAML_KERNEL)\n\
-  --site-repeats S       subtree-repeat CLV compression: on | off | auto\n\
-                         (default auto: ranks negotiate a uniform setting,\n\
-                         resolving to on; also via EXAML_SITE_REPEATS)\n\
-  --reduce R             collective reduction mode: fast | reproducible |\n\
-                         auto (reproducible sums are bitwise invariant to\n\
-                         rank count and summation order; default fast,\n\
-                         also via EXAML_REDUCE)\n\
-  --threads N|auto       intra-rank worker threads per rank executing\n\
-                         kernel batches task-parallel (bitwise invisible:\n\
-                         the lnL trajectory is identical at any count;\n\
-                         default auto, negotiated to the world minimum,\n\
-                         also via EXAML_THREADS)\n\
-  --gradient G           gradient-driven branch-length optimization:\n\
-                         on | off | auto (on computes all edge derivatives\n\
-                         in one full-tree sweep with a single collective\n\
-                         per smoothing pass; bitwise result-neutral;\n\
-                         default auto, negotiated to the world minimum,\n\
-                         also via EXAML_GRADIENT)\n\
-  --batch on|off         pack small partitions into cache-sized kernel\n\
-                         batches (default on; off = one dispatch per\n\
-                         partition)\n\
-  --resize-at ITER:WIDTH[,ITER:WIDTH...]\n\
-                         shrink/grow the active rank pool to WIDTH at the\n\
-                         start of iteration ITER (de-centralized scheme;\n\
-                         requires --reduce reproducible or auto)\n\
-  -Q                     monolithic per-partition data distribution (MPS)\n\
-  -M                     per-partition branch lengths\n\
-  --seed N               starting-tree seed (default 42)\n\
-  --starting-tree S      random | parsimony | <newick file> (default parsimony)\n\
-  --iterations N         max search iterations (default 10)\n\
-  --radius N             SPR rearrangement radius (default 5)\n\
-  --epsilon X            convergence threshold (default 0.1)\n\
-  --checkpoint-out DIR   commit checkpoint generations into DIR (atomic\n\
-                         write + rename)\n\
-  --checkpoint-every N   checkpoint interval in iterations (default 1;\n\
-                         0 disables the iteration cadence)\n\
-  --checkpoint-every-secs S\n\
-                         also checkpoint when S wall-clock seconds have\n\
-                         passed since the last commit (alone, it disables\n\
-                         the iteration cadence)\n\
-  --checkpoint-keep N    checkpoint generations retained (default 3)\n\
-  --resume DIR           resume from the newest intact generation in DIR\n\
-  --inject-kill N[:RANK] die after N committed checkpoints — all ranks, or\n\
-                         just RANK (restart chaos testing; exit code 3)\n\
-  --binary-out FILE      write the compressed alignment in binary form and exit\n\
-  --out-tree FILE        write the final Newick tree to FILE\n\
-  --trace-out FILE       write a Chrome trace_event JSON trace to FILE\n\
-                         (under --bootstrap: one trace per replicate, FILE.repN.json)\n\
-  --bootstrap N          run N bootstrap replicates and annotate support\n\
-  --verify-replicas N    compare replica state fingerprints every N collectives\n\
-  --health-out FILE      append one heartbeat JSON line per iteration to FILE\n\
-  --metrics-out FILE     write a Prometheus text-format metrics snapshot to\n\
-                         FILE at exit (enables the metrics registry)\n\
-  --inject-divergence RANK:COLLECTIVE:alpha|blen\n\
-                         flip one state bit on RANK after COLLECTIVE collectives\n\
-                         (sentinel fault-injection testing)\n\
-  --reduce-override MODE[,MODE...]\n\
-                         force per-rank reduce modes (cycled over ranks),\n\
-                         overriding the negotiated one — a scripted\n\
-                         mixed-mode world the sentinel catches at its first\n\
-                         fingerprint sync (fault-injection testing)\n\
-  --threads-override N[,N...]\n\
-                         force per-rank thread counts (cycled over ranks),\n\
-                         bypassing negotiation; a mixed table trips the\n\
-                         sentinel via the backend fingerprint\n\
-  --gradient-override on|off[,on|off...]\n\
-                         force per-rank gradient modes (cycled over ranks),\n\
-                         bypassing negotiation — a mixed world\n\
-                         desynchronizes the collective sequence and the\n\
-                         sentinel catches it at its first fingerprint sync\n\
-  --ascii                also print an ASCII cladogram\n\
-  --stats                print alignment statistics and memory estimates, then exit\n\
-  --quiet                suppress progress output\n\
-subcommands:\n\
-  serve                  run the multi-tenant inference daemon / talk to one\n\
-                         (examl serve --help)";
+/// `examl --help`: the flag table, rendered.
+fn usage() -> String {
+    format!(
+        "usage: examl (--phylip FILE | --fasta FILE | --binary-in FILE) [options]\n\
+         options:\n{}\
+         subcommands:\n  \
+         serve                  run the multi-tenant inference daemon / talk to one\n                         \
+         (examl serve --help)",
+        examl_core::cli::usage(&Cli::flags(), 2)
+    )
+}
 
-fn load_alignment(args: &CliConfig) -> Result<CompressedAlignment, String> {
+fn load_alignment(args: &Io) -> Result<CompressedAlignment, String> {
     if let Some(path) = &args.binary_in {
         return exa_bio::binary::read_file(path).map_err(|e| e.to_string());
     }
@@ -147,15 +68,15 @@ fn main() -> ExitCode {
         raw.remove(0);
         return serve_cli::main(raw);
     }
-    let args = match CliConfig::parse(raw) {
-        Ok(args) => args,
+    let Cli { mut run, io: args } = match Cli::parse(raw) {
+        Ok(cli) => cli,
         Err(CliError::Help) => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(e) => {
             eprintln!("{e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -220,99 +141,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let starting_tree = match args.starting_tree.as_str() {
-        "random" => StartingTree::Random,
-        "parsimony" => StartingTree::Parsimony,
-        path => match std::fs::read_to_string(path) {
-            Ok(text) => StartingTree::Newick(text),
+    if let Some(path) = &args.starting_tree_file {
+        match std::fs::read_to_string(path) {
+            Ok(text) => run.starting_tree = StartingTree::Newick(text),
             Err(e) => {
                 eprintln!("cannot read starting tree {path:?}: {e}");
                 return ExitCode::FAILURE;
             }
-        },
-    };
-
-    let mut run = RunConfig::new(args.ranks)
-        .rate_model(args.model)
-        .branch_mode(if args.per_partition_branches {
-            BranchMode::PerPartition
-        } else {
-            BranchMode::Joint
-        })
-        .strategy(if args.mps {
-            exa_sched::Strategy::MonolithicLpt
-        } else {
-            exa_sched::Strategy::Cyclic
-        })
-        .search(SearchConfig {
-            max_iterations: args.iterations,
-            spr_radius: args.radius,
-            epsilon: args.epsilon,
-            ..SearchConfig::default()
-        })
-        .seed(args.seed)
-        .starting_tree(starting_tree)
-        .kernel(args.kernel)
-        .site_repeats(args.site_repeats)
-        .reduce(args.reduce)
-        .threads(args.threads)
-        .gradient(args.gradient)
-        .batch(args.batch)
-        .verify_replicas(args.verify_replicas);
-    if !args.resize_at.is_empty() && matches!(args.reduce, ReduceChoice::Fast) {
-        eprintln!(
-            "--resize-at requires --reduce reproducible (or auto): only \
-             rank-count-invariant reductions keep the lnL trajectory bitwise \
-             stable across a width change"
-        );
-        return ExitCode::from(2);
-    }
-    for (iteration, width) in args.resize_at.iter().copied() {
-        run = run.resize_at(iteration, width);
-    }
-    if let Some(path) = &args.checkpoint_out {
-        run = run
-            .checkpoint(path, args.resolved_checkpoint_every())
-            .checkpoint_keep(args.checkpoint_keep);
-        if let Some(secs) = args.checkpoint_every_secs {
-            run = run.checkpoint_every_secs(secs);
         }
-    }
-    if let Some(path) = &args.resume {
-        run = run.resume(path);
-    }
-    if let Some(spec) = args.inject_kill {
-        if args.checkpoint_out.is_none() {
-            eprintln!("--inject-kill requires --checkpoint-out");
-            return ExitCode::from(2);
-        }
-        run = run.inject_kill(spec);
-    }
-    if let Some(fault) = args.inject_divergence {
-        run = run.divergence_fault(fault);
-    }
-    if let Some(table) = args.reduce_override.clone() {
-        run = run.reduce_override(table);
-    }
-    if let Some(table) = args.threads_override.clone() {
-        run = run.threads_override(table);
-    }
-    if let Some(table) = args.gradient_override.clone() {
-        run = run.gradient_override(table);
-    }
-    if let Some(path) = &args.health_out {
-        run = run.health_out(path);
     }
     if args.metrics_out.is_some() {
         exa_obs::metrics::global().set_enabled(true);
-    }
-    if args.bootstrap > 0 {
-        run = run.bootstrap(args.bootstrap, args.seed.wrapping_add(0xB00));
-        if let Some(path) = &args.trace_out {
-            run = run.bootstrap_trace_out(path);
-        }
-    } else {
-        run = run.collect_trace(true);
     }
 
     // SIGINT/SIGTERM checkpoint-preempt the run instead of killing it
@@ -321,7 +160,7 @@ fn main() -> ExitCode {
     exa_serve::signal::install();
     let preempt = PreemptSignal::new();
     exa_serve::signal::bridge_to(preempt.clone());
-    run = run.preempt(preempt);
+    run.preempt = Some(preempt);
 
     let start = std::time::Instant::now();
     let out = match run.run(&compressed) {
@@ -331,7 +170,7 @@ fn main() -> ExitCode {
             // source exists in plain-run mode. Code 4 = "interrupted, last
             // checkpoint intact, resume with --resume".
             eprintln!("{e}");
-            if args.checkpoint_out.is_some() {
+            if run.checkpoint_out.is_some() {
                 eprintln!("interrupted: final checkpoint committed, resume with --resume");
             } else {
                 eprintln!("interrupted (no --checkpoint-out, progress not preserved)");
@@ -386,7 +225,7 @@ fn main() -> ExitCode {
         );
         // Analytic wall-time projection on the paper's reference cluster
         // (AMD Magny-Cours nodes), from this run's measured work + traffic.
-        let spec = exa_comm::cluster::ClusterSpec::magny_cours(args.ranks.div_ceil(48).max(1));
+        let spec = exa_comm::cluster::ClusterSpec::magny_cours(run.n_ranks.div_ceil(48).max(1));
         let profile = exa_comm::cluster::RunProfile::from_stats(
             &out.comm_stats,
             out.work.total(),

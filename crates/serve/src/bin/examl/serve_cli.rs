@@ -1,12 +1,7 @@
 //! `examl serve` — daemon mode and client verbs for `exa-serve`.
 //!
-//! ```text
-//! examl serve daemon --spool DIR [--listen 127.0.0.1:0] [--workers N] ...
-//! examl serve submit --to ADDR --alignment FILE [--tenant T] [--priority P] ...
-//! examl serve status|cancel|wait --to ADDR ID
-//! examl serve resize --to ADDR N
-//! examl serve list|health|metrics|shutdown --to ADDR
-//! ```
+//! `examl serve --help` lists the verbs and their flags; like `examl`'s own
+//! it is rendered from the tables that parse them (`examl_core::cli`).
 //!
 //! The daemon prints `listening on <addr>` once the socket is bound (with
 //! `--listen …:0` the OS picks the port, so scripts parse this line), then
@@ -14,297 +9,308 @@
 //! jobs are checkpoint-preempted and re-queued in the journal, so the next
 //! daemon on the same spool resumes them.
 
-use exa_search::SearchConfig;
 use exa_serve::client::Client;
 use exa_serve::daemon::{Daemon, DaemonConfig};
 use exa_serve::scheduler::TenantConfig;
 use exa_serve::{http, signal, JobSpec, JobStatus};
+use examl_core::cli::{self, count, set, CliError, Flag};
 use examl_core::RunConfig;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: examl serve <verb> [options]\n\
-verbs:\n\
-  daemon     run the inference daemon\n\
-    --spool DIR             job journal + per-job state (required)\n\
-    --listen ADDR           bind address (default 127.0.0.1:0; the chosen\n\
-                            address is printed as `listening on ADDR`)\n\
-    --workers N             concurrent runs (default 2)\n\
-    --quantum N             scheduler quantum (default 1)\n\
-    --tenant NAME:WEIGHT[:MAX_RUNNING]\n\
-                            per-tenant fair-share weight and quota\n\
-                            (repeatable; default weight 1, no quota)\n\
-    --checkpoint-every N    per-job iteration checkpoint cadence (default 1)\n\
-    --checkpoint-every-secs S  per-job time cadence\n\
-    --checkpoint-keep N     generations retained per job (default 3)\n\
-  submit     submit a job; prints the job id\n\
-    --to ADDR               daemon address (required)\n\
-    --alignment FILE        .exml binary or PHYLIP/FASTA text (required)\n\
-    --partitions FILE       RAxML-style partition file\n\
-    --tenant NAME           tenant to bill (default \"default\")\n\
-    --priority N            priority class, higher preempts (default 0)\n\
-    --cost N                scheduler cost estimate (default 1)\n\
-    --ranks N --iterations N --radius N --epsilon X --seed N\n\
-                            forwarded into the job's RunConfig\n\
-    --trace                 collect the job's trace; GET /trace/ID serves\n\
-                            it as Chrome JSON once the job completed\n\
-  status ID  print one job as JSON        cancel ID   cancel a job\n\
-  wait ID    block until terminal [--timeout-secs S (default 600)]\n\
-  resize N   retarget the worker pool to N threads (grow spawns now;\n\
-             shrink lets excess workers drain after their current job)\n\
-  list       print all jobs as JSON\n\
-  health     print daemon gauges [--stream N [--interval-ms M]]\n\
-  metrics    print the daemon's Prometheus text-format snapshot\n\
-  shutdown   checkpoint running jobs and stop the daemon";
+/// What `examl serve daemon` is told.
+struct DaemonArgs {
+    listen: String,
+    cfg: DaemonConfig,
+}
+
+fn daemon_flags() -> Vec<Flag<DaemonArgs>> {
+    type Row = Flag<DaemonArgs>;
+    let mut rows = vec![
+        Row::new("--spool DIR", |d, v| set(&mut d.cfg.spool, Ok(v.into())))
+            .help("job journal + per-job state")
+            .required(),
+        Row::new("--listen ADDR", |d, v| set(&mut d.listen, Ok(v.into())))
+            .help("bind address (default 127.0.0.1:0, any free port)"),
+        Row::new("--workers N", |d, v| set(&mut d.cfg.workers, count(v)))
+            .help("concurrent runs (default 2)"),
+        Row::new("--quantum N", |d, v| set(&mut d.cfg.quantum, count(v)))
+            .help("scheduler quantum (default 1)"),
+        Row::new("--tenant NAME:WEIGHT[:MAX_RUNNING]", |d, v| {
+            let tenant = parse_tenant(v).ok_or("NAME:WEIGHT[:MAX_RUNNING]")?;
+            d.cfg.tenants.push(tenant);
+            Ok(())
+        })
+        .help("fair-share weight and quota of a tenant (repeatable)"),
+    ];
+    // Forced onto every job, so spelled and validated like `examl`'s own.
+    rows.extend(cli::cadence_flags(
+        |d: &mut DaemonArgs, n| d.cfg.checkpoint_every = n,
+        |d, secs| d.cfg.checkpoint_every_secs = Some(secs),
+        |d, n| d.cfg.checkpoint_keep = n,
+    ));
+    rows
+}
+
+/// What a client verb is told: where the daemon is, and whichever of the
+/// rest the verb's table accepts.
+struct ClientArgs {
+    to: String,
+    /// The verb's positional number: a job id, or `resize`'s pool size.
+    id: u64,
+    timeout_secs: u64,
+    stream: Option<u64>,
+    interval_ms: u64,
+    /// `submit`'s job; its run starts from 2 ranks and a random tree.
+    spec: JobSpec,
+}
+
+type Row = Flag<ClientArgs>;
+
+/// The verb's positional number, `ID` or `N`.
+fn positional(name: &'static str) -> Row {
+    Row::new(name, |a, v| set(&mut a.id, count(v))).required()
+}
+
+/// `submit`'s own flags; it takes every run flag of `examl` besides.
+fn submit_flags() -> Vec<Row> {
+    vec![
+        Row::new("--alignment FILE", |a, v| {
+            set(&mut a.spec.alignment, Ok(v.into()))
+        })
+        .help(".exml binary or PHYLIP/FASTA text")
+        .required(),
+        cli::partitions_flag(|a: &mut ClientArgs| &mut a.spec.partitions),
+        Row::new("--tenant NAME", |a, v| {
+            set(&mut a.spec.tenant, Ok(v.into()))
+        })
+        .help("tenant to bill (default \"default\")"),
+        Row::new("--priority N", |a, v| set(&mut a.spec.priority, count(v)))
+            .help("priority class, higher preempts (default 0)"),
+        Row::new("--cost N", |a, v| set(&mut a.spec.cost, count(v)))
+            .help("scheduler cost estimate (default 1)"),
+        Row::new("--trace", |a, _| {
+            set(&mut a.spec.config.collect_trace, Ok(true))
+        })
+        .help("collect the job's trace, served at /trace/ID"),
+    ]
+}
+
+/// One client verb: its line in `--help`, the flags it takes besides
+/// `--to` (and, when it describes a job, besides `examl`'s run flags), and
+/// what it asks of the daemon.
+struct Verb {
+    name: &'static str,
+    about: &'static str,
+    flags: fn() -> Vec<Row>,
+    job: bool,
+    run: fn(&Client, ClientArgs) -> Result<(), String>,
+}
+
+const VERBS: [Verb; 9] = [
+    Verb {
+        name: "submit",
+        about: "submit a job; prints the job id",
+        flags: submit_flags,
+        job: true,
+        run: |c, a| c.submit(&a.spec).map(|id| println!("{id}")),
+    },
+    Verb {
+        name: "status",
+        about: "print one job as JSON",
+        flags: || vec![positional("ID")],
+        job: false,
+        run: |c, a| c.status(a.id).map(|st| print_status(&st)),
+    },
+    Verb {
+        name: "cancel",
+        about: "cancel a job",
+        flags: || vec![positional("ID")],
+        job: false,
+        run: |c, a| c.cancel(a.id).map(|hit| println!("cancelled: {hit}")),
+    },
+    Verb {
+        name: "wait",
+        about: "block until the job is terminal (default 600 s)",
+        flags: || {
+            vec![
+                positional("ID"),
+                Row::new("--timeout-secs S", |a, v| {
+                    set(&mut a.timeout_secs, count(v))
+                }),
+            ]
+        },
+        job: false,
+        run: |c, a| {
+            c.wait(a.id, Duration::from_secs(a.timeout_secs))
+                .map(|st| print_status(&st))
+        },
+    },
+    Verb {
+        name: "resize",
+        about: "set the worker pool to N threads; excess workers finish their job first",
+        flags: || vec![positional("N")],
+        job: false,
+        run: |c, a| {
+            c.resize(a.id)
+                .map(|(previous, new)| println!("workers: {previous} -> {new}"))
+        },
+    },
+    Verb {
+        name: "list",
+        about: "print all jobs as JSON",
+        flags: Vec::new,
+        job: false,
+        run: |c, _| c.list().map(|jobs| jobs.iter().for_each(print_status)),
+    },
+    Verb {
+        name: "health",
+        about: "daemon gauges; N samples, M ms apart (default 200)",
+        flags: || {
+            vec![
+                Row::new("--stream N", |a, v| set(&mut a.stream, count(v).map(Some))),
+                Row::new("--interval-ms M", |a, v| set(&mut a.interval_ms, count(v))),
+            ]
+        },
+        job: false,
+        run: |c, a| {
+            let samples = match a.stream {
+                None => vec![c.health()?],
+                Some(n) => c.stream_health(n, a.interval_ms)?,
+            };
+            samples
+                .iter()
+                .for_each(|hb| println!("{}", hb.to_json_line()));
+            Ok(())
+        },
+    },
+    Verb {
+        name: "metrics",
+        about: "print the daemon's Prometheus text-format snapshot",
+        flags: Vec::new,
+        job: false,
+        run: |c, _| c.metrics().map(|text| print!("{text}")),
+    },
+    Verb {
+        name: "shutdown",
+        about: "checkpoint running jobs and stop the daemon",
+        flags: Vec::new,
+        job: false,
+        run: |c, _| c.shutdown().map(|()| println!("shutdown requested")),
+    },
+];
+
+fn usage() -> String {
+    let mut out = String::from("usage: examl serve <verb> [options]\n");
+    out += &cli::help_entry(
+        "  daemon",
+        "run the inference daemon; prints `listening on ADDR`",
+        27,
+    );
+    out += &cli::usage(&daemon_flags(), 4);
+    out += "client verbs, each with --to ADDR (the daemon's address):\n";
+    for verb in &VERBS {
+        // Flags that need no explanation sit in the verb's synopsis, the
+        // others in a table below it.
+        let (table, inline): (Vec<_>, Vec<_>) =
+            (verb.flags)().into_iter().partition(|f| !f.help.is_empty());
+        let mut synopsis = format!("  {}", verb.name);
+        for f in inline {
+            synopsis += &match (f.required, f.value) {
+                (true, _) => format!(" {}", f.name),
+                (false, "") => format!(" [{}]", f.name),
+                (false, value) => format!(" [{} {value}]", f.name),
+            };
+        }
+        out += &cli::help_entry(&synopsis, verb.about, 30);
+        out += &cli::usage(&table, 4);
+        if verb.job {
+            let run = cli::run_flags();
+            let (first, last) = (run[0].name, run[run.len() - 1].name);
+            out += &format!(
+                "    and the run flags of `examl --help`, {first} to {last}\n    \
+                 (a job starts from 2 ranks and a random tree)\n"
+            );
+        }
+    }
+    out
+}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("{msg}");
-    eprintln!("{USAGE}");
+    eprint!("{}", usage());
     ExitCode::from(2)
 }
 
-pub fn main(args: Vec<String>) -> ExitCode {
-    let mut it = args.into_iter();
-    let verb = match it.next() {
-        Some(v) => v,
-        None => return fail("missing serve verb"),
-    };
-    let rest: Vec<String> = it.collect();
-    match verb.as_str() {
-        "daemon" => daemon_main(rest),
-        "submit" => submit_main(rest),
-        "status" => id_verb(rest, |c, id| c.status(id).map(print_status)),
-        "cancel" => id_verb(rest, |c, id| {
-            c.cancel(id).map(|hit| println!("cancelled: {hit}"))
-        }),
-        "wait" => wait_main(rest),
-        "list" => client_verb(rest, |c| {
-            c.list().map(|jobs| jobs.iter().for_each(print_status_ref))
-        }),
-        "health" => health_main(rest),
-        "resize" => id_verb(rest, |c, n| {
-            c.resize(n)
-                .map(|(previous, new)| println!("workers: {previous} -> {new}"))
-        }),
-        "metrics" => client_verb(rest, |c| c.metrics().map(|text| print!("{text}"))),
-        "shutdown" => client_verb(rest, |c| {
-            c.shutdown().map(|()| println!("shutdown requested"))
-        }),
-        "--help" | "-h" => {
-            eprintln!("{USAGE}");
-            ExitCode::SUCCESS
+/// Parse a verb's arguments into `target`; a usage problem is this
+/// process's exit code.
+fn parse_or_exit<T>(rows: &[Flag<T>], target: &mut T, args: Vec<String>) -> Result<(), ExitCode> {
+    match cli::parse(rows, target, args) {
+        Ok(()) => Ok(()),
+        Err(CliError::Help) => {
+            eprint!("{}", usage());
+            Err(ExitCode::SUCCESS)
         }
-        other => fail(&format!("unknown serve verb {other:?}")),
+        Err(e) => Err(fail(&e.to_string())),
     }
 }
 
-fn print_status(st: JobStatus) {
-    print_status_ref(&st);
+pub fn main(mut args: Vec<String>) -> ExitCode {
+    if args.is_empty() {
+        return fail("missing serve verb");
+    }
+    let name = args.remove(0);
+    if name == "daemon" {
+        return daemon_main(args);
+    }
+    if name == "--help" || name == "-h" {
+        eprint!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(verb) = VERBS.iter().find(|v| v.name == name) else {
+        return fail(&format!("unknown serve verb {name:?}"));
+    };
+    let mut parsed = ClientArgs {
+        to: String::new(),
+        id: 0,
+        timeout_secs: 600,
+        stream: None,
+        interval_ms: 200,
+        spec: JobSpec {
+            tenant: "default".into(),
+            priority: 0,
+            cost: 1,
+            alignment: Default::default(),
+            partitions: None,
+            config: RunConfig::new(2),
+        },
+    };
+    let mut rows = vec![Row::new("--to ADDR", |a, v| set(&mut a.to, Ok(v.into()))).required()];
+    rows.extend((verb.flags)());
+    if verb.job {
+        let job = cli::run_flags().into_iter();
+        rows.extend(job.map(|f| f.within(|a: &mut ClientArgs| &mut a.spec.config)));
+    }
+    if let Err(code) = parse_or_exit(&rows, &mut parsed, args) {
+        return code;
+    }
+    if let Err(why) = parsed.spec.config.validate() {
+        return fail(why);
+    }
+    match (verb.run)(&Client::new(parsed.to.clone()), parsed) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-fn print_status_ref(st: &JobStatus) {
+fn print_status(st: &JobStatus) {
     println!(
         "{}",
         serde_json::to_string(st).expect("status serialization cannot fail")
     );
-}
-
-/// Pull `--to ADDR` out of an argument list, returning the client and the
-/// remaining arguments.
-fn split_to(args: Vec<String>) -> Result<(Client, Vec<String>), String> {
-    let mut rest = Vec::new();
-    let mut addr = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--to" {
-            addr = Some(it.next().ok_or("missing value for --to")?);
-        } else {
-            rest.push(a);
-        }
-    }
-    let addr = addr.ok_or("missing --to ADDR")?;
-    Ok((Client::new(addr), rest))
-}
-
-fn client_verb(args: Vec<String>, f: impl FnOnce(&Client) -> Result<(), String>) -> ExitCode {
-    let (client, rest) = match split_to(args) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    if let Some(extra) = rest.first() {
-        return fail(&format!("unexpected argument {extra:?}"));
-    }
-    match f(&client) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn id_verb(args: Vec<String>, f: impl FnOnce(&Client, u64) -> Result<(), String>) -> ExitCode {
-    let (client, rest) = match split_to(args) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let id = match rest.first().map(|s| s.parse::<u64>()) {
-        Some(Ok(id)) => id,
-        _ => return fail("expected a numeric job ID"),
-    };
-    match f(&client, id) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn wait_main(args: Vec<String>) -> ExitCode {
-    let (client, rest) = match split_to(args) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let mut id = None;
-    let mut timeout = Duration::from_secs(600);
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--timeout-secs" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => timeout = Duration::from_secs(s),
-                _ => return fail("bad --timeout-secs"),
-            },
-            other => match other.parse::<u64>() {
-                Ok(n) => id = Some(n),
-                Err(_) => return fail(&format!("unexpected argument {other:?}")),
-            },
-        }
-    }
-    let Some(id) = id else {
-        return fail("expected a numeric job ID");
-    };
-    match client.wait(id, timeout) {
-        Ok(st) => {
-            print_status(st);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn health_main(args: Vec<String>) -> ExitCode {
-    let (client, rest) = match split_to(args) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let mut stream = None;
-    let mut interval_ms = 200;
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--stream" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => stream = Some(n),
-                _ => return fail("bad --stream count"),
-            },
-            "--interval-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => interval_ms = n,
-                _ => return fail("bad --interval-ms"),
-            },
-            other => return fail(&format!("unexpected argument {other:?}")),
-        }
-    }
-    let result = match stream {
-        None => client.health().map(|hb| println!("{}", hb.to_json_line())),
-        Some(n) => client.stream_health(n, interval_ms).map(|hbs| {
-            for hb in hbs {
-                println!("{}", hb.to_json_line());
-            }
-        }),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn submit_main(args: Vec<String>) -> ExitCode {
-    let (client, rest) = match split_to(args) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let mut alignment = None;
-    let mut partitions = None;
-    let mut tenant = "default".to_string();
-    let mut priority = 0u32;
-    let mut cost = 1u64;
-    let mut ranks = 2usize;
-    let mut search = SearchConfig::default();
-    let mut seed = 42u64;
-    let mut trace = false;
-    let mut it = rest.into_iter();
-    macro_rules! val {
-        ($flag:expr) => {
-            match it.next() {
-                Some(v) => v,
-                None => return fail(&format!("missing value for {}", $flag)),
-            }
-        };
-    }
-    macro_rules! num {
-        ($flag:expr) => {
-            match val!($flag).parse() {
-                Ok(v) => v,
-                Err(_) => return fail(&format!("bad value for {}", $flag)),
-            }
-        };
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--alignment" => alignment = Some(std::path::PathBuf::from(val!("--alignment"))),
-            "--partitions" => partitions = Some(std::path::PathBuf::from(val!("--partitions"))),
-            "--tenant" => tenant = val!("--tenant"),
-            "--priority" => priority = num!("--priority"),
-            "--cost" => cost = num!("--cost"),
-            "--ranks" => ranks = num!("--ranks"),
-            "--iterations" => search.max_iterations = num!("--iterations"),
-            "--radius" => search.spr_radius = num!("--radius"),
-            "--epsilon" => search.epsilon = num!("--epsilon"),
-            "--seed" => seed = num!("--seed"),
-            "--trace" => trace = true,
-            other => return fail(&format!("unexpected argument {other:?}")),
-        }
-    }
-    let Some(alignment) = alignment else {
-        return fail("missing --alignment FILE");
-    };
-    let spec = JobSpec {
-        tenant,
-        priority,
-        cost,
-        alignment,
-        partitions,
-        config: RunConfig::new(ranks)
-            .search(search)
-            .seed(seed)
-            .collect_trace(trace),
-    };
-    match client.submit(&spec) {
-        Ok(id) => {
-            println!("{id}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn parse_tenant(spec: &str) -> Option<(String, TenantConfig)> {
@@ -325,64 +331,14 @@ fn parse_tenant(spec: &str) -> Option<(String, TenantConfig)> {
 }
 
 fn daemon_main(args: Vec<String>) -> ExitCode {
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut spool = None;
-    let mut cfg_workers = 2usize;
-    let mut quantum = 1u64;
-    let mut tenants = Vec::new();
-    let mut checkpoint_every = 1usize;
-    let mut checkpoint_every_secs = None;
-    let mut checkpoint_keep = examl_core::checkpoint::KEEP_GENERATIONS;
-    let mut it = args.into_iter();
-    macro_rules! val {
-        ($flag:expr) => {
-            match it.next() {
-                Some(v) => v,
-                None => return fail(&format!("missing value for {}", $flag)),
-            }
-        };
-    }
-    macro_rules! num {
-        ($flag:expr) => {
-            match val!($flag).parse() {
-                Ok(v) => v,
-                Err(_) => return fail(&format!("bad value for {}", $flag)),
-            }
-        };
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = val!("--listen"),
-            "--spool" => spool = Some(std::path::PathBuf::from(val!("--spool"))),
-            "--workers" => cfg_workers = num!("--workers"),
-            "--quantum" => quantum = num!("--quantum"),
-            "--tenant" => {
-                let spec = val!("--tenant");
-                match parse_tenant(&spec) {
-                    Some(t) => tenants.push(t),
-                    None => return fail(&format!("bad --tenant {spec:?}")),
-                }
-            }
-            "--checkpoint-every" => checkpoint_every = num!("--checkpoint-every"),
-            "--checkpoint-every-secs" => {
-                checkpoint_every_secs = Some(num!("--checkpoint-every-secs"))
-            }
-            "--checkpoint-keep" => checkpoint_keep = num!("--checkpoint-keep"),
-            other => return fail(&format!("unexpected argument {other:?}")),
-        }
-    }
-    let Some(spool) = spool else {
-        return fail("missing --spool DIR");
+    let mut parsed = DaemonArgs {
+        listen: "127.0.0.1:0".into(),
+        cfg: DaemonConfig::new(""),
     };
-    let cfg = DaemonConfig {
-        workers: cfg_workers,
-        quantum,
-        tenants,
-        checkpoint_every,
-        checkpoint_every_secs,
-        checkpoint_keep,
-        ..DaemonConfig::new(spool)
-    };
+    if let Err(code) = parse_or_exit(&daemon_flags(), &mut parsed, args) {
+        return code;
+    }
+    let DaemonArgs { listen, cfg } = parsed;
     let daemon = match Daemon::start(cfg) {
         Ok(d) => d,
         Err(e) => {

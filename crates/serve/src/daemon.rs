@@ -313,11 +313,7 @@ impl Daemon {
             pool_target: 0,
             metrics,
             started_at: Instant::now(),
-            modes: capability::resolve_local(
-                &RunConfig::new(1)
-                    .reduce(exa_comm::ReduceChoice::from_env())
-                    .capability_requests(0),
-            ),
+            modes: capability::resolve_local(&RunConfig::new(1).capability_requests(0)),
             health_seq: 0,
             listeners: Vec::new(),
         };
@@ -754,11 +750,8 @@ impl Core {
             },
             tenants,
             version: Some(env!("CARGO_PKG_VERSION").to_string()),
-            kernel: Some(self.modes.kernel.label().to_string()),
-            site_repeats: Some(self.modes.site_repeats.label().to_string()),
             uptime_secs: Some(self.started_at.elapsed().as_secs_f64()),
-            reduce: Some(self.modes.reduce.label().to_string()),
-            gradient: Some(self.modes.gradient.label().to_string()),
+            modes: Some(self.modes.label_map()),
         }
     }
 

@@ -1,0 +1,182 @@
+//! The `examl` binary at its command line: exit codes and usage errors of
+//! every verb's flag table, and the environment defaults — what only a
+//! spawned process can show (the variables are set on the child alone, so
+//! no test in this process sees them).
+
+use exa_obs::HeartbeatRecord;
+use exa_simgen::workloads;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn examl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_examl"))
+        .args(args)
+        .output()
+        .expect("the examl binary runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A scratch directory holding a small PHYLIP alignment.
+fn fixture(name: &str) -> (PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("examl_cli_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let w = workloads::partitioned(8, 2, 60, 41);
+    let phylip = dir.join("aln.phy");
+    std::fs::write(&phylip, exa_bio::phylip::write_phylip(&w.alignment)).unwrap();
+    let phylip = phylip.to_str().unwrap().to_string();
+    (dir, phylip)
+}
+
+#[test]
+fn help_exits_zero_and_usage_errors_exit_two() {
+    let out = examl(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = stderr(&out);
+    assert!(help.starts_with("usage: examl "), "{help}");
+    for flag in ["--ranks N", "--gradient-override", "--quiet", "serve"] {
+        assert!(help.contains(flag), "{flag} missing from:\n{help}");
+    }
+    let out = examl(&["serve", "--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stderr(&out).starts_with("usage: examl serve "));
+
+    // `--ranks 0` used to reach the world's resize assertion: exit 101 and
+    // "resize width 0 outside 1..=0".
+    let (dir, phylip) = fixture("usage");
+    for line in [
+        vec!["--phylip", &phylip, "--ranks", "0"],
+        vec!["--phylip", &phylip, "--inject-kill", "1"],
+        vec![
+            "--phylip",
+            &phylip,
+            "--resize-at",
+            "1:2",
+            "--reduce",
+            "fast",
+        ],
+        vec!["--phlyip", &phylip],
+        vec!["serve"],
+        vec!["serve", "frobnicate"],
+        vec!["serve", "status", "7"],
+        vec!["serve", "status", "--to", "127.0.0.1:1"],
+        vec!["serve", "submit", "--to", "127.0.0.1:1"],
+        vec![
+            "serve",
+            "submit",
+            "--to",
+            "127.0.0.1:1",
+            "--alignment",
+            &phylip,
+            "--ranks",
+            "0",
+        ],
+        vec!["serve", "daemon"],
+    ] {
+        let out = examl(&line);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{line:?}: {err}");
+        assert!(err.contains("\nusage: examl "), "{line:?}: {err}");
+    }
+    let out = examl(&["--phylip", &phylip, "--ranks", "0"]);
+    assert!(
+        stderr(&out)
+            .starts_with("invalid value \"0\" for --ranks (expected a count of at least 1)"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The daemon's cadence flags are `examl`'s rows: what `examl` rejects the
+/// daemon rejects too, instead of forcing it onto every job.
+#[test]
+fn daemon_cadence_flags_are_validated_like_examls() {
+    let (dir, _) = fixture("cadence");
+    let spool = dir.join("spool");
+    for (flag, bad) in [
+        ("--checkpoint-every-secs", "-1"),
+        ("--checkpoint-every-secs", "0"),
+        ("--checkpoint-every-secs", "inf"),
+        ("--checkpoint-every-secs", "nan"),
+        ("--checkpoint-keep", "0"),
+        ("--checkpoint-every", "often"),
+    ] {
+        let out = examl(&[
+            "serve",
+            "daemon",
+            "--spool",
+            spool.to_str().unwrap(),
+            flag,
+            bad,
+        ]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {err}");
+        assert!(
+            err.starts_with(&format!("invalid value {bad:?} for {flag} ")),
+            "{flag} {bad}: {err}"
+        );
+    }
+    assert!(!spool.exists(), "a rejected daemon must not open its spool");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each negotiated mode's default comes from the variable its `Choice`
+/// impl names (and `--help` prints) — `EXAML_REDUCE` included, through the
+/// library default rather than a second read in the binary.
+#[test]
+fn mode_defaults_come_from_the_environment() {
+    use examl_core::Choice;
+    let (dir, phylip) = fixture("env");
+    let run = |env: Option<(&str, &str)>, extra: &[&str]| {
+        let health = dir.join("health.jsonl");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_examl"));
+        cmd.args(["--phylip", &phylip, "--ranks", "2", "--iterations", "1"])
+            .args(["--quiet", "--health-out", health.to_str().unwrap()])
+            .args(extra);
+        for var in [
+            exa_phylo::KernelChoice::ENV,
+            exa_phylo::RepeatsChoice::ENV,
+            exa_comm::ReduceChoice::ENV,
+            exa_phylo::engine::ThreadsChoice::ENV,
+            exa_phylo::GradientChoice::ENV,
+        ] {
+            cmd.env_remove(var);
+        }
+        if let Some((var, value)) = env {
+            cmd.env(var, value);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{env:?}: {}", stderr(&out));
+        let text = std::fs::read_to_string(&health).unwrap();
+        let last = text.lines().last().expect("one heartbeat per iteration");
+        HeartbeatRecord::from_json_line(last)
+            .unwrap()
+            .modes
+            .unwrap()
+    };
+    let unset = run(None, &[]);
+    assert_eq!(unset["reduce"], "fast");
+    assert_eq!(unset["threads"], "1");
+    assert_eq!(unset["gradient"], "on");
+    assert_eq!(unset["site_repeats"], "on");
+    for (var, value, key) in [
+        (exa_phylo::KernelChoice::ENV, "scalar", "kernel"),
+        (exa_phylo::RepeatsChoice::ENV, "off", "site_repeats"),
+        (exa_comm::ReduceChoice::ENV, "reproducible", "reduce"),
+        (exa_phylo::engine::ThreadsChoice::ENV, "2", "threads"),
+        (exa_phylo::GradientChoice::ENV, "off", "gradient"),
+    ] {
+        assert_eq!(run(Some((var, value)), &[])[key], value, "{var}={value}");
+    }
+    // The flag beats the variable.
+    let modes = run(
+        Some((exa_comm::ReduceChoice::ENV, "reproducible")),
+        &["--reduce", "fast"],
+    );
+    assert_eq!(modes["reduce"], "fast");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -84,7 +84,7 @@ while IFS= read -r line; do
   [ -n "$line" ] || continue
   status="$(printf '%s' "$line" | jq -r .divergence)"
   [ "$status" = "ok" ] || { echo "unexpected heartbeat: $line"; exit 1; }
-  kernel="$(printf '%s' "$line" | jq -r .kernel)"
+  kernel="$(printf '%s' "$line" | jq -r .modes.kernel)"
   case "$kernel" in
     scalar|simd) ;;
     *) echo "heartbeat missing negotiated kernel: $line"; exit 1 ;;
@@ -95,14 +95,36 @@ done <"$tmp/health.jsonl"
 ratio="$(tail -n 1 "$tmp/health.jsonl" | jq -r .repeat_ratio)"
 echo "health: $(wc -l <"$tmp/health.jsonl") heartbeat record(s), all ok (kernel: $kernel, repeat ratio: $ratio)"
 
+echo "==> examl command line (--help from the flag table, usage errors, environment defaults)"
+# --help exits 0 and knows every flag this script passes to examl; a rank
+# count of zero is a usage error (exit 2), not a panic in the world set-up;
+# EXAML_REDUCE sets the default reduce mode through the library default.
+examl_help="$(cargo run -q --release -p exa-serve --bin examl -- --help 2>&1)"
+for flag in --phylip --ranks --iterations --seed --kernel --site-repeats --reduce --threads \
+  --gradient --batch --resize-at --reduce-override --gradient-override --verify-replicas \
+  --checkpoint-out --checkpoint-every --inject-kill --resume --health-out --metrics-out \
+  --out-tree --quiet; do
+  grep -q -- "^  $flag " <<<"$examl_help" || { echo "examl --help does not list $flag"; exit 1; }
+done
+set +e
+cargo run -q --release -p exa-serve --bin examl -- \
+  --phylip "$tmp/smoke.phy" --ranks 0 --quiet >/dev/null 2>&1
+ranks0_status=$?
+set -e
+[ "$ranks0_status" -eq 2 ] || { echo "--ranks 0 must exit 2 (usage), got $ranks0_status"; exit 1; }
+EXAML_REDUCE=reproducible cargo run -q --release -p exa-serve --bin examl -- \
+  --phylip "$tmp/smoke.phy" --ranks 2 --iterations 1 --health-out "$tmp/env.jsonl" --quiet >/dev/null
+tail -n 1 "$tmp/env.jsonl" | jq -e '.modes.reduce == "reproducible"' >/dev/null \
+  || { echo "EXAML_REDUCE=reproducible did not reach the run"; tail -n 1 "$tmp/env.jsonl"; exit 1; }
+
 echo "==> reproducible reductions (rank-count-invariant lnL + elastic resize)"
 # Same seed, same data, 1 / 2 / 4 ranks under --reduce reproducible: the
 # per-iteration lnL trajectories must be bitwise equal (compared as the
 # heartbeat JSON text — serde's shortest-round-trip float formatting is
 # injective, so equal text == equal bits). A mid-run 2 -> 4 -> 1 elastic
 # resize must leave the trajectory untouched too.
-traj() { # FILE -> "iteration lnl reduce" per line
-  sed -n 's/.*"iteration":\([0-9]*\).*"lnl":\([^,}]*\).*"reduce":"\([a-z]*\)".*/\1 \2 \3/p' "$1"
+traj() { # FILE -> "iteration lnl modes.reduce" per line
+  sed -n 's/.*"iteration":\([0-9]*\).*"lnl":\([^,}]*\).*"modes":{[^}]*"reduce":"\([a-z]*\)".*/\1 \2 \3/p' "$1"
 }
 for r in 1 2 4; do
   cargo run -q --release -p exa-serve --bin examl -- \
@@ -147,7 +169,7 @@ for t in 1 2; do
     --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
     --threads "$t" --health-out "$tmp/threads_$t.jsonl" --quiet >/dev/null
   traj "$tmp/threads_$t.jsonl" >"$tmp/threads_traj_$t.txt"
-  tail -n 1 "$tmp/threads_$t.jsonl" | jq -e ".threads == $t" >/dev/null \
+  tail -n 1 "$tmp/threads_$t.jsonl" | jq -e ".modes.threads == \"$t\"" >/dev/null \
     || { echo "health does not report the negotiated thread count ($t)"; tail -n 1 "$tmp/threads_$t.jsonl"; exit 1; }
 done
 cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_2.txt" \
@@ -174,7 +196,7 @@ for g in on off; do
     --reduce reproducible --gradient "$g" \
     --health-out "$tmp/grad_$g.jsonl" --quiet >/dev/null
   traj "$tmp/grad_$g.jsonl" >"$tmp/grad_traj_$g.txt"
-  tail -n 1 "$tmp/grad_$g.jsonl" | jq -e ".gradient == \"$g\"" >/dev/null \
+  tail -n 1 "$tmp/grad_$g.jsonl" | jq -e ".modes.gradient == \"$g\"" >/dev/null \
     || { echo "health does not report the negotiated gradient mode ($g)"; tail -n 1 "$tmp/grad_$g.jsonl"; exit 1; }
 done
 cmp -s "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt" \

@@ -190,13 +190,27 @@ fn sequential_op_script_reproduces_the_pinned_bits_in_scrambled_local_order() {
     }
 }
 
-/// Every `Mark` label rank `rank` emitted, in order.
+/// Every `Mark` label rank `rank` emitted, in order — the six mode stamps
+/// spelled as the golden file has them. It was captured when they were
+/// `kernel_backend:scalar … reduce_mode:fast …`; since the one wire bump
+/// they are `mode:kernel=scalar … mode:reduce=fast …` (pinned old → new in
+/// `mode_stamps.rs`). Translating here keeps the file byte-for-byte what
+/// the pre-refactor build wrote, still pinning the count, order and values.
 fn mark_labels(trace: &exa_obs::RunTrace, rank: usize) -> String {
+    let golden_spelling = |label: &String| {
+        let stamp = label.strip_prefix(exa_obs::MODE_MARK);
+        match stamp.and_then(|stamp| stamp.split_once('=')) {
+            Some(("kernel", value)) => format!("kernel_backend:{value}"),
+            Some(("reduce", value)) => format!("reduce_mode:{value}"),
+            Some((key, value)) => format!("{key}:{value}"),
+            None => label.clone(),
+        }
+    };
     trace
         .events(rank)
         .iter()
         .filter_map(|e| match &e.kind {
-            exa_obs::EventKind::Mark { label } => Some(label.as_str()),
+            exa_obs::EventKind::Mark { label } => Some(golden_spelling(label)),
             _ => None,
         })
         .collect::<Vec<_>>()

@@ -7,6 +7,14 @@
 //! fell back to a default cannot pass. Same literal-from-parent technique
 //! as `evaluator_golden.rs`; a mismatch prints what the current build
 //! stamps.
+//!
+//! The `heartbeat`, `health`, `otherData` and `marks` lines changed once
+//! since, with the one sanctioned wire bump (ROADMAP 7b): the sinks carry
+//! one `modes` table written from `Modes::labels` instead of a hand-picked
+//! subset of flat fields each, and the trace names a mode by the same key
+//! as the health JSON (`kernel`, `reduce`; formerly `kernel_backend`,
+//! `reduce_mode`). `outcome`, `header` and the `RunConfig` JSON are
+//! byte-for-byte what commit 8507595 wrote.
 
 use exa_comm::ReduceChoice;
 use exa_obs::{EventKind, HeartbeatRecord};
@@ -19,23 +27,23 @@ use examl_core::{checkpoint, RunConfig, Scheme};
 /// What the de-centralized run stamped, one sink per line.
 const DECENTRALIZED: &str = "\
 outcome kernel=scalar site_repeats=off reduce=reproducible threads=2 gradient=off
-heartbeat kernel=Some(\"scalar\") reduce=Some(\"reproducible\") threads=Some(2) gradient=Some(\"off\")
-health kernel=Some(\"scalar\") site_repeats=Some(\"off\") reduce=Some(\"reproducible\") threads=Some(2) gradient=Some(\"off\")
-otherData {\"kernel_backend\":\"scalar\",\"site_repeats\":\"off\",\"reduce_mode\":\"reproducible\",\"threads\":\"2\",\"batch\":\"off\",\"gradient\":\"off\"}
+heartbeat modes=Some({\"batch\": \"off\", \"gradient\": \"off\", \"kernel\": \"scalar\", \"reduce\": \"reproducible\", \"site_repeats\": \"off\", \"threads\": \"2\"})
+health modes=Some({\"batch\": \"off\", \"gradient\": \"off\", \"kernel\": \"scalar\", \"reduce\": \"reproducible\", \"site_repeats\": \"off\", \"threads\": \"2\"})
+otherData {\"kernel\":\"scalar\",\"site_repeats\":\"off\",\"reduce\":\"reproducible\",\"threads\":\"2\",\"gradient\":\"off\",\"batch\":\"off\"}
 header scheme=decentralized kernel=scalar site_repeats=off reduce_mode=Some(\"reproducible\") gradient=Some(\"off\")
-marks rank0 kernel_backend:scalar site_repeats:off reduce_mode:reproducible threads:2 gradient:off batch:off
-marks rank1 kernel_backend:scalar site_repeats:off reduce_mode:reproducible threads:2 gradient:off batch:off
+marks rank0 mode:kernel=scalar mode:site_repeats=off mode:reduce=reproducible mode:threads=2 mode:gradient=off mode:batch=off
+marks rank1 mode:kernel=scalar mode:site_repeats=off mode:reduce=reproducible mode:threads=2 mode:gradient=off mode:batch=off
 ";
 
 /// What the fork-join run stamped (no heartbeats: only the de-centralized
 /// hooks write them).
 const FORKJOIN: &str = "\
 outcome kernel=scalar site_repeats=off reduce=reproducible threads=2 gradient=off
-health kernel=Some(\"scalar\") site_repeats=Some(\"off\") reduce=Some(\"reproducible\") threads=Some(2) gradient=Some(\"off\")
-otherData {\"kernel_backend\":\"scalar\",\"site_repeats\":\"off\",\"reduce_mode\":\"reproducible\",\"threads\":\"2\",\"batch\":\"off\",\"gradient\":\"off\"}
+health modes=Some({\"batch\": \"off\", \"gradient\": \"off\", \"kernel\": \"scalar\", \"reduce\": \"reproducible\", \"site_repeats\": \"off\", \"threads\": \"2\"})
+otherData {\"kernel\":\"scalar\",\"site_repeats\":\"off\",\"reduce\":\"reproducible\",\"threads\":\"2\",\"gradient\":\"off\",\"batch\":\"off\"}
 header scheme=forkjoin kernel=scalar site_repeats=off reduce_mode=Some(\"reproducible\") gradient=Some(\"off\")
-marks rank0 kernel_backend:scalar site_repeats:off reduce_mode:reproducible threads:2 gradient:off batch:off
-marks rank1 kernel_backend:scalar site_repeats:off reduce_mode:reproducible threads:2 gradient:off batch:off
+marks rank0 mode:kernel=scalar mode:site_repeats=off mode:reduce=reproducible mode:threads=2 mode:gradient=off mode:batch=off
+marks rank1 mode:kernel=scalar mode:site_repeats=off mode:reduce=reproducible mode:threads=2 mode:gradient=off mode:batch=off
 ";
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -92,20 +100,9 @@ fn stamps(name: &str, scheme: Scheme) -> String {
     }
     if let Some(last) = text.lines().last() {
         let hb: HeartbeatRecord = serde_json::from_str(last).expect("heartbeat parses");
-        writeln!(
-            s,
-            "heartbeat kernel={:?} reduce={:?} threads={:?} gradient={:?}",
-            hb.kernel, hb.reduce, hb.threads, hb.gradient
-        )
-        .unwrap();
+        writeln!(s, "heartbeat modes={:?}", hb.modes).unwrap();
     }
-    let h = &out.health;
-    writeln!(
-        s,
-        "health kernel={:?} site_repeats={:?} reduce={:?} threads={:?} gradient={:?}",
-        h.kernel, h.site_repeats, h.reduce, h.threads, h.gradient
-    )
-    .unwrap();
+    writeln!(s, "health modes={:?}", out.health.modes).unwrap();
     let trace = out.trace.as_ref().expect("collect_trace was set");
     let chrome = exa_obs::chrome_trace(trace);
     let other = serde::field(chrome.as_map("chrome trace").unwrap(), "otherData");
@@ -180,4 +177,34 @@ fn run_config_json_keeps_its_keys_and_their_order() {
     assert_eq!(serde_json::to_string(&cfg).unwrap(), PINNED);
     let back: RunConfig = serde_json::from_str(PINNED).expect("pinned spec parses");
     assert_eq!(serde_json::to_string(&back).unwrap(), PINNED);
+}
+
+/// The other half of the wire bump: lines written by the build before it
+/// (commit 5660473 — flat `kernel` / `reduce` / `threads` / `gradient`
+/// fields, `threads` a number) still parse under the new structs. The flat
+/// fields are ignored, `modes` is `None`, everything else is kept.
+#[test]
+fn lines_written_before_the_wire_bump_still_parse() {
+    use exa_obs::{JobHeartbeat, ServeHeartbeat};
+    const HEARTBEAT: &str = r#"{"iteration":1,"lnl":-557.9310030996219,"spr_accepts":5,"collectives_per_sec":39508.439160638474,"comm_bytes":20278,"imbalance":1.0014179614887557,"sentinel_syncs":0,"divergence":"ok","kernel":"simd","repeat_ratio":1.6175385283264598,"clv_saved":68280,"last_checkpoint_iter":1,"checkpoint_write_ms":0.8893730000000001,"reduce":"fast","threads":2,"gradient":"on"}"#;
+    const SERVE: &str = r#"{"seq":1,"queue_depth":0,"running":0,"workers_idle":1,"completed":0,"failed":0,"cancelled":0,"preemptions":0,"resumes":0,"max_wait_ms":0.0,"mean_wait_ms":0.0,"tenants":[],"version":"0.1.0","kernel":"simd","site_repeats":"on","uptime_secs":1.01325493,"reduce":"fast","gradient":"on"}"#;
+
+    let hb = HeartbeatRecord::from_json_line(HEARTBEAT).expect("parent heartbeat parses");
+    assert_eq!(hb.modes, None);
+    assert_eq!(hb.iteration, 1);
+    assert_eq!(hb.lnl, -557.9310030996219);
+    assert_eq!(hb.clv_saved, Some(68280));
+    assert_eq!(hb.last_checkpoint_iter, Some(1));
+
+    let serve = ServeHeartbeat::from_json_line(SERVE).expect("parent serve heartbeat parses");
+    assert_eq!(serve.modes, None);
+    assert_eq!(serve.version.as_deref(), Some("0.1.0"));
+    assert_eq!(serve.uptime_secs, Some(1.01325493));
+
+    // What the parent's `JobHeartbeat::to_json_line` wrote around that
+    // record.
+    let job = JobHeartbeat::from_json_line(&format!(r#"{{"job":7,"record":{HEARTBEAT}}}"#))
+        .expect("parent job heartbeat parses");
+    assert_eq!(job.job, 7);
+    assert_eq!(job.record, hb);
 }

@@ -201,14 +201,6 @@ fn chrome_trace_export_roundtrips_via_json() {
 /// writer must keep producing this document.
 fn reference_chrome_trace(trace: &RunTrace) -> Value {
     use exa_obs::EventKind;
-    const OTHER_DATA: [(&str, &str); 6] = [
-        (exa_obs::KERNEL_BACKEND_MARK, "kernel_backend"),
-        (exa_obs::SITE_REPEATS_MARK, "site_repeats"),
-        (exa_obs::REDUCE_MODE_MARK, "reduce_mode"),
-        (exa_obs::THREADS_MARK, "threads"),
-        (exa_obs::BATCH_MARK, "batch"),
-        (exa_obs::GRADIENT_MARK, "gradient"),
-    ];
     fn entry(k: &str, v: Value) -> (String, Value) {
         (k.to_string(), v)
     }
@@ -218,7 +210,7 @@ fn reference_chrome_trace(trace: &RunTrace) -> Value {
     fn us(ts_ns: u64) -> Value {
         Value::Float(ts_ns as f64 / 1000.0)
     }
-    let mut hoisted: [Option<&str>; OTHER_DATA.len()] = [None; OTHER_DATA.len()];
+    let mut hoisted: Vec<(String, Value)> = Vec::new();
     let mut events: Vec<Value> = Vec::new();
     for rank in 0..trace.n_ranks() {
         events.push(Value::Map(vec![
@@ -266,9 +258,12 @@ fn reference_chrome_trace(trace: &RunTrace) -> Value {
                     ));
                 }
                 EventKind::Mark { label } => {
-                    for (slot, (prefix, _)) in hoisted.iter_mut().zip(OTHER_DATA) {
-                        if slot.is_none() {
-                            *slot = label.strip_prefix(prefix);
+                    let stamp = label
+                        .strip_prefix(exa_obs::MODE_MARK)
+                        .and_then(|stamp| stamp.split_once('='));
+                    if let Some((key, value)) = stamp {
+                        if hoisted.iter().all(|(k, _)| k != key) {
+                            hoisted.push(entry(key, str_v(value)));
                         }
                     }
                     fields.push(entry("ph", str_v("i")));
@@ -298,20 +293,15 @@ fn reference_chrome_trace(trace: &RunTrace) -> Value {
         entry("traceEvents", Value::Array(events)),
         entry("displayTimeUnit", str_v("ms")),
     ];
-    let other: Vec<(String, Value)> = hoisted
-        .iter()
-        .zip(OTHER_DATA)
-        .filter_map(|(suffix, (_, key))| suffix.map(|s| entry(key, str_v(s))))
-        .collect();
-    if !other.is_empty() {
-        top.push(entry("otherData", Value::Map(other)));
+    if !hoisted.is_empty() {
+        top.push(entry("otherData", Value::Map(hoisted)));
     }
     Value::Map(top)
 }
 
 /// Every event kind, whole and fractional microsecond stamps, two mode
-/// marks (the second `kernel_backend` must not displace the first) and a
-/// label that needs every JSON escape.
+/// marks (the second `kernel` must not displace the first) and a label
+/// that needs every JSON escape.
 fn synthetic_trace() -> RunTrace {
     use exa_obs::{CommCategory, EventKind, OpKind, TraceEvent};
     let at = |ts_ns, kind| TraceEvent { ts_ns, kind };
@@ -319,8 +309,8 @@ fn synthetic_trace() -> RunTrace {
     RunTrace {
         per_rank: vec![
             vec![
-                mark(0, format!("{}simd", exa_obs::KERNEL_BACKEND_MARK)),
-                mark(1, format!("{}4", exa_obs::THREADS_MARK)),
+                mark(0, format!("{}kernel=simd", exa_obs::MODE_MARK)),
+                mark(1, format!("{}threads=4", exa_obs::MODE_MARK)),
                 at(
                     1000,
                     EventKind::RegionBegin {
@@ -343,7 +333,7 @@ fn synthetic_trace() -> RunTrace {
                 ),
             ],
             vec![
-                mark(7, format!("{}scalar", exa_obs::KERNEL_BACKEND_MARK)),
+                mark(7, format!("{}kernel=scalar", exa_obs::MODE_MARK)),
                 mark(2_000_000, "quote\" back\\slash\nnew\tline \u{1} µs".into()),
                 at(
                     86_400_000_000_123,
@@ -376,7 +366,7 @@ fn streamed_chrome_trace_is_the_value_tree_document() {
     let other = serde::field(reference.as_map("trace").unwrap(), "otherData");
     assert_eq!(
         serde_json::to_string(other).unwrap(),
-        r#"{"kernel_backend":"simd","threads":"4"}"#
+        r#"{"kernel":"simd","threads":"4"}"#
     );
 
     let w = small_workload(31);
