@@ -1,15 +1,13 @@
 //! `examl-bench` — shared harness code for regenerating every table and
 //! figure of the paper (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results).
+//! EXPERIMENTS.md for recorded paper-vs-measured results). Everything
+//! else that is measured lives in `benchmark/` (catalogue: `BENCHMARK.json`).
 //!
 //! Binaries:
 //! * `figure3` — node-count sweep on the large unpartitioned alignment,
 //! * `figure4` — partition-count sweep, ExaML vs RAxML-Light (`--mode
 //!   joint|per-partition` for Fig. 4(a)/4(b)),
 //! * `table1`  — fork-join communication-cost breakdown.
-//!
-//! Criterion benches cover the kernels, the communicator, the distribution
-//! strategies, and the design-choice ablations called out in DESIGN.md §5.
 
 use exa_comm::cluster::RunProfile;
 use exa_comm::{CommCategory, CommStats};

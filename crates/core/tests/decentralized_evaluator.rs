@@ -9,7 +9,9 @@ use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::Tree;
 use exa_phylo::{Engine, GradientMode, KernelChoice, SiteRepeats};
 use exa_sched::build_engine;
-use exa_search::evaluator::{per_edge_full_gradient, BranchMode, Evaluator, SequentialEvaluator};
+use exa_search::evaluator::{
+    per_edge_full_gradient, BranchMode, Evaluator, FullGradient, SequentialEvaluator,
+};
 use exa_simgen::workloads;
 use examl_core::{Allreduce, DecentralizedEvaluator};
 use std::sync::Arc;
@@ -261,6 +263,31 @@ fn bits(g: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// `full_gradient` under `setup` (one sweep) next to the per-edge oracle on
+/// the same evaluator, per search rank: asserts equal bits, one collective
+/// against one per edge, and returns the pairs.
+fn sweep_and_oracle(
+    scheme: Scheme,
+    w: &Arc<workloads::Workload>,
+    setup: Setup,
+) -> Vec<(FullGradient, FullGradient)> {
+    let results = run_scheme(scheme, w, setup, |eval, _| {
+        (eval.full_gradient(), per_edge_full_gradient(eval))
+    });
+    let what = format!("{scheme:?} {:?} {:?}", setup.reduce, setup.mode);
+    let n_edges = 2 * w.compressed.n_taxa() - 3;
+    for (swept, oracle) in &results {
+        assert!(swept.swept && !oracle.swept, "{what}");
+        assert_eq!(oracle.collectives, n_edges as u64, "{what}");
+        let expected = u64::from(!matches!(scheme, Scheme::Sequential));
+        assert_eq!(swept.collectives, expected, "{what}");
+        assert_eq!(swept.d1.len(), n_edges, "{what}");
+        assert_eq!(bits(&swept.d1), bits(&oracle.d1), "{what}: d1");
+        assert_eq!(bits(&swept.d2), bits(&oracle.d2), "{what}: d2");
+    }
+    results
+}
+
 #[test]
 fn full_gradient_matches_the_per_edge_oracle_bitwise() {
     // One sweep + one fat reduction must reproduce, entry for entry and bit
@@ -276,20 +303,8 @@ fn full_gradient_matches_the_per_edge_oracle_bitwise() {
                     gradient: GradientMode::On,
                     tree_seed: 13,
                 };
-                let results = run_scheme(scheme, &w, setup, |eval, _| {
-                    (eval.full_gradient(), per_edge_full_gradient(eval))
-                });
+                let results = sweep_and_oracle(scheme, &w, setup);
                 let what = format!("{scheme:?} {reduce:?} {mode:?}");
-                for (swept, oracle) in &results {
-                    let n_edges = oracle.d1.len();
-                    assert!(swept.swept && !oracle.swept, "{what}");
-                    assert_eq!(oracle.collectives, n_edges as u64, "{what}");
-                    let expected = u64::from(!matches!(scheme, Scheme::Sequential));
-                    assert_eq!(swept.collectives, expected, "{what}");
-                    assert_eq!(swept.d1.len(), n_edges, "{what}");
-                    assert_eq!(bits(&swept.d1), bits(&oracle.d1), "{what}: d1");
-                    assert_eq!(bits(&swept.d2), bits(&oracle.d2), "{what}: d2");
-                }
                 // Reproducible sums do not depend on the scheme either.
                 if reduce == ReduceKind::Reproducible {
                     let seq = run_scheme(Scheme::Sequential, &w, setup, |eval, _| {
@@ -304,4 +319,27 @@ fn full_gradient_matches_the_per_edge_oracle_bitwise() {
             }
         }
     }
+    // 64 taxa: 125 per-edge collectives per Newton round become one, and a
+    // smoothing pass ends on the same lnL bits whichever route it takes.
+    let w = Arc::new(workloads::partitioned(64, 2, 40, 7));
+    let mut setup = Setup {
+        mode: BranchMode::Joint,
+        reduce: ReduceKind::Reproducible,
+        gradient: GradientMode::On,
+        tree_seed: 5,
+    };
+    for scheme in [Scheme::Allreduce(2), Scheme::ForkJoin(2)] {
+        for (swept, oracle) in sweep_and_oracle(scheme, &w, setup) {
+            assert_eq!((oracle.collectives, swept.collectives), (125, 1));
+        }
+    }
+    let smoothed_lnl = |setup| {
+        run_scheme(Scheme::Allreduce(2), &w, setup, |eval, _| {
+            exa_search::branch::smooth_all(eval, 1);
+            eval.evaluate(0).to_bits()
+        })
+    };
+    let on = smoothed_lnl(setup);
+    setup.gradient = GradientMode::Off;
+    assert_eq!(on, smoothed_lnl(setup), "lnL after one smoothing pass");
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`scalar`] — the original straight-line code, moved here unchanged,
 //! * [`simd`] — AVX2 4×f64 lanes over the `pattern × category × 4-state`
-//!   CLV blocks, with a portable 4-lane-chunk fallback where AVX2 is
-//!   unavailable.
+//!   CLV blocks; where AVX2 is unavailable [`KernelKind::Simd`] is served by
+//!   the scalar loops, which compute the same bits.
 //!
 //! Both backends are **bitwise-identical by construction**: the SIMD code
 //! uses no FMA contraction and reproduces the scalar association order in
@@ -23,6 +23,7 @@
 //! `auto` mode (capability allgather) before building engines.
 
 pub(crate) mod scalar;
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod simd;
 
 use serde::{Deserialize, Serialize};
@@ -42,7 +43,7 @@ pub(crate) type TipTable = [[f64; NUM_STATES]; 16];
 pub enum KernelKind {
     /// Straight-line scalar code.
     Scalar,
-    /// AVX2 vectorized (portable-chunk fallback off x86-64/AVX2).
+    /// AVX2 vectorized (the scalar loops where AVX2 is missing).
     Simd,
 }
 
@@ -88,7 +89,7 @@ impl std::fmt::Display for KernelKind {
 pub enum KernelChoice {
     /// Force the scalar backend.
     Scalar,
-    /// Force the SIMD backend (portable fallback where AVX2 is missing).
+    /// Force the SIMD backend (the scalar loops where AVX2 is missing).
     Simd,
     /// Pick the best backend every rank supports (requires negotiation in
     /// multi-rank runs; locally resolves to the best available).
@@ -161,7 +162,7 @@ impl std::fmt::Display for KernelChoice {
 }
 
 /// Whether the hardware-accelerated SIMD path (AVX2) is available on this
-/// machine. The SIMD backend still *works* without it via portable chunks;
+/// machine. A forced `simd` still *works* without it, on the scalar loops;
 /// `auto` only prefers it when this returns true.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -248,15 +249,23 @@ pub(crate) trait KernelBackend: Send + Sync {
     ) -> (f64, f64, u64);
 }
 
-static SCALAR_BACKEND: scalar::ScalarBackend = scalar::ScalarBackend;
-static SIMD_BACKEND: simd::SimdBackend = simd::SimdBackend;
+static SCALAR_BACKEND: scalar::ScalarBackend = scalar::ScalarBackend(KernelKind::Scalar);
+/// [`KernelKind::Simd`] forced on a host without AVX2: the scalar loops —
+/// bitwise equal by the module contract — under the kind the world agreed on.
+static SIMD_WITHOUT_AVX2: scalar::ScalarBackend = scalar::ScalarBackend(KernelKind::Simd);
 
 /// The backend singleton for a kind (backends are stateless; all per-call
 /// scratch lives in [`KernelScratch`]).
 pub(crate) fn backend_for(kind: KernelKind) -> &'static dyn KernelBackend {
     match kind {
         KernelKind::Scalar => &SCALAR_BACKEND,
-        KernelKind::Simd => &SIMD_BACKEND,
+        KernelKind::Simd => {
+            #[cfg(target_arch = "x86_64")]
+            if let Some(simd) = simd::SimdBackend::detect() {
+                return simd;
+            }
+            &SIMD_WITHOUT_AVX2
+        }
     }
 }
 

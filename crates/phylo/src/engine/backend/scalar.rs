@@ -19,11 +19,13 @@ use crate::model::pmatrix::ProbMatrix;
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
 
-pub(crate) struct ScalarBackend;
+/// The scalar loops, under the [`KernelKind`] they are handed out for (see
+/// [`super::backend_for`]).
+pub(crate) struct ScalarBackend(pub(crate) KernelKind);
 
 impl KernelBackend for ScalarBackend {
     fn kind(&self) -> KernelKind {
-        KernelKind::Scalar
+        self.0
     }
 
     fn newview_entry(

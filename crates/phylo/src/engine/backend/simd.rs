@@ -1,6 +1,7 @@
 //! The SIMD kernel backend: AVX2 4×f64 lanes over the
-//! `pattern × category × 4-state` CLV blocks, with a portable 4-lane-chunk
-//! fallback used off x86-64 or when AVX2 is missing at runtime.
+//! `pattern × category × 4-state` CLV blocks. x86-64 only, and a
+//! [`SimdBackend`] exists only where [`SimdBackend::detect`] found AVX2 at
+//! runtime — every `unsafe` call into [`mod@avx2`] below rests on that.
 //!
 //! # Bitwise identity with the scalar backend
 //!
@@ -30,7 +31,16 @@ use crate::model::pmatrix::ProbMatrix;
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
 
-pub(crate) struct SimdBackend;
+/// Proof that this host has AVX2: the only way to one is [`Self::detect`].
+pub(crate) struct SimdBackend(());
+
+impl SimdBackend {
+    /// The backend singleton, if this host has AVX2.
+    pub(crate) fn detect() -> Option<&'static SimdBackend> {
+        static BACKEND: SimdBackend = SimdBackend(());
+        std::arch::is_x86_feature_detected!("avx2").then_some(&BACKEND)
+    }
+}
 
 impl KernelBackend for SimdBackend {
     fn kind(&self) -> KernelKind {
@@ -67,7 +77,7 @@ impl KernelBackend for SimdBackend {
         b: &RootSide<'_>,
         sumtable: &mut Vec<f64>,
     ) {
-        sumtable_sides_impl(part, a, b, sumtable, avx2_usable())
+        sumtable_sides(part, a, b, sumtable)
     }
 
     fn gradient_outside(
@@ -78,7 +88,7 @@ impl KernelBackend for SimdBackend {
         out_clv: &mut [f64],
         out_scale: &mut [u32],
     ) -> u64 {
-        gradient_outside_impl(part, scratch, job, out_clv, out_scale, avx2_usable())
+        gradient_outside(part, scratch, job, out_clv, out_scale)
     }
 
     fn derivatives_from_sumtable(
@@ -88,19 +98,6 @@ impl KernelBackend for SimdBackend {
         terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
     ) -> (f64, f64, u64) {
         derivatives_from_sumtable(part, t, terms)
-    }
-}
-
-/// Whether the hardware AVX2 path is usable right now.
-#[inline]
-fn avx2_usable() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
@@ -130,15 +127,6 @@ impl<'a> SimdChild<'a> {
 }
 
 fn newview_entry(part: &mut PartitionState, n_taxa: usize, entry: &TraversalEntry) -> u64 {
-    newview_entry_impl(part, n_taxa, entry, avx2_usable())
-}
-
-fn newview_entry_impl(
-    part: &mut PartitionState,
-    n_taxa: usize,
-    entry: &TraversalEntry,
-    use_avx2: bool,
-) -> u64 {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
     let (t_left, t_right) = entry_lengths(part, entry);
@@ -199,34 +187,9 @@ fn newview_entry_impl(
             }
         };
 
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2 {
-            unsafe {
-                avx2::newview_patterns(
-                    &part.rates,
-                    &left,
-                    &right,
-                    patterns,
-                    cats,
-                    &mut parent_clv,
-                    &mut parent_scale,
-                );
-            }
-        } else {
-            portable::newview_patterns(
-                &part.rates,
-                &left,
-                &right,
-                patterns,
-                cats,
-                &mut parent_clv,
-                &mut parent_scale,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = use_avx2;
-            portable::newview_patterns(
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe {
+            avx2::newview_patterns(
                 &part.rates,
                 &left,
                 &right,
@@ -258,16 +221,6 @@ fn evaluate_root(
     d: &TraversalDescriptor,
     terms: Option<&mut Vec<f64>>,
 ) -> (f64, u64) {
-    evaluate_root_impl(part, n_taxa, d, avx2_usable(), terms)
-}
-
-fn evaluate_root_impl(
-    part: &mut PartitionState,
-    n_taxa: usize,
-    d: &TraversalDescriptor,
-    use_avx2: bool,
-    terms: Option<&mut Vec<f64>>,
-) -> (f64, u64) {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
     let gi = part.data.global_index;
@@ -283,42 +236,9 @@ fn evaluate_root_impl(
     {
         let a = root_side(part, n_taxa, d.root_a);
         let b = root_side(part, n_taxa, d.root_b);
-        #[cfg(target_arch = "x86_64")]
-        {
-            lnl = if use_avx2 {
-                unsafe {
-                    avx2::evaluate_patterns(
-                        &part.rates,
-                        &part.data.weights,
-                        &freqs,
-                        &scratch.cols_a,
-                        &a,
-                        &b,
-                        n_patterns,
-                        cats,
-                        cat_weight,
-                        terms,
-                    )
-                }
-            } else {
-                portable::evaluate_patterns(
-                    &part.rates,
-                    &part.data.weights,
-                    &freqs,
-                    &scratch.cols_a,
-                    &a,
-                    &b,
-                    n_patterns,
-                    cats,
-                    cat_weight,
-                    terms,
-                )
-            };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = use_avx2;
-            lnl = portable::evaluate_patterns(
+        // SAFETY: AVX2 was detected (module doc).
+        lnl = unsafe {
+            avx2::evaluate_patterns(
                 &part.rates,
                 &part.data.weights,
                 &freqs,
@@ -329,41 +249,26 @@ fn evaluate_root_impl(
                 cats,
                 cat_weight,
                 terms,
-            );
-        }
+            )
+        };
     }
     part.scratch = scratch;
     (lnl, (n_patterns * cats) as u64)
 }
 
 fn make_sumtable(part: &mut PartitionState, n_taxa: usize, d: &TraversalDescriptor) {
-    make_sumtable_impl(part, n_taxa, d, avx2_usable())
-}
-
-fn make_sumtable_impl(
-    part: &mut PartitionState,
-    n_taxa: usize,
-    d: &TraversalDescriptor,
-    use_avx2: bool,
-) {
     let mut sumtable = std::mem::take(&mut part.sumtable);
     {
         let a = root_side(part, n_taxa, d.root_a);
         let b = root_side(part, n_taxa, d.root_b);
-        sumtable_sides_impl(part, &a, &b, &mut sumtable, use_avx2);
+        sumtable_sides(part, &a, &b, &mut sumtable);
     }
     part.sumtable = sumtable;
 }
 
 /// The sumtable core over two explicit sides (shared by [`make_sumtable`]
 /// and the gradient sweep, so both paths are one kernel).
-fn sumtable_sides_impl(
-    part: &PartitionState,
-    a: &RootSide<'_>,
-    b: &RootSide<'_>,
-    out: &mut Vec<f64>,
-    use_avx2: bool,
-) {
+fn sumtable_sides(part: &PartitionState, a: &RootSide<'_>, b: &RootSide<'_>, out: &mut Vec<f64>) {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
     let freqs = *part.model.freqs();
@@ -379,33 +284,22 @@ fn sumtable_sides_impl(
     }
 
     out.resize(n_patterns * cats * NUM_STATES, 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        unsafe {
-            avx2::sumtable_patterns(a, b, &freqs, &v, &vit, n_patterns, cats, out);
-        }
-    } else {
-        portable::sumtable_patterns(a, b, &freqs, &v, &vit, n_patterns, cats, out);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = use_avx2;
-        portable::sumtable_patterns(a, b, &freqs, &v, &vit, n_patterns, cats, out);
+    // SAFETY: AVX2 was detected (module doc).
+    unsafe {
+        avx2::sumtable_patterns(a, b, &freqs, &v, &vit, n_patterns, cats, out);
     }
 }
 
-/// Materialize one outside CLV. The pattern loops are the *same*
-/// `newview_patterns` functions `newview_entry` dispatches to — run over an
-/// identity pattern list with explicit sources and destination — so the
-/// result is bitwise identical to a per-edge traversal's CLV for the same
-/// direction, on both the AVX2 and the portable path.
-fn gradient_outside_impl(
+/// Materialize one outside CLV. The pattern loop is the *same*
+/// `newview_patterns` function `newview_entry` runs — over an identity
+/// pattern list with explicit sources and destination — so the result is
+/// bitwise identical to a per-edge traversal's CLV for the same direction.
+fn gradient_outside(
     part: &PartitionState,
     scratch: &mut KernelScratch,
     job: &OutsideJob<'_>,
     out_clv: &mut [f64],
     out_scale: &mut [u32],
-    use_avx2: bool,
 ) -> u64 {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
@@ -425,34 +319,9 @@ fn gradient_outside_impl(
     let right = simd_grad_child(&job.right, &scratch.cols_b, &scratch.lookup_b);
     let patterns: &[u32] = &scratch.grad_ident;
 
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        unsafe {
-            avx2::newview_patterns(
-                &part.rates,
-                &left,
-                &right,
-                patterns,
-                cats,
-                out_clv,
-                out_scale,
-            );
-        }
-    } else {
-        portable::newview_patterns(
-            &part.rates,
-            &left,
-            &right,
-            patterns,
-            cats,
-            out_clv,
-            out_scale,
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = use_avx2;
-        portable::newview_patterns(
+    // SAFETY: AVX2 was detected (module doc).
+    unsafe {
+        avx2::newview_patterns(
             &part.rates,
             &left,
             &right,
@@ -483,15 +352,6 @@ fn derivatives_from_sumtable(
     t: f64,
     terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
 ) -> (f64, f64, u64) {
-    derivatives_from_sumtable_impl(part, t, avx2_usable(), terms)
-}
-
-fn derivatives_from_sumtable_impl(
-    part: &mut PartitionState,
-    t: f64,
-    use_avx2: bool,
-    terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
-) -> (f64, f64, u64) {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
     let cat_weight = category_weight(&part.rates);
@@ -499,23 +359,9 @@ fn derivatives_from_sumtable_impl(
     let mut scratch = std::mem::take(&mut part.scratch);
     fill_deriv_factors(part, t, &mut scratch.deriv_ex, &mut scratch.deriv_lr);
 
-    #[cfg(target_arch = "x86_64")]
-    let (d1, d2) = if use_avx2 {
-        unsafe {
-            avx2::derivative_patterns(
-                &part.rates,
-                &part.data.weights,
-                &part.sumtable,
-                &scratch.deriv_ex,
-                &scratch.deriv_lr,
-                n_patterns,
-                cats,
-                cat_weight,
-                terms,
-            )
-        }
-    } else {
-        portable::derivative_patterns(
+    // SAFETY: AVX2 was detected (module doc).
+    let (d1, d2) = unsafe {
+        avx2::derivative_patterns(
             &part.rates,
             &part.data.weights,
             &part.sumtable,
@@ -527,20 +373,6 @@ fn derivatives_from_sumtable_impl(
             terms,
         )
     };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_avx2;
-    #[cfg(not(target_arch = "x86_64"))]
-    let (d1, d2) = portable::derivative_patterns(
-        &part.rates,
-        &part.data.weights,
-        &part.sumtable,
-        &scratch.deriv_ex,
-        &scratch.deriv_lr,
-        n_patterns,
-        cats,
-        cat_weight,
-        terms,
-    );
 
     part.scratch = scratch;
     (d1, d2, (n_patterns * cats) as u64)
@@ -548,8 +380,7 @@ fn derivatives_from_sumtable_impl(
 
 /// The AVX2 hardware path. Every function carries
 /// `#[target_feature(enable = "avx2")]`; callers must have verified AVX2
-/// support (see [`avx2_usable`]).
-#[cfg(target_arch = "x86_64")]
+/// support (see the module doc).
 mod avx2 {
     use super::SimdChild;
     use crate::engine::backend::{cat_index, RootSide};
@@ -810,230 +641,10 @@ mod avx2 {
     }
 }
 
-/// The portable fallback: the same chunked algorithms over `[f64; 4]`
-/// lanes in plain Rust. Association orders match [`mod@super::scalar`] and
-/// the [`mod@avx2`] path exactly, so all three produce identical bits.
-mod portable {
-    use super::SimdChild;
-    use crate::engine::backend::{cat_index, RootSide};
-    use crate::engine::{LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
-    use crate::model::pmatrix::ProbMatrix;
-    use crate::model::rates::RateHeterogeneity;
-    use exa_bio::dna::NUM_STATES;
-
-    type V4 = [f64; NUM_STATES];
-
-    #[inline(always)]
-    fn splat(x: f64) -> V4 {
-        [x; NUM_STATES]
-    }
-
-    #[inline(always)]
-    fn load(s: &[f64]) -> V4 {
-        [s[0], s[1], s[2], s[3]]
-    }
-
-    #[inline(always)]
-    fn mul(a: V4, b: V4) -> V4 {
-        [a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]]
-    }
-
-    #[inline(always)]
-    fn add(a: V4, b: V4) -> V4 {
-        [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
-    }
-
-    #[inline(always)]
-    fn matvec(cols: &ProbMatrix, b: &[f64]) -> V4 {
-        let mut acc = mul(cols[0], splat(b[0]));
-        acc = add(acc, mul(cols[1], splat(b[1])));
-        acc = add(acc, mul(cols[2], splat(b[2])));
-        acc = add(acc, mul(cols[3], splat(b[3])));
-        acc
-    }
-
-    #[inline(always)]
-    fn hsum_ordered(v: V4) -> f64 {
-        let mut acc = 0.0;
-        for x in v {
-            acc += x;
-        }
-        acc
-    }
-
-    #[inline(always)]
-    fn child_vec(child: &SimdChild, i: usize, c: usize, cats: usize, k: usize) -> V4 {
-        match child {
-            SimdChild::Tip { codes, lookup } => lookup[k][codes[i] as usize & 0xf],
-            SimdChild::Inner { clv, cols, .. } => {
-                let base = (i * cats + c) * NUM_STATES;
-                matvec(&cols[k], &clv[base..base + NUM_STATES])
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn newview_patterns(
-        rates: &RateHeterogeneity,
-        left: &SimdChild,
-        right: &SimdChild,
-        patterns: &[u32],
-        cats: usize,
-        parent_clv: &mut [f64],
-        parent_scale: &mut [u32],
-    ) {
-        for &ip in patterns {
-            let i = ip as usize;
-            let base_i = i * cats * NUM_STATES;
-            let mut maxv = 0.0f64;
-            for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let lv = child_vec(left, i, c, cats, k);
-                let rv = child_vec(right, i, c, cats, k);
-                let v = mul(lv, rv);
-                let out = &mut parent_clv[base_i + c * NUM_STATES..base_i + (c + 1) * NUM_STATES];
-                for s in 0..NUM_STATES {
-                    out[s] = v[s];
-                    maxv = maxv.max(v[s].abs());
-                }
-            }
-            let mut count = left.scale_of(i) + right.scale_of(i);
-            if maxv < MIN_LIKELIHOOD {
-                for v in parent_clv[base_i..base_i + cats * NUM_STATES].iter_mut() {
-                    *v *= TWO_TO_256;
-                }
-                count += 1;
-            }
-            parent_scale[i] = count;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn evaluate_patterns(
-        rates: &RateHeterogeneity,
-        weights: &[f64],
-        freqs: &[f64; NUM_STATES],
-        cols: &[ProbMatrix],
-        a: &RootSide,
-        b: &RootSide,
-        n_patterns: usize,
-        cats: usize,
-        cat_weight: f64,
-        mut term_sink: Option<&mut Vec<f64>>,
-    ) -> f64 {
-        if let Some(sink) = term_sink.as_deref_mut() {
-            sink.clear();
-        }
-        let mut lnl = 0.0f64;
-        for i in 0..n_patterns {
-            let mut site = 0.0f64;
-            for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let xa = a.state_slice(i, c, cats);
-                let xb = b.state_slice(i, c, cats);
-                let pb = matvec(&cols[k], xb);
-                let terms = mul(mul(*freqs, load(xa)), pb);
-                site += cat_weight * hsum_ordered(terms);
-            }
-            let count = a.scale_of(i) + b.scale_of(i);
-            let site = site.max(f64::MIN_POSITIVE);
-            let term = weights[i] * (site.ln() + count as f64 * LN_MIN_LIKELIHOOD);
-            if let Some(sink) = term_sink.as_deref_mut() {
-                sink.push(term);
-            }
-            lnl += term;
-        }
-        lnl
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn sumtable_patterns(
-        a: &RootSide,
-        b: &RootSide,
-        freqs: &[f64; NUM_STATES],
-        v: &ProbMatrix,
-        vit: &ProbMatrix,
-        n_patterns: usize,
-        cats: usize,
-        sumtable: &mut [f64],
-    ) {
-        for i in 0..n_patterns {
-            for c in 0..cats {
-                let xa = a.state_slice(i, c, cats);
-                let xb = b.state_slice(i, c, cats);
-                let fa = mul(*freqs, load(xa));
-                let mut ae = splat(0.0);
-                let mut be = splat(0.0);
-                for s in 0..NUM_STATES {
-                    ae = add(ae, mul(splat(fa[s]), v[s]));
-                    be = add(be, mul(splat(xb[s]), vit[s]));
-                }
-                let st = mul(ae, be);
-                let base = (i * cats + c) * NUM_STATES;
-                sumtable[base..base + NUM_STATES].copy_from_slice(&st);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn derivative_patterns(
-        rates: &RateHeterogeneity,
-        weights: &[f64],
-        sumtable: &[f64],
-        ex: &[[f64; NUM_STATES]],
-        lr: &[[f64; NUM_STATES]],
-        n_patterns: usize,
-        cats: usize,
-        cat_weight: f64,
-        mut term_sink: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
-    ) -> (f64, f64) {
-        if let Some((s1, s2)) = term_sink.as_mut() {
-            s1.clear();
-            s2.clear();
-        }
-        let mut d1_sum = 0.0f64;
-        let mut d2_sum = 0.0f64;
-        for i in 0..n_patterns {
-            let mut l = 0.0f64;
-            let mut l1 = 0.0f64;
-            let mut l2 = 0.0f64;
-            for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let base = (i * cats + c) * NUM_STATES;
-                let st = load(&sumtable[base..base + NUM_STATES]);
-                let w = mul(st, ex[k]);
-                let wl1 = mul(w, lr[k]);
-                let wl2 = mul(wl1, lr[k]);
-                for s in 0..NUM_STATES {
-                    l += w[s];
-                    l1 += wl1[s];
-                    l2 += wl2[s];
-                }
-            }
-            l *= cat_weight;
-            l1 *= cat_weight;
-            l2 *= cat_weight;
-            let l = l.max(f64::MIN_POSITIVE);
-            let ratio1 = l1 / l;
-            let ratio2 = l2 / l;
-            let wgt = weights[i];
-            let t1 = wgt * ratio1;
-            let t2 = wgt * (ratio2 - ratio1 * ratio1);
-            if let Some((s1, s2)) = term_sink.as_mut() {
-                s1.push(t1);
-                s2.push(t2);
-            }
-            d1_sum += t1;
-            d2_sum += t2;
-        }
-        (d1_sum, d2_sum)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::backend::backend_for;
+    use crate::engine::backend::{backend_for, simd_available};
     use crate::engine::PartitionSlice;
     use crate::model::rates::RateModelKind;
     use crate::tree::Tree;
@@ -1069,11 +680,13 @@ mod tests {
         }
     }
 
-    /// Run the scalar backend and the SIMD backend's portable path (and the
-    /// AVX2 path where available) over the same traversal and assert every
-    /// observable output — CLVs, scale counts, lnl, sumtable, derivatives —
-    /// is bitwise identical.
+    /// Run the scalar backend and the AVX2 loops (where the host has them)
+    /// over the same traversal and assert every observable output — CLVs,
+    /// scale counts, lnl, sumtable, derivatives — is bitwise identical.
     fn check_paths(kind: RateModelKind) {
+        if !simd_available() {
+            return;
+        }
         let n_taxa = 7;
         let s = slice(n_taxa, 41, 77);
         let mk = || Engine::with_kernel(n_taxa, vec![s.clone()], kind, 0.6, KernelKind::Scalar);
@@ -1082,29 +695,23 @@ mod tests {
 
         let scalar = backend_for(KernelKind::Scalar);
         let mut eng_scalar = mk();
-        let mut eng_port = mk();
+        let mut eng_avx = mk();
         for entry in &d.entries {
             scalar.newview_entry(&mut eng_scalar.parts[0], n_taxa, entry);
-            newview_entry_impl(&mut eng_port.parts[0], n_taxa, entry, false);
+            newview_entry(&mut eng_avx.parts[0], n_taxa, entry);
         }
-        assert_eq!(eng_scalar.parts[0].clv, eng_port.parts[0].clv);
-        assert_eq!(eng_scalar.parts[0].scale, eng_port.parts[0].scale);
+        assert_eq!(eng_scalar.parts[0].clv, eng_avx.parts[0].clv);
+        assert_eq!(eng_scalar.parts[0].scale, eng_avx.parts[0].scale);
 
         let mut terms_s = Vec::new();
-        let mut terms_p = Vec::new();
+        let mut terms_a = Vec::new();
         let (lnl_s, w_s) =
             scalar.evaluate_root(&mut eng_scalar.parts[0], n_taxa, &d, Some(&mut terms_s));
-        let (lnl_p, w_p) = evaluate_root_impl(
-            &mut eng_port.parts[0],
-            n_taxa,
-            &d,
-            false,
-            Some(&mut terms_p),
-        );
-        assert_eq!(lnl_s.to_bits(), lnl_p.to_bits(), "{lnl_s} vs {lnl_p}");
-        assert_eq!(w_s, w_p);
+        let (lnl_a, w_a) = evaluate_root(&mut eng_avx.parts[0], n_taxa, &d, Some(&mut terms_a));
+        assert_eq!(lnl_s.to_bits(), lnl_a.to_bits(), "{lnl_s} vs {lnl_a}");
+        assert_eq!(w_s, w_a);
         assert_eq!(terms_s.len(), 41);
-        assert_eq!(terms_s, terms_p, "per-pattern lnl terms differ");
+        assert_eq!(terms_s, terms_a, "per-pattern lnl terms differ");
         let replayed: f64 = terms_s.iter().sum();
         assert_eq!(
             replayed.to_bits(),
@@ -1113,74 +720,38 @@ mod tests {
         );
 
         scalar.make_sumtable(&mut eng_scalar.parts[0], n_taxa, &d);
-        make_sumtable_impl(&mut eng_port.parts[0], n_taxa, &d, false);
-        assert_eq!(eng_scalar.parts[0].sumtable, eng_port.parts[0].sumtable);
+        make_sumtable(&mut eng_avx.parts[0], n_taxa, &d);
+        assert_eq!(eng_scalar.parts[0].sumtable, eng_avx.parts[0].sumtable);
 
         for t in [1e-6, 0.07, 0.9] {
             let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            let (mut p1, mut p2) = (Vec::new(), Vec::new());
+            let (mut v1, mut v2) = (Vec::new(), Vec::new());
             let (a1, a2, _) = scalar.derivatives_from_sumtable(
                 &mut eng_scalar.parts[0],
                 t,
                 Some((&mut s1, &mut s2)),
             );
-            let (b1, b2, _) = derivatives_from_sumtable_impl(
-                &mut eng_port.parts[0],
-                t,
-                false,
-                Some((&mut p1, &mut p2)),
-            );
+            let (b1, b2, _) =
+                derivatives_from_sumtable(&mut eng_avx.parts[0], t, Some((&mut v1, &mut v2)));
             assert_eq!(a1.to_bits(), b1.to_bits(), "d1 at {t}");
             assert_eq!(a2.to_bits(), b2.to_bits(), "d2 at {t}");
-            assert_eq!(s1, p1, "d1 terms at {t}");
-            assert_eq!(s2, p2, "d2 terms at {t}");
+            assert_eq!(s1, v1, "d1 terms at {t}");
+            assert_eq!(s2, v2, "d2 terms at {t}");
             assert_eq!(s1.iter().sum::<f64>().to_bits(), a1.to_bits());
             assert_eq!(s2.iter().sum::<f64>().to_bits(), a2.to_bits());
         }
-
-        if avx2_usable() {
-            let mut eng_avx = mk();
-            for entry in &d.entries {
-                newview_entry_impl(&mut eng_avx.parts[0], n_taxa, entry, true);
-            }
-            assert_eq!(eng_scalar.parts[0].clv, eng_avx.parts[0].clv);
-            assert_eq!(eng_scalar.parts[0].scale, eng_avx.parts[0].scale);
-            let mut terms_a = Vec::new();
-            let (lnl_a, _) =
-                evaluate_root_impl(&mut eng_avx.parts[0], n_taxa, &d, true, Some(&mut terms_a));
-            assert_eq!(lnl_s.to_bits(), lnl_a.to_bits(), "{lnl_s} vs {lnl_a}");
-            assert_eq!(terms_s, terms_a, "avx2 per-pattern lnl terms differ");
-            make_sumtable_impl(&mut eng_avx.parts[0], n_taxa, &d, true);
-            assert_eq!(eng_scalar.parts[0].sumtable, eng_avx.parts[0].sumtable);
-            for t in [1e-6, 0.07, 0.9] {
-                let (mut s1, mut s2) = (Vec::new(), Vec::new());
-                let (mut v1, mut v2) = (Vec::new(), Vec::new());
-                let (a1, a2, _) = scalar.derivatives_from_sumtable(
-                    &mut eng_scalar.parts[0],
-                    t,
-                    Some((&mut s1, &mut s2)),
-                );
-                let (b1, b2, _) = derivatives_from_sumtable_impl(
-                    &mut eng_avx.parts[0],
-                    t,
-                    true,
-                    Some((&mut v1, &mut v2)),
-                );
-                assert_eq!(a1.to_bits(), b1.to_bits(), "avx2 d1 at {t}");
-                assert_eq!(a2.to_bits(), b2.to_bits(), "avx2 d2 at {t}");
-                assert_eq!(s1, v1, "avx2 d1 terms at {t}");
-                assert_eq!(s2, v2, "avx2 d2 terms at {t}");
-            }
-        }
     }
 
-    /// The gradient-sweep entry points must hold the same dual-path bitwise
-    /// contract as the classic kernels: the outside-CLV builder runs the
-    /// shared `newview_patterns` core over an identity pattern list, so
-    /// scalar, portable, and AVX2 paths must agree bit for bit on the CLV,
-    /// the scale counts, and the work accounting.
+    /// The gradient-sweep entry points must hold the same bitwise contract
+    /// as the classic kernels: the outside-CLV builder runs the shared
+    /// `newview_patterns` core over an identity pattern list, so the scalar
+    /// and AVX2 paths must agree bit for bit on the CLV, the scale counts,
+    /// and the work accounting.
     #[test]
     fn gradient_outside_paths_match_scalar_bitwise() {
+        if !simd_available() {
+            return;
+        }
         let n_taxa = 7;
         let s = slice(n_taxa, 41, 77);
         let mk = || {
@@ -1204,7 +775,7 @@ mod tests {
             .expect("plan must start at a root endpoint");
 
         let scalar = backend_for(KernelKind::Scalar);
-        let run = |path: Option<bool>| -> (Vec<f64>, Vec<u32>, u64) {
+        let run = |avx2: bool| -> (Vec<f64>, Vec<u32>, u64) {
             let mut eng = mk();
             for entry in &d.entries {
                 scalar.newview_entry(&mut eng.parts[0], n_taxa, entry);
@@ -1222,48 +793,30 @@ mod tests {
                     left: root_side(part, n_taxa, step.left.node),
                     right: root_side(part, n_taxa, step.right.node),
                 };
-                w = match path {
-                    None => scalar.gradient_outside(
-                        part,
-                        &mut scratch,
-                        &job,
-                        &mut out_clv,
-                        &mut out_scale,
-                    ),
-                    Some(avx2) => gradient_outside_impl(
-                        part,
-                        &mut scratch,
-                        &job,
-                        &mut out_clv,
-                        &mut out_scale,
-                        avx2,
-                    ),
+                w = if avx2 {
+                    gradient_outside(part, &mut scratch, &job, &mut out_clv, &mut out_scale)
+                } else {
+                    scalar.gradient_outside(part, &mut scratch, &job, &mut out_clv, &mut out_scale)
                 };
             }
             part.scratch = scratch;
             (out_clv, out_scale, w)
         };
 
-        let (clv_s, scale_s, w_s) = run(None);
-        let (clv_p, scale_p, w_p) = run(Some(false));
-        assert_eq!(clv_s, clv_p, "portable outside CLV differs");
-        assert_eq!(scale_s, scale_p, "portable outside scale differs");
-        assert_eq!(w_s, w_p);
-        if avx2_usable() {
-            let (clv_a, scale_a, w_a) = run(Some(true));
-            assert_eq!(clv_s, clv_a, "avx2 outside CLV differs");
-            assert_eq!(scale_s, scale_a, "avx2 outside scale differs");
-            assert_eq!(w_s, w_a);
-        }
+        let (clv_s, scale_s, w_s) = run(false);
+        let (clv_a, scale_a, w_a) = run(true);
+        assert_eq!(clv_s, clv_a, "avx2 outside CLV differs");
+        assert_eq!(scale_s, scale_a, "avx2 outside scale differs");
+        assert_eq!(w_s, w_a);
     }
 
     #[test]
-    fn portable_chunks_match_scalar_bitwise_gamma() {
+    fn avx2_loops_match_scalar_bitwise_gamma() {
         check_paths(RateModelKind::Gamma);
     }
 
     #[test]
-    fn portable_chunks_match_scalar_bitwise_psr() {
+    fn avx2_loops_match_scalar_bitwise_psr() {
         check_paths(RateModelKind::Psr);
     }
 }

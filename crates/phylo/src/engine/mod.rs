@@ -665,48 +665,44 @@ impl Engine {
     /// CLVs must be up to date (call [`Engine::execute`] first or use the
     /// combined form in the drivers).
     pub fn evaluate(&mut self, d: &TraversalDescriptor) -> Vec<f64> {
-        let _span = exa_obs::region(exa_obs::RegionKind::Evaluate);
-        let started = std::time::Instant::now();
-        let n_taxa = self.n_taxa;
-        let backend = self.backend;
-        let results = self.for_each_part(Some(exa_obs::RegionKind::Evaluate), |_, part| {
-            backend.evaluate_root(part, n_taxa, d, None)
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for (lnl, w) in results {
-            out.push(lnl);
-            self.work.eval_patterns += w;
-        }
-        self.work.dispatches += self.batches.len() as u64;
-        self.work.kernel_ns += started.elapsed().as_nanos() as u64;
-        out
+        self.evaluate_impl(d, false)
     }
 
     /// [`Engine::evaluate`] variant that also hands the caller the
     /// per-pattern weighted log-likelihood addends of each local partition
-    /// (`sink(local_index, terms)`), for reproducible binned reduction.
-    /// The per-partition lnl stays the plain left-to-right sum, so `Fast`
-    /// results are unchanged.
+    /// (`sink(local_index, terms)`, serially in local-partition order), for
+    /// reproducible binned reduction. The per-partition lnl stays the plain
+    /// left-to-right sum, so `Fast` results are unchanged.
     pub fn evaluate_with_terms(
         &mut self,
         d: &TraversalDescriptor,
         sink: &mut dyn FnMut(usize, &[f64]),
     ) -> Vec<f64> {
+        let out = self.evaluate_impl(d, true);
+        for (local, part) in self.parts.iter().enumerate() {
+            sink(local, &part.terms_a);
+        }
+        out
+    }
+
+    /// With `want_terms` the addends land in each partition's `terms_a` and
+    /// no per-partition kernel timings are traced.
+    fn evaluate_impl(&mut self, d: &TraversalDescriptor, want_terms: bool) -> Vec<f64> {
         let _span = exa_obs::region(exa_obs::RegionKind::Evaluate);
         let started = std::time::Instant::now();
         let n_taxa = self.n_taxa;
         let backend = self.backend;
-        let results = self.for_each_part(None, |_, part| {
-            let mut terms = std::mem::take(&mut part.terms_a);
-            let (lnl, w) = backend.evaluate_root(part, n_taxa, d, Some(&mut terms));
-            part.terms_a = terms;
-            (lnl, w)
+        let trace = (!want_terms).then_some(exa_obs::RegionKind::Evaluate);
+        let results = self.for_each_part(trace, |_, part| {
+            let mut terms = want_terms.then(|| std::mem::take(&mut part.terms_a));
+            let out = backend.evaluate_root(part, n_taxa, d, terms.as_mut());
+            if let Some(terms) = terms {
+                part.terms_a = terms;
+            }
+            out
         });
-        // Sinks stay `FnMut` and run serially in local-partition order, from
-        // the per-partition term buffers filled above.
         let mut out = Vec::with_capacity(results.len());
-        for (local, (lnl, w)) in results.into_iter().enumerate() {
-            sink(local, &self.parts[local].terms_a);
+        for (lnl, w) in results {
             out.push(lnl);
             self.work.eval_patterns += w;
         }
@@ -731,51 +727,51 @@ impl Engine {
     /// branch length(s): one entry (joint) or one per *global* partition.
     /// Requires [`Engine::prepare_derivatives`] to have run for this edge.
     pub fn derivatives(&mut self, lengths: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let _span = exa_obs::region(exa_obs::RegionKind::CoreDerivative);
-        let started = std::time::Instant::now();
-        let backend = self.backend;
-        let results = self.for_each_part(Some(exa_obs::RegionKind::CoreDerivative), |_, part| {
-            let t = Engine::branch_length(lengths, part.data.global_index);
-            backend.derivatives_from_sumtable(part, t, None)
-        });
-        let mut d1 = Vec::with_capacity(results.len());
-        let mut d2 = Vec::with_capacity(results.len());
-        for (a, b, w) in results {
-            d1.push(a);
-            d2.push(b);
-            self.work.deriv_patterns += w;
-        }
-        self.work.dispatches += self.batches.len() as u64;
-        self.work.kernel_ns += started.elapsed().as_nanos() as u64;
-        (d1, d2)
+        self.derivatives_impl(lengths, false)
     }
 
     /// [`Engine::derivatives`] variant that also hands the caller the
     /// per-pattern first/second-derivative addends of each local partition
-    /// (`sink(local_index, d1_terms, d2_terms)`), for reproducible binned
-    /// reduction.
+    /// (`sink(local_index, d1_terms, d2_terms)`, serially in local-partition
+    /// order), for reproducible binned reduction.
     pub fn derivatives_with_terms(
         &mut self,
         lengths: &[f64],
         sink: &mut PairTermsSink<'_>,
     ) -> (Vec<f64>, Vec<f64>) {
+        let out = self.derivatives_impl(lengths, true);
+        for (local, part) in self.parts.iter().enumerate() {
+            sink(local, &part.terms_a, &part.terms_b);
+        }
+        out
+    }
+
+    /// With `want_terms` the addends land in each partition's `terms_a` /
+    /// `terms_b` and no per-partition kernel timings are traced.
+    fn derivatives_impl(&mut self, lengths: &[f64], want_terms: bool) -> (Vec<f64>, Vec<f64>) {
         let _span = exa_obs::region(exa_obs::RegionKind::CoreDerivative);
         let started = std::time::Instant::now();
         let backend = self.backend;
-        let results = self.for_each_part(None, |_, part| {
+        let trace = (!want_terms).then_some(exa_obs::RegionKind::CoreDerivative);
+        let results = self.for_each_part(trace, |_, part| {
             let t = Engine::branch_length(lengths, part.data.global_index);
-            let mut t1 = std::mem::take(&mut part.terms_a);
-            let mut t2 = std::mem::take(&mut part.terms_b);
-            let out = backend.derivatives_from_sumtable(part, t, Some((&mut t1, &mut t2)));
-            part.terms_a = t1;
-            part.terms_b = t2;
+            let mut terms = want_terms.then(|| {
+                (
+                    std::mem::take(&mut part.terms_a),
+                    std::mem::take(&mut part.terms_b),
+                )
+            });
+            let out =
+                backend.derivatives_from_sumtable(part, t, terms.as_mut().map(|(t1, t2)| (t1, t2)));
+            if let Some((t1, t2)) = terms {
+                part.terms_a = t1;
+                part.terms_b = t2;
+            }
             out
         });
         let mut d1 = Vec::with_capacity(results.len());
         let mut d2 = Vec::with_capacity(results.len());
-        for (local, (a, b, w)) in results.into_iter().enumerate() {
-            let part = &self.parts[local];
-            sink(local, &part.terms_a, &part.terms_b);
+        for (a, b, w) in results {
             d1.push(a);
             d2.push(b);
             self.work.deriv_patterns += w;
@@ -868,27 +864,18 @@ impl Engine {
     /// the per-pattern normalization addends (`sink(local_index, num_terms,
     /// den_terms)` with `numᵢ = wᵢ·rᵢ`, `denᵢ = wᵢ`) for reproducible binned
     /// reduction. Γ partitions contribute no terms. The terms are
-    /// reconstructed from the optimized rates left in `psr_scratch`, so the
-    /// kernel path is identical to the plain variant.
+    /// reconstructed serially from the optimized rates left in `psr_scratch`,
+    /// so the kernel path is the plain variant's and the sink sees
+    /// local-partition order.
     pub fn optimize_site_rates_with_terms(
         &mut self,
         d: &TraversalDescriptor,
         sink: &mut PairTermsSink<'_>,
     ) -> (f64, f64) {
-        let started = std::time::Instant::now();
-        let n_taxa = self.n_taxa;
-        let results = self.for_each_part(None, |_, part| {
-            site_rates::optimize_partition(part, n_taxa, d)
-        });
-        // Terms are reconstructed serially from the optimized rates left in
-        // `psr_scratch`, so the kernel path is identical to the plain
-        // variant and the sink sees local-partition order.
-        let mut num = 0.0;
-        let mut den = 0.0;
+        let out = self.optimize_site_rates(d);
         let mut num_terms = Vec::new();
         let mut den_terms = Vec::new();
-        for (local, (n, dn, w)) in results.into_iter().enumerate() {
-            let part = &self.parts[local];
+        for (local, part) in self.parts.iter().enumerate() {
             num_terms.clear();
             den_terms.clear();
             if matches!(part.rates, RateHeterogeneity::Psr { .. }) {
@@ -898,13 +885,8 @@ impl Engine {
                 }
             }
             sink(local, &num_terms, &den_terms);
-            num += n;
-            den += dn;
-            self.work.site_rate_patterns += w;
         }
-        self.work.dispatches += self.batches.len() as u64;
-        self.work.kernel_ns += started.elapsed().as_nanos() as u64;
-        (num, den)
+        out
     }
 
     /// Apply the global PSR normalization `scale` (= global Σw / Σw·r) and

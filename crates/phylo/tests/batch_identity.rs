@@ -93,14 +93,19 @@ fn assert_layouts_identical(
 ) {
     let n_taxa = 8;
     let (aln, scheme) = alignment(n_taxa, &[23, 7, 41, 13, 29, 11, 17], 42);
+    let (n_parts, n_batches) = (scheme.len() as u64, batches.len() as u64);
     let mut reference = build(&aln, &scheme, kind, kernel, 1, None);
     let mut packed = build(&aln, &scheme, kind, kernel, threads, Some(batches));
 
     let mut tree = Tree::random(n_taxa, 1, 7);
     let d = tree.full_traversal_descriptor(0);
+    // Backend entries per batch, counted as the calls below are made: one
+    // per descriptor entry for `execute`, one for every other kernel call.
+    let mut entries = d.entries.len() as u64;
     reference.execute(&d);
     packed.execute(&d);
     assert_bits_equal(&reference.evaluate(&d), &packed.evaluate(&d), "evaluate");
+    entries += 1;
 
     // Term sinks must observe the same partitions in the same order with
     // the same bits.
@@ -114,14 +119,17 @@ fn assert_layouts_identical(
         assert_eq!(la, lb, "sink order");
         assert_bits_equal(ta, tb, "evaluate terms");
     }
+    entries += 1;
 
     reference.prepare_derivatives(&d);
     packed.prepare_derivatives(&d);
+    entries += 1;
     for t in [1e-6, 0.05, 0.3, 1.5] {
         let (a1, a2) = reference.derivatives(&[t]);
         let (b1, b2) = packed.derivatives(&[t]);
         assert_bits_equal(&a1, &b1, "d1");
         assert_bits_equal(&a2, &b2, "d2");
+        entries += 1;
     }
     let mut dref: Vec<(usize, Vec<f64>, Vec<f64>)> = Vec::new();
     let mut dpacked: Vec<(usize, Vec<f64>, Vec<f64>)> = Vec::new();
@@ -138,6 +146,7 @@ fn assert_layouts_identical(
         assert_bits_equal(x1, y1, "d1 terms");
         assert_bits_equal(x2, y2, "d2 terms");
     }
+    entries += 1;
 
     if kind == RateModelKind::Psr {
         let (na, da) = reference.optimize_site_rates(&d);
@@ -146,6 +155,7 @@ fn assert_layouts_identical(
         assert_eq!(da.to_bits(), db.to_bits(), "psr denominator");
         reference.finalize_site_rates(da / na);
         packed.finalize_site_rates(db / nb);
+        entries += 1;
     }
 
     // A topology change on top (CLV orientation churn).
@@ -158,19 +168,20 @@ fn assert_layouts_identical(
         &packed.evaluate(&d),
         "post-invalidate evaluate",
     );
+    entries += d.entries.len() as u64 + 1;
 
     // Work accounting: identical pattern-category totals; only the dispatch
-    // count may differ (that is the point of packing).
+    // count differs (that is the point of packing): one dispatch per batch
+    // per backend entry, where the unpacked layout has one batch per
+    // partition.
     let (wr, wp) = (reference.work(), packed.work());
     assert_eq!(wr.clv_updates, wp.clv_updates);
     assert_eq!(wr.clv_saved, wp.clv_saved);
     assert_eq!(wr.eval_patterns, wp.eval_patterns);
     assert_eq!(wr.deriv_patterns, wp.deriv_patterns);
     assert_eq!(wr.site_rate_patterns, wp.site_rate_patterns);
-    assert!(
-        wp.dispatches <= wr.dispatches,
-        "packing must not add dispatches"
-    );
+    assert_eq!(wr.dispatches, n_parts * entries, "unpacked dispatches");
+    assert_eq!(wp.dispatches, n_batches * entries, "packed dispatches");
 }
 
 #[test]

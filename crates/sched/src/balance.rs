@@ -43,84 +43,6 @@ pub fn balance_stats(aln: &CompressedAlignment, assignments: &[RankAssignment]) 
     }
 }
 
-/// Balance summary computed from **measured** per-rank kernel time rather
-/// than predicted pattern counts. Input is the trace's kernel profile
-/// (`exa_obs::KernelProfile::per_rank`), passed as plain slices so the
-/// scheduler needs no dependency on the tracing crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasuredBalance {
-    /// Total measured kernel nanoseconds per rank.
-    pub per_rank_ns: Vec<u64>,
-    /// Most-loaded rank's time (the measured makespan).
-    pub max_ns: u64,
-    /// Least-loaded rank's time.
-    pub min_ns: u64,
-    /// Mean time per rank.
-    pub mean_ns: f64,
-    /// `max_ns / mean_ns` — 1.0 is perfect balance, 0.0 means nothing was
-    /// measured.
-    pub imbalance: f64,
-    /// The `top_n` hottest global partitions as `(partition, total ns)`
-    /// summed across ranks, hottest first.
-    pub hottest: Vec<(u32, u64)>,
-}
-
-/// Aggregate measured per-rank × per-partition kernel durations into a
-/// balance summary. `per_rank[r]` holds rank `r`'s `(global partition,
-/// total ns)` pairs (duplicate partition entries are summed).
-pub fn measured_balance(per_rank: &[Vec<(u32, u64)>], top_n: usize) -> MeasuredBalance {
-    let per_rank_ns: Vec<u64> = per_rank
-        .iter()
-        .map(|parts| parts.iter().map(|&(_, ns)| ns).sum())
-        .collect();
-    let max_ns = per_rank_ns.iter().copied().max().unwrap_or(0);
-    let min_ns = per_rank_ns.iter().copied().min().unwrap_or(0);
-    let total: u64 = per_rank_ns.iter().sum();
-    let mean_ns = if per_rank_ns.is_empty() {
-        0.0
-    } else {
-        total as f64 / per_rank_ns.len() as f64
-    };
-    let imbalance = if mean_ns > 0.0 {
-        max_ns as f64 / mean_ns
-    } else {
-        0.0
-    };
-    let mut by_partition: Vec<(u32, u64)> = Vec::new();
-    for parts in per_rank {
-        for &(p, ns) in parts {
-            match by_partition.binary_search_by_key(&p, |&(q, _)| q) {
-                Ok(i) => by_partition[i].1 += ns,
-                Err(i) => by_partition.insert(i, (p, ns)),
-            }
-        }
-    }
-    // Hottest first; ties broken by partition index for determinism.
-    by_partition.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    by_partition.truncate(top_n);
-    MeasuredBalance {
-        per_rank_ns,
-        max_ns,
-        min_ns,
-        mean_ns,
-        imbalance,
-        hottest: by_partition,
-    }
-}
-
-impl MeasuredBalance {
-    /// Measured-vs-predicted ratio: how much worse (or better) the real
-    /// imbalance is than the scheduler's pattern-count prediction. `None`
-    /// when either side has no data.
-    pub fn ratio_to_predicted(&self, predicted: &BalanceStats) -> Option<f64> {
-        if self.imbalance > 0.0 && predicted.imbalance > 0.0 {
-            Some(self.imbalance / predicted.imbalance)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,42 +111,6 @@ mod tests {
         let a = distribute(&aln, 4, Strategy::MonolithicLpt);
         let s = balance_stats(&aln, &a);
         assert!((s.imbalance - 1.0).abs() < 1e-9, "{s:?}");
-    }
-
-    #[test]
-    fn measured_balance_aggregates_ranks_and_partitions() {
-        // Rank 0: 300 ns total, rank 1: 100 ns → mean 200, imbalance 1.5.
-        let per_rank = vec![vec![(0u32, 100u64), (2, 200)], vec![(1, 60), (2, 40)]];
-        let m = measured_balance(&per_rank, 2);
-        assert_eq!(m.per_rank_ns, vec![300, 100]);
-        assert_eq!(m.max_ns, 300);
-        assert_eq!(m.min_ns, 100);
-        assert!((m.mean_ns - 200.0).abs() < 1e-12);
-        assert!((m.imbalance - 1.5).abs() < 1e-12);
-        // Partition totals: p2 = 240, p0 = 100, p1 = 60 → top-2 keeps p2, p0.
-        assert_eq!(m.hottest, vec![(2, 240), (0, 100)]);
-    }
-
-    #[test]
-    fn measured_balance_handles_empty_input() {
-        let m = measured_balance(&[], 3);
-        assert_eq!(m.imbalance, 0.0);
-        assert!(m.hottest.is_empty());
-        let m = measured_balance(&[vec![], vec![]], 3);
-        assert_eq!(m.imbalance, 0.0);
-        assert_eq!(m.per_rank_ns, vec![0, 0]);
-    }
-
-    #[test]
-    fn measured_vs_predicted_ratio() {
-        let aln = alignment(&[40, 30, 30]);
-        let a = distribute(&aln, 2, Strategy::Cyclic);
-        let predicted = balance_stats(&aln, &a);
-        let m = measured_balance(&[vec![(0, 120)], vec![(0, 80)]], 1);
-        let ratio = m.ratio_to_predicted(&predicted).unwrap();
-        assert!((ratio - m.imbalance / predicted.imbalance).abs() < 1e-12);
-        let empty = measured_balance(&[], 1);
-        assert_eq!(empty.ratio_to_predicted(&predicted), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (env-blind packages once, the rest per kernel backend x site-repeats setting)"
+echo "==> cargo test (workspace once; kernel / site-repeats suites per other backend x repeats setting)"
 # These packages neither read EXAML_KERNEL / EXAML_SITE_REPEATS nor build an
 # exa-phylo Engine (see their Cargo.toml: exa-simgen uses only exa-phylo's
 # models and trees), so a second run under another combination would
@@ -28,17 +28,31 @@ bounded_test() { # LABEL CARGO-TEST-ARGS...
   [ "$status" -ne 124 ] || echo "TIMEOUT: test pass '$label' still running after 30 min"
   return "$status"
 }
+# Of the rest, only exa-phylo's tests and these suites have the kernel /
+# site-repeats machinery *reading its environment default* as their subject.
+# Every other suite either pins both modes itself (mode_stamps, threads_chaos,
+# restart_chaos, evaluator_golden, batch_identity, gradient_identity,
+# repeat_identity, backend_agreement) or is about other modes (gradient_chaos,
+# reduce_chaos), and would execute the same instructions under another
+# combination.
+env_default_suites=(-p examl-integration-tests
+  --test kernel_backends --test site_repeats --test schemes_agree)
 test_t0=$SECONDS
 bounded_test "env-blind packages" "${env_blind[@]/#/--package=}"
-for kernel in scalar simd; do
-  for repeats in on off; do
-    echo "    EXAML_KERNEL=$kernel EXAML_SITE_REPEATS=$repeats"
-    EXAML_KERNEL="$kernel" EXAML_SITE_REPEATS="$repeats" \
-      bounded_test "workspace, kernel=$kernel site-repeats=$repeats" \
-      --workspace "${env_blind[@]/#/--exclude=}"
-  done
+echo "    defaults (EXAML_KERNEL=auto EXAML_SITE_REPEATS=auto)"
+(
+  unset EXAML_KERNEL EXAML_SITE_REPEATS
+  bounded_test "workspace, defaults" --workspace "${env_blind[@]/#/--exclude=}"
+)
+for combo in scalar:on scalar:off simd:off; do
+  (
+    export EXAML_KERNEL="${combo%:*}" EXAML_SITE_REPEATS="${combo#*:}"
+    echo "    EXAML_KERNEL=$EXAML_KERNEL EXAML_SITE_REPEATS=$EXAML_SITE_REPEATS"
+    bounded_test "exa-phylo, $combo" -p exa-phylo
+    bounded_test "kernel_backends + site_repeats + schemes_agree, $combo" "${env_default_suites[@]}"
+  )
 done
-echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 4 kernel x repeats passes)"
+echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 1 workspace pass + 3 kernel x repeats passes over the env-default suites)"
 # ROADMAP item 4's other tracked number: non-test lines under crates/*/src.
 echo "crates/ non-test lines: $(scripts/loc.sh | awk 'END{print $1}')"
 
@@ -159,7 +173,7 @@ grep -q 'replica divergence at collective #0 (fingerprint sync #1)' "$tmp/mixed.
   || { echo "sentinel did not trip at the first sync:"; cat "$tmp/mixed.err"; exit 1; }
 echo "reduce: trajectories bitwise-equal at 1/2/4 ranks and across a 2->4->1 resize; mixed world tripped at sync #1"
 
-echo "==> intra-rank worker pool (--threads negotiation, bitwise identity, batch guard)"
+echo "==> intra-rank worker pool (--threads negotiation, bitwise identity)"
 # The worker pool and the packing pass are dispatch-structure changes only:
 # a 2-thread run and an unbatched run must both reproduce the serial
 # trajectory bit for bit, and the negotiated width must surface in the
@@ -180,12 +194,9 @@ cargo run -q --release -p exa-serve --bin examl -- \
 traj "$tmp/threads_nb.jsonl" >"$tmp/threads_traj_nb.txt"
 cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt" \
   || { echo "--batch off shifted the lnL trajectory"; diff "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt"; exit 1; }
-# Fused 1000-partition throughput must clear 1.5x the unbatched baseline
-# on the modeled cluster (exits non-zero below the bar).
-cargo run -q --release -p examl-bench --bin batch -- --guard >/dev/null
-echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off; fused guard cleared"
+echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off"
 
-echo "==> gradient BLO (--gradient negotiation, bitwise identity, collective guard)"
+echo "==> gradient BLO (--gradient negotiation, bitwise identity)"
 # Gradient-driven smoothing changes only the reduction *shape* of each
 # Newton round (one fat full-tree collective vs one per edge), never its
 # addends: --gradient on and off must replay the same lnL trajectory bit
@@ -214,11 +225,7 @@ set -e
 [ "$grad_status" -eq 1 ] || { echo "mixed gradient world must exit 1, got $grad_status"; cat "$tmp/grad_mixed.err"; exit 1; }
 grep -q 'replica divergence at collective #0 (fingerprint sync #1)' "$tmp/grad_mixed.err" \
   || { echo "sentinel did not trip at the pre-search sync:"; cat "$tmp/grad_mixed.err"; exit 1; }
-# One fat collective per Newton round instead of one per edge: the
-# 64-taxon bench must measure >= 10x fewer BLO collectives per round with
-# bitwise-identical lnL (exits non-zero below the bar).
-cargo run -q --release -p examl-bench --bin gradient -- --guard >/dev/null
-echo "gradient: trajectories bitwise-equal on/off; mixed world refused at sync #1; collective guard cleared"
+echo "gradient: trajectories bitwise-equal on/off; mixed world refused at sync #1"
 
 echo "==> examl checkpoint smoke (atomic generations + heartbeat fields)"
 cargo run -q --release -p exa-serve --bin examl -- \
