@@ -169,9 +169,10 @@ impl Choice for GradientChoice {
     const FLAG: &'static str = "--gradient MODE";
     const ENV: &'static str = "EXAML_GRADIENT";
     const VALUES: &'static str = "on, off or auto";
-    const HELP: &'static str = "gradient-driven branch-length optimization: on | off | auto (on \
-        computes all edge derivatives in one full-tree sweep with a single collective per \
-        smoothing pass; bitwise result-neutral; default auto, negotiated to the world minimum)";
+    const HELP: &'static str = "full-tree branch gradient route: on | off | auto (on computes \
+        all edge derivatives in one sweep and reduces them in a single collective, off walks \
+        the edges; bitwise-equal numbers; branch smoothing does not call it, so a run is the \
+        same either way; default auto, negotiated to the world minimum)";
     const OVERRIDE: Option<&'static str> = Some("--gradient-override on|off[,on|off...]");
     fn parse(s: &str) -> Option<Self> {
         GradientChoice::parse(s)

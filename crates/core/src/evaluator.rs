@@ -71,9 +71,9 @@ impl Allreduce {
     /// collective. Most capability mismatches are benign until their first
     /// *differing* collective, but a mixed gradient-mode world runs
     /// different collective **sequences** — one fat reduction vs one per
-    /// edge — and the very first smoothing collective of the run would
-    /// desynchronize the world (a length-mismatch panic deep in the comm
-    /// layer, or a deadlock) before any post-collective sync could fire.
+    /// edge — and its first `full_gradient` call would desynchronize the
+    /// world (a length-mismatch panic deep in the comm layer, or a
+    /// deadlock) before any post-collective sync could fire.
     /// Syncing once up front turns that crash into the sentinel's ordinary
     /// minority-report diagnostic at sync #1. No-op while disabled.
     pub fn initial_sentinel_sync(eval: &mut DecentralizedEvaluator) {

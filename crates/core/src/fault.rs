@@ -380,7 +380,7 @@ impl SchemeExchange for Allreduce {
     /// Sync #1 fires before the search's first collective: a mixed
     /// gradient-mode world runs different collective *sequences*, so it
     /// must be refused here, not discovered as a length mismatch (or a
-    /// deadlock) inside the first smoothing reduction.
+    /// deadlock) inside its first gradient reduction.
     fn before_search(eval: &mut DecentralizedEvaluator) {
         Allreduce::initial_sentinel_sync(eval);
     }

@@ -296,10 +296,10 @@ pub struct RunConfig {
     pub threads: ThreadsChoice,
     /// Test hook: force a thread count per rank, bypassing negotiation.
     pub threads_override: Option<Vec<ThreadCount>>,
-    /// Gradient-driven branch-length optimization: compute every edge's
-    /// analytic `dlnL/dt` in one full-tree sweep with a single collective
-    /// per smoothing pass instead of per-edge seed reductions. Bitwise
-    /// result-neutral; `Auto` negotiates the world minimum.
+    /// Route of `Evaluator::full_gradient`: every edge's analytic
+    /// `dlnL/dt` from one full-tree sweep and a single collective, or from
+    /// per-edge reductions. Bitwise-equal numbers, and branch smoothing does
+    /// not call it; `Auto` negotiates the world minimum.
     pub gradient: GradientChoice,
     /// Test hook: force a gradient mode per rank, bypassing negotiation.
     /// Mixing modes desynchronizes the collective sequence and trips the

@@ -45,8 +45,8 @@ pub enum WorkerCmd {
     /// Execute the descriptor (orienting every inward CLV toward the plan's
     /// root edge), then run the one-pass full-tree gradient sweep over the
     /// plan and join the single fat `[d1 | d2]` reduction. One broadcast +
-    /// one collective replace a whole smoothing pass's per-edge
-    /// prepare/derivative command pairs.
+    /// one collective replace `n_edges` per-edge prepare/derivative command
+    /// pairs.
     Gradient {
         descriptor: TraversalDescriptor,
         plan: GradientPlan,

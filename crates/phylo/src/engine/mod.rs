@@ -714,12 +714,14 @@ impl Engine {
     /// Build the derivative sumtables for the descriptor's root edge.
     /// CLVs must be up to date.
     pub fn prepare_derivatives(&mut self, d: &TraversalDescriptor) {
+        let started = std::time::Instant::now();
         let n_taxa = self.n_taxa;
         let backend = self.backend;
         self.for_each_part(None, |_, part| {
             backend.make_sumtable(part, n_taxa, d);
         });
         self.work.dispatches += self.batches.len() as u64;
+        self.work.kernel_ns += started.elapsed().as_nanos() as u64;
     }
 
     /// First and second log-likelihood derivatives w.r.t. the root-edge

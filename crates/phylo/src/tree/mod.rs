@@ -316,13 +316,6 @@ impl Tree {
     /// CLV orientation bookkeeping — see module docs. Invalidate every inner
     /// CLV whose summarized subtree contains edge `e`.
     pub fn invalidate_for_edge(&mut self, e: EdgeId) {
-        // Escape hatch for debugging and for the invalidation ablation
-        // bench: force full CLV recomputation on every change.
-        static FORCE_FULL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *FORCE_FULL.get_or_init(|| std::env::var("EXA_DEBUG_INVALIDATE_ALL").is_ok()) {
-            self.invalidate_all();
-            return;
-        }
         let (x, y) = (self.edges[e].a, self.edges[e].b);
         // Multi-source BFS from the edge endpoints: hop[v] = first node on
         // the path from v toward the edge.

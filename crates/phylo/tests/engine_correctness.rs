@@ -421,6 +421,11 @@ fn work_counters_accumulate() {
     assert!(engine.work().eval_patterns > 0);
     engine.reset_work();
     assert_eq!(engine.work().total(), 0);
+    // The sumtable build is kernel time too: it is part of the heartbeat's
+    // measured per-rank load.
+    assert_eq!(engine.work().kernel_ns, 0);
+    engine.prepare_derivatives(&d);
+    assert!(engine.work().kernel_ns > 0);
 }
 
 #[test]

@@ -9,21 +9,16 @@
 //! carrying `2p` doubles, which is exactly the message growth the paper
 //! measures in Table I / Fig. 4(b).
 //!
-//! # Gradient-driven smoothing
+//! # Smoothing
 //!
-//! A full smoothing pass ([`smooth_all`]) no longer walks edges one at a
-//! time: each Newton round obtains the all-edge derivative vector via
-//! [`Evaluator::full_gradient`] — one fat collective under `--gradient on`,
-//! the classic per-edge loop under `off`, **bitwise-identical numbers
-//! either way** — and steps every still-moving edge simultaneously
-//! (Jacobi-style), then recomputes the gradient at the updated lengths for
-//! the next round. A round near convergence (the common case: every pass
-//! after the first, and every pass on an already-smoothed region) freezes
-//! all edges at once and ends the pass. That turns the `O(n · rounds)`
-//! collectives per pass into `O(rounds)` — the ≥10x collective-count drop
-//! the `examl-bench gradient --guard` harness pins. [`optimize_branch`]
-//! keeps the classic per-edge Gauss–Seidel loop for single-edge call sites
-//! (SPR candidate scoring).
+//! A smoothing pass ([`smooth_all`]) is the paper's `coreDerivative` loop
+//! and RAxML's `smoothTree`: it walks the edges in depth-first order and
+//! runs [`optimize_branch`] on each, so every edge is optimized against the
+//! lengths its neighbours have *now* (Gauss–Seidel) and a pass does not
+//! lose likelihood (`tests/smoothing.rs`). Stepping all `2n-3` edges at once
+//! from one all-edge gradient (Jacobi) does not converge on strongly coupled
+//! neighbours, which is why [`Evaluator::full_gradient`] is an instrument
+//! here, not a driver.
 
 use crate::evaluator::{BranchMode, Evaluator};
 use exa_phylo::tree::{EdgeId, BL_MAX, BL_MIN};
@@ -34,13 +29,17 @@ const BL_TOL: f64 = 1e-7;
 const MAX_NEWTON: usize = 32;
 
 /// One clamped Newton step (RAxML's safeguarded update): a proper Newton
-/// move under negative curvature, otherwise doubling/halving uphill. The
-/// clamp means a length already pinned at `BL_MIN`/`BL_MAX` that the
-/// fallback pushes further out of range reprojects onto the bound and
-/// registers as converged in one step — pinned by a regression test below.
+/// move under negative curvature, otherwise doubling/halving uphill. A
+/// Newton move shortens the branch by at most a factor of four (RAxML's
+/// `z <= 0.25 * zprev + 0.75`): a step that overshoots the optimum onto
+/// `BL_MIN` lands where the next step is below `BL_TOL`, and would be
+/// reported converged hundreds of lnL units down. The clamp means a length
+/// already pinned at `BL_MIN`/`BL_MAX` that the fallback pushes further out
+/// of range reprojects onto the bound and registers as converged in one
+/// step — both pinned by regression tests below.
 fn newton_step(old: f64, d1: f64, d2: f64) -> f64 {
     if d2 < 0.0 {
-        (old - d1 / d2).clamp(BL_MIN, BL_MAX)
+        (old - d1 / d2).clamp(BL_MIN.max(old / 4.0), BL_MAX)
     } else if d1 > 0.0 {
         (old * 2.0).clamp(BL_MIN, BL_MAX)
     } else {
@@ -53,24 +52,10 @@ fn step_converged(old: f64, new: f64) -> bool {
     (new - old).abs() < BL_TOL * (1.0 + old.abs())
 }
 
-/// Optimize the branch length(s) of `edge` in place. Returns the number of
+/// Optimize the branch length(s) of `edge` in place: one sumtable, then
+/// Newton iterations on it, one small allreduce each. Returns the number of
 /// Newton iterations spent (= derivative parallel regions triggered).
 pub fn optimize_branch(eval: &mut dyn Evaluator, edge: EdgeId) -> usize {
-    optimize_branch_seeded(eval, edge, None)
-}
-
-/// [`optimize_branch`] with an optional pre-computed first iteration: when
-/// `seed` carries the `(d1, d2)` pair of this edge at its current lengths
-/// (from [`Evaluator::full_gradient`]), the first Newton step consumes it
-/// instead of triggering a derivative collective, and `prepare_derivatives`
-/// is deferred until a second iteration is actually needed. With a seed the
-/// return value counts only the *additional* derivative rounds, so an edge
-/// that converges on the seeded step reports 0.
-pub fn optimize_branch_seeded(
-    eval: &mut dyn Evaluator,
-    edge: EdgeId,
-    seed: Option<(&[f64], &[f64])>,
-) -> usize {
     let arity = match eval.branch_mode() {
         BranchMode::Joint => 1,
         BranchMode::PerPartition => eval.n_partitions(),
@@ -80,24 +65,13 @@ pub fn optimize_branch_seeded(
         .collect();
     let mut converged = vec![false; arity];
     let mut iterations = 0;
-    let mut seed = seed.map(|(d1, d2)| (d1.to_vec(), d2.to_vec()));
-    let mut prepared = false;
 
+    eval.prepare_derivatives(edge);
     for _ in 0..MAX_NEWTON {
-        if converged.iter().all(|&c| c) {
-            break;
-        }
-        let (d1, d2) = match seed.take() {
-            Some(pair) => pair,
-            None => {
-                if !prepared {
-                    eval.prepare_derivatives(edge);
-                    prepared = true;
-                }
-                iterations += 1;
-                let _span = exa_obs::region(exa_obs::RegionKind::NrIteration);
-                eval.derivatives(&t)
-            }
+        iterations += 1;
+        let (d1, d2) = {
+            let _span = exa_obs::region(exa_obs::RegionKind::NrIteration);
+            eval.derivatives(&t)
         };
         let mut any_moved = false;
         for p in 0..arity {
@@ -150,99 +124,26 @@ pub fn dfs_edge_order(eval: &dyn Evaluator) -> Vec<EdgeId> {
     order
 }
 
-/// One or more full smoothing passes over all edges, each driven by
-/// iterated full-tree gradients (see the module doc). Returns total Newton
-/// steps taken across all edges and rounds.
+/// `passes` full smoothing passes: each walks [`dfs_edge_order`] and
+/// optimizes one edge at a time. Returns the total Newton iterations, which
+/// is also the number of collectives spent (one per iteration).
 pub fn smooth_all(eval: &mut dyn Evaluator, passes: usize) -> usize {
     let mut total = 0;
     for _ in 0..passes {
-        total += smooth_pass(eval);
+        for e in dfs_edge_order(eval) {
+            total += optimize_branch(eval, e);
+        }
+    }
+    if exa_obs::metrics::enabled() {
+        exa_obs::metrics::global()
+            .counter(
+                "exa_blo_collectives_total",
+                "Collectives spent inside branch-length smoothing passes.",
+                &[],
+            )
+            .add(total as u64);
     }
     total
-}
-
-/// One gradient-driven smoothing pass. Every round computes the all-edge
-/// `(d1, d2)` vector at the *current* lengths and steps each still-moving
-/// edge slot once; slots whose step lands within tolerance freeze for the
-/// rest of the pass. The pass ends when a round moves nothing (or at the
-/// `MAX_NEWTON` round cap). Both gradient modes run this exact code on the
-/// exact same numbers — `--gradient` changes how each round's vector was
-/// *reduced* (one fat collective vs one per edge), never its bits.
-fn smooth_pass(eval: &mut dyn Evaluator) -> usize {
-    let arity = match eval.branch_mode() {
-        BranchMode::Joint => 1,
-        BranchMode::PerPartition => eval.n_partitions(),
-    };
-    let n_edges = eval.tree().n_edges();
-    let mut converged = vec![false; n_edges * arity];
-    // Length each slot had *before its previous step*: a slot whose new
-    // length equals it bitwise is caught in the doubling/halving
-    // safeguard's 2-cycle (the curvature keeps the wrong sign at both
-    // points) and freezes, instead of ping-ponging until the round cap.
-    let mut before_prev = vec![f64::NAN; n_edges * arity];
-    let mut steps = 0;
-    let mut collectives = 0u64;
-    let mut sweeps = 0u64;
-    for _ in 0..MAX_NEWTON {
-        let grad = eval.full_gradient();
-        collectives += grad.collectives;
-        sweeps += u64::from(grad.swept);
-        let mut any_moved = false;
-        for e in 0..n_edges {
-            let mut t: Vec<f64> = (0..arity).map(|p| eval.tree().edge(e).length(p)).collect();
-            let mut changed = false;
-            for (p, tp) in t.iter_mut().enumerate() {
-                let slot = e * arity + p;
-                if converged[slot] {
-                    continue;
-                }
-                let old = *tp;
-                let new = newton_step(old, grad.d1[e][p], grad.d2[e][p]);
-                let cycled = new.to_bits() == before_prev[slot].to_bits();
-                before_prev[slot] = old;
-                if step_converged(old, new) || cycled {
-                    converged[slot] = true;
-                } else {
-                    any_moved = true;
-                }
-                *tp = new;
-                changed = true;
-                steps += 1;
-            }
-            if changed {
-                eval.tree_mut().set_lengths(e, &t);
-            }
-        }
-        if !any_moved {
-            break;
-        }
-    }
-    record_pass_metrics(sweeps, collectives);
-    steps
-}
-
-/// Fold one smoothing pass into the metrics registry: sweeps taken and
-/// collectives spent inside branch-length optimization (the numerator and
-/// denominator of the bench guard's ratio).
-fn record_pass_metrics(sweeps: u64, collectives: u64) {
-    if !exa_obs::metrics::enabled() {
-        return;
-    }
-    let reg = exa_obs::metrics::global();
-    if sweeps > 0 {
-        reg.counter(
-            "exa_gradient_sweeps_total",
-            "One-pass full-tree gradient sweeps driving branch smoothing.",
-            &[],
-        )
-        .add(sweeps);
-    }
-    reg.counter(
-        "exa_blo_collectives_total",
-        "Collectives spent inside branch-length smoothing passes.",
-        &[],
-    )
-    .add(collectives);
 }
 
 #[cfg(test)]
@@ -359,155 +260,37 @@ mod tests {
         assert_eq!(order.len(), e.tree().n_edges());
     }
 
-    /// Scripted evaluator: returns fixed `(d1, d2)` pairs and counts how
-    /// many derivative rounds the optimizer actually triggers — the
-    /// instrument for the clamp-at-bound and seeding contracts.
-    struct ScriptedEvaluator {
-        tree: Tree,
-        d1: f64,
-        d2: f64,
-        derivative_calls: usize,
-        prepare_calls: usize,
-    }
-
-    impl ScriptedEvaluator {
-        fn new(d1: f64, d2: f64) -> ScriptedEvaluator {
-            ScriptedEvaluator {
-                tree: Tree::random(4, 1, 11),
-                d1,
-                d2,
-                derivative_calls: 0,
-                prepare_calls: 0,
-            }
-        }
-    }
-
-    impl Evaluator for ScriptedEvaluator {
-        fn n_taxa(&self) -> usize {
-            self.tree.n_taxa()
-        }
-        fn n_partitions(&self) -> usize {
-            1
-        }
-        fn branch_mode(&self) -> BranchMode {
-            BranchMode::Joint
-        }
-        fn rate_kind(&self) -> RateModelKind {
-            RateModelKind::Gamma
-        }
-        fn tree(&self) -> &Tree {
-            &self.tree
-        }
-        fn tree_mut(&mut self) -> &mut Tree {
-            &mut self.tree
-        }
-        fn evaluate(&mut self, _edge: usize) -> f64 {
-            0.0
-        }
-        fn evaluate_partitioned(&mut self, _edge: usize) -> f64 {
-            0.0
-        }
-        fn last_per_partition(&self) -> &[f64] {
-            &[]
-        }
-        fn prepare_derivatives(&mut self, _edge: usize) {
-            self.prepare_calls += 1;
-        }
-        fn derivatives(&mut self, _lengths: &[f64]) -> (Vec<f64>, Vec<f64>) {
-            self.derivative_calls += 1;
-            (vec![self.d1], vec![self.d2])
-        }
-        fn alphas(&self) -> Vec<f64> {
-            Vec::new()
-        }
-        fn set_alphas(&mut self, _alphas: &[f64]) {}
-        fn gtr_rate(&self, _rate_index: usize) -> Vec<f64> {
-            Vec::new()
-        }
-        fn set_gtr_rate(&mut self, _rate_index: usize, _values: &[f64]) {}
-        fn optimize_site_rates(&mut self) {}
-        fn snapshot(&self) -> crate::evaluator::GlobalState {
-            unimplemented!("scripted evaluator is never checkpointed")
-        }
-        fn restore(&mut self, _state: &crate::evaluator::GlobalState) {
-            unimplemented!("scripted evaluator is never restored")
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
-
     /// Regression: a length pinned at `BL_MAX` whose curvature safeguard
     /// says "double" must reproject onto the bound and count as converged
-    /// after a single derivative round — not burn all `MAX_NEWTON`
-    /// iterations ramming the clamp.
+    /// on that step — not burn all `MAX_NEWTON` iterations ramming the
+    /// clamp.
     #[test]
     fn doubling_at_upper_bound_converges_in_one_step() {
-        let mut e = ScriptedEvaluator::new(5.0, 3.0); // uphill, wrong-sign d2
-        e.tree_mut().set_length(0, 0, BL_MAX);
-        let iters = optimize_branch(&mut e, 0);
-        assert_eq!(iters, 1, "clamped doubling must converge immediately");
-        assert_eq!(e.derivative_calls, 1);
-        assert_eq!(e.tree().edge(0).length(0), BL_MAX);
+        let new = newton_step(BL_MAX, 5.0, 3.0); // uphill, wrong-sign d2
+        assert_eq!(new, BL_MAX);
+        assert!(step_converged(BL_MAX, new));
+    }
+
+    /// Regression: from 0.13 a Newton step of −100 used to land on `BL_MIN`,
+    /// where the way back is `BL_MIN`-sized steps that pass for converged.
+    #[test]
+    fn newton_step_shortens_by_at_most_a_factor_of_four() {
+        assert_eq!(newton_step(0.13, -1000.0, -10.0), 0.13 / 4.0);
+        assert_eq!(newton_step(0.13, -0.1, -10.0), 0.13 - 0.01);
+        assert_eq!(newton_step(2.0 * BL_MIN, -1000.0, -10.0), BL_MIN);
     }
 
     /// Regression: the mirror case — halving at `BL_MIN` (downhill, positive
     /// curvature) reprojects onto the lower bound in one step.
     #[test]
     fn halving_at_lower_bound_converges_in_one_step() {
-        let mut e = ScriptedEvaluator::new(-5.0, 3.0);
-        e.tree_mut().set_length(0, 0, BL_MIN);
-        let iters = optimize_branch(&mut e, 0);
-        assert_eq!(iters, 1, "clamped halving must converge immediately");
-        assert_eq!(e.derivative_calls, 1);
-        assert_eq!(e.tree().edge(0).length(0), BL_MIN);
+        let new = newton_step(BL_MIN, -5.0, 3.0);
+        assert_eq!(new, BL_MIN);
+        assert!(step_converged(BL_MIN, new));
     }
 
-    /// A seed whose step converges immediately must cost zero derivative
-    /// rounds and zero sumtable preparations — that is the entire
-    /// collective-count saving of the gradient-seeded pass.
-    #[test]
-    fn converged_seed_costs_no_derivative_rounds() {
-        let mut e = ScriptedEvaluator::new(5.0, 3.0);
-        e.tree_mut().set_length(0, 0, BL_MAX);
-        let iters = optimize_branch_seeded(&mut e, 0, Some((&[5.0], &[3.0])));
-        assert_eq!(iters, 0);
-        assert_eq!(e.derivative_calls, 0);
-        assert_eq!(e.prepare_calls, 0);
-        assert_eq!(e.tree().edge(0).length(0), BL_MAX);
-    }
-
-    /// A seed that keeps the edge moving falls back to refinement: the
-    /// seeded route must land on exactly the lengths the unseeded route
-    /// finds, one derivative round cheaper.
-    #[test]
-    fn seeded_refinement_matches_unseeded_route() {
-        let mut unseeded = make_eval(BranchMode::Joint);
-        let mut seeded = make_eval(BranchMode::Joint);
-        for e in [0usize, 3, 5] {
-            unseeded.tree_mut().set_length(e, 0, 2.0);
-            seeded.tree_mut().set_length(e, 0, 2.0);
-        }
-        for e in [0usize, 3, 5] {
-            let iters_u = optimize_branch(&mut unseeded, e);
-            // Hand the seeded route the same first-iteration derivatives the
-            // unseeded route computes internally.
-            seeded.prepare_derivatives(e);
-            let t0 = seeded.tree().edge(e).length(0);
-            let (d1, d2) = seeded.derivatives(&[t0]);
-            let iters_s = optimize_branch_seeded(&mut seeded, e, Some((&d1, &d2)));
-            assert_eq!(iters_u, iters_s + 1, "seed replaces exactly one round");
-            assert_eq!(
-                unseeded.tree().edge(e).length(0).to_bits(),
-                seeded.tree().edge(e).length(0).to_bits(),
-                "edge {e}: seeded and unseeded routes must agree bitwise"
-            );
-        }
-    }
-
-    /// The gradient-seeded pass must land on the same final lengths
-    /// regardless of gradient mode — `full_gradient`'s two routes produce
-    /// bitwise-identical seeds, and everything after the seed is shared.
+    /// Smoothing never calls `full_gradient`, so the gradient mode cannot
+    /// change the lengths it lands on.
     #[test]
     fn smoothing_is_bitwise_invariant_to_gradient_mode() {
         use exa_phylo::GradientMode;

@@ -210,8 +210,8 @@ pub trait Evaluator {
     }
 }
 
-/// The all-edge derivative vector a branch-smoothing pass starts from,
-/// produced by [`Evaluator::full_gradient`]. Entries follow edge ids;
+/// The all-edge derivative vector produced by
+/// [`Evaluator::full_gradient`]. Entries follow edge ids;
 /// each entry has the same arity as [`Evaluator::derivatives`] (1 under
 /// joint mode, one per global partition under `-M`).
 #[derive(Debug, Clone)]
@@ -221,7 +221,7 @@ pub struct FullGradient {
     /// Second derivatives, `d2[edge][slot]`.
     pub d2: Vec<Vec<f64>>,
     /// Collectives spent producing the vector (1 for the sweep, `n_edges`
-    /// for the per-edge route) — what the bench guard's ratio is built on.
+    /// for the per-edge route).
     pub collectives: u64,
     /// True when the one-pass gradient sweep produced it.
     pub swept: bool,
@@ -263,10 +263,9 @@ pub fn per_edge_full_gradient<E: Evaluator + ?Sized>(eval: &mut E) -> FullGradie
 pub struct ExchangeEvaluator<X> {
     tree: Tree,
     local: LocalLikelihood,
-    /// The run's full-tree gradient mode. Under `On` a smoothing pass's
-    /// seed derivatives come from one analytic sweep + one fat reduction
-    /// instead of `n_edges` per-edge collectives (bitwise-identical values
-    /// either way).
+    /// The run's full-tree gradient mode. Under `On` `full_gradient` is one
+    /// analytic sweep + one fat reduction instead of `n_edges` per-edge
+    /// collectives (bitwise-identical values either way).
     gradient: GradientMode,
     /// Replicated model parameters for **all** partitions — every rank
     /// tracks all of them even for partitions it holds no data of, which is
@@ -342,9 +341,9 @@ impl<X: Exchange> ExchangeEvaluator<X> {
     }
 
     /// Select the full-tree gradient mode (builder style). Sequentially
-    /// there is no communication to save, but `On` still collapses a
-    /// smoothing pass's `2(2n-3)` kernel dispatches into one sweep; the
-    /// fork-join workers are command-driven and need no negotiation.
+    /// there is no communication to save, but `On` still collapses the
+    /// `2(2n-3)` per-edge kernel dispatches into one sweep; the fork-join
+    /// workers are command-driven and need no negotiation.
     pub fn with_gradient(mut self, gradient: GradientMode) -> Self {
         self.gradient = gradient;
         self

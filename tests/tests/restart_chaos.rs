@@ -14,6 +14,8 @@
 //! not an approximation. The sweep covers kill points, both parallelization
 //! schemes, both kernel backends and site-repeats on/off.
 
+mod common;
+
 use exa_comm::ReduceChoice;
 use exa_phylo::engine::{KernelChoice, RepeatsChoice};
 use exa_phylo::model::rates::RateModelKind;
@@ -104,6 +106,16 @@ fn kill_and_restart(
         fingerprint(&reference),
         "[{tag}] resumed run must be bitwise identical to the uninterrupted reference"
     );
+    // ... and what it reports is the lnL of the state it returned. (Fast
+    // sums depend on the scheme; PSR site rates are not in the state.)
+    let cfg = make();
+    if cfg.rate_model == RateModelKind::Gamma && cfg.scheme == Scheme::Decentralized {
+        assert_eq!(
+            resumed.result.lnl.to_bits(),
+            common::returned_state_lnl(aln, &cfg, &resumed).to_bits(),
+            "[{tag}] result.lnl is not the lnL of the returned state"
+        );
+    }
 }
 
 #[test]

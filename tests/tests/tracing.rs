@@ -146,15 +146,11 @@ fn kernel_and_search_regions_have_sane_counts() {
         newview > 0 && evaluate > 0 && deriv > 0,
         "{newview} {evaluate} {deriv}"
     );
-    // Every SPR-scoring Newton iteration wraps exactly one derivative
-    // kernel call; the Jacobi smoothing rounds (gradient-driven since
-    // `--gradient`) evaluate their all-edge derivatives outside any NR
-    // wrapper, so derivative regions strictly exceed NR iterations.
+    // Every Newton iteration, of SPR scoring and of smoothing alike, wraps
+    // exactly one derivative kernel call, and nothing else in a search
+    // differentiates.
     assert!(nr > 0, "nr iterations: {nr}");
-    assert!(
-        deriv > nr,
-        "derivative regions {deriv} vs NR iterations {nr}"
-    );
+    assert_eq!(deriv, nr, "derivative regions vs NR iterations");
     // Two ranks ran ≤ 2 search iterations each: one SPR round and one
     // model-optimization round per iteration, plus the initial conditioning
     // model round.
