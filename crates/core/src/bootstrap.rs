@@ -181,10 +181,8 @@ pub(crate) fn bootstrap_impl(
         // heartbeat (the sentinel cadence, if any, stays on — replicas
         // must agree in replicate searches too).
         rcfg.checkpoint_out = None;
-        rcfg.inject_kill = None;
         rcfg.resume_from = None;
-        rcfg.fault_plan = crate::fault::FaultPlan::none();
-        rcfg.divergence_fault = None;
+        rcfg.faults = crate::Faults::none();
         rcfg.health_out = None;
         let (out, _) = run_one(
             &resampled,
@@ -229,7 +227,7 @@ pub(crate) fn bootstrap_impl(
             // Driver-level kill injection: replicate boundaries count
             // toward the same committed-checkpoint budget as in-search
             // boundaries, so a chaos harness can kill between replicates.
-            if let Some(k) = cfg.inject_kill {
+            if let Some(k) = cfg.faults.kill {
                 if committed >= k.after_checkpoints {
                     return Err(RunError::Killed {
                         after_checkpoints: committed,

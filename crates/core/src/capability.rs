@@ -46,18 +46,8 @@ pub trait Choice: Copy + PartialEq {
     const VALUES: &'static str;
     /// The `--help` paragraph of [`Choice::FLAG`].
     const HELP: &'static str;
-    /// The fault-injection flag that forces a per-rank mode table past
-    /// negotiation, for the modes that have one: `--name GRAMMAR`.
-    const OVERRIDE: Option<&'static str> = None;
     /// Parse a [`Choice::FLAG`] / [`Choice::ENV`] value.
     fn parse(s: &str) -> Option<Self>;
-    /// Parse one entry of an override table: any explicit choice, as the
-    /// mode it forces.
-    fn parse_mode(s: &str) -> Option<Self::Mode> {
-        Self::parse(s)
-            .filter(|c| *c != Self::AUTO)
-            .map(Self::resolve_local)
-    }
     /// What this choice resolves to without a world (`auto` = the best this
     /// host offers).
     fn resolve_local(self) -> Self::Mode;
@@ -119,8 +109,6 @@ impl Choice for ReduceChoice {
     const VALUES: &'static str = "fast, reproducible or auto";
     const HELP: &'static str = "collective reduction mode: fast | reproducible | auto \
         (reproducible sums are bitwise invariant to rank count and summation order; default fast)";
-    const OVERRIDE: Option<&'static str> =
-        Some("--reduce-override fast|reproducible[,fast|reproducible...]");
     fn parse(s: &str) -> Option<Self> {
         ReduceChoice::parse(s)
     }
@@ -146,7 +134,6 @@ impl Choice for ThreadsChoice {
     const HELP: &'static str = "intra-rank worker threads per rank executing kernel batches \
         task-parallel: a count or auto (bitwise invisible: the lnL trajectory is identical at \
         any count; default auto, negotiated to the world minimum)";
-    const OVERRIDE: Option<&'static str> = Some("--threads-override N[,N...]");
     fn parse(s: &str) -> Option<Self> {
         ThreadsChoice::parse(s)
     }
@@ -173,7 +160,6 @@ impl Choice for GradientChoice {
         all edge derivatives in one sweep and reduces them in a single collective, off walks \
         the edges; bitwise-equal numbers; branch smoothing does not call it, so a run is the \
         same either way; default auto, negotiated to the world minimum)";
-    const OVERRIDE: Option<&'static str> = Some("--gradient-override on|off[,on|off...]");
     fn parse(s: &str) -> Option<Self> {
         GradientChoice::parse(s)
     }
@@ -191,7 +177,7 @@ impl Choice for GradientChoice {
 /// How one rank enters the exchange for one capability slot.
 #[derive(Debug, Clone, Copy)]
 pub enum Request<C: Choice> {
-    /// Resolve locally (an explicit choice or a per-rank test override).
+    /// Resolve locally (an explicit choice or a forced per-rank mode).
     /// The forced level is still advertised — so the packed exchange stays
     /// uniform — but the gathered minimum is ignored.
     Forced(C::Mode),
@@ -201,16 +187,16 @@ pub enum Request<C: Choice> {
 
 impl<C: Choice> Request<C> {
     /// The one request rule, shared by every slot: a non-empty per-rank
-    /// override table (test hook, indexed cyclically by rank id) forces its
-    /// entry; an explicit choice forces itself; `auto` advertises what this
-    /// host resolves it to and adopts the world minimum.
-    pub fn new(rank_id: usize, choice: C, override_table: Option<&[C::Mode]>) -> Request<C> {
-        match override_table {
-            Some(table) if !table.is_empty() => Request::Forced(table[rank_id % table.len()]),
-            _ if choice == C::AUTO => Request::Negotiate {
+    /// `forced` table (a test fault, indexed cyclically by rank id) forces
+    /// its entry; an explicit choice forces itself; `auto` advertises what
+    /// this host resolves it to and adopts the world minimum.
+    pub fn new(rank_id: usize, choice: C, forced: &[C::Mode]) -> Request<C> {
+        match forced {
+            [] if choice == C::AUTO => Request::Negotiate {
                 advertise: C::level(choice.resolve_local()),
             },
-            _ => Request::Forced(choice.resolve_local()),
+            [] => Request::Forced(choice.resolve_local()),
+            table => Request::Forced(table[rank_id % table.len()]),
         }
     }
 
@@ -300,8 +286,8 @@ mod tests {
     use super::*;
     use exa_comm::World;
 
-    /// The requests of a rank whose five choices are these and whose
-    /// override tables are unset.
+    /// The requests of a rank whose five choices are these and which is
+    /// forced into nothing.
     fn requests(
         kernel: KernelChoice,
         site_repeats: RepeatsChoice,
@@ -310,11 +296,11 @@ mod tests {
         gradient: GradientChoice,
     ) -> CapabilityRequests {
         CapabilityRequests {
-            kernel: Request::new(0, kernel, None),
-            site_repeats: Request::new(0, site_repeats, None),
-            reduce: Request::new(0, reduce, None),
-            threads: Request::new(0, threads, None),
-            gradient: Request::new(0, gradient, None),
+            kernel: Request::new(0, kernel, &[]),
+            site_repeats: Request::new(0, site_repeats, &[]),
+            reduce: Request::new(0, reduce, &[]),
+            threads: Request::new(0, threads, &[]),
+            gradient: Request::new(0, gradient, &[]),
             batch: true,
         }
     }
@@ -384,17 +370,17 @@ mod tests {
                 kernel: Request::new(
                     rank.id(),
                     KernelChoice::Auto,
-                    Some(&[KernelKind::Simd, KernelKind::Scalar]),
+                    &[KernelKind::Simd, KernelKind::Scalar],
                 ),
                 reduce: Request::new(
                     rank.id(),
                     ReduceChoice::Fast,
-                    Some(&[ReduceKind::Fast, ReduceKind::Reproducible]),
+                    &[ReduceKind::Fast, ReduceKind::Reproducible],
                 ),
                 gradient: Request::new(
                     rank.id(),
                     GradientChoice::Auto,
-                    Some(&[GradientMode::On, GradientMode::Off]),
+                    &[GradientMode::On, GradientMode::Off],
                 ),
                 ..requests(
                     KernelChoice::Auto,
@@ -410,7 +396,7 @@ mod tests {
         assert_eq!(modes[1].kernel, KernelKind::Scalar);
         assert_eq!(modes[0].reduce, ReduceKind::Fast);
         assert_eq!(modes[1].reduce, ReduceKind::Reproducible);
-        // Forced (override-table) gradient slots likewise keep their value.
+        // Forced (per-rank table) gradient slots likewise keep their value.
         assert_eq!(modes[0].gradient, GradientMode::On);
         assert_eq!(modes[1].gradient, GradientMode::Off);
     }
@@ -470,19 +456,15 @@ mod tests {
     #[test]
     fn empty_override_table_is_no_override() {
         // `"reduce_override": []` in a submitted job spec used to index out
-        // of bounds on every rank thread; an empty table now means "no
-        // override" in all five slots.
+        // of bounds on every rank thread; an empty forced table means "not
+        // forced" in all five slots (and no job spec carries one any more).
         for rank_id in [0, 3] {
             let req = CapabilityRequests {
-                kernel: Request::new(rank_id, KernelChoice::Scalar, Some(&[])),
-                site_repeats: Request::new(rank_id, RepeatsChoice::Off, Some(&[])),
-                reduce: Request::new(rank_id, ReduceChoice::Reproducible, Some(&[])),
-                threads: Request::new(
-                    rank_id,
-                    ThreadsChoice::Count(ThreadCount::new(3)),
-                    Some(&[]),
-                ),
-                gradient: Request::new(rank_id, GradientChoice::Off, Some(&[])),
+                kernel: Request::new(rank_id, KernelChoice::Scalar, &[]),
+                site_repeats: Request::new(rank_id, RepeatsChoice::Off, &[]),
+                reduce: Request::new(rank_id, ReduceChoice::Reproducible, &[]),
+                threads: Request::new(rank_id, ThreadsChoice::Count(ThreadCount::new(3)), &[]),
+                gradient: Request::new(rank_id, GradientChoice::Off, &[]),
                 batch: false,
             };
             assert_eq!(

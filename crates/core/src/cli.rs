@@ -17,10 +17,10 @@
 //! modes get their rows from their [`Choice`] impls.
 
 use crate::capability::Choice;
+use crate::fault::INJECT_SPEC;
 use crate::run::{BootstrapOptions, RunConfig};
-use crate::sentinel::{DivergenceFault, FaultComponent};
 use exa_phylo::model::rates::RateModelKind;
-use exa_search::{BranchMode, KillSpec, StartingTree};
+use exa_search::{BranchMode, StartingTree};
 use std::path::PathBuf;
 
 /// What a row's closure answers: done, or what it expected instead.
@@ -292,30 +292,13 @@ fn path(v: &str) -> Result<Option<PathBuf>, &'static str> {
     Ok(Some(v.into()))
 }
 
-/// The rows of one negotiated mode, from its [`Choice`] impl: the flag
-/// that sets the choice at `choice` and — for a mode that has one — the
-/// fault-injection flag that forces the per-rank table at `table`.
-fn mode_flags<C: Choice + 'static>(
-    choice: fn(&mut RunConfig) -> &mut C,
-    table: fn(&mut RunConfig) -> &mut Option<Vec<C::Mode>>,
-) -> Vec<Flag<RunConfig>> {
-    let own = Flag::new(C::FLAG, move |r, v| {
+/// The row of one negotiated mode, from its [`Choice`] impl: the flag that
+/// sets the choice at `choice`.
+fn mode_flag<C: Choice + 'static>(choice: fn(&mut RunConfig) -> &mut C) -> Flag<RunConfig> {
+    Flag::new(C::FLAG, move |r, v| {
         set(choice(r), C::parse(v).ok_or(C::VALUES))
-    });
-    let chosen_by = own.name;
-    let mut rows = vec![own.help(format!("{}; also via {}", C::HELP, C::ENV))];
-    if let Some(spec) = C::OVERRIDE {
-        let grammar = spec.split_once(' ').map_or("", |(_, grammar)| grammar);
-        let forced = Flag::new(spec, move |r, v| {
-            let modes = v.split(',').map(C::parse_mode).collect::<Option<_>>();
-            set(table(r), modes.map(Some).ok_or(grammar))
-        });
-        rows.push(forced.help(format!(
-            "fault injection: force these per rank (cycled over the ranks) instead of what \
-             {chosen_by} negotiates; a mixed table must trip the sentinel at its first sync"
-        )));
-    }
-    rows
+    })
+    .help(format!("{}; also via {}", C::HELP, C::ENV))
 }
 
 /// The `--partitions` row, for every verb that names an alignment.
@@ -349,11 +332,12 @@ pub fn cadence_flags<T: 'static>(
 }
 
 /// The flags that describe a run. What the daemon overwrites in a
-/// submitted job — where the artifacts go, the checkpoint cadence, the
-/// kill injection — is not a run flag but `examl`'s own ([`Cli`]).
+/// submitted job — where the artifacts go, the checkpoint cadence — and
+/// the test faults, which no job carries, are not run flags but `examl`'s
+/// own ([`Cli`]).
 pub fn run_flags() -> Vec<Flag<RunConfig>> {
     type Row = Flag<RunConfig>;
-    let mut rows = vec![
+    vec![
         Row::new("--ranks N", |r, v| set(&mut r.n_ranks, at_least_one(v)))
             .help("number of ranks (default 4)"),
         Row::new("--model GAMMA|PSR", |r, v| {
@@ -365,19 +349,11 @@ pub fn run_flags() -> Vec<Flag<RunConfig>> {
             Ok(())
         })
         .help("rate heterogeneity model (default GAMMA)"),
-    ];
-    rows.extend(mode_flags(|r| &mut r.kernel, |r| &mut r.kernel_override));
-    rows.extend(mode_flags(
-        |r| &mut r.site_repeats,
-        |r| &mut r.site_repeats_override,
-    ));
-    rows.extend(mode_flags(|r| &mut r.reduce, |r| &mut r.reduce_override));
-    rows.extend(mode_flags(|r| &mut r.threads, |r| &mut r.threads_override));
-    rows.extend(mode_flags(
-        |r| &mut r.gradient,
-        |r| &mut r.gradient_override,
-    ));
-    rows.extend([
+        mode_flag(|r| &mut r.kernel),
+        mode_flag(|r| &mut r.site_repeats),
+        mode_flag(|r| &mut r.reduce),
+        mode_flag(|r| &mut r.threads),
+        mode_flag(|r| &mut r.gradient),
         Row::new("--batch on|off", |r, v| {
             r.batch = match v {
                 "on" => true,
@@ -423,15 +399,7 @@ pub fn run_flags() -> Vec<Flag<RunConfig>> {
             set(&mut r.verify_replicas, count(v))
         })
         .help("compare replica state fingerprints every N collectives"),
-        Row::new("--inject-divergence RANK:COLLECTIVE:alpha|blen", |r, v| {
-            set(&mut r.divergence_fault, divergence_fault(v))
-        })
-        .help(
-            "flip one state bit on RANK after COLLECTIVE collectives (sentinel fault-injection \
-             testing)",
-        ),
-    ]);
-    rows
+    ]
 }
 
 /// What the `examl` binary does around the run: where the alignment comes
@@ -515,13 +483,14 @@ impl Cli {
         rows.extend([
             Row::new("--resume DIR", |c, v| set(&mut c.run.resume_from, path(v)))
                 .help("resume from the newest intact generation in DIR"),
-            Row::new("--inject-kill N[:RANK]", |c, v| {
-                set(&mut c.run.inject_kill, kill_spec(v))
-            })
-            .help(
-                "die after N committed checkpoints — all ranks, or just RANK (restart chaos \
-                 testing; exit code 3)",
-            ),
+            Row::new("--inject SPEC", |c, v| c.run.faults.inject(v)).help(format!(
+                "test fault injection, repeatable: {INJECT_SPEC}. kill: die after N committed \
+                 checkpoints, all ranks or just RANK (needs --checkpoint-out; exit code 3). \
+                 diverge: flip one state bit on RANK after COLLECTIVE collectives (caught by \
+                 --verify-replicas). <mode> (kernel, site_repeats, reduce, threads, gradient): \
+                 force these labels per rank, cycled over the ranks, instead of what the mode's \
+                 flag negotiates; a mixed table must trip the sentinel at its first sync"
+            )),
             Row::new("--binary-out FILE", |c, v| {
                 set(&mut c.io.binary_out, path(v))
             })
@@ -590,26 +559,6 @@ impl Cli {
     }
 }
 
-/// `AFTER_CKPT` or `AFTER_CKPT:RANK` into a [`KillSpec`]: die after
-/// `AFTER_CKPT` committed checkpoint generations — every rank at once, or
-/// just `RANK` (exercising the single-failure recovery path before the
-/// restart).
-fn kill_spec(spec: &str) -> Result<Option<KillSpec>, &'static str> {
-    let parse = || {
-        let mut parts = spec.splitn(2, ':');
-        let after_checkpoints = parts.next()?.parse().ok()?;
-        let rank = match parts.next() {
-            Some(r) => Some(r.parse().ok()?),
-            None => None,
-        };
-        Some(KillSpec {
-            after_checkpoints,
-            rank,
-        })
-    };
-    parse().map(Some).ok_or("AFTER_CKPT or AFTER_CKPT:RANK")
-}
-
 /// `ITER:WIDTH[,ITER:WIDTH...]` into a resize plan. Pairs must be in
 /// strictly increasing iteration order and widths must be at least 1; the
 /// world-size upper bound is checked later, once the run knows its world.
@@ -630,30 +579,17 @@ fn resize_plan(spec: &str) -> Result<Vec<(usize, usize)>, &'static str> {
     parse().ok_or("ITER:WIDTH[,ITER:WIDTH...]")
 }
 
-/// `RANK:COLLECTIVE:alpha|blen` into a [`DivergenceFault`].
-fn divergence_fault(spec: &str) -> Result<Option<DivergenceFault>, &'static str> {
-    let parse = || {
-        let mut parts = spec.splitn(3, ':');
-        let rank = parts.next()?.parse().ok()?;
-        let after_collectives = parts.next()?.parse().ok()?;
-        let component = FaultComponent::parse(parts.next()?)?;
-        Some(DivergenceFault {
-            rank,
-            after_collectives,
-            component,
-        })
-    };
-    parse().map(Some).ok_or("RANK:COLLECTIVE:alpha|blen")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Faults;
+    use crate::sentinel::{DivergenceFault, FaultComponent};
     use exa_comm::{ReduceChoice, ReduceKind};
     use exa_phylo::engine::{
-        GradientChoice, GradientMode, KernelChoice, RepeatsChoice, ThreadCount, ThreadsChoice,
+        GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
+        ThreadCount, ThreadsChoice,
     };
-    use exa_search::SearchConfig;
+    use exa_search::{KillSpec, SearchConfig};
     use std::path::Path;
 
     fn parse(args: &[&str]) -> Result<Cli, CliError> {
@@ -684,12 +620,19 @@ mod tests {
     /// Literal command lines — every `examl` invocation of
     /// `scripts/verify.sh`, the historical full-flag line, every flag at
     /// least once — against the `RunConfig` the builder API gives, compared
-    /// as serialized bytes: parsing is pinned against the library's public
-    /// surface, not against itself.
+    /// as serialized bytes plus the (never serialized) faults: parsing is
+    /// pinned against the library's public surface, not against itself.
     #[test]
     fn full_flag_set_parses() {
         let reproducible = ReduceChoice::Reproducible;
         let threads = |n| ThreadsChoice::Count(ThreadCount::new(n));
+        let kill = |after_checkpoints, rank| Faults {
+            kill: Some(KillSpec {
+                after_checkpoints,
+                rank,
+            }),
+            ..Faults::none()
+        };
         let table: Vec<(&str, RunConfig)> = vec![
             ("", examl(4)),
             // scripts/verify.sh, in order.
@@ -738,12 +681,15 @@ mod tests {
             ),
             (
                 "--phylip smoke.phy --ranks 4 --iterations 2 --seed 7 --reduce reproducible \
-                 --reduce-override reproducible,fast --verify-replicas 1 --quiet",
+                 --inject reduce:reproducible,fast --verify-replicas 1 --quiet",
                 examl(4)
                     .search(iterations(2))
                     .seed(7)
                     .reduce(reproducible)
-                    .reduce_override(vec![ReduceKind::Reproducible, ReduceKind::Fast])
+                    .faults(Faults {
+                        reduce: vec![ReduceKind::Reproducible, ReduceKind::Fast],
+                        ..Faults::none()
+                    })
                     .verify_replicas(1)
                     .collect_trace(false),
             ),
@@ -792,12 +738,15 @@ mod tests {
             ),
             (
                 "--phylip smoke.phy --ranks 4 --iterations 2 --seed 7 --gradient auto \
-                 --gradient-override on,off --verify-replicas 1 --quiet",
+                 --inject gradient:on,off --verify-replicas 1 --quiet",
                 examl(4)
                     .search(iterations(2))
                     .seed(7)
                     .gradient(GradientChoice::Auto)
-                    .gradient_override(vec![GradientMode::On, GradientMode::Off])
+                    .faults(Faults {
+                        gradient: vec![GradientMode::On, GradientMode::Off],
+                        ..Faults::none()
+                    })
                     .verify_replicas(1)
                     .collect_trace(false),
             ),
@@ -812,14 +761,11 @@ mod tests {
             ),
             (
                 "--phylip smoke.phy --ranks 2 --iterations 3 --checkpoint-out ckpt \
-                 --checkpoint-every 1 --inject-kill 1 --quiet",
+                 --checkpoint-every 1 --inject kill:1 --quiet",
                 examl(2)
                     .search(iterations(3))
                     .checkpoint("ckpt", 1)
-                    .inject_kill(KillSpec {
-                        after_checkpoints: 1,
-                        rank: None,
-                    })
+                    .faults(kill(1, None))
                     .collect_trace(false),
             ),
             (
@@ -841,10 +787,10 @@ mod tests {
             (
                 "--phylip a.phy --partitions p.txt --ranks 8 --model psr --kernel simd \
                  --site-repeats off --reduce reproducible --threads 2 --gradient on --batch off \
-                 --threads-override 2,4 --gradient-override on,off --resize-at 2:1,5:4 -Q -M \
+                 --inject threads:2,4 --inject gradient:on,off --resize-at 2:1,5:4 -Q -M \
                  --seed 7 --starting-tree random --iterations 3 --radius 2 --epsilon 0.5 \
-                 --verify-replicas 16 --inject-divergence 1:10:alpha \
-                 --reduce-override reproducible,fast --metrics-out metrics.prom --quiet",
+                 --verify-replicas 16 --inject diverge:1:10:alpha \
+                 --inject reduce:reproducible,fast --metrics-out metrics.prom --quiet",
                 examl(8)
                     .rate_model(RateModelKind::Psr)
                     .branch_mode(BranchMode::PerPartition)
@@ -861,14 +807,17 @@ mod tests {
                     .verify_replicas(16)
                     .resize_at(2, 1)
                     .resize_at(5, 4)
-                    .divergence_fault(DivergenceFault {
-                        rank: 1,
-                        after_collectives: 10,
-                        component: FaultComponent::Alpha,
-                    })
-                    .reduce_override(vec![ReduceKind::Reproducible, ReduceKind::Fast])
-                    .threads_override(vec![ThreadCount::new(2), ThreadCount::new(4)])
-                    .gradient_override(vec![GradientMode::On, GradientMode::Off]),
+                    .faults(Faults {
+                        divergence: Some(DivergenceFault {
+                            rank: 1,
+                            after_collectives: 10,
+                            component: FaultComponent::Alpha,
+                        }),
+                        reduce: vec![ReduceKind::Reproducible, ReduceKind::Fast],
+                        threads: vec![ThreadCount::new(2), ThreadCount::new(4)],
+                        gradient: vec![GradientMode::On, GradientMode::Off],
+                        ..Faults::none()
+                    }),
             ),
             // The flags no line above used, and the cadence rules.
             (
@@ -907,19 +856,29 @@ mod tests {
                 examl(4).collect_trace(false).bootstrap(2, 42 + 0xB00),
             ),
             ("--trace-out t.json --quiet", examl(4)),
-            ("--inject-divergence 0:3:blen", {
-                examl(4).divergence_fault(DivergenceFault {
-                    rank: 0,
-                    after_collectives: 3,
-                    component: FaultComponent::BranchLength,
+            ("--inject diverge:0:3:blen", {
+                examl(4).faults(Faults {
+                    divergence: Some(DivergenceFault {
+                        rank: 0,
+                        after_collectives: 3,
+                        component: FaultComponent::BranchLength,
+                    }),
+                    ..Faults::none()
                 })
             }),
-            ("--checkpoint-out c --inject-kill 3:1", {
-                examl(4).checkpoint("c", 1).inject_kill(KillSpec {
-                    after_checkpoints: 3,
-                    rank: Some(1),
-                })
+            ("--checkpoint-out c --inject kill:3:1", {
+                examl(4).checkpoint("c", 1).faults(kill(3, Some(1)))
             }),
+            // The two mode keys no line above forces, and a later spec of a
+            // kind replacing an earlier one.
+            (
+                "--inject kernel:scalar,simd --inject site_repeats:off --inject kernel:simd",
+                examl(4).faults(Faults {
+                    kernel: vec![KernelKind::Simd],
+                    site_repeats: vec![SiteRepeats::Off],
+                    ..Faults::none()
+                }),
+            ),
             // A time cadence alone turns the iteration cadence off …
             ("--checkpoint-out c --checkpoint-every-secs 2.5", {
                 examl(4).checkpoint("c", 0).checkpoint_every_secs(2.5)
@@ -948,6 +907,7 @@ mod tests {
                 serde_json::to_string(expected).unwrap(),
                 "{line:?}"
             );
+            assert_eq!(cli.run.faults, expected.faults, "{line:?}");
         }
         let flags = Cli::flags();
         for flag in flags.iter().map(|f| f.name) {
@@ -1058,8 +1018,8 @@ mod tests {
             "5",
             "--resume",
             "ckpt/",
-            "--inject-kill",
-            "2",
+            "--inject",
+            "kill:2",
         ])
         .unwrap();
         assert_eq!(c.run.checkpoint_out.as_deref(), Some(Path::new("ckpt/")));
@@ -1069,14 +1029,15 @@ mod tests {
             after_checkpoints: 2,
             rank: None,
         };
-        assert_eq!(c.run.inject_kill, Some(all_ranks));
-        for bad in ["", "x", "1:", "1:x", "1:2:3"] {
-            let err = parse(&["--checkpoint-out", "c", "--inject-kill", bad]).unwrap_err();
+        assert_eq!(c.run.faults.kill, Some(all_ranks));
+        for bad in ["kill:", "kill:x", "kill:1:", "kill:1:x", "kill:1:2:3"] {
+            let err = parse(&["--checkpoint-out", "c", "--inject", bad]).unwrap_err();
             assert!(
                 matches!(
                     err,
                     CliError::BadValue {
-                        flag: "--inject-kill",
+                        flag: "--inject",
+                        expected: "kill:N[:RANK]",
                         ..
                     }
                 ),
@@ -1145,12 +1106,64 @@ mod tests {
             "{why}"
         );
         parse(&["--resize-at", "1:2", "--reduce", "auto"]).unwrap();
-        let err = parse(&["--inject-kill", "2"]).unwrap_err();
+        let err = parse(&["--inject", "kill:2"]).unwrap_err();
         assert!(
             err.to_string()
-                .contains("--inject-kill requires --checkpoint-out"),
+                .contains("--inject kill requires --checkpoint-out"),
             "{err}"
         );
+    }
+
+    /// A fault spec that does not parse names the grammar it missed; one
+    /// that parses but that the run could not deliver is refused before
+    /// any input is read.
+    #[test]
+    fn malformed_inject_specs_are_usage_errors() {
+        for (spec, expected) in [
+            ("frob:1", "a fault kind: kill, diverge, kernel"),
+            ("batch:on", "a fault kind: kill, diverge, kernel"),
+            ("reduce:exact", "<mode>:LABEL[,LABEL...]"),
+            ("kernel:auto", "<mode>:LABEL[,LABEL...]"),
+            (
+                "kill",
+                "kill:N[:RANK], diverge:RANK:COLLECTIVE:alpha|blen or <mode>",
+            ),
+            ("diverge:1:5", "diverge:RANK:COLLECTIVE:alpha|blen"),
+            ("diverge:1:5:topology", "diverge:RANK:COLLECTIVE:alpha|blen"),
+        ] {
+            let err = parse(&["--inject", spec]).unwrap_err();
+            let text = err.to_string();
+            assert!(
+                text.starts_with(&format!("invalid value {spec:?} for --inject (expected ")),
+                "{spec}: {text}"
+            );
+            assert!(text.contains(expected), "{spec}: {text}");
+        }
+        let words = |line: &'static str| line.split_whitespace().collect::<Vec<_>>();
+        for (line, why) in [
+            ("--inject kill:1", "--inject kill requires --checkpoint-out"),
+            (
+                "--ranks 2 --checkpoint-out d --inject kill:1:9",
+                "outside the world",
+            ),
+            (
+                "--ranks 2 --inject diverge:9:5:alpha --verify-replicas 1",
+                "outside the world",
+            ),
+        ] {
+            let err = parse(&words(line)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Invalid(w) if w.contains(why)),
+                "{line:?}: {err:?}"
+            );
+        }
+        // The last rank of the world is a rank like any other, and resize
+        // head-room ranks replicate the search too.
+        parse(&words("--ranks 2 --checkpoint-out d --inject kill:1:1")).unwrap();
+        parse(&words(
+            "--ranks 2 --reduce auto --resize-at 1:6 --inject diverge:5:5:blen",
+        ))
+        .unwrap();
     }
 
     #[test]
@@ -1215,44 +1228,24 @@ mod tests {
         assert!(err.to_string().contains("on or off"), "{err}");
         let err = parse(&["--gradient", "maybe"]).unwrap_err();
         assert!(err.to_string().contains("on, off or auto"), "{err}");
-        for bad in ["", "auto", "on,", "on,maybe"] {
-            let err = parse(&["--gradient-override", bad]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CliError::BadValue {
-                        flag: "--gradient-override",
-                        ..
-                    }
-                ),
-                "{bad:?} should be rejected, got {err:?}"
-            );
-        }
-        for bad in ["", "0", "2,", "2,x"] {
-            let err = parse(&["--threads-override", bad]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CliError::BadValue {
-                        flag: "--threads-override",
-                        ..
-                    }
-                ),
-                "{bad:?} should be rejected, got {err:?}"
-            );
-        }
-        for bad in ["", "exact", "fast,", "fast,auto"] {
-            let err = parse(&["--reduce-override", bad]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CliError::BadValue {
-                        flag: "--reduce-override",
-                        ..
-                    }
-                ),
-                "{bad:?} should be rejected, got {err:?}"
-            );
+        for (key, bads) in [
+            ("gradient", ["", "auto", "on,", "on,maybe"]),
+            ("threads", ["", "0", "2,", "2,x"]),
+            ("reduce", ["", "exact", "fast,", "fast,auto"]),
+        ] {
+            for bad in bads {
+                let err = parse(&["--inject", &format!("{key}:{bad}")]).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        CliError::BadValue {
+                            flag: "--inject",
+                            ..
+                        }
+                    ),
+                    "{key}:{bad:?} should be rejected, got {err:?}"
+                );
+            }
         }
         // Out-of-order, zero-width and malformed plans are all rejected.
         for bad in ["", "3", "3:", "3:0", "5:2,3:4", "3:2,3:1", "x:2"] {

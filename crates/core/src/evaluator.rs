@@ -68,14 +68,11 @@ impl Allreduce {
     }
 
     /// One fingerprint sync at evaluator setup, before the search's first
-    /// collective. Most capability mismatches are benign until their first
-    /// *differing* collective, but a mixed gradient-mode world runs
-    /// different collective **sequences** — one fat reduction vs one per
-    /// edge — and its first `full_gradient` call would desynchronize the
-    /// world (a length-mismatch panic deep in the comm layer, or a
-    /// deadlock) before any post-collective sync could fire.
-    /// Syncing once up front turns that crash into the sentinel's ordinary
-    /// minority-report diagnostic at sync #1. No-op while disabled.
+    /// collective. The resolved modes are part of the fingerprint, so a
+    /// world whose ranks compute with different modes (a forced per-rank
+    /// table, a host that resolved `auto` differently) is refused at sync
+    /// #1 with the sentinel's ordinary minority-report diagnostic, before
+    /// any of its sums count. No-op while disabled.
     pub fn initial_sentinel_sync(eval: &mut DecentralizedEvaluator) {
         if eval.exchange().sentinel.cadence != 0 {
             Self::sync_fingerprints(eval);

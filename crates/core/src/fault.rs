@@ -29,18 +29,23 @@
 
 use crate::checkpoint::{self, Checkpoint, CheckpointHeader, CheckpointPayload};
 use crate::scheme::SchemeExchange;
+use crate::sentinel::{DivergenceFault, FaultComponent};
 use crate::{
-    die_now, Allreduce, CheckpointFailed, DecentralizedEvaluator, RunConfig, WorldContext,
+    die_now, Allreduce, CheckpointFailed, Choice, DecentralizedEvaluator, RunConfig, Scheme,
+    WorldContext,
 };
 use exa_bio::patterns::CompressedAlignment;
-use exa_comm::{CommCategory, Rank};
+use exa_comm::{CommCategory, Rank, ReduceChoice, ReduceKind};
 use exa_obs::{imbalance_ratio, HeartbeatRecord};
+use exa_phylo::engine::{
+    GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
+    ThreadCount, ThreadsChoice,
+};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{
     CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState, SearchSnapshot,
 };
-use exa_search::{BoundaryInfo, KillPanic, Modes, PreemptPanic, SearchHooks};
-use serde::{Deserialize, Serialize};
+use exa_search::{BoundaryInfo, KillPanic, KillSpec, Modes, PreemptPanic, SearchHooks};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::marker::PhantomData;
@@ -48,9 +53,162 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// A scripted set of rank failures, for tests, examples and the fault
-/// benches: rank `r` dies at the boundary of iteration `i`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Every test fault a run injects, as one value. Like the `preempt`
+/// handle it is process-local: a [`RunConfig`] serializes it as `null` and
+/// deserializes it as [`Faults::none`], so no journaled or submitted job
+/// can carry a fault.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Faults {
+    /// Die after this many committed checkpoints — every rank, or one
+    /// (`kill:N[:RANK]`; requires `checkpoint_out`).
+    pub kill: Option<KillSpec>,
+    /// Scripted rank deaths for §V recovery (library only).
+    pub plan: FaultPlan,
+    /// Flip one state bit on one rank mid-search
+    /// (`diverge:RANK:COLLECTIVE:alpha|blen`; caught by `verify_replicas`).
+    pub divergence: Option<DivergenceFault>,
+    /// Per-rank forced modes, one table per negotiated mode
+    /// (`<key>:LABEL[,LABEL...]`): rank `r` computes with `table[r % len]`
+    /// whatever its choice negotiates; an empty table forces nothing. A
+    /// mixed table is a deployment error the sentinel must catch at its
+    /// first sync.
+    pub kernel: Vec<KernelKind>,
+    pub site_repeats: Vec<SiteRepeats>,
+    pub reduce: Vec<ReduceKind>,
+    pub threads: Vec<ThreadCount>,
+    pub gradient: Vec<GradientMode>,
+}
+
+/// The `--inject` grammar, as `--help` and an error message name it.
+pub(crate) const INJECT_SPEC: &str =
+    "kill:N[:RANK], diverge:RANK:COLLECTIVE:alpha|blen or <mode>:LABEL[,LABEL...]";
+
+impl Faults {
+    /// No faults.
+    pub fn none() -> Faults {
+        Faults::default()
+    }
+
+    /// Add the fault one `--inject` spec describes (a later spec of the
+    /// same kind replaces an earlier one). `<mode>` is a negotiated key of
+    /// [`Modes::labels`], each `LABEL` one of the labels it reports.
+    pub fn inject(&mut self, spec: &str) -> Result<(), &'static str> {
+        let (kind, value) = spec.split_once(':').ok_or(INJECT_SPEC)?;
+        match kind {
+            "kill" => self.kill = Some(kill(value).ok_or("kill:N[:RANK]")?),
+            "diverge" => {
+                let fault = divergence(value).ok_or("diverge:RANK:COLLECTIVE:alpha|blen")?;
+                self.divergence = Some(fault);
+            }
+            "kernel" => self.kernel = forced::<KernelChoice>(value)?,
+            "site_repeats" => self.site_repeats = forced::<RepeatsChoice>(value)?,
+            "reduce" => self.reduce = forced::<ReduceChoice>(value)?,
+            "threads" => self.threads = forced::<ThreadsChoice>(value)?,
+            "gradient" => self.gradient = forced::<GradientChoice>(value)?,
+            _ => {
+                return Err(
+                    "a fault kind: kill, diverge, kernel, site_repeats, reduce, threads or \
+                     gradient",
+                )
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a world of `world_size` ranks under `scheme` can deliver
+    /// these faults: every named rank exists, and under fork-join — no
+    /// replicas, and only the master runs boundary hooks — a kill targets
+    /// the master, nothing diverges or dies on a script, and every rank
+    /// computes with the same modes (no sentinel could refuse a mixed
+    /// world).
+    pub fn validate(&self, world_size: usize, scheme: Scheme) -> Result<(), &'static str> {
+        let victim = self.kill.and_then(|k| k.rank);
+        if victim.is_some_and(|r| r >= world_size) {
+            return Err("--inject kill:N:RANK names a rank outside the world");
+        }
+        if self.divergence.is_some_and(|d| d.rank >= world_size) {
+            return Err("--inject diverge:RANK:… names a rank outside the world");
+        }
+        if self.plan.failures.iter().any(|&(r, _)| r >= world_size) {
+            return Err("the fault plan kills a rank outside the world");
+        }
+        if scheme == Scheme::Decentralized {
+            return Ok(());
+        }
+        if victim.is_some_and(|r| r != 0) {
+            return Err(
+                "fork-join kill injection targets the master (rank 0); worker ranks \
+                        run no boundary hooks",
+            );
+        }
+        if self.divergence.is_some() || !self.plan.failures.is_empty() {
+            return Err("fork-join has no replicas to corrupt or to recover with");
+        }
+        let mixed = mixed(&self.kernel, world_size)
+            || mixed(&self.site_repeats, world_size)
+            || mixed(&self.reduce, world_size)
+            || mixed(&self.threads, world_size)
+            || mixed(&self.gradient, world_size);
+        if mixed {
+            return Err("fork-join has no replica sentinel; refusing a mixed mode table");
+        }
+        Ok(())
+    }
+}
+
+impl serde::Serialize for Faults {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl serde::Deserialize for Faults {
+    fn from_value(_v: &serde::Value) -> Result<Faults, serde::DeError> {
+        Ok(Faults::none())
+    }
+}
+
+/// `N` or `N:RANK`.
+fn kill(spec: &str) -> Option<KillSpec> {
+    let (after, rank) = match spec.split_once(':') {
+        Some((after, rank)) => (after, Some(rank.parse().ok()?)),
+        None => (spec, None),
+    };
+    Some(KillSpec {
+        after_checkpoints: after.parse().ok()?,
+        rank,
+    })
+}
+
+/// `RANK:COLLECTIVE:alpha|blen`.
+fn divergence(spec: &str) -> Option<DivergenceFault> {
+    let mut parts = spec.splitn(3, ':');
+    Some(DivergenceFault {
+        rank: parts.next()?.parse().ok()?,
+        after_collectives: parts.next()?.parse().ok()?,
+        component: FaultComponent::parse(parts.next()?)?,
+    })
+}
+
+/// `LABEL[,LABEL...]`: any explicit choice of `C`, as the mode it forces.
+fn forced<C: Choice>(labels: &str) -> Result<Vec<C::Mode>, &'static str> {
+    let mode = |label| {
+        C::parse(label)
+            .filter(|c| *c != C::AUTO)
+            .map(C::resolve_local)
+    };
+    let modes = labels.split(',').map(mode).collect::<Option<_>>();
+    modes.ok_or("<mode>:LABEL[,LABEL...], each LABEL an explicit value of that mode's flag")
+}
+
+/// Do ranks `0..ranks` of a cyclic per-rank table disagree?
+fn mixed<M: PartialEq>(table: &[M], ranks: usize) -> bool {
+    table.iter().take(ranks).any(|m| *m != table[0])
+}
+
+/// A scripted set of rank failures, for tests and examples: rank `r` dies
+/// at the boundary of iteration `i`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     pub failures: Vec<(usize, usize)>,
 }
@@ -112,7 +270,7 @@ pub(crate) struct BoundaryHooks<'a, X> {
     snapshot: GlobalState,
     /// Checkpoint generations committed so far. Every searching rank counts
     /// them (the cadence is deterministic) even though only the writer rank
-    /// performs the write — this is what aligns `--inject-kill` across the
+    /// performs the write — this is what aligns an injected kill across the
     /// world.
     checkpoints_written: u64,
     /// Iteration of the last committed checkpoint (heartbeat field).
@@ -268,7 +426,7 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
     /// with a victim, that rank leaves alone and the others abort at their
     /// next collective.
     fn maybe_kill(&self, exchange: &mut X, info: &BoundaryInfo) {
-        let Some(kill) = self.ctx.cfg.inject_kill else {
+        let Some(kill) = self.ctx.cfg.faults.kill else {
             return;
         };
         if self.checkpoints_written < kill.after_checkpoints {
@@ -350,7 +508,7 @@ impl SchemeExchange for Allreduce {
 
     fn connect(rank: Rank, cfg: &RunConfig) -> Allreduce {
         let mut exchange = Allreduce::new(rank);
-        exchange.set_sentinel(cfg.verify_replicas, cfg.divergence_fault);
+        exchange.set_sentinel(cfg.verify_replicas, cfg.faults.divergence);
         exchange
     }
 
@@ -377,10 +535,9 @@ impl SchemeExchange for Allreduce {
             .expect("restart barrier cannot proceed after a rank failure");
     }
 
-    /// Sync #1 fires before the search's first collective: a mixed
-    /// gradient-mode world runs different collective *sequences*, so it
-    /// must be refused here, not discovered as a length mismatch (or a
-    /// deadlock) inside its first gradient reduction.
+    /// Sync #1 fires before the search's first collective: the resolved
+    /// modes are part of the fingerprint, so a world whose ranks compute
+    /// with different modes is refused here, before any of its sums count.
     fn before_search(eval: &mut DecentralizedEvaluator) {
         Allreduce::initial_sentinel_sync(eval);
     }
@@ -512,7 +669,7 @@ impl SchemeExchange for Allreduce {
         info: &BoundaryInfo,
     ) {
         let cfg = hooks.ctx.cfg;
-        if cfg.fault_plan.fires(hooks.rank.id(), info.iteration) {
+        if cfg.faults.plan.fires(hooks.rank.id(), info.iteration) {
             die_now(&hooks.rank);
         }
         let Some(&(_, width)) = cfg
@@ -555,5 +712,99 @@ impl SchemeExchange for Allreduce {
         // 3. Rewind to the last consistent boundary and retry.
         eval.restore(&hooks.snapshot);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::capability::resolve_local;
+
+    fn injected(specs: &[&str]) -> Faults {
+        let mut faults = Faults::none();
+        for spec in specs {
+            faults
+                .inject(spec)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        }
+        faults
+    }
+
+    /// Every negotiated key of `Modes::labels` takes a table of the labels
+    /// it reports, and forcing them yields exactly those labels.
+    #[test]
+    fn every_negotiated_mode_key_is_injectable() {
+        let modes = Modes {
+            kernel: KernelKind::Scalar,
+            site_repeats: SiteRepeats::Off,
+            reduce: ReduceKind::Reproducible,
+            threads: ThreadCount::new(3),
+            gradient: GradientMode::Off,
+            batch: true,
+        };
+        let specs: Vec<String> = modes
+            .labels()
+            .iter()
+            .filter(|(key, _)| *key != "batch")
+            .map(|(key, label)| format!("{key}:{label}"))
+            .collect();
+        assert_eq!(specs.len(), 5);
+        let cfg = RunConfig::new(2).faults(injected(
+            &specs.iter().map(String::as_str).collect::<Vec<_>>(),
+        ));
+        for rank in 0..2 {
+            assert_eq!(resolve_local(&cfg.capability_requests(rank)), modes);
+        }
+        assert!(Faults::none().inject("batch:off").is_err());
+    }
+
+    #[test]
+    fn faults_never_leave_the_process() {
+        let cfg = RunConfig::new(2).faults(injected(&["kill:1:1", "reduce:fast,reproducible"]));
+        let json = serde_json::to_string(&cfg).unwrap();
+        assert!(json.contains(r#""faults":null"#), "{json}");
+        let back: RunConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.faults, Faults::none());
+    }
+
+    #[test]
+    fn validate_refuses_faults_the_world_cannot_deliver() {
+        let ok = |f: &Faults, world, scheme| f.validate(world, scheme).is_ok();
+        use Scheme::{Decentralized as Dec, ForkJoin as Fj};
+        assert!(ok(&Faults::none(), 1, Dec) && ok(&Faults::none(), 1, Fj));
+        // Ranks must exist.
+        assert!(ok(&injected(&["kill:1:3"]), 4, Dec));
+        assert!(!ok(&injected(&["kill:1:4"]), 4, Dec));
+        assert!(!ok(&injected(&["diverge:4:1:alpha"]), 4, Dec));
+        let plan = Faults {
+            plan: FaultPlan::kill(1, 1).and_kill(4, 2),
+            ..Faults::none()
+        };
+        assert!(!ok(&plan, 4, Dec));
+        // Fork-join: only the master runs boundary hooks, nothing is
+        // replicated, and no sentinel could refuse a mixed world.
+        assert!(ok(&injected(&["kill:1"]), 4, Fj));
+        assert!(ok(&injected(&["kill:1:0"]), 4, Fj));
+        assert!(!ok(&injected(&["kill:1:1"]), 4, Fj));
+        assert!(!ok(&injected(&["diverge:0:1:blen"]), 4, Fj));
+        assert!(!ok(
+            &Faults {
+                plan: FaultPlan::kill(1, 1),
+                ..Faults::none()
+            },
+            4,
+            Fj
+        ));
+        assert!(ok(&injected(&["reduce:fast,fast", "threads:2"]), 4, Fj));
+        for mixed in [
+            "kernel:scalar,simd",
+            "site_repeats:on,off",
+            "gradient:on,off",
+        ] {
+            assert!(ok(&injected(&[mixed]), 4, Dec), "{mixed}");
+            assert!(!ok(&injected(&[mixed]), 4, Fj), "{mixed}");
+        }
+        // A table longer than the world is only mixed where ranks read it.
+        assert!(ok(&injected(&["reduce:fast,reproducible"]), 1, Fj));
     }
 }

@@ -38,6 +38,7 @@ pub mod sentinel;
 pub use capability::{CapabilityRequests, Choice};
 pub use cli::{Cli, CliError};
 pub use evaluator::{Allreduce, DecentralizedEvaluator};
+pub use fault::Faults;
 pub use run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome, Scheme};
 pub use sentinel::{DivergenceFault, FaultComponent};
 
@@ -261,7 +262,7 @@ pub(crate) fn run_world<X: SchemeExchange>(
         comm_stats,
         work,
         mem_bytes,
-        survivors: (0..world).filter(|r| !cfg.fault_plan.kills(*r)).collect(),
+        survivors: (0..world).filter(|r| !cfg.faults.plan.kills(*r)).collect(),
         sentinel_syncs: syncs,
         ..RunOutcome::new(result, *state, &aln.taxa, &modes)
     };

@@ -22,22 +22,19 @@
 use crate::bootstrap::bootstrap_impl;
 use crate::capability::{self, CapabilityRequests, Request};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
-use crate::fault::FaultPlan;
+use crate::fault::Faults;
 use crate::scheme::SchemeExchange;
-use crate::sentinel::DivergenceFault;
 use crate::{run_world, Allreduce};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommStats, ReduceChoice, ReduceKind};
 use exa_obs::{HealthReport, Recorder, ReplicaDivergence, RunTrace};
 use exa_phylo::engine::{
     GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
-    ThreadCount, ThreadsChoice, WorkCounters,
+    ThreadsChoice, WorkCounters,
 };
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::GlobalState;
-use exa_search::{
-    BranchMode, KillSpec, Modes, PreemptSignal, SearchConfig, SearchResult, StartingTree,
-};
+use exa_search::{BranchMode, Modes, PreemptSignal, SearchConfig, SearchResult, StartingTree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -85,7 +82,7 @@ pub enum RunError {
     /// The replica sentinel tripped: the diagnostic names the first
     /// divergent collective, the minority ranks and the state component(s).
     Divergence(ReplicaDivergence),
-    /// An injected kill (`--inject-kill`) terminated the run after the
+    /// An injected kill (`--inject kill:N`) terminated the run after the
     /// configured number of committed checkpoints.
     Killed {
         after_checkpoints: u64,
@@ -234,8 +231,9 @@ impl RunOutcome {
 /// configuration every layer below reads.
 ///
 /// Serializable: the serve daemon spools jobs as `RunConfig` JSON. The
-/// `preempt` handle is process-local and round-trips as `null` (a
-/// deserialized config gets a fresh, disconnected signal slot).
+/// `preempt` handle and the `faults` are process-local and round-trip as
+/// `null` (a deserialized config gets a fresh, disconnected signal slot
+/// and no faults).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunConfig {
     pub scheme: Scheme,
@@ -261,50 +259,30 @@ pub struct RunConfig {
     pub preempt: Option<PreemptSignal>,
     /// Resume from the newest intact generation in this directory.
     pub resume_from: Option<PathBuf>,
-    /// Deterministic kill injection for the restart chaos harness (requires
-    /// `checkpoint_out`).
-    pub inject_kill: Option<KillSpec>,
-    pub fault_plan: FaultPlan,
+    /// Test faults: kills, scripted deaths, state corruption, forced modes.
+    pub faults: Faults,
     pub verify_replicas: u64,
-    pub divergence_fault: Option<DivergenceFault>,
     pub health_out: Option<PathBuf>,
     /// Kernel-backend selection; `Auto` negotiates a common backend across
     /// the ranks (de-centralized) or resolves locally (fork-join).
     pub kernel: KernelChoice,
-    /// Test hook: force a backend per rank, bypassing negotiation. Mixing
-    /// kinds violates the uniform-backend requirement and trips the
-    /// sentinel (de-centralized only).
-    pub kernel_override: Option<Vec<KernelKind>>,
     /// Subtree-repeat CLV compression; `Auto` negotiates a uniform setting
     /// across the ranks (de-centralized) or resolves locally (fork-join).
     pub site_repeats: RepeatsChoice,
-    /// Test hook: force a repeats setting per rank, bypassing negotiation
-    /// (de-centralized only).
-    pub site_repeats_override: Option<Vec<SiteRepeats>>,
     /// Collective reduction mode; `Auto` negotiates across the ranks
     /// (de-centralized) or resolves locally (fork-join). `Reproducible`
     /// makes every summed collective rank-count-invariant and bitwise
     /// deterministic via binned superaccumulators.
     pub reduce: ReduceChoice,
-    /// Test hook: force a reduction mode per rank, bypassing negotiation.
-    /// Mixing modes violates the uniform-reduction requirement and trips
-    /// the sentinel (de-centralized only).
-    pub reduce_override: Option<Vec<ReduceKind>>,
     /// Intra-rank worker threads per rank; `Auto` negotiates the world
     /// minimum (de-centralized) or resolves locally (fork-join). Bitwise
     /// invisible: the lnL trajectory is identical at any count.
     pub threads: ThreadsChoice,
-    /// Test hook: force a thread count per rank, bypassing negotiation.
-    pub threads_override: Option<Vec<ThreadCount>>,
     /// Route of `Evaluator::full_gradient`: every edge's analytic
     /// `dlnL/dt` from one full-tree sweep and a single collective, or from
     /// per-edge reductions. Bitwise-equal numbers, and branch smoothing does
     /// not call it; `Auto` negotiates the world minimum.
     pub gradient: GradientChoice,
-    /// Test hook: force a gradient mode per rank, bypassing negotiation.
-    /// Mixing modes desynchronizes the collective sequence and trips the
-    /// sentinel (de-centralized only).
-    pub gradient_override: Option<Vec<GradientMode>>,
     /// Pack small partitions into cache-sized kernel batches (default on).
     pub batch: bool,
     /// Mid-run elastic resize plan: at each `(iteration, width)` boundary
@@ -341,21 +319,14 @@ impl RunConfig {
             checkpoint_every_secs: None,
             preempt: None,
             resume_from: None,
-            inject_kill: None,
-            fault_plan: FaultPlan::none(),
+            faults: Faults::none(),
             verify_replicas: 0,
-            divergence_fault: None,
             health_out: None,
             kernel: KernelChoice::from_env(),
-            kernel_override: None,
             site_repeats: RepeatsChoice::from_env(),
-            site_repeats_override: None,
             reduce: ReduceChoice::from_env(),
-            reduce_override: None,
             threads: ThreadsChoice::from_env(),
-            threads_override: None,
             gradient: GradientChoice::from_env(),
-            gradient_override: None,
             batch: true,
             resize_plan: Vec::new(),
             collect_trace: false,
@@ -437,17 +408,9 @@ impl RunConfig {
         self
     }
 
-    /// Inject a deterministic kill after `spec.after_checkpoints` committed
-    /// checkpoint generations (restart chaos testing). Requires
-    /// [`RunConfig::checkpoint`].
-    pub fn inject_kill(mut self, spec: KillSpec) -> Self {
-        self.inject_kill = Some(spec);
-        self
-    }
-
-    /// Scripted rank failures (fault-tolerance testing, §V).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+    /// Inject these test faults (a kill needs [`RunConfig::checkpoint`]).
+    pub fn faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -455,12 +418,6 @@ impl RunConfig {
     /// (0 = sentinel off).
     pub fn verify_replicas(mut self, cadence: u64) -> Self {
         self.verify_replicas = cadence;
-        self
-    }
-
-    /// Scripted single-bit state corruption (sentinel fault injection).
-    pub fn divergence_fault(mut self, fault: DivergenceFault) -> Self {
-        self.divergence_fault = Some(fault);
         self
     }
 
@@ -476,21 +433,9 @@ impl RunConfig {
         self
     }
 
-    /// Test hook: force a backend per rank (`table[rank % len]`).
-    pub fn kernel_override(mut self, table: Vec<KernelKind>) -> Self {
-        self.kernel_override = Some(table);
-        self
-    }
-
     /// Select the subtree-repeat CLV compression setting.
     pub fn site_repeats(mut self, choice: RepeatsChoice) -> Self {
         self.site_repeats = choice;
-        self
-    }
-
-    /// Test hook: force a repeats setting per rank (`table[rank % len]`).
-    pub fn site_repeats_override(mut self, table: Vec<SiteRepeats>) -> Self {
-        self.site_repeats_override = Some(table);
         self
     }
 
@@ -500,33 +445,15 @@ impl RunConfig {
         self
     }
 
-    /// Test hook: force a reduction mode per rank (`table[rank % len]`).
-    pub fn reduce_override(mut self, table: Vec<ReduceKind>) -> Self {
-        self.reduce_override = Some(table);
-        self
-    }
-
     /// Select the intra-rank worker thread count.
     pub fn threads(mut self, choice: ThreadsChoice) -> Self {
         self.threads = choice;
         self
     }
 
-    /// Test hook: force a thread count per rank (`table[rank % len]`).
-    pub fn threads_override(mut self, table: Vec<ThreadCount>) -> Self {
-        self.threads_override = Some(table);
-        self
-    }
-
     /// Select the gradient-BLO mode.
     pub fn gradient(mut self, choice: GradientChoice) -> Self {
         self.gradient = choice;
-        self
-    }
-
-    /// Test hook: force a gradient mode per rank (`table[rank % len]`).
-    pub fn gradient_override(mut self, table: Vec<GradientMode>) -> Self {
-        self.gradient_override = Some(table);
         self
     }
 
@@ -574,16 +501,13 @@ impl RunConfig {
     /// Rank `rank_id`'s entries into the one-time packed capability
     /// exchange (see [`capability::negotiate`]).
     pub fn capability_requests(&self, rank_id: usize) -> CapabilityRequests {
+        let forced = &self.faults;
         CapabilityRequests {
-            kernel: Request::new(rank_id, self.kernel, self.kernel_override.as_deref()),
-            site_repeats: Request::new(
-                rank_id,
-                self.site_repeats,
-                self.site_repeats_override.as_deref(),
-            ),
-            reduce: Request::new(rank_id, self.reduce, self.reduce_override.as_deref()),
-            threads: Request::new(rank_id, self.threads, self.threads_override.as_deref()),
-            gradient: Request::new(rank_id, self.gradient, self.gradient_override.as_deref()),
+            kernel: Request::new(rank_id, self.kernel, &forced.kernel),
+            site_repeats: Request::new(rank_id, self.site_repeats, &forced.site_repeats),
+            reduce: Request::new(rank_id, self.reduce, &forced.reduce),
+            threads: Request::new(rank_id, self.threads, &forced.threads),
+            gradient: Request::new(rank_id, self.gradient, &forced.gradient),
             batch: self.batch,
         }
     }
@@ -605,9 +529,10 @@ impl RunConfig {
     /// panics on what this rejects; a front end reports it as a usage
     /// error instead.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.inject_kill.is_some() && self.checkpoint_out.is_none() {
+        self.faults.validate(self.world_size(), self.scheme)?;
+        if self.faults.kill.is_some() && self.checkpoint_out.is_none() {
             return Err(
-                "--inject-kill requires --checkpoint-out (kills are counted in checkpoints)",
+                "--inject kill requires --checkpoint-out (kills are counted in checkpoints)",
             );
         }
         if self.resize_plan.is_empty() {
@@ -644,12 +569,6 @@ impl RunConfig {
                 assert!(
                     self.bootstrap.is_none(),
                     "bootstrap requires the de-centralized scheme"
-                );
-                assert!(
-                    self.inject_kill
-                        .is_none_or(|k| matches!(k.rank, None | Some(0))),
-                    "fork-join kill injection targets the master (rank 0); \
-                     worker ranks run no boundary hooks"
                 );
                 self.run_scheme::<exa_forkjoin::ToMaster>(aln)
             }

@@ -124,16 +124,11 @@ impl SchemeExchange for ToMaster {
     const LABEL: &'static str = "forkjoin";
 
     /// All ranks of an in-process world share one machine, so resolving
-    /// `auto` locally yields what a negotiation would; the workers take the
-    /// master's modes via the command stream.
+    /// `auto` locally yields what a negotiation would (`Faults::validate`
+    /// refused a mixed forced table); the workers take the master's modes
+    /// via the command stream.
     fn modes(_rank: &Rank, cfg: &RunConfig) -> Modes {
-        let modes = capability::resolve_local(&cfg.capability_requests(0));
-        assert!(
-            (1..cfg.n_ranks)
-                .all(|r| capability::resolve_local(&cfg.capability_requests(r)) == modes),
-            "fork-join has no replica sentinel; refusing a mixed override table"
-        );
-        modes
+        capability::resolve_local(&cfg.capability_requests(0))
     }
 
     fn serve(

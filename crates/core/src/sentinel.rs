@@ -24,10 +24,8 @@
 //! reaches a threshold, exercising the exact silent-corruption scenario
 //! end to end.
 
-use serde::{Deserialize, Serialize};
-
 /// Which state component an injected fault corrupts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultComponent {
     /// Flip the lowest mantissa bit of partition 0's Γ shape α.
     Alpha,
@@ -36,7 +34,7 @@ pub enum FaultComponent {
 }
 
 impl FaultComponent {
-    /// CLI spelling (`--inject-divergence RANK:COLLECTIVE:alpha|blen`).
+    /// CLI spelling (`--inject diverge:RANK:COLLECTIVE:alpha|blen`).
     pub fn parse(s: &str) -> Option<FaultComponent> {
         match s {
             "alpha" => Some(FaultComponent::Alpha),
@@ -50,7 +48,7 @@ impl FaultComponent {
 /// `component` when the rank's evaluator-collective count reaches
 /// `after_collectives`. Mid-search, in-memory — the injected state keeps
 /// flowing through subsequent reductions exactly like a real silent fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DivergenceFault {
     pub rank: usize,
     pub after_collectives: u64,

@@ -1,13 +1,11 @@
-//! Chaos harness for `--gradient`: gradient-driven branch-length
-//! optimization replaces the per-edge seed collectives of every smoothing
-//! pass with one full-tree derivative sweep and a single fat reduction —
-//! and must not move a bit of the result. Under `--reduce reproducible`
-//! the lnL trajectory must be **bitwise** identical between `--gradient
-//! on` and `--gradient off`, across rank counts (1 → 2 → 8), worker-pool
-//! widths (1 → 2 → 8) and both execution schemes. A world with mixed
-//! gradient modes runs *different collective sequences* — the sentinel
-//! must catch it at its first fingerprint sync, before the desync can
-//! produce garbage or a deadlock.
+//! Chaos harness for `--gradient`: the mode selects how the full-tree
+//! gradient is reduced (one sweep and a single fat reduction, or edge by
+//! edge), and must not move a bit of the result. Under `--reduce
+//! reproducible` the lnL trajectory must be **bitwise** identical between
+//! `--gradient on` and `--gradient off`, across rank counts (1 → 2 → 8),
+//! worker-pool widths (1 → 2 → 8) and both execution schemes. A world with
+//! mixed gradient modes is a deployment error: the mode is part of the
+//! fingerprint, so the sentinel must refuse it at its first sync.
 //!
 //! Γ only, reproducible only: the bitwise claim needs rank-count-invariant
 //! sums (a fast-mode trajectory is a function of the world size by
@@ -19,7 +17,7 @@ use exa_obs::HeartbeatRecord;
 use exa_phylo::{GradientChoice, GradientMode, ThreadCount, ThreadsChoice};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError, Scheme};
+use examl_core::{Faults, RunConfig, RunError, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -175,22 +173,21 @@ fn forkjoin_final_lnl_bitwise_invariant_to_gradient_mode() {
 
 #[test]
 fn mixed_gradient_override_trips_sentinel_at_first_sync() {
-    // A mixed world is worse than a mixed thread table: the rank running
-    // gradient BLO issues one fat collective per smoothing pass where the
-    // per-edge rank issues one per edge, so the collective *sequences*
-    // desynchronize. The gradient mode is folded into the backend
-    // fingerprint, so the sentinel's first sync — which happens at the
-    // initial evaluation, before any branch smoothing — must refuse the
-    // world before the sequences can drift.
+    // The gradient mode is folded into the backend fingerprint, so the
+    // sentinel's first sync — before the search's first collective — must
+    // refuse the world.
     let fx = Fixture::new("mixed");
     let err = fx
         .config(4, 1, Scheme::Decentralized, GradientChoice::Auto)
-        .gradient_override(vec![
-            GradientMode::On,
-            GradientMode::Off,
-            GradientMode::On,
-            GradientMode::On,
-        ])
+        .faults(Faults {
+            gradient: vec![
+                GradientMode::On,
+                GradientMode::Off,
+                GradientMode::On,
+                GradientMode::On,
+            ],
+            ..Faults::none()
+        })
         .verify_replicas(1)
         .run(&fx.workload.compressed)
         .unwrap_err();

@@ -14,7 +14,7 @@ use exa_obs::HeartbeatRecord;
 use exa_phylo::KernelChoice;
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError, Scheme};
+use examl_core::{Faults, RunConfig, RunError, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -190,12 +190,15 @@ fn mixed_reduce_override_trips_sentinel_at_first_sync() {
     let fx = Fixture::new("mixed");
     let err = fx
         .config(4, KernelChoice::Auto, Scheme::Decentralized)
-        .reduce_override(vec![
-            ReduceKind::Reproducible,
-            ReduceKind::Fast,
-            ReduceKind::Reproducible,
-            ReduceKind::Reproducible,
-        ])
+        .faults(Faults {
+            reduce: vec![
+                ReduceKind::Reproducible,
+                ReduceKind::Fast,
+                ReduceKind::Reproducible,
+                ReduceKind::Reproducible,
+            ],
+            ..Faults::none()
+        })
         .verify_replicas(1)
         .run(&fx.workload.compressed)
         .unwrap_err();

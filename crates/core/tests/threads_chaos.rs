@@ -12,7 +12,7 @@ use exa_obs::HeartbeatRecord;
 use exa_phylo::{KernelChoice, RepeatsChoice, SiteRepeats, ThreadCount, ThreadsChoice};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError, Scheme};
+use examl_core::{Faults, RunConfig, RunError, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -153,12 +153,15 @@ fn mixed_threads_override_trips_sentinel_at_first_sync() {
             SiteRepeats::On,
             1,
         )
-        .threads_override(vec![
-            ThreadCount::new(2),
-            ThreadCount::new(1),
-            ThreadCount::new(2),
-            ThreadCount::new(2),
-        ])
+        .faults(Faults {
+            threads: vec![
+                ThreadCount::new(2),
+                ThreadCount::new(1),
+                ThreadCount::new(2),
+                ThreadCount::new(2),
+            ],
+            ..Faults::none()
+        })
         .verify_replicas(1)
         .run(&fx.workload.compressed)
         .unwrap_err();

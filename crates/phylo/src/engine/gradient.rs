@@ -2,16 +2,16 @@
 //!
 //! The gradient sweep (see [`Engine::edge_gradient`](super::Engine::edge_gradient))
 //! computes `dlnL/dt` (and curvature) for **every** edge in one post-order +
-//! pre-order pass, so a branch-length-optimization pass needs a single fat
-//! collective instead of one small derivative allreduce per edge (Ji et al.,
-//! "Gradients do grow on trees"). Whether BLO is driven from the sweep or
-//! from the historical per-edge Newton loop is a run-wide setting: both
-//! produce bitwise-identical branch lengths and likelihoods, but the
-//! *collective call sequence* differs, so mixed worlds would deadlock. The
-//! setting is therefore negotiated exactly like the kernel backend and
+//! pre-order pass, so a full-tree gradient needs a single fat collective
+//! instead of one small derivative allreduce per edge (Ji et al., "Gradients
+//! do grow on trees"). The mode selects how `Evaluator::full_gradient`
+//! computes and reduces — from the sweep or edge by edge, bitwise-identical
+//! numbers either way — and branch smoothing does not call it (a smoothing
+//! pass is per-edge Newton), so the mode changes nothing a run computes or
+//! sends. It is still negotiated exactly like the kernel backend and
 //! site-repeat compression (one-byte capability allgather, minimum wins) and
-//! folded into the replica sentinel's backend fingerprint, which catches a
-//! forced mixed world at the first sync.
+//! part of the replica sentinel's backend fingerprint, so a forced mixed
+//! world is refused at the first sync.
 
 use serde::{Deserialize, Serialize};
 

@@ -67,7 +67,7 @@ pub struct ResumePoint {
 /// that boundary (a job-level kill); with `rank: Some(r)` only rank `r`
 /// dies (a node loss), which the kill-armed drivers escalate to a full
 /// abort instead of recovering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// Die after this many checkpoints have been written (1 = after the
     /// first).

@@ -38,7 +38,7 @@ use exa_bio::patterns::CompressedAlignment;
 use exa_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use exa_obs::{ServeHeartbeat, TenantGauge};
 use exa_search::PreemptSignal;
-use examl_core::{capability, checkpoint, RunConfig, RunError};
+use examl_core::{capability, checkpoint, Faults, RunConfig, RunError};
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -975,7 +975,7 @@ fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JobOutcome {
     run.preempt = Some(d.signal.clone());
     run.health_out = Some(d.job_dir.join(HEALTH_FILE));
     run.resume_from = d.resume.then(|| ckpt_dir.clone());
-    run.inject_kill = None;
+    run.faults = Faults::none();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.run(&compressed)));
     match outcome {
         Ok(Ok(out)) => {

@@ -330,3 +330,46 @@ fn a_job_is_traced_only_when_its_spec_asks() {
     daemon.shutdown();
     accept.join().unwrap();
 }
+
+/// Faults are process-local: a spec whose JSON names one — as the specs of
+/// older builds could, here a bit flip that trips the sentinel at the third
+/// collective — runs fault-free, to the bits of the direct run.
+#[test]
+fn the_daemon_takes_no_faults_from_the_wire() {
+    use std::io::{Read, Write};
+    let fx = Fixture::new("no_wire_faults");
+    let mut spec = fx.spec("batch", 0, 2);
+    spec.config = spec.config.verify_replicas(1);
+    let reference = fx.reference_lnl(&spec, "no_wire_faults");
+    let json = serde_json::to_string(&spec).unwrap();
+    let sentinel_on = r#""verify_replicas":1,"#;
+    assert!(json.contains(sentinel_on), "{json}");
+    let faulted = json.replace(
+        sentinel_on,
+        r#""verify_replicas":1,"divergence_fault":{"rank":1,"after_collectives":3,"component":"Alpha"},"#,
+    );
+
+    let daemon = Daemon::start(DaemonConfig::new(fx.spool())).unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept = exa_serve::http::spawn(daemon.clone(), listener);
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        faulted.len()
+    );
+    stream.write_all((head + &faulted).as_bytes()).unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    let body: serde::Value =
+        serde_json::from_str(answer.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+    let id = serde::field(body.as_map("answer").unwrap(), "id")
+        .as_u64("id")
+        .unwrap();
+
+    let status = daemon.wait(id, Duration::from_secs(120)).unwrap();
+    assert_eq!(completed_lnl(&status.state).to_bits(), reference.to_bits());
+    daemon.shutdown();
+    accept.join().unwrap();
+}

@@ -37,8 +37,18 @@ fn help_exits_zero_and_usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(0));
     let help = stderr(&out);
     assert!(help.starts_with("usage: examl "), "{help}");
-    for flag in ["--ranks N", "--gradient-override", "--quiet", "serve"] {
+    for flag in ["--ranks N", "--inject SPEC", "--quiet", "serve"] {
         assert!(help.contains(flag), "{flag} missing from:\n{help}");
+    }
+    // The five fault flags `--inject` replaced.
+    for retired in [
+        "--reduce-override",
+        "--threads-override",
+        "--gradient-override",
+        "--inject-divergence",
+        "--inject-kill",
+    ] {
+        assert!(!help.contains(retired), "{retired} still in:\n{help}");
     }
     let out = examl(&["serve", "--help"]);
     assert_eq!(out.status.code(), Some(0));
@@ -47,9 +57,33 @@ fn help_exits_zero_and_usage_errors_exit_two() {
     // `--ranks 0` used to reach the world's resize assertion: exit 101 and
     // "resize width 0 outside 1..=0".
     let (dir, phylip) = fixture("usage");
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().unwrap();
     for line in [
         vec!["--phylip", &phylip, "--ranks", "0"],
-        vec!["--phylip", &phylip, "--inject-kill", "1"],
+        vec!["--phylip", &phylip, "--inject", "kill:1"],
+        // Faults no rank of the world could deliver: both used to exit 0
+        // without firing.
+        vec![
+            "--phylip",
+            &phylip,
+            "--ranks",
+            "2",
+            "--checkpoint-out",
+            ckpt,
+            "--inject",
+            "kill:1:9",
+        ],
+        vec![
+            "--phylip",
+            &phylip,
+            "--ranks",
+            "2",
+            "--inject",
+            "diverge:9:5:alpha",
+            "--verify-replicas",
+            "1",
+        ],
         vec![
             "--phylip",
             &phylip,
@@ -74,6 +108,28 @@ fn help_exits_zero_and_usage_errors_exit_two() {
             "--ranks",
             "0",
         ],
+        // A job carries no faults: `serve submit` takes neither `--inject`
+        // nor the flags it replaced.
+        vec![
+            "serve",
+            "submit",
+            "--to",
+            "127.0.0.1:1",
+            "--alignment",
+            &phylip,
+            "--inject",
+            "kill:1",
+        ],
+        vec![
+            "serve",
+            "submit",
+            "--to",
+            "127.0.0.1:1",
+            "--alignment",
+            &phylip,
+            "--reduce-override",
+            "fast",
+        ],
         vec!["serve", "daemon"],
     ] {
         let out = examl(&line);
@@ -87,6 +143,25 @@ fn help_exits_zero_and_usage_errors_exit_two() {
             .starts_with("invalid value \"0\" for --ranks (expected a count of at least 1)"),
         "{}",
         stderr(&out)
+    );
+    let out = examl(&[
+        "--phylip",
+        &phylip,
+        "--ranks",
+        "2",
+        "--checkpoint-out",
+        ckpt,
+        "--inject",
+        "kill:1:9",
+    ]);
+    assert!(
+        stderr(&out).starts_with("--inject kill:N:RANK names a rank outside the world\n"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        !dir.join("ckpt").exists(),
+        "a refused run wrote a checkpoint"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -48,7 +48,7 @@ fn main() {
     );
     let mut cfg = RunConfig::new(ranks);
     cfg.search = search;
-    cfg.fault_plan = FaultPlan::kill(1, 1).and_kill(ranks - 1, 2);
+    cfg.faults.plan = FaultPlan::kill(1, 1).and_kill(ranks - 1, 2);
     let faulted = cfg
         .run(&w.compressed)
         .expect("uniform replicas cannot diverge");

@@ -115,8 +115,8 @@ echo "==> examl command line (--help from the flag table, usage errors, environm
 # EXAML_REDUCE sets the default reduce mode through the library default.
 examl_help="$(cargo run -q --release -p exa-serve --bin examl -- --help 2>&1)"
 for flag in --phylip --ranks --iterations --seed --kernel --site-repeats --reduce --threads \
-  --gradient --batch --resize-at --reduce-override --gradient-override --verify-replicas \
-  --checkpoint-out --checkpoint-every --inject-kill --resume --health-out --metrics-out \
+  --gradient --batch --resize-at --inject --verify-replicas \
+  --checkpoint-out --checkpoint-every --resume --health-out --metrics-out \
   --out-tree --quiet; do
   grep -q -- "^  $flag " <<<"$examl_help" || { echo "examl --help does not list $flag"; exit 1; }
 done
@@ -164,7 +164,7 @@ cmp -s "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_rz.txt" \
 set +e
 cargo run -q --release -p exa-serve --bin examl -- \
   --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 \
-  --reduce reproducible --reduce-override reproducible,fast \
+  --reduce reproducible --inject reduce:reproducible,fast \
   --verify-replicas 1 --quiet >/dev/null 2>"$tmp/mixed.err"
 mixed_status=$?
 set -e
@@ -197,10 +197,10 @@ cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt" \
 echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off"
 
 echo "==> gradient BLO (--gradient negotiation, bitwise identity)"
-# Gradient-driven smoothing changes only the reduction *shape* of each
-# Newton round (one fat full-tree collective vs one per edge), never its
-# addends: --gradient on and off must replay the same lnL trajectory bit
-# for bit, and the negotiated mode must surface in the health stream.
+# The mode selects how the full-tree gradient is reduced, and branch
+# smoothing does not call it: --gradient on and off must replay the same lnL
+# trajectory bit for bit, and the negotiated mode must surface in the health
+# stream.
 for g in on off; do
   cargo run -q --release -p exa-serve --bin examl -- \
     --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
@@ -212,13 +212,12 @@ for g in on off; do
 done
 cmp -s "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt" \
   || { echo "lnL trajectory differs between --gradient on and off"; diff "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt"; exit 1; }
-# A mixed gradient world runs different collective *sequences*, so the
-# sentinel must refuse it at the pre-search sync, before the first
-# smoothing collective can desynchronize the world.
+# The mode is part of the replica fingerprint, so the sentinel must refuse a
+# mixed gradient world at the pre-search sync #1.
 set +e
 cargo run -q --release -p exa-serve --bin examl -- \
   --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 \
-  --gradient auto --gradient-override on,off \
+  --gradient auto --inject gradient:on,off \
   --verify-replicas 1 --quiet >/dev/null 2>"$tmp/grad_mixed.err"
 grad_status=$?
 set -e
@@ -249,7 +248,7 @@ set +e
 cargo run -q --release -p exa-serve --bin examl -- \
   --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 \
   --checkpoint-out "$tmp/ckpt" --checkpoint-every 1 \
-  --inject-kill 1 --quiet
+  --inject kill:1 --quiet
 kill_status=$?
 set -e
 [ "$kill_status" -eq 3 ] || { echo "injected kill must exit 3, got $kill_status"; exit 1; }

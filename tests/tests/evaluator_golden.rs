@@ -279,7 +279,7 @@ fn restart_paths_reproduce_the_pin(scheme_label: &str, scheme: Scheme) {
     use exa_phylo::engine::{ThreadCount, ThreadsChoice};
     use exa_phylo::RepeatsChoice;
     use exa_search::{KillSpec, PreemptSignal};
-    use examl_core::checkpoint;
+    use examl_core::{checkpoint, Faults};
 
     let w = workloads::partitioned(8, 3, 60, 41);
     for (model_label, rate_model) in [("gamma", RateModelKind::Gamma), ("psr", RateModelKind::Psr)]
@@ -314,9 +314,12 @@ fn restart_paths_reproduce_the_pin(scheme_label: &str, scheme: Scheme) {
         };
 
         let a = base(&killed_dir)
-            .inject_kill(KillSpec {
-                after_checkpoints: 1,
-                rank: None,
+            .faults(Faults {
+                kill: Some(KillSpec {
+                    after_checkpoints: 1,
+                    rank: None,
+                }),
+                ..Faults::none()
             })
             .run(&w.compressed)
             .expect_err("run A is killed");

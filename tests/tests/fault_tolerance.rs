@@ -19,7 +19,7 @@ fn cfg(n_ranks: usize, plan: FaultPlan) -> RunConfig {
         ..SearchConfig::fast()
     };
     cfg.seed = 21;
-    cfg.fault_plan = plan;
+    cfg.faults.plan = plan;
     cfg
 }
 

@@ -2,9 +2,9 @@
 //! compute with the same likelihood-kernel backend, because fault recovery
 //! redistributes partitions across ranks and replicas must stay bitwise
 //! interchangeable. A mixed-backend world (forced through the
-//! `kernel_override` test hook) is a replica-divergence event the sentinel
-//! must attribute to the kernel-backend component — while uniform runs are
-//! bitwise identical under either backend.
+//! `--inject kernel:…` fault, `Faults::kernel`) is a replica-divergence
+//! event the sentinel must attribute to the kernel-backend component —
+//! while uniform runs are bitwise identical under either backend.
 
 use exa_obs::Component;
 use exa_phylo::{KernelChoice, KernelKind};
@@ -29,11 +29,7 @@ fn mixed_backend_world_is_flagged_as_replica_divergence() {
     let w = workloads::partitioned(8, 2, 100, 41);
     let mut c = cfg(3, 4);
     // Rank 1 silently runs the SIMD backend while ranks 0 and 2 run scalar.
-    c.kernel_override = Some(vec![
-        KernelKind::Scalar,
-        KernelKind::Simd,
-        KernelKind::Scalar,
-    ]);
+    c.faults.kernel = vec![KernelKind::Scalar, KernelKind::Simd, KernelKind::Scalar];
     let err = match c.run(&w.compressed) {
         Err(RunError::Divergence(d)) => d,
         Ok(_) => panic!("a mixed-backend world must trip the sentinel"),

@@ -22,7 +22,7 @@ use exa_phylo::engine::{ThreadCount, ThreadsChoice};
 use exa_phylo::{GradientChoice, KernelChoice, RepeatsChoice};
 use exa_search::SearchConfig;
 use exa_simgen::workloads;
-use examl_core::{checkpoint, RunConfig, Scheme};
+use examl_core::{checkpoint, Faults, RunConfig, Scheme};
 
 /// What the de-centralized run stamped, one sink per line.
 const DECENTRALIZED: &str = "\
@@ -155,28 +155,52 @@ fn forkjoin_run_stamps_the_pinned_modes_everywhere() {
 
 /// The daemon journals job specs as `RunConfig` JSON, so the serialized
 /// keys and their order are a wire format: pinned against the parent
-/// commit's output, and the literal must deserialize back to itself.
+/// commit's output, and the literal must deserialize back to itself. The
+/// faults are process-local and always serialize as `null` (re-captured
+/// once, when the eight fault fields became one).
 #[test]
 fn run_config_json_keeps_its_keys_and_their_order() {
-    const PINNED: &str = r#"{"scheme":"Decentralized","n_ranks":3,"rate_model":"Gamma","branch_mode":"Joint","strategy":"Cyclic","search":{"spr_radius":5,"epsilon":0.1,"max_iterations":10,"smoothing_passes":2,"optimize_model":true,"model_tol":0.001},"seed":17,"starting_tree":"Random","checkpoint_out":"ckpt","checkpoint_every":2,"checkpoint_keep":3,"checkpoint_every_secs":null,"preempt":null,"resume_from":null,"inject_kill":null,"fault_plan":{"failures":[]},"verify_replicas":0,"divergence_fault":null,"health_out":"health.jsonl","kernel":"Scalar","kernel_override":null,"site_repeats":"Off","site_repeats_override":null,"reduce":"Reproducible","reduce_override":["Fast","Reproducible"],"threads":{"Count":2},"threads_override":null,"gradient":"Off","gradient_override":null,"batch":false,"resize_plan":[[1,2]],"collect_trace":false,"bootstrap":null}"#;
-    let cfg = RunConfig::new(3)
+    const PINNED: &str = r#"{"scheme":"Decentralized","n_ranks":3,"rate_model":"Gamma","branch_mode":"Joint","strategy":"Cyclic","search":{"spr_radius":5,"epsilon":0.1,"max_iterations":10,"smoothing_passes":2,"optimize_model":true,"model_tol":0.001},"seed":17,"starting_tree":"Random","checkpoint_out":"ckpt","checkpoint_every":2,"checkpoint_keep":3,"checkpoint_every_secs":null,"preempt":null,"resume_from":null,"faults":null,"verify_replicas":0,"health_out":"health.jsonl","kernel":"Scalar","site_repeats":"Off","reduce":"Reproducible","threads":{"Count":2},"gradient":"Off","batch":false,"resize_plan":[[1,2]],"collect_trace":false,"bootstrap":null}"#;
+    let cfg = pinned_config().faults(Faults {
+        reduce: vec![
+            exa_comm::ReduceKind::Fast,
+            exa_comm::ReduceKind::Reproducible,
+        ],
+        ..Faults::none()
+    });
+    assert_eq!(serde_json::to_string(&cfg).unwrap(), PINNED);
+    let back: RunConfig = serde_json::from_str(PINNED).expect("pinned spec parses");
+    assert_eq!(serde_json::to_string(&back).unwrap(), PINNED);
+    assert_eq!(back.faults, Faults::none());
+}
+
+/// Specs journaled before the fold (commit 88a0e26: eight fault fields,
+/// the forced reduce table among them) must still replay: every other
+/// field is kept, and the faults are dropped.
+#[test]
+fn run_config_json_written_before_the_fault_fold_still_parses() {
+    const PARENT: &str = r#"{"scheme":"Decentralized","n_ranks":3,"rate_model":"Gamma","branch_mode":"Joint","strategy":"Cyclic","search":{"spr_radius":5,"epsilon":0.1,"max_iterations":10,"smoothing_passes":2,"optimize_model":true,"model_tol":0.001},"seed":17,"starting_tree":"Random","checkpoint_out":"ckpt","checkpoint_every":2,"checkpoint_keep":3,"checkpoint_every_secs":null,"preempt":null,"resume_from":null,"inject_kill":null,"fault_plan":{"failures":[]},"verify_replicas":0,"divergence_fault":null,"health_out":"health.jsonl","kernel":"Scalar","kernel_override":null,"site_repeats":"Off","site_repeats_override":null,"reduce":"Reproducible","reduce_override":["Fast","Reproducible"],"threads":{"Count":2},"threads_override":null,"gradient":"Off","gradient_override":null,"batch":false,"resize_plan":[[1,2]],"collect_trace":false,"bootstrap":null}"#;
+    let back: RunConfig = serde_json::from_str(PARENT).expect("parent spec parses");
+    assert_eq!(back.faults, Faults::none());
+    assert_eq!(
+        serde_json::to_string(&back).unwrap(),
+        serde_json::to_string(&pinned_config()).unwrap()
+    );
+}
+
+/// The run both `RunConfig` literals describe, but for its faults.
+fn pinned_config() -> RunConfig {
+    RunConfig::new(3)
         .kernel(KernelChoice::Scalar)
         .site_repeats(RepeatsChoice::Off)
         .reduce(ReduceChoice::Reproducible)
         .threads(ThreadsChoice::Count(ThreadCount::new(2)))
         .gradient(GradientChoice::Off)
         .batch(false)
-        .reduce_override(vec![
-            exa_comm::ReduceKind::Fast,
-            exa_comm::ReduceKind::Reproducible,
-        ])
         .resize_at(1, 2)
         .checkpoint("ckpt", 2)
         .health_out("health.jsonl")
-        .seed(17);
-    assert_eq!(serde_json::to_string(&cfg).unwrap(), PINNED);
-    let back: RunConfig = serde_json::from_str(PINNED).expect("pinned spec parses");
-    assert_eq!(serde_json::to_string(&back).unwrap(), PINNED);
+        .seed(17)
 }
 
 /// The other half of the wire bump: lines written by the build before it

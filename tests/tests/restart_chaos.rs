@@ -4,7 +4,7 @@
 //! ways:
 //!
 //! 1. **reference** — uninterrupted, checkpointing on;
-//! 2. **killed** — identical, plus `--inject-kill` at a checkpoint-aligned
+//! 2. **killed** — identical, plus `--inject kill:N` at a checkpoint-aligned
 //!    kill point, which must abort with [`RunError::Killed`];
 //! 3. **resumed** — a fresh process-equivalent run resuming from the killed
 //!    run's checkpoint directory.
@@ -21,7 +21,7 @@ use exa_phylo::engine::{KernelChoice, RepeatsChoice};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::{KillSpec, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError, RunOutcome, Scheme};
+use examl_core::{Faults, RunConfig, RunError, RunOutcome, Scheme};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("examl_chaos_{name}_{}", std::process::id()));
@@ -75,7 +75,10 @@ fn kill_and_restart(
     let dir = tmp_dir(tag);
     let err = make()
         .checkpoint(&dir, 1)
-        .inject_kill(kill)
+        .faults(Faults {
+            kill: Some(kill),
+            ..Faults::none()
+        })
         .run(aln)
         .expect_err("the injected kill must abort the run");
     match err {
@@ -224,9 +227,12 @@ fn checkpoint_resumes_across_schemes() {
         let dir = tmp_dir(&format!("xscheme_{from:?}_{to:?}").to_lowercase());
         let err = base_cfg(from, KernelChoice::Scalar, RepeatsChoice::On)
             .checkpoint(&dir, 1)
-            .inject_kill(KillSpec {
-                after_checkpoints: 2,
-                rank: None,
+            .faults(Faults {
+                kill: Some(KillSpec {
+                    after_checkpoints: 2,
+                    rank: None,
+                }),
+                ..Faults::none()
             })
             .run(&w.compressed)
             .expect_err("kill must fire");
@@ -259,9 +265,12 @@ fn resume_is_elastic_across_kernel_and_rank_count() {
     let err = base_cfg(Scheme::Decentralized, KernelChoice::Simd, RepeatsChoice::On)
         .reduce(ReduceChoice::Reproducible)
         .checkpoint(&dir, 1)
-        .inject_kill(KillSpec {
-            after_checkpoints: 2,
-            rank: None,
+        .faults(Faults {
+            kill: Some(KillSpec {
+                after_checkpoints: 2,
+                rank: None,
+            }),
+            ..Faults::none()
         })
         .run(&w.compressed)
         .expect_err("kill must fire");
@@ -315,9 +324,12 @@ fn checkpoint_resumes_across_gradient_modes() {
         )
         .gradient(from)
         .checkpoint(&dir, 1)
-        .inject_kill(KillSpec {
-            after_checkpoints: 2,
-            rank: None,
+        .faults(Faults {
+            kill: Some(KillSpec {
+                after_checkpoints: 2,
+                rank: None,
+            }),
+            ..Faults::none()
         })
         .run(&w.compressed)
         .expect_err("kill must fire");
@@ -360,9 +372,12 @@ fn resumed_run_appends_to_the_heartbeat_file() {
     // fresh one.
     std::fs::write(&health, "stale\n").unwrap();
 
-    let killed = cfg.clone().inject_kill(KillSpec {
-        after_checkpoints: 1,
-        rank: None,
+    let killed = cfg.clone().faults(Faults {
+        kill: Some(KillSpec {
+            after_checkpoints: 1,
+            rank: None,
+        }),
+        ..Faults::none()
     });
     assert!(matches!(
         killed.run(&w.compressed),

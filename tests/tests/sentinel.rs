@@ -47,7 +47,7 @@ fn injected_alpha_flip_is_detected_at_next_sync() {
     // the same call — no window for a later model-optimization round to
     // overwrite (heal) the corrupted α.
     let mut c = cfg(4, 8);
-    c.divergence_fault = Some(DivergenceFault {
+    c.faults.divergence = Some(DivergenceFault {
         rank: 1,
         after_collectives: 8,
         component: FaultComponent::Alpha,
@@ -65,7 +65,7 @@ fn injected_alpha_flip_is_detected_at_next_sync() {
 fn injected_branch_length_flip_is_detected_with_component() {
     let w = workload(7);
     let mut c = cfg(3, 4);
-    c.divergence_fault = Some(DivergenceFault {
+    c.faults.divergence = Some(DivergenceFault {
         rank: 2,
         after_collectives: 12,
         component: FaultComponent::BranchLength,

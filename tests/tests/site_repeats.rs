@@ -4,8 +4,9 @@
 //! tree, no sentinel trip — while doing strictly fewer `newview` column
 //! computations. And because fault recovery redistributes partitions, the
 //! setting must be uniform across ranks: a mixed world (forced through the
-//! `site_repeats_override` test hook) is a replica-divergence event caught
-//! at the first fingerprint sync, before any numeric question arises.
+//! `--inject site_repeats:…` fault, `Faults::site_repeats`) is a
+//! replica-divergence event caught at the first fingerprint sync, before
+//! any numeric question arises.
 
 use exa_obs::Component;
 use exa_phylo::{RepeatsChoice, SiteRepeats};
@@ -71,7 +72,7 @@ fn mixed_repeats_world_is_flagged_as_replica_divergence() {
     let w = workloads::partitioned(8, 2, 100, 57);
     let mut c = cfg(3, 4);
     // Rank 2 silently runs uncompressed while ranks 0 and 1 compress.
-    c.site_repeats_override = Some(vec![SiteRepeats::On, SiteRepeats::On, SiteRepeats::Off]);
+    c.faults.site_repeats = vec![SiteRepeats::On, SiteRepeats::On, SiteRepeats::Off];
     let err = match c.run(&w.compressed) {
         Err(RunError::Divergence(d)) => d,
         Ok(_) => panic!("a mixed-repeats world must trip the sentinel"),
