@@ -5,7 +5,7 @@
 //! [`KernelBackend`] trait — BEAGLE's proven shape — with two
 //! implementations:
 //!
-//! * [`scalar`] — the original straight-line code, moved here unchanged,
+//! * [`scalar`] — the original straight-line code,
 //! * [`simd`] — AVX2 4×f64 lanes over the `pattern × category × 4-state`
 //!   CLV blocks; where AVX2 is unavailable [`KernelKind::Simd`] is served by
 //!   the scalar loops, which compute the same bits.
@@ -29,7 +29,7 @@ pub(crate) mod simd;
 use serde::{Deserialize, Serialize};
 
 use super::{Engine, PartitionState};
-use crate::model::pmatrix::{prob_matrix, ProbMatrix};
+use crate::model::pmatrix::{exp_factors, ProbMatrix};
 use crate::model::rates::RateHeterogeneity;
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
@@ -276,20 +276,17 @@ pub(crate) fn backend_for(kind: KernelKind) -> &'static dyn KernelBackend {
 /// allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelScratch {
-    /// P-matrices for the left/a side, one per distinct rate.
+    /// P-matrices for the left/a side, one per distinct rate, in the layout
+    /// of the backend that filled them: row-major `P[s][t]` for the scalar
+    /// loops, column-major `cols[t][s] = P[s][t]` for the AVX2 backend.
     pub ps_a: Vec<ProbMatrix>,
-    /// P-matrices for the right/b side.
+    /// P-matrices for the right/b side (same layout as `ps_a`).
     pub ps_b: Vec<ProbMatrix>,
     /// Tip lookup tables for the left/a side (filled only when that child
     /// is a tip).
     pub lookup_a: Vec<TipTable>,
     /// Tip lookup tables for the right/b side.
     pub lookup_b: Vec<TipTable>,
-    /// Column-major transposes of `ps_a` (`cols[t][s] = P[s][t]`), used by
-    /// the SIMD backend's broadcast-multiply-add matrix–vector products.
-    pub cols_a: Vec<ProbMatrix>,
-    /// Column-major transposes of `ps_b`.
-    pub cols_b: Vec<ProbMatrix>,
     /// Per-distinct-rate `exp(λ_e r t)` factors for the derivative kernel.
     pub deriv_ex: Vec<[f64; NUM_STATES]>,
     /// Per-distinct-rate `λ_e r` factors for the derivative kernel.
@@ -300,52 +297,26 @@ pub(crate) struct KernelScratch {
     pub grad_ident: Vec<u32>,
 }
 
-/// Fill `out` with the P-matrices of every distinct rate multiplier,
-/// reusing its allocation.
-pub(crate) fn p_matrices_into(part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
-    out.clear();
-    out.extend(
-        part.rates
-            .distinct_rates()
-            .iter()
-            .map(|&r| prob_matrix(&part.model, t, r)),
-    );
-}
-
-/// Fill `out` with per-rate tip contribution tables, reusing its
-/// allocation: `out[k][code][s] = Σ_t P_k[s][t] · tip(code)[t]`.
-pub(crate) fn build_tip_lookup_into(ps: &[ProbMatrix], out: &mut Vec<TipTable>) {
-    out.clear();
-    out.extend(ps.iter().map(|p| {
-        let mut table = [[0.0; NUM_STATES]; 16];
-        for (code, entry) in table.iter_mut().enumerate() {
-            for s in 0..NUM_STATES {
-                let mut acc = 0.0;
-                for t in 0..NUM_STATES {
-                    if code & (1 << t) != 0 {
-                        acc += p[s][t];
-                    }
-                }
-                entry[s] = acc;
-            }
+/// Fill `out` in place with per-rate tip contribution tables:
+/// `out[k][code][s] = Σ_{t ∈ code} P_k[s][t]`, summed from `0.0` in
+/// ascending `t`. Row `code` is row `code` without its top bit `t` plus
+/// column `t` — the very addition, in the same order, that summing the
+/// set bits one by one ends on — so every code costs one 4-wide add.
+/// `column(p, t)` reads column `t` of a P in the caller's layout.
+pub(crate) fn tip_tables_into(
+    ps: &[ProbMatrix],
+    column: impl Fn(&ProbMatrix, usize) -> [f64; NUM_STATES],
+    out: &mut Vec<TipTable>,
+) {
+    out.resize(ps.len(), [[0.0; NUM_STATES]; 16]);
+    for (p, table) in ps.iter().zip(out.iter_mut()) {
+        table[0] = [0.0; NUM_STATES];
+        for code in 1..16usize {
+            let top = code.ilog2() as usize;
+            let (rest, col) = (table[code ^ (1 << top)], column(p, top));
+            table[code] = std::array::from_fn(|s| rest[s] + col[s]);
         }
-        table
-    }));
-}
-
-/// Fill `out` with column-major transposes (`out[k][t][s] = ps[k][s][t]`),
-/// reusing its allocation.
-pub(crate) fn transpose_into(ps: &[ProbMatrix], out: &mut Vec<ProbMatrix>) {
-    out.clear();
-    out.extend(ps.iter().map(|p| {
-        let mut c = [[0.0; NUM_STATES]; NUM_STATES];
-        for s in 0..NUM_STATES {
-            for t in 0..NUM_STATES {
-                c[t][s] = p[s][t];
-            }
-        }
-        c
-    }));
+    }
 }
 
 /// Which P-matrix index pattern `i`, category `c` uses.
@@ -367,8 +338,8 @@ pub(crate) fn category_weight(rates: &RateHeterogeneity) -> f64 {
 }
 
 /// The 16 possible tip state vectors, indexed by 4-bit ambiguity code:
-/// `TIP_STATE[code][s] = 1.0` iff bit `s` of `code` is set. Lets the SIMD
-/// paths load a tip's root-side state as one contiguous 4-wide chunk.
+/// `TIP_STATE[code][s] = 1.0` iff bit `s` of `code` is set: a tip's state
+/// vector as one contiguous 4-wide row.
 pub(crate) const TIP_STATE: [[f64; NUM_STATES]; 16] = build_tip_state();
 
 const fn build_tip_state() -> [[f64; NUM_STATES]; 16] {
@@ -406,25 +377,15 @@ pub(crate) enum RootSide<'a> {
 }
 
 impl<'a> RootSide<'a> {
+    /// Copy the state vector of pattern `i`, category `c` into `out`.
     #[inline]
     pub(crate) fn state(&self, i: usize, c: usize, cats: usize, out: &mut [f64; NUM_STATES]) {
-        match self {
-            RootSide::Tip(codes) => {
-                let code = codes[i] as usize & 0xf;
-                for (s, o) in out.iter_mut().enumerate() {
-                    *o = if code & (1 << s) != 0 { 1.0 } else { 0.0 };
-                }
-            }
-            RootSide::Inner { clv, .. } => {
-                let base = (i * cats + c) * NUM_STATES;
-                out.copy_from_slice(&clv[base..base + NUM_STATES]);
-            }
-        }
+        out.copy_from_slice(self.state_slice(i, c, cats));
     }
 
     /// The state vector of pattern `i`, category `c` as a contiguous 4-wide
     /// slice (the [`TIP_STATE`] row for tips, the CLV block for inner
-    /// nodes). Same values as [`RootSide::state`], zero-copy.
+    /// nodes).
     #[inline]
     pub(crate) fn state_slice(&self, i: usize, c: usize, cats: usize) -> &[f64] {
         match self {
@@ -477,25 +438,207 @@ pub(crate) fn fill_deriv_factors(
     ex: &mut Vec<[f64; NUM_STATES]>,
     lr: &mut Vec<[f64; NUM_STATES]>,
 ) {
-    let lam = *part.model.eigenvalues();
+    let lam = part.model.eigenvalues();
     ex.clear();
     lr.clear();
     for &r in part.rates.distinct_rates() {
-        let mut e = [0.0; NUM_STATES];
-        let mut l1 = [0.0; NUM_STATES];
+        ex.push(exp_factors(&part.model, t, r));
+        lr.push(lam.map(|l| l * r));
+    }
+}
+
+/// The transition set-up as the backends built it before the subset
+/// recurrence and the one-pass column builder, kept verbatim as the
+/// bit-for-bit oracles of the builders above and of [`simd`]'s, plus the
+/// inputs they are checked on.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::TipTable;
+    use crate::model::pmatrix::ProbMatrix;
+    use crate::model::GtrModel;
+    use exa_bio::dna::NUM_STATES;
+
+    /// `(V, ex, V⁻¹)`: the eigenbasis factors of one P-matrix.
+    pub(crate) type Factors = (ProbMatrix, [f64; NUM_STATES], ProbMatrix);
+
+    /// `P(r·t) = V · diag(e^{λ_k r t}) · V⁻¹`, clamped at 0.
+    pub(crate) fn prob_matrix(model: &GtrModel, t: f64, r: f64) -> ProbMatrix {
+        let lam = model.eigenvalues();
+        let mut ex = [0.0; NUM_STATES];
         for k in 0..NUM_STATES {
-            let lk = lam[k] * r;
-            e[k] = (lk * t).exp();
-            l1[k] = lk;
+            ex[k] = (lam[k] * r * t).exp();
         }
-        ex.push(e);
-        lr.push(l1);
+        reconstruct(&(*model.v(), ex, *model.v_inv()))
+    }
+
+    /// [`prob_matrix`]'s loop over explicit factors, so crafted inputs can
+    /// be fed to it.
+    pub(crate) fn reconstruct((v, ex, vi): &Factors) -> ProbMatrix {
+        let mut p = [[0.0; NUM_STATES]; NUM_STATES];
+        for i in 0..NUM_STATES {
+            for j in 0..NUM_STATES {
+                let mut s = 0.0;
+                for k in 0..NUM_STATES {
+                    s += v[i][k] * ex[k] * vi[k][j];
+                }
+                p[i][j] = s.max(0.0);
+            }
+        }
+        p
+    }
+
+    /// Per-rate tip contribution tables by the per-code, per-bit loop.
+    pub(crate) fn build_tip_lookup_into(ps: &[ProbMatrix], out: &mut Vec<TipTable>) {
+        out.clear();
+        out.extend(ps.iter().map(|p| {
+            let mut table = [[0.0; NUM_STATES]; 16];
+            for (code, entry) in table.iter_mut().enumerate() {
+                for s in 0..NUM_STATES {
+                    let mut acc = 0.0;
+                    for t in 0..NUM_STATES {
+                        if code & (1 << t) != 0 {
+                            acc += p[s][t];
+                        }
+                    }
+                    entry[s] = acc;
+                }
+            }
+            table
+        }));
+    }
+
+    /// Column-major transposes (`out[k][t][s] = ps[k][s][t]`).
+    pub(crate) fn transpose_into(ps: &[ProbMatrix], out: &mut Vec<ProbMatrix>) {
+        out.clear();
+        out.extend(ps.iter().map(|p| {
+            let mut c = [[0.0; NUM_STATES]; NUM_STATES];
+            for s in 0..NUM_STATES {
+                for t in 0..NUM_STATES {
+                    c[t][s] = p[s][t];
+                }
+            }
+            c
+        }));
+    }
+
+    /// Every entry's bit pattern (NaN-safe equality).
+    pub(crate) fn bits(rows: &[[f64; NUM_STATES]]) -> Vec<u64> {
+        rows.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random GTR models, each with a branch length in `[BL_MIN, BL_MAX]`
+    /// and a rate in `[PSR_RATE_MIN, PSR_RATE_MAX]` (log-uniform, each
+    /// endpoint drawn one time in ten).
+    pub(crate) fn random_models(seed: u64, n: usize) -> Vec<(GtrModel, f64, f64)> {
+        use crate::model::rates::{PSR_RATE_MAX, PSR_RATE_MIN};
+        use crate::tree::{BL_MAX, BL_MIN};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let log_uniform = |rng: &mut StdRng, lo: f64, hi: f64| match rng.gen_range(0u32..10) {
+            0 => lo,
+            1 => hi,
+            _ => (lo.ln() + rng.gen_range(0.0f64..1.0) * (hi.ln() - lo.ln())).exp(),
+        };
+        (0..n)
+            .map(|_| {
+                let model = GtrModel::new(
+                    std::array::from_fn(|_| rng.gen_range(0.05..20.0)),
+                    std::array::from_fn(|_| rng.gen_range(0.05..1.0)),
+                );
+                let t = log_uniform(&mut rng, BL_MIN, BL_MAX);
+                let r = log_uniform(&mut rng, PSR_RATE_MIN, PSR_RATE_MAX);
+                (model, t, r)
+            })
+            .collect()
+    }
+
+    /// Crafted factors: exact zeros, subnormals, negative sums (clamped),
+    /// an infinite factor, and one NaN entry.
+    pub(crate) fn crafted_factors() -> Vec<Factors> {
+        let sub = f64::from_bits(1); // the smallest subnormal
+        let mut v = [
+            [0.5, -0.25, sub, 0.0],
+            [1.0; 4],
+            [-1e-310, 0.0, 2.0, -3.0],
+            [0.0; 4],
+        ];
+        let vi = [
+            [1.0, sub, -0.0, 4.0],
+            [0.0; 4],
+            [1e-300, -1.0, 0.5, 1e-310],
+            [0.3; 4],
+        ];
+        let mut cases = vec![
+            (v, [1.0, 0.0, sub, 1e-300], vi),
+            (v, [0.0; 4], vi),
+            (v, [f64::INFINITY, 1.0, 1.0, 1.0], vi),
+        ];
+        v[2][1] = f64::NAN;
+        cases.push((v, [1.0, 0.5, 0.25, sub], vi));
+        cases
+    }
+
+    /// Crafted P-matrices for the tip-table builders: zeros of both signs,
+    /// subnormals, and one NaN entry.
+    pub(crate) fn crafted_matrices() -> Vec<ProbMatrix> {
+        let sub = f64::from_bits(1);
+        vec![
+            [[0.0; 4]; 4],
+            [
+                [sub, 0.0, -0.0, 1e-310],
+                [0.25; 4],
+                [1.0, sub, 0.0, 0.5],
+                [0.0, 0.0, 0.0, 1.0],
+            ],
+            [[0.1, f64::NAN, 0.3, 0.4], [0.0; 4], [sub; 4], [1e300; 4]],
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prob_matrix_is_the_oracle() {
+        for (model, t, r) in oracle::random_models(0x9a7, 2000) {
+            let p = crate::model::pmatrix::prob_matrix(&model, t, r);
+            let want = oracle::prob_matrix(&model, t, r);
+            assert_eq!(oracle::bits(&p), oracle::bits(&want), "t {t} r {r}");
+        }
+    }
+
+    #[test]
+    fn tip_tables_match_the_per_code_loop_in_both_layouts() {
+        let mut ps: Vec<ProbMatrix> = oracle::random_models(0x7e57, 2000)
+            .iter()
+            .map(|(model, t, r)| oracle::prob_matrix(model, *t, *r))
+            .collect();
+        ps.extend(oracle::crafted_factors().iter().map(oracle::reconstruct));
+        ps.extend(oracle::crafted_matrices());
+        let mut want = Vec::new();
+        oracle::build_tip_lookup_into(&ps, &mut want);
+        let mut cols = Vec::new();
+        oracle::transpose_into(&ps, &mut cols);
+
+        // A longer scratch shrinks and a shorter one grows; neither leaks
+        // its stale rows.
+        let mut got = vec![[[f64::NAN; NUM_STATES]; 16]; ps.len() + 3];
+        scalar::tip_tables(&ps, &mut got);
+        assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(oracle::bits(g), oracle::bits(w), "row-major case {k}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut got = vec![[[f64::NAN; NUM_STATES]; 16]; 1];
+            simd::tip_tables(&cols, &mut got);
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(oracle::bits(g), oracle::bits(w), "column-major case {k}");
+            }
+        }
+    }
 
     #[test]
     fn kind_labels_roundtrip_through_choice_parse() {

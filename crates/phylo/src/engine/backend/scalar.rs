@@ -1,8 +1,10 @@
 //! The scalar kernel backend: the original straight-line implementations of
 //! `newview`, `evaluate`, and the sumtable derivatives, moved behind
-//! [`KernelBackend`]. The only change from the pre-backend code is that
-//! P-matrices and tip-lookup tables now come from the partition's
-//! [`KernelScratch`](super::KernelScratch) instead of fresh `Vec`s per edge.
+//! [`KernelBackend`]. P-matrices (row-major, from `prob_matrix`) and tip
+//! lookup tables (by [`tip_tables_into`]'s subset recurrence, the same sums
+//! in the same order as a per-code loop) are refilled per edge into the
+//! partition's [`KernelScratch`](super::KernelScratch) instead of fresh
+//! `Vec`s.
 //!
 //! All kernels run per local partition and are generic over the two rate
 //! models through a small category-indirection: under Γ every pattern
@@ -10,12 +12,11 @@
 //! pattern uses the single P-matrix of its quantized rate category.
 
 use super::{
-    build_tip_lookup_into, cat_index, category_weight, entry_lengths, fill_deriv_factors,
-    p_matrices_into, root_side, KernelBackend, KernelKind, KernelScratch, OutsideJob, RootSide,
-    TipTable,
+    cat_index, category_weight, entry_lengths, fill_deriv_factors, root_side, tip_tables_into,
+    KernelBackend, KernelKind, KernelScratch, OutsideJob, RootSide, TipTable,
 };
 use crate::engine::{PartitionState, LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
-use crate::model::pmatrix::ProbMatrix;
+use crate::model::pmatrix::{prob_matrix, ProbMatrix};
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
 
@@ -82,6 +83,23 @@ impl KernelBackend for ScalarBackend {
     }
 }
 
+/// Fill `out` with the row-major P-matrices of every distinct rate
+/// multiplier, reusing its allocation.
+fn p_matrices_into(part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
+    out.clear();
+    out.extend(
+        part.rates
+            .distinct_rates()
+            .iter()
+            .map(|&r| prob_matrix(&part.model, t, r)),
+    );
+}
+
+/// Tip tables from row-major P-matrices (column `t` is strided).
+pub(super) fn tip_tables(ps: &[ProbMatrix], out: &mut Vec<TipTable>) {
+    tip_tables_into(ps, |p, t| std::array::from_fn(|s| p[s][t]), out);
+}
+
 /// One child's contribution to a parent CLV state: either through the tip
 /// lookup or by a matrix–vector product against the child's CLV block.
 enum Child<'a> {
@@ -142,10 +160,10 @@ fn newview_entry(part: &mut PartitionState, n_taxa: usize, entry: &TraversalEntr
     p_matrices_into(part, t_left, &mut scratch.ps_a);
     p_matrices_into(part, t_right, &mut scratch.ps_b);
     if entry.left < n_taxa {
-        build_tip_lookup_into(&scratch.ps_a, &mut scratch.lookup_a);
+        tip_tables(&scratch.ps_a, &mut scratch.lookup_a);
     }
     if entry.right < n_taxa {
-        build_tip_lookup_into(&scratch.ps_b, &mut scratch.lookup_b);
+        tip_tables(&scratch.ps_b, &mut scratch.lookup_b);
     }
 
     let parent_idx = entry.parent - n_taxa;
@@ -345,10 +363,10 @@ fn gradient_outside(
     p_matrices_into(part, job.t_left, &mut scratch.ps_a);
     p_matrices_into(part, job.t_right, &mut scratch.ps_b);
     if matches!(job.left, RootSide::Tip(_)) {
-        build_tip_lookup_into(&scratch.ps_a, &mut scratch.lookup_a);
+        tip_tables(&scratch.ps_a, &mut scratch.lookup_a);
     }
     if matches!(job.right, RootSide::Tip(_)) {
-        build_tip_lookup_into(&scratch.ps_b, &mut scratch.lookup_b);
+        tip_tables(&scratch.ps_b, &mut scratch.lookup_b);
     }
     let left = grad_child(&job.left, &scratch.ps_a, &scratch.lookup_a);
     let right = grad_child(&job.right, &scratch.ps_b, &scratch.lookup_b);

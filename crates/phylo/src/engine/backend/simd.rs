@@ -9,11 +9,15 @@
 //! FMA contraction is used, so results are bit-for-bit equal to
 //! [`super::scalar`]:
 //!
-//! * Matrix–vector products run over **column-major** P-matrices
-//!   (`cols[t][s] = P[s][t]`, prepared once per edge in the scratch) as
+//! * P-matrices exist here only **column-major** (`cols[t][s] = P[s][t]`):
+//!   [`avx2::prob_columns`] writes them straight from the eigenbasis with
+//!   lanes over `s`, each lane summing `prob_matrix`'s terms in its order
+//!   and clamping with `prob_matrix`'s `max(·, 0)`, NaN included.
+//! * Matrix–vector products run over those columns as
 //!   broadcast-multiply-adds; lane `s` then computes
 //!   `((P[s][0]·b₀ + P[s][1]·b₁) + P[s][2]·b₂) + P[s][3]·b₃` — the scalar
-//!   row-dot order.
+//!   row-dot order. Tip tables add whole columns, as the scalar loops add
+//!   strided ones ([`super::tip_tables_into`]).
 //! * Horizontal sums extract lanes and accumulate in lane order starting
 //!   from `0.0`, matching the scalar `acc += …` loops.
 //!
@@ -22,12 +26,11 @@
 //! arise from already-broken inputs.
 
 use super::{
-    build_tip_lookup_into, category_weight, entry_lengths, fill_deriv_factors, p_matrices_into,
-    root_side, transpose_into, KernelBackend, KernelKind, KernelScratch, OutsideJob, RootSide,
-    TipTable,
+    category_weight, entry_lengths, fill_deriv_factors, root_side, tip_tables_into, KernelBackend,
+    KernelKind, KernelScratch, OutsideJob, RootSide, TipTable,
 };
 use crate::engine::{Engine, PartitionState};
-use crate::model::pmatrix::ProbMatrix;
+use crate::model::pmatrix::{exp_factors, ProbMatrix};
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
 
@@ -101,6 +104,23 @@ impl KernelBackend for SimdBackend {
     }
 }
 
+/// Fill `out` with the column-major P-matrices of every distinct rate
+/// multiplier, reusing its allocation.
+fn p_columns_into(part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
+    let rates = part.rates.distinct_rates();
+    out.resize(rates.len(), [[0.0; NUM_STATES]; NUM_STATES]);
+    for (cols, &r) in out.iter_mut().zip(rates) {
+        let ex = exp_factors(&part.model, t, r);
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe { avx2::prob_columns(part.model.v(), &ex, part.model.v_inv(), cols) };
+    }
+}
+
+/// Tip tables from column-major P-matrices (column `t` is one row).
+pub(super) fn tip_tables(cols: &[ProbMatrix], out: &mut Vec<TipTable>) {
+    tip_tables_into(cols, |c, t| c[t], out);
+}
+
 /// One child's 4-wide contribution source inside `newview`: a precomputed
 /// tip-lookup row or a matrix–vector product of the column-major P against
 /// the child's CLV block.
@@ -129,85 +149,49 @@ impl<'a> SimdChild<'a> {
 fn newview_entry(part: &mut PartitionState, n_taxa: usize, entry: &TraversalEntry) -> u64 {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
-    let (t_left, t_right) = entry_lengths(part, entry);
+    let lengths = entry_lengths(part, entry);
     let compress = crate::engine::repeats::refresh_entry(part, n_taxa, entry);
     if !compress {
         crate::engine::repeats::fill_identity(&mut part.repeat_scratch.ident, n_patterns);
     }
 
     let mut scratch = std::mem::take(&mut part.scratch);
-    p_matrices_into(part, t_left, &mut scratch.ps_a);
-    p_matrices_into(part, t_right, &mut scratch.ps_b);
-    transpose_into(&scratch.ps_a, &mut scratch.cols_a);
-    transpose_into(&scratch.ps_b, &mut scratch.cols_b);
-    if entry.left < n_taxa {
-        build_tip_lookup_into(&scratch.ps_a, &mut scratch.lookup_a);
-    }
-    if entry.right < n_taxa {
-        build_tip_lookup_into(&scratch.ps_b, &mut scratch.lookup_b);
-    }
-
     let parent_idx = entry.parent - n_taxa;
     let mut parent_clv = std::mem::take(&mut part.clv[parent_idx]);
     let mut parent_scale = std::mem::take(&mut part.scale[parent_idx]);
-
-    let computed;
-    {
-        let patterns: &[u32] = if compress {
-            &part.repeats[parent_idx].classes.representatives
-        } else {
-            &part.repeat_scratch.ident
-        };
-        computed = patterns.len();
-
-        let left = if entry.left < n_taxa {
-            SimdChild::Tip {
-                codes: &part.data.tips[entry.left],
-                lookup: &scratch.lookup_a,
-            }
-        } else {
-            let idx = entry.left - n_taxa;
-            SimdChild::Inner {
-                clv: &part.clv[idx],
-                scale: &part.scale[idx],
-                cols: &scratch.cols_a,
-            }
-        };
-        let right = if entry.right < n_taxa {
-            SimdChild::Tip {
-                codes: &part.data.tips[entry.right],
-                lookup: &scratch.lookup_b,
-            }
-        } else {
-            let idx = entry.right - n_taxa;
-            SimdChild::Inner {
-                clv: &part.clv[idx],
-                scale: &part.scale[idx],
-                cols: &scratch.cols_b,
-            }
-        };
-
-        // SAFETY: AVX2 was detected (module doc).
-        unsafe {
-            avx2::newview_patterns(
-                &part.rates,
-                &left,
-                &right,
-                patterns,
-                cats,
-                &mut parent_clv,
-                &mut parent_scale,
-            );
-        }
-        if compress {
-            crate::engine::repeats::scatter_entry(
-                &part.repeats[parent_idx].classes,
-                cats,
-                &mut parent_clv,
-                &mut parent_scale,
-            );
-        }
+    let (left, right) = children(
+        part,
+        &mut scratch,
+        lengths,
+        &root_side(part, n_taxa, entry.left),
+        &root_side(part, n_taxa, entry.right),
+    );
+    let patterns: &[u32] = if compress {
+        &part.repeats[parent_idx].classes.representatives
+    } else {
+        &part.repeat_scratch.ident
+    };
+    // SAFETY: AVX2 was detected (module doc).
+    unsafe {
+        avx2::newview_patterns(
+            &part.rates,
+            &left,
+            &right,
+            patterns,
+            cats,
+            &mut parent_clv,
+            &mut parent_scale,
+        );
     }
+    if compress {
+        crate::engine::repeats::scatter_entry(
+            &part.repeats[parent_idx].classes,
+            cats,
+            &mut parent_clv,
+            &mut parent_scale,
+        );
+    }
+    let computed = patterns.len();
 
     part.clv[parent_idx] = parent_clv;
     part.scale[parent_idx] = parent_scale;
@@ -227,8 +211,7 @@ fn evaluate_root(
     let t = Engine::branch_length(&d.root_lengths, gi);
 
     let mut scratch = std::mem::take(&mut part.scratch);
-    p_matrices_into(part, t, &mut scratch.ps_a);
-    transpose_into(&scratch.ps_a, &mut scratch.cols_a);
+    p_columns_into(part, t, &mut scratch.ps_a);
     let freqs = *part.model.freqs();
     let cat_weight = category_weight(&part.rates);
 
@@ -242,7 +225,7 @@ fn evaluate_root(
                 &part.rates,
                 &part.data.weights,
                 &freqs,
-                &scratch.cols_a,
+                &scratch.ps_a,
                 &a,
                 &b,
                 n_patterns,
@@ -303,48 +286,53 @@ fn gradient_outside(
 ) -> u64 {
     let n_patterns = part.data.n_patterns();
     let cats = part.rates.clv_categories();
-    p_matrices_into(part, job.t_left, &mut scratch.ps_a);
-    p_matrices_into(part, job.t_right, &mut scratch.ps_b);
-    transpose_into(&scratch.ps_a, &mut scratch.cols_a);
-    transpose_into(&scratch.ps_b, &mut scratch.cols_b);
-    if matches!(job.left, RootSide::Tip(_)) {
-        build_tip_lookup_into(&scratch.ps_a, &mut scratch.lookup_a);
-    }
-    if matches!(job.right, RootSide::Tip(_)) {
-        build_tip_lookup_into(&scratch.ps_b, &mut scratch.lookup_b);
-    }
-    crate::engine::repeats::fill_identity(&mut scratch.grad_ident, n_patterns);
-
-    let left = simd_grad_child(&job.left, &scratch.cols_a, &scratch.lookup_a);
-    let right = simd_grad_child(&job.right, &scratch.cols_b, &scratch.lookup_b);
-    let patterns: &[u32] = &scratch.grad_ident;
-
+    let mut patterns = std::mem::take(&mut scratch.grad_ident);
+    crate::engine::repeats::fill_identity(&mut patterns, n_patterns);
+    let lengths = (job.t_left, job.t_right);
+    let (left, right) = children(part, scratch, lengths, &job.left, &job.right);
     // SAFETY: AVX2 was detected (module doc).
     unsafe {
         avx2::newview_patterns(
             &part.rates,
             &left,
             &right,
-            patterns,
+            &patterns,
             cats,
             out_clv,
             out_scale,
         );
     }
+    scratch.grad_ident = patterns;
     (n_patterns * cats) as u64
 }
 
-/// View a gradient-sweep source as a `newview` child (column-major P for the
-/// SIMD matrix–vector products).
-fn simd_grad_child<'a>(
-    side: &RootSide<'a>,
-    cols: &'a [ProbMatrix],
-    lookup: &'a [TipTable],
-) -> SimdChild<'a> {
-    match side {
+/// The transition set-up of two sources joined at one node — column-major
+/// P per distinct rate for each branch, tip tables for a tip source — and
+/// the two sources as `newview` children over it.
+fn children<'a>(
+    part: &PartitionState,
+    scratch: &'a mut KernelScratch,
+    (t_left, t_right): (f64, f64),
+    left: &RootSide<'a>,
+    right: &RootSide<'a>,
+) -> (SimdChild<'a>, SimdChild<'a>) {
+    p_columns_into(part, t_left, &mut scratch.ps_a);
+    p_columns_into(part, t_right, &mut scratch.ps_b);
+    if let RootSide::Tip(_) = left {
+        tip_tables(&scratch.ps_a, &mut scratch.lookup_a);
+    }
+    if let RootSide::Tip(_) = right {
+        tip_tables(&scratch.ps_b, &mut scratch.lookup_b);
+    }
+    let child = |side: &RootSide<'a>, cols: &'a [ProbMatrix], lookup: &'a [TipTable]| match side {
         RootSide::Tip(codes) => SimdChild::Tip { codes, lookup },
         RootSide::Inner { clv, scale } => SimdChild::Inner { clv, scale, cols },
-    }
+    };
+    let scratch = &*scratch;
+    (
+        child(left, &scratch.ps_a, &scratch.lookup_a),
+        child(right, &scratch.ps_b, &scratch.lookup_b),
+    )
 }
 
 fn derivatives_from_sumtable(
@@ -389,6 +377,33 @@ mod avx2 {
     use crate::model::rates::RateHeterogeneity;
     use exa_bio::dna::NUM_STATES;
     use std::arch::x86_64::*;
+
+    /// `cols[j][i] = max(Σ_k (V[i][k]·ex[k])·V⁻¹[k][j], 0)` with lanes over
+    /// `i`: `prob_matrix`'s sum for `P[i][j]`, term by term from `+0.0`
+    /// (so never `-0.0`), and `max(s, 0)` in the operand order that maps a
+    /// NaN to `0`, as `f64::max` does.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn prob_columns(
+        v: &ProbMatrix,
+        ex: &[f64; NUM_STATES],
+        vi: &ProbMatrix,
+        cols: &mut ProbMatrix,
+    ) {
+        let zero = _mm256_setzero_pd();
+        let mut vex = [zero; NUM_STATES];
+        for (k, x) in vex.iter_mut().enumerate() {
+            let vk = _mm256_set_pd(v[3][k], v[2][k], v[1][k], v[0][k]);
+            *x = _mm256_mul_pd(vk, _mm256_set1_pd(ex[k]));
+        }
+        for (j, col) in cols.iter_mut().enumerate() {
+            let mut s = zero;
+            for (k, x) in vex.iter().enumerate() {
+                s = _mm256_add_pd(s, _mm256_mul_pd(*x, _mm256_set1_pd(vi[k][j])));
+            }
+            // SAFETY: `col` is 4 contiguous f64, one unaligned 256-bit store.
+            unsafe { _mm256_storeu_pd(col.as_mut_ptr(), _mm256_max_pd(s, zero)) };
+        }
+    }
 
     /// `P·b` over a column-major P: per-lane
     /// `((P[s][0]·b₀ + P[s][1]·b₁) + P[s][2]·b₂) + P[s][3]·b₃`, the scalar
@@ -808,6 +823,49 @@ mod tests {
         assert_eq!(clv_s, clv_a, "avx2 outside CLV differs");
         assert_eq!(scale_s, scale_a, "avx2 outside scale differs");
         assert_eq!(w_s, w_a);
+    }
+
+    /// The one-pass AVX2 column builder against `prob_matrix`'s loop
+    /// transposed, and the tip tables summed from its columns against the
+    /// per-code loop over the row-major oracle — bit for bit, over random
+    /// models × lengths × rates and crafted zeros, subnormals and NaN.
+    #[test]
+    fn prob_columns_match_the_transposed_oracle_bitwise() {
+        use crate::engine::backend::oracle;
+        if !simd_available() {
+            return;
+        }
+        let random = oracle::random_models(0xc01, 2000)
+            .into_iter()
+            .map(|(m, t, r)| {
+                let want = oracle::prob_matrix(&m, t, r);
+                ((*m.v(), exp_factors(&m, t, r), *m.v_inv()), want)
+            });
+        let crafted = oracle::crafted_factors().into_iter().map(|f| {
+            let want = oracle::reconstruct(&f);
+            (f, want)
+        });
+        for (case, ((v, ex, vi), p)) in random.chain(crafted).enumerate() {
+            let (mut want_cols, mut want_tips) = (Vec::new(), Vec::new());
+            oracle::transpose_into(&[p], &mut want_cols);
+            oracle::build_tip_lookup_into(&[p], &mut want_tips);
+
+            let mut cols = [[f64::NAN; NUM_STATES]; NUM_STATES];
+            // SAFETY: AVX2 was detected above.
+            unsafe { avx2::prob_columns(&v, &ex, &vi, &mut cols) };
+            assert_eq!(
+                oracle::bits(&cols),
+                oracle::bits(&want_cols[0]),
+                "case {case}"
+            );
+            let mut tips = Vec::new();
+            tip_tables(&[cols], &mut tips);
+            assert_eq!(
+                oracle::bits(&tips[0]),
+                oracle::bits(&want_tips[0]),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

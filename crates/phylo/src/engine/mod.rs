@@ -202,8 +202,10 @@ pub(crate) struct PartitionState {
     pub sumtable: Vec<f64>,
     /// Scratch: per-pattern rates during PSR optimization.
     pub psr_scratch: Vec<f64>,
-    /// Reusable kernel scratch (P-matrices, tip lookups, SIMD transposes) —
-    /// refilled per edge instead of reallocated.
+    /// Scratch: the inner nodes of one single-pattern PSR traversal.
+    pub psr_nodes: Vec<site_rates::PatternNode>,
+    /// Reusable kernel scratch (P-matrices, tip lookups) — refilled per edge
+    /// instead of reallocated.
     pub scratch: KernelScratch,
     /// Per-inner-node subtree-repeat tables (empty when compression is
     /// off). Indexed like `clv` (`node - n_taxa`).
@@ -253,6 +255,7 @@ impl PartitionState {
             scale: vec![vec![0; n_patterns]; n_inner],
             sumtable: vec![0.0; n_patterns * cats * NUM_STATES],
             psr_scratch: vec![1.0; n_patterns],
+            psr_nodes: Vec::new(),
             scratch: KernelScratch::default(),
             repeats: match site_repeats {
                 SiteRepeats::On => vec![NodeRepeats::default(); n_inner],
@@ -295,7 +298,7 @@ pub struct Engine {
     /// `0..parts.len()`; defaults to singleton batches (= the historical
     /// one-dispatch-per-partition behavior).
     batches: Vec<std::ops::Range<usize>>,
-    /// One kernel scratch per batch (P-matrices, tip lookups, transposes),
+    /// One kernel scratch per batch (P-matrices, tip lookups),
     /// swapped into each member partition for the duration of its backend
     /// call so the buffers are built once per batch and reused across the
     /// partitions in it.

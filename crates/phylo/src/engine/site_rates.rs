@@ -13,11 +13,16 @@
 //! 2-double allreduce for the normalization constant (§III-B's "additional
 //! MPI calls to handle the CAT model").
 
+use super::backend::TIP_STATE;
 use super::{Engine, PartitionState, LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
 use crate::model::pmatrix::prob_matrix;
 use crate::model::rates::{RateHeterogeneity, PSR_MAX_CATEGORIES, PSR_RATE_MAX, PSR_RATE_MIN};
 use crate::tree::traversal::TraversalDescriptor;
 use exa_bio::dna::NUM_STATES;
+
+/// One inner node of a single-pattern traversal: its state vector and
+/// scaling count.
+pub(crate) type PatternNode = ([f64; NUM_STATES], u32);
 
 /// Multiplicative search grid around the current rate.
 const GRID: [f64; 7] = [0.25, 0.5, 0.75, 1.0, 4.0 / 3.0, 2.0, 4.0];
@@ -38,6 +43,7 @@ pub(crate) fn optimize_partition(
     let mut den = 0.0f64;
     let mut work = 0u64;
     let mut scratch = std::mem::take(&mut part.psr_scratch);
+    let mut nodes = std::mem::take(&mut part.psr_nodes);
     for i in 0..n_patterns {
         let r0 = part
             .rates
@@ -47,7 +53,7 @@ pub(crate) fn optimize_partition(
         let mut best_lnl = f64::NEG_INFINITY;
         for g in GRID {
             let r = (r0 * g).clamp(PSR_RATE_MIN, PSR_RATE_MAX);
-            let lnl = single_pattern_lnl(part, n_taxa, d, i, r);
+            let lnl = single_pattern_lnl(part, n_taxa, d, i, r, &mut nodes);
             work += d.entries.len() as u64 + 1;
             if lnl > best_lnl {
                 best_lnl = lnl;
@@ -59,6 +65,7 @@ pub(crate) fn optimize_partition(
         den += part.data.weights[i];
     }
     part.psr_scratch = scratch;
+    part.psr_nodes = nodes;
     (num, den, work)
 }
 
@@ -73,39 +80,35 @@ pub(crate) fn finalize_partition(part: &mut PartitionState, scale: f64) {
 }
 
 /// Log-likelihood of the single pattern `i` with every branch scaled by
-/// rate `r`, via a full traversal over the descriptor entries.
+/// rate `r`, via a full traversal over the descriptor entries. `nodes` is
+/// the partition's reusable per-inner-node (state vector, scaling count)
+/// buffer; it is zeroed on entry, as a fresh allocation would be.
 fn single_pattern_lnl(
     part: &PartitionState,
     n_taxa: usize,
     d: &TraversalDescriptor,
     i: usize,
     r: f64,
+    nodes: &mut Vec<PatternNode>,
 ) -> f64 {
     let gi = part.data.global_index;
-    let n_inner = n_taxa - 2;
-    let mut clv = vec![[0.0f64; NUM_STATES]; n_inner];
-    let mut scale = vec![0u32; n_inner];
-
-    let state_of = |node: usize, clv: &[[f64; NUM_STATES]], out: &mut [f64; NUM_STATES]| {
+    nodes.clear();
+    nodes.resize(n_taxa - 2, ([0.0; NUM_STATES], 0));
+    let state_of = |node: usize, nodes: &[PatternNode]| -> PatternNode {
         if node < n_taxa {
-            let code = part.data.tips[node][i] as usize & 0xf;
-            for (s, o) in out.iter_mut().enumerate() {
-                *o = if code & (1 << s) != 0 { 1.0 } else { 0.0 };
-            }
+            (TIP_STATE[part.data.tips[node][i] as usize & 0xf], 0)
         } else {
-            *out = clv[node - n_taxa];
+            nodes[node - n_taxa]
         }
     };
 
-    let mut xl = [0.0; NUM_STATES];
-    let mut xr = [0.0; NUM_STATES];
     for entry in &d.entries {
         let tl = Engine::branch_length(&entry.left_lengths, gi);
         let tr = Engine::branch_length(&entry.right_lengths, gi);
         let pl = prob_matrix(&part.model, tl, r);
         let pr = prob_matrix(&part.model, tr, r);
-        state_of(entry.left, &clv, &mut xl);
-        state_of(entry.right, &clv, &mut xr);
+        let (xl, scale_l) = state_of(entry.left, nodes);
+        let (xr, scale_r) = state_of(entry.right, nodes);
         let mut out = [0.0; NUM_STATES];
         let mut maxv = 0.0f64;
         for s in 0..NUM_STATES {
@@ -114,41 +117,27 @@ fn single_pattern_lnl(
             out[s] = l * rr;
             maxv = maxv.max(out[s].abs());
         }
-        let pi = entry.parent - n_taxa;
-        let mut count = 0u32;
-        for node in [entry.left, entry.right] {
-            if node >= n_taxa {
-                count += scale[node - n_taxa];
-            }
-        }
+        let mut count = scale_l + scale_r;
         if maxv < MIN_LIKELIHOOD {
             for o in out.iter_mut() {
                 *o *= TWO_TO_256;
             }
             count += 1;
         }
-        clv[pi] = out;
-        scale[pi] = count;
+        nodes[entry.parent - n_taxa] = (out, count);
     }
 
     // Root evaluation.
     let t_root = Engine::branch_length(&d.root_lengths, gi);
     let p = prob_matrix(&part.model, t_root, r);
     let freqs = part.model.freqs();
-    let mut xa = [0.0; NUM_STATES];
-    let mut xb = [0.0; NUM_STATES];
-    state_of(d.root_a, &clv, &mut xa);
-    state_of(d.root_b, &clv, &mut xb);
+    let (xa, scale_a) = state_of(d.root_a, nodes);
+    let (xb, scale_b) = state_of(d.root_b, nodes);
     let mut acc = 0.0f64;
     for s in 0..NUM_STATES {
         let pb = p[s][0] * xb[0] + p[s][1] * xb[1] + p[s][2] * xb[2] + p[s][3] * xb[3];
         acc += freqs[s] * xa[s] * pb;
     }
-    let mut count = 0u32;
-    for node in [d.root_a, d.root_b] {
-        if node >= n_taxa {
-            count += scale[node - n_taxa];
-        }
-    }
+    let count = scale_a + scale_b;
     acc.max(f64::MIN_POSITIVE).ln() + count as f64 * LN_MIN_LIKELIHOOD
 }

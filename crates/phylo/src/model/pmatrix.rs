@@ -10,14 +10,9 @@ pub type ProbMatrix = [[f64; NUM_STATES]; NUM_STATES];
 /// `P(r·t) = V · diag(e^{λ_k r t}) · V⁻¹` for branch length `t` and rate
 /// multiplier `r` (the rate-category or per-site rate).
 pub fn prob_matrix(model: &GtrModel, t: f64, r: f64) -> ProbMatrix {
-    debug_assert!(t >= 0.0 && r >= 0.0, "negative branch length or rate");
-    let lam = model.eigenvalues();
     let v = model.v();
     let vi = model.v_inv();
-    let mut ex = [0.0; NUM_STATES];
-    for k in 0..NUM_STATES {
-        ex[k] = (lam[k] * r * t).exp();
-    }
+    let ex = exp_factors(model, t, r);
     let mut p = [[0.0; NUM_STATES]; NUM_STATES];
     for i in 0..NUM_STATES {
         for j in 0..NUM_STATES {
@@ -31,6 +26,15 @@ pub fn prob_matrix(model: &GtrModel, t: f64, r: f64) -> ProbMatrix {
         }
     }
     p
+}
+
+/// The diagonal `e^{λ_k r t}` of [`prob_matrix`]'s eigenbasis product —
+/// shared with the SIMD column builder and the derivative kernels, so all
+/// of them see the same bits.
+pub(crate) fn exp_factors(model: &GtrModel, t: f64, r: f64) -> [f64; NUM_STATES] {
+    debug_assert!(t >= 0.0 && r >= 0.0, "negative branch length or rate");
+    let lam = model.eigenvalues();
+    std::array::from_fn(|k| (lam[k] * r * t).exp())
 }
 
 /// `(P, dP/dt, d²P/dt²)` at `t` with rate multiplier `r`:
