@@ -596,8 +596,8 @@ impl Ctx {
 
     /// Reproducible contributions force the binned path: bins merge exactly
     /// (order- and grouping-invariant) and stray fast-mode f64 contributions
-    /// — possible only in a mixed-mode world the sentinel is about to abort
-    /// — are deposited into the bins so the collective still completes
+    /// — possible only in a world whose ranks compute with different modes,
+    /// which the sentinel aborts at its first sync — are deposited into the bins so the collective still completes
     /// deterministically. The result is rendered to f64 exactly once.
     fn sum_binned(&self, board: &mut Board) {
         let mut first = true;
@@ -1636,7 +1636,7 @@ mod tests {
 
     #[test]
     fn mixed_mode_reduction_completes_deterministically() {
-        // One rank still in fast mode (a mis-negotiated world the sentinel
+        // One rank still in fast mode (a mixed-mode world the sentinel
         // will abort) must not deadlock or poison the collective: its f64
         // contribution is deposited into the bins.
         let results = World::run(3, |rank| {

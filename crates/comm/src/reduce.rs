@@ -1,5 +1,5 @@
-//! Reproducible (rank-count-invariant) summation — the negotiated
-//! `ReduceMode` behind [`crate::Rank::allreduce_sum`].
+//! Reproducible (rank-count-invariant) summation — the `reproducible`
+//! [`ReduceKind`] behind [`crate::Rank::allreduce_sum`].
 //!
 //! The paper's §III-B requirement is that every rank sees *bit-identical*
 //! reduced likelihoods. The fast path guarantees this only because the
@@ -335,7 +335,7 @@ fn exp2i(k: i32) -> f64 {
     }
 }
 
-/// The negotiated reduction scheme actually in force for a world.
+/// The reduction scheme a world computes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReduceKind {
     /// Fixed-rank-order f64 summation: bit-identical across ranks of one
@@ -354,23 +354,6 @@ impl ReduceKind {
             ReduceKind::Reproducible => "reproducible",
         }
     }
-
-    /// Monotone capability level for min-negotiation.
-    pub fn capability_level(self) -> u8 {
-        match self {
-            ReduceKind::Fast => 0,
-            ReduceKind::Reproducible => 1,
-        }
-    }
-
-    /// Inverse of [`ReduceKind::capability_level`] (min-folded).
-    pub fn from_capability_level(level: u8) -> Self {
-        if level >= 1 {
-            ReduceKind::Reproducible
-        } else {
-            ReduceKind::Fast
-        }
-    }
 }
 
 impl std::fmt::Display for ReduceKind {
@@ -379,16 +362,15 @@ impl std::fmt::Display for ReduceKind {
     }
 }
 
-/// The operator's requested reduction mode (`--reduce`), negotiated down to
-/// a [`ReduceKind`] every rank agrees on.
+/// The operator's requested reduction mode (`--reduce`), resolved to the
+/// [`ReduceKind`] every rank computes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReduceChoice {
     /// Force the fast fixed-order sum.
     Fast,
     /// Force the binned reproducible sum.
     Reproducible,
-    /// Advertise reproducible; the min-negotiation falls back to fast if
-    /// any rank cannot offer it.
+    /// Reproducible: the best this build offers.
     Auto,
 }
 
@@ -412,14 +394,6 @@ impl ReduceChoice {
         }
     }
 
-    /// Capability level this choice advertises into the negotiation.
-    pub fn advertised_level(self) -> u8 {
-        match self {
-            ReduceChoice::Fast => 0,
-            ReduceChoice::Reproducible | ReduceChoice::Auto => 1,
-        }
-    }
-
     /// Read `EXAML_REDUCE` (`fast` / `reproducible` / `auto`). Absent or
     /// unparsable values default to `Fast`: the baseline numerics stay
     /// byte-identical unless reproducibility is asked for.
@@ -430,11 +404,13 @@ impl ReduceChoice {
             .unwrap_or(ReduceChoice::Fast)
     }
 
-    /// Resolve without a world: an explicit choice is itself, `Auto` is the
-    /// highest level this build supports (reproducible). In-process
-    /// negotiation over uniform advertisements gives the same answer.
+    /// Resolve the choice: an explicit choice is itself, `Auto` is
+    /// reproducible.
     pub fn resolve_local(self) -> ReduceKind {
-        ReduceKind::from_capability_level(self.advertised_level())
+        match self {
+            ReduceChoice::Fast => ReduceKind::Fast,
+            ReduceChoice::Reproducible | ReduceChoice::Auto => ReduceKind::Reproducible,
+        }
     }
 }
 
@@ -599,13 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_kind_capability_roundtrip() {
-        for kind in [ReduceKind::Fast, ReduceKind::Reproducible] {
-            assert_eq!(
-                ReduceKind::from_capability_level(kind.capability_level()),
-                kind
-            );
-        }
+    fn reduce_choice_parses_and_resolves() {
         assert_eq!(ReduceChoice::parse("fast"), Some(ReduceChoice::Fast));
         assert_eq!(
             ReduceChoice::parse("reproducible"),
@@ -613,7 +583,9 @@ mod tests {
         );
         assert_eq!(ReduceChoice::parse("auto"), Some(ReduceChoice::Auto));
         assert_eq!(ReduceChoice::parse("bogus"), None);
-        assert_eq!(ReduceChoice::Auto.advertised_level(), 1);
-        assert_eq!(ReduceChoice::Fast.advertised_level(), 0);
+        assert_eq!(ReduceChoice::Fast.resolve_local(), ReduceKind::Fast);
+        for choice in [ReduceChoice::Reproducible, ReduceChoice::Auto] {
+            assert_eq!(choice.resolve_local(), ReduceKind::Reproducible);
+        }
     }
 }

@@ -15,7 +15,7 @@
 use crate::checkpoint::{self, BootstrapProgress, Checkpoint, CheckpointHeader, CheckpointPayload};
 use crate::run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome};
 use crate::scheme::SchemeExchange;
-use crate::{capability, run_world, Allreduce};
+use crate::{run_world, Allreduce};
 use exa_bio::patterns::{CompressedAlignment, CompressedPartition};
 use exa_phylo::tree::bipartitions::bipartitions;
 use exa_search::evaluator::SearchSnapshot;
@@ -122,10 +122,9 @@ pub(crate) fn bootstrap_impl(
     }
     let trace_out = bs.trace_out.as_deref();
     // What a resumed best run is reported with and what the
-    // between-replicate headers carry: every rank of an in-process world
-    // shares the host, so the (by then gone) world negotiated exactly what
-    // the configuration resolves to locally.
-    let modes = capability::resolve_local(&cfg.capability_requests(0));
+    // between-replicate headers carry: the modes every world of this run
+    // computes with.
+    let modes = cfg.modes();
 
     let (mut best, mut committed, mut counts, mut replicate_lnls, start) = match resume {
         // Between-replicate checkpoint: the best run already finished —

@@ -17,7 +17,7 @@
 //! {payload json}           CheckpointPayload, exactly payload_len bytes
 //! ```
 //!
-//! The header carries the format version, the *negotiated* kernel backend
+//! The header carries the format version, the resolved kernel backend
 //! and site-repeats setting, the rank count, and an FNV-1a fingerprint of
 //! the payload bytes (reusing `exa_obs::fnv1a`), so a reader can decide
 //! whether a resume is compatible — or reject a torn/corrupt file — before
@@ -64,11 +64,11 @@ pub struct CheckpointHeader {
     /// `"forkjoin"`). Informational: resume under the other scheme is
     /// allowed (the replicated state is scheme-agnostic).
     pub scheme: String,
-    /// Label of the negotiated likelihood-kernel backend. Elastic on
-    /// resume — backends are bitwise identical by contract.
+    /// Label of the likelihood-kernel backend the run computed with.
+    /// Elastic on resume — backends are bitwise identical by contract.
     pub kernel: String,
-    /// Label of the negotiated site-repeats setting. Elastic on resume
-    /// for the same reason.
+    /// Label of the site-repeats setting. Elastic on resume for the same
+    /// reason.
     pub site_repeats: String,
     /// World size that wrote the checkpoint. Elastic on resume: the
     /// replicated state redistributes over any rank count.
@@ -91,7 +91,7 @@ pub struct CheckpointHeader {
     pub payload_len: u64,
     /// FNV-1a 64 of the payload bytes.
     pub payload_fingerprint: u64,
-    /// Label of the negotiated reduction mode (`"fast"`/`"reproducible"`). `None`
+    /// Label of the reduction mode (`"fast"`/`"reproducible"`). `None`
     /// on checkpoints written before reduce-mode selection existed (treated
     /// as `"fast"` on resume). Gates `rank_count` elasticity: a fast-mode
     /// lnL trajectory is a function of the rank count, so resuming it on a

@@ -13,12 +13,13 @@
 //! The run flags ([`run_flags`]) write straight into a [`RunConfig`] and
 //! are shared by every verb that describes a run (`examl` itself through
 //! [`Cli`], `examl serve submit` through its job spec); a verb's defaults
-//! are simply the `RunConfig` its target starts from. The five negotiated
-//! modes get their rows from their [`Choice`] impls.
+//! are simply the `RunConfig` its target starts from. The five run modes
+//! get their rows from their [`Choice`] impls.
 
-use crate::capability::Choice;
 use crate::fault::INJECT_SPEC;
 use crate::run::{BootstrapOptions, RunConfig};
+use exa_comm::ReduceChoice;
+use exa_phylo::engine::{GradientChoice, KernelChoice, RepeatsChoice, ThreadsChoice};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::{BranchMode, StartingTree};
 use std::path::PathBuf;
@@ -292,13 +293,113 @@ fn path(v: &str) -> Result<Option<PathBuf>, &'static str> {
     Ok(Some(v.into()))
 }
 
-/// The row of one negotiated mode, from its [`Choice`] impl: the flag that
-/// sets the choice at `choice`.
+/// A run mode's operator surface, written once: the flag, the variable that
+/// sets its default, the accepted values and the help paragraph. The mode's
+/// row ([`run_flags`]) and its variable's check ([`mode_env`]) are
+/// generated from it.
+pub trait Choice: Sized {
+    /// The command-line flag that sets this choice, as `--help` shows it
+    /// (`--name VALUE`).
+    const FLAG: &'static str;
+    /// The environment variable the type's `from_env` reads the default
+    /// from.
+    const ENV: &'static str;
+    /// The accepted values, as an error message names them.
+    const VALUES: &'static str;
+    /// The `--help` paragraph of [`Choice::FLAG`].
+    const HELP: &'static str;
+    /// Parse a [`Choice::FLAG`] / [`Choice::ENV`] value.
+    fn parse(s: &str) -> Option<Self>;
+}
+
+impl Choice for KernelChoice {
+    const FLAG: &'static str = "--kernel MODE";
+    const ENV: &'static str = "EXAML_KERNEL";
+    const VALUES: &'static str = "scalar, simd or auto";
+    const HELP: &'static str = "likelihood-kernel backend: scalar | simd | auto (default auto: \
+        simd where the host has AVX2, else scalar)";
+    fn parse(s: &str) -> Option<Self> {
+        KernelChoice::parse(s)
+    }
+}
+
+impl Choice for RepeatsChoice {
+    const FLAG: &'static str = "--site-repeats MODE";
+    const ENV: &'static str = "EXAML_SITE_REPEATS";
+    const VALUES: &'static str = "on, off or auto";
+    const HELP: &'static str = "subtree-repeat CLV compression: on | off | auto (default auto, \
+        which is on)";
+    fn parse(s: &str) -> Option<Self> {
+        RepeatsChoice::parse(s)
+    }
+}
+
+impl Choice for ReduceChoice {
+    const FLAG: &'static str = "--reduce MODE";
+    const ENV: &'static str = "EXAML_REDUCE";
+    const VALUES: &'static str = "fast, reproducible or auto";
+    const HELP: &'static str = "collective reduction mode: fast | reproducible | auto \
+        (reproducible sums are bitwise invariant to rank count and summation order; auto is \
+        reproducible; default fast)";
+    fn parse(s: &str) -> Option<Self> {
+        ReduceChoice::parse(s)
+    }
+}
+
+impl Choice for ThreadsChoice {
+    const FLAG: &'static str = "--threads MODE";
+    const ENV: &'static str = "EXAML_THREADS";
+    const VALUES: &'static str = "a count or auto";
+    const HELP: &'static str = "intra-rank worker threads per rank executing kernel batches \
+        task-parallel: a count or auto (bitwise invisible: the lnL trajectory is identical at \
+        any count; default auto, which is 1)";
+    fn parse(s: &str) -> Option<Self> {
+        ThreadsChoice::parse(s)
+    }
+}
+
+impl Choice for GradientChoice {
+    const FLAG: &'static str = "--gradient MODE";
+    const ENV: &'static str = "EXAML_GRADIENT";
+    const VALUES: &'static str = "on, off or auto";
+    const HELP: &'static str = "full-tree branch gradient route: on | off | auto (on computes \
+        all edge derivatives in one sweep and reduces them in a single collective, off walks \
+        the edges; bitwise-equal numbers; branch smoothing does not call it, so a run is the \
+        same either way; default auto, which is on)";
+    fn parse(s: &str) -> Option<Self> {
+        GradientChoice::parse(s)
+    }
+}
+
+/// The row of one run mode, from its [`Choice`] impl: the flag that sets
+/// the choice at `choice`.
 fn mode_flag<C: Choice + 'static>(choice: fn(&mut RunConfig) -> &mut C) -> Flag<RunConfig> {
     Flag::new(C::FLAG, move |r, v| {
         set(choice(r), C::parse(v).ok_or(C::VALUES))
     })
     .help(format!("{}; also via {}", C::HELP, C::ENV))
+}
+
+/// A mode variable set to a value its flag would refuse. The library's
+/// [`RunConfig::new`] falls back to the default for such a value; a command
+/// line that takes its defaults from the variables refuses it instead, as a
+/// usage error, before it reads any input.
+pub fn mode_env() -> Result<(), CliError> {
+    fn check<C: Choice>() -> Result<(), CliError> {
+        match std::env::var(C::ENV) {
+            Ok(value) if C::parse(&value).is_none() => Err(CliError::BadValue {
+                flag: C::ENV,
+                value,
+                expected: C::VALUES,
+            }),
+            _ => Ok(()),
+        }
+    }
+    check::<KernelChoice>()?;
+    check::<RepeatsChoice>()?;
+    check::<ReduceChoice>()?;
+    check::<ThreadsChoice>()?;
+    check::<GradientChoice>()
 }
 
 /// The `--partitions` row, for every verb that names an alignment.
@@ -487,9 +588,7 @@ impl Cli {
                 "test fault injection, repeatable: {INJECT_SPEC}. kill: die after N committed \
                  checkpoints, all ranks or just RANK (needs --checkpoint-out; exit code 3). \
                  diverge: flip one state bit on RANK after COLLECTIVE collectives (caught by \
-                 --verify-replicas). <mode> (kernel, site_repeats, reduce, threads, gradient): \
-                 force these labels per rank, cycled over the ranks, instead of what the mode's \
-                 flag negotiates; a mixed table must trip the sentinel at its first sync"
+                 --verify-replicas)"
             )),
             Row::new("--binary-out FILE", |c, v| {
                 set(&mut c.io.binary_out, path(v))
@@ -537,6 +636,7 @@ impl Cli {
             io: Io::default(),
         };
         parse(&Cli::flags(), &mut cli, args)?;
+        mode_env()?;
         let Cli { run, io } = &mut cli;
         // An explicit --checkpoint-every always wins (0 disables the
         // iteration cadence); absent, commit every iteration — unless only
@@ -584,11 +684,7 @@ mod tests {
     use super::*;
     use crate::fault::Faults;
     use crate::sentinel::{DivergenceFault, FaultComponent};
-    use exa_comm::{ReduceChoice, ReduceKind};
-    use exa_phylo::engine::{
-        GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
-        ThreadCount, ThreadsChoice,
-    };
+    use exa_phylo::engine::ThreadCount;
     use exa_search::{KillSpec, SearchConfig};
     use std::path::Path;
 
@@ -680,20 +776,6 @@ mod tests {
                     .collect_trace(false),
             ),
             (
-                "--phylip smoke.phy --ranks 4 --iterations 2 --seed 7 --reduce reproducible \
-                 --inject reduce:reproducible,fast --verify-replicas 1 --quiet",
-                examl(4)
-                    .search(iterations(2))
-                    .seed(7)
-                    .reduce(reproducible)
-                    .faults(Faults {
-                        reduce: vec![ReduceKind::Reproducible, ReduceKind::Fast],
-                        ..Faults::none()
-                    })
-                    .verify_replicas(1)
-                    .collect_trace(false),
-            ),
-            (
                 "--phylip smoke.phy --ranks 2 --iterations 3 --seed 7 --threads 1 \
                  --health-out threads_1.jsonl --quiet",
                 examl(2)
@@ -737,20 +819,6 @@ mod tests {
                     .collect_trace(false),
             ),
             (
-                "--phylip smoke.phy --ranks 4 --iterations 2 --seed 7 --gradient auto \
-                 --inject gradient:on,off --verify-replicas 1 --quiet",
-                examl(4)
-                    .search(iterations(2))
-                    .seed(7)
-                    .gradient(GradientChoice::Auto)
-                    .faults(Faults {
-                        gradient: vec![GradientMode::On, GradientMode::Off],
-                        ..Faults::none()
-                    })
-                    .verify_replicas(1)
-                    .collect_trace(false),
-            ),
-            (
                 "--phylip smoke.phy --ranks 2 --iterations 3 --checkpoint-out ckpt \
                  --checkpoint-every 1 --health-out ckpt_health.jsonl --quiet",
                 examl(2)
@@ -783,14 +851,30 @@ mod tests {
                     .health_out("env.jsonl")
                     .collect_trace(false),
             ),
+            (
+                "--phylip smoke.phy --ranks 4 --iterations 2 --seed 7 --verify-replicas 1 \
+                 --inject diverge:1:3:alpha --quiet",
+                examl(4)
+                    .search(iterations(2))
+                    .seed(7)
+                    .verify_replicas(1)
+                    .faults(Faults {
+                        divergence: Some(DivergenceFault {
+                            rank: 1,
+                            after_collectives: 3,
+                            component: FaultComponent::Alpha,
+                        }),
+                        ..Faults::none()
+                    })
+                    .collect_trace(false),
+            ),
             // The historical `full_flag_set_parses` line.
             (
                 "--phylip a.phy --partitions p.txt --ranks 8 --model psr --kernel simd \
                  --site-repeats off --reduce reproducible --threads 2 --gradient on --batch off \
-                 --inject threads:2,4 --inject gradient:on,off --resize-at 2:1,5:4 -Q -M \
-                 --seed 7 --starting-tree random --iterations 3 --radius 2 --epsilon 0.5 \
-                 --verify-replicas 16 --inject diverge:1:10:alpha \
-                 --inject reduce:reproducible,fast --metrics-out metrics.prom --quiet",
+                 --resize-at 2:1,5:4 -Q -M --seed 7 --starting-tree random --iterations 3 \
+                 --radius 2 --epsilon 0.5 --verify-replicas 16 --inject diverge:1:10:alpha \
+                 --metrics-out metrics.prom --quiet",
                 examl(8)
                     .rate_model(RateModelKind::Psr)
                     .branch_mode(BranchMode::PerPartition)
@@ -813,9 +897,6 @@ mod tests {
                             after_collectives: 10,
                             component: FaultComponent::Alpha,
                         }),
-                        reduce: vec![ReduceKind::Reproducible, ReduceKind::Fast],
-                        threads: vec![ThreadCount::new(2), ThreadCount::new(4)],
-                        gradient: vec![GradientMode::On, GradientMode::Off],
                         ..Faults::none()
                     }),
             ),
@@ -869,13 +950,15 @@ mod tests {
             ("--checkpoint-out c --inject kill:3:1", {
                 examl(4).checkpoint("c", 1).faults(kill(3, Some(1)))
             }),
-            // The two mode keys no line above forces, and a later spec of a
-            // kind replacing an earlier one.
+            // A later spec of a kind replaces an earlier one.
             (
-                "--inject kernel:scalar,simd --inject site_repeats:off --inject kernel:simd",
+                "--inject diverge:2:5:blen --inject diverge:0:3:alpha",
                 examl(4).faults(Faults {
-                    kernel: vec![KernelKind::Simd],
-                    site_repeats: vec![SiteRepeats::Off],
+                    divergence: Some(DivergenceFault {
+                        rank: 0,
+                        after_collectives: 3,
+                        component: FaultComponent::Alpha,
+                    }),
                     ..Faults::none()
                 }),
             ),
@@ -1120,13 +1203,15 @@ mod tests {
     #[test]
     fn malformed_inject_specs_are_usage_errors() {
         for (spec, expected) in [
-            ("frob:1", "a fault kind: kill, diverge, kernel"),
-            ("batch:on", "a fault kind: kill, diverge, kernel"),
-            ("reduce:exact", "<mode>:LABEL[,LABEL...]"),
-            ("kernel:auto", "<mode>:LABEL[,LABEL...]"),
+            ("frob:1", "a fault kind: kill or diverge"),
+            ("batch:on", "a fault kind: kill or diverge"),
+            // A mode is configuration: no rank can be told to compute with
+            // another one.
+            ("kernel:scalar,simd", "a fault kind: kill or diverge"),
+            ("reduce:fast", "a fault kind: kill or diverge"),
             (
                 "kill",
-                "kill:N[:RANK], diverge:RANK:COLLECTIVE:alpha|blen or <mode>",
+                "kill:N[:RANK] or diverge:RANK:COLLECTIVE:alpha|blen",
             ),
             ("diverge:1:5", "diverge:RANK:COLLECTIVE:alpha|blen"),
             ("diverge:1:5:topology", "diverge:RANK:COLLECTIVE:alpha|blen"),
@@ -1228,25 +1313,6 @@ mod tests {
         assert!(err.to_string().contains("on or off"), "{err}");
         let err = parse(&["--gradient", "maybe"]).unwrap_err();
         assert!(err.to_string().contains("on, off or auto"), "{err}");
-        for (key, bads) in [
-            ("gradient", ["", "auto", "on,", "on,maybe"]),
-            ("threads", ["", "0", "2,", "2,x"]),
-            ("reduce", ["", "exact", "fast,", "fast,auto"]),
-        ] {
-            for bad in bads {
-                let err = parse(&["--inject", &format!("{key}:{bad}")]).unwrap_err();
-                assert!(
-                    matches!(
-                        err,
-                        CliError::BadValue {
-                            flag: "--inject",
-                            ..
-                        }
-                    ),
-                    "{key}:{bad:?} should be rejected, got {err:?}"
-                );
-            }
-        }
         // Out-of-order, zero-width and malformed plans are all rejected.
         for bad in ["", "3", "3:", "3:0", "5:2,3:4", "3:2,3:1", "x:2"] {
             let err = parse(&["--reduce", "auto", "--resize-at", bad]).unwrap_err();
@@ -1325,8 +1391,7 @@ mod tests {
             assert_eq!(entries, 1, "{} in:\n{help}", f.name);
         }
         assert!(help.lines().all(|l| l.len() <= 80), "{help}");
-        // Every negotiated mode's row names the variable its default is
-        // read from.
+        // Every mode's row names the variable its default is read from.
         for (flag, env) in [
             ("--kernel", "EXAML_KERNEL"),
             ("--site-repeats", "EXAML_SITE_REPEATS"),

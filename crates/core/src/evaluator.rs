@@ -68,11 +68,11 @@ impl Allreduce {
     }
 
     /// One fingerprint sync at evaluator setup, before the search's first
-    /// collective. The resolved modes are part of the fingerprint, so a
-    /// world whose ranks compute with different modes (a forced per-rank
-    /// table, a host that resolved `auto` differently) is refused at sync
-    /// #1 with the sentinel's ordinary minority-report diagnostic, before
-    /// any of its sums count. No-op while disabled.
+    /// collective. The modes each rank's engine and evaluator report are
+    /// part of the fingerprint, so a world whose ranks compute with
+    /// different modes is refused at sync #1 with the sentinel's ordinary
+    /// minority-report diagnostic, before any of its sums count. No-op
+    /// while disabled.
     pub fn initial_sentinel_sync(eval: &mut DecentralizedEvaluator) {
         if eval.exchange().sentinel.cadence != 0 {
             Self::sync_fingerprints(eval);

@@ -31,21 +31,16 @@ use crate::checkpoint::{self, Checkpoint, CheckpointHeader, CheckpointPayload};
 use crate::scheme::SchemeExchange;
 use crate::sentinel::{DivergenceFault, FaultComponent};
 use crate::{
-    die_now, Allreduce, CheckpointFailed, Choice, DecentralizedEvaluator, RunConfig, Scheme,
-    WorldContext,
+    die_now, Allreduce, CheckpointFailed, DecentralizedEvaluator, RunConfig, Scheme, WorldContext,
 };
 use exa_bio::patterns::CompressedAlignment;
-use exa_comm::{CommCategory, Rank, ReduceChoice, ReduceKind};
+use exa_comm::{CommCategory, Rank};
 use exa_obs::{imbalance_ratio, HeartbeatRecord};
-use exa_phylo::engine::{
-    GradientChoice, GradientMode, KernelChoice, KernelKind, RepeatsChoice, SiteRepeats,
-    ThreadCount, ThreadsChoice,
-};
 use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{
     CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState, SearchSnapshot,
 };
-use exa_search::{BoundaryInfo, KillPanic, KillSpec, Modes, PreemptPanic, SearchHooks};
+use exa_search::{BoundaryInfo, KillPanic, KillSpec, PreemptPanic, SearchHooks};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::marker::PhantomData;
@@ -67,21 +62,10 @@ pub struct Faults {
     /// Flip one state bit on one rank mid-search
     /// (`diverge:RANK:COLLECTIVE:alpha|blen`; caught by `verify_replicas`).
     pub divergence: Option<DivergenceFault>,
-    /// Per-rank forced modes, one table per negotiated mode
-    /// (`<key>:LABEL[,LABEL...]`): rank `r` computes with `table[r % len]`
-    /// whatever its choice negotiates; an empty table forces nothing. A
-    /// mixed table is a deployment error the sentinel must catch at its
-    /// first sync.
-    pub kernel: Vec<KernelKind>,
-    pub site_repeats: Vec<SiteRepeats>,
-    pub reduce: Vec<ReduceKind>,
-    pub threads: Vec<ThreadCount>,
-    pub gradient: Vec<GradientMode>,
 }
 
 /// The `--inject` grammar, as `--help` and an error message name it.
-pub(crate) const INJECT_SPEC: &str =
-    "kill:N[:RANK], diverge:RANK:COLLECTIVE:alpha|blen or <mode>:LABEL[,LABEL...]";
+pub(crate) const INJECT_SPEC: &str = "kill:N[:RANK] or diverge:RANK:COLLECTIVE:alpha|blen";
 
 impl Faults {
     /// No faults.
@@ -90,8 +74,7 @@ impl Faults {
     }
 
     /// Add the fault one `--inject` spec describes (a later spec of the
-    /// same kind replaces an earlier one). `<mode>` is a negotiated key of
-    /// [`Modes::labels`], each `LABEL` one of the labels it reports.
+    /// same kind replaces an earlier one).
     pub fn inject(&mut self, spec: &str) -> Result<(), &'static str> {
         let (kind, value) = spec.split_once(':').ok_or(INJECT_SPEC)?;
         match kind {
@@ -100,17 +83,7 @@ impl Faults {
                 let fault = divergence(value).ok_or("diverge:RANK:COLLECTIVE:alpha|blen")?;
                 self.divergence = Some(fault);
             }
-            "kernel" => self.kernel = forced::<KernelChoice>(value)?,
-            "site_repeats" => self.site_repeats = forced::<RepeatsChoice>(value)?,
-            "reduce" => self.reduce = forced::<ReduceChoice>(value)?,
-            "threads" => self.threads = forced::<ThreadsChoice>(value)?,
-            "gradient" => self.gradient = forced::<GradientChoice>(value)?,
-            _ => {
-                return Err(
-                    "a fault kind: kill, diverge, kernel, site_repeats, reduce, threads or \
-                     gradient",
-                )
-            }
+            _ => return Err("a fault kind: kill or diverge"),
         }
         Ok(())
     }
@@ -118,9 +91,7 @@ impl Faults {
     /// Whether a world of `world_size` ranks under `scheme` can deliver
     /// these faults: every named rank exists, and under fork-join — no
     /// replicas, and only the master runs boundary hooks — a kill targets
-    /// the master, nothing diverges or dies on a script, and every rank
-    /// computes with the same modes (no sentinel could refuse a mixed
-    /// world).
+    /// the master and nothing diverges or dies on a script.
     pub fn validate(&self, world_size: usize, scheme: Scheme) -> Result<(), &'static str> {
         let victim = self.kill.and_then(|k| k.rank);
         if victim.is_some_and(|r| r >= world_size) {
@@ -143,14 +114,6 @@ impl Faults {
         }
         if self.divergence.is_some() || !self.plan.failures.is_empty() {
             return Err("fork-join has no replicas to corrupt or to recover with");
-        }
-        let mixed = mixed(&self.kernel, world_size)
-            || mixed(&self.site_repeats, world_size)
-            || mixed(&self.reduce, world_size)
-            || mixed(&self.threads, world_size)
-            || mixed(&self.gradient, world_size);
-        if mixed {
-            return Err("fork-join has no replica sentinel; refusing a mixed mode table");
         }
         Ok(())
     }
@@ -188,22 +151,6 @@ fn divergence(spec: &str) -> Option<DivergenceFault> {
         after_collectives: parts.next()?.parse().ok()?,
         component: FaultComponent::parse(parts.next()?)?,
     })
-}
-
-/// `LABEL[,LABEL...]`: any explicit choice of `C`, as the mode it forces.
-fn forced<C: Choice>(labels: &str) -> Result<Vec<C::Mode>, &'static str> {
-    let mode = |label| {
-        C::parse(label)
-            .filter(|c| *c != C::AUTO)
-            .map(C::resolve_local)
-    };
-    let modes = labels.split(',').map(mode).collect::<Option<_>>();
-    modes.ok_or("<mode>:LABEL[,LABEL...], each LABEL an explicit value of that mode's flag")
-}
-
-/// Do ranks `0..ranks` of a cyclic per-rank table disagree?
-fn mixed<M: PartialEq>(table: &[M], ranks: usize) -> bool {
-    table.iter().take(ranks).any(|m| *m != table[0])
 }
 
 /// A scripted set of rank failures, for tests and examples: rank `r` dies
@@ -259,9 +206,6 @@ struct HealthState {
 pub(crate) struct BoundaryHooks<'a, X> {
     rank: Rank,
     ctx: &'a WorldContext<'a>,
-    /// The modes agreed at startup: stamped into every heartbeat and
-    /// checkpoint header, and kept across engine rebuilds.
-    modes: Modes,
     /// This rank's current data assignment (kept in sync with recoveries;
     /// needed to map local PSR rates to global pattern indices).
     assignment: exa_sched::RankAssignment,
@@ -290,7 +234,6 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
     pub(crate) fn new(
         rank: Rank,
         ctx: &'a WorldContext<'a>,
-        modes: Modes,
         assignment: exa_sched::RankAssignment,
         eval: &ExchangeEvaluator<X>,
     ) -> Self {
@@ -302,7 +245,6 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
         BoundaryHooks {
             rank,
             ctx,
-            modes,
             assignment,
             snapshot: eval.snapshot(),
             checkpoints_written: 0,
@@ -395,7 +337,7 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
             psr_rates,
         };
         let ckpt = Checkpoint::build(
-            CheckpointHeader::new(cfg, self.ctx.aln, X::LABEL, &self.modes),
+            CheckpointHeader::new(cfg, self.ctx.aln, X::LABEL, &self.ctx.modes),
             CheckpointPayload {
                 snapshot,
                 bootstrap: None,
@@ -501,11 +443,6 @@ fn typed<X: SchemeExchange>(eval: &mut dyn Evaluator) -> &mut ExchangeEvaluator<
 impl SchemeExchange for Allreduce {
     const LABEL: &'static str = "decentralized";
 
-    /// One packed allgather, `Auto` slots adopt the world minimum.
-    fn modes(rank: &Rank, cfg: &RunConfig) -> Modes {
-        crate::capability::negotiate(rank, &cfg.capability_requests(rank.id()))
-    }
-
     fn connect(rank: Rank, cfg: &RunConfig) -> Allreduce {
         let mut exchange = Allreduce::new(rank);
         exchange.set_sentinel(cfg.verify_replicas, cfg.faults.divergence);
@@ -547,7 +484,7 @@ impl SchemeExchange for Allreduce {
     }
 
     /// Every rank contributes its bit-mask byte on an allgather and all
-    /// adopt the OR — the same pattern as capability negotiation.
+    /// adopt the OR.
     fn agree(&self, bits: u8) -> Option<u8> {
         let blobs = self
             .rank()
@@ -644,7 +581,7 @@ impl SchemeExchange for Allreduce {
             clv_saved: Some(work.clv_saved),
             last_checkpoint_iter: hooks.last_checkpoint_iter,
             checkpoint_write_ms: hooks.last_checkpoint_ms,
-            modes: Some(hooks.modes.label_map()),
+            modes: Some(hooks.ctx.modes.label_map()),
         };
         OpenOptions::new()
             .create(true)
@@ -682,7 +619,7 @@ impl SchemeExchange for Allreduce {
         let world = hooks.rank.world_size();
         let assignments = crate::padded_assignments(hooks.ctx.aln, width, world, cfg.strategy);
         hooks.assignment = assignments[hooks.rank.id()].clone();
-        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment, &hooks.modes));
+        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment));
         // Stamped on every rank — trace event sequences stay comparable.
         exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));
     }
@@ -700,14 +637,12 @@ impl SchemeExchange for Allreduce {
             .expect("a failed rank cannot recover");
 
         // 2. Redistribute: recompute the assignment over the survivors and
-        //    rebuild the local engine from the shared alignment. The rebuilt
-        //    engine keeps the modes negotiated at startup — the survivors
-        //    already agreed on them, and re-negotiating here would require a
-        //    collective the failed rank can no longer join.
+        //    rebuild the local engine from the shared alignment, under the
+        //    world's modes.
         let assignments =
             exa_sched::distribute(hooks.ctx.aln, survivors.len(), hooks.ctx.cfg.strategy);
         hooks.assignment = assignments[my_index].clone();
-        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment, &hooks.modes));
+        eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment));
 
         // 3. Rewind to the last consistent boundary and retry.
         eval.restore(&hooks.snapshot);
@@ -718,7 +653,6 @@ impl SchemeExchange for Allreduce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::resolve_local;
 
     fn injected(specs: &[&str]) -> Faults {
         let mut faults = Faults::none();
@@ -730,37 +664,9 @@ mod tests {
         faults
     }
 
-    /// Every negotiated key of `Modes::labels` takes a table of the labels
-    /// it reports, and forcing them yields exactly those labels.
-    #[test]
-    fn every_negotiated_mode_key_is_injectable() {
-        let modes = Modes {
-            kernel: KernelKind::Scalar,
-            site_repeats: SiteRepeats::Off,
-            reduce: ReduceKind::Reproducible,
-            threads: ThreadCount::new(3),
-            gradient: GradientMode::Off,
-            batch: true,
-        };
-        let specs: Vec<String> = modes
-            .labels()
-            .iter()
-            .filter(|(key, _)| *key != "batch")
-            .map(|(key, label)| format!("{key}:{label}"))
-            .collect();
-        assert_eq!(specs.len(), 5);
-        let cfg = RunConfig::new(2).faults(injected(
-            &specs.iter().map(String::as_str).collect::<Vec<_>>(),
-        ));
-        for rank in 0..2 {
-            assert_eq!(resolve_local(&cfg.capability_requests(rank)), modes);
-        }
-        assert!(Faults::none().inject("batch:off").is_err());
-    }
-
     #[test]
     fn faults_never_leave_the_process() {
-        let cfg = RunConfig::new(2).faults(injected(&["kill:1:1", "reduce:fast,reproducible"]));
+        let cfg = RunConfig::new(2).faults(injected(&["kill:1:1", "diverge:1:5:blen"]));
         let json = serde_json::to_string(&cfg).unwrap();
         assert!(json.contains(r#""faults":null"#), "{json}");
         let back: RunConfig = serde_json::from_str(&json).unwrap();
@@ -781,8 +687,8 @@ mod tests {
             ..Faults::none()
         };
         assert!(!ok(&plan, 4, Dec));
-        // Fork-join: only the master runs boundary hooks, nothing is
-        // replicated, and no sentinel could refuse a mixed world.
+        // Fork-join: only the master runs boundary hooks, and nothing is
+        // replicated.
         assert!(ok(&injected(&["kill:1"]), 4, Fj));
         assert!(ok(&injected(&["kill:1:0"]), 4, Fj));
         assert!(!ok(&injected(&["kill:1:1"]), 4, Fj));
@@ -795,16 +701,5 @@ mod tests {
             4,
             Fj
         ));
-        assert!(ok(&injected(&["reduce:fast,fast", "threads:2"]), 4, Fj));
-        for mixed in [
-            "kernel:scalar,simd",
-            "site_repeats:on,off",
-            "gradient:on,off",
-        ] {
-            assert!(ok(&injected(&[mixed]), 4, Dec), "{mixed}");
-            assert!(!ok(&injected(&[mixed]), 4, Fj), "{mixed}");
-        }
-        // A table longer than the world is only mixed where ranks read it.
-        assert!(ok(&injected(&["reduce:fast,reproducible"]), 1, Fj));
     }
 }

@@ -26,7 +26,6 @@
 //! `ToMaster`, the paper's baseline (§III-A).
 
 pub mod bootstrap;
-pub mod capability;
 pub mod checkpoint;
 pub mod cli;
 pub mod evaluator;
@@ -35,8 +34,7 @@ pub mod run;
 mod scheme;
 pub mod sentinel;
 
-pub use capability::{CapabilityRequests, Choice};
-pub use cli::{Cli, CliError};
+pub use cli::{Choice, Cli, CliError};
 pub use evaluator::{Allreduce, DecentralizedEvaluator};
 pub use fault::Faults;
 pub use run::{BootstrapOptions, BootstrapSummary, RunConfig, RunError, RunOutcome, Scheme};
@@ -71,6 +69,9 @@ pub(crate) struct WorldContext<'a> {
     /// over the configured rank count; ranks beyond it are resize head-room
     /// and hold an empty assignment until the plan grows into them.
     pub assignments: Vec<exa_sched::RankAssignment>,
+    /// What every rank computes with: [`RunConfig::modes`], resolved once
+    /// per world. An engine rebuilt after a resize or a failure keeps it.
+    pub modes: Modes,
     /// Pre-validated payload of the checkpoint generation to restart from
     /// (loaded once by the caller; every rank restores from the same parsed
     /// state).
@@ -85,14 +86,9 @@ pub(crate) struct WorldContext<'a> {
 impl WorldContext<'_> {
     /// Build this rank's engine over `assignment` under the world's modes —
     /// at startup, and again whenever the data is redistributed (planned
-    /// resize, failure recovery: the survivors keep the modes negotiated at
-    /// startup, re-negotiating would need a collective the failed rank can
-    /// no longer join).
-    pub(crate) fn build_engine(
-        &self,
-        assignment: &exa_sched::RankAssignment,
-        modes: &Modes,
-    ) -> exa_phylo::Engine {
+    /// resize, failure recovery).
+    pub(crate) fn build_engine(&self, assignment: &exa_sched::RankAssignment) -> exa_phylo::Engine {
+        let modes = &self.modes;
         exa_sched::build_engine(
             self.aln,
             assignment,
@@ -143,7 +139,6 @@ enum RankEnd {
         state: Box<GlobalState>,
         stats: CommStats,
         sentinel_syncs: u64,
-        modes: Modes,
         checkpoints: u64,
     },
     /// The run stops with this error: the sentinel tripped (every rank
@@ -213,6 +208,7 @@ pub(crate) fn run_world<X: SchemeExchange>(
         freqs: exa_bio::stats::global_frequencies(aln),
         shared: exa_sched::SharedSlices::build(aln),
         assignments: padded_assignments(aln, cfg.n_ranks, world, cfg.strategy),
+        modes: cfg.modes(),
         resume,
         aborting: AtomicBool::new(false),
     };
@@ -236,13 +232,12 @@ pub(crate) fn run_world<X: SchemeExchange>(
                 state,
                 stats,
                 sentinel_syncs,
-                modes,
                 checkpoints,
             } => {
                 lnls.push(result.lnl.to_bits());
                 syncs = syncs.max(sentinel_syncs);
                 ckpts = ckpts.max(checkpoints);
-                chosen.get_or_insert((result, state, stats, modes));
+                chosen.get_or_insert((result, state, stats));
             }
             RankEnd::Stopped(e) => {
                 stopped.get_or_insert(e);
@@ -257,14 +252,14 @@ pub(crate) fn run_world<X: SchemeExchange>(
         lnls.windows(2).all(|w| w[0] == w[1]),
         "de-centralized replicas diverged: {lnls:?}"
     );
-    let (result, state, comm_stats, modes) = chosen.expect("at least one rank must finish");
+    let (result, state, comm_stats) = chosen.expect("at least one rank must finish");
     let mut outcome = RunOutcome {
         comm_stats,
         work,
         mem_bytes,
         survivors: (0..world).filter(|r| !cfg.faults.plan.kills(*r)).collect(),
         sentinel_syncs: syncs,
-        ..RunOutcome::new(result, *state, &aln.taxa, &modes)
+        ..RunOutcome::new(result, *state, &aln.taxa, &ctx.modes)
     };
     let data_ranks = &ctx.assignments[..cfg.n_ranks];
     outcome.health.predicted_imbalance =
@@ -301,14 +296,12 @@ fn record_batch_metrics(engine: &exa_phylo::Engine) {
 
 fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankReport {
     let (aln, cfg) = (ctx.aln, ctx.cfg);
-    // 1. This rank's row of the world's assignment table, and the compute
-    //    modes, settled before any engine is built. Every rank stamps the
-    //    modes into its trace so post-hoc analysis knows what the run
-    //    computed with.
+    // 1. This rank's row of the world's assignment table and its engine,
+    //    under the world's modes. Every rank stamps the modes into its trace
+    //    so post-hoc analysis knows what the run computed with.
     let assignment = &ctx.assignments[rank.id()];
-    let modes = X::modes(&rank, cfg);
-    modes.stamp_trace();
-    let engine = ctx.build_engine(assignment, &modes);
+    ctx.modes.stamp_trace();
+    let engine = ctx.build_engine(assignment);
     record_batch_metrics(&engine);
     // Account the initial data distribution (real ExaML reads the binary
     // alignment via MPI I/O; the in-process world shares memory, so this
@@ -322,7 +315,7 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
             .sum();
         rank.account(CommCategory::Control, exa_comm::OpKind::Scatter, bytes);
     }
-    let engine = match X::serve(&rank, engine, ctx, &modes) {
+    let engine = match X::serve(&rank, engine, ctx) {
         ControlFlow::Continue(engine) => engine,
         ControlFlow::Break((work, mem_bytes)) => {
             return RankReport {
@@ -347,7 +340,7 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
         aln.n_partitions(),
         cfg.branch_mode,
     )
-    .with_modes(&modes);
+    .with_modes(&ctx.modes);
     let resume_point = ctx.resume.map(|p| {
         X::install_resume(&mut eval, &p.snapshot, aln, assignment);
         p.snapshot.resume_point()
@@ -356,7 +349,7 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
     // 3. The search. However it ends, the peers are released before this
     //    rank's report is read: at the end here, before any unwind in the
     //    hooks.
-    let mut hooks = fault::BoundaryHooks::new(rank.clone(), ctx, modes, assignment.clone(), &eval);
+    let mut hooks = fault::BoundaryHooks::new(rank.clone(), ctx, assignment.clone(), &eval);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         X::before_search(&mut eval);
         let result = run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref());
@@ -369,7 +362,6 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
             state: Box::new(eval.snapshot()),
             stats: rank.stats(),
             sentinel_syncs: eval.exchange().sentinel_syncs(),
-            modes,
             checkpoints: hooks.checkpoints_written(),
         },
         Err(payload) => how_it_stopped(payload, ctx),

@@ -3,8 +3,8 @@
 //! Every combination of scheme × tracing × divergence handling × bootstrap
 //! goes through [`RunConfig`]: one builder-style configuration, one
 //! [`RunConfig::run`] call, one [`RunOutcome`] that always carries the
-//! negotiated kernel backend, the optional trace and the end-of-run
-//! [`HealthReport`].
+//! kernel backend the run computed with, the optional trace and the
+//! end-of-run [`HealthReport`].
 //!
 //! ```no_run
 //! # let aln: exa_bio::patterns::CompressedAlignment = unimplemented!();
@@ -20,7 +20,6 @@
 //! ```
 
 use crate::bootstrap::bootstrap_impl;
-use crate::capability::{self, CapabilityRequests, Request};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::fault::Faults;
 use crate::scheme::SchemeExchange;
@@ -167,19 +166,16 @@ pub struct RunOutcome {
     pub survivors: Vec<usize>,
     /// Sentinel fingerprint syncs completed (0 when the sentinel is off).
     pub sentinel_syncs: u64,
-    /// The likelihood-kernel backend the ranks computed with (negotiated
-    /// under `KernelChoice::Auto`, forced otherwise).
+    /// The likelihood-kernel backend the ranks computed with (this and the
+    /// next four: [`RunConfig::modes`]).
     pub kernel: KernelKind,
     /// The subtree-repeat compression setting the ranks computed with.
     pub site_repeats: SiteRepeats,
-    /// The collective reduction mode the ranks computed with (negotiated
-    /// under `ReduceChoice::Auto`, forced otherwise).
+    /// The collective reduction mode the ranks computed with.
     pub reduce: ReduceKind,
-    /// Intra-rank worker threads each rank computed with (negotiated under
-    /// `ThreadsChoice::Auto`, forced otherwise).
+    /// Intra-rank worker threads each rank computed with.
     pub threads: usize,
-    /// The gradient-BLO mode the ranks computed with (negotiated under
-    /// `GradientChoice::Auto`, forced otherwise).
+    /// The gradient-BLO mode the ranks computed with.
     pub gradient: GradientMode,
     /// Merged trace, present when [`RunConfig::collect_trace`] was set
     /// (absent for bootstrap runs, which write per-replicate trace files
@@ -259,29 +255,26 @@ pub struct RunConfig {
     pub preempt: Option<PreemptSignal>,
     /// Resume from the newest intact generation in this directory.
     pub resume_from: Option<PathBuf>,
-    /// Test faults: kills, scripted deaths, state corruption, forced modes.
+    /// Test faults: kills, scripted deaths, state corruption.
     pub faults: Faults,
     pub verify_replicas: u64,
     pub health_out: Option<PathBuf>,
-    /// Kernel-backend selection; `Auto` negotiates a common backend across
-    /// the ranks (de-centralized) or resolves locally (fork-join).
+    /// Kernel-backend selection; `Auto` is the best backend the host
+    /// offers.
     pub kernel: KernelChoice,
-    /// Subtree-repeat CLV compression; `Auto` negotiates a uniform setting
-    /// across the ranks (de-centralized) or resolves locally (fork-join).
+    /// Subtree-repeat CLV compression; `Auto` is on.
     pub site_repeats: RepeatsChoice,
-    /// Collective reduction mode; `Auto` negotiates across the ranks
-    /// (de-centralized) or resolves locally (fork-join). `Reproducible`
+    /// Collective reduction mode; `Auto` is reproducible. `Reproducible`
     /// makes every summed collective rank-count-invariant and bitwise
     /// deterministic via binned superaccumulators.
     pub reduce: ReduceChoice,
-    /// Intra-rank worker threads per rank; `Auto` negotiates the world
-    /// minimum (de-centralized) or resolves locally (fork-join). Bitwise
+    /// Intra-rank worker threads per rank; `Auto` is one. Bitwise
     /// invisible: the lnL trajectory is identical at any count.
     pub threads: ThreadsChoice,
     /// Route of `Evaluator::full_gradient`: every edge's analytic
     /// `dlnL/dt` from one full-tree sweep and a single collective, or from
     /// per-edge reductions. Bitwise-equal numbers, and branch smoothing does
-    /// not call it; `Auto` negotiates the world minimum.
+    /// not call it; `Auto` is on.
     pub gradient: GradientChoice,
     /// Pack small partitions into cache-sized kernel batches (default on).
     pub batch: bool,
@@ -299,7 +292,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Defaults for `n_ranks` ranks: de-centralized scheme, Γ model, no
-    /// tracing, sentinel off, and the five negotiated modes from their
+    /// tracing, sentinel off, and the five run modes from their
     /// environment variables — `EXAML_KERNEL`, `EXAML_SITE_REPEATS`,
     /// `EXAML_THREADS`, `EXAML_GRADIENT` (unset: `auto`) and `EXAML_REDUCE`
     /// (unset: `fast`).
@@ -498,16 +491,17 @@ impl RunConfig {
         self
     }
 
-    /// Rank `rank_id`'s entries into the one-time packed capability
-    /// exchange (see [`capability::negotiate`]).
-    pub fn capability_requests(&self, rank_id: usize) -> CapabilityRequests {
-        let forced = &self.faults;
-        CapabilityRequests {
-            kernel: Request::new(rank_id, self.kernel, &forced.kernel),
-            site_repeats: Request::new(rank_id, self.site_repeats, &forced.site_repeats),
-            reduce: Request::new(rank_id, self.reduce, &forced.reduce),
-            threads: Request::new(rank_id, self.threads, &forced.threads),
-            gradient: Request::new(rank_id, self.gradient, &forced.gradient),
+    /// The modes this run computes with: every choice resolved on this
+    /// host, plus the batching switch. Every rank of a world reads the same
+    /// configuration on the same host, so this is the world's answer, and
+    /// the one place a configuration becomes a [`Modes`].
+    pub fn modes(&self) -> Modes {
+        Modes {
+            kernel: self.kernel.resolve_local(),
+            site_repeats: self.site_repeats.resolve_local(),
+            reduce: self.reduce.resolve_local(),
+            threads: self.threads.resolve_local(),
+            gradient: self.gradient.resolve_local(),
             batch: self.batch,
         }
     }
@@ -592,10 +586,7 @@ impl RunConfig {
             n_taxa: aln.n_taxa(),
             n_partitions: aln.n_partitions(),
             rank_count: self.n_ranks,
-            reduce: capability::resolve_local(&self.capability_requests(0))
-                .reduce
-                .label()
-                .into(),
+            reduce: self.modes().reduce.label().into(),
         };
         checkpoint::validate_resume(&ckpt.header, &ctx)?;
         Ok(Some(ckpt))

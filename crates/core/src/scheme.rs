@@ -13,18 +13,18 @@
 //! **`CommStats` neutrality.** Table I and the benchmark's `forkjoin.*`
 //! counts are computed from the fork-join `CommStats`, so a step only
 //! communicates where its scheme did before the drivers were merged: the
-//! fork-join side runs no negotiation allgather, no restart barrier, no
-//! agreement allgather and no heartbeat allgather.
+//! fork-join side runs no restart barrier, no agreement allgather and no
+//! heartbeat allgather.
 
 use crate::fault::BoundaryHooks;
-use crate::{capability, RunConfig, WorldContext};
+use crate::{RunConfig, WorldContext};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::Rank;
 use exa_forkjoin::{worker, ToMaster};
 use exa_phylo::engine::{Engine, WorkCounters};
 use exa_search::evaluator::{Evaluator, ExchangeEvaluator, SearchSnapshot};
 use exa_search::exchange::Exchange;
-use exa_search::{BoundaryInfo, Modes};
+use exa_search::BoundaryInfo;
 use std::ops::ControlFlow;
 
 /// The driver-side steps of a run that depend on the scheme. Everything
@@ -34,11 +34,6 @@ pub(crate) trait SchemeExchange: Exchange {
     /// The `scheme` of checkpoint headers and `/metrics` labels.
     const LABEL: &'static str;
 
-    /// The modes this rank computes with: negotiated with the peers where
-    /// every rank decides for itself, resolved locally where one rank
-    /// decides for all.
-    fn modes(rank: &Rank, cfg: &RunConfig) -> Modes;
-
     /// A rank that executes kernels on command serves here until released
     /// and breaks with its engine's work counters and CLV bytes; a rank
     /// that searches gets its engine back.
@@ -46,7 +41,6 @@ pub(crate) trait SchemeExchange: Exchange {
         _rank: &Rank,
         engine: Engine,
         _ctx: &WorldContext<'_>,
-        _modes: &Modes,
     ) -> ControlFlow<(WorkCounters, u64), Engine> {
         ControlFlow::Continue(engine)
     }
@@ -123,19 +117,10 @@ pub(crate) trait SchemeExchange: Exchange {
 impl SchemeExchange for ToMaster {
     const LABEL: &'static str = "forkjoin";
 
-    /// All ranks of an in-process world share one machine, so resolving
-    /// `auto` locally yields what a negotiation would (`Faults::validate`
-    /// refused a mixed forced table); the workers take the master's modes
-    /// via the command stream.
-    fn modes(_rank: &Rank, cfg: &RunConfig) -> Modes {
-        capability::resolve_local(&cfg.capability_requests(0))
-    }
-
     fn serve(
         rank: &Rank,
         engine: Engine,
         ctx: &WorldContext<'_>,
-        modes: &Modes,
     ) -> ControlFlow<(WorkCounters, u64), Engine> {
         if rank.id() == 0 {
             return ControlFlow::Continue(engine);
@@ -145,7 +130,7 @@ impl SchemeExchange for ToMaster {
             engine,
             ctx.cfg.branch_mode,
             ctx.aln.n_partitions(),
-            modes.reduce,
+            ctx.modes.reduce,
             &ctx.assignments[rank.id()],
             ctx.aln,
         ))

@@ -12,12 +12,15 @@
 //! design); `worker_count_is_benign_under_fast_reduce` in the fork-join
 //! crate covers the fast-mode tolerance story.
 
+#[path = "../../../tests/tests/mixed_world/mod.rs"]
+mod mixed_world;
+
 use exa_comm::ReduceChoice;
 use exa_obs::HeartbeatRecord;
 use exa_phylo::{GradientChoice, GradientMode, ThreadCount, ThreadsChoice};
-use exa_search::SearchConfig;
+use exa_search::{Modes, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{Faults, RunConfig, RunError, Scheme};
+use examl_core::{RunConfig, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -70,7 +73,7 @@ impl Fixture {
             .health_out(&health)
             .run(&self.workload.compressed)
             .unwrap();
-        assert_eq!(out.gradient, gradient, "negotiated mode must round-trip");
+        assert_eq!(out.gradient, gradient, "resolved mode must round-trip");
         let text = std::fs::read_to_string(&health).unwrap();
         let steps = text
             .lines()
@@ -159,7 +162,7 @@ fn forkjoin_final_lnl_bitwise_invariant_to_gradient_mode() {
                     .config(ranks, threads, Scheme::ForkJoin, choice)
                     .run(&fx.workload.compressed)
                     .unwrap();
-                assert_eq!(out.gradient, mode, "negotiated mode must round-trip");
+                assert_eq!(out.gradient, mode, "resolved mode must round-trip");
                 assert_eq!(
                     out.result.lnl.to_bits(),
                     reference.result.lnl.to_bits(),
@@ -175,30 +178,14 @@ fn forkjoin_final_lnl_bitwise_invariant_to_gradient_mode() {
 fn mixed_gradient_override_trips_sentinel_at_first_sync() {
     // The gradient mode is folded into the backend fingerprint, so the
     // sentinel's first sync — before the search's first collective — must
-    // refuse the world.
-    let fx = Fixture::new("mixed");
-    let err = fx
-        .config(4, 1, Scheme::Decentralized, GradientChoice::Auto)
-        .faults(Faults {
-            gradient: vec![
-                GradientMode::On,
-                GradientMode::Off,
-                GradientMode::On,
-                GradientMode::On,
-            ],
-            ..Faults::none()
-        })
-        .verify_replicas(1)
-        .run(&fx.workload.compressed)
-        .unwrap_err();
-    match err {
-        RunError::Divergence(d) => {
-            let text = d.to_string();
-            assert!(
-                !text.is_empty(),
-                "divergence diagnostic should not be empty"
-            );
-        }
-        other => panic!("expected a sentinel divergence, got {other:?}"),
-    }
+    // refuse the world (one no configuration produces, built by hand).
+    let on = mixed_world::base();
+    let off = Modes {
+        gradient: GradientMode::Off,
+        ..on
+    };
+    assert_eq!(
+        mixed_world::minority_at_first_sync(&[on, off, on, on]),
+        vec![1]
+    );
 }

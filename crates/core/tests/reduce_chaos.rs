@@ -9,12 +9,15 @@
 //! of the distribution width by design — reproducible reductions make the
 //! *sums* width-invariant, not the per-site rate categories.
 
+#[path = "../../../tests/tests/mixed_world/mod.rs"]
+mod mixed_world;
+
 use exa_comm::{ReduceChoice, ReduceKind};
 use exa_obs::HeartbeatRecord;
 use exa_phylo::KernelChoice;
-use exa_search::SearchConfig;
+use exa_search::{Modes, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{Faults, RunConfig, RunError, Scheme};
+use examl_core::{RunConfig, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -187,31 +190,16 @@ fn resize_requires_reproducible_reduce() {
 
 #[test]
 fn mixed_reduce_override_trips_sentinel_at_first_sync() {
-    let fx = Fixture::new("mixed");
-    let err = fx
-        .config(4, KernelChoice::Auto, Scheme::Decentralized)
-        .faults(Faults {
-            reduce: vec![
-                ReduceKind::Reproducible,
-                ReduceKind::Fast,
-                ReduceKind::Reproducible,
-                ReduceKind::Reproducible,
-            ],
-            ..Faults::none()
-        })
-        .verify_replicas(1)
-        .run(&fx.workload.compressed)
-        .unwrap_err();
-    match err {
-        RunError::Divergence(d) => {
-            // The reduce mode is part of the backend fingerprint, so the
-            // very first sync catches the odd rank out.
-            let text = d.to_string();
-            assert!(
-                text.contains('1') || !text.is_empty(),
-                "divergence diagnostic should name the minority: {text}"
-            );
-        }
-        other => panic!("expected a sentinel divergence, got {other:?}"),
-    }
+    // The reduce mode is part of the backend fingerprint, so the very first
+    // sync catches the odd rank out (a world no configuration produces,
+    // built by hand).
+    let fast = mixed_world::base();
+    let repro = Modes {
+        reduce: ReduceKind::Reproducible,
+        ..fast
+    };
+    assert_eq!(
+        mixed_world::minority_at_first_sync(&[repro, fast, repro, repro]),
+        vec![1]
+    );
 }

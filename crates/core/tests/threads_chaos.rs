@@ -7,12 +7,15 @@
 //! may move a bit of the result. A world with mixed thread counts must be
 //! caught by the replica-divergence sentinel at its first sync.
 
+#[path = "../../../tests/tests/mixed_world/mod.rs"]
+mod mixed_world;
+
 use exa_comm::ReduceChoice;
 use exa_obs::HeartbeatRecord;
 use exa_phylo::{KernelChoice, RepeatsChoice, SiteRepeats, ThreadCount, ThreadsChoice};
-use exa_search::SearchConfig;
+use exa_search::{Modes, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{Faults, RunConfig, RunError, Scheme};
+use examl_core::{RunConfig, Scheme};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -64,7 +67,7 @@ impl Fixture {
             .health_out(&health)
             .run(&self.workload.compressed)
             .unwrap();
-        assert_eq!(out.threads, threads, "negotiated width must round-trip");
+        assert_eq!(out.threads, threads, "resolved width must round-trip");
         let text = std::fs::read_to_string(&health).unwrap();
         let steps = text
             .lines()
@@ -143,36 +146,16 @@ fn trajectory_bitwise_invariant_to_batching() {
 #[test]
 fn mixed_threads_override_trips_sentinel_at_first_sync() {
     // The thread count is folded into the backend fingerprint, so a world
-    // where one rank negotiated a different width is a deployment error
-    // the sentinel must surface — not a source of silent divergence.
-    let fx = Fixture::new("mixed");
-    let err = fx
-        .config(
-            KernelChoice::Auto,
-            ReduceChoice::Reproducible,
-            SiteRepeats::On,
-            1,
-        )
-        .faults(Faults {
-            threads: vec![
-                ThreadCount::new(2),
-                ThreadCount::new(1),
-                ThreadCount::new(2),
-                ThreadCount::new(2),
-            ],
-            ..Faults::none()
-        })
-        .verify_replicas(1)
-        .run(&fx.workload.compressed)
-        .unwrap_err();
-    match err {
-        RunError::Divergence(d) => {
-            let text = d.to_string();
-            assert!(
-                !text.is_empty(),
-                "divergence diagnostic should not be empty"
-            );
-        }
-        other => panic!("expected a sentinel divergence, got {other:?}"),
-    }
+    // where one rank runs a different width (one no configuration
+    // produces, built by hand) is refused by the sentinel — not a source of
+    // silent divergence.
+    let one = mixed_world::base();
+    let two = Modes {
+        threads: ThreadCount::new(2),
+        ..one
+    };
+    assert_eq!(
+        mixed_world::minority_at_first_sync(&[two, one, two, two]),
+        vec![1]
+    );
 }

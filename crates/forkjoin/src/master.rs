@@ -14,8 +14,8 @@ use exa_search::evaluator::{Evaluator, ExchangeEvaluator};
 use exa_search::exchange::{Contribution, Exchange, Op};
 
 /// Evaluator back-end for the fork-join master (rank 0). Workers are
-/// command-driven, so the reduction and gradient modes need no negotiation:
-/// they simply see the commands the master's modes produce.
+/// command-driven: they simply see the commands the master's reduction and
+/// gradient modes produce.
 pub type ForkJoinEvaluator = ExchangeEvaluator<ToMaster>;
 
 /// One rank's end of the fork-join scheme: broadcasts from the master,

@@ -84,12 +84,16 @@ pub enum Component {
     Topology,
     /// The rank's last locally-accumulated log likelihood(s).
     LnlAccumulator,
-    /// Identity of the likelihood-kernel backend in use. Mixed backends do
-    /// not numerically diverge the replicated state (both produce bitwise
-    /// identical results by contract), but a mix still violates the
-    /// uniform-backend requirement — after a fault-driven redistribution the
-    /// surviving ranks must be interchangeable — so the sentinel treats it
-    /// as divergence in its own right.
+    /// Digest of the modes a rank computes with: kernel backend, site
+    /// repeats, reduce mode, thread count and gradient route (the search
+    /// crate's `Modes::fingerprint`). Every rank resolves the run's one
+    /// configuration, so a mismatch means a rank computes with something
+    /// the run did not configure. Mixed backends do not numerically diverge
+    /// the replicated state (both produce bitwise identical results by
+    /// contract), but a mix still violates the uniform-backend requirement
+    /// — after a fault-driven redistribution the surviving ranks must be
+    /// interchangeable — so the sentinel treats it as divergence in its own
+    /// right.
     KernelBackend,
 }
 

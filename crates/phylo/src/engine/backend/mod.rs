@@ -18,9 +18,9 @@
 //! contract backend-independent — what must stay uniform across ranks is the
 //! backend *identity* (fingerprinted separately), not the arithmetic.
 //!
-//! Backends are selected per [`Engine`](super::Engine) at construction; the
-//! de-centralized driver negotiates a common [`KernelKind`] across ranks in
-//! `auto` mode (capability allgather) before building engines.
+//! Backends are selected per [`Engine`](super::Engine) at construction,
+//! from the run's [`KernelChoice`] resolved on the host; every rank resolves
+//! the same choice on the same host, so a world computes with one backend.
 
 pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -55,26 +55,6 @@ impl KernelKind {
             KernelKind::Simd => "simd",
         }
     }
-
-    /// Capability level for the one-byte auto-negotiation allgather: ranks
-    /// agree on the *minimum* level any rank supports, so higher levels must
-    /// be strict supersets.
-    pub fn capability_level(&self) -> u8 {
-        match self {
-            KernelKind::Scalar => 0,
-            KernelKind::Simd => 1,
-        }
-    }
-
-    /// Inverse of [`KernelKind::capability_level`], saturating down to
-    /// scalar for unknown (future) levels.
-    pub fn from_capability_level(level: u8) -> KernelKind {
-        if level >= 1 {
-            KernelKind::Simd
-        } else {
-            KernelKind::Scalar
-        }
-    }
 }
 
 impl std::fmt::Display for KernelKind {
@@ -91,8 +71,8 @@ pub enum KernelChoice {
     Scalar,
     /// Force the SIMD backend (the scalar loops where AVX2 is missing).
     Simd,
-    /// Pick the best backend every rank supports (requires negotiation in
-    /// multi-rank runs; locally resolves to the best available).
+    /// The best backend this host offers: `simd` where AVX2 is detected,
+    /// `scalar` otherwise.
     Auto,
 }
 
@@ -126,9 +106,9 @@ impl KernelChoice {
         }
     }
 
-    /// Resolve this policy against the *local* machine only. Multi-rank
-    /// drivers must instead exchange [`KernelChoice::capability_level`]s and
-    /// agree on the minimum.
+    /// Resolve this policy against the local machine. Every rank of a world
+    /// resolves the run's one choice on the same host, so this is the
+    /// world's backend.
     pub fn resolve_local(self) -> KernelKind {
         match self {
             KernelChoice::Scalar => KernelKind::Scalar,
@@ -140,17 +120,6 @@ impl KernelChoice {
                     KernelKind::Scalar
                 }
             }
-        }
-    }
-
-    /// The capability level this rank advertises in the auto-negotiation
-    /// allgather: a forced choice pins its own level, `auto` advertises the
-    /// best locally available backend.
-    pub fn capability_level(self) -> u8 {
-        match self {
-            KernelChoice::Scalar => KernelKind::Scalar.capability_level(),
-            KernelChoice::Simd => KernelKind::Simd.capability_level(),
-            KernelChoice::Auto => self.resolve_local().capability_level(),
         }
     }
 }
@@ -651,19 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn capability_levels_are_ordered_and_invertible() {
-        assert!(KernelKind::Scalar.capability_level() < KernelKind::Simd.capability_level());
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            assert_eq!(
-                KernelKind::from_capability_level(kind.capability_level()),
-                kind
-            );
-        }
-        // Unknown future levels saturate to the best we know.
-        assert_eq!(KernelKind::from_capability_level(200), KernelKind::Simd);
-    }
-
-    #[test]
     fn auto_resolves_to_an_available_backend() {
         let kind = KernelChoice::Auto.resolve_local();
         if simd_available() {
@@ -671,10 +627,6 @@ mod tests {
         } else {
             assert_eq!(kind, KernelKind::Scalar);
         }
-        assert_eq!(
-            KernelChoice::Auto.capability_level(),
-            kind.capability_level()
-        );
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! computes and reduces — from the sweep or edge by edge, bitwise-identical
 //! numbers either way — and branch smoothing does not call it (a smoothing
 //! pass is per-edge Newton), so the mode changes nothing a run computes or
-//! sends. It is still negotiated exactly like the kernel backend and
-//! site-repeat compression (one-byte capability allgather, minimum wins) and
-//! part of the replica sentinel's backend fingerprint, so a forced mixed
-//! world is refused at the first sync.
+//! sends. Like the kernel backend and site-repeat compression it is a run
+//! mode every rank resolves alike and part of the replica sentinel's backend
+//! fingerprint, so a world whose ranks disagree on it is refused at the
+//! first sync.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,26 +31,6 @@ impl GradientMode {
             GradientMode::Off => "off",
         }
     }
-
-    /// Capability level for the one-byte auto-negotiation allgather
-    /// (minimum wins: any rank advertising `off` disables the sweep
-    /// everywhere).
-    pub fn capability_level(&self) -> u8 {
-        match self {
-            GradientMode::Off => 0,
-            GradientMode::On => 1,
-        }
-    }
-
-    /// Inverse of [`GradientMode::capability_level`], saturating up for
-    /// unknown (future) levels.
-    pub fn from_capability_level(level: u8) -> GradientMode {
-        if level >= 1 {
-            GradientMode::On
-        } else {
-            GradientMode::Off
-        }
-    }
 }
 
 impl std::fmt::Display for GradientMode {
@@ -67,8 +47,7 @@ pub enum GradientChoice {
     On,
     /// Force the historical per-edge Newton loop.
     Off,
-    /// Enable unless some rank opts out (requires negotiation in multi-rank
-    /// runs; locally resolves to on — the sweep is pure software).
+    /// On: the sweep is pure software.
     Auto,
 }
 
@@ -102,20 +81,13 @@ impl GradientChoice {
         }
     }
 
-    /// Resolve this policy locally. Multi-rank drivers must instead exchange
-    /// [`GradientChoice::capability_level`]s and agree on the minimum.
+    /// Resolve this policy (`auto` is on).
     pub fn resolve_local(self) -> GradientMode {
         match self {
             GradientChoice::On => GradientMode::On,
             GradientChoice::Off => GradientMode::Off,
             GradientChoice::Auto => GradientMode::On,
         }
-    }
-
-    /// The capability level this rank advertises in the auto-negotiation
-    /// allgather.
-    pub fn capability_level(self) -> u8 {
-        self.resolve_local().capability_level()
     }
 }
 
@@ -142,25 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn capability_levels_are_ordered_and_invertible() {
-        assert!(GradientMode::Off.capability_level() < GradientMode::On.capability_level());
-        for mode in [GradientMode::On, GradientMode::Off] {
-            assert_eq!(
-                GradientMode::from_capability_level(mode.capability_level()),
-                mode
-            );
-        }
-        // Unknown future levels saturate to the best we know.
-        assert_eq!(GradientMode::from_capability_level(200), GradientMode::On);
-    }
-
-    #[test]
     fn auto_resolves_on() {
         assert_eq!(GradientChoice::Auto.resolve_local(), GradientMode::On);
-        assert_eq!(
-            GradientChoice::Auto.capability_level(),
-            GradientMode::On.capability_level()
-        );
         assert_eq!(GradientChoice::Off.resolve_local(), GradientMode::Off);
     }
 }

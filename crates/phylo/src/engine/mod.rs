@@ -317,8 +317,8 @@ impl Engine {
     ///
     /// The kernel backend is resolved from the process-wide default
     /// ([`KernelChoice::from_env`], i.e. `EXAML_KERNEL` or `auto`) against
-    /// the local machine. Multi-rank drivers that negotiated a common
-    /// backend should use [`Engine::with_kernel`] instead.
+    /// the local machine. A run's driver passes the backend its resolved
+    /// modes name through [`Engine::with_kernel`] instead.
     pub fn new(
         n_taxa: usize,
         slices: Vec<PartitionSlice>,
@@ -354,8 +354,8 @@ impl Engine {
         )
     }
 
-    /// [`Engine::new`] with every backend knob chosen explicitly. Multi-rank
-    /// drivers negotiate both settings before building engines.
+    /// [`Engine::new`] with every backend knob chosen explicitly, as a run's
+    /// driver does from its resolved modes.
     pub fn with_config(
         n_taxa: usize,
         slices: Vec<PartitionSlice>,

@@ -25,8 +25,9 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// A concrete intra-rank thread count, `1..=`[`ThreadCount::MAX`].
 ///
-/// Like [`super::KernelKind`], the value must be uniform across ranks (it
-/// is capability-negotiated and folded into the sentinel fingerprint) —
+/// Like [`super::KernelKind`], the value must be uniform across ranks (every
+/// rank resolves the run's one `--threads`, and the count is folded into the
+/// sentinel fingerprint) —
 /// not because the arithmetic could differ (it cannot; see the module
 /// docs), but because the hybrid-collective execution model it stands for
 /// (§V: one MPI rank per node, threads inside) only makes sense world-wide.
@@ -34,8 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 pub struct ThreadCount(u8);
 
 impl ThreadCount {
-    /// Upper bound on negotiable thread counts (fits the one-byte
-    /// capability slot with headroom).
+    /// Upper bound on a thread count.
     pub const MAX: usize = 64;
 
     /// Clamp `n` into the valid range.
@@ -52,19 +52,6 @@ impl ThreadCount {
     pub fn parse(s: &str) -> Option<ThreadCount> {
         let n: usize = s.parse().ok()?;
         (1..=Self::MAX).contains(&n).then_some(ThreadCount(n as u8))
-    }
-
-    /// Capability level for the one-byte negotiation allgather: the count
-    /// itself (a world of heterogeneous requests adopts the minimum, the
-    /// only count every rank can run).
-    pub fn capability_level(self) -> u8 {
-        self.0.max(1)
-    }
-
-    /// Inverse of [`ThreadCount::capability_level`], saturating into the
-    /// valid range.
-    pub fn from_capability_level(level: u8) -> ThreadCount {
-        ThreadCount(level.clamp(1, Self::MAX as u8))
     }
 
     /// Stable label (trace marks, health JSON, fingerprints).
@@ -92,7 +79,7 @@ impl std::fmt::Display for ThreadCount {
 pub enum ThreadsChoice {
     /// Force a specific count.
     Count(ThreadCount),
-    /// Negotiate. Resolves to 1: in-process multi-rank worlds already run
+    /// Resolves to 1: in-process multi-rank worlds already run
     /// one OS thread per rank, so threading is strictly opt-in — `auto`
     /// must never multiply a 32-rank world by the machine's core count.
     Auto,
@@ -125,19 +112,12 @@ impl ThreadsChoice {
         }
     }
 
-    /// Resolve this policy locally. Multi-rank drivers negotiate via
-    /// [`ThreadsChoice::capability_level`] instead.
+    /// Resolve this policy: a count is itself, `auto` is one thread.
     pub fn resolve_local(self) -> ThreadCount {
         match self {
             ThreadsChoice::Count(n) => n,
             ThreadsChoice::Auto => ThreadCount::new(1),
         }
-    }
-
-    /// The capability level this rank advertises in the negotiation
-    /// allgather.
-    pub fn capability_level(self) -> u8 {
-        self.resolve_local().capability_level()
     }
 }
 
@@ -394,20 +374,6 @@ mod tests {
         // machine's parallelism (in-process worlds run one thread per rank
         // already).
         assert_eq!(ThreadsChoice::Auto.resolve_local().get(), 1);
-        assert_eq!(ThreadsChoice::Auto.capability_level(), 1);
-    }
-
-    #[test]
-    fn capability_level_roundtrips() {
-        for n in [1usize, 2, 8, 64] {
-            let c = ThreadCount::new(n);
-            assert_eq!(ThreadCount::from_capability_level(c.capability_level()), c);
-        }
-        assert_eq!(ThreadCount::from_capability_level(0).get(), 1);
-        assert_eq!(
-            ThreadCount::from_capability_level(200).get(),
-            ThreadCount::MAX
-        );
     }
 
     #[test]

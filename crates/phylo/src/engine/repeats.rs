@@ -28,9 +28,8 @@
 //! The setting must be uniform across ranks for the same reason as the
 //! kernel backend: results agree bitwise either way, but the replica
 //! sentinel fingerprints the configuration (and heartbeat work counters
-//! would silently diverge). Multi-rank drivers negotiate [`RepeatsChoice`]
-//! exactly like `KernelChoice` (one-byte capability allgather, minimum
-//! wins).
+//! would silently diverge). Every rank resolves the run's one
+//! [`RepeatsChoice`], exactly like `KernelChoice`.
 
 use super::PartitionState;
 use crate::model::rates::RateHeterogeneity;
@@ -54,26 +53,6 @@ impl SiteRepeats {
             SiteRepeats::Off => "off",
         }
     }
-
-    /// Capability level for the one-byte auto-negotiation allgather
-    /// (minimum wins: any rank advertising `off` turns compression off
-    /// everywhere).
-    pub fn capability_level(&self) -> u8 {
-        match self {
-            SiteRepeats::Off => 0,
-            SiteRepeats::On => 1,
-        }
-    }
-
-    /// Inverse of [`SiteRepeats::capability_level`], saturating up for
-    /// unknown (future) levels.
-    pub fn from_capability_level(level: u8) -> SiteRepeats {
-        if level >= 1 {
-            SiteRepeats::On
-        } else {
-            SiteRepeats::Off
-        }
-    }
 }
 
 impl std::fmt::Display for SiteRepeats {
@@ -90,8 +69,7 @@ pub enum RepeatsChoice {
     On,
     /// Force compression off.
     Off,
-    /// Enable unless some rank opts out (requires negotiation in multi-rank
-    /// runs; locally resolves to on — compression is pure software).
+    /// Compression on: it is pure software.
     Auto,
 }
 
@@ -125,20 +103,13 @@ impl RepeatsChoice {
         }
     }
 
-    /// Resolve this policy locally. Multi-rank drivers must instead exchange
-    /// [`RepeatsChoice::capability_level`]s and agree on the minimum.
+    /// Resolve this policy (`auto` is on).
     pub fn resolve_local(self) -> SiteRepeats {
         match self {
             RepeatsChoice::On => SiteRepeats::On,
             RepeatsChoice::Off => SiteRepeats::Off,
             RepeatsChoice::Auto => SiteRepeats::On,
         }
-    }
-
-    /// The capability level this rank advertises in the auto-negotiation
-    /// allgather.
-    pub fn capability_level(self) -> u8 {
-        self.resolve_local().capability_level()
     }
 }
 
@@ -320,24 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn capability_levels_are_ordered_and_invertible() {
-        assert!(SiteRepeats::Off.capability_level() < SiteRepeats::On.capability_level());
-        for setting in [SiteRepeats::On, SiteRepeats::Off] {
-            assert_eq!(
-                SiteRepeats::from_capability_level(setting.capability_level()),
-                setting
-            );
-        }
-        assert_eq!(SiteRepeats::from_capability_level(200), SiteRepeats::On);
-    }
-
-    #[test]
     fn auto_resolves_on() {
         assert_eq!(RepeatsChoice::Auto.resolve_local(), SiteRepeats::On);
-        assert_eq!(
-            RepeatsChoice::Auto.capability_level(),
-            SiteRepeats::On.capability_level()
-        );
     }
 
     #[test]

@@ -238,7 +238,7 @@ impl SharedSlices {
 }
 
 /// Everything [`build_engine`] needs beyond the data distribution itself:
-/// the rate model plus the negotiated backend knobs (kernel, site repeats,
+/// the rate model plus the run's resolved backend knobs (kernel, site repeats,
 /// intra-rank threads, batching).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineSpec {

@@ -331,7 +331,7 @@ impl<X: Exchange> ExchangeEvaluator<X> {
         }
     }
 
-    /// Install the negotiated reduction scheme (builder style). Under
+    /// Install the run's reduction scheme (builder style). Under
     /// `Reproducible` every collective ships binned superaccumulators
     /// instead of pre-summed f64s, so the reduced bits are invariant under
     /// the rank count and the data split (the elastic-resize prerequisite).
@@ -343,7 +343,7 @@ impl<X: Exchange> ExchangeEvaluator<X> {
     /// Select the full-tree gradient mode (builder style). Sequentially
     /// there is no communication to save, but `On` still collapses the
     /// `2(2n-3)` per-edge kernel dispatches into one sweep; the fork-join
-    /// workers are command-driven and need no negotiation.
+    /// workers are command-driven and follow the master's mode.
     pub fn with_gradient(mut self, gradient: GradientMode) -> Self {
         self.gradient = gradient;
         self

@@ -112,7 +112,7 @@ impl Exchange for NoExchange {
 
 /// This rank's data slice with everything needed to lay out its
 /// contributions: the engine, the local → global partition map, and the
-/// negotiated reduction and branch modes. Carries no tree, so fork-join
+/// run's reduction and branch modes. Carries no tree, so fork-join
 /// workers drive one straight from decoded commands.
 pub struct LocalLikelihood {
     engine: Engine,

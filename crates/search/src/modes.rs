@@ -2,9 +2,10 @@
 //!
 //! Every replica of a world must compute with the same kernel backend,
 //! site-repeats setting, reduction mode, thread count and gradient route
-//! (and packs its partitions under the same `batch` switch). The drivers
-//! resolve those once — by negotiation or locally — into a [`Modes`] and
-//! hand that one value to every consumer. The record owns the two views
+//! (and packs its partitions under the same `batch` switch). The driver
+//! resolves the run's configuration once per world into a [`Modes`]
+//! (`examl_core::RunConfig::modes`) and hands that one value to every
+//! consumer. The record owns the two views
 //! every sink derives from it: the sentinel digest and the label table
 //! ([`Modes::labels`]) that the trace marks, heartbeats and health reports
 //! all carry without knowing which modes exist.
@@ -23,9 +24,8 @@ pub struct Modes {
     /// Intra-rank worker-pool width.
     pub threads: ThreadCount,
     pub gradient: GradientMode,
-    /// Pack small partitions into cache-sized kernel batches. Configured,
-    /// not negotiated, and not part of [`Modes::fingerprint`]: packing is
-    /// rank-local by construction.
+    /// Pack small partitions into cache-sized kernel batches. Not part of
+    /// [`Modes::fingerprint`]: packing is rank-local by construction.
     pub batch: bool,
 }
 
@@ -45,7 +45,7 @@ impl Modes {
     }
 
     /// The [`crate::Evaluator::backend_fingerprint`] digest: FNV-1a over
-    /// the five negotiated labels. Identical modes hash identically across
+    /// the five resolved labels (`batch` aside). Identical modes hash identically across
     /// schemes, and a rank that silently resolved a different repeats
     /// setting, reduction mode (which would change the bits of every
     /// collective sum), thread count or gradient mode (result-neutral, but

@@ -38,7 +38,7 @@ use exa_bio::patterns::CompressedAlignment;
 use exa_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use exa_obs::{ServeHeartbeat, TenantGauge};
 use exa_search::PreemptSignal;
-use examl_core::{capability, checkpoint, Faults, RunConfig, RunError};
+use examl_core::{checkpoint, Faults, RunConfig, RunError};
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -313,7 +313,7 @@ impl Daemon {
             pool_target: 0,
             metrics,
             started_at: Instant::now(),
-            modes: capability::resolve_local(&RunConfig::new(1).capability_requests(0)),
+            modes: RunConfig::new(1).modes(),
             health_seq: 0,
             listeners: Vec::new(),
         };

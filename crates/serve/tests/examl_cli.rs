@@ -93,6 +93,9 @@ fn help_exits_zero_and_usage_errors_exit_two() {
             "fast",
         ],
         vec!["--phlyip", &phylip],
+        // A mode is configuration: no rank can be told to compute with
+        // another one.
+        vec!["--phylip", &phylip, "--inject", "kernel:scalar,simd"],
         vec!["serve"],
         vec!["serve", "frobnicate"],
         vec!["serve", "status", "7"],
@@ -166,6 +169,59 @@ fn help_exits_zero_and_usage_errors_exit_two() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A mode variable set to a value its flag would refuse is a usage error
+/// of `examl` and `examl serve submit` (exit 2, before any input is read
+/// or any daemon contacted), not a silent fall-back to the default.
+#[test]
+fn a_misspelled_mode_variable_is_a_usage_error() {
+    use examl_core::Choice;
+    let (dir, phylip) = fixture("bad_env");
+    let vars = [
+        (
+            exa_phylo::KernelChoice::ENV,
+            exa_phylo::KernelChoice::VALUES,
+        ),
+        (
+            exa_phylo::RepeatsChoice::ENV,
+            exa_phylo::RepeatsChoice::VALUES,
+        ),
+        (exa_comm::ReduceChoice::ENV, exa_comm::ReduceChoice::VALUES),
+        (
+            exa_phylo::engine::ThreadsChoice::ENV,
+            exa_phylo::engine::ThreadsChoice::VALUES,
+        ),
+        (
+            exa_phylo::GradientChoice::ENV,
+            exa_phylo::GradientChoice::VALUES,
+        ),
+    ];
+    for (var, values) in vars {
+        for line in [
+            vec!["--phylip", &phylip, "--ranks", "2", "--iterations", "1"],
+            vec![
+                "serve",
+                "submit",
+                "--to",
+                "127.0.0.1:1",
+                "--alignment",
+                &phylip,
+            ],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_examl"))
+                .args(&line)
+                .env(var, "smid")
+                .output()
+                .expect("the examl binary runs");
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{var} {line:?}: {err}");
+            let expected = format!("invalid value \"smid\" for {var} (expected {values})\n");
+            assert!(err.starts_with(&expected), "{var} {line:?}: {err}");
+            assert!(err.contains("\nusage: examl "), "{var} {line:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The daemon's cadence flags are `examl`'s rows: what `examl` rejects the
 /// daemon rejects too, instead of forcing it onto every job.
 #[test]
@@ -199,7 +255,7 @@ fn daemon_cadence_flags_are_validated_like_examls() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Each negotiated mode's default comes from the variable its `Choice`
+/// Each mode's default comes from the variable its `Choice`
 /// impl names (and `--help` prints) — `EXAML_REDUCE` included, through the
 /// library default rather than a second read in the binary.
 #[test]

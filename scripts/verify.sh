@@ -92,7 +92,7 @@ grep -q '^exa_batch_fill_ratio ' "$tmp/metrics.prom" \
 grep -q '^# TYPE exa_collective_wait_ns_total counter' "$tmp/metrics.prom" \
   || { echo "metrics dump missing TYPE metadata"; exit 1; }
 # Every heartbeat line must parse as JSON, report a verified-ok run, carry
-# the auto-negotiated kernel backend, and (with --site-repeats on) a
+# the kernel backend auto resolved to, and (with --site-repeats on) a
 # repeat-compression ratio of at least 1.
 while IFS= read -r line; do
   [ -n "$line" ] || continue
@@ -101,7 +101,7 @@ while IFS= read -r line; do
   kernel="$(printf '%s' "$line" | jq -r .modes.kernel)"
   case "$kernel" in
     scalar|simd) ;;
-    *) echo "heartbeat missing negotiated kernel: $line"; exit 1 ;;
+    *) echo "heartbeat missing the kernel backend: $line"; exit 1 ;;
   esac
   printf '%s' "$line" | jq -e '.repeat_ratio >= 1' >/dev/null \
     || { echo "heartbeat missing repeat-compression ratio: $line"; exit 1; }
@@ -131,6 +131,21 @@ EXAML_REDUCE=reproducible cargo run -q --release -p exa-serve --bin examl -- \
 tail -n 1 "$tmp/env.jsonl" | jq -e '.modes.reduce == "reproducible"' >/dev/null \
   || { echo "EXAML_REDUCE=reproducible did not reach the run"; tail -n 1 "$tmp/env.jsonl"; exit 1; }
 
+echo "==> replica sentinel at the command line (injected divergence exits 1)"
+# One flipped bit of alpha on rank 1 after collective 3 must stop the run at
+# the next fingerprint sync with one diagnostic naming the minority rank and
+# the diverged component.
+set +e
+cargo run -q --release -p exa-serve --bin examl -- \
+  --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 --verify-replicas 1 \
+  --inject diverge:1:3:alpha --quiet >/dev/null 2>"$tmp/diverge.err"
+diverge_status=$?
+set -e
+[ "$diverge_status" -eq 1 ] || { echo "a diverged replica must exit 1, got $diverge_status"; cat "$tmp/diverge.err"; exit 1; }
+grep -q 'rank(s) {1} disagree with the majority in model parameters' "$tmp/diverge.err" \
+  || { echo "sentinel diagnostic must name rank 1 and model parameters:"; cat "$tmp/diverge.err"; exit 1; }
+echo "sentinel: $(head -n 1 "$tmp/diverge.err")"
+
 echo "==> reproducible reductions (rank-count-invariant lnL + elastic resize)"
 # Same seed, same data, 1 / 2 / 4 ranks under --reduce reproducible: the
 # per-iteration lnL trajectories must be bitwise equal (compared as the
@@ -159,32 +174,19 @@ cargo run -q --release -p exa-serve --bin examl -- \
 traj "$tmp/reduce_rz.jsonl" >"$tmp/reduce_traj_rz.txt"
 cmp -s "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_rz.txt" \
   || { echo "mid-run 2->4->1 resize shifted the lnL trajectory"; diff "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_rz.txt"; exit 1; }
-# A scripted mixed-mode world (rank 1/3 forced to fast) must trip the
-# replica sentinel at its very first fingerprint sync, never complete.
-set +e
-cargo run -q --release -p exa-serve --bin examl -- \
-  --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 \
-  --reduce reproducible --inject reduce:reproducible,fast \
-  --verify-replicas 1 --quiet >/dev/null 2>"$tmp/mixed.err"
-mixed_status=$?
-set -e
-[ "$mixed_status" -eq 1 ] || { echo "mixed reduce world must exit 1, got $mixed_status"; cat "$tmp/mixed.err"; exit 1; }
-grep -q 'replica divergence at collective #0 (fingerprint sync #1)' "$tmp/mixed.err" \
-  || { echo "sentinel did not trip at the first sync:"; cat "$tmp/mixed.err"; exit 1; }
-echo "reduce: trajectories bitwise-equal at 1/2/4 ranks and across a 2->4->1 resize; mixed world tripped at sync #1"
+echo "reduce: trajectories bitwise-equal at 1/2/4 ranks and across a 2->4->1 resize"
 
-echo "==> intra-rank worker pool (--threads negotiation, bitwise identity)"
+echo "==> intra-rank worker pool (--threads, bitwise identity)"
 # The worker pool and the packing pass are dispatch-structure changes only:
 # a 2-thread run and an unbatched run must both reproduce the serial
-# trajectory bit for bit, and the negotiated width must surface in the
-# health stream.
+# trajectory bit for bit, and the width must surface in the health stream.
 for t in 1 2; do
   cargo run -q --release -p exa-serve --bin examl -- \
     --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
     --threads "$t" --health-out "$tmp/threads_$t.jsonl" --quiet >/dev/null
   traj "$tmp/threads_$t.jsonl" >"$tmp/threads_traj_$t.txt"
   tail -n 1 "$tmp/threads_$t.jsonl" | jq -e ".modes.threads == \"$t\"" >/dev/null \
-    || { echo "health does not report the negotiated thread count ($t)"; tail -n 1 "$tmp/threads_$t.jsonl"; exit 1; }
+    || { echo "health does not report the thread count ($t)"; tail -n 1 "$tmp/threads_$t.jsonl"; exit 1; }
 done
 cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_2.txt" \
   || { echo "lnL trajectory differs between --threads 1 and 2"; diff "$tmp/threads_traj_1.txt" "$tmp/threads_traj_2.txt"; exit 1; }
@@ -196,11 +198,10 @@ cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt" \
   || { echo "--batch off shifted the lnL trajectory"; diff "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt"; exit 1; }
 echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off"
 
-echo "==> gradient BLO (--gradient negotiation, bitwise identity)"
+echo "==> gradient BLO (--gradient, bitwise identity)"
 # The mode selects how the full-tree gradient is reduced, and branch
 # smoothing does not call it: --gradient on and off must replay the same lnL
-# trajectory bit for bit, and the negotiated mode must surface in the health
-# stream.
+# trajectory bit for bit, and the mode must surface in the health stream.
 for g in on off; do
   cargo run -q --release -p exa-serve --bin examl -- \
     --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
@@ -208,23 +209,11 @@ for g in on off; do
     --health-out "$tmp/grad_$g.jsonl" --quiet >/dev/null
   traj "$tmp/grad_$g.jsonl" >"$tmp/grad_traj_$g.txt"
   tail -n 1 "$tmp/grad_$g.jsonl" | jq -e ".modes.gradient == \"$g\"" >/dev/null \
-    || { echo "health does not report the negotiated gradient mode ($g)"; tail -n 1 "$tmp/grad_$g.jsonl"; exit 1; }
+    || { echo "health does not report the gradient mode ($g)"; tail -n 1 "$tmp/grad_$g.jsonl"; exit 1; }
 done
 cmp -s "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt" \
   || { echo "lnL trajectory differs between --gradient on and off"; diff "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt"; exit 1; }
-# The mode is part of the replica fingerprint, so the sentinel must refuse a
-# mixed gradient world at the pre-search sync #1.
-set +e
-cargo run -q --release -p exa-serve --bin examl -- \
-  --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 \
-  --gradient auto --inject gradient:on,off \
-  --verify-replicas 1 --quiet >/dev/null 2>"$tmp/grad_mixed.err"
-grad_status=$?
-set -e
-[ "$grad_status" -eq 1 ] || { echo "mixed gradient world must exit 1, got $grad_status"; cat "$tmp/grad_mixed.err"; exit 1; }
-grep -q 'replica divergence at collective #0 (fingerprint sync #1)' "$tmp/grad_mixed.err" \
-  || { echo "sentinel did not trip at the pre-search sync:"; cat "$tmp/grad_mixed.err"; exit 1; }
-echo "gradient: trajectories bitwise-equal on/off; mixed world refused at sync #1"
+echo "gradient: trajectories bitwise-equal on/off"
 
 echo "==> examl checkpoint smoke (atomic generations + heartbeat fields)"
 cargo run -q --release -p exa-serve --bin examl -- \

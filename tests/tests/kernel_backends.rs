@@ -1,16 +1,17 @@
 //! The uniform-backend contract end-to-end: every rank of a run must
 //! compute with the same likelihood-kernel backend, because fault recovery
 //! redistributes partitions across ranks and replicas must stay bitwise
-//! interchangeable. A mixed-backend world (forced through the
-//! `--inject kernel:…` fault, `Faults::kernel`) is a replica-divergence
+//! interchangeable. A mixed-backend world — which no configuration produces,
+//! so the test builds one by hand (`mixed_world`) — is a replica-divergence
 //! event the sentinel must attribute to the kernel-backend component —
 //! while uniform runs are bitwise identical under either backend.
 
-use exa_obs::Component;
+mod mixed_world;
+
 use exa_phylo::{KernelChoice, KernelKind};
-use exa_search::SearchConfig;
+use exa_search::{Modes, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError};
+use examl_core::RunConfig;
 
 fn cfg(n_ranks: usize, cadence: u64) -> RunConfig {
     let mut cfg = RunConfig::new(n_ranks);
@@ -26,23 +27,20 @@ fn cfg(n_ranks: usize, cadence: u64) -> RunConfig {
 
 #[test]
 fn mixed_backend_world_is_flagged_as_replica_divergence() {
-    let w = workloads::partitioned(8, 2, 100, 41);
-    let mut c = cfg(3, 4);
-    // Rank 1 silently runs the SIMD backend while ranks 0 and 2 run scalar.
-    c.faults.kernel = vec![KernelKind::Scalar, KernelKind::Simd, KernelKind::Scalar];
-    let err = match c.run(&w.compressed) {
-        Err(RunError::Divergence(d)) => d,
-        Ok(_) => panic!("a mixed-backend world must trip the sentinel"),
-        Err(other) => panic!("expected a divergence, got {other}"),
+    // Rank 1 runs the SIMD backend while ranks 0 and 2 run scalar. Both
+    // produce bitwise-identical numerics, so the backend identity is the
+    // ONLY component that diverges — caught at the pre-search sentinel sync
+    // (collective #0), before any numeric drift or collective-sequence
+    // desync could exist.
+    let scalar = mixed_world::base();
+    let simd = Modes {
+        kernel: KernelKind::Simd,
+        ..scalar
     };
-    assert_eq!(err.minority_ranks, vec![1], "{err}");
-    // Both backends produce bitwise-identical numerics, so the backend
-    // identity is the ONLY component that diverges — caught at the
-    // pre-search sentinel sync (collective #0), before any numeric drift
-    // or collective-sequence desync could exist.
-    assert_eq!(err.components, vec![Component::KernelBackend], "{err}");
-    assert_eq!(err.sync_index, 1, "{err}");
-    assert_eq!(err.collective_index, 0, "{err}");
+    assert_eq!(
+        mixed_world::minority_at_first_sync(&[scalar, simd, scalar]),
+        vec![1]
+    );
 }
 
 #[test]
@@ -76,10 +74,9 @@ fn auto_negotiation_agrees_on_one_backend_for_every_rank() {
     let w = workloads::partitioned(6, 2, 80, 47);
     let mut c = cfg(4, 8);
     c.kernel = KernelChoice::Auto;
-    let out = c.run(&w.compressed).expect("negotiated run is clean");
-    // All four ranks adopted the same negotiated winner (a mixed world
-    // would have tripped the sentinel above); the winner equals the local
-    // resolution because the in-process world shares one machine.
+    let out = c.run(&w.compressed).expect("auto run is clean");
+    // Every rank resolves `auto` on the same host, so the world computes
+    // with what the host offers (a mixed world would trip the sentinel).
     assert_eq!(out.kernel, KernelChoice::Auto.resolve_local());
     assert_eq!(out.survivors, vec![0, 1, 2, 3]);
 }

@@ -20,7 +20,7 @@ use exa_comm::ReduceChoice;
 use exa_obs::{EventKind, HeartbeatRecord};
 use exa_phylo::engine::{ThreadCount, ThreadsChoice};
 use exa_phylo::{GradientChoice, KernelChoice, RepeatsChoice};
-use exa_search::SearchConfig;
+use exa_search::{KillSpec, SearchConfig};
 use exa_simgen::workloads;
 use examl_core::{checkpoint, Faults, RunConfig, Scheme};
 
@@ -53,16 +53,9 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Run 2 ranks with every mode off its default and render every stamp.
-fn stamps(name: &str, scheme: Scheme) -> String {
-    use std::fmt::Write as _;
-    let w = workloads::partitioned(8, 2, 60, 41);
-    let dir = tmp_dir(name);
-    let health_path = dir.join("health.jsonl");
-    // What an earlier run left at the same path must not be counted as
-    // this run's: a fresh run starts its heartbeat file empty.
-    std::fs::write(&health_path, "stale heartbeat of an earlier run\n").unwrap();
-    let out = RunConfig::new(2)
+/// 2 ranks, two iterations, every mode off its default.
+fn every_mode_off_its_default(scheme: Scheme) -> RunConfig {
+    RunConfig::new(2)
         .scheme(scheme)
         .kernel(KernelChoice::Scalar)
         .site_repeats(RepeatsChoice::Off)
@@ -75,6 +68,53 @@ fn stamps(name: &str, scheme: Scheme) -> String {
             max_iterations: 2,
             ..SearchConfig::fast()
         })
+}
+
+/// What a run reports computing with is `RunConfig::modes`, under either
+/// scheme: every rank resolves the one configuration on the one host.
+#[test]
+fn outcome_and_health_report_the_configured_modes() {
+    let w = workloads::partitioned(8, 2, 60, 41);
+    for scheme in [Scheme::Decentralized, Scheme::ForkJoin] {
+        let cfg = every_mode_off_its_default(scheme);
+        let modes = cfg.modes();
+        assert_eq!(
+            modes.labels(),
+            [
+                ("kernel", "scalar"),
+                ("site_repeats", "off"),
+                ("reduce", "reproducible"),
+                ("threads", "2"),
+                ("gradient", "off"),
+                ("batch", "off"),
+            ]
+        );
+        let out = cfg.run(&w.compressed).expect("the run completes");
+        assert_eq!(
+            (out.kernel, out.site_repeats, out.reduce, out.gradient),
+            (
+                modes.kernel,
+                modes.site_repeats,
+                modes.reduce,
+                modes.gradient
+            ),
+            "{scheme:?}"
+        );
+        assert_eq!(out.threads, modes.threads.get(), "{scheme:?}");
+        assert_eq!(out.health.modes, Some(modes.label_map()), "{scheme:?}");
+    }
+}
+
+/// Run 2 ranks with every mode off its default and render every stamp.
+fn stamps(name: &str, scheme: Scheme) -> String {
+    use std::fmt::Write as _;
+    let w = workloads::partitioned(8, 2, 60, 41);
+    let dir = tmp_dir(name);
+    let health_path = dir.join("health.jsonl");
+    // What an earlier run left at the same path must not be counted as
+    // this run's: a fresh run starts its heartbeat file empty.
+    std::fs::write(&health_path, "stale heartbeat of an earlier run\n").unwrap();
+    let out = every_mode_off_its_default(scheme)
         .checkpoint(dir.join("ckpt"), 1)
         .health_out(&health_path)
         .collect_trace(true)
@@ -162,10 +202,10 @@ fn forkjoin_run_stamps_the_pinned_modes_everywhere() {
 fn run_config_json_keeps_its_keys_and_their_order() {
     const PINNED: &str = r#"{"scheme":"Decentralized","n_ranks":3,"rate_model":"Gamma","branch_mode":"Joint","strategy":"Cyclic","search":{"spr_radius":5,"epsilon":0.1,"max_iterations":10,"smoothing_passes":2,"optimize_model":true,"model_tol":0.001},"seed":17,"starting_tree":"Random","checkpoint_out":"ckpt","checkpoint_every":2,"checkpoint_keep":3,"checkpoint_every_secs":null,"preempt":null,"resume_from":null,"faults":null,"verify_replicas":0,"health_out":"health.jsonl","kernel":"Scalar","site_repeats":"Off","reduce":"Reproducible","threads":{"Count":2},"gradient":"Off","batch":false,"resize_plan":[[1,2]],"collect_trace":false,"bootstrap":null}"#;
     let cfg = pinned_config().faults(Faults {
-        reduce: vec![
-            exa_comm::ReduceKind::Fast,
-            exa_comm::ReduceKind::Reproducible,
-        ],
+        kill: Some(KillSpec {
+            after_checkpoints: 1,
+            rank: Some(1),
+        }),
         ..Faults::none()
     });
     assert_eq!(serde_json::to_string(&cfg).unwrap(), PINNED);

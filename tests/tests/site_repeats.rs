@@ -3,16 +3,17 @@
 //! bitwise identical to the same run with `off` — same final lnL, same
 //! tree, no sentinel trip — while doing strictly fewer `newview` column
 //! computations. And because fault recovery redistributes partitions, the
-//! setting must be uniform across ranks: a mixed world (forced through the
-//! `--inject site_repeats:…` fault, `Faults::site_repeats`) is a
-//! replica-divergence event caught at the first fingerprint sync, before
-//! any numeric question arises.
+//! setting must be uniform across ranks: a mixed world — which no
+//! configuration produces, so the test builds one by hand (`mixed_world`) —
+//! is a replica-divergence event caught at the first fingerprint sync,
+//! before any numeric question arises.
 
-use exa_obs::Component;
+mod mixed_world;
+
 use exa_phylo::{RepeatsChoice, SiteRepeats};
-use exa_search::SearchConfig;
+use exa_search::{Modes, SearchConfig};
 use exa_simgen::workloads;
-use examl_core::{RunConfig, RunError};
+use examl_core::RunConfig;
 
 fn cfg(n_ranks: usize, cadence: u64) -> RunConfig {
     let mut cfg = RunConfig::new(n_ranks);
@@ -69,22 +70,17 @@ fn verified_runs_are_bitwise_identical_with_repeats_on_and_off() {
 
 #[test]
 fn mixed_repeats_world_is_flagged_as_replica_divergence() {
-    let w = workloads::partitioned(8, 2, 100, 57);
-    let mut c = cfg(3, 4);
-    // Rank 2 silently runs uncompressed while ranks 0 and 1 compress.
-    c.faults.site_repeats = vec![SiteRepeats::On, SiteRepeats::On, SiteRepeats::Off];
-    let err = match c.run(&w.compressed) {
-        Err(RunError::Divergence(d)) => d,
-        Ok(_) => panic!("a mixed-repeats world must trip the sentinel"),
-        Err(other) => panic!("expected a divergence, got {other}"),
+    // Rank 2 runs uncompressed while ranks 0 and 1 compress. Compression is
+    // bitwise invisible in the numerics, so the backend fingerprint (which
+    // stamps the repeats setting next to the kernel kind) is the ONLY
+    // diverging component — caught at the very first sync, exactly like a
+    // mixed kernel backend.
+    let on = mixed_world::base();
+    let off = Modes {
+        site_repeats: SiteRepeats::Off,
+        ..on
     };
-    assert_eq!(err.minority_ranks, vec![2], "{err}");
-    // Compression is bitwise invisible in the numerics, so the backend
-    // fingerprint (which stamps the repeats setting next to the kernel
-    // kind) is the ONLY diverging component — caught at the very first
-    // sync, exactly like a mixed kernel backend.
-    assert_eq!(err.components, vec![Component::KernelBackend], "{err}");
-    assert_eq!(err.sync_index, 1, "{err}");
+    assert_eq!(mixed_world::minority_at_first_sync(&[on, on, off]), vec![2]);
 }
 
 #[test]
@@ -92,10 +88,8 @@ fn auto_negotiation_agrees_on_compression_for_every_rank() {
     let w = workloads::partitioned(6, 2, 80, 59);
     let mut c = cfg(4, 8);
     c.site_repeats = RepeatsChoice::Auto;
-    let out = c.run(&w.compressed).expect("negotiated run is clean");
-    // Every rank supports compression, so the one-byte capability
-    // allgather settles on `on` everywhere (a mixed world would have
-    // tripped the sentinel above).
+    let out = c.run(&w.compressed).expect("auto run is clean");
+    // `auto` resolves to `on` on every rank.
     assert_eq!(out.site_repeats, SiteRepeats::On);
     assert_eq!(out.survivors, vec![0, 1, 2, 3]);
 }
