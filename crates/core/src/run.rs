@@ -523,11 +523,17 @@ impl RunConfig {
     /// panics on what this rejects; a front end reports it as a usage
     /// error instead.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_ranks == 0 || self.resize_plan.iter().any(|&(_, width)| width == 0) {
+            return Err("a run needs at least one rank (--ranks, --resize-at widths)");
+        }
         self.faults.validate(self.world_size(), self.scheme)?;
         if self.faults.kill.is_some() && self.checkpoint_out.is_none() {
             return Err(
                 "--inject kill requires --checkpoint-out (kills are counted in checkpoints)",
             );
+        }
+        if self.scheme != Scheme::Decentralized && self.bootstrap.is_some() {
+            return Err("--bootstrap requires the de-centralized scheme");
         }
         if self.resize_plan.is_empty() {
             return Ok(());
@@ -550,22 +556,9 @@ impl RunConfig {
         if let Err(why) = self.validate() {
             panic!("{why}");
         }
-        let world = self.world_size();
-        for &(iter, width) in &self.resize_plan {
-            assert!(
-                width >= 1 && width <= world,
-                "resize to width {width} at iteration {iter} outside 1..={world}"
-            );
-        }
         match self.scheme {
             Scheme::Decentralized => self.run_scheme::<Allreduce>(aln),
-            Scheme::ForkJoin => {
-                assert!(
-                    self.bootstrap.is_none(),
-                    "bootstrap requires the de-centralized scheme"
-                );
-                self.run_scheme::<exa_forkjoin::ToMaster>(aln)
-            }
+            Scheme::ForkJoin => self.run_scheme::<exa_forkjoin::ToMaster>(aln),
         }
     }
 
@@ -689,4 +682,78 @@ pub(crate) fn observe_checkpoint_write(scheme: &str, ms: f64) {
             &[("scheme", scheme)],
         )
         .observe(ms);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exa_search::KillSpec;
+
+    /// The reason `validate` gives for `cfg`, which must be refused.
+    fn refusal(cfg: RunConfig) -> &'static str {
+        cfg.validate()
+            .expect_err("the configuration must be refused")
+    }
+
+    fn kill(rank: Option<usize>) -> Faults {
+        let kill = Some(KillSpec {
+            after_checkpoints: 1,
+            rank,
+        });
+        Faults {
+            kill,
+            ..Faults::none()
+        }
+    }
+
+    /// `RunConfig::new(2)` with a reproducible 4 → 2 resize plan.
+    fn resized() -> RunConfig {
+        let cfg = RunConfig::new(2).reduce(ReduceChoice::Reproducible);
+        cfg.resize_at(1, 4).resize_at(2, 2)
+    }
+
+    #[test]
+    fn validate_refuses_a_world_without_ranks() {
+        assert!(RunConfig::new(1).validate().is_ok());
+        assert!(refusal(RunConfig::new(0)).contains("at least one rank"));
+        assert!(refusal(resized().resize_at(3, 0)).contains("at least one rank"));
+    }
+
+    #[test]
+    fn validate_asks_the_faults_about_the_planned_world() {
+        // `Faults::validate`'s own tests cover each of its arms; here the
+        // world it is asked about is the widest the resize plan reaches.
+        let victim = |cfg: RunConfig| cfg.checkpoint("ckpt", 1).faults(kill(Some(3)));
+        assert!(refusal(victim(RunConfig::new(2))).contains("outside the world"));
+        assert!(victim(resized()).validate().is_ok());
+        let fj = RunConfig::new(2).scheme(Scheme::ForkJoin);
+        assert!(refusal(victim(fj)).contains("outside the world"));
+    }
+
+    #[test]
+    fn validate_refuses_a_kill_without_checkpoints() {
+        assert!(refusal(RunConfig::new(2).faults(kill(None))).contains("--checkpoint-out"));
+    }
+
+    #[test]
+    fn validate_refuses_bootstrap_under_fork_join() {
+        let fj = RunConfig::new(2).scheme(Scheme::ForkJoin);
+        assert!(refusal(fj.bootstrap(2, 1)).contains("--bootstrap"));
+        assert!(RunConfig::new(2).bootstrap(2, 1).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_refuses_a_resize_under_fork_join() {
+        // The command line cannot choose fork-join; a library caller can.
+        let fj = resized().scheme(Scheme::ForkJoin);
+        assert!(refusal(fj).contains("de-centralized"));
+    }
+
+    #[test]
+    fn validate_refuses_a_resize_under_fast_sums() {
+        assert!(resized().validate().is_ok());
+        assert!(resized().reduce(ReduceChoice::Auto).validate().is_ok());
+        let fast = resized().reduce(ReduceChoice::Fast);
+        assert!(refusal(fast).contains("--reduce reproducible"));
+    }
 }

@@ -341,8 +341,10 @@ impl Daemon {
     /// Admit a job: journal it, enqueue it, and — when every worker is busy
     /// and some running job has strictly lower priority — raise that job's
     /// preempt signal so this submission gets a worker at the victim's next
-    /// iteration boundary.
+    /// iteration boundary. A configuration no run can have is refused here,
+    /// before it reaches the journal.
     pub fn submit(&self, spec: JobSpec) -> std::io::Result<JobId> {
+        spec.config.validate().map_err(std::io::Error::other)?;
         let mut core = lock(&self.inner);
         if core.shutdown {
             return Err(std::io::Error::other("daemon is shutting down"));

@@ -2,10 +2,11 @@
 //! worker pool running real (small) likelihood searches, plus journal
 //! replay across a daemon restart.
 //!
-//! The central claim mirrors the restart-chaos harness one level up: a job
-//! that was checkpoint-preempted by a higher-priority submission — or cut
-//! short by a daemon shutdown — must finish with a final likelihood
-//! **bitwise** identical to the same job run uninterrupted.
+//! The central claim mirrors the kill/resume cells of the reproducibility
+//! matrix one level up: a job that was checkpoint-preempted by a
+//! higher-priority submission — or cut short by a daemon shutdown — must
+//! finish with a final likelihood **bitwise** identical to the same job run
+//! uninterrupted.
 
 use exa_bio::partition::PartitionScheme;
 use exa_bio::patterns::CompressedAlignment;
@@ -372,4 +373,31 @@ fn the_daemon_takes_no_faults_from_the_wire() {
     assert_eq!(completed_lnl(&status.state).to_bits(), reference.to_bits());
     daemon.shutdown();
     accept.join().unwrap();
+}
+
+/// A spec no run can have is refused at submission, with the reason, and
+/// never journaled: a journaled job is one a worker can run.
+#[test]
+fn the_daemon_refuses_a_spec_no_run_can_have() {
+    let fx = Fixture::new("refused");
+    let daemon = Daemon::start(DaemonConfig::new(fx.spool())).unwrap();
+    let mut fast_resize = fx.spec("batch", 0, 2);
+    fast_resize.config = fast_resize
+        .config
+        .reduce(exa_comm::ReduceChoice::Fast)
+        .resize_at(1, 4);
+    let mut no_ranks = fx.spec("batch", 0, 2);
+    no_ranks.config.n_ranks = 0;
+    for (spec, why) in [
+        (fast_resize, "--reduce reproducible"),
+        (no_ranks, "at least one rank"),
+    ] {
+        let err = daemon.submit(spec).expect_err("the spec must be refused");
+        assert!(err.to_string().contains(why), "{err}");
+    }
+    let journal = exa_serve::journal::Journal::path_in(&fx.spool());
+    let journal = std::fs::read_to_string(journal).unwrap_or_default();
+    assert!(!journal.contains("Submitted"), "{journal}");
+    assert_eq!(daemon.health().queue_depth, 0);
+    daemon.shutdown();
 }

@@ -14,6 +14,8 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test (workspace once; kernel / site-repeats suites per other backend x repeats setting)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 # These packages neither read EXAML_KERNEL / EXAML_SITE_REPEATS nor build an
 # exa-phylo Engine (see their Cargo.toml: exa-simgen uses only exa-phylo's
 # models and trees), so a second run under another combination would
@@ -21,20 +23,21 @@ echo "==> cargo test (workspace once; kernel / site-repeats suites per other bac
 env_blind=(exa-bio exa-obs exa-comm exa-simgen)
 # A hang is a red build, not a stuck one: every test pass runs under a
 # generous bound and names itself when it hits it.
+# Each pass's wall is noted, so that a slower tier-1 total names its pass.
 bounded_test() { # LABEL CARGO-TEST-ARGS...
-  local label="$1" status=0
+  local label="$1" status=0 t0=$SECONDS
   shift
   timeout 30m cargo test -q "$@" || status=$?
   [ "$status" -ne 124 ] || echo "TIMEOUT: test pass '$label' still running after 30 min"
+  echo "$((SECONDS - t0)) s  $label" >>"$tmp/pass_walls.txt"
   return "$status"
 }
 # Of the rest, only exa-phylo's tests and these suites have the kernel /
 # site-repeats machinery *reading its environment default* as their subject.
-# Every other suite either pins both modes itself (mode_stamps, threads_chaos,
-# restart_chaos, evaluator_golden, batch_identity, gradient_identity,
-# repeat_identity, backend_agreement) or is about other modes (gradient_chaos,
-# reduce_chaos), and would execute the same instructions under another
-# combination.
+# Every other suite either pins both modes in each of its runs
+# (the reproducibility matrix's suites, mode_stamps, evaluator_golden, batch_identity,
+# gradient_identity, repeat_identity, backend_agreement) or is about other
+# modes, and would execute the same instructions under another combination.
 env_default_suites=(-p examl-integration-tests
   --test kernel_backends --test site_repeats --test schemes_agree)
 test_t0=$SECONDS
@@ -53,6 +56,7 @@ for combo in scalar:on scalar:off simd:off; do
   )
 done
 echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 1 workspace pass + 3 kernel x repeats passes over the env-default suites)"
+sed 's/^/    /' "$tmp/pass_walls.txt"
 # ROADMAP item 4's other tracked number: non-test lines under crates/*/src.
 echo "crates/ non-test lines: $(scripts/loc.sh | awk 'END{print $1}')"
 
@@ -68,8 +72,6 @@ echo "==> benchmark self-check (offline build against crates/, --quick run, sche
 benchmark/check.sh
 
 echo "==> examl smoke run (sentinel + heartbeat + repeat compression)"
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 cargo run -q --release -p exa-simgen --bin simgen -- "$tmp/smoke.phy" 8 2 60 1
 cargo run -q --release -p exa-serve --bin examl -- \
   --phylip "$tmp/smoke.phy" --ranks 2 --iterations 2 --kernel auto \
@@ -146,74 +148,44 @@ grep -q 'rank(s) {1} disagree with the majority in model parameters' "$tmp/diver
   || { echo "sentinel diagnostic must name rank 1 and model parameters:"; cat "$tmp/diverge.err"; exit 1; }
 echo "sentinel: $(head -n 1 "$tmp/diverge.err")"
 
-echo "==> reproducible reductions (rank-count-invariant lnL + elastic resize)"
-# Same seed, same data, 1 / 2 / 4 ranks under --reduce reproducible: the
-# per-iteration lnL trajectories must be bitwise equal (compared as the
-# heartbeat JSON text — serde's shortest-round-trip float formatting is
-# injective, so equal text == equal bits). A mid-run 2 -> 4 -> 1 elastic
-# resize must leave the trajectory untouched too.
-traj() { # FILE -> "iteration lnl modes.reduce" per line
-  sed -n 's/.*"iteration":\([0-9]*\).*"lnl":\([^,}]*\).*"modes":{[^}]*"reduce":"\([a-z]*\)".*/\1 \2 \3/p' "$1"
+echo "==> one lnL trajectory for every world shape (ranks, resize, threads, batch, gradient)"
+# Under --reduce reproducible the per-iteration lnL trajectory depends only
+# on the data and the seed: each flag set below must replay the 1-rank
+# reference bit for bit (compared as heartbeat JSON text — serde's
+# shortest-round-trip float formatting is injective, so equal text == equal
+# bits) and report the modes it ran with in its health stream.
+traj() { # FILE -> "iteration lnl" per line
+  sed -n 's/.*"iteration":\([0-9]*\).*"lnl":\([^,}]*\).*/\1 \2/p' "$1"
 }
-for r in 1 2 4; do
+reproducible_run() { # NAME EXAML-FLAGS...
+  local name="$1"
+  shift
   cargo run -q --release -p exa-serve --bin examl -- \
-    --phylip "$tmp/smoke.phy" --ranks "$r" --iterations 3 --seed 7 \
-    --reduce reproducible --health-out "$tmp/reduce_$r.jsonl" --quiet >/dev/null
-  traj "$tmp/reduce_$r.jsonl" >"$tmp/reduce_traj_$r.txt"
-done
-grep -q ' reproducible$' "$tmp/reduce_traj_1.txt" \
-  || { echo "heartbeats missing the reproducible reduce label"; cat "$tmp/reduce_traj_1.txt"; exit 1; }
-cmp -s "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_2.txt" \
-  || { echo "lnL trajectory differs between 1 and 2 ranks"; diff "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_2.txt"; exit 1; }
-cmp -s "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_4.txt" \
-  || { echo "lnL trajectory differs between 1 and 4 ranks"; diff "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_4.txt"; exit 1; }
-cargo run -q --release -p exa-serve --bin examl -- \
-  --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
-  --reduce reproducible --resize-at 1:4,2:1 \
-  --health-out "$tmp/reduce_rz.jsonl" --quiet >/dev/null
-traj "$tmp/reduce_rz.jsonl" >"$tmp/reduce_traj_rz.txt"
-cmp -s "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_rz.txt" \
-  || { echo "mid-run 2->4->1 resize shifted the lnL trajectory"; diff "$tmp/reduce_traj_1.txt" "$tmp/reduce_traj_rz.txt"; exit 1; }
-echo "reduce: trajectories bitwise-equal at 1/2/4 ranks and across a 2->4->1 resize"
-
-echo "==> intra-rank worker pool (--threads, bitwise identity)"
-# The worker pool and the packing pass are dispatch-structure changes only:
-# a 2-thread run and an unbatched run must both reproduce the serial
-# trajectory bit for bit, and the width must surface in the health stream.
-for t in 1 2; do
-  cargo run -q --release -p exa-serve --bin examl -- \
-    --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
-    --threads "$t" --health-out "$tmp/threads_$t.jsonl" --quiet >/dev/null
-  traj "$tmp/threads_$t.jsonl" >"$tmp/threads_traj_$t.txt"
-  tail -n 1 "$tmp/threads_$t.jsonl" | jq -e ".modes.threads == \"$t\"" >/dev/null \
-    || { echo "health does not report the thread count ($t)"; tail -n 1 "$tmp/threads_$t.jsonl"; exit 1; }
-done
-cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_2.txt" \
-  || { echo "lnL trajectory differs between --threads 1 and 2"; diff "$tmp/threads_traj_1.txt" "$tmp/threads_traj_2.txt"; exit 1; }
-cargo run -q --release -p exa-serve --bin examl -- \
-  --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
-  --threads 2 --batch off --health-out "$tmp/threads_nb.jsonl" --quiet >/dev/null
-traj "$tmp/threads_nb.jsonl" >"$tmp/threads_traj_nb.txt"
-cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt" \
-  || { echo "--batch off shifted the lnL trajectory"; diff "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt"; exit 1; }
-echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off"
-
-echo "==> gradient BLO (--gradient, bitwise identity)"
-# The mode selects how the full-tree gradient is reduced, and branch
-# smoothing does not call it: --gradient on and off must replay the same lnL
-# trajectory bit for bit, and the mode must surface in the health stream.
-for g in on off; do
-  cargo run -q --release -p exa-serve --bin examl -- \
-    --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
-    --reduce reproducible --gradient "$g" \
-    --health-out "$tmp/grad_$g.jsonl" --quiet >/dev/null
-  traj "$tmp/grad_$g.jsonl" >"$tmp/grad_traj_$g.txt"
-  tail -n 1 "$tmp/grad_$g.jsonl" | jq -e ".modes.gradient == \"$g\"" >/dev/null \
-    || { echo "health does not report the gradient mode ($g)"; tail -n 1 "$tmp/grad_$g.jsonl"; exit 1; }
-done
-cmp -s "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt" \
-  || { echo "lnL trajectory differs between --gradient on and off"; diff "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt"; exit 1; }
-echo "gradient: trajectories bitwise-equal on/off"
+    --phylip "$tmp/smoke.phy" --iterations 3 --seed 7 --reduce reproducible \
+    --health-out "$tmp/traj_$name.jsonl" --quiet "$@" </dev/null >/dev/null
+  traj "$tmp/traj_$name.jsonl" >"$tmp/traj_$name.txt"
+}
+reproducible_run ref --ranks 1
+[ -s "$tmp/traj_ref.txt" ] || { echo "the 1-rank reference wrote no heartbeats"; exit 1; }
+flag_sets=0
+while IFS='|' read -r flags label; do
+  flag_sets=$((flag_sets + 1))
+  # shellcheck disable=SC2086 # FLAGS is a list of words
+  reproducible_run "$flag_sets" $flags
+  cmp -s "$tmp/traj_ref.txt" "$tmp/traj_$flag_sets.txt" \
+    || { echo "lnL trajectory of '$flags' differs from 1 rank"; diff "$tmp/traj_ref.txt" "$tmp/traj_$flag_sets.txt"; exit 1; }
+  tail -n 1 "$tmp/traj_$flag_sets.jsonl" | jq -e "$label" >/dev/null \
+    || { echo "health of '$flags' does not report $label"; tail -n 1 "$tmp/traj_$flag_sets.jsonl"; exit 1; }
+done <<'FLAG_SETS'
+--ranks 2|.modes.reduce == "reproducible"
+--ranks 4|.modes.reduce == "reproducible"
+--ranks 2 --resize-at 1:4,2:1|.modes.reduce == "reproducible"
+--ranks 2 --threads 2|.modes.threads == "2"
+--ranks 2 --threads 2 --batch off|.modes.batch == "off"
+--ranks 2 --gradient on|.modes.gradient == "on"
+--ranks 2 --gradient off|.modes.gradient == "off"
+FLAG_SETS
+echo "trajectories: $flag_sets flag sets replay the 1-rank reference bit for bit"
 
 echo "==> examl checkpoint smoke (atomic generations + heartbeat fields)"
 cargo run -q --release -p exa-serve --bin examl -- \

@@ -2,10 +2,10 @@
 //! dead rank's data and finish the inference from the replicated state.
 
 use exa_phylo::tree::bipartitions::rf_distance;
-use exa_search::SearchConfig;
+use exa_search::{KillSpec, SearchConfig};
 use exa_simgen::workloads;
 use examl_core::fault::FaultPlan;
-use examl_core::RunConfig;
+use examl_core::{RunConfig, RunError};
 
 fn workload(seed: u64) -> workloads::Workload {
     workloads::partitioned(8, 2, 100, seed)
@@ -137,4 +137,47 @@ fn heartbeat_file_survives_a_change_of_writer() {
         "iterations must never decrease: {iterations:?}"
     );
     assert_eq!(out.health.heartbeats, iterations.len() as u64);
+}
+
+#[test]
+fn resumed_run_appends_to_the_heartbeat_file() {
+    // A resumed attempt continues the job's heartbeat history (the daemon
+    // serves it as `GET /job-health/<id>`); only a fresh run truncates.
+    let w = workload(53);
+    let dir = std::env::temp_dir().join(format!("examl_ft_append_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let health = dir.join("health.jsonl");
+    let mut c = cfg(2, FaultPlan::none()).checkpoint(dir.join("ckpt"), 1);
+    c.health_out = Some(health.clone());
+    // A stale file from an unrelated earlier run must not leak into a
+    // fresh one.
+    std::fs::write(&health, "stale\n").unwrap();
+
+    let mut killed = c.clone();
+    killed.faults.kill = Some(KillSpec {
+        after_checkpoints: 1,
+        rank: None,
+    });
+    assert!(matches!(
+        killed.run(&w.compressed),
+        Err(RunError::Killed { .. })
+    ));
+    let first_attempt = std::fs::read_to_string(&health).unwrap();
+    assert!(!first_attempt.contains("stale"), "fresh runs truncate");
+    let first_lines = first_attempt.lines().count();
+    assert!(first_lines >= 1, "the killed attempt wrote heartbeats");
+
+    let resumed = c.resume(dir.join("ckpt")).run(&w.compressed).unwrap();
+    let both = std::fs::read_to_string(&health).unwrap();
+    assert!(
+        both.starts_with(&first_attempt),
+        "the resumed attempt wiped the first attempt's records"
+    );
+    assert!(
+        both.lines().count() > first_lines,
+        "resumed attempt appends"
+    );
+    assert_eq!(resumed.health.heartbeats, both.lines().count() as u64);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
-//! A world whose ranks compute with different modes, built by hand.
+//! A world whose ranks compute with different modes, built by hand, and the
+//! one table of such worlds the sentinel must refuse.
 //!
 //! No `RunConfig` produces one: every rank resolves the run's one
 //! configuration on the one host (`RunConfig::modes`). The replica sentinel
 //! still fingerprints the modes each rank's engine and evaluator report, so
-//! the suites that own a mode assemble such a world here and check that the
-//! pre-search sync refuses it.
+//! the suites that own a mode check their row of `ODD` here.
 
 use exa_bio::stats::global_frequencies;
 use exa_comm::{ReduceKind, World};
@@ -17,23 +17,43 @@ use exa_simgen::workloads;
 use examl_core::{Allreduce, DecentralizedEvaluator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Scalar kernels, repeats on, fast sums, one thread, gradient on, batched:
-/// the modes a test varies one at a time.
-pub fn base() -> Modes {
-    Modes {
+/// How the odd rank's modes differ from the others'.
+type Move = fn(&mut Modes);
+
+/// One row per fingerprinted mode: how the odd rank moves from the others'
+/// modes (scalar kernels, repeats on, fast sums, one thread, gradient on,
+/// batched), and where it sits in a three-rank world (each position is the
+/// minority at least once).
+#[rustfmt::skip]
+const ODD: [(&str, Move, usize); 5] = [
+    ("kernel", |m| m.kernel = KernelKind::Simd, 1),
+    ("site_repeats", |m| m.site_repeats = SiteRepeats::Off, 2),
+    ("reduce", |m| m.reduce = ReduceKind::Reproducible, 0),
+    ("threads", |m| m.threads = ThreadCount::new(2), 1),
+    ("gradient", |m| m.gradient = GradientMode::Off, 2),
+];
+
+/// The world of `mode`'s row is refused at its first sentinel sync, naming
+/// the odd rank alone.
+pub fn refused(mode: &str) {
+    let (_, set, at) = *ODD.iter().find(|r| r.0 == mode).expect("a row");
+    let base = Modes {
         kernel: KernelKind::Scalar,
         site_repeats: SiteRepeats::On,
         reduce: ReduceKind::Fast,
         threads: ThreadCount::new(1),
         gradient: GradientMode::On,
         batch: true,
-    }
+    };
+    let mut world = [base; 3];
+    set(&mut world[at]);
+    assert_eq!(minority_at_first_sync(&world), vec![at], "odd {mode}");
 }
 
 /// The ranks the pre-search sentinel sync names when rank `r` computes with
 /// `modes[r]`. Every rank must report the same diagnostic: the mode
 /// component alone, at sync #1 and collective #0 — before any sum counts.
-pub fn minority_at_first_sync(modes: &[Modes]) -> Vec<usize> {
+fn minority_at_first_sync(modes: &[Modes]) -> Vec<usize> {
     let w = workloads::partitioned(8, 2, 60, 41);
     let aln = &w.compressed;
     let freqs = global_frequencies(aln);

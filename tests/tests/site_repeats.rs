@@ -11,7 +11,7 @@
 mod mixed_world;
 
 use exa_phylo::{RepeatsChoice, SiteRepeats};
-use exa_search::{Modes, SearchConfig};
+use exa_search::SearchConfig;
 use exa_simgen::workloads;
 use examl_core::RunConfig;
 
@@ -75,12 +75,7 @@ fn mixed_repeats_world_is_flagged_as_replica_divergence() {
     // stamps the repeats setting next to the kernel kind) is the ONLY
     // diverging component — caught at the very first sync, exactly like a
     // mixed kernel backend.
-    let on = mixed_world::base();
-    let off = Modes {
-        site_repeats: SiteRepeats::Off,
-        ..on
-    };
-    assert_eq!(mixed_world::minority_at_first_sync(&[on, on, off]), vec![2]);
+    mixed_world::refused("site_repeats");
 }
 
 #[test]
