@@ -616,9 +616,16 @@ impl SchemeExchange for Allreduce {
         else {
             return;
         };
-        let world = hooks.rank.world_size();
-        let assignments = crate::padded_assignments(hooks.ctx.aln, width, world, cfg.strategy);
-        hooks.assignment = assignments[hooks.rank.id()].clone();
+        // Slices go to the live ranks only: after a §V death the ids
+        // `0..width` may name a dead rank.
+        let active = hooks.rank.active_ranks();
+        let assignments =
+            exa_sched::distribute(hooks.ctx.aln, width.min(active.len()), cfg.strategy);
+        hooks.assignment = active
+            .iter()
+            .position(|&r| r == hooks.rank.id())
+            .and_then(|i| assignments.get(i).cloned())
+            .unwrap_or_default();
         eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment));
         // Stamped on every rank — trace event sequences stay comparable.
         exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));

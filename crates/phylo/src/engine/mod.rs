@@ -7,7 +7,8 @@
 //! its time in (§II):
 //!
 //! 1. [`Engine::execute`] — `newview`: recompute CLVs per a traversal
-//!    descriptor (Felsenstein pruning),
+//!    descriptor (Felsenstein pruning); [`Engine::refresh`] is the same
+//!    minus the partitions whose CLVs already hold what it would write,
 //! 2. [`Engine::evaluate`] — per-partition log-likelihood at the virtual
 //!    root (the caller reduces across ranks),
 //! 3. [`Engine::prepare_derivatives`] + [`Engine::derivatives`] — first and
@@ -230,6 +231,9 @@ pub(crate) struct PartitionState {
     /// region, consumed serially by the caller's sink.
     pub grad_t1: Vec<Vec<f64>>,
     pub grad_t2: Vec<Vec<f64>>,
+    /// The model's bits changed since the last full traversal, so its CLVs
+    /// no longer hold what a replay of `Engine::last_full` would write.
+    pub model_dirty: bool,
 }
 
 impl PartitionState {
@@ -269,6 +273,7 @@ impl PartitionState {
             grad_scale: Vec::new(),
             grad_t1: Vec::new(),
             grad_t2: Vec::new(),
+            model_dirty: false,
         }
     }
 
@@ -307,6 +312,11 @@ pub struct Engine {
     /// fully inline serial execution.
     pool: WorkerPool,
     work: WorkCounters,
+    /// The last full descriptor (`n_taxa − 2` entries) a traversal ran,
+    /// kept while no non-empty partial one has run since. Every partition
+    /// whose `model_dirty` is clear still holds in its CLVs exactly what
+    /// this descriptor writes.
+    last_full: Option<TraversalDescriptor>,
 }
 
 impl Engine {
@@ -381,6 +391,7 @@ impl Engine {
             batch_scratch: (0..n).map(|_| KernelScratch::default()).collect(),
             pool: WorkerPool::new(1),
             work: WorkCounters::default(),
+            last_full: None,
         }
     }
 
@@ -490,8 +501,9 @@ impl Engine {
     /// Set the Γ shape of local partition `local`. The caller must
     /// invalidate all CLVs on its tree afterwards.
     pub fn set_alpha(&mut self, local: usize, alpha: f64) {
-        self.parts[local].rates.set_alpha(alpha);
-        debug_assert_eq!(self.parts[local].clv_len(), self.parts[local].clv[0].len());
+        let p = &mut self.parts[local];
+        p.model_dirty |= p.rates.set_alpha(alpha);
+        debug_assert_eq!(p.clv_len(), p.clv[0].len());
     }
 
     /// Current GTR exchangeabilities of local partition `local`.
@@ -507,7 +519,8 @@ impl Engine {
     /// Set one free GTR exchangeability (0..=4) of partition `local`.
     /// Caller must invalidate CLVs.
     pub fn set_gtr_rate(&mut self, local: usize, index: usize, value: f64) {
-        self.parts[local].model.set_rate(index, value);
+        let p = &mut self.parts[local];
+        p.model_dirty |= p.model.set_rate(index, value);
     }
 
     /// Replace the full model state of a partition (checkpoint restore).
@@ -525,8 +538,12 @@ impl Engine {
                 "PSR state has wrong pattern count"
             );
         }
+        if p.model.same_bits(&model) && p.rates.same_bits(&rates) {
+            return;
+        }
         p.model = model;
         p.rates = rates;
+        p.model_dirty = true;
         // A restored PSR state may carry a different pattern→category map,
         // which is part of every repeat-table key.
         if matches!(p.rates, RateHeterogeneity::Psr { .. }) {
@@ -641,24 +658,60 @@ impl Engine {
     /// Execute a traversal descriptor: recompute the listed CLVs for every
     /// local partition.
     pub fn execute(&mut self, d: &TraversalDescriptor) {
+        self.newview(d, false);
+    }
+
+    /// [`Engine::execute`] minus the partitions whose CLVs provably already
+    /// hold what `d` would write: when `d` is bitwise the last full
+    /// descriptor and no partial one has run since, a partition whose model
+    /// bits have not changed is skipped (a CLV is a function of the model,
+    /// the data, the child CLVs and the child branch lengths only). The
+    /// result is bit-identical to [`Engine::execute`]; only `clv_updates` /
+    /// `clv_saved` count less — `dispatches` keeps counting every batch.
+    pub fn refresh(&mut self, d: &TraversalDescriptor) {
+        self.newview(d, true);
+    }
+
+    /// The one writer of `PartitionState::clv`: any other writer would have
+    /// to clear `last_full`.
+    fn newview(&mut self, d: &TraversalDescriptor, reuse: bool) {
         let _span = exa_obs::region(exa_obs::RegionKind::Newview);
         let started = std::time::Instant::now();
         let n_taxa = self.n_taxa;
         let backend = self.backend;
+        let full = d.entries.len() == n_taxa - 2;
+        let replay = reuse && full && self.last_full.as_ref().is_some_and(|m| m.same_bits(d));
         let results = self.for_each_part(Some(exa_obs::RegionKind::Newview), |_, part| {
-            let full = (part.data.n_patterns() * part.rates.clv_categories()) as u64;
+            let skip = replay && !part.model_dirty;
+            if full {
+                part.model_dirty = false;
+            }
+            if skip {
+                return (0, 0);
+            }
+            let all = (part.data.n_patterns() * part.rates.clv_categories()) as u64;
             let mut work = 0u64;
             let mut saved = 0u64;
             for entry in &d.entries {
                 let w = backend.newview_entry(part, n_taxa, entry);
                 work += w;
-                saved += full - w;
+                saved += all - w;
             }
             (work, saved)
         });
         for (work, saved) in results {
             self.work.clv_updates += work;
             self.work.clv_saved += saved;
+        }
+        if !full {
+            if !d.is_empty() {
+                self.last_full = None;
+            }
+        } else if !replay {
+            match &mut self.last_full {
+                Some(m) => m.clone_from(d),
+                none => *none = Some(d.clone()),
+            }
         }
         self.work.dispatches += self.batches.len() as u64 * d.entries.len() as u64;
         self.work.kernel_ns += started.elapsed().as_nanos() as u64;
@@ -898,10 +951,10 @@ impl Engine {
     /// quantize rates into categories. Caller must invalidate CLVs.
     pub fn finalize_site_rates(&mut self, scale: f64) {
         for part in self.parts.iter_mut() {
-            site_rates::finalize_partition(part, scale);
             // Re-quantization moves patterns between rate categories, which
             // are part of the PSR repeat-class keys.
-            if matches!(part.rates, RateHeterogeneity::Psr { .. }) {
+            if site_rates::finalize_partition(part, scale) {
+                part.model_dirty = true;
                 part.repeat_epoch += 1;
             }
         }

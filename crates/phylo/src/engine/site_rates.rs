@@ -69,14 +69,15 @@ pub(crate) fn optimize_partition(
     (num, den, work)
 }
 
-/// Apply the global normalization and quantize.
-pub(crate) fn finalize_partition(part: &mut PartitionState, scale: f64) {
+/// Apply the global normalization and quantize. Returns whether the
+/// partition's rate bits changed (never for Γ partitions).
+pub(crate) fn finalize_partition(part: &mut PartitionState, scale: f64) -> bool {
     if !matches!(part.rates, RateHeterogeneity::Psr { .. }) {
-        return;
+        return false;
     }
     let scaled: Vec<f64> = part.psr_scratch.iter().map(|r| r * scale).collect();
     part.rates
-        .set_pattern_rates(&scaled, &part.data.weights, PSR_MAX_CATEGORIES);
+        .set_pattern_rates(&scaled, &part.data.weights, PSR_MAX_CATEGORIES)
 }
 
 /// Log-likelihood of the single pattern `i` with every branch scaled by

@@ -175,13 +175,20 @@ impl GtrModel {
 
     /// Replace one free exchangeability rate (0..=4) and refresh the
     /// decomposition. The value is clamped into `[RATE_MIN, RATE_MAX]`.
-    pub fn set_rate(&mut self, index: usize, value: f64) {
+    /// Returns whether the stored bits changed; a value the model already
+    /// holds returns before the decomposition.
+    pub fn set_rate(&mut self, index: usize, value: f64) -> bool {
         assert!(
             index < NUM_FREE_RATES,
             "rate index {index} out of range (GT is fixed)"
         );
-        self.rates[index] = value.clamp(RATE_MIN, RATE_MAX);
+        let value = value.clamp(RATE_MIN, RATE_MAX);
+        if value.to_bits() == self.rates[index].to_bits() {
+            return false;
+        }
+        self.rates[index] = value;
         self.decompose();
+        true
     }
 
     /// Replace all free exchangeability rates at once (batch proposal form).
@@ -190,6 +197,16 @@ impl GtrModel {
             self.rates[i] = v.clamp(RATE_MIN, RATE_MAX);
         }
         self.decompose();
+    }
+
+    /// Bitwise equality of every stored field, the decomposition included.
+    pub fn same_bits(&self, other: &GtrModel) -> bool {
+        use crate::numerics::same_bits;
+        same_bits(&self.rates, &other.rates)
+            && same_bits(&self.freqs, &other.freqs)
+            && same_bits(&self.eigenvalues, &other.eigenvalues)
+            && same_bits(self.v.as_flattened(), other.v.as_flattened())
+            && same_bits(self.v_inv.as_flattened(), other.v_inv.as_flattened())
     }
 }
 

@@ -13,6 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::numerics::gamma::discrete_gamma_rates;
+use crate::numerics::same_bits;
 
 /// Bounds RAxML applies to the Γ shape parameter.
 pub const ALPHA_MIN: f64 = 0.02;
@@ -103,16 +104,47 @@ impl RateHeterogeneity {
     }
 
     /// Update the Γ shape parameter (clamped) and its category rates.
+    /// Returns whether the stored bits changed; a shape the model already
+    /// holds returns before the rates are recomputed.
     ///
     /// # Panics
     /// Panics if called on a PSR model.
-    pub fn set_alpha(&mut self, new_alpha: f64) {
+    pub fn set_alpha(&mut self, new_alpha: f64) -> bool {
         match self {
             RateHeterogeneity::Gamma { alpha, rates } => {
-                *alpha = new_alpha.clamp(ALPHA_MIN, ALPHA_MAX);
+                let new_alpha = new_alpha.clamp(ALPHA_MIN, ALPHA_MAX);
+                if new_alpha.to_bits() == alpha.to_bits() {
+                    return false;
+                }
+                *alpha = new_alpha;
                 *rates = discrete_gamma_rates(*alpha, GAMMA_CATEGORIES);
+                true
             }
             RateHeterogeneity::Psr { .. } => panic!("set_alpha on a PSR model"),
+        }
+    }
+
+    /// Bitwise equality: the same variant with the same bits in every field.
+    pub fn same_bits(&self, other: &RateHeterogeneity) -> bool {
+        match (self, other) {
+            (
+                RateHeterogeneity::Gamma { alpha, rates },
+                RateHeterogeneity::Gamma {
+                    alpha: a2,
+                    rates: r2,
+                },
+            ) => alpha.to_bits() == a2.to_bits() && same_bits(rates, r2),
+            (
+                RateHeterogeneity::Psr {
+                    category_rates,
+                    pattern_cat,
+                },
+                RateHeterogeneity::Psr {
+                    category_rates: c2,
+                    pattern_cat: p2,
+                },
+            ) => same_bits(category_rates, c2) && pattern_cat == p2,
+            _ => false,
         }
     }
 
@@ -126,11 +158,17 @@ impl RateHeterogeneity {
 
     /// Install freshly optimized per-pattern rates: quantize into at most
     /// `max_categories` categories (weight-balanced over `weights`) and
-    /// normalize so the weighted mean rate is exactly 1.
+    /// normalize so the weighted mean rate is exactly 1. Returns whether
+    /// the stored bits changed.
     ///
     /// # Panics
     /// Panics if called on a Γ model, or on length mismatch.
-    pub fn set_pattern_rates(&mut self, rates: &[f64], weights: &[f64], max_categories: usize) {
+    pub fn set_pattern_rates(
+        &mut self,
+        rates: &[f64],
+        weights: &[f64],
+        max_categories: usize,
+    ) -> bool {
         let RateHeterogeneity::Psr {
             category_rates,
             pattern_cat,
@@ -195,8 +233,12 @@ impl RateHeterogeneity {
             *c = (*c * scale).clamp(PSR_RATE_MIN, PSR_RATE_MAX);
         }
 
+        if same_bits(category_rates, &cats) && *pattern_cat == assignment {
+            return false;
+        }
         *category_rates = cats;
         *pattern_cat = assignment;
+        true
     }
 
     /// The effective rate of `pattern` (PSR) — Γ models have no single

@@ -10,12 +10,13 @@
 //! and nothing is broadcast.
 
 use super::{EdgeId, NodeId, Tree};
+use crate::numerics::same_bits;
 use serde::{Deserialize, Serialize};
 
 /// One CLV recomputation: `parent`'s CLV (oriented toward the virtual root)
 /// is combined from children `left` and `right` through the transition
 /// matrices of the connecting branches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraversalEntry {
     pub parent: NodeId,
     pub left: NodeId,
@@ -27,7 +28,7 @@ pub struct TraversalEntry {
 }
 
 /// A full descriptor: the recomputation list plus the virtual-root edge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraversalDescriptor {
     pub entries: Vec<TraversalEntry>,
     /// Virtual root endpoints.
@@ -35,6 +36,46 @@ pub struct TraversalDescriptor {
     pub root_b: NodeId,
     /// Branch lengths of the virtual-root edge.
     pub root_lengths: Vec<f64>,
+}
+
+// `Clone` by hand so that `clone_from` reuses the length vectors: the
+// engine keeps its last full descriptor and overwrites it in place.
+impl Clone for TraversalEntry {
+    fn clone(&self) -> Self {
+        TraversalEntry {
+            parent: self.parent,
+            left: self.left,
+            right: self.right,
+            left_lengths: self.left_lengths.clone(),
+            right_lengths: self.right_lengths.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.parent = source.parent;
+        self.left = source.left;
+        self.right = source.right;
+        self.left_lengths.clone_from(&source.left_lengths);
+        self.right_lengths.clone_from(&source.right_lengths);
+    }
+}
+
+impl Clone for TraversalDescriptor {
+    fn clone(&self) -> Self {
+        TraversalDescriptor {
+            entries: self.entries.clone(),
+            root_a: self.root_a,
+            root_b: self.root_b,
+            root_lengths: self.root_lengths.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.root_a = source.root_a;
+        self.root_b = source.root_b;
+        self.root_lengths.clone_from(&source.root_lengths);
+    }
 }
 
 impl TraversalEntry {
@@ -63,6 +104,20 @@ impl TraversalDescriptor {
     /// True when every required CLV is already valid.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Bitwise equality: the same node ids and the same bits in every
+    /// branch length, the root edge's included.
+    pub fn same_bits(&self, other: &TraversalDescriptor) -> bool {
+        self.root_a == other.root_a
+            && self.root_b == other.root_b
+            && same_bits(&self.root_lengths, &other.root_lengths)
+            && self.entries.len() == other.entries.len()
+            && self.entries.iter().zip(&other.entries).all(|(a, b)| {
+                (a.parent, a.left, a.right) == (b.parent, b.left, b.right)
+                    && same_bits(&a.left_lengths, &b.left_lengths)
+                    && same_bits(&a.right_lengths, &b.right_lengths)
+            })
     }
 }
 

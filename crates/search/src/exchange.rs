@@ -212,7 +212,7 @@ impl LocalLikelihood {
         let reduce = self.reduce;
         let n = if partitioned { self.n_partitions } else { 1 };
         let (engine, globals, out) = self.slots(n);
-        engine.execute(d);
+        engine.refresh(d);
         let bins = match reduce {
             ReduceKind::Fast => {
                 let per_local = engine.evaluate(d);
@@ -243,7 +243,7 @@ impl LocalLikelihood {
     /// CLV updates plus sumtable construction at `d`'s root edge.
     #[inline(never)]
     pub fn prepare_derivatives(&mut self, d: &TraversalDescriptor) {
-        self.engine.execute(d);
+        self.engine.refresh(d);
         self.engine.prepare_derivatives(d);
     }
 
@@ -294,7 +294,7 @@ impl LocalLikelihood {
     pub fn gradient(&mut self, d: &TraversalDescriptor, plan: &GradientPlan) -> Contribution<'_> {
         let (reduce, joint, p, n_edges) = (self.reduce, self.joint(), self.arity(), plan.n_edges);
         let (engine, globals, out) = self.slots(2 * p * n_edges);
-        engine.execute(d);
+        engine.refresh(d);
         let bins = match reduce {
             ReduceKind::Fast => {
                 let sweep = engine.edge_gradient(plan);
@@ -338,7 +338,7 @@ impl LocalLikelihood {
     pub fn optimize_site_rates(&mut self, d: &TraversalDescriptor) -> Contribution<'_> {
         let reduce = self.reduce;
         let (engine, _, out) = self.slots(2);
-        engine.execute(d);
+        engine.refresh(d);
         let bins = match reduce {
             ReduceKind::Fast => {
                 let (num, den) = engine.optimize_site_rates(d);

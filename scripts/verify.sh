@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Under EXAML_BLESS_GOLDEN the golden test rewrites a mismatching line
+# instead of failing, so a leaked bless would pass any change of bits.
+if [ -n "${EXAML_BLESS_GOLDEN+set}" ]; then
+  echo "verify: EXAML_BLESS_GOLDEN is set; unset it to verify (it rewrites tests/tests/evaluator_golden.txt instead of failing)" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

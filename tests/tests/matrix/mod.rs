@@ -460,15 +460,6 @@ fn oracle(c: &Cell) {
     );
 }
 
-/// A known finding: after a §V death, a resize still hands slices to ranks
-/// `0..width` (`planned_events` in `fault.rs`), dead ones included, so the
-/// survivors search on part of the data. The oracle must keep failing these
-/// cells until that is fixed; then this predicate goes. (Under PSR the class
-/// reference has the same death and resize, so only Γ shows it.)
-pub fn known_finding(c: &Cell) -> bool {
-    c.fault == Death && c.resize && c.rate == Gamma
-}
-
 /// A property of a cell.
 pub type Holds = fn(&Cell) -> bool;
 
@@ -510,18 +501,14 @@ pub fn route(c: &Cell) -> &'static str {
         .0
 }
 
-/// Run the oracle over the cells of test `name`, and name every one whose
-/// verdict is not the expected one.
+/// Run the oracle over the cells of test `name`, and name every one that
+/// fails.
 pub fn check(name: &str) {
     let cells: Vec<Cell> = cells().into_iter().filter(|c| route(c) == name).collect();
     assert!(!cells.is_empty(), "no cell routes to {name}");
     let wrong = cells
         .iter()
-        .filter(|c| std::panic::catch_unwind(|| oracle(c)).is_err() != known_finding(c));
+        .filter(|c| std::panic::catch_unwind(|| oracle(c)).is_err());
     let wrong: Vec<String> = wrong.map(|c| format!("{c:?}")).collect();
-    assert!(
-        wrong.is_empty(),
-        "cells failing (or passing, if a known finding):\n{}",
-        wrong.join("\n")
-    );
+    assert!(wrong.is_empty(), "cells failing:\n{}", wrong.join("\n"));
 }

@@ -8,9 +8,9 @@ mod common;
 mod matrix;
 
 use exa_comm::ReduceChoice::Fast;
-use exa_phylo::model::rates::RateModelKind::Psr;
+use exa_phylo::model::rates::RateModelKind::{Gamma, Psr};
 use matrix::Fault::{Death, Kill, Victim};
-use matrix::{allowed, allowed_levels, class_of, known_finding, other, pairs, pairwise};
+use matrix::{allowed, allowed_levels, class_of, other, pairs, pairwise};
 use matrix::{Cell, Holds, BASE, DEC, FJ, ROUTES};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -27,7 +27,7 @@ fn cells_cover_every_allowed_pair_and_every_named_crossing() {
     assert_eq!(covered, admitted);
     assert!(pairwise().iter().all(|l| allowed(&Cell::from_levels(l))));
     let cells = matrix::cells();
-    let required: [(&str, Holds); 9] = [
+    let required: [(&str, Holds); 10] = [
         ("32 ranks", |c| c.ranks == 32),
         ("4->8->2 resize", |c| c.ranks == 4 && c.resize),
         ("victim kill:2:1", |c| c.fault == Victim(1)),
@@ -46,7 +46,11 @@ fn cells_cover_every_allowed_pair_and_every_named_crossing() {
         }),
         ("PSR x resize", |c| c.rate == Psr && c.resize),
         ("§V death x reproducible Γ", |c| {
-            c.fault == Death && class_of(c) == BASE && !known_finding(c)
+            c.fault == Death && class_of(c) == BASE
+        }),
+        // A resize after a death once handed slices to the dead rank.
+        ("§V death x resize x Γ", |c| {
+            c.fault == Death && c.resize && c.rate == Gamma
         }),
     ];
     for (what, holds) in required {
