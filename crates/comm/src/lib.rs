@@ -100,10 +100,10 @@ pub use reduce::{BinnedSum, ReduceChoice, ReduceKind};
 /// the crate stack) so the trace aggregation can share them; re-exported
 /// here for existing call sites.
 pub mod stats {
-    pub use exa_obs::{CategoryStats, CommCategory, CommStats, OpKind, Snapshot};
+    pub use exa_obs::{CategoryStats, CommCategory, CommStats, OpKind};
 }
 
-pub use stats::{CategoryStats, CommCategory, CommStats, OpKind, Snapshot};
+pub use stats::{CategoryStats, CommCategory, CommStats, OpKind};
 
 use exa_obs::{Recorder, RegionGuard, RegionKind, Tracer};
 use parking_lot::{Condvar, Mutex, MutexGuard};

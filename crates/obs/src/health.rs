@@ -140,30 +140,6 @@ impl ServeHeartbeat {
     }
 }
 
-/// A run heartbeat multiplexed onto a shared stream: the owning job's id
-/// wrapped around the job's own [`HeartbeatRecord`]. The daemon gives every
-/// job a private `health.jsonl` spool file; when their lines are merged into
-/// one feed this wrapper keeps them attributable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobHeartbeat {
-    /// Daemon-assigned job id.
-    pub job: u64,
-    /// The job's own per-iteration record, unchanged.
-    pub record: HeartbeatRecord,
-}
-
-impl JobHeartbeat {
-    /// One-line JSON encoding, ready for an ndjson stream.
-    pub fn to_json_line(&self) -> String {
-        serde_json::to_string(self).expect("job heartbeat serialization cannot fail")
-    }
-
-    /// Parse a line produced by [`JobHeartbeat::to_json_line`].
-    pub fn from_json_line(line: &str) -> Result<JobHeartbeat, String> {
-        serde_json::from_str(line.trim()).map_err(|e| e.to_string())
-    }
-}
-
 /// Measured kernel-time imbalance: max over ranks divided by the mean.
 /// Returns 0.0 when no time was measured (so callers can distinguish "no
 /// data" from "perfectly balanced").
@@ -349,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_job_heartbeats_roundtrip() {
+    fn serve_heartbeat_roundtrips() {
         let hb = ServeHeartbeat {
             seq: 9,
             queue_depth: 42,
@@ -395,14 +371,6 @@ mod tests {
         assert_eq!(back.version, None);
         assert_eq!(back.uptime_secs, None);
         assert_eq!(back.modes, None);
-
-        let tagged = JobHeartbeat {
-            job: 7,
-            record: record(),
-        };
-        let line = tagged.to_json_line();
-        assert!(!line.contains('\n'), "must be a single line: {line}");
-        assert_eq!(JobHeartbeat::from_json_line(&line).unwrap(), tagged);
     }
 
     #[test]

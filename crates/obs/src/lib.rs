@@ -17,7 +17,7 @@
 //!   installed.
 //! - aggregation ([`RunTrace::aggregate`]) into run-level metrics: duration
 //!   histograms per region kind, byte totals per [`CommCategory`], event
-//!   counts — plus [`Snapshot`]s of [`CommStats`] with a `diff` API.
+//!   counts.
 //! - exporters: Chrome `trace_event` JSON (openable in Perfetto /
 //!   `chrome://tracing`) and a plain JSON summary.
 //! - [`metrics`]: a process-wide registry of counters, gauges and
@@ -53,11 +53,9 @@ pub use fingerprint::{
     check_agreement, fnv1a, Component, Fnv1a, ReplicaDivergence, StateFingerprint, FNV_OFFSET,
     FNV_PRIME,
 };
-pub use health::{
-    imbalance_ratio, HealthReport, HeartbeatRecord, JobHeartbeat, ServeHeartbeat, TenantGauge,
-};
+pub use health::{imbalance_ratio, HealthReport, HeartbeatRecord, ServeHeartbeat, TenantGauge};
 pub use recorder::{
     collective, install_tracer, kernel, mark, region, tracing_active, with_tracer, Recorder,
     RegionGuard, TlsGuard, Tracer,
 };
-pub use stats::{CategoryStats, CommCategory, CommStats, OpKind, Snapshot};
+pub use stats::{CategoryStats, CommCategory, CommStats, OpKind};

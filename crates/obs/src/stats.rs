@@ -196,29 +196,6 @@ impl CommStats {
     }
 }
 
-/// A labelled point-in-time capture of [`CommStats`], for attributing
-/// traffic to a phase of the run ("after model optimization", "SPR round
-/// 3", …) by diffing consecutive snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Snapshot {
-    pub label: String,
-    pub stats: CommStats,
-}
-
-impl Snapshot {
-    pub fn capture(label: impl Into<String>, stats: &CommStats) -> Snapshot {
-        Snapshot {
-            label: label.into(),
-            stats: stats.clone(),
-        }
-    }
-
-    /// Per-category / per-kind deltas accumulated since `earlier`.
-    pub fn diff(&self, earlier: &Snapshot) -> CommStats {
-        self.stats.diff(&earlier.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,21 +282,5 @@ mod tests {
         let after = CommStats::default();
         let d = after.diff(&before);
         assert_eq!(d, CommStats::default());
-    }
-
-    #[test]
-    fn snapshot_diff_matches_stats_diff() {
-        let mut stats = CommStats::default();
-        stats.record(CommCategory::ModelParams, OpKind::Broadcast, 40);
-        let s0 = Snapshot::capture("before", &stats);
-        stats.record(CommCategory::ModelParams, OpKind::Broadcast, 40);
-        stats.record(CommCategory::BranchLength, OpKind::Allreduce, 16);
-        let s1 = Snapshot::capture("after", &stats);
-
-        let d = s1.diff(&s0);
-        assert_eq!(d.get(CommCategory::ModelParams).bytes, 40);
-        assert_eq!(d.get(CommCategory::ModelParams).regions, 1);
-        assert_eq!(d.get(CommCategory::BranchLength).regions, 1);
-        assert_eq!(s0.label, "before");
     }
 }

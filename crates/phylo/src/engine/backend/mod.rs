@@ -1,14 +1,16 @@
 //! Pluggable likelihood-kernel backends.
 //!
 //! The three kernels (`newview`, `evaluate`, the sumtable derivatives) take
-//! over 90% of runtime (§II). This module puts their inner loops behind the
-//! [`KernelBackend`] trait — BEAGLE's proven shape — with two
-//! implementations:
+//! over 90% of runtime (§II). BEAGLE's shape: one driver per kernel, written
+//! once in this module (`impl dyn KernelBackend`), around inner loops that a
+//! [`KernelBackend`] supplies — its P-matrix layout, its tip tables and four
+//! pattern loops. Two implementations:
 //!
-//! * [`scalar`] — the original straight-line code,
-//! * [`simd`] — AVX2 4×f64 lanes over the `pattern × category × 4-state`
-//!   CLV blocks; where AVX2 is unavailable [`KernelKind::Simd`] is served by
-//!   the scalar loops, which compute the same bits.
+//! * [`scalar`] — row-major P-matrices and straight-line loops,
+//! * [`simd`] — column-major P-matrices and AVX2 4×f64 lanes over the
+//!   `pattern × category × 4-state` CLV blocks; where AVX2 is unavailable
+//!   [`KernelKind::Simd`] is served by the scalar loops, which compute the
+//!   same bits.
 //!
 //! Both backends are **bitwise-identical by construction**: the SIMD code
 //! uses no FMA contraction and reproduces the scalar association order in
@@ -28,7 +30,7 @@ pub(crate) mod simd;
 
 use serde::{Deserialize, Serialize};
 
-use super::{Engine, PartitionState};
+use super::{repeats, Engine, PartitionState};
 use crate::model::pmatrix::{exp_factors, ProbMatrix};
 use crate::model::rates::RateHeterogeneity;
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
@@ -144,78 +146,345 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// The inner loops of the three likelihood kernels over one partition's
-/// pattern slice. Implementations must be bitwise-deterministic: the same
-/// inputs produce the same bits on every call and every rank.
+/// What a kernel backend supplies: its P-matrix layout, the tip tables over
+/// that layout, and the four pattern loops of the three kernels over one
+/// partition's patterns. Everything around those loops — repeat refresh and
+/// scatter, pattern lists, the take/put-back of CLVs and scratch, the
+/// transition set-up, the root sides — is written once, in the drivers of
+/// `impl dyn KernelBackend` below. Implementations must be
+/// bitwise-deterministic: the same inputs produce the same bits on every
+/// call and every rank.
 pub(crate) trait KernelBackend: Send + Sync {
     /// Which backend this is (stamped into traces/health reports and
     /// fingerprinted by the replica sentinel).
     fn kind(&self) -> KernelKind;
 
+    /// Fill `out` with the P-matrices of every distinct rate multiplier at
+    /// branch length `t`, in this backend's layout, reusing its allocation.
+    fn p_matrices_into(&self, part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>);
+
+    /// [`tip_tables_into`] over P-matrices in this backend's layout.
+    fn tip_tables(&self, ps: &[ProbMatrix], out: &mut Vec<TipTable>);
+
+    /// `newview` at each listed pattern: the parent's CLV blocks and scale
+    /// count from the two children, rescaled by 2²⁵⁶ when every entry falls
+    /// below `MIN_LIKELIHOOD`.
+    #[allow(clippy::too_many_arguments)]
+    fn newview_patterns(
+        &self,
+        rates: &RateHeterogeneity,
+        left: &Child<'_>,
+        right: &Child<'_>,
+        patterns: &[u32],
+        cats: usize,
+        parent_clv: &mut [f64],
+        parent_scale: &mut [u32],
+    );
+
+    /// The weighted log-likelihood of every pattern at a root edge whose
+    /// P-matrices are `ps`, summed in pattern order; each addend is pushed
+    /// onto `terms` when given.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_patterns(
+        &self,
+        rates: &RateHeterogeneity,
+        weights: &[f64],
+        freqs: &[f64; NUM_STATES],
+        ps: &[ProbMatrix],
+        a: &RootSide<'_>,
+        b: &RootSide<'_>,
+        n_patterns: usize,
+        cats: usize,
+        cat_weight: f64,
+        terms: Option<&mut Vec<f64>>,
+    ) -> f64;
+
+    /// `ST[(i·cats+c)·4+e] = (Σ_s π_s x_a[s] V[s,e]) · (Σ_t V⁻¹[e,t] x_b[t])`
+    /// for every pattern and category.
+    #[allow(clippy::too_many_arguments)]
+    fn sumtable_patterns(
+        &self,
+        a: &RootSide<'_>,
+        b: &RootSide<'_>,
+        freqs: &[f64; NUM_STATES],
+        v: &ProbMatrix,
+        vi: &ProbMatrix,
+        n_patterns: usize,
+        cats: usize,
+        sumtable: &mut [f64],
+    );
+
+    /// The weighted first/second-derivative addends of every pattern from
+    /// the sumtable and the per-rate factors `ex = exp(λ r t)`, `lr = λ r`,
+    /// summed in pattern order; each pair is pushed onto `terms` when given.
+    #[allow(clippy::too_many_arguments)]
+    fn derivative_patterns(
+        &self,
+        rates: &RateHeterogeneity,
+        weights: &[f64],
+        sumtable: &[f64],
+        ex: &[[f64; NUM_STATES]],
+        lr: &[[f64; NUM_STATES]],
+        n_patterns: usize,
+        cats: usize,
+        cat_weight: f64,
+        terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    ) -> (f64, f64);
+}
+
+/// The six kernel drivers, one for every backend. An entry makes a handful
+/// of `dyn` calls into the backend (P-matrices, tip tables, one pattern
+/// loop); the pattern loops make none.
+impl dyn KernelBackend {
     /// Recompute the parent CLV of one traversal entry. Returns the work
-    /// done in pattern-categories.
-    fn newview_entry(
+    /// done in pattern-categories (with repeat compression: representatives
+    /// only).
+    pub(crate) fn newview_entry(
         &self,
         part: &mut PartitionState,
         n_taxa: usize,
         entry: &TraversalEntry,
-    ) -> u64;
+    ) -> u64 {
+        let n_patterns = part.data.n_patterns();
+        let cats = part.rates.clv_categories();
+        let gi = part.data.global_index;
+        let lengths = (
+            Engine::branch_length(&entry.left_lengths, gi),
+            Engine::branch_length(&entry.right_lengths, gi),
+        );
+        let compress = repeats::refresh_entry(part, n_taxa, entry);
+        if !compress {
+            repeats::fill_identity(&mut part.repeat_scratch.ident, n_patterns);
+        }
+
+        let mut scratch = std::mem::take(&mut part.scratch);
+        let parent_idx = entry.parent - n_taxa;
+        let mut parent_clv = std::mem::take(&mut part.clv[parent_idx]);
+        let mut parent_scale = std::mem::take(&mut part.scale[parent_idx]);
+        let (left, right) = self.children(
+            part,
+            &mut scratch,
+            lengths,
+            &root_side(part, n_taxa, entry.left),
+            &root_side(part, n_taxa, entry.right),
+        );
+        let patterns: &[u32] = if compress {
+            &part.repeats[parent_idx].classes.representatives
+        } else {
+            &part.repeat_scratch.ident
+        };
+        self.newview_patterns(
+            &part.rates,
+            &left,
+            &right,
+            patterns,
+            cats,
+            &mut parent_clv,
+            &mut parent_scale,
+        );
+        if compress {
+            repeats::scatter_entry(
+                &part.repeats[parent_idx].classes,
+                cats,
+                &mut parent_clv,
+                &mut parent_scale,
+            );
+        }
+        let computed = patterns.len();
+
+        part.clv[parent_idx] = parent_clv;
+        part.scale[parent_idx] = parent_scale;
+        part.scratch = scratch;
+        (computed * cats) as u64
+    }
 
     /// Log-likelihood of one partition at the descriptor's virtual root.
     /// When `terms` is given it is cleared and filled with the per-pattern
     /// weighted log-likelihood addends — exactly the values the returned
     /// `lnl` accumulates, in pattern order — for reproducible (binned)
     /// cross-rank reduction.
-    fn evaluate_root(
+    pub(crate) fn evaluate_root(
         &self,
         part: &mut PartitionState,
         n_taxa: usize,
         d: &TraversalDescriptor,
-        terms: Option<&mut Vec<f64>>,
-    ) -> (f64, u64);
+        mut terms: Option<&mut Vec<f64>>,
+    ) -> (f64, u64) {
+        if let Some(sink) = terms.as_deref_mut() {
+            sink.clear();
+        }
+        let n_patterns = part.data.n_patterns();
+        let cats = part.rates.clv_categories();
+        let t = Engine::branch_length(&d.root_lengths, part.data.global_index);
 
-    /// Build the derivative sumtable for the descriptor's root edge.
-    fn make_sumtable(&self, part: &mut PartitionState, n_taxa: usize, d: &TraversalDescriptor);
+        let mut scratch = std::mem::take(&mut part.scratch);
+        self.p_matrices_into(part, t, &mut scratch.ps_a);
+        let lnl = self.evaluate_patterns(
+            &part.rates,
+            &part.data.weights,
+            part.model.freqs(),
+            &scratch.ps_a,
+            &root_side(part, n_taxa, d.root_a),
+            &root_side(part, n_taxa, d.root_b),
+            n_patterns,
+            cats,
+            category_weight(&part.rates),
+            terms,
+        );
+        part.scratch = scratch;
+        (lnl, (n_patterns * cats) as u64)
+    }
+
+    /// Build the derivative sumtable for the descriptor's root edge. The
+    /// branch length itself enters only in
+    /// [`derivatives_from_sumtable`](Self::derivatives_from_sumtable), so
+    /// Newton–Raphson iterations reuse one sumtable (RAxML's scheme).
+    pub(crate) fn make_sumtable(
+        &self,
+        part: &mut PartitionState,
+        n_taxa: usize,
+        d: &TraversalDescriptor,
+    ) {
+        let mut sumtable = std::mem::take(&mut part.sumtable);
+        self.sumtable_sides(
+            part,
+            &root_side(part, n_taxa, d.root_a),
+            &root_side(part, n_taxa, d.root_b),
+            &mut sumtable,
+        );
+        part.sumtable = sumtable;
+    }
 
     /// Build the derivative sumtable from two explicit root sides — the
-    /// generalized core of [`KernelBackend::make_sumtable`] (which passes
-    /// the descriptor's inward root sides). The gradient sweep passes an
+    /// core of [`make_sumtable`](Self::make_sumtable), which passes the
+    /// descriptor's inward root sides. The gradient sweep passes an
     /// "outside" CLV on one side to take any edge's derivative without
     /// re-rooting. Same arithmetic, same bits.
-    fn sumtable_sides(
+    pub(crate) fn sumtable_sides(
         &self,
         part: &PartitionState,
         a: &RootSide<'_>,
         b: &RootSide<'_>,
-        sumtable: &mut Vec<f64>,
-    );
+        out: &mut Vec<f64>,
+    ) {
+        let n_patterns = part.data.n_patterns();
+        let cats = part.rates.clv_categories();
+        out.resize(n_patterns * cats * NUM_STATES, 0.0);
+        self.sumtable_patterns(
+            a,
+            b,
+            part.model.freqs(),
+            part.model.v(),
+            part.model.v_inv(),
+            n_patterns,
+            cats,
+            out,
+        );
+    }
 
     /// Materialize one "outside" CLV (a [`GradStep`](crate::tree::traversal::GradStep)
-    /// of a gradient sweep): combine the job's two sources through the
-    /// P-matrices of their branches into `out_clv`/`out_scale`, uncompressed
-    /// over all patterns. This is `newview` with explicit sources and an
-    /// explicit destination — bitwise identical to what a per-edge traversal
-    /// would have computed for the same direction. Returns the work done in
-    /// pattern-categories.
-    fn gradient_outside(
+    /// of a gradient sweep): the job's two sources joined through the
+    /// P-matrices of their branches into `out_clv`/`out_scale`, by the
+    /// `newview` pattern loop over all patterns. The result is bitwise what
+    /// a per-edge traversal computes for the same direction. Returns the
+    /// work done in pattern-categories.
+    pub(crate) fn gradient_outside(
         &self,
         part: &PartitionState,
         scratch: &mut KernelScratch,
         job: &OutsideJob<'_>,
         out_clv: &mut [f64],
         out_scale: &mut [u32],
-    ) -> u64;
+    ) -> u64 {
+        let n_patterns = part.data.n_patterns();
+        let cats = part.rates.clv_categories();
+        let mut patterns = std::mem::take(&mut scratch.grad_ident);
+        repeats::fill_identity(&mut patterns, n_patterns);
+        let lengths = (job.t_left, job.t_right);
+        let (left, right) = self.children(part, scratch, lengths, &job.left, &job.right);
+        self.newview_patterns(
+            &part.rates,
+            &left,
+            &right,
+            &patterns,
+            cats,
+            out_clv,
+            out_scale,
+        );
+        scratch.grad_ident = patterns;
+        (n_patterns * cats) as u64
+    }
 
     /// `(dlnL/dt, d²lnL/dt²)` of one partition at branch length `t`, from
-    /// the prepared sumtable. When `terms` is given, both vectors are
-    /// cleared and filled with the per-pattern first/second-derivative
-    /// addends (same contract as [`KernelBackend::evaluate_root`]).
-    fn derivatives_from_sumtable(
+    /// the prepared sumtable (scaling constants cancel in the `L'/L`
+    /// ratios). When `terms` is given, both vectors are cleared and filled
+    /// with the per-pattern first/second-derivative addends (same contract
+    /// as [`evaluate_root`](Self::evaluate_root)).
+    pub(crate) fn derivatives_from_sumtable(
         &self,
         part: &mut PartitionState,
         t: f64,
-        terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
-    ) -> (f64, f64, u64);
+        mut terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    ) -> (f64, f64, u64) {
+        if let Some((s1, s2)) = terms.as_mut() {
+            s1.clear();
+            s2.clear();
+        }
+        let n_patterns = part.data.n_patterns();
+        let cats = part.rates.clv_categories();
+
+        let mut scratch = std::mem::take(&mut part.scratch);
+        let lam = part.model.eigenvalues();
+        scratch.deriv_ex.clear();
+        scratch.deriv_lr.clear();
+        for &r in part.rates.distinct_rates() {
+            scratch.deriv_ex.push(exp_factors(&part.model, t, r));
+            scratch.deriv_lr.push(lam.map(|l| l * r));
+        }
+        let (d1, d2) = self.derivative_patterns(
+            &part.rates,
+            &part.data.weights,
+            &part.sumtable,
+            &scratch.deriv_ex,
+            &scratch.deriv_lr,
+            n_patterns,
+            cats,
+            category_weight(&part.rates),
+            terms,
+        );
+        part.scratch = scratch;
+        (d1, d2, (n_patterns * cats) as u64)
+    }
+
+    /// The transition set-up of two sources joined at one node — P-matrices
+    /// per distinct rate for each branch, tip tables for a tip source — and
+    /// the two sources as `newview` children over it.
+    fn children<'a>(
+        &self,
+        part: &PartitionState,
+        scratch: &'a mut KernelScratch,
+        (t_left, t_right): (f64, f64),
+        left: &RootSide<'a>,
+        right: &RootSide<'a>,
+    ) -> (Child<'a>, Child<'a>) {
+        self.p_matrices_into(part, t_left, &mut scratch.ps_a);
+        self.p_matrices_into(part, t_right, &mut scratch.ps_b);
+        if let RootSide::Tip(_) = left {
+            self.tip_tables(&scratch.ps_a, &mut scratch.lookup_a);
+        }
+        if let RootSide::Tip(_) = right {
+            self.tip_tables(&scratch.ps_b, &mut scratch.lookup_b);
+        }
+        let child = |side: &RootSide<'a>, ps: &'a [ProbMatrix], lookup: &'a [TipTable]| match side {
+            RootSide::Tip(codes) => Child::Tip { codes, lookup },
+            RootSide::Inner { clv, scale } => Child::Inner { clv, scale, ps },
+        };
+        let scratch = &*scratch;
+        (
+            child(left, &scratch.ps_a, &scratch.lookup_a),
+            child(right, &scratch.ps_b, &scratch.lookup_b),
+        )
+    }
 }
 
 static SCALAR_BACKEND: scalar::ScalarBackend = scalar::ScalarBackend(KernelKind::Scalar);
@@ -238,16 +507,15 @@ pub(crate) fn backend_for(kind: KernelKind) -> &'static dyn KernelBackend {
     }
 }
 
-/// Reusable per-partition kernel scratch. P-matrices and tip-lookup tables
-/// used to be freshly allocated on every `newview`/`evaluate` call — on a
-/// per-edge hot path; these buffers are taken out of the
-/// [`PartitionState`], refilled, and put back, so steady-state kernels
-/// allocate nothing.
+/// Reusable per-partition kernel scratch: the drivers take these buffers
+/// out of the [`PartitionState`], refill them, and put them back, so
+/// steady-state kernels allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelScratch {
     /// P-matrices for the left/a side, one per distinct rate, in the layout
-    /// of the backend that filled them: row-major `P[s][t]` for the scalar
-    /// loops, column-major `cols[t][s] = P[s][t]` for the AVX2 backend.
+    /// of the backend's [`KernelBackend::p_matrices_into`]: row-major
+    /// `P[s][t]` for the scalar loops, column-major `cols[t][s] = P[s][t]`
+    /// for the AVX2 loops.
     pub ps_a: Vec<ProbMatrix>,
     /// P-matrices for the right/b side (same layout as `ps_a`).
     pub ps_b: Vec<ProbMatrix>,
@@ -261,8 +529,8 @@ pub(crate) struct KernelScratch {
     /// Per-distinct-rate `λ_e r` factors for the derivative kernel.
     pub deriv_lr: Vec<[f64; NUM_STATES]>,
     /// Identity pattern list `0..n_patterns` for the gradient sweep's
-    /// uncompressed outside-CLV computations (lets the SIMD backend reuse
-    /// its `newview` pattern loops verbatim).
+    /// uncompressed outside-CLV computations, so they run the backend's
+    /// `newview` pattern loop verbatim.
     pub grad_ident: Vec<u32>,
 }
 
@@ -375,6 +643,30 @@ impl<'a> RootSide<'a> {
     }
 }
 
+/// One child of a `newview` join: a tip through its per-rate lookup
+/// tables, or an inner CLV through the backend's P-matrices.
+pub(crate) enum Child<'a> {
+    Tip {
+        codes: &'a [u8],
+        lookup: &'a [TipTable],
+    },
+    Inner {
+        clv: &'a [f64],
+        scale: &'a [u32],
+        ps: &'a [ProbMatrix],
+    },
+}
+
+impl Child<'_> {
+    #[inline]
+    pub(crate) fn scale_of(&self, i: usize) -> u32 {
+        match self {
+            Child::Tip { .. } => 0,
+            Child::Inner { scale, .. } => scale[i],
+        }
+    }
+}
+
 pub(crate) fn root_side<'a>(part: &'a PartitionState, n_taxa: usize, node: usize) -> RootSide<'a> {
     if node < n_taxa {
         RootSide::Tip(&part.data.tips[node])
@@ -384,35 +676,6 @@ pub(crate) fn root_side<'a>(part: &'a PartitionState, n_taxa: usize, node: usize
             clv: &part.clv[idx],
             scale: &part.scale[idx],
         }
-    }
-}
-
-/// Shared by both backends: the branch lengths of a newview entry for this
-/// partition.
-#[inline]
-pub(crate) fn entry_lengths(part: &PartitionState, entry: &TraversalEntry) -> (f64, f64) {
-    let gi = part.data.global_index;
-    (
-        Engine::branch_length(&entry.left_lengths, gi),
-        Engine::branch_length(&entry.right_lengths, gi),
-    )
-}
-
-/// Shared by both backends: fill the derivative-factor scratch
-/// (`exp(λ_e r t)` and `λ_e r` per distinct rate) for
-/// `derivatives_from_sumtable`.
-pub(crate) fn fill_deriv_factors(
-    part: &PartitionState,
-    t: f64,
-    ex: &mut Vec<[f64; NUM_STATES]>,
-    lr: &mut Vec<[f64; NUM_STATES]>,
-) {
-    let lam = part.model.eigenvalues();
-    ex.clear();
-    lr.clear();
-    for &r in part.rates.distinct_rates() {
-        ex.push(exp_factors(&part.model, t, r));
-        lr.push(lam.map(|l| l * r));
     }
 }
 
@@ -593,15 +856,15 @@ mod tests {
         // A longer scratch shrinks and a shorter one grows; neither leaks
         // its stale rows.
         let mut got = vec![[[f64::NAN; NUM_STATES]; 16]; ps.len() + 3];
-        scalar::tip_tables(&ps, &mut got);
+        SCALAR_BACKEND.tip_tables(&ps, &mut got);
         assert_eq!(got.len(), want.len());
         for (k, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(oracle::bits(g), oracle::bits(w), "row-major case {k}");
         }
         #[cfg(target_arch = "x86_64")]
-        {
+        if let Some(simd) = simd::SimdBackend::detect() {
             let mut got = vec![[[f64::NAN; NUM_STATES]; 16]; 1];
-            simd::tip_tables(&cols, &mut got);
+            simd.tip_tables(&cols, &mut got);
             assert_eq!(got.len(), want.len());
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(oracle::bits(g), oracle::bits(w), "column-major case {k}");

@@ -1,5 +1,5 @@
-//! The SIMD kernel backend: AVX2 4×f64 lanes over the
-//! `pattern × category × 4-state` CLV blocks. x86-64 only, and a
+//! The SIMD kernel backend: column-major P-matrices and AVX2 4×f64 lanes
+//! over the `pattern × category × 4-state` CLV blocks. x86-64 only, and a
 //! [`SimdBackend`] exists only where [`SimdBackend::detect`] found AVX2 at
 //! runtime — every `unsafe` call into [`mod@avx2`] below rests on that.
 //!
@@ -25,13 +25,10 @@
 //! vector max, which treats NaN differently from `f64::max`; NaN CLVs only
 //! arise from already-broken inputs.
 
-use super::{
-    category_weight, entry_lengths, fill_deriv_factors, root_side, tip_tables_into, KernelBackend,
-    KernelKind, KernelScratch, OutsideJob, RootSide, TipTable,
-};
-use crate::engine::{Engine, PartitionState};
+use super::{tip_tables_into, Child, KernelBackend, KernelKind, RootSide, TipTable};
+use crate::engine::PartitionState;
 use crate::model::pmatrix::{exp_factors, ProbMatrix};
-use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
+use crate::model::rates::RateHeterogeneity;
 use exa_bio::dna::NUM_STATES;
 
 /// Proof that this host has AVX2: the only way to one is [`Self::detect`].
@@ -50,328 +47,102 @@ impl KernelBackend for SimdBackend {
         KernelKind::Simd
     }
 
-    fn newview_entry(
-        &self,
-        part: &mut PartitionState,
-        n_taxa: usize,
-        entry: &TraversalEntry,
-    ) -> u64 {
-        newview_entry(part, n_taxa, entry)
+    fn p_matrices_into(&self, part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
+        let rates = part.rates.distinct_rates();
+        out.resize(rates.len(), [[0.0; NUM_STATES]; NUM_STATES]);
+        for (cols, &r) in out.iter_mut().zip(rates) {
+            let ex = exp_factors(&part.model, t, r);
+            // SAFETY: AVX2 was detected (module doc).
+            unsafe { avx2::prob_columns(part.model.v(), &ex, part.model.v_inv(), cols) };
+        }
     }
 
-    fn evaluate_root(
-        &self,
-        part: &mut PartitionState,
-        n_taxa: usize,
-        d: &TraversalDescriptor,
-        terms: Option<&mut Vec<f64>>,
-    ) -> (f64, u64) {
-        evaluate_root(part, n_taxa, d, terms)
+    /// Column `t` of a column-major P is one row.
+    fn tip_tables(&self, cols: &[ProbMatrix], out: &mut Vec<TipTable>) {
+        tip_tables_into(cols, |c, t| c[t], out);
     }
 
-    fn make_sumtable(&self, part: &mut PartitionState, n_taxa: usize, d: &TraversalDescriptor) {
-        make_sumtable(part, n_taxa, d)
+    fn newview_patterns(
+        &self,
+        rates: &RateHeterogeneity,
+        left: &Child<'_>,
+        right: &Child<'_>,
+        patterns: &[u32],
+        cats: usize,
+        parent_clv: &mut [f64],
+        parent_scale: &mut [u32],
+    ) {
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe {
+            avx2::newview_patterns(rates, left, right, patterns, cats, parent_clv, parent_scale)
+        }
     }
 
-    fn sumtable_sides(
+    fn evaluate_patterns(
         &self,
-        part: &PartitionState,
+        rates: &RateHeterogeneity,
+        weights: &[f64],
+        freqs: &[f64; NUM_STATES],
+        cols: &[ProbMatrix],
         a: &RootSide<'_>,
         b: &RootSide<'_>,
-        sumtable: &mut Vec<f64>,
-    ) {
-        sumtable_sides(part, a, b, sumtable)
-    }
-
-    fn gradient_outside(
-        &self,
-        part: &PartitionState,
-        scratch: &mut KernelScratch,
-        job: &OutsideJob<'_>,
-        out_clv: &mut [f64],
-        out_scale: &mut [u32],
-    ) -> u64 {
-        gradient_outside(part, scratch, job, out_clv, out_scale)
-    }
-
-    fn derivatives_from_sumtable(
-        &self,
-        part: &mut PartitionState,
-        t: f64,
-        terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
-    ) -> (f64, f64, u64) {
-        derivatives_from_sumtable(part, t, terms)
-    }
-}
-
-/// Fill `out` with the column-major P-matrices of every distinct rate
-/// multiplier, reusing its allocation.
-fn p_columns_into(part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
-    let rates = part.rates.distinct_rates();
-    out.resize(rates.len(), [[0.0; NUM_STATES]; NUM_STATES]);
-    for (cols, &r) in out.iter_mut().zip(rates) {
-        let ex = exp_factors(&part.model, t, r);
+        n_patterns: usize,
+        cats: usize,
+        cat_weight: f64,
+        terms: Option<&mut Vec<f64>>,
+    ) -> f64 {
         // SAFETY: AVX2 was detected (module doc).
-        unsafe { avx2::prob_columns(part.model.v(), &ex, part.model.v_inv(), cols) };
-    }
-}
-
-/// Tip tables from column-major P-matrices (column `t` is one row).
-pub(super) fn tip_tables(cols: &[ProbMatrix], out: &mut Vec<TipTable>) {
-    tip_tables_into(cols, |c, t| c[t], out);
-}
-
-/// One child's 4-wide contribution source inside `newview`: a precomputed
-/// tip-lookup row or a matrix–vector product of the column-major P against
-/// the child's CLV block.
-enum SimdChild<'a> {
-    Tip {
-        codes: &'a [u8],
-        lookup: &'a [TipTable],
-    },
-    Inner {
-        clv: &'a [f64],
-        scale: &'a [u32],
-        cols: &'a [ProbMatrix],
-    },
-}
-
-impl<'a> SimdChild<'a> {
-    #[inline]
-    fn scale_of(&self, i: usize) -> u32 {
-        match self {
-            SimdChild::Tip { .. } => 0,
-            SimdChild::Inner { scale, .. } => scale[i],
-        }
-    }
-}
-
-fn newview_entry(part: &mut PartitionState, n_taxa: usize, entry: &TraversalEntry) -> u64 {
-    let n_patterns = part.data.n_patterns();
-    let cats = part.rates.clv_categories();
-    let lengths = entry_lengths(part, entry);
-    let compress = crate::engine::repeats::refresh_entry(part, n_taxa, entry);
-    if !compress {
-        crate::engine::repeats::fill_identity(&mut part.repeat_scratch.ident, n_patterns);
-    }
-
-    let mut scratch = std::mem::take(&mut part.scratch);
-    let parent_idx = entry.parent - n_taxa;
-    let mut parent_clv = std::mem::take(&mut part.clv[parent_idx]);
-    let mut parent_scale = std::mem::take(&mut part.scale[parent_idx]);
-    let (left, right) = children(
-        part,
-        &mut scratch,
-        lengths,
-        &root_side(part, n_taxa, entry.left),
-        &root_side(part, n_taxa, entry.right),
-    );
-    let patterns: &[u32] = if compress {
-        &part.repeats[parent_idx].classes.representatives
-    } else {
-        &part.repeat_scratch.ident
-    };
-    // SAFETY: AVX2 was detected (module doc).
-    unsafe {
-        avx2::newview_patterns(
-            &part.rates,
-            &left,
-            &right,
-            patterns,
-            cats,
-            &mut parent_clv,
-            &mut parent_scale,
-        );
-    }
-    if compress {
-        crate::engine::repeats::scatter_entry(
-            &part.repeats[parent_idx].classes,
-            cats,
-            &mut parent_clv,
-            &mut parent_scale,
-        );
-    }
-    let computed = patterns.len();
-
-    part.clv[parent_idx] = parent_clv;
-    part.scale[parent_idx] = parent_scale;
-    part.scratch = scratch;
-    (computed * cats) as u64
-}
-
-fn evaluate_root(
-    part: &mut PartitionState,
-    n_taxa: usize,
-    d: &TraversalDescriptor,
-    terms: Option<&mut Vec<f64>>,
-) -> (f64, u64) {
-    let n_patterns = part.data.n_patterns();
-    let cats = part.rates.clv_categories();
-    let gi = part.data.global_index;
-    let t = Engine::branch_length(&d.root_lengths, gi);
-
-    let mut scratch = std::mem::take(&mut part.scratch);
-    p_columns_into(part, t, &mut scratch.ps_a);
-    let freqs = *part.model.freqs();
-    let cat_weight = category_weight(&part.rates);
-
-    let lnl;
-    {
-        let a = root_side(part, n_taxa, d.root_a);
-        let b = root_side(part, n_taxa, d.root_b);
-        // SAFETY: AVX2 was detected (module doc).
-        lnl = unsafe {
+        unsafe {
             avx2::evaluate_patterns(
-                &part.rates,
-                &part.data.weights,
-                &freqs,
-                &scratch.ps_a,
-                &a,
-                &b,
-                n_patterns,
-                cats,
-                cat_weight,
-                terms,
+                rates, weights, freqs, cols, a, b, n_patterns, cats, cat_weight, terms,
             )
-        };
-    }
-    part.scratch = scratch;
-    (lnl, (n_patterns * cats) as u64)
-}
-
-fn make_sumtable(part: &mut PartitionState, n_taxa: usize, d: &TraversalDescriptor) {
-    let mut sumtable = std::mem::take(&mut part.sumtable);
-    {
-        let a = root_side(part, n_taxa, d.root_a);
-        let b = root_side(part, n_taxa, d.root_b);
-        sumtable_sides(part, &a, &b, &mut sumtable);
-    }
-    part.sumtable = sumtable;
-}
-
-/// The sumtable core over two explicit sides (shared by [`make_sumtable`]
-/// and the gradient sweep, so both paths are one kernel).
-fn sumtable_sides(part: &PartitionState, a: &RootSide<'_>, b: &RootSide<'_>, out: &mut Vec<f64>) {
-    let n_patterns = part.data.n_patterns();
-    let cats = part.rates.clv_categories();
-    let freqs = *part.model.freqs();
-    let v = *part.model.v();
-    let vi = *part.model.v_inv();
-    // Transposed V⁻¹ so the `be` reduction can run row-contiguous:
-    // `vit[s][e] = vi[e][s]`.
-    let mut vit = [[0.0; NUM_STATES]; NUM_STATES];
-    for e in 0..NUM_STATES {
-        for s in 0..NUM_STATES {
-            vit[s][e] = vi[e][s];
         }
     }
 
-    out.resize(n_patterns * cats * NUM_STATES, 0.0);
-    // SAFETY: AVX2 was detected (module doc).
-    unsafe {
-        avx2::sumtable_patterns(a, b, &freqs, &v, &vit, n_patterns, cats, out);
+    fn sumtable_patterns(
+        &self,
+        a: &RootSide<'_>,
+        b: &RootSide<'_>,
+        freqs: &[f64; NUM_STATES],
+        v: &ProbMatrix,
+        vi: &ProbMatrix,
+        n_patterns: usize,
+        cats: usize,
+        sumtable: &mut [f64],
+    ) {
+        // Transposed V⁻¹ so the `be` reduction can run row-contiguous:
+        // `vit[s][e] = vi[e][s]`.
+        let vit: ProbMatrix = std::array::from_fn(|s| std::array::from_fn(|e| vi[e][s]));
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe { avx2::sumtable_patterns(a, b, freqs, v, &vit, n_patterns, cats, sumtable) }
     }
-}
 
-/// Materialize one outside CLV. The pattern loop is the *same*
-/// `newview_patterns` function `newview_entry` runs — over an identity
-/// pattern list with explicit sources and destination — so the result is
-/// bitwise identical to a per-edge traversal's CLV for the same direction.
-fn gradient_outside(
-    part: &PartitionState,
-    scratch: &mut KernelScratch,
-    job: &OutsideJob<'_>,
-    out_clv: &mut [f64],
-    out_scale: &mut [u32],
-) -> u64 {
-    let n_patterns = part.data.n_patterns();
-    let cats = part.rates.clv_categories();
-    let mut patterns = std::mem::take(&mut scratch.grad_ident);
-    crate::engine::repeats::fill_identity(&mut patterns, n_patterns);
-    let lengths = (job.t_left, job.t_right);
-    let (left, right) = children(part, scratch, lengths, &job.left, &job.right);
-    // SAFETY: AVX2 was detected (module doc).
-    unsafe {
-        avx2::newview_patterns(
-            &part.rates,
-            &left,
-            &right,
-            &patterns,
-            cats,
-            out_clv,
-            out_scale,
-        );
+    fn derivative_patterns(
+        &self,
+        rates: &RateHeterogeneity,
+        weights: &[f64],
+        sumtable: &[f64],
+        ex: &[[f64; NUM_STATES]],
+        lr: &[[f64; NUM_STATES]],
+        n_patterns: usize,
+        cats: usize,
+        cat_weight: f64,
+        terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    ) -> (f64, f64) {
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe {
+            avx2::derivative_patterns(
+                rates, weights, sumtable, ex, lr, n_patterns, cats, cat_weight, terms,
+            )
+        }
     }
-    scratch.grad_ident = patterns;
-    (n_patterns * cats) as u64
-}
-
-/// The transition set-up of two sources joined at one node — column-major
-/// P per distinct rate for each branch, tip tables for a tip source — and
-/// the two sources as `newview` children over it.
-fn children<'a>(
-    part: &PartitionState,
-    scratch: &'a mut KernelScratch,
-    (t_left, t_right): (f64, f64),
-    left: &RootSide<'a>,
-    right: &RootSide<'a>,
-) -> (SimdChild<'a>, SimdChild<'a>) {
-    p_columns_into(part, t_left, &mut scratch.ps_a);
-    p_columns_into(part, t_right, &mut scratch.ps_b);
-    if let RootSide::Tip(_) = left {
-        tip_tables(&scratch.ps_a, &mut scratch.lookup_a);
-    }
-    if let RootSide::Tip(_) = right {
-        tip_tables(&scratch.ps_b, &mut scratch.lookup_b);
-    }
-    let child = |side: &RootSide<'a>, cols: &'a [ProbMatrix], lookup: &'a [TipTable]| match side {
-        RootSide::Tip(codes) => SimdChild::Tip { codes, lookup },
-        RootSide::Inner { clv, scale } => SimdChild::Inner { clv, scale, cols },
-    };
-    let scratch = &*scratch;
-    (
-        child(left, &scratch.ps_a, &scratch.lookup_a),
-        child(right, &scratch.ps_b, &scratch.lookup_b),
-    )
-}
-
-fn derivatives_from_sumtable(
-    part: &mut PartitionState,
-    t: f64,
-    terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
-) -> (f64, f64, u64) {
-    let n_patterns = part.data.n_patterns();
-    let cats = part.rates.clv_categories();
-    let cat_weight = category_weight(&part.rates);
-
-    let mut scratch = std::mem::take(&mut part.scratch);
-    fill_deriv_factors(part, t, &mut scratch.deriv_ex, &mut scratch.deriv_lr);
-
-    // SAFETY: AVX2 was detected (module doc).
-    let (d1, d2) = unsafe {
-        avx2::derivative_patterns(
-            &part.rates,
-            &part.data.weights,
-            &part.sumtable,
-            &scratch.deriv_ex,
-            &scratch.deriv_lr,
-            n_patterns,
-            cats,
-            cat_weight,
-            terms,
-        )
-    };
-
-    part.scratch = scratch;
-    (d1, d2, (n_patterns * cats) as u64)
 }
 
 /// The AVX2 hardware path. Every function carries
 /// `#[target_feature(enable = "avx2")]`; callers must have verified AVX2
 /// support (see the module doc).
 mod avx2 {
-    use super::SimdChild;
-    use crate::engine::backend::{cat_index, RootSide};
+    use crate::engine::backend::{cat_index, Child, RootSide};
     use crate::engine::{LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
     use crate::model::pmatrix::ProbMatrix;
     use crate::model::rates::RateHeterogeneity;
@@ -445,14 +216,16 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn child_vec(child: &SimdChild, i: usize, c: usize, cats: usize, k: usize) -> __m256d {
+    fn child_vec(child: &Child, i: usize, c: usize, cats: usize, k: usize) -> __m256d {
         match child {
-            SimdChild::Tip { codes, lookup } => unsafe {
+            // SAFETY: a tip-table row is 4 contiguous f64, one unaligned
+            // 256-bit load.
+            Child::Tip { codes, lookup } => unsafe {
                 _mm256_loadu_pd(lookup[k][codes[i] as usize & 0xf].as_ptr())
             },
-            SimdChild::Inner { clv, cols, .. } => {
+            Child::Inner { clv, ps, .. } => {
                 let base = (i * cats + c) * NUM_STATES;
-                matvec(&cols[k], &clv[base..base + NUM_STATES])
+                matvec(&ps[k], &clv[base..base + NUM_STATES])
             }
         }
     }
@@ -461,8 +234,8 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn newview_patterns(
         rates: &RateHeterogeneity,
-        left: &SimdChild,
-        right: &SimdChild,
+        left: &Child,
+        right: &Child,
         patterns: &[u32],
         cats: usize,
         parent_clv: &mut [f64],
@@ -515,9 +288,6 @@ mod avx2 {
         cat_weight: f64,
         mut term_sink: Option<&mut Vec<f64>>,
     ) -> f64 {
-        if let Some(sink) = term_sink.as_deref_mut() {
-            sink.clear();
-        }
         let fv = unsafe { _mm256_loadu_pd(freqs.as_ptr()) };
         let mut lnl = 0.0f64;
         for i in 0..n_patterns {
@@ -600,10 +370,6 @@ mod avx2 {
         cat_weight: f64,
         mut term_sink: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
     ) -> (f64, f64) {
-        if let Some((s1, s2)) = term_sink.as_mut() {
-            s1.clear();
-            s2.clear();
-        }
         let mut d1_sum = 0.0f64;
         let mut d2_sum = 0.0f64;
         for i in 0..n_patterns {
@@ -659,8 +425,8 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::backend::{backend_for, simd_available};
-    use crate::engine::PartitionSlice;
+    use crate::engine::backend::{backend_for, root_side, simd_available, OutsideJob};
+    use crate::engine::{Engine, PartitionSlice, SiteRepeats};
     use crate::model::rates::RateModelKind;
     use crate::tree::Tree;
 
@@ -695,134 +461,151 @@ mod tests {
         }
     }
 
-    /// Run the scalar backend and the AVX2 loops (where the host has them)
-    /// over the same traversal and assert every observable output — CLVs,
-    /// scale counts, lnl, sumtable, derivatives — is bitwise identical.
+    const N_TAXA: usize = 7;
+
+    /// An engine over a fixed [`slice`] with the repeat setting pinned (the
+    /// drivers are called with an explicit backend, so its own is unused).
+    fn engine(kind: RateModelKind, repeats: SiteRepeats) -> Engine {
+        let s = slice(N_TAXA, 41, 77);
+        Engine::with_config(N_TAXA, vec![s], kind, 0.6, KernelKind::Scalar, repeats)
+    }
+
+    /// Run the scalar and the AVX2 loops (where the host has them) through
+    /// the shared drivers over the same traversal, with subtree repeats on
+    /// (representative lists) and off (identity lists), and assert every
+    /// observable output — CLVs, scale counts, lnl, sumtable, derivatives —
+    /// is bitwise identical.
     fn check_paths(kind: RateModelKind) {
-        if !simd_available() {
+        let Some(simd) = SimdBackend::detect() else {
             return;
-        }
-        let n_taxa = 7;
-        let s = slice(n_taxa, 41, 77);
-        let mk = || Engine::with_kernel(n_taxa, vec![s.clone()], kind, 0.6, KernelKind::Scalar);
-        let mut tree = Tree::random(n_taxa, 1, 5);
-        let d = tree.full_traversal_descriptor(0);
-
-        let scalar = backend_for(KernelKind::Scalar);
-        let mut eng_scalar = mk();
-        let mut eng_avx = mk();
-        for entry in &d.entries {
-            scalar.newview_entry(&mut eng_scalar.parts[0], n_taxa, entry);
-            newview_entry(&mut eng_avx.parts[0], n_taxa, entry);
-        }
-        assert_eq!(eng_scalar.parts[0].clv, eng_avx.parts[0].clv);
-        assert_eq!(eng_scalar.parts[0].scale, eng_avx.parts[0].scale);
-
-        let mut terms_s = Vec::new();
-        let mut terms_a = Vec::new();
-        let (lnl_s, w_s) =
-            scalar.evaluate_root(&mut eng_scalar.parts[0], n_taxa, &d, Some(&mut terms_s));
-        let (lnl_a, w_a) = evaluate_root(&mut eng_avx.parts[0], n_taxa, &d, Some(&mut terms_a));
-        assert_eq!(lnl_s.to_bits(), lnl_a.to_bits(), "{lnl_s} vs {lnl_a}");
-        assert_eq!(w_s, w_a);
-        assert_eq!(terms_s.len(), 41);
-        assert_eq!(terms_s, terms_a, "per-pattern lnl terms differ");
-        let replayed: f64 = terms_s.iter().sum();
-        assert_eq!(
-            replayed.to_bits(),
-            lnl_s.to_bits(),
-            "terms do not replay lnl"
-        );
-
-        scalar.make_sumtable(&mut eng_scalar.parts[0], n_taxa, &d);
-        make_sumtable(&mut eng_avx.parts[0], n_taxa, &d);
-        assert_eq!(eng_scalar.parts[0].sumtable, eng_avx.parts[0].sumtable);
-
-        for t in [1e-6, 0.07, 0.9] {
-            let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            let (mut v1, mut v2) = (Vec::new(), Vec::new());
-            let (a1, a2, _) = scalar.derivatives_from_sumtable(
-                &mut eng_scalar.parts[0],
-                t,
-                Some((&mut s1, &mut s2)),
+        };
+        let (scalar, simd): (_, &'static dyn KernelBackend) =
+            (backend_for(KernelKind::Scalar), simd);
+        for repeats in [SiteRepeats::On, SiteRepeats::Off] {
+            let mut tree = Tree::random(N_TAXA, 1, 5);
+            let d = tree.full_traversal_descriptor(0);
+            let mut eng_scalar = engine(kind, repeats);
+            let mut eng_avx = engine(kind, repeats);
+            for entry in &d.entries {
+                scalar.newview_entry(&mut eng_scalar.parts[0], N_TAXA, entry);
+                simd.newview_entry(&mut eng_avx.parts[0], N_TAXA, entry);
+            }
+            assert_eq!(eng_scalar.parts[0].clv, eng_avx.parts[0].clv, "{repeats}");
+            assert_eq!(
+                eng_scalar.parts[0].scale, eng_avx.parts[0].scale,
+                "{repeats}"
             );
-            let (b1, b2, _) =
-                derivatives_from_sumtable(&mut eng_avx.parts[0], t, Some((&mut v1, &mut v2)));
-            assert_eq!(a1.to_bits(), b1.to_bits(), "d1 at {t}");
-            assert_eq!(a2.to_bits(), b2.to_bits(), "d2 at {t}");
-            assert_eq!(s1, v1, "d1 terms at {t}");
-            assert_eq!(s2, v2, "d2 terms at {t}");
-            assert_eq!(s1.iter().sum::<f64>().to_bits(), a1.to_bits());
-            assert_eq!(s2.iter().sum::<f64>().to_bits(), a2.to_bits());
+
+            let mut terms_s = Vec::new();
+            let mut terms_a = Vec::new();
+            let (lnl_s, w_s) =
+                scalar.evaluate_root(&mut eng_scalar.parts[0], N_TAXA, &d, Some(&mut terms_s));
+            let (lnl_a, w_a) =
+                simd.evaluate_root(&mut eng_avx.parts[0], N_TAXA, &d, Some(&mut terms_a));
+            assert_eq!(lnl_s.to_bits(), lnl_a.to_bits(), "{lnl_s} vs {lnl_a}");
+            assert_eq!(w_s, w_a);
+            assert_eq!(terms_s.len(), 41);
+            assert_eq!(terms_s, terms_a, "per-pattern lnl terms differ");
+            let replayed: f64 = terms_s.iter().sum();
+            assert_eq!(
+                replayed.to_bits(),
+                lnl_s.to_bits(),
+                "terms do not replay lnl"
+            );
+
+            scalar.make_sumtable(&mut eng_scalar.parts[0], N_TAXA, &d);
+            simd.make_sumtable(&mut eng_avx.parts[0], N_TAXA, &d);
+            assert_eq!(eng_scalar.parts[0].sumtable, eng_avx.parts[0].sumtable);
+
+            for t in [1e-6, 0.07, 0.9] {
+                let (mut s1, mut s2) = (Vec::new(), Vec::new());
+                let (mut v1, mut v2) = (Vec::new(), Vec::new());
+                let (a1, a2, _) = scalar.derivatives_from_sumtable(
+                    &mut eng_scalar.parts[0],
+                    t,
+                    Some((&mut s1, &mut s2)),
+                );
+                let (b1, b2, _) = simd.derivatives_from_sumtable(
+                    &mut eng_avx.parts[0],
+                    t,
+                    Some((&mut v1, &mut v2)),
+                );
+                assert_eq!(a1.to_bits(), b1.to_bits(), "d1 at {t}");
+                assert_eq!(a2.to_bits(), b2.to_bits(), "d2 at {t}");
+                assert_eq!(s1, v1, "d1 terms at {t}");
+                assert_eq!(s2, v2, "d2 terms at {t}");
+                assert_eq!(s1.iter().sum::<f64>().to_bits(), a1.to_bits());
+                assert_eq!(s2.iter().sum::<f64>().to_bits(), a2.to_bits());
+            }
         }
     }
 
-    /// The gradient-sweep entry points must hold the same bitwise contract
-    /// as the classic kernels: the outside-CLV builder runs the shared
-    /// `newview_patterns` core over an identity pattern list, so the scalar
-    /// and AVX2 paths must agree bit for bit on the CLV, the scale counts,
-    /// and the work accounting.
+    /// The gradient-sweep entry point must hold the same bitwise contract
+    /// as the classic kernels: the outside-CLV driver runs each backend's
+    /// `newview_patterns` over an identity pattern list, so the scalar and
+    /// AVX2 loops must agree bit for bit on the CLV, the scale counts, and
+    /// the work accounting — under Γ and PSR, over inward CLVs built with
+    /// subtree repeats on and off.
     #[test]
     fn gradient_outside_paths_match_scalar_bitwise() {
-        if !simd_available() {
+        let Some(simd) = SimdBackend::detect() else {
             return;
+        };
+        let (scalar, simd): (_, &'static dyn KernelBackend) =
+            (backend_for(KernelKind::Scalar), simd);
+        for kind in [RateModelKind::Gamma, RateModelKind::Psr] {
+            for repeats in [SiteRepeats::On, SiteRepeats::Off] {
+                let mut tree = Tree::random(N_TAXA, 1, 5);
+                let d = tree.full_traversal_descriptor(0);
+                let plan = tree.gradient_plan(0);
+                // A first-generation step: both sides resolve to inward
+                // CLVs, so the job can be built without running the whole
+                // sweep.
+                let step = plan
+                    .steps
+                    .iter()
+                    .find(|st| st.left.from_outside.is_none() && st.right.from_outside.is_none())
+                    .expect("plan must start at a root endpoint");
+
+                let run = |backend: &'static dyn KernelBackend| -> (Vec<f64>, Vec<u32>, u64) {
+                    let mut eng = engine(kind, repeats);
+                    for entry in &d.entries {
+                        scalar.newview_entry(&mut eng.parts[0], N_TAXA, entry);
+                    }
+                    let part = &mut eng.parts[0];
+                    let gi = part.data.global_index;
+                    let mut out_clv = vec![0.0; part.clv_len()];
+                    let mut out_scale = vec![0u32; part.data.n_patterns()];
+                    let mut scratch = std::mem::take(&mut part.scratch);
+                    let job = OutsideJob {
+                        t_left: Engine::branch_length(&step.left.lengths, gi),
+                        t_right: Engine::branch_length(&step.right.lengths, gi),
+                        left: root_side(part, N_TAXA, step.left.node),
+                        right: root_side(part, N_TAXA, step.right.node),
+                    };
+                    let w = backend.gradient_outside(
+                        part,
+                        &mut scratch,
+                        &job,
+                        &mut out_clv,
+                        &mut out_scale,
+                    );
+                    (out_clv, out_scale, w)
+                };
+
+                let (clv_s, scale_s, w_s) = run(scalar);
+                let (clv_a, scale_a, w_a) = run(simd);
+                assert_eq!(
+                    clv_s, clv_a,
+                    "avx2 outside CLV differs ({kind:?}, {repeats})"
+                );
+                assert_eq!(
+                    scale_s, scale_a,
+                    "avx2 outside scale differs ({kind:?}, {repeats})"
+                );
+                assert_eq!(w_s, w_a);
+            }
         }
-        let n_taxa = 7;
-        let s = slice(n_taxa, 41, 77);
-        let mk = || {
-            Engine::with_kernel(
-                n_taxa,
-                vec![s.clone()],
-                RateModelKind::Gamma,
-                0.6,
-                KernelKind::Scalar,
-            )
-        };
-        let mut tree = Tree::random(n_taxa, 1, 5);
-        let d = tree.full_traversal_descriptor(0);
-        let plan = tree.gradient_plan(0);
-        // A first-generation step: both sides resolve to inward CLVs, so
-        // the job can be built without running the whole sweep.
-        let step = plan
-            .steps
-            .iter()
-            .find(|st| st.left.from_outside.is_none() && st.right.from_outside.is_none())
-            .expect("plan must start at a root endpoint");
-
-        let scalar = backend_for(KernelKind::Scalar);
-        let run = |avx2: bool| -> (Vec<f64>, Vec<u32>, u64) {
-            let mut eng = mk();
-            for entry in &d.entries {
-                scalar.newview_entry(&mut eng.parts[0], n_taxa, entry);
-            }
-            let part = &mut eng.parts[0];
-            let gi = part.data.global_index;
-            let mut out_clv = vec![0.0; part.clv_len()];
-            let mut out_scale = vec![0u32; part.data.n_patterns()];
-            let mut scratch = std::mem::take(&mut part.scratch);
-            let w;
-            {
-                let job = OutsideJob {
-                    t_left: Engine::branch_length(&step.left.lengths, gi),
-                    t_right: Engine::branch_length(&step.right.lengths, gi),
-                    left: root_side(part, n_taxa, step.left.node),
-                    right: root_side(part, n_taxa, step.right.node),
-                };
-                w = if avx2 {
-                    gradient_outside(part, &mut scratch, &job, &mut out_clv, &mut out_scale)
-                } else {
-                    scalar.gradient_outside(part, &mut scratch, &job, &mut out_clv, &mut out_scale)
-                };
-            }
-            part.scratch = scratch;
-            (out_clv, out_scale, w)
-        };
-
-        let (clv_s, scale_s, w_s) = run(false);
-        let (clv_a, scale_a, w_a) = run(true);
-        assert_eq!(clv_s, clv_a, "avx2 outside CLV differs");
-        assert_eq!(scale_s, scale_a, "avx2 outside scale differs");
-        assert_eq!(w_s, w_a);
     }
 
     /// The one-pass AVX2 column builder against `prob_matrix`'s loop
@@ -859,7 +642,7 @@ mod tests {
                 "case {case}"
             );
             let mut tips = Vec::new();
-            tip_tables(&[cols], &mut tips);
+            SimdBackend(()).tip_tables(&[cols], &mut tips);
             assert_eq!(
                 oracle::bits(&tips[0]),
                 oracle::bits(&want_tips[0]),

@@ -277,8 +277,8 @@ impl PartitionState {
         }
     }
 
-    /// Resize CLV buffers when the category count changes (never happens for
-    /// Γ vs PSR at runtime, but kept for safety).
+    /// The length of one CLV (or outside CLV) buffer:
+    /// `patterns × categories × 4` entries.
     fn clv_len(&self) -> usize {
         self.data.n_patterns() * self.rates.clv_categories() * NUM_STATES
     }
@@ -1073,7 +1073,7 @@ fn sweep_partition(
 
 #[allow(clippy::too_many_arguments)]
 fn grad_deriv_at(
-    backend: &dyn KernelBackend,
+    backend: &'static dyn KernelBackend,
     part: &mut PartitionState,
     grad: &mut [(f64, f64)],
     t1: &mut [Vec<f64>],

@@ -11,7 +11,7 @@
 use exa_bio::alignment::Alignment;
 use exa_bio::partition::PartitionScheme;
 use exa_bio::patterns::CompressedAlignment;
-use exa_phylo::engine::{Engine, KernelKind, PartitionSlice};
+use exa_phylo::engine::{Engine, KernelKind, PartitionSlice, SiteRepeats};
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::Tree;
 use proptest::prelude::*;
@@ -48,21 +48,44 @@ fn random_alignment(n: usize, len: usize, seed: u64) -> Alignment {
     Alignment::from_ascii(&named).unwrap()
 }
 
-fn engine_with(aln: &Alignment, kind: RateModelKind, kernel: KernelKind, alpha: f64) -> Engine {
+/// Both subtree-repeat settings: `newview` over representative lists, and
+/// over identity lists.
+const REPEATS: [SiteRepeats; 2] = [SiteRepeats::On, SiteRepeats::Off];
+
+fn engine_with(
+    aln: &Alignment,
+    kind: RateModelKind,
+    kernel: KernelKind,
+    alpha: f64,
+    repeats: SiteRepeats,
+) -> Engine {
     let comp = CompressedAlignment::build(aln, &PartitionScheme::unpartitioned(aln.n_sites()));
     let slices = vec![PartitionSlice::from_compressed(0, &comp.partitions[0])];
-    Engine::with_kernel(aln.n_taxa(), slices, kind, alpha, kernel)
+    Engine::with_config(aln.n_taxa(), slices, kind, alpha, kernel, repeats)
+}
+
+/// [`assert_backends_agree_with`] under both subtree-repeat settings.
+fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModelKind) {
+    for repeats in REPEATS {
+        assert_backends_agree_with(n_taxa, sites, seed, kind, repeats);
+    }
 }
 
 /// Drive both backends through the full kernel surface (newview over a full
 /// traversal, evaluate, sumtable + derivatives at several branch lengths,
 /// then a partial traversal after a branch change) and assert bitwise
 /// agreement at every observable output.
-fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModelKind) {
+fn assert_backends_agree_with(
+    n_taxa: usize,
+    sites: usize,
+    seed: u64,
+    kind: RateModelKind,
+    repeats: SiteRepeats,
+) {
     let aln = random_alignment(n_taxa, sites, seed);
     let mut tree = Tree::random(n_taxa, 1, seed);
-    let mut scalar = engine_with(&aln, kind, KernelKind::Scalar, 0.7);
-    let mut simd = engine_with(&aln, kind, KernelKind::Simd, 0.7);
+    let mut scalar = engine_with(&aln, kind, KernelKind::Scalar, 0.7, repeats);
+    let mut simd = engine_with(&aln, kind, KernelKind::Simd, 0.7, repeats);
     assert_eq!(scalar.kernel_kind(), KernelKind::Scalar);
     assert_eq!(simd.kernel_kind(), KernelKind::Simd);
 
@@ -75,7 +98,7 @@ fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModel
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "evaluate: {a} vs {b} (seed {seed})"
+            "evaluate: {a} vs {b} (seed {seed}, repeats {repeats})"
         );
     }
 
@@ -87,12 +110,12 @@ fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModel
         assert_eq!(
             s1[0].to_bits(),
             v1[0].to_bits(),
-            "d1 at t={t} (seed {seed})"
+            "d1 at t={t} (seed {seed}, repeats {repeats})"
         );
         assert_eq!(
             s2[0].to_bits(),
             v2[0].to_bits(),
-            "d2 at t={t} (seed {seed})"
+            "d2 at t={t} (seed {seed}, repeats {repeats})"
         );
     }
 
@@ -105,14 +128,26 @@ fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModel
     simd.execute(&partial);
     let a = scalar.evaluate(&partial)[0];
     let b = simd.evaluate(&partial)[0];
-    assert_eq!(a.to_bits(), b.to_bits(), "partial evaluate (seed {seed})");
+    assert_eq!(
+        a.to_bits(),
+        b.to_bits(),
+        "partial evaluate (seed {seed}, repeats {repeats})"
+    );
 
     if kind == RateModelKind::Psr {
         let d2 = tree.full_traversal_descriptor(0);
         let (na, da) = scalar.optimize_site_rates(&d2);
         let (nb, db) = simd.optimize_site_rates(&d2);
-        assert_eq!(na.to_bits(), nb.to_bits(), "psr numerator (seed {seed})");
-        assert_eq!(da.to_bits(), db.to_bits(), "psr denominator (seed {seed})");
+        assert_eq!(
+            na.to_bits(),
+            nb.to_bits(),
+            "psr numerator (seed {seed}, repeats {repeats})"
+        );
+        assert_eq!(
+            da.to_bits(),
+            db.to_bits(),
+            "psr denominator (seed {seed}, repeats {repeats})"
+        );
         scalar.finalize_site_rates(da / na);
         simd.finalize_site_rates(db / nb);
         tree.invalidate_all();
@@ -121,7 +156,11 @@ fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModel
         simd.execute(&d3);
         let a = scalar.evaluate(&d3)[0];
         let b = simd.evaluate(&d3)[0];
-        assert_eq!(a.to_bits(), b.to_bits(), "post-PSR evaluate (seed {seed})");
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "post-PSR evaluate (seed {seed}, repeats {repeats})"
+        );
     }
 }
 
@@ -175,14 +214,15 @@ proptest! {
             let l = tree.edge(e).length(0);
             tree.set_length(e, 0, l * scale);
         }
-        for i in 0..part.n_patterns() {
+        for (i, repeats) in (0..part.n_patterns()).flat_map(|i| REPEATS.map(|r| (i, r))) {
             let single = part.select_patterns(&[i]);
             let slice = PartitionSlice::from_compressed(0, &single);
-            let mut scalar = Engine::with_kernel(
+            let mut scalar = Engine::with_config(
                 n_taxa, vec![slice.clone()], RateModelKind::Gamma, alpha, KernelKind::Scalar,
+                repeats,
             );
-            let mut simd = Engine::with_kernel(
-                n_taxa, vec![slice], RateModelKind::Gamma, alpha, KernelKind::Simd,
+            let mut simd = Engine::with_config(
+                n_taxa, vec![slice], RateModelKind::Gamma, alpha, KernelKind::Simd, repeats,
             );
             scalar.set_gtr_rate(0, 1, ag_rate);
             simd.set_gtr_rate(0, 1, ag_rate);
@@ -193,8 +233,8 @@ proptest! {
             let b = simd.evaluate(&d)[0];
             prop_assert!(
                 ulp_distance(a, b) <= 1,
-                "site {} (seed {}): {} vs {} ({} ulps)",
-                i, seed, a, b, ulp_distance(a, b)
+                "site {} (seed {}, repeats {}): {} vs {} ({} ulps)",
+                i, seed, repeats, a, b, ulp_distance(a, b)
             );
         }
     }

@@ -47,6 +47,15 @@ bounded_test() { # LABEL CARGO-TEST-ARGS...
 # modes, and would execute the same instructions under another combination.
 env_default_suites=(-p examl-integration-tests
   --test kernel_backends --test site_repeats --test schemes_agree)
+# Without AVX2, KernelKind::Simd runs the scalar loops and the SIMD-vs-scalar
+# bitwise tests (exa-phylo's backend::simd tests, backend_agreement,
+# kernel_backends) pass without comparing two loop sets: say so, not just green.
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  simd_note="host AVX2: yes (the SIMD-vs-scalar bitwise tests compared the AVX2 loops with the scalar ones)"
+else
+  simd_note="host AVX2: no (the SIMD-vs-scalar bitwise tests were VACUOUS: both sides ran the scalar loops)"
+fi
+echo "    $simd_note"
 test_t0=$SECONDS
 bounded_test "env-blind packages" "${env_blind[@]/#/--package=}"
 echo "    defaults (EXAML_KERNEL=auto EXAML_SITE_REPEATS=auto)"
@@ -64,6 +73,7 @@ for combo in scalar:on scalar:off simd:off; do
 done
 echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 1 workspace pass + 3 kernel x repeats passes over the env-default suites)"
 sed 's/^/    /' "$tmp/pass_walls.txt"
+echo "$simd_note"
 # ROADMAP item 4's other tracked number: non-test lines under crates/*/src.
 echo "crates/ non-test lines: $(scripts/loc.sh | awk 'END{print $1}')"
 
