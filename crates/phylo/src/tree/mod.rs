@@ -15,6 +15,19 @@
 //! CLVs whose subtree contains a changed edge (see [`Tree::invalidate_for_edge`]),
 //! which is what keeps traversal descriptors short — the paper notes
 //! descriptors average only 4–5 nodes (§III-B).
+//!
+//! Markers **survive surgery**. [`Tree::prune`], [`Tree::graft`],
+//! [`Tree::ungraft`] and [`Tree::restore_prune`] each swap one neighbour of
+//! an endpoint for another through the same edge slot (a graft of `x` into
+//! `y`–`z` gives `y` the neighbour `x` where it had `z`). A marker naming
+//! the swapped-out neighbour is re-pointed at the new one: the CLV behind it
+//! covers exactly the same subtree before and after, because a CLV never
+//! holds the length of the edge its marker names — the parent's `newview`
+//! applies that one. Every other marker of a rewired node is cleared, so no
+//! marker ever names a node that is not a current neighbour
+//! ([`Tree::check_invariants`] rejects one that does). This is what lets a
+//! lazy SPR pass score a candidate with 2.6–2.7 recomputed CLVs instead of
+//! 4–5 (DESIGN.md §5 item 4).
 
 pub mod bipartitions;
 pub mod newick;
@@ -28,6 +41,12 @@ use serde::{Deserialize, Serialize};
 pub type NodeId = usize;
 /// Edge slot identifier, stable across SPR moves.
 pub type EdgeId = usize;
+
+/// Tag bits [`Tree::invalidate_for_edge`] sets in an orientation slot while
+/// it walks (node ids never reach them): `WALKED` on the first visit, and
+/// `STALE` when the marker did not name the first hop toward the edge.
+const WALKED: NodeId = 1 << (NodeId::BITS - 1);
+const STALE: NodeId = 1 << (NodeId::BITS - 2);
 
 /// Default branch length for freshly created edges (RAxML's default).
 pub const DEFAULT_BRANCH_LENGTH: f64 = 0.1;
@@ -317,33 +336,76 @@ impl Tree {
     }
 
     /// CLV orientation bookkeeping — see module docs. Invalidate every inner
-    /// CLV whose summarized subtree contains edge `e`.
+    /// CLV whose summarized subtree contains edge `e`: a marker survives only
+    /// if it names the first node on the path from its node toward `e` (for
+    /// an endpoint, the other endpoint). Markers in a component `e` does not
+    /// belong to (a pruned subtree) are cleared.
+    ///
+    /// Allocation-free and stackless: each side of `e` is walked as an Euler
+    /// tour (a node entered from neighbour `w` is left to the neighbour after
+    /// `w` in its adjacency list, cyclically), which returns to where it
+    /// started without a stack. The first visit to an inner node tags its
+    /// orientation slot [`WALKED`], plus [`STALE`] when the marker does not
+    /// name the node the walk came from; a final pass over the slots keeps
+    /// the tagged markers that are not stale and clears the rest.
     pub fn invalidate_for_edge(&mut self, e: EdgeId) {
-        let (x, y) = (self.edges[e].a, self.edges[e].b);
-        // Multi-source BFS from the edge endpoints: hop[v] = first node on
-        // the path from v toward the edge.
-        let mut hop: Vec<Option<NodeId>> = vec![None; self.n_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        hop[x] = Some(y); // by convention: CLV(x → y) points "at" the edge
-        hop[y] = Some(x);
-        queue.push_back(x);
-        queue.push_back(y);
-        while let Some(v) = queue.pop_front() {
-            for &(w, _) in &self.adj[v] {
-                if hop[w].is_none() && !(v == x && w == y) && !(v == y && w == x) {
-                    hop[w] = Some(v);
-                    queue.push_back(w);
-                }
-            }
+        let (a, b) = (self.edges[e].a, self.edges[e].b);
+        self.walk_away_from(a, b);
+        self.walk_away_from(b, a);
+        self.keep_walked();
+    }
+
+    /// [`Tree::invalidate_for_edge`] for every edge at inner node `x` at
+    /// once (the first hop toward any of them is the first hop toward `x`),
+    /// clearing `x`'s own marker: one walk where two calls would make two.
+    fn invalidate_around(&mut self, x: NodeId) {
+        for i in 0..self.adj[x].len() {
+            let w = self.adj[x][i].0;
+            self.walk_away_from(w, x);
         }
-        for v in self.n_taxa..self.n_nodes() {
-            let idx = v - self.n_taxa;
-            if let Some(u) = self.orientation[idx] {
-                // Valid only if the CLV points toward the changed edge.
-                if Some(u) != hop[v] {
-                    self.orientation[idx] = None;
+        self.keep_walked();
+    }
+
+    /// The final pass of [`Tree::invalidate_for_edge`]: untag the walked
+    /// markers that are not stale, clear every other.
+    fn keep_walked(&mut self) {
+        for o in self.orientation.iter_mut() {
+            *o = match *o {
+                Some(tag) if tag & (WALKED | STALE) == WALKED => Some(tag & !WALKED),
+                _ => None,
+            };
+        }
+    }
+
+    /// Tag every inner node on `root`'s side of its edge to `parent` (see
+    /// [`Tree::invalidate_for_edge`]).
+    fn walk_away_from(&mut self, root: NodeId, parent: NodeId) {
+        let (mut v, mut from) = (root, parent);
+        loop {
+            if self.is_tip(v) {
+                if v == root {
+                    return;
                 }
+                (v, from) = (from, v);
+                continue;
             }
+            let idx = self.inner_index(v);
+            match self.orientation[idx] {
+                Some(tag) if tag & WALKED != 0 => {}
+                // First visit: `from` is the first hop toward the edge.
+                marker if marker == Some(from) => self.orientation[idx] = Some(from | WALKED),
+                _ => self.orientation[idx] = Some(WALKED | STALE),
+            }
+            let adj = &self.adj[v];
+            let at = adj
+                .iter()
+                .position(|&(n, _)| n == from)
+                .expect("the walk enters through an edge");
+            let next = adj[(at + 1) % adj.len()].0;
+            if v == root && next == parent {
+                return;
+            }
+            (v, from) = (next, v);
         }
     }
 
@@ -363,11 +425,26 @@ impl Tree {
     /// *new* neighbor of the same id (e.g. a pruned node re-grafted next to
     /// a node that still remembers pointing at it) and would pass for
     /// valid. Every topology operation therefore clears the markers of all
-    /// nodes whose adjacency it touches.
+    /// nodes whose adjacency it touches — except a marker naming the
+    /// neighbour the operation swapped out through the same edge slot,
+    /// which [`Tree::repoint_orientation`] moves to the new neighbour.
     fn clear_orientation(&mut self, v: NodeId) {
         if !self.is_tip(v) {
             let idx = self.inner_index(v);
             self.orientation[idx] = None;
+        }
+    }
+
+    /// `v`'s edge slot that led to `old` now leads to `new`: a marker naming
+    /// `old` is re-pointed at `new` (the CLV covers the same subtree — see
+    /// the module docs); any other marker of `v` is cleared. Called right
+    /// after rewiring; an invalidation after it keeps the re-pointed marker,
+    /// which names the first hop toward the changed edges.
+    fn repoint_orientation(&mut self, v: NodeId, old: NodeId, new: NodeId) {
+        if !self.is_tip(v) {
+            let idx = self.inner_index(v);
+            let o = &mut self.orientation[idx];
+            *o = if *o == Some(old) { Some(new) } else { None };
         }
     }
 
@@ -392,8 +469,7 @@ impl Tree {
         let len_xr = self.edges[er].lengths.clone();
 
         // Invalidate CLVs that depended on the region before rewiring.
-        self.invalidate_for_edge(eq);
-        self.invalidate_for_edge(er);
+        self.invalidate_around(x);
 
         // Merge: slot eq becomes q–r with summed lengths; slot er is freed.
         let merged: Vec<f64> = len_xq
@@ -420,10 +496,10 @@ impl Tree {
         }
         self.remove_adj(x, eq);
         self.remove_adj(x, er);
-        // Adjacency of q, r and x changed: clear their markers (see
-        // clear_orientation).
-        self.clear_orientation(q);
-        self.clear_orientation(r);
+        // q's and r's slots that led to x now lead to each other; x's
+        // marker is cleared (see clear_orientation).
+        self.repoint_orientation(q, x, r);
+        self.repoint_orientation(r, x, q);
         self.clear_orientation(x);
 
         PruneInfo {
@@ -497,12 +573,10 @@ impl Tree {
         };
         self.adj[x].push((y, target));
         self.adj[x].push((z, ez));
-
-        self.invalidate_for_edge(target);
-        self.invalidate_for_edge(ez);
-        self.clear_orientation(y);
-        self.clear_orientation(z);
+        self.repoint_orientation(y, z, x);
+        self.repoint_orientation(z, y, x);
         self.clear_orientation(x);
+        self.invalidate_around(x);
 
         GraftInfo {
             target_edge: target,
@@ -517,8 +591,7 @@ impl Tree {
     /// Afterwards the tree is back in the pruned state.
     pub fn ungraft(&mut self, g: &GraftInfo, p: &PruneInfo) {
         let x = p.x;
-        self.invalidate_for_edge(g.target_edge);
-        self.invalidate_for_edge(g.new_edge);
+        self.invalidate_around(x);
         // Restore target edge y–z with original lengths.
         self.edges[g.target_edge] = Edge {
             a: g.y,
@@ -537,8 +610,8 @@ impl Tree {
         }
         self.remove_adj(x, g.target_edge);
         self.remove_adj(x, g.new_edge);
-        self.clear_orientation(g.y);
-        self.clear_orientation(g.z);
+        self.repoint_orientation(g.y, x, g.z);
+        self.repoint_orientation(g.z, x, g.y);
         self.clear_orientation(x);
     }
 
@@ -571,12 +644,10 @@ impl Tree {
         };
         self.adj[x].push((p.q, p.merged_edge));
         self.adj[x].push((p.r, p.free_edge));
-
-        self.invalidate_for_edge(p.merged_edge);
-        self.invalidate_for_edge(p.free_edge);
-        self.clear_orientation(p.q);
-        self.clear_orientation(p.r);
+        self.repoint_orientation(p.q, p.r, x);
+        self.repoint_orientation(p.r, p.q, x);
         self.clear_orientation(x);
+        self.invalidate_around(x);
     }
 
     /// Edges within `radius` hops of edge `start` (breadth-first over the
@@ -602,6 +673,31 @@ impl Tree {
                     }
                 }
             }
+        }
+        out
+    }
+
+    /// The edges of [`Tree::edges_within_radius`] (the same set), in
+    /// depth-first pre-order from `start`: every edge on `start.a`'s side
+    /// before any on `start.b`'s, and each branch finished before the next
+    /// begins, children in adjacency order. Scoring SPR candidates in this
+    /// order moves the virtual root one edge at a time, so consecutive
+    /// candidates share nearly all of their CLVs.
+    pub fn edges_within_radius_depth_first(&self, start: EdgeId, radius: usize) -> Vec<EdgeId> {
+        let mut out = Vec::new();
+        // (edge, its endpoint away from `start`, its distance from `start`)
+        let mut stack: Vec<(EdgeId, NodeId, usize)> = Vec::new();
+        let push_beyond = |stack: &mut Vec<_>, v: NodeId, via: EdgeId, d: usize| {
+            if d <= radius {
+                let branches = self.adj[v].iter().rev().filter(|&&(_, e)| e != via);
+                stack.extend(branches.map(|&(w, e)| (e, w, d)));
+            }
+        };
+        push_beyond(&mut stack, self.edges[start].b, start, 1);
+        push_beyond(&mut stack, self.edges[start].a, start, 1);
+        while let Some((e, far, d)) = stack.pop() {
+            out.push(e);
+            push_beyond(&mut stack, far, e, d + 1);
         }
         out
     }
@@ -651,6 +747,15 @@ impl Tree {
                 "tree not connected: reached {count} of {}",
                 self.n_nodes()
             ));
+        }
+        // A marker naming a non-neighbour could collide with a future
+        // neighbour of that id (see `clear_orientation`).
+        for v in n..self.n_nodes() {
+            if let Some(u) = self.orientation_of(v) {
+                if self.edge_between(v, u).is_none() {
+                    return Err(format!("node {v} has a marker naming non-neighbour {u}"));
+                }
+            }
         }
         for e in &self.edges {
             if e.lengths.len() != self.blen_count {
@@ -809,6 +914,71 @@ mod tests {
         assert!(r1.len() <= 4, "{r1:?}");
     }
 
+    /// The first hop from every node toward edge `e` by breadth-first
+    /// search (`None` outside `e`'s component).
+    fn hops_toward(t: &Tree, e: EdgeId) -> Vec<Option<NodeId>> {
+        let (a, b) = (t.edge(e).a, t.edge(e).b);
+        let mut hop: Vec<Option<NodeId>> = vec![None; t.n_nodes()];
+        hop[a] = Some(b);
+        hop[b] = Some(a);
+        let mut queue = std::collections::VecDeque::from([a, b]);
+        while let Some(v) = queue.pop_front() {
+            for &(w, _) in t.neighbors(v) {
+                if hop[w].is_none() && !(v == a && w == b) && !(v == b && w == a) {
+                    hop[w] = Some(v);
+                    queue.push_back(w);
+                }
+            }
+        }
+        hop
+    }
+
+    #[test]
+    fn invalidation_keeps_exactly_the_markers_pointing_at_the_edge() {
+        let mut rng = SplitMix64::new(5);
+        for (n, seed) in [(4usize, 1u64), (8, 2), (13, 3), (40, 4)] {
+            let mut t = Tree::random(n, 1, seed);
+            for round in 0..40 {
+                // A pruned tree has a component the edge does not reach.
+                let pruned = (round % 3 == 0).then(|| {
+                    let x = n + (rng.next() as usize % t.n_inner());
+                    let sub = t.neighbors(x)[rng.next() as usize % 3].0;
+                    t.prune(x, sub)
+                });
+                for v in n..t.n_nodes() {
+                    let k = rng.next() as usize % (t.neighbors(v).len() + 1);
+                    t.orientation[v - n] = t.neighbors(v).get(k).map(|&(u, _)| u);
+                }
+                let e = match &pruned {
+                    Some(info) => info.merged_edge,
+                    None => rng.next() as usize % t.n_edges(),
+                };
+                let hop = hops_toward(&t, e);
+                let before: Vec<_> = (n..t.n_nodes()).map(|v| t.orientation_of(v)).collect();
+                if pruned.is_none() {
+                    // Around an inner node = on two of its edges.
+                    let x = n + (rng.next() as usize % t.n_inner());
+                    let (mut one, mut two) = (t.clone(), t.clone());
+                    one.invalidate_around(x);
+                    two.invalidate_for_edge(t.neighbors(x)[0].1);
+                    two.invalidate_for_edge(t.neighbors(x)[2].1);
+                    assert_eq!(
+                        one.orientation, two.orientation,
+                        "n {n} round {round} around {x}"
+                    );
+                }
+                t.invalidate_for_edge(e);
+                for v in n..t.n_nodes() {
+                    let kept = before[v - n].filter(|&u| Some(u) == hop[v]);
+                    assert_eq!(t.orientation_of(v), kept, "n {n} round {round} node {v}");
+                }
+                if let Some(info) = pruned {
+                    t.restore_prune(&info);
+                }
+            }
+        }
+    }
+
     #[test]
     fn invalidation_after_length_change() {
         let mut t = Tree::random(8, 1, 2);
@@ -871,6 +1041,119 @@ mod tests {
         assert_eq!(t.orientation_of(i1), None);
         // CLV(i2 → i1) summarizes i2's far side, not containing it: valid.
         assert_eq!(t.orientation_of(i2), Some(i1));
+    }
+
+    #[test]
+    fn depth_first_radius_is_the_breadth_first_set_one_branch_at_a_time() {
+        for (n, seed) in [(5usize, 1u64), (12, 4), (30, 11), (41, 2)] {
+            let t = Tree::random(n, 1, seed);
+            for start in [0, t.n_edges() / 2, t.n_edges() - 1] {
+                for radius in [0usize, 1, 2, 5, usize::MAX] {
+                    let mut bfs = t.edges_within_radius(start, radius);
+                    let dfs = t.edges_within_radius_depth_first(start, radius);
+                    let mut same = dfs.clone();
+                    bfs.sort_unstable();
+                    same.sort_unstable();
+                    assert_eq!(bfs, same, "n {n} start {start} radius {radius}");
+                    // Pre-order: an edge's parent (the adjacent edge one
+                    // hop nearer `start`) comes before it, with only edges
+                    // deeper than the parent in between.
+                    let dist = |e: EdgeId| {
+                        (1..)
+                            .find(|&r| t.edges_within_radius(start, r).contains(&e))
+                            .unwrap()
+                    };
+                    for (i, &e) in dfs.iter().enumerate() {
+                        let d = dist(e);
+                        if d == 1 {
+                            continue;
+                        }
+                        let j = dfs[..i]
+                            .iter()
+                            .rposition(|&p| {
+                                let (pe, ce) = (t.edge(p), t.edge(e));
+                                dist(p) == d - 1
+                                    && [pe.a, pe.b].iter().any(|&v| v == ce.a || v == ce.b)
+                            })
+                            .expect("parent edge scored first");
+                        assert!(dfs[j + 1..i].iter().all(|&m| dist(m) >= d));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn markers_follow_the_swapped_slot_through_surgery() {
+        let mut t = Tree::random(16, 1, 9);
+        let n = t.n_taxa();
+        // An inner node with two inner neighbours besides `sub`.
+        let (x, sub) = (n..t.n_nodes())
+            .find_map(|x| {
+                let nb = t.neighbors(x);
+                let inner = |v: NodeId| !t.is_tip(v);
+                (0..3).find_map(|i| {
+                    let others = (0..3).filter(|&j| j != i).all(|j| inner(nb[j].0));
+                    others.then_some((x, nb[i].0))
+                })
+            })
+            .unwrap();
+        let (q, r) = {
+            let mut others = t.neighbors(x).iter().map(|&(v, _)| v).filter(|&v| v != sub);
+            (others.next().unwrap(), others.next().unwrap())
+        };
+        t.set_orientation(q, x);
+        t.set_orientation(r, x);
+        let info = t.prune(x, sub);
+        assert_eq!((info.q, info.r), (q, r));
+        assert_eq!(
+            (t.orientation_of(q), t.orientation_of(r)),
+            (Some(r), Some(q))
+        );
+
+        // A target edge between two inner nodes of the main component.
+        let target = t
+            .edges_within_radius(info.merged_edge, usize::MAX)
+            .into_iter()
+            .find(|&e| !t.is_tip(t.edge(e).a) && !t.is_tip(t.edge(e).b))
+            .unwrap();
+        let (y, z) = (t.edge(target).a, t.edge(target).b);
+        t.set_orientation(y, z);
+        t.set_orientation(z, y);
+        let g = t.graft(&info, target);
+        assert_eq!(
+            (t.orientation_of(y), t.orientation_of(z)),
+            (Some(x), Some(x))
+        );
+        assert_eq!(t.orientation_of(x), None);
+        t.check_invariants().unwrap();
+        t.ungraft(&g, &info);
+        assert_eq!(
+            (t.orientation_of(y), t.orientation_of(z)),
+            (Some(z), Some(y))
+        );
+
+        // A marker naming any other neighbour covers the split edge: cleared.
+        let w = t
+            .neighbors(y)
+            .iter()
+            .map(|&(v, _)| v)
+            .find(|&v| v != z)
+            .unwrap();
+        t.set_orientation(y, w);
+        let g = t.graft(&info, target);
+        assert_eq!((t.orientation_of(y), t.orientation_of(z)), (None, Some(x)));
+        t.ungraft(&g, &info);
+        assert_eq!((t.orientation_of(y), t.orientation_of(z)), (None, Some(y)));
+
+        t.set_orientation(q, r);
+        t.set_orientation(r, q);
+        t.restore_prune(&info);
+        assert_eq!(
+            (t.orientation_of(q), t.orientation_of(r)),
+            (Some(x), Some(x))
+        );
+        t.check_invariants().unwrap();
     }
 
     #[test]

@@ -8,8 +8,89 @@
 use exa_phylo::model::pmatrix::prob_matrix;
 use exa_phylo::model::GtrModel;
 use exa_phylo::numerics::gamma::discrete_gamma_rates;
-use exa_phylo::tree::Tree;
+use exa_phylo::tree::traversal::TraversalDescriptor;
+use exa_phylo::tree::{EdgeId, GraftInfo, NodeId, PruneInfo, Tree};
 use proptest::prelude::*;
+
+/// A subtree as its edges (endpoints sorted) with their length bits,
+/// sorted.
+type Signature = Vec<(NodeId, NodeId, Vec<u64>)>;
+
+/// The subtree CLV(`v` → `toward`) summarizes.
+fn subtree_signature(t: &Tree, v: NodeId, toward: NodeId) -> Signature {
+    let mut out = Vec::new();
+    let mut stack = vec![(v, toward)];
+    while let Some((node, up)) = stack.pop() {
+        for &(w, e) in t.neighbors(node) {
+            if w != up {
+                let bits = t.edge(e).lengths.iter().map(|l| l.to_bits()).collect();
+                out.push((node.min(w), node.max(w), bits));
+                stack.push((w, node));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A tree-only oracle for orientation markers: a marker is set only by a
+/// descriptor entry, and whatever surgery happens afterwards, a surviving
+/// marker must still describe the subtree its CLV was computed over.
+struct MarkerOracle {
+    /// Per node, the subtree signature of the CLV the last descriptor
+    /// entry for it computed.
+    set: Vec<Option<Signature>>,
+}
+
+impl MarkerOracle {
+    fn new(t: &Tree) -> MarkerOracle {
+        MarkerOracle {
+            set: vec![None; t.n_nodes()],
+        }
+    }
+
+    fn record(&mut self, t: &Tree, d: &TraversalDescriptor) {
+        for entry in &d.entries {
+            let toward = t
+                .orientation_of(entry.parent)
+                .expect("a descriptor entry sets a marker");
+            self.set[entry.parent] = Some(subtree_signature(t, entry.parent, toward));
+        }
+    }
+
+    fn check(&self, t: &Tree) -> Result<(), TestCaseError> {
+        for v in t.n_taxa()..t.n_nodes() {
+            if let Some(u) = t.orientation_of(v) {
+                prop_assert!(
+                    t.edge_between(v, u).is_some(),
+                    "node {} marker names non-neighbour {}",
+                    v,
+                    u
+                );
+                prop_assert_eq!(
+                    Some(subtree_signature(t, v, u)),
+                    self.set[v].clone(),
+                    "node {} marker toward {} outlived its subtree",
+                    v,
+                    u
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Candidate insertion edges of a pruned tree, as the lazy SPR pass lists
+/// them.
+fn candidates(t: &Tree, info: &PruneInfo) -> Vec<EdgeId> {
+    t.edges_within_radius(info.merged_edge, 4)
+        .into_iter()
+        .filter(|&e| {
+            let ed = t.edge(e);
+            ed.a != info.x && ed.b != info.x && e != info.free_edge
+        })
+        .collect()
+}
 
 prop_compose! {
     fn arb_gtr()(rates in prop::collection::vec(0.05f64..20.0, 6),
@@ -104,31 +185,70 @@ proptest! {
     #[test]
     fn spr_sequences_preserve_invariants(
         n in 5usize..16,
+        blens in 1usize..3,
         seed in any::<u64>(),
-        moves in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..6),
+        ops in prop::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..40),
     ) {
-        let mut t = Tree::random(n, 1, seed);
-        for (xr, sr, tr) in moves {
-            let x = n + (xr as usize % t.n_inner());
-            let subs: Vec<usize> = t.neighbors(x).iter().map(|&(v, _)| v).collect();
-            let sub = subs[sr as usize % subs.len()];
-            let info = t.prune(x, sub);
-            let cands: Vec<usize> = t
-                .edges_within_radius(info.merged_edge, 4)
-                .into_iter()
-                .filter(|&e| {
-                    let ed = t.edge(e);
-                    ed.a != x && ed.b != x && e != info.free_edge
-                })
-                .collect();
-            if cands.is_empty() {
-                t.restore_prune(&info);
-            } else {
-                let target = cands[tr as usize % cands.len()];
-                t.graft(&info, target);
+        let mut t = Tree::random(n, blens, seed);
+        let mut oracle = MarkerOracle::new(&t);
+        // The live surgery: nothing, a prune, or a prune plus a graft.
+        let mut pruned: Option<PruneInfo> = None;
+        let mut grafted: Option<GraftInfo> = None;
+        for (op, a, b) in ops {
+            let (a, b) = (a as usize, b as usize);
+            match (op, &pruned, &grafted) {
+                // A descriptor at an edge of the main component records the
+                // subtree of every marker it sets.
+                (0 | 1, _, _) => {
+                    let root = match &pruned {
+                        Some(info) if grafted.is_none() => {
+                            let live = t.edges_within_radius(info.merged_edge, usize::MAX);
+                            if a % 3 == 0 || live.is_empty() { info.merged_edge } else { live[a % live.len()] }
+                        }
+                        _ => a % t.n_edges(),
+                    };
+                    let d = t.traversal_descriptor(root);
+                    oracle.record(&t, &d);
+                }
+                (2, _, _) if pruned.is_none() || grafted.is_some() => {
+                    let e = a % t.n_edges();
+                    t.set_length(e, b % blens, 0.01 + (b % 97) as f64 * 0.013);
+                }
+                (3 | 4, None, _) => {
+                    let x = n + a % t.n_inner();
+                    let sub = t.neighbors(x)[b % 3].0;
+                    pruned = Some(t.prune(x, sub));
+                }
+                (3 | 4, Some(info), None) => {
+                    let cands = candidates(&t, info);
+                    if cands.is_empty() || op == 4 && a % 4 == 0 {
+                        t.restore_prune(info);
+                        pruned = None;
+                    } else {
+                        grafted = Some(t.graft(info, cands[a % cands.len()]));
+                    }
+                }
+                (5 | 6, Some(info), Some(g)) => {
+                    t.ungraft(g, info);
+                    grafted = None;
+                }
+                // Accept the graft.
+                (7, Some(_), Some(_)) => {
+                    pruned = None;
+                    grafted = None;
+                }
+                _ => {}
             }
-            prop_assert!(t.check_invariants().is_ok());
+            if pruned.is_none() || grafted.is_some() {
+                prop_assert!(t.check_invariants().is_ok(), "{:?}", t.check_invariants());
+            }
+            oracle.check(&t)?;
         }
+        if let (Some(info), None) = (&pruned, &grafted) {
+            t.restore_prune(info);
+        }
+        prop_assert!(t.check_invariants().is_ok(), "{:?}", t.check_invariants());
+        oracle.check(&t)?;
     }
 
     #[test]

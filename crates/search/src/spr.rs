@@ -7,10 +7,22 @@
 //! Every candidate evaluation is a short partial traversal — under
 //! fork-join, each one is a parallel region with a descriptor broadcast,
 //! which is precisely the traffic ExaML eliminates.
+//!
+//! Candidates are *scored* depth-first from the pruning point
+//! ([`Tree::edges_within_radius_depth_first`], RAxML's `addTraverseBIG`
+//! order): each branch of the radius ball is finished before the next, so
+//! the virtual root moves one edge per candidate. With orientation markers
+//! surviving the graft and ungraft (see `exa_phylo::tree`), a candidate
+//! recomputes 2.6–2.7 CLVs on the benchmark's workloads; with markers
+//! cleared and breadth-first scoring it was 3.9–5.1.
+//! The *winner* is still picked in [`Tree::edges_within_radius`] order:
+//! the highest score, and among bitwise-equal best scores the candidate
+//! listed first there (`best_insertion`). Every score is the same bits in
+//! either order, so the order changes work, never the search.
 
 use crate::branch::optimize_branch;
 use crate::evaluator::Evaluator;
-use exa_phylo::tree::{EdgeId, NodeId};
+use exa_phylo::tree::{EdgeId, NodeId, Tree};
 
 /// Statistics from one SPR round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,30 +73,34 @@ pub fn spr_round(
             // the best lazy candidate does not actually improve.
             let saved = eval.tree().clone();
             let info = eval.tree_mut().prune(x, sub);
-            let candidates: Vec<EdgeId> = eval
-                .tree()
+            let is_candidate = |tree: &Tree, e: EdgeId| {
+                let ed = tree.edge(e);
+                ed.a != x && ed.b != x && e != info.free_edge
+            };
+            let tree = eval.tree();
+            let candidates: Vec<EdgeId> = tree
                 .edges_within_radius(info.merged_edge, radius)
                 .into_iter()
-                .filter(|&e| {
-                    let ed = eval.tree().edge(e);
-                    ed.a != x && ed.b != x && e != info.free_edge
-                })
+                .filter(|&e| is_candidate(tree, e))
                 .collect();
+            let schedule: Vec<EdgeId> = tree
+                .edges_within_radius_depth_first(info.merged_edge, radius)
+                .into_iter()
+                .filter(|&e| is_candidate(tree, e))
+                .collect();
+            debug_assert_eq!(schedule.len(), candidates.len());
 
-            // Lazy pass: rank candidate insertions without optimizing any
-            // branch lengths.
-            let mut best: Option<(f64, EdgeId)> = None;
-            for target in candidates {
+            // Lazy pass: score candidate insertions without optimizing any
+            // branch lengths, depth-first; rank them breadth-first.
+            let mut scores = vec![f64::NAN; tree.n_edges()];
+            for target in schedule {
                 let g = eval.tree_mut().graft(&info, target);
                 // Score at the fresh attachment edge (partial traversal).
-                let lnl = eval.evaluate(g.target_edge);
+                scores[target] = eval.evaluate(g.target_edge);
                 stats.insertions_tried += 1;
-                if best.is_none_or(|(b, _)| lnl > b) {
-                    best = Some((lnl, target));
-                }
-                let tree = eval.tree_mut();
-                tree.ungraft(&g, &info);
+                eval.tree_mut().ungraft(&g, &info);
             }
+            let best = best_insertion(&candidates, &scores);
 
             // Thorough pass: apply the lazily-best insertion, Newton-optimize
             // the three branches around it, and keep the move only if it
@@ -117,6 +133,21 @@ pub fn spr_round(
     // Leave the evaluator with a consistent likelihood for the caller.
     stats.lnl = eval.evaluate(0);
     stats
+}
+
+/// The lazy pass's winner among `candidates` (in
+/// [`Tree::edges_within_radius`] order), with `scores` indexed by edge id:
+/// the highest score, and among bitwise-equal best scores the candidate
+/// earliest in `candidates` — whatever order they were scored in.
+fn best_insertion(candidates: &[EdgeId], scores: &[f64]) -> Option<(f64, EdgeId)> {
+    let mut best: Option<(f64, EdgeId)> = None;
+    for &target in candidates {
+        let lnl = scores[target];
+        if best.is_none_or(|(b, _)| lnl > b) {
+            best = Some((lnl, target));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -204,6 +235,22 @@ mod tests {
             stats.lnl
         );
         e.tree().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn among_equal_best_scores_the_earliest_breadth_first_wins() {
+        let mut scores = vec![f64::NAN; 10];
+        for (e, lnl) in [(2, -10.0), (5, -7.5), (7, -7.5), (9, -8.0)] {
+            scores[e] = lnl;
+        }
+        // Breadth-first order lists 7 before 5: 7 wins the tie, whichever
+        // of the two was scored first.
+        assert_eq!(best_insertion(&[9, 7, 2, 5], &scores), Some((-7.5, 7)));
+        assert_eq!(best_insertion(&[5, 9, 2, 7], &scores), Some((-7.5, 5)));
+        // A strictly higher later score still wins.
+        scores[2] = -7.0;
+        assert_eq!(best_insertion(&[9, 7, 2, 5], &scores), Some((-7.0, 2)));
+        assert_eq!(best_insertion(&[], &scores), None);
     }
 
     #[test]
