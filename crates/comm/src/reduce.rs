@@ -394,16 +394,6 @@ impl ReduceChoice {
         }
     }
 
-    /// Read `EXAML_REDUCE` (`fast` / `reproducible` / `auto`). Absent or
-    /// unparsable values default to `Fast`: the baseline numerics stay
-    /// byte-identical unless reproducibility is asked for.
-    pub fn from_env() -> Self {
-        std::env::var("EXAML_REDUCE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(ReduceChoice::Fast)
-    }
-
     /// Resolve the choice: an explicit choice is itself, `Auto` is
     /// reproducible.
     pub fn resolve_local(self) -> ReduceKind {

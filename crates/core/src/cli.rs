@@ -293,28 +293,23 @@ fn path(v: &str) -> Result<Option<PathBuf>, &'static str> {
     Ok(Some(v.into()))
 }
 
-/// A run mode's operator surface, written once: the flag, the variable that
-/// sets its default, the accepted values and the help paragraph. The mode's
-/// row ([`run_flags`]) and its variable's check ([`mode_env`]) are
+/// A run mode's operator surface, written once: the flag, the accepted
+/// values and the help paragraph. The mode's row ([`run_flags`]) is
 /// generated from it.
 pub trait Choice: Sized {
     /// The command-line flag that sets this choice, as `--help` shows it
     /// (`--name VALUE`).
     const FLAG: &'static str;
-    /// The environment variable the type's `from_env` reads the default
-    /// from.
-    const ENV: &'static str;
     /// The accepted values, as an error message names them.
     const VALUES: &'static str;
     /// The `--help` paragraph of [`Choice::FLAG`].
     const HELP: &'static str;
-    /// Parse a [`Choice::FLAG`] / [`Choice::ENV`] value.
+    /// Parse a [`Choice::FLAG`] value.
     fn parse(s: &str) -> Option<Self>;
 }
 
 impl Choice for KernelChoice {
     const FLAG: &'static str = "--kernel MODE";
-    const ENV: &'static str = "EXAML_KERNEL";
     const VALUES: &'static str = "scalar, simd or auto";
     const HELP: &'static str = "likelihood-kernel backend: scalar | simd | auto (default auto: \
         simd where the host has AVX2, else scalar)";
@@ -325,7 +320,6 @@ impl Choice for KernelChoice {
 
 impl Choice for RepeatsChoice {
     const FLAG: &'static str = "--site-repeats MODE";
-    const ENV: &'static str = "EXAML_SITE_REPEATS";
     const VALUES: &'static str = "on, off or auto";
     const HELP: &'static str = "subtree-repeat CLV compression: on | off | auto (default auto, \
         which is on)";
@@ -336,7 +330,6 @@ impl Choice for RepeatsChoice {
 
 impl Choice for ReduceChoice {
     const FLAG: &'static str = "--reduce MODE";
-    const ENV: &'static str = "EXAML_REDUCE";
     const VALUES: &'static str = "fast, reproducible or auto";
     const HELP: &'static str = "collective reduction mode: fast | reproducible | auto \
         (reproducible sums are bitwise invariant to rank count and summation order; auto is \
@@ -348,7 +341,6 @@ impl Choice for ReduceChoice {
 
 impl Choice for ThreadsChoice {
     const FLAG: &'static str = "--threads MODE";
-    const ENV: &'static str = "EXAML_THREADS";
     const VALUES: &'static str = "a count or auto";
     const HELP: &'static str = "intra-rank worker threads per rank executing kernel batches \
         task-parallel: a count or auto (bitwise invisible: the lnL trajectory is identical at \
@@ -360,7 +352,6 @@ impl Choice for ThreadsChoice {
 
 impl Choice for GradientChoice {
     const FLAG: &'static str = "--gradient MODE";
-    const ENV: &'static str = "EXAML_GRADIENT";
     const VALUES: &'static str = "on, off or auto";
     const HELP: &'static str = "full-tree branch gradient route: on | off | auto (on computes \
         all edge derivatives in one sweep and reduces them in a single collective, off walks \
@@ -377,29 +368,7 @@ fn mode_flag<C: Choice + 'static>(choice: fn(&mut RunConfig) -> &mut C) -> Flag<
     Flag::new(C::FLAG, move |r, v| {
         set(choice(r), C::parse(v).ok_or(C::VALUES))
     })
-    .help(format!("{}; also via {}", C::HELP, C::ENV))
-}
-
-/// A mode variable set to a value its flag would refuse. The library's
-/// [`RunConfig::new`] falls back to the default for such a value; a command
-/// line that takes its defaults from the variables refuses it instead, as a
-/// usage error, before it reads any input.
-pub fn mode_env() -> Result<(), CliError> {
-    fn check<C: Choice>() -> Result<(), CliError> {
-        match std::env::var(C::ENV) {
-            Ok(value) if C::parse(&value).is_none() => Err(CliError::BadValue {
-                flag: C::ENV,
-                value,
-                expected: C::VALUES,
-            }),
-            _ => Ok(()),
-        }
-    }
-    check::<KernelChoice>()?;
-    check::<RepeatsChoice>()?;
-    check::<ReduceChoice>()?;
-    check::<ThreadsChoice>()?;
-    check::<GradientChoice>()
+    .help(C::HELP)
 }
 
 /// The `--partitions` row, for every verb that names an alignment.
@@ -636,7 +605,6 @@ impl Cli {
             io: Io::default(),
         };
         parse(&Cli::flags(), &mut cli, args)?;
-        mode_env()?;
         let Cli { run, io } = &mut cli;
         // An explicit --checkpoint-every always wins (0 disables the
         // iteration cadence); absent, commit every iteration — unless only
@@ -1391,16 +1359,16 @@ mod tests {
             assert_eq!(entries, 1, "{} in:\n{help}", f.name);
         }
         assert!(help.lines().all(|l| l.len() <= 80), "{help}");
-        // Every mode's row names the variable its default is read from.
-        for (flag, env) in [
-            ("--kernel", "EXAML_KERNEL"),
-            ("--site-repeats", "EXAML_SITE_REPEATS"),
-            ("--reduce", "EXAML_REDUCE"),
-            ("--threads", "EXAML_THREADS"),
-            ("--gradient", "EXAML_GRADIENT"),
+        // A mode is set by its flag alone: no row names a variable.
+        for flag in [
+            "--kernel",
+            "--site-repeats",
+            "--reduce",
+            "--threads",
+            "--gradient",
         ] {
             let row = flags.iter().find(|f| f.name == flag).unwrap();
-            assert!(row.help.contains(env), "{flag}: {}", row.help);
+            assert!(!row.help.contains("EXAML"), "{flag}: {}", row.help);
         }
     }
 

@@ -292,10 +292,9 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Defaults for `n_ranks` ranks: de-centralized scheme, Γ model, no
-    /// tracing, sentinel off, and the five run modes from their
-    /// environment variables — `EXAML_KERNEL`, `EXAML_SITE_REPEATS`,
-    /// `EXAML_THREADS`, `EXAML_GRADIENT` (unset: `auto`) and `EXAML_REDUCE`
-    /// (unset: `fast`).
+    /// tracing, sentinel off, and the run modes `auto` except for the
+    /// reduction, which is `fast`: the baseline numerics stay
+    /// byte-identical unless reproducibility is asked for.
     pub fn new(n_ranks: usize) -> RunConfig {
         RunConfig {
             scheme: Scheme::Decentralized,
@@ -315,11 +314,11 @@ impl RunConfig {
             faults: Faults::none(),
             verify_replicas: 0,
             health_out: None,
-            kernel: KernelChoice::from_env(),
-            site_repeats: RepeatsChoice::from_env(),
-            reduce: ReduceChoice::from_env(),
-            threads: ThreadsChoice::from_env(),
-            gradient: GradientChoice::from_env(),
+            kernel: KernelChoice::Auto,
+            site_repeats: RepeatsChoice::Auto,
+            reduce: ReduceChoice::Fast,
+            threads: ThreadsChoice::Auto,
+            gradient: GradientChoice::Auto,
             batch: true,
             resize_plan: Vec::new(),
             collect_trace: false,

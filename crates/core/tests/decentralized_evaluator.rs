@@ -55,7 +55,7 @@ fn rank_engine(w: &workloads::Workload, n_ranks: usize, id: usize) -> Engine {
         &global_frequencies(aln),
         &exa_sched::EngineSpec::new(
             RateModelKind::Gamma,
-            KernelChoice::from_env().resolve_local(),
+            KernelChoice::Auto.resolve_local(),
             SiteRepeats::On,
         ),
         None,

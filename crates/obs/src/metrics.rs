@@ -13,8 +13,8 @@
 //! Instrumentation sites that would pay for a clock read (e.g. timing every
 //! collective) gate on [`Registry::enabled`]; the handles themselves keep
 //! working either way, so disabling never loses monotonicity — it only
-//! stops new timings. The `examl-bench metrics` harness holds the <2%
-//! enabled-vs-disabled overhead bar.
+//! stops new timings. No harness measures the enabled-vs-disabled
+//! overhead yet.
 //!
 //! Rendering is hand-rolled (no new dependencies): `# HELP`/`# TYPE`
 //! preambles, `\\`/`\"`/newline label escaping, histograms as cumulative

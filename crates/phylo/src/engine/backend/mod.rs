@@ -65,8 +65,8 @@ impl std::fmt::Display for KernelKind {
     }
 }
 
-/// A kernel-selection policy, as requested on the command line or via the
-/// `EXAML_KERNEL` environment variable.
+/// A kernel-selection policy, as requested on the command line or in a
+/// run's configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelChoice {
     /// Force the scalar backend.
@@ -79,7 +79,7 @@ pub enum KernelChoice {
 }
 
 impl KernelChoice {
-    /// Parse a CLI/env value (`scalar`, `simd`, `auto`).
+    /// Parse a CLI value (`scalar`, `simd`, `auto`).
     pub fn parse(s: &str) -> Option<KernelChoice> {
         match s {
             "scalar" => Some(KernelChoice::Scalar),
@@ -95,16 +95,6 @@ impl KernelChoice {
             KernelChoice::Scalar => "scalar",
             KernelChoice::Simd => "simd",
             KernelChoice::Auto => "auto",
-        }
-    }
-
-    /// The process-wide default: `EXAML_KERNEL` if set to a valid value,
-    /// otherwise `auto`. Invalid values fall back to `auto` rather than
-    /// aborting — the engine is used far from any CLI error path.
-    pub fn from_env() -> KernelChoice {
-        match std::env::var("EXAML_KERNEL") {
-            Ok(v) => KernelChoice::parse(&v).unwrap_or(KernelChoice::Auto),
-            Err(_) => KernelChoice::Auto,
         }
     }
 

@@ -39,8 +39,8 @@ impl std::fmt::Display for GradientMode {
     }
 }
 
-/// A gradient-BLO policy, as requested on the command line or via the
-/// `EXAML_GRADIENT` environment variable.
+/// A gradient-BLO policy, as requested on the command line or in a run's
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GradientChoice {
     /// Force the gradient-driven BLO pass.
@@ -52,7 +52,7 @@ pub enum GradientChoice {
 }
 
 impl GradientChoice {
-    /// Parse a CLI/env value (`on`, `off`, `auto`).
+    /// Parse a CLI value (`on`, `off`, `auto`).
     pub fn parse(s: &str) -> Option<GradientChoice> {
         match s {
             "on" => Some(GradientChoice::On),
@@ -68,16 +68,6 @@ impl GradientChoice {
             GradientChoice::On => "on",
             GradientChoice::Off => "off",
             GradientChoice::Auto => "auto",
-        }
-    }
-
-    /// The process-wide default: `EXAML_GRADIENT` if set to a valid value,
-    /// otherwise `auto`. Invalid values fall back to `auto` rather than
-    /// aborting — the engine is used far from any CLI error path.
-    pub fn from_env() -> GradientChoice {
-        match std::env::var("EXAML_GRADIENT") {
-            Ok(v) => GradientChoice::parse(&v).unwrap_or(GradientChoice::Auto),
-            Err(_) => GradientChoice::Auto,
         }
     }
 

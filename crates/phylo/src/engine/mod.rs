@@ -130,8 +130,9 @@ impl PartitionSlice {
     }
 }
 
-/// Kernel work counters, used by the analytic cluster model and by the
-/// ablation benches. All counts are in units of `pattern × rate-category`.
+/// Kernel work counters, used by the analytic cluster model, the heartbeat's
+/// measured per-rank load and the benchmark's `core.work_entries` row. All
+/// counts are in units of `pattern × rate-category`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// CLV entries recomputed by `newview`.
@@ -325,42 +326,22 @@ impl Engine {
     /// `alpha0` (ignored under PSR). GTR starts at equal exchangeabilities
     /// with empirical base frequencies, RAxML's defaults.
     ///
-    /// The kernel backend is resolved from the process-wide default
-    /// ([`KernelChoice::from_env`], i.e. `EXAML_KERNEL` or `auto`) against
-    /// the local machine. A run's driver passes the backend its resolved
-    /// modes name through [`Engine::with_kernel`] instead.
+    /// The kernel backend is `auto` resolved against the local machine and
+    /// site-repeat compression is on, the defaults of a run. A run's driver
+    /// passes the modes it resolved through [`Engine::with_config`] instead.
     pub fn new(
         n_taxa: usize,
         slices: Vec<PartitionSlice>,
         kind: RateModelKind,
         alpha0: f64,
     ) -> Engine {
-        Engine::with_kernel(
-            n_taxa,
-            slices,
-            kind,
-            alpha0,
-            KernelChoice::from_env().resolve_local(),
-        )
-    }
-
-    /// [`Engine::new`] with an explicitly chosen kernel backend; the
-    /// site-repeats setting comes from the process-wide default
-    /// (`EXAML_SITE_REPEATS` or `auto`).
-    pub fn with_kernel(
-        n_taxa: usize,
-        slices: Vec<PartitionSlice>,
-        kind: RateModelKind,
-        alpha0: f64,
-        kernel: KernelKind,
-    ) -> Engine {
         Engine::with_config(
             n_taxa,
             slices,
             kind,
             alpha0,
-            kernel,
-            RepeatsChoice::from_env().resolve_local(),
+            KernelChoice::Auto.resolve_local(),
+            SiteRepeats::On,
         )
     }
 

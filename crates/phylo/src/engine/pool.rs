@@ -73,8 +73,8 @@ impl std::fmt::Display for ThreadCount {
     }
 }
 
-/// A thread-count policy, as requested on the command line or via the
-/// `EXAML_THREADS` environment variable.
+/// A thread-count policy, as requested on the command line or in a run's
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThreadsChoice {
     /// Force a specific count.
@@ -86,7 +86,7 @@ pub enum ThreadsChoice {
 }
 
 impl ThreadsChoice {
-    /// Parse a CLI/env value (`auto` or a count in `1..=64`).
+    /// Parse a CLI value (`auto` or a count in `1..=64`).
     pub fn parse(s: &str) -> Option<ThreadsChoice> {
         if s == "auto" {
             return Some(ThreadsChoice::Auto);
@@ -99,16 +99,6 @@ impl ThreadsChoice {
         match self {
             ThreadsChoice::Count(n) => n.label(),
             ThreadsChoice::Auto => "auto",
-        }
-    }
-
-    /// The process-wide default: `EXAML_THREADS` if set to a valid value,
-    /// otherwise `auto`. Invalid values fall back to `auto` rather than
-    /// aborting, mirroring `EXAML_KERNEL`.
-    pub fn from_env() -> ThreadsChoice {
-        match std::env::var("EXAML_THREADS") {
-            Ok(v) => ThreadsChoice::parse(&v).unwrap_or(ThreadsChoice::Auto),
-            Err(_) => ThreadsChoice::Auto,
         }
     }
 

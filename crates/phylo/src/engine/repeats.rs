@@ -61,8 +61,8 @@ impl std::fmt::Display for SiteRepeats {
     }
 }
 
-/// A site-repeats policy, as requested on the command line or via the
-/// `EXAML_SITE_REPEATS` environment variable.
+/// A site-repeats policy, as requested on the command line or in a run's
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepeatsChoice {
     /// Force compression on.
@@ -74,7 +74,7 @@ pub enum RepeatsChoice {
 }
 
 impl RepeatsChoice {
-    /// Parse a CLI/env value (`on`, `off`, `auto`).
+    /// Parse a CLI value (`on`, `off`, `auto`).
     pub fn parse(s: &str) -> Option<RepeatsChoice> {
         match s {
             "on" => Some(RepeatsChoice::On),
@@ -90,16 +90,6 @@ impl RepeatsChoice {
             RepeatsChoice::On => "on",
             RepeatsChoice::Off => "off",
             RepeatsChoice::Auto => "auto",
-        }
-    }
-
-    /// The process-wide default: `EXAML_SITE_REPEATS` if set to a valid
-    /// value, otherwise `auto`. Invalid values fall back to `auto` rather
-    /// than aborting — the engine is used far from any CLI error path.
-    pub fn from_env() -> RepeatsChoice {
-        match std::env::var("EXAML_SITE_REPEATS") {
-            Ok(v) => RepeatsChoice::parse(&v).unwrap_or(RepeatsChoice::Auto),
-            Err(_) => RepeatsChoice::Auto,
         }
     }
 

@@ -7,8 +7,7 @@
 //! compression on and off, on both kernel backends, across SPR topology
 //! changes and in the deep-tree regime where CLV rescaling fires. The
 //! engines here are built through [`Engine::with_config`] with the setting
-//! forced explicitly, so the tests hold regardless of `EXAML_SITE_REPEATS`
-//! in the environment.
+//! forced explicitly.
 
 use exa_bio::alignment::Alignment;
 use exa_bio::partition::PartitionScheme;

@@ -294,12 +294,6 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
     if let Err(code) = parse_or_exit(&rows, &mut parsed, args) {
         return code;
     }
-    // A job's modes default from the mode variables, as `examl`'s do.
-    if verb.job {
-        if let Err(e) = cli::mode_env() {
-            return fail(&e.to_string());
-        }
-    }
     if let Err(why) = parsed.spec.config.validate() {
         return fail(why);
     }

@@ -257,7 +257,7 @@ struct Core {
     metrics: DaemonMetrics,
     started_at: Instant,
     /// What a run left on the CLI's defaults computes with on this host
-    /// (every `EXAML_*` choice resolved locally), advertised in the
+    /// (`RunConfig::new`'s modes resolved locally), advertised in the
     /// heartbeat.
     modes: exa_search::Modes,
     health_seq: u64,

@@ -20,14 +20,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (workspace once; kernel / site-repeats suites per other backend x repeats setting)"
+echo "==> cargo test (workspace)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-# These packages neither read EXAML_KERNEL / EXAML_SITE_REPEATS nor build an
-# exa-phylo Engine (see their Cargo.toml: exa-simgen uses only exa-phylo's
-# models and trees), so a second run under another combination would
-# execute the same instructions again.
-env_blind=(exa-bio exa-obs exa-comm exa-simgen)
 # A hang is a red build, not a stuck one: every test pass runs under a
 # generous bound and names itself when it hits it.
 # Each pass's wall is noted, so that a slower tier-1 total names its pass.
@@ -39,14 +34,6 @@ bounded_test() { # LABEL CARGO-TEST-ARGS...
   echo "$((SECONDS - t0)) s  $label" >>"$tmp/pass_walls.txt"
   return "$status"
 }
-# Of the rest, only exa-phylo's tests and these suites have the kernel /
-# site-repeats machinery *reading its environment default* as their subject.
-# Every other suite either pins both modes in each of its runs
-# (the reproducibility matrix's suites, mode_stamps, evaluator_golden, batch_identity,
-# gradient_identity, repeat_identity, backend_agreement) or is about other
-# modes, and would execute the same instructions under another combination.
-env_default_suites=(-p examl-integration-tests
-  --test kernel_backends --test site_repeats --test schemes_agree)
 # Without AVX2, KernelKind::Simd runs the scalar loops and the SIMD-vs-scalar
 # bitwise tests (exa-phylo's backend::simd tests, backend_agreement,
 # kernel_backends) pass without comparing two loop sets: say so, not just green.
@@ -57,21 +44,8 @@ else
 fi
 echo "    $simd_note"
 test_t0=$SECONDS
-bounded_test "env-blind packages" "${env_blind[@]/#/--package=}"
-echo "    defaults (EXAML_KERNEL=auto EXAML_SITE_REPEATS=auto)"
-(
-  unset EXAML_KERNEL EXAML_SITE_REPEATS
-  bounded_test "workspace, defaults" --workspace "${env_blind[@]/#/--exclude=}"
-)
-for combo in scalar:on scalar:off simd:off; do
-  (
-    export EXAML_KERNEL="${combo%:*}" EXAML_SITE_REPEATS="${combo#*:}"
-    echo "    EXAML_KERNEL=$EXAML_KERNEL EXAML_SITE_REPEATS=$EXAML_SITE_REPEATS"
-    bounded_test "exa-phylo, $combo" -p exa-phylo
-    bounded_test "kernel_backends + site_repeats + schemes_agree, $combo" "${env_default_suites[@]}"
-  )
-done
-echo "tier-1 test wall: $((SECONDS - test_t0)) s (1 env-blind pass + 1 workspace pass + 3 kernel x repeats passes over the env-default suites)"
+bounded_test "workspace" --workspace
+echo "tier-1 test wall: $((SECONDS - test_t0)) s"
 sed 's/^/    /' "$tmp/pass_walls.txt"
 echo "$simd_note"
 # ROADMAP item 4's other tracked number: non-test lines under crates/*/src.
@@ -128,10 +102,9 @@ done <"$tmp/health.jsonl"
 ratio="$(tail -n 1 "$tmp/health.jsonl" | jq -r .repeat_ratio)"
 echo "health: $(wc -l <"$tmp/health.jsonl") heartbeat record(s), all ok (kernel: $kernel, repeat ratio: $ratio)"
 
-echo "==> examl command line (--help from the flag table, usage errors, environment defaults)"
+echo "==> examl command line (--help from the flag table, usage errors)"
 # --help exits 0 and knows every flag this script passes to examl; a rank
-# count of zero is a usage error (exit 2), not a panic in the world set-up;
-# EXAML_REDUCE sets the default reduce mode through the library default.
+# count of zero is a usage error (exit 2), not a panic in the world set-up.
 examl_help="$(cargo run -q --release -p exa-serve --bin examl -- --help 2>&1)"
 for flag in --phylip --ranks --iterations --seed --kernel --site-repeats --reduce --threads \
   --gradient --batch --resize-at --inject --verify-replicas \
@@ -145,10 +118,6 @@ cargo run -q --release -p exa-serve --bin examl -- \
 ranks0_status=$?
 set -e
 [ "$ranks0_status" -eq 2 ] || { echo "--ranks 0 must exit 2 (usage), got $ranks0_status"; exit 1; }
-EXAML_REDUCE=reproducible cargo run -q --release -p exa-serve --bin examl -- \
-  --phylip "$tmp/smoke.phy" --ranks 2 --iterations 1 --health-out "$tmp/env.jsonl" --quiet >/dev/null
-tail -n 1 "$tmp/env.jsonl" | jq -e '.modes.reduce == "reproducible"' >/dev/null \
-  || { echo "EXAML_REDUCE=reproducible did not reach the run"; tail -n 1 "$tmp/env.jsonl"; exit 1; }
 
 echo "==> replica sentinel at the command line (injected divergence exits 1)"
 # One flipped bit of alpha on rank 1 after collective 3 must stop the run at

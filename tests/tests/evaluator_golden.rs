@@ -156,11 +156,7 @@ fn sequential_scrambled(
         aln,
         &assignment,
         &global_frequencies(aln),
-        &exa_sched::EngineSpec::new(
-            kind,
-            KernelChoice::from_env().resolve_local(),
-            SiteRepeats::On,
-        ),
+        &exa_sched::EngineSpec::new(kind, KernelChoice::Auto.resolve_local(), SiteRepeats::On),
         None,
     );
     let globals = engine.global_indices();
@@ -274,7 +270,8 @@ fn mark_labels(trace: &exa_obs::RunTrace, rank: usize) -> String {
 /// (the resume broadcast, the PSR rate gathers, the single `Shutdown`), the
 /// generations on disk, the newest generation's header (its payload
 /// fingerprint covers the payload bytes) and the ordered marks of ranks 0
-/// and 1. The modes are forced so the literals hold under any `EXAML_*`.
+/// and 1. The modes are forced so the literals hold whatever
+/// `RunConfig::new` defaults to.
 fn restart_paths_reproduce_the_pin(scheme_label: &str, scheme: Scheme) {
     use exa_phylo::engine::{ThreadCount, ThreadsChoice};
     use exa_phylo::RepeatsChoice;

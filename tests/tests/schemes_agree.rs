@@ -3,9 +3,11 @@
 //! therefore produce the same tree and likelihood; and both must match the
 //! sequential reference. These tests run all three end-to-end.
 
+use exa_phylo::engine::{Engine, KernelKind, PartitionSlice, SiteRepeats};
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::bipartitions::rf_distance;
 use exa_phylo::tree::Tree;
+use exa_phylo::KernelChoice;
 use exa_search::evaluator::BranchMode;
 use exa_search::{run_search, NoHooks, SearchConfig, SequentialEvaluator};
 use exa_simgen::workloads;
@@ -27,15 +29,17 @@ fn sequential_reference(
     kind: RateModelKind,
     mode: BranchMode,
     seed: u64,
+    (kernel, repeats): (KernelKind, SiteRepeats),
 ) -> (f64, Tree) {
-    let slices: Vec<exa_phylo::engine::PartitionSlice> = w
+    let slices: Vec<PartitionSlice> = w
         .compressed
         .partitions
         .iter()
         .enumerate()
-        .map(|(i, p)| exa_phylo::engine::PartitionSlice::from_compressed(i, p))
+        .map(|(i, p)| PartitionSlice::from_compressed(i, p))
         .collect();
-    let engine = exa_phylo::engine::Engine::new(w.compressed.n_taxa(), slices, kind, 1.0);
+    let n_taxa = w.compressed.n_taxa();
+    let engine = Engine::with_config(n_taxa, slices, kind, 1.0, kernel, repeats);
     let blens = match mode {
         BranchMode::Joint => 1,
         BranchMode::PerPartition => w.compressed.n_partitions(),
@@ -51,8 +55,10 @@ fn sequential_reference(
 fn decentralized_matches_sequential() {
     let w = small_workload(3);
     let seed = 42;
+    // What `RunConfig::new` resolves to.
+    let defaults = (KernelChoice::Auto.resolve_local(), SiteRepeats::On);
     let (seq_lnl, seq_tree) =
-        sequential_reference(&w, RateModelKind::Gamma, BranchMode::Joint, seed);
+        sequential_reference(&w, RateModelKind::Gamma, BranchMode::Joint, seed, defaults);
 
     let mut cfg = RunConfig::new(3);
     cfg.search = fast_search();
@@ -69,6 +75,26 @@ fn decentralized_matches_sequential() {
         0,
         "topologies must agree"
     );
+}
+
+/// The sequential reference computes the same bits on either kernel
+/// backend, with site-repeat compression on or off.
+#[test]
+fn sequential_reference_is_bitwise_invariant_to_kernel_and_repeats() {
+    let w = small_workload(3);
+    let run = |backend| {
+        let (lnl, tree) =
+            sequential_reference(&w, RateModelKind::Gamma, BranchMode::Joint, 42, backend);
+        (lnl.to_bits(), tree.to_newick(&w.compressed.taxa))
+    };
+    let reference = run((KernelKind::Scalar, SiteRepeats::On));
+    for backend in [
+        (KernelKind::Scalar, SiteRepeats::Off),
+        (KernelKind::Simd, SiteRepeats::On),
+        (KernelKind::Simd, SiteRepeats::Off),
+    ] {
+        assert_eq!(run(backend), reference, "{backend:?}");
+    }
 }
 
 #[test]
