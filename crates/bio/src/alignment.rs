@@ -102,20 +102,6 @@ impl Alignment {
         encode_sequence(&self.rows[i])
     }
 
-    /// Extract the sub-alignment covering columns `[start, end)`.
-    pub fn slice_sites(&self, start: usize, end: usize) -> Alignment {
-        assert!(
-            start <= end && end <= self.n_sites,
-            "site slice out of bounds"
-        );
-        let rows: Vec<Vec<Nucleotide>> = self.rows.iter().map(|r| r[start..end].to_vec()).collect();
-        Alignment {
-            taxa: self.taxa.clone(),
-            rows,
-            n_sites: end - start,
-        }
-    }
-
     /// Concatenate several alignments over identical taxa (in identical
     /// order) into one super-alignment, returning it together with the
     /// per-block site ranges.
@@ -197,15 +183,6 @@ mod tests {
             err,
             BioError::InvalidCharacter { position: 2, .. }
         ));
-    }
-
-    #[test]
-    fn slice_sites_extracts_block() {
-        let a = small();
-        let s = a.slice_sites(1, 3);
-        assert_eq!(s.n_sites(), 2);
-        assert_eq!(s.row_ascii(0), "CG");
-        assert_eq!(s.row_ascii(2), "CG");
     }
 
     #[test]

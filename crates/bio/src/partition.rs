@@ -153,23 +153,6 @@ impl PartitionScheme {
         let idx = self.partitions.partition_point(|p| p.end <= site);
         Some(idx)
     }
-
-    /// Restrict the scheme to its first `count` partitions, also returning
-    /// the number of sites of the restricted alignment.
-    pub fn take_first(&self, count: usize) -> Result<PartitionScheme, BioError> {
-        if count == 0 || count > self.partitions.len() {
-            return Err(BioError::BadPartition(format!(
-                "cannot take {count} of {} partitions",
-                self.partitions.len()
-            )));
-        }
-        let partitions: Vec<Partition> = self.partitions[..count].to_vec();
-        let n_sites = partitions.last().unwrap().end;
-        Ok(PartitionScheme {
-            partitions,
-            n_sites,
-        })
-    }
 }
 
 /// Parse a RAxML-style partition file. Each line has the form
@@ -271,16 +254,6 @@ mod tests {
             end: 4,
         }];
         assert!(PartitionScheme::new(parts, 10).is_err());
-    }
-
-    #[test]
-    fn take_first_restricts() {
-        let s = PartitionScheme::uniform_chunks(5, 100);
-        let t = s.take_first(2).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.n_sites(), 200);
-        assert!(s.take_first(0).is_err());
-        assert!(s.take_first(6).is_err());
     }
 
     #[test]

@@ -484,17 +484,6 @@ impl Ctx {
             any_bins |= buf.held == Held::Bins;
         }
         let category = category.expect("the combining rank is active");
-        // The deposit of the root a broadcast or scatter reads from.
-        let root_deposit = || {
-            let root = &self.slots[op.root];
-            assert!(
-                root.active.load(Ordering::Acquire),
-                "root {} of the {:?} has failed",
-                op.root,
-                op.kind
-            );
-            root.buf.lock()
-        };
 
         board.held = Held::Nothing;
         let wire_bytes = match op.kind {
@@ -510,19 +499,21 @@ impl Ctx {
             OpKind::Broadcast => {
                 // Swap, not copy: the root's buffer becomes the board's and
                 // the board's old one the root's next deposit buffer.
-                let mut buf = root_deposit();
-                board.held = buf.held;
-                match buf.held {
-                    Held::Bytes => {
-                        std::mem::swap(&mut board.bytes, &mut buf.bytes);
-                        board.bytes.len() as u64
-                    }
-                    Held::F64 => {
-                        std::mem::swap(&mut board.f64s, &mut buf.f64s);
-                        8 * board.f64s.len() as u64
-                    }
-                    _ => panic!("broadcast root {} contributed no data", op.root),
-                }
+                let root = &self.slots[op.root];
+                assert!(
+                    root.active.load(Ordering::Acquire),
+                    "root {} of the broadcast has failed",
+                    op.root
+                );
+                let mut buf = root.buf.lock();
+                assert!(
+                    buf.held == Held::Bytes,
+                    "broadcast root {} contributed no data",
+                    op.root
+                );
+                board.held = Held::Bytes;
+                std::mem::swap(&mut board.bytes, &mut buf.bytes);
+                board.bytes.len() as u64
             }
             OpKind::Gather | OpKind::Allgather => {
                 // Every active rank's blob in rank order; inactive ranks
@@ -545,23 +536,8 @@ impl Ctx {
                 }
                 bytes
             }
-            OpKind::Scatter => {
-                let mut blobs = {
-                    let mut root = root_deposit();
-                    assert!(
-                        root.held == Held::PerRank,
-                        "scatter root {} must contribute per-rank blobs",
-                        op.root
-                    );
-                    std::mem::take(&mut root.per_rank)
-                };
-                let bytes = blobs.iter().map(|b| b.len() as u64).sum();
-                for (r, slot) in self.active_slots() {
-                    slot.buf.lock().bytes = std::mem::take(&mut blobs[r]);
-                }
-                bytes
-            }
             OpKind::Barrier => 0,
+            OpKind::Scatter => unreachable!("no collective scatters; `Rank::account` models it"),
         };
         board.category = category;
         board.wire_bytes = wire_bytes;
@@ -774,11 +750,6 @@ impl Rank {
         self.ctx.active_ranks()
     }
 
-    /// Number of currently active ranks (lock-free).
-    pub fn active_count(&self) -> usize {
-        n_active(self.ctx.ctl.0.load(Ordering::Acquire))
-    }
-
     /// Snapshot of the accumulated communication statistics.
     pub fn stats(&self) -> CommStats {
         self.ctx.board().stats.clone()
@@ -848,14 +819,13 @@ impl Rank {
     }
 
     /// Start a [`Collective`] under `category`. New operation variants
-    /// (binned exchange, mode overrides, non-zero roots) hang off the
-    /// builder instead of multiplying `Rank` method signatures.
+    /// (binned exchange, non-zero roots) hang off the builder instead of
+    /// multiplying `Rank` method signatures.
     pub fn collective(&self, category: CommCategory) -> Collective<'_> {
         Collective {
             rank: self,
             category,
             root: 0,
-            mode: ReduceKind::Fast,
         }
     }
 
@@ -903,33 +873,6 @@ impl Rank {
         Ok(())
     }
 
-    /// Broadcast an f64 array from `root` (model-parameter arrays).
-    pub fn broadcast_f64(
-        &self,
-        root: usize,
-        data: &mut Vec<f64>,
-        category: CommCategory,
-    ) -> Result<(), CommError> {
-        let op = OpSig {
-            kind: OpKind::Broadcast,
-            root,
-        };
-        let is_root = self.id == root;
-        let d = self.exchange(op, category, |buf| {
-            if is_root {
-                buf.held = Held::F64;
-                buf.f64s.clear();
-                buf.f64s.extend_from_slice(data);
-            }
-        })?;
-        if !is_root {
-            assert!(d.board.held == Held::F64, "broadcast_f64 returns f64");
-            data.clear();
-            data.extend_from_slice(&d.board.f64s);
-        }
-        Ok(())
-    }
-
     /// Gather every rank's byte blob to `root` (rank-indexed; failed ranks
     /// yield empty slots). Non-root ranks receive an empty vector.
     pub fn gather_bytes(
@@ -971,37 +914,6 @@ impl Rank {
             buf.bytes = data;
         })?;
         Ok(d.board.per_rank.clone())
-    }
-
-    /// Scatter rank-indexed byte blobs from `root`; each rank receives its
-    /// own slot (the in-process analogue of the initial data distribution
-    /// ExaML performs with MPI I/O).
-    pub fn scatter_bytes(
-        &self,
-        root: usize,
-        data: Vec<Vec<u8>>,
-        category: CommCategory,
-    ) -> Result<Vec<u8>, CommError> {
-        let op = OpSig {
-            kind: OpKind::Scatter,
-            root,
-        };
-        let is_root = self.id == root;
-        if is_root {
-            assert_eq!(
-                data.len(),
-                self.ctx.size,
-                "scatter needs one blob per world slot"
-            );
-        }
-        let d = self.exchange(op, category, |buf| {
-            if is_root {
-                buf.held = Held::PerRank;
-                buf.per_rank = data;
-            }
-        })?;
-        let mine = std::mem::take(&mut d.slot.buf.lock().bytes);
-        Ok(mine)
     }
 
     /// Synchronization barrier (a zero-byte parallel region).
@@ -1101,8 +1013,8 @@ impl Drop for Delivery<'_> {
     }
 }
 
-/// Builder for one collective operation: category, root, and reduce-mode
-/// override are set up front; the terminal method names the op. Obtained
+/// Builder for one collective operation: category and root are set up
+/// front; the terminal method names the op. Obtained
 /// via [`Rank::collective`]; the classic [`Rank::allreduce_sum`] /
 /// [`Rank::reduce_sum`] methods are thin wrappers over this.
 #[must_use = "a Collective does nothing until a terminal method runs it"]
@@ -1110,22 +1022,12 @@ pub struct Collective<'a> {
     rank: &'a Rank,
     category: CommCategory,
     root: usize,
-    mode: ReduceKind,
 }
 
 impl Collective<'_> {
     /// Set the root rank (reductions toward a root; default 0).
     pub fn root(mut self, root: usize) -> Self {
         self.root = root;
-        self
-    }
-
-    /// Override the reduction scheme for this one operation. Under
-    /// [`ReduceKind::Reproducible`] each f64 element is deposited into its
-    /// own superaccumulator before the exchange, so the combination is
-    /// exact regardless of which ranks contribute what.
-    pub fn reduce(mut self, mode: ReduceKind) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -1138,23 +1040,11 @@ impl Collective<'_> {
     }
 
     fn exchange_sum(&self, kind: OpKind, data: &[f64]) -> Result<Delivery<'_>, CommError> {
-        self.rank
-            .exchange(self.op(kind), self.category, |buf| match self.mode {
-                ReduceKind::Fast => {
-                    buf.held = Held::F64;
-                    buf.f64s.clear();
-                    buf.f64s.extend_from_slice(data);
-                }
-                ReduceKind::Reproducible => {
-                    buf.held = Held::Bins;
-                    buf.bins.clear();
-                    buf.bins.extend(data.iter().map(|&x| {
-                        let mut b = BinnedSum::new();
-                        b.add(x);
-                        b
-                    }));
-                }
-            })
+        self.rank.exchange(self.op(kind), self.category, |buf| {
+            buf.held = Held::F64;
+            buf.f64s.clear();
+            buf.f64s.extend_from_slice(data);
+        })
     }
 
     fn exchange_bins(&self, kind: OpKind, bins: Vec<BinnedSum>) -> Result<Delivery<'_>, CommError> {
@@ -1273,23 +1163,6 @@ mod tests {
         });
         for r in results {
             assert_eq!(r, vec![7, 8, 9]);
-        }
-    }
-
-    #[test]
-    fn broadcast_f64_from_root() {
-        let results = World::run(3, |rank| {
-            let mut data = if rank.id() == 0 {
-                vec![1.5, 2.5]
-            } else {
-                Vec::new()
-            };
-            rank.broadcast_f64(0, &mut data, CommCategory::ModelParams)
-                .unwrap();
-            data
-        });
-        for r in results {
-            assert_eq!(r, vec![1.5, 2.5]);
         }
     }
 
@@ -1514,37 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_per_rank_slots() {
-        let results = World::run(3, |rank| {
-            let data = if rank.id() == 0 {
-                vec![vec![10u8], vec![20, 20], vec![30, 30, 30]]
-            } else {
-                Vec::new()
-            };
-            rank.scatter_bytes(0, data, CommCategory::Control).unwrap()
-        });
-        assert_eq!(results[0], vec![10]);
-        assert_eq!(results[1], vec![20, 20]);
-        assert_eq!(results[2], vec![30, 30, 30]);
-    }
-
-    #[test]
-    fn gather_then_scatter_roundtrip() {
-        let results = World::run(3, |rank| {
-            let mine = vec![rank.id() as u8 + 100];
-            let gathered = rank
-                .gather_bytes(0, mine.clone(), CommCategory::Control)
-                .unwrap();
-            let data = if rank.id() == 0 { gathered } else { Vec::new() };
-            let back = rank.scatter_bytes(0, data, CommCategory::Control).unwrap();
-            (mine, back)
-        });
-        for (mine, back) in results {
-            assert_eq!(mine, back);
-        }
-    }
-
-    #[test]
     fn traced_world_records_identical_collective_sequences() {
         let rec = Recorder::new(3);
         let stats = World::run_traced(3, Some(&rec), |rank| {
@@ -1673,25 +1515,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_mode_override_matches_fast_for_exact_sums() {
-        let results = World::run(4, |rank| {
-            let mut fast = vec![rank.id() as f64, 1.0];
-            rank.allreduce_sum(&mut fast, CommCategory::SiteLikelihoods)
-                .unwrap();
-            let mut repro = vec![rank.id() as f64, 1.0];
-            rank.collective(CommCategory::SiteLikelihoods)
-                .reduce(ReduceKind::Reproducible)
-                .allreduce_sum(&mut repro)
-                .unwrap();
-            (fast, repro)
-        });
-        for (fast, repro) in results {
-            assert_eq!(fast, vec![6.0, 4.0]);
-            assert_eq!(repro, vec![6.0, 4.0]);
-        }
-    }
-
-    #[test]
     fn heavy_concurrency_smoke() {
         // Many ranks, many rounds — exercises the generation machinery.
         let n = 16;
@@ -1761,7 +1584,6 @@ mod tests {
                     Err(CommError::RanksFailed(set)) => assert_eq!(set, BTreeSet::from([2])),
                     Ok(()) => panic!("{how:?}: the aborted generation completed"),
                 }
-                assert_eq!(rank.active_count(), 2);
                 assert_eq!(rank.active_ranks(), vec![0, 1]);
                 let (failed, survivors) = rank.recover();
                 assert_eq!(failed, BTreeSet::from([2]));

@@ -5,7 +5,7 @@
 //! rendered f64 must stay within 1 ULP of the conventional left-to-right
 //! sum on well-conditioned inputs.
 
-use exa_comm::{BinnedSum, CommCategory, ReduceKind, World};
+use exa_comm::{BinnedSum, CommCategory, World};
 use proptest::prelude::*;
 
 /// splitmix64 — a tiny deterministic generator for shuffles, so the tests
@@ -151,8 +151,9 @@ proptest! {
         rank_counts in prop::collection::vec(1usize..7, 2..4),
     ) {
         // The end-to-end property the run relies on: splitting the same
-        // site vector across different world sizes and reducing with
-        // ReduceKind::Reproducible yields the same bits everywhere.
+        // site vector across different world sizes and reducing the
+        // superaccumulators with `allreduce_binned` yields the same bits
+        // everywhere.
         let mut renders = Vec::new();
         for &ranks in &rank_counts {
             let results = World::run(ranks, |rank| {
@@ -164,7 +165,6 @@ proptest! {
                 bin.add_slice(&xs[lo..hi]);
                 let out = rank
                     .collective(CommCategory::SiteLikelihoods)
-                    .reduce(ReduceKind::Reproducible)
                     .allreduce_binned(vec![bin])
                     .unwrap();
                 out[0].to_bits()

@@ -2,7 +2,7 @@
 //! hundreds of thousands of generations, with and without more ranks than
 //! cores, and the accounting is what it was before the protocol changed.
 
-use exa_comm::{BinnedSum, CommCategory, CommStats, OpKind, Rank, ReduceKind, World};
+use exa_comm::{BinnedSum, CommCategory, CommStats, OpKind, Rank, World};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ fn within<T: Send + 'static>(ceiling: Duration, f: impl FnOnce() -> T + Send + '
 /// One round of the mixed stress: which collective depends on the round, so
 /// consecutive generations differ in kind, payload and root.
 fn mixed_round(rank: &Rank, round: usize) -> f64 {
-    let n = rank.active_count();
+    let n = rank.active_ranks().len();
     match round % 3 {
         0 => {
             let mut d = [round as f64, rank.id() as f64, 1.0];
@@ -83,18 +83,13 @@ fn oversubscribed_world_survives_2k_mixed_rounds() {
 
 /// Every operation of the API once, with payload sizes that differ per
 /// rank where the API allows it, plus modeled traffic.
-fn scripted_sequence(rank: &Rank, mode: ReduceKind) -> CommStats {
+fn scripted_sequence(rank: &Rank) -> CommStats {
     let id = rank.id();
     let mut d = vec![1.0; 3];
-    rank.collective(CommCategory::SiteLikelihoods)
-        .reduce(mode)
-        .allreduce_sum(&mut d)
+    rank.allreduce_sum(&mut d, CommCategory::SiteLikelihoods)
         .unwrap();
     let mut d = vec![1.0; 2];
-    rank.collective(CommCategory::BranchLength)
-        .root(1)
-        .reduce(mode)
-        .reduce_sum(&mut d)
+    rank.reduce_sum(1, &mut d, CommCategory::BranchLength)
         .unwrap();
     rank.collective(CommCategory::ModelParams)
         .allreduce_binned(vec![BinnedSum::new(); 4])
@@ -111,19 +106,10 @@ fn scripted_sequence(rank: &Rank, mode: ReduceKind) -> CommStats {
         CommCategory::Control
     };
     rank.broadcast_bytes(2, &mut b, category).unwrap();
-    let mut p = if id == 0 { vec![0.5; 5] } else { Vec::new() };
-    rank.broadcast_f64(0, &mut p, CommCategory::ModelParams)
-        .unwrap();
     rank.gather_bytes(1, vec![id as u8; id + 1], CommCategory::Control)
         .unwrap();
     rank.allgather_bytes(vec![id as u8; 2 * id + 1], CommCategory::Control)
         .unwrap();
-    let blobs = if id == 0 {
-        vec![vec![1u8; 10], vec![2; 20], vec![3; 30]]
-    } else {
-        Vec::new()
-    };
-    rank.scatter_bytes(0, blobs, CommCategory::Control).unwrap();
     rank.barrier(CommCategory::Control).unwrap();
     if id == 0 {
         rank.account(CommCategory::Control, OpKind::Scatter, 4096);
@@ -135,13 +121,12 @@ fn scripted_sequence(rank: &Rank, mode: ReduceKind) -> CommStats {
 #[test]
 fn stats_of_a_scripted_sequence_are_unchanged() {
     // Serialized `CommStats` the mutex + condvar communicator (parent of
-    // the spin-then-park change) reported for this sequence; both reduce
-    // modes account the same logical f64 width.
-    const BEFORE: &str = r#"{"per_category":[{"regions":2,"bytes":72},{"regions":1,"bytes":24},{"regions":2,"bytes":72},{"regions":1,"bytes":100},{"regions":6,"bytes":4171}],"per_kind":[2,2,2,1,1,2,2]}"#;
-    for mode in [ReduceKind::Fast, ReduceKind::Reproducible] {
-        let stats = World::run(3, |rank| scripted_sequence(&rank, mode));
-        for s in &stats {
-            assert_eq!(serde_json::to_string(s).unwrap(), BEFORE, "{mode:?}");
-        }
+    // the spin-then-park change) reported for this sequence, less the f64
+    // broadcast (ModelParams, 40 B) and the 60-byte scatter the sequence
+    // ran while the communicator still had them.
+    const BEFORE: &str = r#"{"per_category":[{"regions":2,"bytes":72},{"regions":1,"bytes":24},{"regions":1,"bytes":32},{"regions":1,"bytes":100},{"regions":5,"bytes":4111}],"per_kind":[2,2,1,1,1,1,2]}"#;
+    let stats = World::run(3, |rank| scripted_sequence(&rank));
+    for s in &stats {
+        assert_eq!(serde_json::to_string(s).unwrap(), BEFORE);
     }
 }

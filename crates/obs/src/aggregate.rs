@@ -271,21 +271,6 @@ impl KernelProfile {
             .map(|parts| parts.iter().map(|&(_, ns)| ns).sum())
             .collect()
     }
-
-    /// Total measured kernel nanoseconds per global partition, summed
-    /// across ranks, sorted by partition index.
-    pub fn partition_totals(&self) -> Vec<(u32, u64)> {
-        let mut acc: Vec<(u32, u64)> = Vec::new();
-        for parts in &self.per_rank {
-            for &(p, ns) in parts {
-                match acc.binary_search_by_key(&p, |&(q, _)| q) {
-                    Ok(i) => acc[i].1 += ns,
-                    Err(i) => acc.insert(i, (p, ns)),
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// One iteration window of the critical-path attribution. All components
@@ -612,7 +597,6 @@ mod tests {
         assert_eq!(profile.per_rank[0], vec![(0, 50), (2, 125)]);
         assert_eq!(profile.per_rank[1], vec![(1, 40)]);
         assert_eq!(profile.rank_totals(), vec![175, 40]);
-        assert_eq!(profile.partition_totals(), vec![(0, 50), (1, 40), (2, 125)]);
 
         let m = trace.aggregate();
         assert_eq!(m.kernel_events, 5);

@@ -8,8 +8,8 @@
 //!
 //! - [`Recorder`]/[`Tracer`]: span-style events written to per-rank
 //!   append-only buffers. The hot path takes no lock — each rank thread owns
-//!   its buffer exclusively — and a disabled recorder costs one relaxed
-//!   atomic load per event site.
+//!   its buffer exclusively. A run that collects no trace creates no
+//!   recorder at all.
 //! - a thread-local current tracer ([`install_tracer`]) so deep layers
 //!   (likelihood kernels, the tree search) can emit events without the
 //!   tracer being plumbed through every signature; the free functions

@@ -347,21 +347,6 @@ impl Registry {
         }
     }
 
-    /// Current value of a registered counter, for callers that did not keep
-    /// the handle (tests, assertions).
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        let family = families.iter().find(|f| f.name == name)?;
-        let owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        match family.children.iter().find(|(l, _)| *l == owned)? {
-            (_, Instrument::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
     /// Render every family in Prometheus text exposition format.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -529,10 +514,6 @@ mod tests {
         // Same (name, labels) returns the same underlying instrument.
         let again = r.counter("exa_test_total", "test counter", &[("tenant", "batch")]);
         assert_eq!(again.get(), 5);
-        assert_eq!(
-            r.counter_value("exa_test_total", &[("tenant", "batch")]),
-            Some(5)
-        );
         let g = r.gauge("exa_test_gauge", "test gauge", &[]);
         g.set(2.5);
         g.add(1.0);

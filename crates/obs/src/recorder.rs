@@ -33,18 +33,16 @@ struct RankBuffer {
 // Sound per the module-level safety model: concurrent access never happens.
 unsafe impl Sync for RankBuffer {}
 
-/// Owns the per-rank buffers and the master enable switch of one run.
+/// Owns the per-rank buffers of one run.
 pub struct Recorder {
-    enabled: AtomicBool,
     epoch: Instant,
     buffers: Vec<RankBuffer>,
 }
 
 impl Recorder {
-    /// A recorder for `n_ranks` ranks, enabled from the start.
+    /// A recorder for `n_ranks` ranks.
     pub fn new(n_ranks: usize) -> Arc<Recorder> {
         Arc::new(Recorder {
-            enabled: AtomicBool::new(true),
             epoch: Instant::now(),
             buffers: (0..n_ranks)
                 .map(|_| RankBuffer {
@@ -53,16 +51,6 @@ impl Recorder {
                 })
                 .collect(),
         })
-    }
-
-    /// Master switch. Tracers of a disabled recorder drop events at the
-    /// cost of one relaxed atomic load.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -135,61 +123,48 @@ impl Tracer {
 
     /// Open a span; it closes when the guard drops.
     pub fn region(&self, kind: RegionKind) -> RegionGuard {
-        if !self.recorder.enabled() {
-            return RegionGuard { tracer: None, kind };
-        }
         self.push(EventKind::RegionBegin { region: kind });
         RegionGuard {
-            tracer: Some(self.clone()),
+            tracer: self.clone(),
             kind,
         }
     }
 
     /// Record a collective this rank took part in.
     pub fn collective(&self, op: OpKind, category: CommCategory, bytes: u64) {
-        if self.recorder.enabled() {
-            self.push(EventKind::Collective {
-                op,
-                category,
-                bytes,
-            });
-        }
+        self.push(EventKind::Collective {
+            op,
+            category,
+            bytes,
+        });
     }
 
     /// Record a point annotation.
     pub fn mark(&self, label: &str) {
-        if self.recorder.enabled() {
-            self.push(EventKind::Mark {
-                label: label.to_string(),
-            });
-        }
+        self.push(EventKind::Mark {
+            label: label.to_string(),
+        });
     }
 
     /// Record one kernel invocation on one global partition.
     pub fn kernel(&self, region: RegionKind, partition: u32, dur_ns: u64) {
-        if self.recorder.enabled() {
-            self.push(EventKind::Kernel {
-                region,
-                partition,
-                dur_ns,
-            });
-        }
+        self.push(EventKind::Kernel {
+            region,
+            partition,
+            dur_ns,
+        });
     }
 }
 
 /// RAII span: emits the matching `RegionEnd` on drop.
 pub struct RegionGuard {
-    // `None` when recording was disabled at open time — then no end event
-    // is emitted either, keeping begin/end pairs balanced.
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     kind: RegionKind,
 }
 
 impl Drop for RegionGuard {
     fn drop(&mut self) {
-        if let Some(t) = &self.tracer {
-            t.push(EventKind::RegionEnd { region: self.kind });
-        }
+        self.tracer.push(EventKind::RegionEnd { region: self.kind });
     }
 }
 
@@ -237,21 +212,17 @@ pub fn kernel(region: RegionKind, partition: u32, dur_ns: u64) {
     with_tracer(|t| t.kernel(region, partition, dur_ns));
 }
 
-/// Whether a tracer is installed on this thread **and** recording is on —
-/// the gate for optional measurement work (e.g. per-partition `Instant`
-/// reads) whose only consumer is the trace.
+/// Whether a tracer is installed on this thread — the gate for optional
+/// measurement work (e.g. per-partition `Instant` reads) whose only
+/// consumer is the trace.
 pub fn tracing_active() -> bool {
-    with_tracer(|t| t.recorder.enabled()).unwrap_or(false)
+    with_tracer(|_| ()).is_some()
 }
 
 /// Record a point annotation on the current tracer. The label is built
-/// lazily so disabled/absent tracing never formats.
+/// lazily so absent tracing never formats.
 pub fn mark(label: impl FnOnce() -> String) {
-    with_tracer(|t| {
-        if t.recorder.enabled() {
-            t.push(EventKind::Mark { label: label() });
-        }
-    });
+    with_tracer(|t| t.push(EventKind::Mark { label: label() }));
 }
 
 #[cfg(test)]
@@ -293,40 +264,6 @@ mod tests {
         let events = trace.events(0);
         assert_eq!(events.len(), 200);
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    }
-
-    #[test]
-    fn disabled_recorder_emits_nothing() {
-        let rec = Recorder::new(1);
-        rec.set_enabled(false);
-        let t = rec.tracer(0);
-        {
-            let _g = t.region(RegionKind::Evaluate);
-            t.collective(OpKind::Barrier, CommCategory::Control, 0);
-            t.mark("ignored");
-        }
-        drop(t);
-        let trace = Recorder::finish(rec);
-        assert!(trace.events(0).is_empty());
-    }
-
-    #[test]
-    fn toggle_mid_region_keeps_pairs_balanced() {
-        let rec = Recorder::new(1);
-        rec.set_enabled(false);
-        let t = rec.tracer(0);
-        {
-            // Opened while disabled: neither begin nor end is recorded,
-            // even though recording is re-enabled before the drop.
-            let _g = t.region(RegionKind::Evaluate);
-            rec.set_enabled(true);
-        }
-        {
-            let _g = t.region(RegionKind::Newview);
-        }
-        drop(t);
-        let trace = Recorder::finish(rec);
-        assert_eq!(trace.signatures(0), vec!["begin:newview", "end:newview"]);
     }
 
     #[test]
@@ -378,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_active_tracks_tls_and_enable_state() {
+    fn tracing_active_tracks_the_installed_tracer() {
         assert!(!tracing_active());
         let rec = Recorder::new(1);
         let t = rec.tracer(0);
@@ -386,10 +323,6 @@ mod tests {
             let _g = install_tracer(t.clone());
             assert!(tracing_active());
             kernel(RegionKind::Newview, 3, 55);
-            rec.set_enabled(false);
-            assert!(!tracing_active());
-            kernel(RegionKind::Newview, 4, 66);
-            rec.set_enabled(true);
         }
         assert!(!tracing_active());
         drop(t);

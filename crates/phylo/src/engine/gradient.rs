@@ -39,13 +39,15 @@ impl std::fmt::Display for GradientMode {
     }
 }
 
-/// A gradient-BLO policy, as requested on the command line or in a run's
-/// configuration.
+/// The route of `Evaluator::full_gradient`, as requested on the command
+/// line or in a run's configuration. Both routes give bitwise-equal
+/// numbers, and branch smoothing calls neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GradientChoice {
-    /// Force the gradient-driven BLO pass.
+    /// `Evaluator::full_gradient` reads every edge from one sweep and
+    /// reduces them in a single collective.
     On,
-    /// Force the historical per-edge Newton loop.
+    /// `Evaluator::full_gradient` walks the edges one by one.
     Off,
     /// On: the sweep is pure software.
     Auto,

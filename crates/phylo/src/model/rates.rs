@@ -94,15 +94,6 @@ impl RateHeterogeneity {
         }
     }
 
-    /// The rate-category index of `pattern` (always the Γ category count
-    /// question is moot — Γ returns `None` since all categories apply).
-    pub fn pattern_category(&self, pattern: usize) -> Option<usize> {
-        match self {
-            RateHeterogeneity::Gamma { .. } => None,
-            RateHeterogeneity::Psr { pattern_cat, .. } => Some(pattern_cat[pattern] as usize),
-        }
-    }
-
     /// Update the Γ shape parameter (clamped) and its category rates.
     /// Returns whether the stored bits changed; a shape the model already
     /// holds returns before the rates are recomputed.
@@ -285,7 +276,6 @@ mod tests {
         assert_eq!(p.clv_categories(), 1);
         assert_eq!(p.distinct_rates(), &[1.0]);
         assert_eq!(p.pattern_rate(3), Some(1.0));
-        assert_eq!(p.pattern_category(3), Some(0));
     }
 
     #[test]

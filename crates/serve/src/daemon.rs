@@ -6,9 +6,11 @@
 //! (as do [`Daemon::wait`] callers, woken by the same job transitions) and
 //! race for dispatches through [`scheduler::FairShare`]. The invariant
 //! that makes the queue crash-safe: **every state transition is fsynced to
-//! the journal before it takes effect in memory**, so replaying the journal
-//! always reconstructs a state the daemon actually passed through (modulo a
-//! torn final append, which is dropped).
+//! the journal before it takes effect in memory**. A transition is one
+//! `Core::commit` (append, then `Core::apply`), and replay is `apply` over
+//! the same events, so replaying the journal always reconstructs a state
+//! the daemon actually passed through (modulo a torn final append, which
+//! is dropped).
 //!
 //! Preemption handshake (the checkpoint-preemptive part of fair share):
 //!
@@ -91,7 +93,9 @@ impl DaemonConfig {
     }
 }
 
-/// In-memory job record. The journal is authoritative; this mirrors it.
+/// In-memory job record. The journal is authoritative; this mirrors it:
+/// `state`, `attempts`, `preemptions` and `resume_next` change only in
+/// `Core::apply` (and `Core::requeue_as_restart`).
 #[derive(Debug)]
 struct JobEntry {
     spec: JobSpec,
@@ -290,34 +294,11 @@ impl Daemon {
     /// when the previous process died are re-queued and will resume from
     /// their newest intact checkpoint generation.
     pub fn start(cfg: DaemonConfig) -> std::io::Result<Daemon> {
-        let (mut journal, events) = Journal::open(&cfg.spool)?;
-        let metrics = DaemonMetrics::new();
-        journal.set_fsync_histogram(Arc::clone(&metrics.journal_fsync_ms));
+        let mut core = Core::open(cfg)?;
         // Run-layer instrumentation (collectives, kernels, checkpoint
         // writes) lands in the process-global registry; turn it on so the
         // jobs this daemon executes show up in `GET /metrics`.
         exa_obs::metrics::global().set_enabled(true);
-        let mut sched = FairShare::new(cfg.quantum, cfg.default_tenant);
-        for (name, tenant_cfg) in &cfg.tenants {
-            sched.set_tenant(name, *tenant_cfg);
-        }
-        let mut core = Core {
-            cfg,
-            jobs: BTreeMap::new(),
-            sched,
-            journal,
-            next_id: 1,
-            shutdown: false,
-            workers_idle: 0,
-            pool_size: 0,
-            pool_target: 0,
-            metrics,
-            started_at: Instant::now(),
-            modes: RunConfig::new(1).modes(),
-            health_seq: 0,
-            listeners: Vec::new(),
-        };
-        core.replay(events);
         let workers = core.cfg.workers.max(1);
         core.pool_size = workers;
         core.pool_target = workers;
@@ -350,29 +331,17 @@ impl Daemon {
             return Err(std::io::Error::other("daemon is shutting down"));
         }
         let id = core.next_id;
-        core.next_id += 1;
-        core.journal.append(&JournalEvent::Submitted {
-            id,
-            spec: Box::new(spec.clone()),
-        })?;
-        core.metrics.submitted(&spec.tenant).inc();
-        core.sched
-            .enqueue(id, &spec.tenant, spec.priority, spec.cost);
+        // A failed append burns the id: its line may be on disk anyway.
+        core.next_id = id
+            .checked_add(1)
+            .ok_or_else(|| std::io::Error::other("job ids exhausted"))?;
         let priority = spec.priority;
-        core.jobs.insert(
+        core.commit(JournalEvent::Submitted {
             id,
-            JobEntry {
-                spec,
-                state: JobState::Queued,
-                attempts: 0,
-                preemptions: 0,
-                resume_next: false,
-                cancel_requested: false,
-                preempt: None,
-                submitted_at: Instant::now(),
-                first_dispatch: None,
-            },
-        );
+            spec: Box::new(spec),
+        })?;
+        core.metrics.submitted(&core.jobs[&id].spec.tenant).inc();
+        core.queue(id);
         if core.workers_idle == 0 {
             core.preempt_lowest_below(priority);
         }
@@ -412,21 +381,17 @@ impl Daemon {
     /// Returns whether a cancellation was initiated.
     pub fn cancel(&self, id: JobId) -> std::io::Result<bool> {
         let mut core = lock(&self.inner);
-        let Some(entry) = core.jobs.get(&id) else {
+        let Some(entry) = core.jobs.get_mut(&id) else {
             return Ok(false);
         };
         match entry.state {
             JobState::Queued => {
-                core.journal.append(&JournalEvent::Cancelled { id })?;
+                core.commit(JournalEvent::Cancelled { id })?;
                 core.sched.cancel(id);
-                let entry = core.jobs.get_mut(&id).unwrap();
-                entry.state = JobState::Cancelled;
-                core.metrics.cancelled.inc();
                 self.inner.cv.notify_all();
                 Ok(true)
             }
             JobState::Running => {
-                let entry = core.jobs.get_mut(&id).unwrap();
                 entry.cancel_requested = true;
                 if let Some(sig) = &entry.preempt {
                     sig.request();
@@ -484,11 +449,7 @@ impl Daemon {
         let mut out = String::new();
         {
             let core = lock(&self.inner);
-            let running = core
-                .jobs
-                .values()
-                .filter(|e| e.state == JobState::Running)
-                .count();
+            let running = core.running().count();
             core.metrics.queue_depth.set(core.sched.depth() as f64);
             core.metrics.running.set(running as f64);
             core.metrics.workers_idle.set(core.workers_idle as f64);
@@ -603,83 +564,167 @@ fn snapshot(id: JobId, e: &JobEntry) -> JobStatus {
 }
 
 impl Core {
-    /// Fold replayed journal events back into job table + scheduler.
-    fn replay(&mut self, events: Vec<JournalEvent>) {
-        for ev in events {
-            match ev {
-                JournalEvent::Submitted { id, spec } => {
-                    self.next_id = self.next_id.max(id + 1);
-                    self.jobs.insert(
-                        id,
-                        JobEntry {
-                            spec: *spec,
-                            state: JobState::Queued,
-                            attempts: 0,
-                            preemptions: 0,
-                            resume_next: false,
-                            cancel_requested: false,
-                            preempt: None,
-                            submitted_at: Instant::now(),
-                            first_dispatch: None,
-                        },
-                    );
-                }
-                JournalEvent::Started { id } => {
-                    if let Some(e) = self.jobs.get_mut(&id) {
-                        e.state = JobState::Running;
-                        e.attempts += 1;
-                    }
-                }
-                JournalEvent::Preempted { id } => {
-                    if let Some(e) = self.jobs.get_mut(&id) {
-                        e.state = JobState::Queued;
-                        e.resume_next = true;
-                        e.preemptions += 1;
-                        self.metrics.preemptions.inc();
-                    }
-                }
-                JournalEvent::Cancelled { id } => {
-                    if let Some(e) = self.jobs.get_mut(&id) {
-                        e.state = JobState::Cancelled;
-                        self.metrics.cancelled.inc();
-                    }
-                }
-                JournalEvent::Completed {
-                    id,
-                    lnl,
-                    iterations,
-                } => {
-                    if let Some(e) = self.jobs.get_mut(&id) {
-                        e.state = JobState::Completed { lnl, iterations };
-                        self.metrics.completed.inc();
-                    }
-                }
-                JournalEvent::Failed { id, error } => {
-                    if let Some(e) = self.jobs.get_mut(&id) {
-                        e.state = JobState::Failed { error };
-                        self.metrics.failed.inc();
-                    }
-                }
-            }
+    /// Open the spool's journal and replay it into a fresh table.
+    fn open(cfg: DaemonConfig) -> std::io::Result<Core> {
+        let (mut journal, events) = Journal::open(&cfg.spool)?;
+        let metrics = DaemonMetrics::new();
+        journal.set_fsync_histogram(Arc::clone(&metrics.journal_fsync_ms));
+        let mut sched = FairShare::new(cfg.quantum, cfg.default_tenant);
+        for (name, tenant_cfg) in &cfg.tenants {
+            sched.set_tenant(name, *tenant_cfg);
         }
-        // Jobs caught mid-run by a daemon crash restart from their last
-        // committed generation, like any other preemption.
-        let ids: Vec<JobId> = self.jobs.keys().copied().collect();
-        for id in ids {
-            let e = self.jobs.get_mut(&id).unwrap();
-            if e.state == JobState::Running {
+        let mut core = Core {
+            cfg,
+            jobs: BTreeMap::new(),
+            sched,
+            journal,
+            next_id: 1,
+            shutdown: false,
+            workers_idle: 0,
+            pool_size: 0,
+            pool_target: 0,
+            metrics,
+            started_at: Instant::now(),
+            modes: RunConfig::new(1).modes(),
+            health_seq: 0,
+            listeners: Vec::new(),
+        };
+        core.replay(events);
+        Ok(core)
+    }
+
+    /// Journal `ev`, then [`apply`](Core::apply) it: the only way a job's
+    /// durable state changes. A failed append applies nothing and returns
+    /// the error. When the job had left the queue (its `Started` or its
+    /// outcome failed to append), the caller puts it back with
+    /// [`requeue_as_restart`](Core::requeue_as_restart): that is what a
+    /// restart would rebuild from a journal whose last word on the job is
+    /// at most `Started`.
+    fn commit(&mut self, ev: JournalEvent) -> std::io::Result<()> {
+        self.journal.append(&ev)?;
+        self.apply(ev);
+        Ok(())
+    }
+
+    /// Fold one journal event into the table, for a live transition and a
+    /// replayed one alike. The one writer of a job's `state`, `attempts`,
+    /// `preemptions` and `resume_next` and of the completed / failed /
+    /// cancelled / preemption counters; an outcome also drops the job's
+    /// preempt signal. An event naming no known job changes nothing.
+    fn apply(&mut self, ev: JournalEvent) {
+        let id = ev.id();
+        if let JournalEvent::Submitted { spec, .. } = ev {
+            self.next_id = self.next_id.max(id.saturating_add(1));
+            self.jobs.insert(
+                id,
+                JobEntry {
+                    spec: *spec,
+                    state: JobState::Queued,
+                    attempts: 0,
+                    preemptions: 0,
+                    resume_next: false,
+                    cancel_requested: false,
+                    preempt: None,
+                    submitted_at: Instant::now(),
+                    first_dispatch: None,
+                },
+            );
+            return;
+        }
+        let Some(e) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        let m = &self.metrics;
+        let counter = match ev {
+            JournalEvent::Submitted { .. } => unreachable!("admitted above"),
+            JournalEvent::Started { .. } => {
+                e.state = JobState::Running;
+                e.attempts += 1;
+                return;
+            }
+            JournalEvent::Preempted { .. } => {
                 e.state = JobState::Queued;
                 e.resume_next = true;
+                e.preemptions += 1;
+                &m.preemptions
             }
-            if e.state == JobState::Queued {
-                let (tenant, priority, cost) =
-                    (e.spec.tenant.clone(), e.spec.priority, e.spec.cost);
-                if e.resume_next {
-                    self.sched.requeue_front(id, &tenant, priority, cost);
-                } else {
-                    self.sched.enqueue(id, &tenant, priority, cost);
-                }
+            JournalEvent::Cancelled { .. } => {
+                e.state = JobState::Cancelled;
+                &m.cancelled
             }
+            JournalEvent::Completed {
+                lnl, iterations, ..
+            } => {
+                e.state = JobState::Completed { lnl, iterations };
+                &m.completed
+            }
+            JournalEvent::Failed { error, .. } => {
+                e.state = JobState::Failed { error };
+                &m.failed
+            }
+        };
+        e.preempt = None;
+        counter.inc();
+    }
+
+    /// Rebuild the table from the journal: every event through
+    /// [`apply`](Core::apply), then the crash pass — a job caught mid-run
+    /// restarts from its last committed generation — and the scheduler
+    /// rebuilt from the table. Appends nothing.
+    fn replay(&mut self, events: Vec<JournalEvent>) {
+        for ev in events {
+            self.apply(ev);
+        }
+        let ids: Vec<JobId> = self.jobs.keys().copied().collect();
+        for id in ids {
+            match self.jobs[&id].state {
+                JobState::Running => self.requeue_as_restart(id),
+                JobState::Queued => self.queue(id),
+                _ => {}
+            }
+        }
+    }
+
+    /// Put job `id` back in the queue as a restart would rebuild it from a
+    /// journal whose last word on it is `Started`: Queued, resuming from
+    /// its newest generation, no preemption counted, no cancel pending.
+    fn requeue_as_restart(&mut self, id: JobId) {
+        let e = self
+            .jobs
+            .get_mut(&id)
+            .expect("a requeued job is in the table");
+        e.state = JobState::Queued;
+        e.resume_next = true;
+        e.cancel_requested = false;
+        e.preempt = None;
+        self.queue(id);
+    }
+
+    /// Index queued job `id` in the scheduler: at the front of its priority
+    /// class when it resumes, at the back when it is new.
+    fn queue(&mut self, id: JobId) {
+        let e = &self.jobs[&id];
+        let (tenant, priority, cost) = (&e.spec.tenant, e.spec.priority, e.spec.cost);
+        if e.resume_next {
+            self.sched.requeue_front(id, tenant, priority, cost);
+        } else {
+            self.sched.enqueue(id, tenant, priority, cost);
+        }
+    }
+
+    /// Journal the outcome of a run, as [`run_job`] named it. A run stopped
+    /// at its signal is `Cancelled` when a cancel asked for the stop;
+    /// otherwise a higher-priority job displaced it or the daemon is
+    /// shutting down, and both re-queue it for resume.
+    fn finish(&mut self, mut ev: JournalEvent) {
+        let id = ev.id();
+        if matches!(ev, JournalEvent::Preempted { .. }) && self.jobs[&id].cancel_requested {
+            ev = JournalEvent::Cancelled { id };
+        }
+        if self.commit(ev).is_err() {
+            self.requeue_as_restart(id);
+        } else if self.jobs[&id].state == JobState::Queued {
+            self.queue(id);
         }
     }
 
@@ -702,25 +747,18 @@ impl Core {
         }
     }
 
-    fn running_count(&self, tenant: &str) -> usize {
-        self.jobs
-            .values()
-            .filter(|e| e.state == JobState::Running && e.spec.tenant == tenant)
-            .count()
+    fn running(&self) -> impl Iterator<Item = &JobEntry> {
+        self.jobs.values().filter(|e| e.state == JobState::Running)
     }
 
     fn heartbeat(&self) -> ServeHeartbeat {
-        let running = self
-            .jobs
-            .values()
-            .filter(|e| e.state == JobState::Running)
-            .count() as u64;
+        let running = self.running().count() as u64;
         let tenants = self
             .sched
             .gauges()
             .into_iter()
             .map(|(tenant, queued, dispatched)| {
-                let running = self.running_count(&tenant) as u64;
+                let running = self.running().filter(|e| e.spec.tenant == tenant).count() as u64;
                 TenantGauge {
                     tenant,
                     queued,
@@ -793,37 +831,31 @@ struct Dispatch {
 }
 
 fn try_dispatch(core: &mut Core) -> Option<Dispatch> {
-    let counts: std::collections::HashMap<String, usize> = core
-        .jobs
-        .values()
-        .filter(|e| e.state == JobState::Running)
-        .fold(std::collections::HashMap::new(), |mut m, e| {
-            *m.entry(e.spec.tenant.clone()).or_insert(0) += 1;
-            m
-        });
+    let counts: std::collections::HashMap<String, usize> =
+        core.running()
+            .fold(std::collections::HashMap::new(), |mut m, e| {
+                *m.entry(e.spec.tenant.clone()).or_insert(0) += 1;
+                m
+            });
     let picked = core
         .sched
         .next(&|tenant| counts.get(tenant).copied().unwrap_or(0))?;
     let id = picked.id;
     let job_dir = core.job_dir(id);
     // Resume only when a previous attempt actually committed a generation.
-    let resume = {
-        let e = &core.jobs[&id];
-        e.resume_next && checkpoint::load_latest(&job_dir.join("ckpt")).is_ok()
-    };
-    if core.journal.append(&JournalEvent::Started { id }).is_err() {
-        // Journal write failed: put the job back rather than running it
-        // un-journaled.
-        let e = &core.jobs[&id];
-        let (tenant, priority, cost) = (e.spec.tenant.clone(), e.spec.priority, e.spec.cost);
-        core.sched.requeue_front(id, &tenant, priority, cost);
+    let resume =
+        core.jobs[&id].resume_next && checkpoint::load_latest(&job_dir.join("ckpt")).is_ok();
+    if core.commit(JournalEvent::Started { id }).is_err() {
+        // Never run a job un-journaled.
+        core.requeue_as_restart(id);
         return None;
     }
     let now = Instant::now();
     let signal = PreemptSignal::new();
-    let e = core.jobs.get_mut(&id).unwrap();
-    e.state = JobState::Running;
-    e.attempts += 1;
+    let e = core
+        .jobs
+        .get_mut(&id)
+        .expect("a dispatched job is in the table");
     e.preempt = Some(signal.clone());
     if e.first_dispatch.is_none() {
         e.first_dispatch = Some(now);
@@ -866,71 +898,20 @@ fn worker_loop(inner: &Inner) {
             d
         };
         let run_t0 = Instant::now();
-        let result = run_job(&dispatch, &cfg);
+        let ev = run_job(&dispatch, &cfg);
         let run_ms = run_t0.elapsed().as_secs_f64() * 1e3;
         let mut core = lock(inner);
-        let outcome_label = match &result {
-            JobOutcome::Done { .. } => "done",
-            JobOutcome::Preempted => "preempted",
-            JobOutcome::Error(_) => "error",
+        let outcome_label = match ev {
+            JournalEvent::Completed { .. } => "done",
+            JournalEvent::Preempted { .. } => "preempted",
+            _ => "error",
         };
         core.metrics.run_duration_ms(outcome_label).observe(run_ms);
-        let id = dispatch.id;
-        match result {
-            JobOutcome::Done { lnl, iterations } => {
-                let _ = core.journal.append(&JournalEvent::Completed {
-                    id,
-                    lnl,
-                    iterations,
-                });
-                let e = core.jobs.get_mut(&id).unwrap();
-                e.state = JobState::Completed { lnl, iterations };
-                e.preempt = None;
-                core.metrics.completed.inc();
-            }
-            JobOutcome::Preempted => {
-                core.metrics.preemptions.inc();
-                let e = core.jobs.get_mut(&id).unwrap();
-                e.preemptions += 1;
-                e.preempt = None;
-                if e.cancel_requested {
-                    let _ = core.journal.append(&JournalEvent::Cancelled { id });
-                    let e = core.jobs.get_mut(&id).unwrap();
-                    e.state = JobState::Cancelled;
-                    core.metrics.cancelled.inc();
-                } else {
-                    // Either a higher-priority job displaced us, or the
-                    // daemon is shutting down. Both re-queue for resume.
-                    let _ = core.journal.append(&JournalEvent::Preempted { id });
-                    let e = core.jobs.get_mut(&id).unwrap();
-                    e.state = JobState::Queued;
-                    e.resume_next = true;
-                    let (tenant, priority, cost) =
-                        (e.spec.tenant.clone(), e.spec.priority, e.spec.cost);
-                    core.sched.requeue_front(id, &tenant, priority, cost);
-                }
-            }
-            JobOutcome::Error(error) => {
-                let _ = core.journal.append(&JournalEvent::Failed {
-                    id,
-                    error: error.clone(),
-                });
-                let e = core.jobs.get_mut(&id).unwrap();
-                e.state = JobState::Failed { error };
-                e.preempt = None;
-                core.metrics.failed.inc();
-            }
-        }
+        core.finish(ev);
         // A finished/requeued job may unblock a tenant quota or leave work
         // for other parked workers.
         inner.cv.notify_all();
     }
-}
-
-enum JobOutcome {
-    Done { lnl: f64, iterations: u64 },
-    Preempted,
-    Error(String),
 }
 
 /// Load the job's alignment: `exa-bio` binary first, then PHYLIP, then
@@ -956,17 +937,19 @@ fn load_alignment(path: &Path, partitions: Option<&Path>) -> Result<CompressedAl
     Ok(CompressedAlignment::build(&alignment, &scheme))
 }
 
-/// Execute one dispatch outside the lock. The spec's `RunConfig` is taken
-/// verbatim except for the spool-owned fields; in particular the spec's own
-/// `collect_trace` decides whether the job pays for a trace and leaves a
-/// [`TRACE_FILE`].
-fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JobOutcome {
+/// Execute one dispatch outside the lock and name its outcome as the event
+/// to journal: `Completed`, `Failed`, or `Preempted` when the run stopped
+/// at its preempt signal. The spec's `RunConfig` is taken verbatim except
+/// for the spool-owned fields; in particular the spec's own `collect_trace`
+/// decides whether the job pays for a trace and leaves a [`TRACE_FILE`].
+fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JournalEvent {
+    let failed = |error| JournalEvent::Failed { id: d.id, error };
     if let Err(e) = std::fs::create_dir_all(&d.job_dir) {
-        return JobOutcome::Error(format!("cannot create job dir: {e}"));
+        return failed(format!("cannot create job dir: {e}"));
     }
     let compressed = match load_alignment(&d.spec.alignment, d.spec.partitions.as_deref()) {
         Ok(c) => c,
-        Err(e) => return JobOutcome::Error(e),
+        Err(e) => return failed(e),
     };
     let ckpt_dir = d.job_dir.join("ckpt");
     let mut run = d.spec.config.clone();
@@ -984,20 +967,206 @@ fn run_job(d: &Dispatch, cfg: &DaemonConfig) -> JobOutcome {
             if let Some(trace) = &out.trace {
                 let _ = exa_obs::write_chrome_trace(&d.job_dir.join(TRACE_FILE), trace);
             }
-            JobOutcome::Done {
+            JournalEvent::Completed {
+                id: d.id,
                 lnl: out.result.lnl,
                 iterations: out.result.iterations as u64,
             }
         }
-        Ok(Err(RunError::Preempted { .. })) => JobOutcome::Preempted,
-        Ok(Err(e)) => JobOutcome::Error(e.to_string()),
+        Ok(Err(RunError::Preempted { .. })) => JournalEvent::Preempted { id: d.id },
+        Ok(Err(e)) => failed(e.to_string()),
         Err(panic) => {
             let msg = panic
                 .downcast_ref::<String>()
                 .cloned()
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "run panicked".into());
-            JobOutcome::Error(format!("panic: {msg}"))
+            failed(format!("panic: {msg}"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A daemon on `dir` with no worker: nothing is dispatched or finished
+    /// unless the test does it.
+    fn idle_daemon(dir: &Path) -> Daemon {
+        let core = Core::open(DaemonConfig::new(dir)).unwrap();
+        Daemon {
+            inner: Arc::new(Inner {
+                state: Mutex::new(core),
+                cv: Condvar::new(),
+            }),
+            workers: Arc::new(Mutex::new(Vec::new())),
+        }
+    }
+
+    /// A fresh spool directory for one test case.
+    fn spool(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "exa-serve-core-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn spec(tenant: u64, priority: u32) -> JobSpec {
+        JobSpec {
+            tenant: format!("t{tenant}"),
+            priority,
+            cost: 1,
+            alignment: PathBuf::from("aln.phy"),
+            partitions: None,
+            config: RunConfig::new(1),
+        }
+    }
+
+    /// Each job's durable fields as a restart sees them: a running job
+    /// comes back queued, to resume.
+    fn restarted(core: &Core) -> Vec<(JobId, JobState, u64, u64, bool)> {
+        core.jobs
+            .iter()
+            .map(|(id, e)| {
+                let running = e.state == JobState::Running;
+                let state = if running {
+                    JobState::Queued
+                } else {
+                    e.state.clone()
+                };
+                (
+                    *id,
+                    state,
+                    e.attempts,
+                    e.preemptions,
+                    e.resume_next || running,
+                )
+            })
+            .collect()
+    }
+
+    fn counters(core: &Core) -> [u64; 4] {
+        let m = &core.metrics;
+        [
+            m.completed.get(),
+            m.failed.get(),
+            m.cancelled.get(),
+            m.preemptions.get(),
+        ]
+    }
+
+    fn queued(core: &Core) -> usize {
+        core.jobs
+            .values()
+            .filter(|e| e.state == JobState::Queued)
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Submits, dispatches, cancels and the outcomes a run can end in
+        /// (synthetic here: no run starts) leave a journal that replays to
+        /// the live table and counters.
+        #[test]
+        fn commits_replay_to_the_live_table(
+            ops in prop::collection::vec((0u8..7, 0usize..8, 0u32..3), 1..40),
+        ) {
+            let dir = spool("commits");
+            let daemon = idle_daemon(&dir);
+            for (op, pick, priority) in ops {
+                let mut live = lock(&daemon.inner);
+                let running: Vec<JobId> = live
+                    .jobs
+                    .iter()
+                    .filter(|(_, e)| e.state == JobState::Running)
+                    .map(|(id, _)| *id)
+                    .collect();
+                let ran = running.get(pick % running.len().max(1)).copied();
+                match (op, ran) {
+                    (0, _) => {
+                        drop(live);
+                        daemon.submit(spec(pick as u64 % 2, priority)).unwrap();
+                    }
+                    (1, _) => {
+                        try_dispatch(&mut live);
+                    }
+                    // Queued, running, terminal or unknown: every branch.
+                    (2, _) => {
+                        drop(live);
+                        daemon.cancel(pick as JobId).unwrap();
+                    }
+                    (3, Some(id)) => live.finish(JournalEvent::Completed {
+                        id,
+                        lnl: -(pick as f64),
+                        iterations: pick as u64,
+                    }),
+                    (4, Some(id)) => live.finish(JournalEvent::Failed {
+                        id,
+                        error: format!("error {pick}"),
+                    }),
+                    (_, Some(id)) => live.finish(JournalEvent::Preempted { id }),
+                    (_, None) => {}
+                }
+            }
+            let live = lock(&daemon.inner);
+            let replayed = Core::open(DaemonConfig::new(&dir)).unwrap();
+            prop_assert_eq!(restarted(&replayed), restarted(&live));
+            prop_assert_eq!(counters(&replayed), counters(&live));
+            prop_assert_eq!(replayed.next_id, live.next_id);
+            // The scheduler indexes exactly the queued jobs.
+            prop_assert_eq!(live.sched.depth(), queued(&live));
+            prop_assert_eq!(replayed.sched.depth(), queued(&replayed));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// Replay takes any event list — unknown ids, duplicate admissions,
+        /// transitions out of order, ids at the top of the range — without
+        /// a panic, indexes exactly the jobs it leaves queued, and appends
+        /// nothing.
+        #[test]
+        fn any_event_list_replays(
+            events in prop::collection::vec((0u8..6, 0u64..6, any::<u64>()), 0..40),
+        ) {
+            let dir = spool("hostile");
+            let mut core = Core::open(DaemonConfig::new(&dir)).unwrap();
+            let events = events
+                .into_iter()
+                .map(|(kind, id, x)| {
+                    let id = if x % 5 == 0 { u64::MAX - id } else { id };
+                    match kind {
+                        0 => JournalEvent::Submitted {
+                            id,
+                            spec: Box::new(spec(x % 3, (x % 4) as u32)),
+                        },
+                        1 => JournalEvent::Started { id },
+                        2 => JournalEvent::Preempted { id },
+                        3 => JournalEvent::Cancelled { id },
+                        4 => JournalEvent::Completed {
+                            id,
+                            lnl: -((x % 1000) as f64),
+                            iterations: x,
+                        },
+                        _ => JournalEvent::Failed {
+                            id,
+                            error: x.to_string(),
+                        },
+                    }
+                })
+                .collect();
+            core.replay(events);
+            prop_assert_eq!(core.sched.depth(), queued(&core));
+            prop_assert!(core
+                .jobs
+                .keys()
+                .all(|&id| id < core.next_id || core.next_id == u64::MAX));
+            let journal = std::fs::metadata(Journal::path_in(&dir)).unwrap();
+            prop_assert_eq!(journal.len(), 0);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }

@@ -10,9 +10,11 @@
 
 use exa_bio::partition::PartitionScheme;
 use exa_bio::patterns::CompressedAlignment;
+use exa_obs::ServeHeartbeat;
 use exa_search::SearchConfig;
 use exa_serve::daemon::{Daemon, DaemonConfig};
-use exa_serve::{JobSpec, JobState};
+use exa_serve::journal::Journal;
+use exa_serve::{JobSpec, JobState, JobStatus};
 use exa_simgen::workloads;
 use examl_core::RunConfig;
 use std::path::PathBuf;
@@ -182,6 +184,65 @@ fn cancel_hits_queued_and_running_jobs() {
     let hb = daemon.health();
     assert_eq!(hb.cancelled, 2);
     assert_eq!(hb.completed, 1);
+    daemon.shutdown();
+}
+
+/// A second daemon started on a copy of a live daemon's journal rebuilds
+/// the first one's table and counters: every job's state, attempts and
+/// preemptions, and health's completed / failed / cancelled / preemptions.
+/// The jobs end each way a run can: preempted then completed, completed,
+/// cancelled while running, cancelled while queued. Every job is terminal
+/// when the copy is taken, so the second daemon has nothing to dispatch
+/// and its table holds still while it is read.
+#[test]
+fn a_live_journal_copy_replays_to_the_same_table_and_counters() {
+    let fx = Fixture::new("journal_copy");
+    let mut cfg = DaemonConfig::new(fx.spool());
+    cfg.workers = 1;
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let low = daemon.submit(fx.spec("batch", 0, 10)).unwrap();
+    wait_for(&daemon, low, |s| *s == JobState::Running, "running");
+    let high = daemon.submit(fx.spec("interactive", 9, 2)).unwrap();
+    for id in [high, low] {
+        wait_for(&daemon, id, JobState::is_terminal, "terminal");
+    }
+    let running = daemon.submit(fx.spec("batch", 0, 10)).unwrap();
+    wait_for(&daemon, running, |s| *s == JobState::Running, "running");
+    let queued = daemon.submit(fx.spec("batch", 0, 2)).unwrap();
+    assert!(daemon.cancel(queued).unwrap());
+    assert!(daemon.cancel(running).unwrap());
+    wait_for(&daemon, running, JobState::is_terminal, "terminal");
+
+    let live = daemon.list();
+    assert!(live[0].preemptions >= 1, "{:?}", live[0]);
+    assert_eq!(live[2].state, JobState::Cancelled);
+    assert_eq!(live[3].state, JobState::Cancelled);
+    let copy = fx.root.join("copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    std::fs::copy(Journal::path_in(&fx.spool()), Journal::path_in(&copy)).unwrap();
+    let replayed = Daemon::start(DaemonConfig::new(copy)).unwrap();
+
+    // Everything but `wait_ms`, which the journal does not keep.
+    let durable = |jobs: Vec<JobStatus>| {
+        jobs.into_iter()
+            .map(|s| {
+                (
+                    s.id,
+                    s.tenant,
+                    s.priority,
+                    s.cost,
+                    s.state,
+                    s.attempts,
+                    s.preemptions,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(durable(replayed.list()), durable(live));
+    let counters = |h: ServeHeartbeat| (h.completed, h.failed, h.cancelled, h.preemptions);
+    assert_eq!(counters(replayed.health()), counters(daemon.health()));
+    replayed.shutdown();
     daemon.shutdown();
 }
 

@@ -207,18 +207,22 @@ echo "checkpoint: kill at generation 1 exited 3, resume completed"
 
 echo "==> exa-serve daemon smoke (fair-share queue, preemption, health gauges)"
 examl_serve() { cargo run -q --release -p exa-serve --bin examl -- serve "$@"; }
+# The address a daemon printed to the log $1 once its socket was bound.
+listen_addr() {
+  for _ in $(seq 1 100); do
+    sed -n 's/^listening on //p' "$1" | head -n 1 | grep . && return 0
+    sleep 0.1
+  done
+  return 1
+}
 cargo run -q --release -p exa-simgen --bin simgen -- "$tmp/serve.phy" 16 2 300 2
 examl_serve daemon --spool "$tmp/spool" --workers 1 \
   >"$tmp/daemon.log" 2>"$tmp/daemon.err" &
 daemon_pid=$!
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^listening on //p' "$tmp/daemon.log" | head -n 1)"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "daemon never reported its listen address"; cat "$tmp/daemon.err"; exit 1; }
+daemon2_pid=""
+trap 'kill $daemon_pid $daemon2_pid 2>/dev/null || true; rm -rf "$tmp"' EXIT
+addr="$(listen_addr "$tmp/daemon.log")" \
+  || { echo "daemon never reported its listen address"; cat "$tmp/daemon.err"; exit 1; }
 # One worker: a long batch run plus a backlog keeps the queue non-empty
 # while we sample the gauges, and the priority-9 submission can only run
 # by checkpoint-preempting the batch job.
@@ -275,8 +279,26 @@ untraced="$(curl -s -w '\n%{http_code}' "http://$addr/trace/$low_id")"
   || { echo "/trace/$low_id (untraced job) must be a JSON 404: $untraced"; exit 1; }
 curl -sf "http://$addr/job-health/$high_id" | head -n 1 | jq -e '.iteration >= 0' >/dev/null \
   || { echo "/job-health/$high_id missing heartbeats"; exit 1; }
+# The journal is the daemon's durable state: a second daemon started on a
+# copy taken while the first is live lists every job with the same state,
+# attempts and preemptions.
+mkdir "$tmp/spool2"
+cp "$tmp/spool/journal.jsonl" "$tmp/spool2/journal.jsonl"
+durable() { examl_serve list --to "$1" | jq -c '{id, state, attempts, preemptions}'; }
+jobs_live="$(durable "$addr")"
+examl_serve daemon --spool "$tmp/spool2" --workers 1 \
+  >"$tmp/daemon2.log" 2>"$tmp/daemon2.err" &
+daemon2_pid=$!
+addr2="$(listen_addr "$tmp/daemon2.log")" \
+  || { echo "replaying daemon never reported its listen address"; cat "$tmp/daemon2.err"; exit 1; }
+jobs_replayed="$(durable "$addr2")"
+[ "$jobs_replayed" = "$jobs_live" ] \
+  || { echo "journal replay disagrees with the live daemon:"; echo "$jobs_live"; echo "---"; echo "$jobs_replayed"; exit 1; }
+examl_serve shutdown --to "$addr2" >/dev/null
+wait "$daemon2_pid" || { echo "replaying daemon exited non-zero"; exit 1; }
+daemon2_pid=""
 examl_serve shutdown --to "$addr" >/dev/null
 wait "$daemon_pid" || { echo "daemon exited non-zero"; exit 1; }
-echo "serve: 5 jobs, $(printf '%s' "$health" | jq -r .preemptions) preemption(s), /metrics consistent, queue drained, clean shutdown"
+echo "serve: 5 jobs, $(printf '%s' "$health" | jq -r .preemptions) preemption(s), /metrics consistent, queue drained, journal copy replays the same jobs, clean shutdown"
 
 echo "verify: OK"
