@@ -31,7 +31,7 @@ pub(crate) mod simd;
 use serde::{Deserialize, Serialize};
 
 use super::{repeats, Engine, PartitionState};
-use crate::model::pmatrix::{exp_factors, ProbMatrix};
+use crate::model::pmatrix::{exp_factors_into, ProbMatrix};
 use crate::model::rates::RateHeterogeneity;
 use crate::tree::traversal::{TraversalDescriptor, TraversalEntry};
 use exa_bio::dna::NUM_STATES;
@@ -425,12 +425,16 @@ impl dyn KernelBackend {
 
         let mut scratch = std::mem::take(&mut part.scratch);
         let lam = part.model.eigenvalues();
-        scratch.deriv_ex.clear();
+        let rates = part.rates.distinct_rates();
+        exp_factors_into(
+            &part.model,
+            rates.iter().map(|&r| (t, r)),
+            &mut scratch.deriv_ex,
+        );
         scratch.deriv_lr.clear();
-        for &r in part.rates.distinct_rates() {
-            scratch.deriv_ex.push(exp_factors(&part.model, t, r));
-            scratch.deriv_lr.push(lam.map(|l| l * r));
-        }
+        scratch
+            .deriv_lr
+            .extend(rates.iter().map(|&r| lam.map(|l| l * r)));
         let (d1, d2) = self.derivative_patterns(
             &part.rates,
             &part.data.weights,
@@ -688,7 +692,7 @@ pub(crate) mod oracle {
         let lam = model.eigenvalues();
         let mut ex = [0.0; NUM_STATES];
         for k in 0..NUM_STATES {
-            ex[k] = (lam[k] * r * t).exp();
+            ex[k] = crate::numerics::exp::exp(lam[k] * r * t);
         }
         reconstruct(&(*model.v(), ex, *model.v_inv()))
     }

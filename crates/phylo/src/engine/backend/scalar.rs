@@ -1,7 +1,8 @@
-//! The scalar kernel backend: row-major P-matrices from `prob_matrix`, tip
-//! tables over their strided columns (by [`tip_tables_into`]'s subset
-//! recurrence, the same sums in the same order as a per-code loop), and the
-//! four pattern loops in straight-line code.
+//! The scalar kernel backend: row-major P-matrices (`prob_matrix`'s
+//! product, its factors by the scalar lanes of the one `exp`), tip tables
+//! over their strided columns (by [`tip_tables_into`]'s subset recurrence,
+//! the same sums in the same order as a per-code loop), and the four
+//! pattern loops in straight-line code.
 //!
 //! The loops are generic over the two rate models through a small
 //! category-indirection: under Γ every pattern integrates over all category
@@ -10,8 +11,9 @@
 
 use super::{cat_index, tip_tables_into, Child, KernelBackend, KernelKind, RootSide, TipTable};
 use crate::engine::{PartitionState, LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
-use crate::model::pmatrix::{prob_matrix, ProbMatrix};
+use crate::model::pmatrix::{from_factors, ProbMatrix};
 use crate::model::rates::RateHeterogeneity;
+use crate::numerics::exp::exp;
 use exa_bio::dna::NUM_STATES;
 
 /// The scalar loops, under the [`KernelKind`] they are handed out for (see
@@ -23,14 +25,23 @@ impl KernelBackend for ScalarBackend {
         self.0
     }
 
+    /// The factors by [`exp`]'s scalar lanes, whatever the host, so a
+    /// scalar-kernel run checks the SIMD backend's AVX2 lanes end to end;
+    /// four rates' factors at a time, so that their exponentials overlap.
     fn p_matrices_into(&self, part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
+        let lam = part.model.eigenvalues();
         out.clear();
-        out.extend(
-            part.rates
-                .distinct_rates()
-                .iter()
-                .map(|&r| prob_matrix(&part.model, t, r)),
-        );
+        for rates in part.rates.distinct_rates().chunks(4) {
+            let mut ex = [[0.0; NUM_STATES]; 4];
+            for (e, &r) in ex.iter_mut().zip(rates) {
+                *e = lam.map(|l| exp(l * r * t));
+            }
+            out.extend(
+                ex[..rates.len()]
+                    .iter()
+                    .map(|e| from_factors(&part.model, e)),
+            );
+        }
     }
 
     /// Column `t` of a row-major P is strided.

@@ -9,6 +9,10 @@
 //! FMA contraction is used, so results are bit-for-bit equal to
 //! [`super::scalar`]:
 //!
+//! * The factors `e^{(λ_k·r)·t}` of a P set come from the AVX2 lanes of
+//!   the one `exp` ([`crate::numerics::exp`]), four per rate in one
+//!   vector; the scalar backend's come from its scalar lanes. Both forms
+//!   run the same IEEE operations in the same order, so the same bits.
 //! * P-matrices exist here only **column-major** (`cols[t][s] = P[s][t]`):
 //!   [`avx2::prob_columns`] writes them straight from the eigenbasis with
 //!   lanes over `s`, each lane summing `prob_matrix`'s terms in its order
@@ -27,7 +31,7 @@
 
 use super::{tip_tables_into, Child, KernelBackend, KernelKind, RootSide, TipTable};
 use crate::engine::PartitionState;
-use crate::model::pmatrix::{exp_factors, ProbMatrix};
+use crate::model::pmatrix::ProbMatrix;
 use crate::model::rates::RateHeterogeneity;
 use exa_bio::dna::NUM_STATES;
 
@@ -50,11 +54,8 @@ impl KernelBackend for SimdBackend {
     fn p_matrices_into(&self, part: &PartitionState, t: f64, out: &mut Vec<ProbMatrix>) {
         let rates = part.rates.distinct_rates();
         out.resize(rates.len(), [[0.0; NUM_STATES]; NUM_STATES]);
-        for (cols, &r) in out.iter_mut().zip(rates) {
-            let ex = exp_factors(&part.model, t, r);
-            // SAFETY: AVX2 was detected (module doc).
-            unsafe { avx2::prob_columns(part.model.v(), &ex, part.model.v_inv(), cols) };
-        }
+        // SAFETY: AVX2 was detected (module doc).
+        unsafe { avx2::prob_column_set(&part.model, t, rates, out) };
     }
 
     /// Column `t` of a column-major P is one row.
@@ -146,8 +147,28 @@ mod avx2 {
     use crate::engine::{LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
     use crate::model::pmatrix::ProbMatrix;
     use crate::model::rates::RateHeterogeneity;
+    use crate::model::GtrModel;
+    use crate::numerics::exp::avx2::exp4;
     use exa_bio::dna::NUM_STATES;
     use std::arch::x86_64::*;
+
+    /// The P set of every rate in `rates` at branch length `t`, one
+    /// column-major matrix each: the factors `e^{(λ_k·r)·t}` by
+    /// [`exp4`]'s lanes — `exp_factors`' bits — then [`prob_columns`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn prob_column_set(model: &GtrModel, t: f64, rates: &[f64], out: &mut [ProbMatrix]) {
+        // SAFETY: the eigenvalues are 4 contiguous f64, one unaligned
+        // 256-bit load.
+        let lam = unsafe { _mm256_loadu_pd(model.eigenvalues().as_ptr()) };
+        let tv = _mm256_set1_pd(t);
+        for (cols, &r) in out.iter_mut().zip(rates) {
+            let mut ex = [0.0; NUM_STATES];
+            let x = _mm256_mul_pd(_mm256_mul_pd(lam, _mm256_set1_pd(r)), tv);
+            // SAFETY: `ex` is 4 contiguous f64, one unaligned 256-bit store.
+            unsafe { _mm256_storeu_pd(ex.as_mut_ptr(), exp4(x)) };
+            prob_columns(model.v(), &ex, model.v_inv(), cols);
+        }
+    }
 
     /// `cols[j][i] = max(Σ_k (V[i][k]·ex[k])·V⁻¹[k][j], 0)` with lanes over
     /// `i`: `prob_matrix`'s sum for `P[i][j]`, term by term from `+0.0`
@@ -427,6 +448,7 @@ mod tests {
     use super::*;
     use crate::engine::backend::{backend_for, root_side, simd_available, OutsideJob};
     use crate::engine::{Engine, PartitionSlice, SiteRepeats};
+    use crate::model::pmatrix::exp_factors;
     use crate::model::rates::RateModelKind;
     use crate::tree::Tree;
 

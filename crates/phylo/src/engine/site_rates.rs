@@ -15,7 +15,7 @@
 
 use super::backend::TIP_STATE;
 use super::{Engine, PartitionState, LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
-use crate::model::pmatrix::prob_matrix;
+use crate::model::pmatrix::{exp_factors_into, from_factors};
 use crate::model::rates::{RateHeterogeneity, PSR_MAX_CATEGORIES, PSR_RATE_MAX, PSR_RATE_MIN};
 use crate::tree::traversal::TraversalDescriptor;
 use exa_bio::dna::NUM_STATES;
@@ -44,6 +44,8 @@ pub(crate) fn optimize_partition(
     let mut work = 0u64;
     let mut scratch = std::mem::take(&mut part.psr_scratch);
     let mut nodes = std::mem::take(&mut part.psr_nodes);
+    // The derivative kernel's factor buffer, idle while rates are optimised.
+    let mut factors = std::mem::take(&mut part.scratch.deriv_ex);
     for i in 0..n_patterns {
         let r0 = part
             .rates
@@ -53,7 +55,7 @@ pub(crate) fn optimize_partition(
         let mut best_lnl = f64::NEG_INFINITY;
         for g in GRID {
             let r = (r0 * g).clamp(PSR_RATE_MIN, PSR_RATE_MAX);
-            let lnl = single_pattern_lnl(part, n_taxa, d, i, r, &mut nodes);
+            let lnl = single_pattern_lnl(part, n_taxa, d, i, r, &mut nodes, &mut factors);
             work += d.entries.len() as u64 + 1;
             if lnl > best_lnl {
                 best_lnl = lnl;
@@ -66,6 +68,7 @@ pub(crate) fn optimize_partition(
     }
     part.psr_scratch = scratch;
     part.psr_nodes = nodes;
+    part.scratch.deriv_ex = factors;
     (num, den, work)
 }
 
@@ -84,6 +87,7 @@ pub(crate) fn finalize_partition(part: &mut PartitionState, scale: f64) -> bool 
 /// rate `r`, via a full traversal over the descriptor entries. `nodes` is
 /// the partition's reusable per-inner-node (state vector, scaling count)
 /// buffer; it is zeroed on entry, as a fresh allocation would be.
+/// `factors` receives the traversal's transition factors.
 fn single_pattern_lnl(
     part: &PartitionState,
     n_taxa: usize,
@@ -91,8 +95,19 @@ fn single_pattern_lnl(
     i: usize,
     r: f64,
     nodes: &mut Vec<PatternNode>,
+    factors: &mut Vec<[f64; NUM_STATES]>,
 ) -> f64 {
     let gi = part.data.global_index;
+    // Every factor set of the traversal at rate `r` — each entry's left and
+    // right branch, then the root branch — in one batch.
+    let lengths = d.entries.iter().flat_map(|entry| {
+        [
+            Engine::branch_length(&entry.left_lengths, gi),
+            Engine::branch_length(&entry.right_lengths, gi),
+        ]
+    });
+    let root = Engine::branch_length(&d.root_lengths, gi);
+    exp_factors_into(&part.model, lengths.chain([root]).map(|t| (t, r)), factors);
     nodes.clear();
     nodes.resize(n_taxa - 2, ([0.0; NUM_STATES], 0));
     let state_of = |node: usize, nodes: &[PatternNode]| -> PatternNode {
@@ -103,11 +118,9 @@ fn single_pattern_lnl(
         }
     };
 
-    for entry in &d.entries {
-        let tl = Engine::branch_length(&entry.left_lengths, gi);
-        let tr = Engine::branch_length(&entry.right_lengths, gi);
-        let pl = prob_matrix(&part.model, tl, r);
-        let pr = prob_matrix(&part.model, tr, r);
+    for (entry, lr) in d.entries.iter().zip(factors.chunks_exact(2)) {
+        let pl = from_factors(&part.model, &lr[0]);
+        let pr = from_factors(&part.model, &lr[1]);
         let (xl, scale_l) = state_of(entry.left, nodes);
         let (xr, scale_r) = state_of(entry.right, nodes);
         let mut out = [0.0; NUM_STATES];
@@ -129,8 +142,10 @@ fn single_pattern_lnl(
     }
 
     // Root evaluation.
-    let t_root = Engine::branch_length(&d.root_lengths, gi);
-    let p = prob_matrix(&part.model, t_root, r);
+    let p = from_factors(
+        &part.model,
+        factors.last().expect("the root branch's factors"),
+    );
     let freqs = part.model.freqs();
     let (xa, scale_a) = state_of(d.root_a, nodes);
     let (xb, scale_b) = state_of(d.root_b, nodes);

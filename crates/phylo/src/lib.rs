@@ -4,9 +4,10 @@
 //! the paper run on:
 //!
 //! * [`numerics`] — special functions (Γ quantiles for the Yang-1994 rate
-//!   discretization), a Jacobi eigensolver, and Brent minimization including
-//!   the batched lockstep form needed for simultaneous all-partition
-//!   parameter proposals,
+//!   discretization, and the one host-independent `exp` every transition
+//!   matrix uses, in scalar and AVX2 lanes with equal bits), a Jacobi
+//!   eigensolver, and Brent minimization including the batched lockstep
+//!   form needed for simultaneous all-partition parameter proposals,
 //! * [`model`] — GTR substitution model with cached eigendecomposition, plus
 //!   Γ and PSR rate heterogeneity,
 //! * [`tree`] — unrooted binary trees with SPR moves, CLV-orientation

@@ -7,5 +7,5 @@ pub mod pmatrix;
 pub mod rates;
 
 pub use gtr::GtrModel;
-pub use pmatrix::{prob_matrix, prob_matrix_derivs};
+pub use pmatrix::prob_matrix;
 pub use rates::{RateHeterogeneity, RateModelKind};

@@ -1,7 +1,12 @@
-//! Transition-probability matrices `P(t) = e^{Qt}` and their branch-length
-//! derivatives, computed in the GTR eigenbasis.
+//! Transition-probability matrices `P(t) = e^{Qt}`, computed in the GTR
+//! eigenbasis. Every exponential of the transition set-up — these matrices,
+//! the scalar backend's P sets, the SIMD backend's column builder and the
+//! derivative factors — is [`crate::numerics::exp`]'s, whose scalar and
+//! AVX2 lanes return the same bits, so a matrix has the same bits on every
+//! host, backend and rank.
 
 use super::gtr::GtrModel;
+use crate::numerics::exp::exp_in_place;
 use exa_bio::dna::NUM_STATES;
 
 /// A 4×4 transition matrix, `p[i][j] = P(state j at child | state i at parent)`.
@@ -10,9 +15,13 @@ pub type ProbMatrix = [[f64; NUM_STATES]; NUM_STATES];
 /// `P(r·t) = V · diag(e^{λ_k r t}) · V⁻¹` for branch length `t` and rate
 /// multiplier `r` (the rate-category or per-site rate).
 pub fn prob_matrix(model: &GtrModel, t: f64, r: f64) -> ProbMatrix {
+    from_factors(model, &exp_factors(model, t, r))
+}
+
+/// [`prob_matrix`]'s eigenbasis product over given factors `ex`.
+pub(crate) fn from_factors(model: &GtrModel, ex: &[f64; NUM_STATES]) -> ProbMatrix {
     let v = model.v();
     let vi = model.v_inv();
-    let ex = exp_factors(model, t, r);
     let mut p = [[0.0; NUM_STATES]; NUM_STATES];
     for i in 0..NUM_STATES {
         for j in 0..NUM_STATES {
@@ -28,47 +37,26 @@ pub fn prob_matrix(model: &GtrModel, t: f64, r: f64) -> ProbMatrix {
     p
 }
 
-/// The diagonal `e^{λ_k r t}` of [`prob_matrix`]'s eigenbasis product —
-/// shared with the SIMD column builder and the derivative kernels, so all
-/// of them see the same bits.
+/// The diagonal `e^{(λ_k·r)·t}` of [`prob_matrix`]'s eigenbasis product.
 pub(crate) fn exp_factors(model: &GtrModel, t: f64, r: f64) -> [f64; NUM_STATES] {
     debug_assert!(t >= 0.0 && r >= 0.0, "negative branch length or rate");
-    let lam = model.eigenvalues();
-    std::array::from_fn(|k| (lam[k] * r * t).exp())
+    let mut ex = model.eigenvalues().map(|l| l * r * t);
+    exp_in_place(&mut ex);
+    ex
 }
 
-/// `(P, dP/dt, d²P/dt²)` at `t` with rate multiplier `r`:
-/// derivative factors are `(λ_k r)` and `(λ_k r)²` in the eigenbasis.
-pub fn prob_matrix_derivs(
+/// The factors `e^{(λ_k·r)·t}` of every `(t, r)` in `at`, one set each, in
+/// `out`: one [`exp_in_place`] call for the whole batch, so that the
+/// exponentials overlap instead of waiting on each other.
+pub(crate) fn exp_factors_into(
     model: &GtrModel,
-    t: f64,
-    r: f64,
-) -> (ProbMatrix, ProbMatrix, ProbMatrix) {
+    at: impl IntoIterator<Item = (f64, f64)>,
+    out: &mut Vec<[f64; NUM_STATES]>,
+) {
     let lam = model.eigenvalues();
-    let v = model.v();
-    let vi = model.v_inv();
-    let mut p = [[0.0; NUM_STATES]; NUM_STATES];
-    let mut d1 = [[0.0; NUM_STATES]; NUM_STATES];
-    let mut d2 = [[0.0; NUM_STATES]; NUM_STATES];
-    for k in 0..NUM_STATES {
-        let lk = lam[k] * r;
-        let e = (lk * t).exp();
-        for i in 0..NUM_STATES {
-            let vik = v[i][k];
-            for j in 0..NUM_STATES {
-                let w = vik * e * vi[k][j];
-                p[i][j] += w;
-                d1[i][j] += w * lk;
-                d2[i][j] += w * lk * lk;
-            }
-        }
-    }
-    for row in p.iter_mut() {
-        for x in row.iter_mut() {
-            *x = x.max(0.0);
-        }
-    }
-    (p, d1, d2)
+    out.clear();
+    out.extend(at.into_iter().map(|(t, r)| lam.map(|l| l * r * t)));
+    exp_in_place(out.as_flattened_mut());
 }
 
 #[cfg(test)]
@@ -143,42 +131,6 @@ mod tests {
             for j in 0..4 {
                 assert!((a[i][j] - b[i][j]).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let m = sample();
-        let t = 0.3;
-        let h = 1e-6;
-        let (p, d1, d2) = prob_matrix_derivs(&m, t, 1.3);
-        let pp = prob_matrix(&m, t + h, 1.3);
-        let pm = prob_matrix(&m, t - h, 1.3);
-        for i in 0..4 {
-            for j in 0..4 {
-                let fd1 = (pp[i][j] - pm[i][j]) / (2.0 * h);
-                let fd2 = (pp[i][j] - 2.0 * p[i][j] + pm[i][j]) / (h * h);
-                assert!(
-                    (d1[i][j] - fd1).abs() < 1e-6,
-                    "d1 ({i},{j}): {} vs {fd1}",
-                    d1[i][j]
-                );
-                assert!(
-                    (d2[i][j] - fd2).abs() < 1e-3,
-                    "d2 ({i},{j}): {} vs {fd2}",
-                    d2[i][j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn derivative_rows_sum_to_zero() {
-        // d/dt of a stochastic matrix has zero row sums.
-        let (_, d1, d2) = prob_matrix_derivs(&sample(), 0.7, 1.0);
-        for i in 0..4 {
-            assert!(d1[i].iter().sum::<f64>().abs() < 1e-10);
-            assert!(d2[i].iter().sum::<f64>().abs() < 1e-9);
         }
     }
 }

@@ -7,6 +7,7 @@
 
 pub mod brent;
 pub mod eigen;
+pub mod exp;
 pub mod gamma;
 
 /// Bitwise equality of two `f64` slices: `==` would equate `0.0` with

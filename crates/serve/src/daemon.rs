@@ -795,22 +795,28 @@ impl Core {
         }
     }
 
-    /// Minimal journal equivalent to the current state: one `Submitted` per
-    /// non-terminal job (+ `Preempted` when it must resume). Terminal jobs
-    /// are dropped — their history is no longer needed for recovery.
+    /// Minimal journal that replays to the current state: per non-terminal
+    /// job its `Submitted`, one `Started` + `Preempted` per preemption, and
+    /// one `Started` per other attempt, so replay counts the same attempts
+    /// and preemptions, and a trailing `Started` is the resume the crash
+    /// pass makes of it. Terminal jobs are dropped — their history is no
+    /// longer needed for recovery.
     fn compaction_events(&self) -> Vec<JournalEvent> {
         let mut events = Vec::new();
-        for (id, e) in &self.jobs {
+        for (&id, e) in &self.jobs {
             if e.state.is_terminal() {
                 continue;
             }
             events.push(JournalEvent::Submitted {
-                id: *id,
+                id,
                 spec: Box::new(e.spec.clone()),
             });
-            if e.resume_next || e.state == JobState::Running {
-                events.push(JournalEvent::Started { id: *id });
-                events.push(JournalEvent::Preempted { id: *id });
+            for _ in 0..e.preemptions {
+                events.push(JournalEvent::Started { id });
+                events.push(JournalEvent::Preempted { id });
+            }
+            for _ in 0..e.attempts.saturating_sub(e.preemptions) {
+                events.push(JournalEvent::Started { id });
             }
         }
         events
@@ -830,7 +836,16 @@ struct Dispatch {
     job_dir: PathBuf,
 }
 
-fn try_dispatch(core: &mut Core) -> Option<Dispatch> {
+/// How long a worker waits before it retries a dispatch whose `Started`
+/// failed to append: a journal that cannot be written now may be writable
+/// again (space freed, a transient I/O error), and nothing else would wake
+/// the worker for the job it put back.
+const JOURNAL_RETRY: Duration = Duration::from_millis(200);
+
+/// Take the next job the scheduler picks and journal its `Started`:
+/// `None` when nothing is runnable, `Some(Err)` when the append failed and
+/// the job went back to the queue.
+fn try_dispatch(core: &mut Core) -> Option<std::io::Result<Dispatch>> {
     let counts: std::collections::HashMap<String, usize> =
         core.running()
             .fold(std::collections::HashMap::new(), |mut m, e| {
@@ -845,10 +860,10 @@ fn try_dispatch(core: &mut Core) -> Option<Dispatch> {
     // Resume only when a previous attempt actually committed a generation.
     let resume =
         core.jobs[&id].resume_next && checkpoint::load_latest(&job_dir.join("ckpt")).is_ok();
-    if core.commit(JournalEvent::Started { id }).is_err() {
+    if let Err(e) = core.commit(JournalEvent::Started { id }) {
         // Never run a job un-journaled.
         core.requeue_as_restart(id);
-        return None;
+        return Some(Err(e));
     }
     let now = Instant::now();
     let signal = PreemptSignal::new();
@@ -866,13 +881,13 @@ fn try_dispatch(core: &mut Core) -> Option<Dispatch> {
     if resume {
         core.metrics.resumes.inc();
     }
-    Some(Dispatch {
+    Some(Ok(Dispatch {
         id,
         spec: core.jobs[&id].spec.clone(),
         resume,
         signal,
         job_dir,
-    })
+    }))
 }
 
 fn worker_loop(inner: &Inner) {
@@ -889,10 +904,17 @@ fn worker_loop(inner: &Inner) {
                     core.pool_size -= 1;
                     return;
                 }
-                if let Some(d) = try_dispatch(&mut core) {
-                    break d;
-                }
-                core = inner.cv.wait(core).unwrap_or_else(|e| e.into_inner());
+                core = match try_dispatch(&mut core) {
+                    Some(Ok(d)) => break d,
+                    Some(Err(_)) => {
+                        inner
+                            .cv
+                            .wait_timeout(core, JOURNAL_RETRY)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0
+                    }
+                    None => inner.cv.wait(core).unwrap_or_else(|e| e.into_inner()),
+                };
             };
             core.workers_idle -= 1;
             d
@@ -1066,53 +1088,111 @@ mod tests {
             .count()
     }
 
+    /// One step of a commit history: an op code, a pick among the jobs and
+    /// a priority.
+    type Op = (u8, usize, u32);
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec((0u8..7, 0usize..8, 0u32..3), 1..40)
+    }
+
+    /// Submits, dispatches, cancels and the outcomes a run can end in
+    /// (synthetic here: no run starts), committed on `daemon`.
+    fn drive(daemon: &Daemon, ops: Vec<Op>) {
+        for (op, pick, priority) in ops {
+            let mut live = lock(&daemon.inner);
+            let running: Vec<JobId> = live
+                .jobs
+                .iter()
+                .filter(|(_, e)| e.state == JobState::Running)
+                .map(|(id, _)| *id)
+                .collect();
+            let ran = running.get(pick % running.len().max(1)).copied();
+            match (op, ran) {
+                (0, _) => {
+                    drop(live);
+                    daemon.submit(spec(pick as u64 % 2, priority)).unwrap();
+                }
+                (1, _) => {
+                    try_dispatch(&mut live);
+                }
+                // Queued, running, terminal or unknown: every branch.
+                (2, _) => {
+                    drop(live);
+                    daemon.cancel(pick as JobId).unwrap();
+                }
+                (3, Some(id)) => live.finish(JournalEvent::Completed {
+                    id,
+                    lnl: -(pick as f64),
+                    iterations: pick as u64,
+                }),
+                (4, Some(id)) => live.finish(JournalEvent::Failed {
+                    id,
+                    error: format!("error {pick}"),
+                }),
+                (_, Some(id)) => live.finish(JournalEvent::Preempted { id }),
+                (_, None) => {}
+            }
+        }
+    }
+
+    /// A worker whose `Started` append fails retries on its own: with the
+    /// journal writable again and no submit, cancel or outcome to wake it,
+    /// the job still runs (and fails, having no alignment).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_started_append_is_retried() {
+        let dir = spool("retry");
+        let daemon = idle_daemon(&dir);
+        let id = daemon.submit(spec(0, 0)).unwrap();
+        {
+            let mut core = lock(&daemon.inner);
+            core.journal.redirect(Path::new("/dev/full")).unwrap();
+            core.pool_size = 1;
+            core.pool_target = 1;
+        }
+        let inner = Arc::clone(&daemon.inner);
+        daemon
+            .workers
+            .lock()
+            .unwrap()
+            .push(std::thread::spawn(move || worker_loop(&inner)));
+        // The worker counts itself idle and tries the dispatch under one
+        // hold of the lock, so once it shows as idle its append has failed.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut core = lock(&daemon.inner);
+            if core.workers_idle == 1 {
+                assert_eq!(core.jobs[&id].attempts, 0);
+                assert_eq!(core.sched.depth(), 1);
+                core.journal.redirect(&Journal::path_in(&dir)).unwrap();
+                break;
+            }
+            drop(core);
+            assert!(Instant::now() < deadline, "the worker never tried");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let status = daemon.wait(id, Duration::from_secs(10)).unwrap();
+        assert!(
+            matches!(status.state, JobState::Failed { .. }),
+            "{:?}",
+            status.state
+        );
+        assert_eq!(status.attempts, 1);
+        daemon.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Submits, dispatches, cancels and the outcomes a run can end in
-        /// (synthetic here: no run starts) leave a journal that replays to
-        /// the live table and counters.
+        /// Any commit history leaves a journal that replays to the live
+        /// table and counters.
         #[test]
-        fn commits_replay_to_the_live_table(
-            ops in prop::collection::vec((0u8..7, 0usize..8, 0u32..3), 1..40),
-        ) {
+        fn commits_replay_to_the_live_table(ops in ops()) {
             let dir = spool("commits");
             let daemon = idle_daemon(&dir);
-            for (op, pick, priority) in ops {
-                let mut live = lock(&daemon.inner);
-                let running: Vec<JobId> = live
-                    .jobs
-                    .iter()
-                    .filter(|(_, e)| e.state == JobState::Running)
-                    .map(|(id, _)| *id)
-                    .collect();
-                let ran = running.get(pick % running.len().max(1)).copied();
-                match (op, ran) {
-                    (0, _) => {
-                        drop(live);
-                        daemon.submit(spec(pick as u64 % 2, priority)).unwrap();
-                    }
-                    (1, _) => {
-                        try_dispatch(&mut live);
-                    }
-                    // Queued, running, terminal or unknown: every branch.
-                    (2, _) => {
-                        drop(live);
-                        daemon.cancel(pick as JobId).unwrap();
-                    }
-                    (3, Some(id)) => live.finish(JournalEvent::Completed {
-                        id,
-                        lnl: -(pick as f64),
-                        iterations: pick as u64,
-                    }),
-                    (4, Some(id)) => live.finish(JournalEvent::Failed {
-                        id,
-                        error: format!("error {pick}"),
-                    }),
-                    (_, Some(id)) => live.finish(JournalEvent::Preempted { id }),
-                    (_, None) => {}
-                }
-            }
+            drive(&daemon, ops);
             let live = lock(&daemon.inner);
             let replayed = Core::open(DaemonConfig::new(&dir)).unwrap();
             prop_assert_eq!(restarted(&replayed), restarted(&live));
@@ -1122,6 +1202,26 @@ mod tests {
             prop_assert_eq!(live.sched.depth(), queued(&live));
             prop_assert_eq!(replayed.sched.depth(), queued(&replayed));
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// The compacted journal of any commit history replays to the live
+        /// table's unfinished jobs: the same attempts, preemptions and
+        /// resume marks.
+        #[test]
+        fn compaction_replays_to_the_live_table(ops in ops()) {
+            let dir = spool("compact");
+            let daemon = idle_daemon(&dir);
+            drive(&daemon, ops);
+            let live = lock(&daemon.inner);
+            let fresh_dir = spool("compact-fresh");
+            let mut fresh = Core::open(DaemonConfig::new(&fresh_dir)).unwrap();
+            fresh.replay(live.compaction_events());
+            let mut want = restarted(&live);
+            want.retain(|(_, state, ..)| !state.is_terminal());
+            prop_assert_eq!(restarted(&fresh), want);
+            prop_assert_eq!(fresh.sched.depth(), queued(&fresh));
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&fresh_dir).unwrap();
         }
 
         /// Replay takes any event list — unknown ids, duplicate admissions,

@@ -138,6 +138,13 @@ impl Journal {
         res
     }
 
+    /// Append to `path` from now on: `/dev/full` makes every append fail.
+    #[cfg(test)]
+    pub(crate) fn redirect(&mut self, path: &Path) -> std::io::Result<()> {
+        self.file = OpenOptions::new().append(true).open(path)?;
+        Ok(())
+    }
+
     /// Atomically replace the journal with `events` (dropping history for
     /// terminal jobs), then reopen for appending.
     pub fn compact(&mut self, events: &[JournalEvent]) -> std::io::Result<()> {

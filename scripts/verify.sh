@@ -134,12 +134,14 @@ grep -q 'rank(s) {1} disagree with the majority in model parameters' "$tmp/diver
   || { echo "sentinel diagnostic must name rank 1 and model parameters:"; cat "$tmp/diverge.err"; exit 1; }
 echo "sentinel: $(head -n 1 "$tmp/diverge.err")"
 
-echo "==> one lnL trajectory for every world shape (ranks, resize, threads, batch, gradient)"
+echo "==> one lnL trajectory for every world shape (ranks, resize, threads, batch, gradient, kernel, site repeats)"
 # Under --reduce reproducible the per-iteration lnL trajectory depends only
 # on the data and the seed: each flag set below must replay the 1-rank
 # reference bit for bit (compared as heartbeat JSON text — serde's
 # shortest-round-trip float formatting is injective, so equal text == equal
-# bits) and report the modes it ran with in its health stream.
+# bits) and report the modes it ran with in its health stream. The scalar
+# kernel builds its transition matrices with the scalar lanes of the one
+# `exp`, the reference with its AVX2 lanes on an AVX2 host.
 traj() { # FILE -> "iteration lnl" per line
   sed -n 's/.*"iteration":\([0-9]*\).*"lnl":\([^,}]*\).*/\1 \2/p' "$1"
 }
@@ -170,6 +172,8 @@ done <<'FLAG_SETS'
 --ranks 2 --threads 2 --batch off|.modes.batch == "off"
 --ranks 2 --gradient on|.modes.gradient == "on"
 --ranks 2 --gradient off|.modes.gradient == "off"
+--ranks 2 --kernel scalar|.modes.kernel == "scalar"
+--ranks 2 --site-repeats off|.modes.site_repeats == "off"
 FLAG_SETS
 echo "trajectories: $flag_sets flag sets replay the 1-rank reference bit for bit"
 
