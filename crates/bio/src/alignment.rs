@@ -87,11 +87,6 @@ impl Alignment {
         &self.rows[i]
     }
 
-    /// Look up a taxon index by name.
-    pub fn taxon_index(&self, name: &str) -> Option<usize> {
-        self.taxa.iter().position(|t| t == name)
-    }
-
     /// One alignment column as a freshly collected vector.
     pub fn column(&self, site: usize) -> Vec<Nucleotide> {
         self.rows.iter().map(|r| r[site]).collect()
@@ -150,13 +145,6 @@ mod tests {
         let a = small();
         let col = a.column(0);
         assert_eq!(col, vec![Nucleotide::A, Nucleotide::A, Nucleotide::T]);
-    }
-
-    #[test]
-    fn taxon_lookup() {
-        let a = small();
-        assert_eq!(a.taxon_index("t2"), Some(1));
-        assert_eq!(a.taxon_index("nope"), None);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Nucleotide {
         self.0.count_ones() == 1
     }
 
-    /// Is this a gap / fully undetermined character?
-    pub fn is_gap(self) -> bool {
-        self.0 == 0b1111
-    }
-
     /// The concrete state index (0=A, 1=C, 2=G, 3=T), if unambiguous.
     pub fn state(self) -> Option<usize> {
         if self.is_concrete() {
@@ -94,23 +89,6 @@ impl Nucleotide {
     pub fn from_state(state: usize) -> Nucleotide {
         assert!(state < NUM_STATES, "nucleotide state out of range: {state}");
         Nucleotide(1u8 << state)
-    }
-
-    /// Tip likelihood entries: 1.0 for each compatible state, 0.0 otherwise.
-    pub fn tip_likelihood(self) -> [f64; NUM_STATES] {
-        let mut out = [0.0; NUM_STATES];
-        for (s, o) in out.iter_mut().enumerate() {
-            if self.0 & (1 << s) != 0 {
-                *o = 1.0;
-            }
-        }
-        out
-    }
-
-    /// Iterate over the concrete states compatible with this code.
-    pub fn compatible_states(self) -> impl Iterator<Item = usize> {
-        let bits = self.0;
-        (0..NUM_STATES).filter(move |s| bits & (1 << s) != 0)
     }
 }
 
@@ -155,7 +133,6 @@ mod tests {
         for c in "RYSWKMBDHV".chars() {
             let n = Nucleotide::from_char(c).unwrap();
             assert!(!n.is_concrete());
-            assert!(!n.is_gap());
             assert_eq!(n.to_char(), c);
         }
     }
@@ -165,7 +142,6 @@ mod tests {
         for c in "N?X-.".chars() {
             assert_eq!(Nucleotide::from_char(c).unwrap(), Nucleotide::ANY);
         }
-        assert!(Nucleotide::ANY.is_gap());
     }
 
     #[test]
@@ -185,21 +161,6 @@ mod tests {
         for c in ['Z', 'J', '1', '*', ' '] {
             assert_eq!(Nucleotide::from_char(c), None, "char {c:?}");
         }
-    }
-
-    #[test]
-    fn tip_likelihood_matches_bits() {
-        let r = Nucleotide::from_char('R').unwrap(); // A|G
-        assert_eq!(r.tip_likelihood(), [1.0, 0.0, 1.0, 0.0]);
-        assert_eq!(Nucleotide::ANY.tip_likelihood(), [1.0; 4]);
-        assert_eq!(Nucleotide::C.tip_likelihood(), [0.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn compatible_states_enumeration() {
-        let y = Nucleotide::from_char('Y').unwrap(); // C|T
-        assert_eq!(y.compatible_states().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(Nucleotide::ANY.compatible_states().count(), 4);
     }
 
     #[test]

@@ -143,16 +143,6 @@ impl PartitionScheme {
     pub fn partitions(&self) -> &[Partition] {
         &self.partitions
     }
-
-    /// Which partition contains alignment column `site`.
-    pub fn partition_of_site(&self, site: usize) -> Option<usize> {
-        if site >= self.n_sites {
-            return None;
-        }
-        // Binary search over the sorted, tiling blocks.
-        let idx = self.partitions.partition_point(|p| p.end <= site);
-        Some(idx)
-    }
 }
 
 /// Parse a RAxML-style partition file. Each line has the form
@@ -204,8 +194,6 @@ mod tests {
         let s = PartitionScheme::unpartitioned(100);
         assert_eq!(s.len(), 1);
         assert_eq!(s.n_sites(), 100);
-        assert_eq!(s.partition_of_site(99), Some(0));
-        assert_eq!(s.partition_of_site(100), None);
     }
 
     #[test]
@@ -213,10 +201,6 @@ mod tests {
         let s = PartitionScheme::uniform_chunks(10, 1000);
         assert_eq!(s.len(), 10);
         assert_eq!(s.n_sites(), 10_000);
-        assert_eq!(s.partition_of_site(0), Some(0));
-        assert_eq!(s.partition_of_site(999), Some(0));
-        assert_eq!(s.partition_of_site(1000), Some(1));
-        assert_eq!(s.partition_of_site(9999), Some(9));
     }
 
     #[test]
@@ -225,8 +209,6 @@ mod tests {
         assert_eq!(s.n_sites(), 10);
         assert_eq!(s.partitions()[1].start, 3);
         assert_eq!(s.partitions()[1].end, 8);
-        assert_eq!(s.partition_of_site(7), Some(1));
-        assert_eq!(s.partition_of_site(8), Some(2));
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl RepeatClasses {
         self.n_classes() < self.n_patterns()
     }
 
-    /// Compression factor `patterns / classes` (≥ 1.0; 1.0 = no repeats).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.representatives.is_empty() {
-            1.0
-        } else {
-            self.class_of.len() as f64 / self.representatives.len() as f64
-        }
-    }
-
     /// Reset to the identity classification (every pattern its own class).
     pub fn set_identity(&mut self, n_patterns: usize) {
         self.class_of.clear();
@@ -176,7 +167,6 @@ mod tests {
         assert_eq!(c.class_of, vec![0, 1, 0, 2, 1]);
         assert_eq!(c.representatives, vec![0, 1, 3]);
         assert!(c.is_compressing());
-        assert!((c.compression_ratio() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -198,7 +188,6 @@ mod tests {
         let c = classes(ClassSource::Inner(&l), 8, ClassSource::Inner(&r), 1);
         assert_eq!(c.n_classes(), 8);
         assert!(!c.is_compressing());
-        assert_eq!(c.compression_ratio(), 1.0);
     }
 
     #[test]
@@ -227,7 +216,6 @@ mod tests {
         );
         assert_eq!(c.n_patterns(), 0);
         assert_eq!(c.n_classes(), 0);
-        assert_eq!(c.compression_ratio(), 1.0);
     }
 
     /// Bottom-up over a real compressed partition: classes at a node must

@@ -106,10 +106,11 @@ pub mod stats {
 pub use stats::{CategoryStats, CommCategory, CommStats, OpKind};
 
 use exa_obs::{Recorder, RegionGuard, RegionKind, Tracer};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by collective operations.
@@ -153,6 +154,14 @@ fn arrived(ctl: u64) -> usize {
 
 fn n_active(ctl: u64) -> usize {
     ((ctl & !CLOSED) >> 32) as usize
+}
+
+/// Lock a slot buffer or the failure bookkeeping. A rank that panics
+/// poisons the world itself (`Ctx::poison`, from the combine or from
+/// `World::run_on`), and that flag is what the other ranks act on: the std
+/// lock's own poison flag adds nothing and is stepped over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Cores this process may run on, read once (the query walks cgroup files).
@@ -341,7 +350,7 @@ impl Ctx {
     /// The failure bookkeeping of a world found closed — unless the cause
     /// is poison: then this rank unwinds like the one that panicked.
     fn closed_cause(&self) -> MutexGuard<'_, Slow> {
-        let slow = self.slow.lock();
+        let slow = lock(&self.slow);
         if slow.poisoned {
             drop(slow);
             panic!("{POISONED}");
@@ -398,13 +407,13 @@ impl Ctx {
         self.ctl.0.fetch_and(!ARRIVED_MASK, Ordering::AcqRel);
         self.epoch.0.store(gen + 1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _slow = self.slow.lock();
+            let _slow = lock(&self.slow);
             self.cv.notify_all();
         }
     }
 
     fn poison(&self) {
-        let mut slow = self.slow.lock();
+        let mut slow = lock(&self.slow);
         slow.poisoned = true;
         self.ctl.0.fetch_or(CLOSED, Ordering::SeqCst);
         self.epoch.0.fetch_add(1, Ordering::SeqCst);
@@ -434,10 +443,10 @@ impl Ctx {
                 }
             }
         }
-        let mut slow = self.slow.lock();
+        let mut slow = lock(&self.slow);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         while self.epoch.0.load(Ordering::SeqCst) == gen {
-            self.cv.wait(&mut slow);
+            slow = self.cv.wait(slow).unwrap_or_else(PoisonError::into_inner);
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -471,7 +480,7 @@ impl Ctx {
         let mut category = None;
         let mut any_bins = false;
         for (r, slot) in self.active_slots() {
-            let buf = slot.buf.lock();
+            let buf = lock(&slot.buf);
             assert!(
                 buf.op == op,
                 "collective mismatch: rank {r} called {:?} while {:?} is in flight",
@@ -505,7 +514,7 @@ impl Ctx {
                     "root {} of the broadcast has failed",
                     op.root
                 );
-                let mut buf = root.buf.lock();
+                let mut buf = lock(&root.buf);
                 assert!(
                     buf.held == Held::Bytes,
                     "broadcast root {} contributed no data",
@@ -521,7 +530,7 @@ impl Ctx {
                 board.per_rank.clear();
                 board.per_rank.resize_with(self.size, Vec::new);
                 for (r, slot) in self.active_slots() {
-                    let mut buf = slot.buf.lock();
+                    let mut buf = lock(&slot.buf);
                     if buf.held == Held::Bytes {
                         board.per_rank[r] = std::mem::take(&mut buf.bytes);
                     }
@@ -531,7 +540,7 @@ impl Ctx {
                     board.held = Held::PerRank;
                 } else {
                     // Only the root reads a gather: hand it the blobs.
-                    let mut root = self.slots[op.root].buf.lock();
+                    let mut root = lock(&self.slots[op.root].buf);
                     root.per_rank = std::mem::take(&mut board.per_rank);
                 }
                 bytes
@@ -549,7 +558,7 @@ impl Ctx {
     fn sum_in_rank_order(&self, board: &mut Board) {
         let mut first = true;
         for (r, slot) in self.active_slots() {
-            let buf = slot.buf.lock();
+            let buf = lock(&slot.buf);
             assert!(
                 buf.held == Held::F64,
                 "rank {r} contributed a non-f64 payload to a reduction"
@@ -578,7 +587,7 @@ impl Ctx {
     fn sum_binned(&self, board: &mut Board) {
         let mut first = true;
         for (r, slot) in self.active_slots() {
-            let buf = slot.buf.lock();
+            let buf = lock(&slot.buf);
             let len = match buf.held {
                 Held::Bins => buf.bins.len(),
                 Held::F64 => buf.f64s.len(),
@@ -801,7 +810,7 @@ impl Rank {
         );
         let gen = ctx.enter()?;
         {
-            let mut buf = slot.buf.lock();
+            let mut buf = lock(&slot.buf);
             buf.op = op;
             buf.category = category;
             buf.held = Held::Nothing;
@@ -890,7 +899,7 @@ impl Rank {
             buf.bytes = data;
         })?;
         Ok(if self.id == root {
-            std::mem::take(&mut d.slot.buf.lock().per_rank)
+            std::mem::take(&mut lock(&d.slot.buf).per_rank)
         } else {
             Vec::new()
         })
@@ -926,7 +935,7 @@ impl Rank {
     /// The rank must not communicate afterwards.
     pub fn fail(&self) {
         let ctx = &*self.ctx;
-        let mut slow = ctx.slow.lock();
+        let mut slow = lock(&ctx.slow);
         assert!(
             ctx.slots[self.id].active.swap(false, Ordering::AcqRel),
             "rank {} failed twice",
@@ -967,7 +976,7 @@ impl Rank {
     /// (cumulative) and the surviving rank list.
     pub fn recover(&self) -> (BTreeSet<usize>, Vec<usize>) {
         let ctx = &*self.ctx;
-        let mut slow = ctx.slow.lock();
+        let mut slow = lock(&ctx.slow);
         let my_rec = slow.rec_gen;
         slow.rec_arrived += 1;
         if slow.rec_arrived == n_active(ctx.ctl.0.load(Ordering::Acquire)) {
@@ -979,7 +988,7 @@ impl Rank {
                     drop(slow);
                     panic!("{POISONED}");
                 }
-                ctx.cv.wait(&mut slow);
+                slow = ctx.cv.wait(slow).unwrap_or_else(PoisonError::into_inner);
             }
         }
         (slow.failed.clone(), ctx.active_ranks())

@@ -30,9 +30,7 @@
 use crate::checkpoint::{self, Checkpoint, CheckpointHeader, CheckpointPayload};
 use crate::scheme::SchemeExchange;
 use crate::sentinel::{DivergenceFault, FaultComponent};
-use crate::{
-    die_now, Allreduce, CheckpointFailed, DecentralizedEvaluator, RunConfig, Scheme, WorldContext,
-};
+use crate::{Allreduce, DecentralizedEvaluator, RunConfig, RunError, Scheme, Stop, WorldContext};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::{CommCategory, Rank};
 use exa_obs::{imbalance_ratio, HeartbeatRecord};
@@ -40,7 +38,7 @@ use exa_phylo::model::rates::RateModelKind;
 use exa_search::evaluator::{
     CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState, SearchSnapshot,
 };
-use exa_search::{BoundaryInfo, KillPanic, KillSpec, PreemptPanic, SearchHooks};
+use exa_search::{BoundaryInfo, KillSpec, SearchHooks};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::marker::PhantomData;
@@ -306,18 +304,18 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
         eval: &mut ExchangeEvaluator<X>,
         info: &BoundaryInfo,
         force: bool,
-    ) {
+    ) -> Result<(), Stop> {
         let cfg = self.ctx.cfg;
         let Some(dir) = &cfg.checkpoint_out else {
-            return;
+            return Ok(());
         };
         let every = cfg.checkpoint_every;
         let on_cadence = every > 0 && info.iteration.is_multiple_of(every);
         if !on_cadence && !force {
-            return;
+            return Ok(());
         }
         let Some(psr_rates) = X::gather_site_rates(eval, self.ctx.aln, &self.assignment) else {
-            return;
+            return Ok(());
         };
         self.checkpoints_written += 1;
         self.last_checkpoint_iter = Some(info.iteration as u64);
@@ -326,7 +324,7 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
         // — trace event sequences stay comparable across replicas).
         exa_obs::mark(|| format!("{}{}", exa_obs::CHECKPOINT_MARK, info.iteration));
         if !self.is_writer() {
-            return;
+            return Ok(());
         }
         let t0 = Instant::now();
         let snapshot = SearchSnapshot {
@@ -346,20 +344,21 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
         if let Err(e) = checkpoint::save_generation_keeping(dir, &ckpt, cfg.checkpoint_keep) {
             // The run fails with the error instead of searching on
             // unprotected — and the peers must learn that, not wait.
-            self.leave_alone(eval.exchange_mut(), CheckpointFailed(e));
+            return Err(self.leave_alone(eval.exchange_mut(), RunError::Checkpoint(e)));
         }
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.last_checkpoint_ms = Some(elapsed_ms);
         crate::run::observe_checkpoint_write(X::LABEL, elapsed_ms);
+        Ok(())
     }
 
-    /// Unwind out of the search with `payload` while the peers carry on:
-    /// flag the world as aborting (a peer that sees this rank gone must end
-    /// its run too, not heal around it), release them, then panic.
-    fn leave_alone<P: std::any::Any + Send>(&self, exchange: &mut X, payload: P) -> ! {
+    /// Stop the search with `error` while the peers carry on: flag the
+    /// world as aborting (a peer that sees this rank gone must end its run
+    /// too, not heal around it) and release them.
+    fn leave_alone(&self, exchange: &mut X, error: RunError) -> Stop {
         self.ctx.aborting.store(true, Ordering::SeqCst);
         exchange.leave(true);
-        std::panic::panic_any(payload)
+        Stop::Run(error)
     }
 
     /// Fire the injected kill once the configured number of checkpoints
@@ -367,30 +366,32 @@ impl<'a, X: SchemeExchange> BoundaryHooks<'a, X> {
     /// deterministic condition: with no victim rank all of them die here;
     /// with a victim, that rank leaves alone and the others abort at their
     /// next collective.
-    fn maybe_kill(&self, exchange: &mut X, info: &BoundaryInfo) {
+    fn maybe_kill(&self, exchange: &mut X, info: &BoundaryInfo) -> Result<(), Stop> {
         let Some(kill) = self.ctx.cfg.faults.kill else {
-            return;
+            return Ok(());
         };
         if self.checkpoints_written < kill.after_checkpoints {
-            return;
+            return Ok(());
         }
-        let payload = KillPanic {
+        let killed = RunError::Killed {
             after_checkpoints: kill.after_checkpoints,
             iteration: info.iteration,
         };
         match kill.rank {
             None => {
                 exchange.leave(false);
-                std::panic::panic_any(payload)
+                Err(Stop::Run(killed))
             }
-            Some(victim) if victim == self.rank.id() => self.leave_alone(exchange, payload),
-            Some(_) => {}
+            Some(victim) if victim == self.rank.id() => Err(self.leave_alone(exchange, killed)),
+            Some(_) => Ok(()),
         }
     }
 }
 
 impl<X: SchemeExchange> SearchHooks for BoundaryHooks<'_, X> {
-    fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) {
+    type Stop = Stop;
+
+    fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo) -> Result<(), Stop> {
         let eval = typed::<X>(eval);
         self.snapshot = eval.snapshot();
 
@@ -400,24 +401,24 @@ impl<X: SchemeExchange> SearchHooks for BoundaryHooks<'_, X> {
 
         // A preemption forces a final generation at this boundary so no
         // work is lost.
-        self.maybe_checkpoint(eval, info, preempt || time_due);
+        self.maybe_checkpoint(eval, info, preempt || time_due)?;
 
         X::heartbeat(self, eval, info);
 
         if preempt {
             eval.exchange_mut().leave(false);
             exa_obs::mark(|| format!("preempt:{}", info.iteration));
-            std::panic::panic_any(PreemptPanic {
+            return Err(Stop::Run(RunError::Preempted {
                 iteration: info.iteration,
                 checkpoints: self.checkpoints_written,
-            });
+            }));
         }
 
         // Injected kill (checkpoint/restart chaos testing), then what is
         // planned for this boundary, after its checkpoint and heartbeat
         // captured the state before it.
-        self.maybe_kill(eval.exchange_mut(), info);
-        X::planned_events(self, eval, info);
+        self.maybe_kill(eval.exchange_mut(), info)?;
+        X::planned_events(self, eval, info)
     }
 
     fn on_failure(&mut self, eval: &mut dyn Evaluator, _failure: &CommFailurePanic) -> bool {
@@ -604,17 +605,20 @@ impl SchemeExchange for Allreduce {
         hooks: &mut BoundaryHooks<'_, Allreduce>,
         eval: &mut DecentralizedEvaluator,
         info: &BoundaryInfo,
-    ) {
+    ) -> Result<(), Stop> {
         let cfg = hooks.ctx.cfg;
         if cfg.faults.plan.fires(hooks.rank.id(), info.iteration) {
-            die_now(&hooks.rank);
+            // The peers find this rank gone at their next collective and
+            // heal without it (§V).
+            hooks.rank.fail();
+            return Err(Stop::Died);
         }
         let Some(&(_, width)) = cfg
             .resize_plan
             .iter()
             .find(|&&(iter, _)| iter == info.iteration)
         else {
-            return;
+            return Ok(());
         };
         // Slices go to the live ranks only: after a §V death the ids
         // `0..width` may name a dead rank.
@@ -629,6 +633,7 @@ impl SchemeExchange for Allreduce {
         eval.replace_engine(hooks.ctx.build_engine(&hooks.assignment));
         // Stamped on every rank — trace event sequences stay comparable.
         exa_obs::mark(|| format!("resize:{}:{width}", info.iteration));
+        Ok(())
     }
 
     /// §V recovery.

@@ -45,9 +45,7 @@ use exa_comm::{CommCategory, CommStats, Rank, World};
 use exa_obs::Recorder;
 use exa_phylo::engine::WorkCounters;
 use exa_search::evaluator::{CommFailurePanic, Evaluator, ExchangeEvaluator, GlobalState};
-use exa_search::{
-    build_starting_tree, run_search_from, BranchMode, KillPanic, Modes, PreemptPanic, SearchResult,
-};
+use exa_search::{build_starting_tree, run_search_from, BranchMode, Modes, SearchResult};
 use scheme::SchemeExchange;
 use std::any::Any;
 use std::ops::ControlFlow;
@@ -150,30 +148,39 @@ enum RankEnd {
     Left,
 }
 
-/// Per-rank panic payload for a scripted death (unwinds out of the search).
-struct RankDiedPanic;
+/// How a searching rank's boundary hooks stop its search: the
+/// [`SearchHooks::Stop`](exa_search::SearchHooks::Stop) of
+/// [`fault::BoundaryHooks`].
+pub(crate) enum Stop {
+    /// The run stops with this error: a preemption, an injected kill, or a
+    /// checkpoint that could not be written.
+    Run(RunError),
+    /// A scripted death: this rank leaves and its peers heal without it.
+    Died,
+}
 
-/// Panic payload of the checkpoint writer when the write fails.
-pub(crate) struct CheckpointFailed(pub checkpoint::CheckpointError);
+impl From<Stop> for RankEnd {
+    fn from(stop: Stop) -> RankEnd {
+        match stop {
+            Stop::Run(e) => RankEnd::Stopped(e),
+            Stop::Died => RankEnd::Left,
+        }
+    }
+}
 
-/// Silence the default panic hook for the payloads this crate uses as
-/// control flow (scripted deaths, comm failures, sentinel divergence) —
-/// they are always caught and turned into reports/diagnostics, so the
-/// default hook's per-thread `Box<dyn Any>` message and backtrace are pure
-/// noise. Installed once, process-wide, wrapping the previous hook.
+/// Silence the default panic hook for the two failures that still unwind,
+/// because they arise mid-iteration inside a collective (a comm failure,
+/// a sentinel divergence) — they are always caught and turned into
+/// reports/diagnostics, so the default hook's per-thread `Box<dyn Any>`
+/// message and backtrace are pure noise. Installed once, process-wide,
+/// wrapping the previous hook.
 fn install_control_panic_silencer() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            if p.is::<RankDiedPanic>()
-                || p.is::<exa_obs::ReplicaDivergence>()
-                || p.is::<CommFailurePanic>()
-                || p.is::<KillPanic>()
-                || p.is::<PreemptPanic>()
-                || p.is::<CheckpointFailed>()
-            {
+            if p.is::<exa_obs::ReplicaDivergence>() || p.is::<CommFailurePanic>() {
                 return;
             }
             prev(info);
@@ -347,23 +354,23 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
     });
 
     // 3. The search. However it ends, the peers are released before this
-    //    rank's report is read: at the end here, before any unwind in the
-    //    hooks.
+    //    rank's report is read: at the end here, or by the hook that
+    //    returned the stop. Only a failure inside a collective unwinds.
     let mut hooks = fault::BoundaryHooks::new(rank.clone(), ctx, assignment.clone(), &eval);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         X::before_search(&mut eval);
-        let result = run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref());
-        eval.exchange_mut().leave(false);
-        result
+        run_search_from(&mut eval, &cfg.search, &mut hooks, resume_point.as_ref())
+            .inspect(|_| eval.exchange_mut().leave(false))
     }));
     let end = match outcome {
-        Ok(result) => RankEnd::Finished {
+        Ok(Ok(result)) => RankEnd::Finished {
             result,
             state: Box::new(eval.snapshot()),
             stats: rank.stats(),
             sentinel_syncs: eval.exchange().sentinel_syncs(),
             checkpoints: hooks.checkpoints_written(),
         },
+        Ok(Err(stop)) => stop.into(),
         Err(payload) => how_it_stopped(payload, ctx),
     };
     RankReport {
@@ -373,38 +380,16 @@ fn rank_main<X: SchemeExchange>(rank: Rank, ctx: &WorldContext<'_>) -> RankRepor
     }
 }
 
-/// Turn the control payload a rank's search unwound with into its report;
-/// anything else keeps unwinding (and poisons the world on its way out).
-/// Caught here, not at join, so the structured payloads survive —
+/// Turn the payload a rank's search unwound with out of a collective into
+/// its report; anything else keeps unwinding (and poisons the world on its
+/// way out). Caught here, not at join, so the structured payloads survive —
 /// `World::run` re-panics with a plain message.
 fn how_it_stopped(payload: Box<dyn Any + Send>, ctx: &WorldContext<'_>) -> RankEnd {
-    let payload = match payload.downcast::<CheckpointFailed>() {
-        Ok(failed) => return RankEnd::Stopped(RunError::Checkpoint(failed.0)),
-        Err(other) => other,
-    };
-    if let Some(k) = payload.downcast_ref::<KillPanic>() {
-        RankEnd::Stopped(RunError::Killed {
-            after_checkpoints: k.after_checkpoints,
-            iteration: k.iteration,
-        })
-    } else if let Some(p) = payload.downcast_ref::<PreemptPanic>() {
-        RankEnd::Stopped(RunError::Preempted {
-            iteration: p.iteration,
-            checkpoints: p.checkpoints,
-        })
-    } else if let Some(d) = payload.downcast_ref::<exa_obs::ReplicaDivergence>() {
+    if let Some(d) = payload.downcast_ref::<exa_obs::ReplicaDivergence>() {
         RankEnd::Stopped(RunError::Divergence(d.clone()))
-    } else if payload.is::<RankDiedPanic>()
-        || (payload.is::<CommFailurePanic>() && ctx.aborting.load(Ordering::SeqCst))
-    {
+    } else if payload.is::<CommFailurePanic>() && ctx.aborting.load(Ordering::SeqCst) {
         RankEnd::Left
     } else {
         std::panic::resume_unwind(payload)
     }
-}
-
-/// Internal: scripted-death trigger used by the fault hooks.
-pub(crate) fn die_now(rank: &Rank) -> ! {
-    rank.fail();
-    std::panic::panic_any(RankDiedPanic);
 }

@@ -17,7 +17,7 @@
 //! heartbeat allgather.
 
 use crate::fault::BoundaryHooks;
-use crate::{RunConfig, WorldContext};
+use crate::{RunConfig, Stop, WorldContext};
 use exa_bio::patterns::CompressedAlignment;
 use exa_comm::Rank;
 use exa_forkjoin::{worker, ToMaster};
@@ -57,7 +57,8 @@ pub(crate) trait SchemeExchange: Exchange {
         assignment: &exa_sched::RankAssignment,
     );
 
-    /// Runs inside the search's unwind guard, before its first collective.
+    /// Runs inside the search's unwind guard (a sentinel divergence unwinds
+    /// out of it), before its first collective.
     fn before_search(_eval: &mut ExchangeEvaluator<Self>) {}
 
     /// Fingerprint syncs completed (0 where there are no replicas).
@@ -80,7 +81,8 @@ pub(crate) trait SchemeExchange: Exchange {
         assignment: &exa_sched::RankAssignment,
     ) -> Option<Vec<Vec<u64>>>;
 
-    /// This rank is about to leave the search — finished, or unwinding.
+    /// This rank is about to leave the search — finished, or stopped at a
+    /// boundary.
     /// `alone`: its peers are not leaving at this same point, so whoever
     /// would wait for it must be released first.
     fn leave(&mut self, alone: bool);
@@ -94,12 +96,13 @@ pub(crate) trait SchemeExchange: Exchange {
     }
 
     /// Replica-only boundary work after the kill point: scripted rank
-    /// deaths and planned elastic resizes.
+    /// deaths (the stop returned) and planned elastic resizes.
     fn planned_events(
         _hooks: &mut BoundaryHooks<'_, Self>,
         _eval: &mut ExchangeEvaluator<Self>,
         _info: &BoundaryInfo,
-    ) {
+    ) -> Result<(), Stop> {
+        Ok(())
     }
 
     /// A peer failed mid-iteration: heal and ask for a retry (`true`), or

@@ -12,7 +12,9 @@
 //! distributed evaluator) unwinds to the boundary, where the hook decides
 //! whether to recover-and-retry the iteration from the last consistent
 //! snapshot — the paper's §V fault-tolerance design built on full state
-//! redundancy.
+//! redundancy. A search stops short of convergence only at a boundary,
+//! and only by its hooks returning the stop, which [`run_search_from`]
+//! hands back as its `Err`.
 
 use crate::evaluator::{CommFailurePanic, Evaluator};
 use crate::{branch, model, spr, SearchConfig};
@@ -76,24 +78,12 @@ pub struct KillSpec {
     pub rank: Option<usize>,
 }
 
-/// Panic payload thrown by checkpoint hooks when an injected [`KillSpec`]
-/// fires. Propagates through [`run_search_from`] (it is deliberately *not*
-/// a recoverable [`CommFailurePanic`]) and is caught by the scheme driver,
-/// which reports the run as killed.
-#[derive(Debug, Clone)]
-pub struct KillPanic {
-    /// Checkpoints committed when the kill fired.
-    pub after_checkpoints: u64,
-    /// Boundary iteration at which the kill fired.
-    pub iteration: usize,
-}
-
 /// Cooperative preemption request, shared between a controller (scheduler,
 /// signal handler) and a running search. The controller calls
 /// [`PreemptSignal::request`]; the run observes it at the next iteration
 /// boundary — the same quiescent point where checkpoints commit — writes a
-/// final checkpoint and unwinds with a [`PreemptPanic`]. The flag is a
-/// plain `SeqCst` atomic: boundary hooks turn the racy per-rank read into a
+/// final checkpoint and its hooks return the stop. The flag is a plain
+/// `SeqCst` atomic: boundary hooks turn the racy per-rank read into a
 /// collective decision (an allgather) so every rank preempts at the *same*
 /// boundary.
 #[derive(Clone, Default)]
@@ -112,11 +102,6 @@ impl PreemptSignal {
     /// Has a preemption been requested?
     pub fn is_requested(&self) -> bool {
         self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Clear a pending request (used when re-arming a resumed run).
-    pub fn clear(&self) {
-        self.0.store(false, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
@@ -143,25 +128,20 @@ impl Deserialize for PreemptSignal {
     }
 }
 
-/// Panic payload thrown by boundary hooks when a [`PreemptSignal`] fires.
-/// Like [`KillPanic`] it is control flow, not an error: the scheme driver
-/// catches it and reports the run as cleanly preempted (checkpoint
-/// committed, resumable).
-#[derive(Debug, Clone)]
-pub struct PreemptPanic {
-    /// Boundary iteration at which the preemption was honoured.
-    pub iteration: usize,
-    /// Checkpoints committed by this run, including the preemption
-    /// checkpoint itself when one was written.
-    pub checkpoints: u64,
-}
-
 /// Hook points at iteration boundaries.
 pub trait SearchHooks {
+    /// Why the hooks may stop a search at a boundary (a preemption, an
+    /// injected kill, …); [`run_search_from`] hands it back unchanged.
+    type Stop;
+
     /// Called before each iteration (and once before the first) with the
     /// current search progress. Checkpointing, heartbeats and fault
-    /// injection live here.
-    fn at_boundary(&mut self, eval: &mut dyn Evaluator, info: &BoundaryInfo);
+    /// injection live here. `Err` ends the search at this boundary.
+    fn at_boundary(
+        &mut self,
+        eval: &mut dyn Evaluator,
+        info: &BoundaryInfo,
+    ) -> Result<(), Self::Stop>;
 
     /// A recoverable failure unwound the current iteration. Return `true`
     /// after restoring consistent state (the driver retries the iteration),
@@ -173,18 +153,26 @@ pub trait SearchHooks {
 pub struct NoHooks;
 
 impl SearchHooks for NoHooks {
-    fn at_boundary(&mut self, _eval: &mut dyn Evaluator, _info: &BoundaryInfo) {}
+    type Stop = std::convert::Infallible;
+
+    fn at_boundary(
+        &mut self,
+        _eval: &mut dyn Evaluator,
+        _info: &BoundaryInfo,
+    ) -> Result<(), Self::Stop> {
+        Ok(())
+    }
     fn on_failure(&mut self, _eval: &mut dyn Evaluator, _failure: &CommFailurePanic) -> bool {
         false
     }
 }
 
-/// Run the search to convergence.
-pub fn run_search(
+/// Run the search to convergence, or to the first stop its hooks return.
+pub fn run_search<H: SearchHooks>(
     eval: &mut dyn Evaluator,
     cfg: &SearchConfig,
-    hooks: &mut dyn SearchHooks,
-) -> SearchResult {
+    hooks: &mut H,
+) -> Result<SearchResult, H::Stop> {
     run_search_from(eval, cfg, hooks, None)
 }
 
@@ -195,12 +183,12 @@ pub fn run_search(
 /// parameters, branch lengths and `lnl` already include it, and re-running
 /// it would perturb the state away from the uninterrupted trajectory. The
 /// caller must have restored the evaluator to the checkpointed state first.
-pub fn run_search_from(
+pub fn run_search_from<H: SearchHooks>(
     eval: &mut dyn Evaluator,
     cfg: &SearchConfig,
-    hooks: &mut dyn SearchHooks,
+    hooks: &mut H,
     resume: Option<&ResumePoint>,
-) -> SearchResult {
+) -> Result<SearchResult, H::Stop> {
     let (mut lnl, mut iterations, mut spr_moves) = match resume {
         Some(rp) => (rp.lnl, rp.iteration, rp.spr_moves),
         None => {
@@ -227,7 +215,7 @@ pub fn run_search_from(
                 lnl,
                 spr_moves,
             },
-        );
+        )?;
         let radius = cfg.spr_radius;
         let passes = cfg.smoothing_passes;
         let optimize = cfg.optimize_model;
@@ -275,20 +263,20 @@ pub fn run_search_from(
         }
     }
 
-    SearchResult {
+    Ok(SearchResult {
         lnl,
         iterations,
         spr_moves,
         converged,
-    }
+    })
 }
 
 /// Execute `body`; if it panics with a [`CommFailurePanic`], consult the
 /// hooks and retry (the hooks must have restored consistent state). Any
 /// other panic propagates.
-fn run_recoverable(
+fn run_recoverable<H: SearchHooks>(
     eval: &mut dyn Evaluator,
-    hooks: &mut dyn SearchHooks,
+    hooks: &mut H,
     body: &mut dyn FnMut(&mut dyn Evaluator) -> f64,
 ) -> f64 {
     loop {
@@ -339,7 +327,7 @@ mod tests {
     fn search_converges_and_improves() {
         let (mut e, _) = make_eval(RateModelKind::Gamma, 5);
         let start_lnl = e.evaluate(0);
-        let r = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
+        let Ok(r) = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
         assert!(r.lnl > start_lnl, "{start_lnl} -> {}", r.lnl);
         assert!(r.iterations >= 1);
         e.tree().check_invariants().unwrap();
@@ -353,7 +341,7 @@ mod tests {
             epsilon: 0.05,
             ..SearchConfig::fast()
         };
-        run_search(&mut e, &cfg, &mut NoHooks);
+        let Ok(_) = run_search(&mut e, &cfg, &mut NoHooks);
         let rf = rf_distance(e.tree(), &true_tree);
         // 8 taxa, 300 simulated sites: the ML tree is almost always the
         // generating tree (allow one split of slack).
@@ -365,8 +353,8 @@ mod tests {
         let (mut a, _) = make_eval(RateModelKind::Gamma, 17);
         let (mut b, _) = make_eval(RateModelKind::Gamma, 17);
         let cfg = SearchConfig::fast();
-        let ra = run_search(&mut a, &cfg, &mut NoHooks);
-        let rb = run_search(&mut b, &cfg, &mut NoHooks);
+        let Ok(ra) = run_search(&mut a, &cfg, &mut NoHooks);
+        let Ok(rb) = run_search(&mut b, &cfg, &mut NoHooks);
         assert_eq!(
             ra.lnl.to_bits(),
             rb.lnl.to_bits(),
@@ -380,7 +368,7 @@ mod tests {
     fn psr_search_runs() {
         let (mut e, _) = make_eval(RateModelKind::Psr, 23);
         let start = e.evaluate(0);
-        let r = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
+        let Ok(r) = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
         assert!(r.lnl > start);
     }
 
@@ -392,7 +380,7 @@ mod tests {
         for seed in [4, 5, 7, 13] {
             for kind in [RateModelKind::Gamma, RateModelKind::Psr] {
                 let (mut e, _) = make_eval(kind, seed);
-                let r = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
+                let Ok(r) = run_search(&mut e, &SearchConfig::fast(), &mut NoHooks);
                 assert_eq!(
                     r.lnl.to_bits(),
                     e.evaluate(0).to_bits(),
@@ -408,8 +396,14 @@ mod tests {
             boundaries: usize,
         }
         impl SearchHooks for Counting {
-            fn at_boundary(&mut self, _e: &mut dyn Evaluator, _info: &BoundaryInfo) {
+            type Stop = std::convert::Infallible;
+            fn at_boundary(
+                &mut self,
+                _e: &mut dyn Evaluator,
+                _info: &BoundaryInfo,
+            ) -> Result<(), Self::Stop> {
                 self.boundaries += 1;
+                Ok(())
             }
             fn on_failure(
                 &mut self,
@@ -421,8 +415,40 @@ mod tests {
         }
         let (mut e, _) = make_eval(RateModelKind::Gamma, 29);
         let mut hooks = Counting { boundaries: 0 };
-        let r = run_search(&mut e, &SearchConfig::fast(), &mut hooks);
+        let Ok(r) = run_search(&mut e, &SearchConfig::fast(), &mut hooks);
         assert_eq!(hooks.boundaries, r.iterations);
+    }
+
+    /// A stop returned at a boundary ends the search there: no iteration
+    /// runs after it, and the stop comes back as the search's `Err`.
+    #[test]
+    fn a_boundary_stop_ends_the_search() {
+        struct StopAt(usize, usize);
+        impl SearchHooks for StopAt {
+            type Stop = usize;
+            fn at_boundary(
+                &mut self,
+                _e: &mut dyn Evaluator,
+                info: &BoundaryInfo,
+            ) -> Result<(), usize> {
+                self.1 += 1;
+                if info.iteration == self.0 {
+                    return Err(info.iteration);
+                }
+                Ok(())
+            }
+            fn on_failure(&mut self, _e: &mut dyn Evaluator, _f: &CommFailurePanic) -> bool {
+                false
+            }
+        }
+        let (mut e, _) = make_eval(RateModelKind::Gamma, 29);
+        let mut hooks = StopAt(1, 0);
+        let stopped = run_search(&mut e, &SearchConfig::fast(), &mut hooks);
+        assert_eq!(stopped.map(|r| r.iterations), Err(1));
+        assert_eq!(
+            hooks.1, 2,
+            "boundaries 0 and 1 fire, nothing after the stop"
+        );
     }
 
     #[test]
@@ -431,7 +457,7 @@ mod tests {
         // Reference: uninterrupted run.
         let (mut reference, _) = make_eval(RateModelKind::Gamma, 37);
         let cfg = SearchConfig::fast();
-        let ref_result = run_search(&mut reference, &cfg, &mut NoHooks);
+        let Ok(ref_result) = run_search(&mut reference, &cfg, &mut NoHooks);
         assert!(ref_result.iterations >= 2, "need a boundary to resume at");
 
         // Capture the state at an interior boundary, as a checkpoint would.
@@ -440,7 +466,12 @@ mod tests {
             point: Option<(ResumePoint, GlobalState)>,
         }
         impl SearchHooks for Capture {
-            fn at_boundary(&mut self, e: &mut dyn Evaluator, info: &BoundaryInfo) {
+            type Stop = std::convert::Infallible;
+            fn at_boundary(
+                &mut self,
+                e: &mut dyn Evaluator,
+                info: &BoundaryInfo,
+            ) -> Result<(), Self::Stop> {
                 if info.iteration == self.at {
                     self.point = Some((
                         ResumePoint {
@@ -451,6 +482,7 @@ mod tests {
                         e.snapshot(),
                     ));
                 }
+                Ok(())
             }
             fn on_failure(&mut self, _e: &mut dyn Evaluator, _f: &CommFailurePanic) -> bool {
                 false
@@ -458,13 +490,13 @@ mod tests {
         }
         let (mut first, _) = make_eval(RateModelKind::Gamma, 37);
         let mut capture = Capture { at: 1, point: None };
-        run_search(&mut first, &cfg, &mut capture);
+        let Ok(_) = run_search(&mut first, &cfg, &mut capture);
         let (point, state) = capture.point.expect("boundary 1 must fire");
 
         // Restart a fresh evaluator from the captured state.
         let (mut resumed, _) = make_eval(RateModelKind::Gamma, 37);
         resumed.restore(&state);
-        let res = run_search_from(&mut resumed, &cfg, &mut NoHooks, Some(&point));
+        let Ok(res) = run_search_from(&mut resumed, &cfg, &mut NoHooks, Some(&point));
         assert_eq!(res.lnl.to_bits(), ref_result.lnl.to_bits());
         assert_eq!(res.iterations, ref_result.iterations);
         assert_eq!(res.spr_moves, ref_result.spr_moves);
@@ -475,10 +507,16 @@ mod tests {
     fn unrelated_panics_propagate() {
         struct Boom;
         impl SearchHooks for Boom {
-            fn at_boundary(&mut self, _e: &mut dyn Evaluator, info: &BoundaryInfo) {
+            type Stop = std::convert::Infallible;
+            fn at_boundary(
+                &mut self,
+                _e: &mut dyn Evaluator,
+                info: &BoundaryInfo,
+            ) -> Result<(), Self::Stop> {
                 if info.iteration == 0 {
                     panic!("unrelated failure");
                 }
+                Ok(())
             }
             fn on_failure(
                 &mut self,

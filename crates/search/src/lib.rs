@@ -34,8 +34,8 @@ pub mod parsimony;
 pub mod spr;
 
 pub use driver::{
-    run_search, run_search_from, BoundaryInfo, KillPanic, KillSpec, NoHooks, PreemptPanic,
-    PreemptSignal, ResumePoint, SearchHooks, SearchResult,
+    run_search, run_search_from, BoundaryInfo, KillSpec, NoHooks, PreemptSignal, ResumePoint,
+    SearchHooks, SearchResult,
 };
 pub use evaluator::{
     per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator, ExchangeEvaluator,

@@ -34,8 +34,6 @@ fn daemon_flags() -> Vec<Flag<DaemonArgs>> {
             .help("bind address (default 127.0.0.1:0, any free port)"),
         Row::new("--workers N", |d, v| set(&mut d.cfg.workers, count(v)))
             .help("concurrent runs (default 2)"),
-        Row::new("--quantum N", |d, v| set(&mut d.cfg.quantum, count(v)))
-            .help("scheduler quantum (default 1)"),
         Row::new("--tenant NAME:WEIGHT[:MAX_RUNNING]", |d, v| {
             let tenant = parse_tenant(v).ok_or("NAME:WEIGHT[:MAX_RUNNING]")?;
             d.cfg.tenants.push(tenant);

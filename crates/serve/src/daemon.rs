@@ -18,7 +18,7 @@
 //!    priority → it raises that job's [`PreemptSignal`].
 //! 2. The run observes the signal at its next iteration boundary (both
 //!    schemes agree collectively in the de-centralized driver), commits a
-//!    final checkpoint generation, and unwinds as
+//!    final checkpoint generation, and stops with
 //!    [`RunError::Preempted`](examl_core::RunError::Preempted).
 //! 3. The worker journals `Preempted`, re-queues the job at the front of
 //!    its priority class with `resume_next`, and goes back to the pool —
@@ -29,7 +29,7 @@
 //!    bit-identical to an uninterrupted run.
 //!
 //! Cancellation of a running job and daemon shutdown reuse the same
-//! signal: both are "checkpoint at the next boundary and unwind", differing
+//! signal: both are "checkpoint at the next boundary and stop", differing
 //! only in what the worker does with the carcass.
 
 use crate::journal::{Journal, JournalEvent};
@@ -61,8 +61,6 @@ pub struct DaemonConfig {
     pub spool: PathBuf,
     /// Worker threads (concurrent runs).
     pub workers: usize,
-    /// Scheduler quantum (deficit credited per dispatch attempt).
-    pub quantum: u64,
     /// Policy for tenants not named in `tenants`.
     pub default_tenant: TenantConfig,
     /// Named per-tenant overrides (weight, concurrency quota).
@@ -77,13 +75,12 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults: 2 workers, quantum 1, unit weights, unbounded quotas,
+    /// Defaults: 2 workers, unit weights, unbounded quotas,
     /// checkpoint every iteration, keep the standard window.
     pub fn new(spool: impl Into<PathBuf>) -> DaemonConfig {
         DaemonConfig {
             spool: spool.into(),
             workers: 2,
-            quantum: 1,
             default_tenant: TenantConfig::default(),
             tenants: Vec::new(),
             checkpoint_every: 1,
@@ -377,7 +374,7 @@ impl Daemon {
     }
 
     /// Cancel a job. A queued job is removed immediately; a running job is
-    /// checkpoint-preempted and lands in `Cancelled` once it unwinds.
+    /// checkpoint-preempted and lands in `Cancelled` once it stops.
     /// Returns whether a cancellation was initiated.
     pub fn cancel(&self, id: JobId) -> std::io::Result<bool> {
         let mut core = lock(&self.inner);
@@ -569,7 +566,7 @@ impl Core {
         let (mut journal, events) = Journal::open(&cfg.spool)?;
         let metrics = DaemonMetrics::new();
         journal.set_fsync_histogram(Arc::clone(&metrics.journal_fsync_ms));
-        let mut sched = FairShare::new(cfg.quantum, cfg.default_tenant);
+        let mut sched = FairShare::new(cfg.default_tenant);
         for (name, tenant_cfg) in &cfg.tenants {
             sched.set_tenant(name, *tenant_cfg);
         }
@@ -595,11 +592,10 @@ impl Core {
 
     /// Journal `ev`, then [`apply`](Core::apply) it: the only way a job's
     /// durable state changes. A failed append applies nothing and returns
-    /// the error. When the job had left the queue (its `Started` or its
-    /// outcome failed to append), the caller puts it back with
-    /// [`requeue_as_restart`](Core::requeue_as_restart): that is what a
-    /// restart would rebuild from a journal whose last word on the job is
-    /// at most `Started`.
+    /// the error; the caller puts the job back as a restart would rebuild
+    /// it from the journal — still queued when its `Started` failed, with
+    /// [`requeue_as_restart`](Core::requeue_as_restart) when its outcome
+    /// did.
     fn commit(&mut self, ev: JournalEvent) -> std::io::Result<()> {
         self.journal.append(&ev)?;
         self.apply(ev);
@@ -861,8 +857,10 @@ fn try_dispatch(core: &mut Core) -> Option<std::io::Result<Dispatch>> {
     let resume =
         core.jobs[&id].resume_next && checkpoint::load_latest(&job_dir.join("ckpt")).is_ok();
     if let Err(e) = core.commit(JournalEvent::Started { id }) {
-        // Never run a job un-journaled.
-        core.requeue_as_restart(id);
+        // Never run a job un-journaled. It is still `Queued`, as the
+        // journal has it, and keeps its place: the head of its class.
+        let s = &core.jobs[&id].spec;
+        core.sched.requeue_front(id, &s.tenant, s.priority, s.cost);
         return Some(Err(e));
     }
     let now = Instant::now();
@@ -1138,7 +1136,8 @@ mod tests {
 
     /// A worker whose `Started` append fails retries on its own: with the
     /// journal writable again and no submit, cancel or outcome to wake it,
-    /// the job still runs (and fails, having no alignment).
+    /// the job still runs (and fails, having no alignment). Until then the
+    /// live table holds the job as the journal does: queued, fresh.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_failed_started_append_is_retried() {
@@ -1165,6 +1164,8 @@ mod tests {
             if core.workers_idle == 1 {
                 assert_eq!(core.jobs[&id].attempts, 0);
                 assert_eq!(core.sched.depth(), 1);
+                let replayed = Core::open(DaemonConfig::new(&dir)).unwrap();
+                assert_eq!(restarted(&core), restarted(&replayed));
                 core.journal.redirect(&Journal::path_in(&dir)).unwrap();
                 break;
             }

@@ -20,7 +20,7 @@
 //! * **Preemption via checkpoint.** A higher-priority submission (or a
 //!   cancel, or shutdown) raises the running job's
 //!   [`PreemptSignal`](exa_search::PreemptSignal); the run commits a final
-//!   checkpoint at its next iteration boundary, unwinds cleanly, and is
+//!   checkpoint at its next iteration boundary, stops cleanly, and is
 //!   re-queued to resume later — no work is lost beyond the current
 //!   iteration.
 //!

@@ -1,8 +1,8 @@
 //! Weighted deficit round-robin fair-share scheduling.
 //!
 //! Each tenant owns a priority-ordered queue and a *deficit counter*. Every
-//! [`FairShare::next`] call credits every backlogged tenant
-//! `quantum × weight` deficit, then walks the tenants round-robin from a
+//! [`FairShare::next`] call credits every backlogged tenant its `weight`
+//! in deficit, then walks the tenants round-robin from a
 //! rotating cursor and dispatches the first head job its tenant can afford,
 //! debiting the job's cost. The counter resets when a tenant's queue
 //! drains, so idle tenants cannot bank credit.
@@ -16,7 +16,7 @@
 //!
 //! Within a class the scheme gives the classic DRR guarantee in dispatch
 //! counts rather than bytes: with `T` tenants and job costs bounded by `C`,
-//! a tenant of weight `w` waits at most `ceil(C / (quantum·w)) + T`
+//! a tenant of weight `w` waits at most `ceil(C / w) + T`
 //! dispatches before its head job runs — no starvation regardless of how
 //! much same-class traffic other tenants submit. The property test in
 //! `tests/fairness.rs` checks this bound under random workloads.
@@ -82,7 +82,6 @@ impl TenantState {
 /// The fair-share scheduler: all tenants, their queues and deficits.
 #[derive(Debug)]
 pub struct FairShare {
-    quantum: u64,
     default_cfg: TenantConfig,
     /// First-seen order; the cursor rotates over this.
     tenants: Vec<TenantState>,
@@ -92,12 +91,11 @@ pub struct FairShare {
 }
 
 impl FairShare {
-    /// A scheduler crediting `quantum × weight` per [`FairShare::next`]
-    /// call, with `default_cfg` for tenants never named in
-    /// [`FairShare::set_tenant`].
-    pub fn new(quantum: u64, default_cfg: TenantConfig) -> FairShare {
+    /// A scheduler crediting each tenant's `weight` per
+    /// [`FairShare::next`] round, with `default_cfg` for tenants never
+    /// named in [`FairShare::set_tenant`].
+    pub fn new(default_cfg: TenantConfig) -> FairShare {
         FairShare {
-            quantum: quantum.max(1),
             default_cfg,
             tenants: Vec::new(),
             cursor: 0,
@@ -211,12 +209,11 @@ impl FairShare {
             .filter_map(|t| t.queue.first().map(|j| j.cost))
             .max()
             .unwrap_or(1);
-        let quantum = self.quantum;
-        let rounds = max_cost.div_ceil(quantum) as usize + 1;
+        let rounds = max_cost as usize + 1;
         let n = self.tenants.len();
         for _ in 0..rounds {
             for t in self.tenants.iter_mut().filter(|t| eligible(t)) {
-                t.deficit = t.deficit.saturating_add(quantum * t.cfg.weight);
+                t.deficit = t.deficit.saturating_add(t.cfg.weight);
             }
             for i in 0..n {
                 let idx = (self.cursor + i) % n;
@@ -251,7 +248,7 @@ mod tests {
 
     #[test]
     fn single_tenant_is_fifo_within_priority() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.enqueue(1, "a", 0, 1);
         s.enqueue(2, "a", 5, 1);
         s.enqueue(3, "a", 0, 1);
@@ -266,7 +263,7 @@ mod tests {
 
     #[test]
     fn requeue_front_overtakes_same_priority_backlog() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.enqueue(1, "a", 0, 1);
         s.enqueue(2, "a", 0, 1);
         s.requeue_front(9, "a", 0, 1);
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn weights_skew_dispatch_share() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.set_tenant(
             "heavy",
             TenantConfig {
@@ -309,7 +306,7 @@ mod tests {
 
     #[test]
     fn quota_caps_concurrency_and_releases() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.set_tenant(
             "a",
             TenantConfig {
@@ -328,7 +325,7 @@ mod tests {
 
     #[test]
     fn priority_classes_are_strict_across_tenants() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         // A preempted low-priority job re-queued at the front must still
         // lose to the high-priority submission that displaced it.
         s.requeue_front(1, "batch", 0, 100);
@@ -339,7 +336,7 @@ mod tests {
 
     #[test]
     fn cancel_removes_queued_job() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.enqueue(1, "a", 0, 1);
         s.enqueue(2, "a", 0, 1);
         assert!(s.cancel(1));
@@ -349,7 +346,7 @@ mod tests {
 
     #[test]
     fn drained_tenant_loses_banked_deficit() {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         s.enqueue(1, "a", 0, 1);
         assert_eq!(s.next(&no_running).unwrap().id, 1);
         // "a" drained; its deficit reset. A later expensive job must pay

@@ -1,7 +1,8 @@
 //! The `examl` binary at its command line: exit codes and usage errors of
-//! every verb's flag table, and that the process environment sets no mode —
-//! what only a spawned process can show (the variables are set on the child
-//! alone, so no test in this process sees them).
+//! every verb's flag table, that the process environment sets no mode, and
+//! that SIGTERM checkpoints a run — what only a spawned process can show
+//! (the variables and the signal reach the child alone, so no test in this
+//! process sees them).
 
 use exa_obs::HeartbeatRecord;
 use exa_simgen::workloads;
@@ -284,5 +285,81 @@ fn a_misspelled_mode_variable_is_ignored() {
             "{var}: {err}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[cfg(unix)]
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// The final Newick (stdout) of a successful `examl` run on `phylip`.
+#[cfg(unix)]
+fn final_tree(phylip: &str, extra: &[&str]) -> String {
+    let out = examl(&[&["--phylip", phylip, "--ranks", "2", "--seed", "7"], extra].concat());
+    assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", stderr(&out));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// SIGTERM at a checkpointing run: a final generation is committed at the
+/// next iteration boundary and the process exits 4; resuming from it
+/// replays an uninterrupted run of the same length bit for bit.
+#[cfg(unix)]
+#[test]
+fn sigterm_checkpoints_and_the_resume_replays_the_run() {
+    const SIGTERM: i32 = 15;
+    let (dir, phylip) = fixture("sigterm");
+    let ckpt = dir.join("ckpt");
+    let health = dir.join("health.jsonl");
+    // A negative ε never converges: the run lasts until the signal.
+    let search = ["--epsilon", "-1"];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_examl"))
+        .args(["--phylip", &phylip, "--ranks", "2", "--seed", "7"])
+        .args(search)
+        .args(["--iterations", "100000", "--quiet"])
+        .args(["--checkpoint-out", ckpt.to_str().unwrap()])
+        .args(["--health-out", health.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The first heartbeat: the search is past its start-up, with its
+    // signal handler installed.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !std::fs::read_to_string(&health).is_ok_and(|t| t.contains('\n')) {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("no heartbeat within 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    // SAFETY: `kill(2)` takes two integers and touches no memory of this
+    // process; the pid is the child's, which has not been waited for.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let out = child.wait_with_output().unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(
+        err.contains("interrupted: final checkpoint committed, resume with --resume"),
+        "{err}"
+    );
+    // "run preempted at iteration boundary K (…)": resume to two
+    // iterations past K.
+    let boundary: usize = err
+        .split("iteration boundary ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|k| k.parse().ok())
+        .unwrap_or_else(|| panic!("no preemption boundary in: {err}"));
+    let iterations = (boundary + 2).to_string();
+    let length = ["--iterations", iterations.as_str()];
+    let resumed = final_tree(
+        &phylip,
+        &[&search[..], &length, &["--resume", ckpt.to_str().unwrap()]].concat(),
+    );
+    assert_eq!(
+        resumed,
+        final_tree(&phylip, &[&search[..], &length].concat())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //!
 //! The scheduler's documented bound: within one priority class, with `T`
 //! tenants and job costs bounded by `C`, a backlogged tenant of weight `w`
-//! waits at most `ceil(C / (quantum·w)) + T` dispatches between two of its
+//! waits at most `ceil(C / w) + T` dispatches between two of its
 //! own dispatches. The properties below drive random workloads through
 //! [`FairShare`] and check the bound exactly, plus the strict-priority and
 //! quota invariants the daemon's preemption logic relies on.
@@ -26,9 +26,8 @@ proptest! {
             (1u64..5, prop::collection::vec(1u64..9, 1..14)),
             2..6,
         ),
-        quantum in 1u64..4,
     ) {
-        let mut s = FairShare::new(quantum, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         let mut remaining = Vec::new();
         let mut next_id = 1u64;
         for (i, (weight, costs)) in tenants.iter().enumerate() {
@@ -54,7 +53,7 @@ proptest! {
                 } else if remaining[i] > 0 {
                     waited[i] += 1;
                     let w = tenants[i].0;
-                    let bound = (max_cost.div_ceil(quantum * w) as usize) + t_count;
+                    let bound = (max_cost.div_ceil(w) as usize) + t_count;
                     prop_assert!(
                         waited[i] <= bound,
                         "tenant t{i} (weight {w}) waited {} dispatches, bound {bound}",
@@ -75,7 +74,7 @@ proptest! {
         urgent_tenant in 0usize..4,
         urgent_cost in 1u64..9,
     ) {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         for (i, (tenant, cost)) in backlog.iter().enumerate() {
             s.enqueue(100 + i as u64, &format!("t{tenant}"), 0, *cost);
         }
@@ -91,7 +90,7 @@ proptest! {
         jobs_per_tenant in prop::collection::vec(1usize..8, 2..5),
         quota in 1usize..3,
     ) {
-        let mut s = FairShare::new(1, TenantConfig::default());
+        let mut s = FairShare::new(TenantConfig::default());
         for (i, &n) in jobs_per_tenant.iter().enumerate() {
             let name = format!("t{i}");
             s.set_tenant(&name, TenantConfig { weight: 1, max_running: quota });

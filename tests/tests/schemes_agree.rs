@@ -46,7 +46,7 @@ fn sequential_reference(
     };
     let tree = Tree::random(w.compressed.n_taxa(), blens, seed);
     let mut eval = SequentialEvaluator::new(tree, engine, w.compressed.n_partitions(), mode);
-    let r = run_search(&mut eval, &fast_search(), &mut NoHooks);
+    let Ok(r) = run_search(&mut eval, &fast_search(), &mut NoHooks);
     use exa_search::Evaluator as _;
     (r.lnl, eval.snapshot().tree)
 }
