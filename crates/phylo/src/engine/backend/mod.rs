@@ -138,8 +138,8 @@ pub fn simd_available() -> bool {
 
 /// What a kernel backend supplies: its P-matrix layout, the tip tables over
 /// that layout, and the four pattern loops of the three kernels over one
-/// partition's patterns. Everything around those loops — repeat refresh and
-/// scatter, pattern lists, the take/put-back of CLVs and scratch, the
+/// partition's patterns. Everything around those loops — repeat refresh,
+/// pattern lists and row maps, the take/put-back of CLVs and scratch, the
 /// transition set-up, the root sides — is written once, in the drivers of
 /// `impl dyn KernelBackend` below. Implementations must be
 /// bitwise-deterministic: the same inputs produce the same bits on every
@@ -156,9 +156,10 @@ pub(crate) trait KernelBackend: Send + Sync {
     /// [`tip_tables_into`] over P-matrices in this backend's layout.
     fn tip_tables(&self, ps: &[ProbMatrix], out: &mut Vec<TipTable>);
 
-    /// `newview` at each listed pattern: the parent's CLV blocks and scale
-    /// count from the two children, rescaled by 2²⁵⁶ when every entry falls
-    /// below `MIN_LIKELIHOOD`.
+    /// `newview` at each listed pattern: for the `j`-th pattern `i` of
+    /// `patterns`, the parent's CLV blocks and scale count at **row** `j`
+    /// from the two children read at pattern `i` (through their row maps),
+    /// rescaled by 2²⁵⁶ when every entry falls below `MIN_LIKELIHOOD`.
     #[allow(clippy::too_many_arguments)]
     fn newview_patterns(
         &self,
@@ -229,6 +230,11 @@ impl dyn KernelBackend {
     /// Recompute the parent CLV of one traversal entry. Returns the work
     /// done in pattern-categories (with repeat compression: representatives
     /// only).
+    ///
+    /// With compression the parent's row `j` is class `j` of its repeat
+    /// table — the row of its representative, `representatives[j]` — and
+    /// readers reach pattern `i` at row `class_of[i]` (see [`root_side`]).
+    /// Uncompressed, the pattern list is the identity and row = pattern.
     pub(crate) fn newview_entry(
         &self,
         part: &mut PartitionState,
@@ -242,10 +248,8 @@ impl dyn KernelBackend {
             Engine::branch_length(&entry.left_lengths, gi),
             Engine::branch_length(&entry.right_lengths, gi),
         );
+        repeats::fill_identity(&mut part.repeat_scratch.ident, n_patterns);
         let compress = repeats::refresh_entry(part, n_taxa, entry);
-        if !compress {
-            repeats::fill_identity(&mut part.repeat_scratch.ident, n_patterns);
-        }
 
         let mut scratch = std::mem::take(&mut part.scratch);
         let parent_idx = entry.parent - n_taxa;
@@ -259,7 +263,14 @@ impl dyn KernelBackend {
             &root_side(part, n_taxa, entry.right),
         );
         let patterns: &[u32] = if compress {
-            &part.repeats[parent_idx].classes.representatives
+            let classes = &part.repeats[parent_idx].classes;
+            // Row `j` is class `j`: classes are numbered by first occurrence.
+            debug_assert!(classes
+                .representatives
+                .iter()
+                .enumerate()
+                .all(|(j, &rep)| classes.class_of[rep as usize] as usize == j));
+            &classes.representatives
         } else {
             &part.repeat_scratch.ident
         };
@@ -272,14 +283,6 @@ impl dyn KernelBackend {
             &mut parent_clv,
             &mut parent_scale,
         );
-        if compress {
-            repeats::scatter_entry(
-                &part.repeats[parent_idx].classes,
-                cats,
-                &mut parent_clv,
-                &mut parent_scale,
-            );
-        }
         let computed = patterns.len();
 
         part.clv[parent_idx] = parent_clv;
@@ -375,9 +378,10 @@ impl dyn KernelBackend {
     /// Materialize one "outside" CLV (a [`GradStep`](crate::tree::traversal::GradStep)
     /// of a gradient sweep): the job's two sources joined through the
     /// P-matrices of their branches into `out_clv`/`out_scale`, by the
-    /// `newview` pattern loop over all patterns. The result is bitwise what
-    /// a per-edge traversal computes for the same direction. Returns the
-    /// work done in pattern-categories.
+    /// `newview` pattern loop over the identity pattern list, so an outside
+    /// CLV stays full width (row = pattern). The result is bitwise what a
+    /// per-edge traversal computes for the same direction. Returns the work
+    /// done in pattern-categories.
     pub(crate) fn gradient_outside(
         &self,
         part: &PartitionState,
@@ -388,20 +392,19 @@ impl dyn KernelBackend {
     ) -> u64 {
         let n_patterns = part.data.n_patterns();
         let cats = part.rates.clv_categories();
-        let mut patterns = std::mem::take(&mut scratch.grad_ident);
-        repeats::fill_identity(&mut patterns, n_patterns);
+        let patterns = &part.repeat_scratch.ident;
+        debug_assert_eq!(patterns.len(), n_patterns);
         let lengths = (job.t_left, job.t_right);
         let (left, right) = self.children(part, scratch, lengths, &job.left, &job.right);
         self.newview_patterns(
             &part.rates,
             &left,
             &right,
-            &patterns,
+            patterns,
             cats,
             out_clv,
             out_scale,
         );
-        scratch.grad_ident = patterns;
         (n_patterns * cats) as u64
     }
 
@@ -471,7 +474,12 @@ impl dyn KernelBackend {
         }
         let child = |side: &RootSide<'a>, ps: &'a [ProbMatrix], lookup: &'a [TipTable]| match side {
             RootSide::Tip(codes) => Child::Tip { codes, lookup },
-            RootSide::Inner { clv, scale } => Child::Inner { clv, scale, ps },
+            RootSide::Inner { clv, scale, rows } => Child::Inner {
+                clv,
+                scale,
+                rows,
+                ps,
+            },
         };
         let scratch = &*scratch;
         (
@@ -522,10 +530,6 @@ pub(crate) struct KernelScratch {
     pub deriv_ex: Vec<[f64; NUM_STATES]>,
     /// Per-distinct-rate `λ_e r` factors for the derivative kernel.
     pub deriv_lr: Vec<[f64; NUM_STATES]>,
-    /// Identity pattern list `0..n_patterns` for the gradient sweep's
-    /// uncompressed outside-CLV computations, so they run the backend's
-    /// `newview` pattern loop verbatim.
-    pub grad_ident: Vec<u32>,
 }
 
 /// Fill `out` in place with per-rate tip contribution tables:
@@ -601,10 +605,15 @@ pub(crate) struct OutsideJob<'a> {
     pub right: RootSide<'a>,
 }
 
-/// Per-pattern state vector access at the virtual root: tip codes or CLV.
+/// Per-pattern state vector access at the virtual root: tip codes, or a
+/// CLV whose row `rows[i]` holds pattern `i`.
 pub(crate) enum RootSide<'a> {
     Tip(&'a [u8]),
-    Inner { clv: &'a [f64], scale: &'a [u32] },
+    Inner {
+        clv: &'a [f64],
+        scale: &'a [u32],
+        rows: &'a [u32],
+    },
 }
 
 impl<'a> RootSide<'a> {
@@ -615,30 +624,32 @@ impl<'a> RootSide<'a> {
     }
 
     /// The state vector of pattern `i`, category `c` as a contiguous 4-wide
-    /// slice (the [`TIP_STATE`] row for tips, the CLV block for inner
-    /// nodes).
+    /// slice (the [`TIP_STATE`] row for tips, the CLV block at row
+    /// `rows[i]` for inner nodes).
     #[inline]
     pub(crate) fn state_slice(&self, i: usize, c: usize, cats: usize) -> &[f64] {
         match self {
             RootSide::Tip(codes) => &TIP_STATE[codes[i] as usize & 0xf],
-            RootSide::Inner { clv, .. } => {
-                let base = (i * cats + c) * NUM_STATES;
+            RootSide::Inner { clv, rows, .. } => {
+                let base = (rows[i] as usize * cats + c) * NUM_STATES;
                 &clv[base..base + NUM_STATES]
             }
         }
     }
 
+    /// The scaling count of pattern `i` (at row `rows[i]`).
     #[inline]
     pub(crate) fn scale_of(&self, i: usize) -> u32 {
         match self {
             RootSide::Tip(_) => 0,
-            RootSide::Inner { scale, .. } => scale[i],
+            RootSide::Inner { scale, rows, .. } => scale[rows[i] as usize],
         }
     }
 }
 
 /// One child of a `newview` join: a tip through its per-rate lookup
-/// tables, or an inner CLV through the backend's P-matrices.
+/// tables, or an inner CLV (pattern `i` at row `rows[i]`) through the
+/// backend's P-matrices.
 pub(crate) enum Child<'a> {
     Tip {
         codes: &'a [u8],
@@ -647,20 +658,26 @@ pub(crate) enum Child<'a> {
     Inner {
         clv: &'a [f64],
         scale: &'a [u32],
+        rows: &'a [u32],
         ps: &'a [ProbMatrix],
     },
 }
 
 impl Child<'_> {
+    /// The scaling count of pattern `i` (at row `rows[i]`).
     #[inline]
     pub(crate) fn scale_of(&self, i: usize) -> u32 {
         match self {
             Child::Tip { .. } => 0,
-            Child::Inner { scale, .. } => scale[i],
+            Child::Inner { scale, rows, .. } => scale[rows[i] as usize],
         }
     }
 }
 
+/// A node as a reader sees it: a tip's codes, or an inner node's CLV with
+/// its row map — the class map of its repeat table when its CLV was last
+/// written compressed, the identity list otherwise (repeats off, or an
+/// entry that fell back, whose table no longer describes the rows).
 pub(crate) fn root_side<'a>(part: &'a PartitionState, n_taxa: usize, node: usize) -> RootSide<'a> {
     if node < n_taxa {
         RootSide::Tip(&part.data.tips[node])
@@ -669,6 +686,11 @@ pub(crate) fn root_side<'a>(part: &'a PartitionState, n_taxa: usize, node: usize
         RootSide::Inner {
             clv: &part.clv[idx],
             scale: &part.scale[idx],
+            rows: part
+                .repeats
+                .get(idx)
+                .and_then(|r| r.rows())
+                .unwrap_or(&part.repeat_scratch.ident),
         }
     }
 }

@@ -61,15 +61,15 @@ impl KernelBackend for ScalarBackend {
     ) {
         let mut lv = [0.0; NUM_STATES];
         let mut rv = [0.0; NUM_STATES];
-        for &ip in patterns {
+        for (j, &ip) in patterns.iter().enumerate() {
             let i = ip as usize;
             let mut maxv = 0.0f64;
-            let base_i = i * cats * NUM_STATES;
+            let base_j = j * cats * NUM_STATES;
             for c in 0..cats {
                 let k = cat_index(rates, i, c);
                 contribution(left, i, c, cats, k, &mut lv);
                 contribution(right, i, c, cats, k, &mut rv);
-                let out = &mut parent_clv[base_i + c * NUM_STATES..base_i + (c + 1) * NUM_STATES];
+                let out = &mut parent_clv[base_j + c * NUM_STATES..base_j + (c + 1) * NUM_STATES];
                 for s in 0..NUM_STATES {
                     let v = lv[s] * rv[s];
                     out[s] = v;
@@ -78,12 +78,12 @@ impl KernelBackend for ScalarBackend {
             }
             let mut count = left.scale_of(i) + right.scale_of(i);
             if maxv < MIN_LIKELIHOOD {
-                for v in parent_clv[base_i..base_i + cats * NUM_STATES].iter_mut() {
+                for v in parent_clv[base_j..base_j + cats * NUM_STATES].iter_mut() {
                     *v *= TWO_TO_256;
                 }
                 count += 1;
             }
-            parent_scale[i] = count;
+            parent_scale[j] = count;
         }
     }
 
@@ -210,8 +210,9 @@ impl KernelBackend for ScalarBackend {
     }
 }
 
-/// One child's contribution to a parent CLV state: its tip-lookup row, or
-/// the row-major `P·x` against its CLV block.
+/// One child's contribution to a parent CLV state at pattern `i`: its
+/// tip-lookup row, or the row-major `P·x` against its CLV block at row
+/// `rows[i]`.
 #[inline]
 fn contribution(
     child: &Child<'_>,
@@ -225,8 +226,8 @@ fn contribution(
         Child::Tip { codes, lookup } => {
             *out = lookup[k][codes[i] as usize & 0xf];
         }
-        Child::Inner { clv, ps, .. } => {
-            let base = (i * cats + c) * NUM_STATES;
+        Child::Inner { clv, rows, ps, .. } => {
+            let base = (rows[i] as usize * cats + c) * NUM_STATES;
             let block = &clv[base..base + NUM_STATES];
             let p = &ps[k];
             for (s, o) in out.iter_mut().enumerate() {

@@ -235,6 +235,8 @@ mod avx2 {
         acc
     }
 
+    /// One child's contribution at pattern `i` (an inner child's row
+    /// `rows[i]`).
     #[inline]
     #[target_feature(enable = "avx2")]
     fn child_vec(child: &Child, i: usize, c: usize, cats: usize, k: usize) -> __m256d {
@@ -244,8 +246,8 @@ mod avx2 {
             Child::Tip { codes, lookup } => unsafe {
                 _mm256_loadu_pd(lookup[k][codes[i] as usize & 0xf].as_ptr())
             },
-            Child::Inner { clv, ps, .. } => {
-                let base = (i * cats + c) * NUM_STATES;
+            Child::Inner { clv, rows, ps, .. } => {
+                let base = (rows[i] as usize * cats + c) * NUM_STATES;
                 matvec(&ps[k], &clv[base..base + NUM_STATES])
             }
         }
@@ -264,9 +266,11 @@ mod avx2 {
     ) {
         let sign_mask = _mm256_set1_pd(-0.0);
         let upscale = _mm256_set1_pd(TWO_TO_256);
-        for &ip in patterns {
+        // Row `j` of the raw-pointer stores below stays inside the parent.
+        assert!(patterns.len() * cats * NUM_STATES <= parent_clv.len());
+        for (j, &ip) in patterns.iter().enumerate() {
             let i = ip as usize;
-            let base_i = i * cats * NUM_STATES;
+            let base_j = j * cats * NUM_STATES;
             let mut vmax = _mm256_setzero_pd();
             for c in 0..cats {
                 let k = cat_index(rates, i, c);
@@ -274,7 +278,7 @@ mod avx2 {
                 let rv = child_vec(right, i, c, cats, k);
                 let v = _mm256_mul_pd(lv, rv);
                 unsafe {
-                    _mm256_storeu_pd(parent_clv.as_mut_ptr().add(base_i + c * NUM_STATES), v);
+                    _mm256_storeu_pd(parent_clv.as_mut_ptr().add(base_j + c * NUM_STATES), v);
                 }
                 vmax = _mm256_max_pd(vmax, _mm256_andnot_pd(sign_mask, v));
             }
@@ -285,13 +289,13 @@ mod avx2 {
             if maxv < MIN_LIKELIHOOD {
                 for c in 0..cats {
                     unsafe {
-                        let p = parent_clv.as_mut_ptr().add(base_i + c * NUM_STATES);
+                        let p = parent_clv.as_mut_ptr().add(base_j + c * NUM_STATES);
                         _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), upscale));
                     }
                 }
                 count += 1;
             }
-            parent_scale[i] = count;
+            parent_scale[j] = count;
         }
     }
 

@@ -138,8 +138,8 @@ pub struct WorkCounters {
     /// CLV entries recomputed by `newview`.
     pub clv_updates: u64,
     /// CLV entries `newview` *skipped* thanks to subtree-repeat compression
-    /// (duplicates filled by copy instead of recomputation). Excluded from
-    /// [`WorkCounters::total`] — skipped work is not work.
+    /// (duplicates are read through the class map, never written).
+    /// Excluded from [`WorkCounters::total`] — skipped work is not work.
     pub clv_saved: u64,
     /// Pattern-categories combined in `evaluate`.
     pub eval_patterns: u64,
@@ -196,9 +196,12 @@ pub(crate) struct PartitionState {
     pub data: PartitionSlice,
     pub model: GtrModel,
     pub rates: RateHeterogeneity,
-    /// `clv[inner][pattern * cats * 4 + c*4 + s]`.
+    /// `clv[inner][row * cats * 4 + c*4 + s]`: pattern `i` lives at the
+    /// row [`backend::root_side`] maps it to (its repeat class, or `i`).
+    /// Sized for one row per pattern; a compressed node uses its first
+    /// `n_classes` rows.
     pub clv: Vec<Vec<f64>>,
-    /// Accumulated scaling counts: `scale[inner][pattern]`.
+    /// Accumulated scaling counts: `scale[inner][row]`, rows as in `clv`.
     pub scale: Vec<Vec<u32>>,
     /// Derivative sumtable: `[pattern * cats * 4]` in the eigenbasis.
     pub sumtable: Vec<f64>,
@@ -944,8 +947,9 @@ impl Engine {
 
 /// One partition's full-tree gradient sweep: root-edge derivatives straight
 /// from the two inward sides, then each plan step materializes the parent's
-/// outside CLV (uncompressed — bitwise-neutral w.r.t. site repeats, see the
-/// `repeats` module doc) and runs the stock sumtable + derivative kernels at
+/// outside CLV (uncompressed, one row per pattern, read through the
+/// identity list — bitwise-neutral w.r.t. site repeats, see the `repeats`
+/// module doc) and runs the stock sumtable + derivative kernels at
 /// that edge. Returns the per-edge `(d1, d2)` pairs and the pattern·category
 /// work count.
 fn sweep_partition(
@@ -1019,6 +1023,7 @@ fn sweep_partition(
                 let outside = RootSide::Inner {
                     clv: &grad_clv[step.edge],
                     scale: &grad_scale[step.edge],
+                    rows: &part.repeat_scratch.ident,
                 };
                 let inward = root_side(part, n_taxa, step.child);
                 // `make_sumtable` roots at (edge.a, edge.b) with xa = edge.a's
@@ -1085,6 +1090,7 @@ fn grad_source_side<'a>(
         Some(e) => RootSide::Inner {
             clv: &grad_clv[e],
             scale: &grad_scale[e],
+            rows: &part.repeat_scratch.ident,
         },
         None => root_side(part, n_taxa, src.node),
     }

@@ -9,9 +9,11 @@
 //! the newest intact checkpoint generation in the job's spool directory,
 //! exactly like `--resume`).
 //!
-//! A torn final line — the append that was racing the crash — is detected
-//! and dropped during replay; every earlier line was fsynced before being
-//! acted on, so nothing else can be torn. [`Journal::compact`] rewrites the
+//! A torn final line — the append that was racing the crash, anything after
+//! the last `\n` — is dropped during replay and cut off the file before it
+//! is reopened for appending, so the next event starts a line of its own;
+//! every earlier line was fsynced before being acted on, so nothing else
+//! can be torn. [`Journal::compact`] rewrites the
 //! file through [`examl_core::checkpoint::atomic_write`], the same
 //! two-phase commit (unique tmp + fsync + rename + directory fsync) the
 //! checkpoint layer uses, so a crash mid-compaction leaves the old journal
@@ -77,34 +79,41 @@ impl Journal {
     }
 
     /// Open (creating if absent) the journal in `spool`, returning the
-    /// handle and the replayed events. A torn final line is dropped; a
-    /// malformed line elsewhere is a hard error, since only the last append
-    /// can legitimately be interrupted.
+    /// handle and the replayed events. A torn final line (no `\n` after it:
+    /// its append never returned, so nothing acted on it) is dropped and
+    /// truncated away; a malformed complete line is a hard error, since
+    /// only the last append can legitimately be interrupted.
     pub fn open(spool: &Path) -> std::io::Result<(Journal, Vec<JournalEvent>)> {
         std::fs::create_dir_all(spool)?;
         let path = Self::path_in(spool);
-        let mut events = Vec::new();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-                for (i, line) in lines.iter().enumerate() {
-                    match serde_json::from_str::<JournalEvent>(line) {
-                        Ok(ev) => events.push(ev),
-                        Err(e) if i + 1 == lines.len() && !text.ends_with('\n') => {
-                            // The crash tore the final append mid-line.
-                            let _ = e;
-                        }
-                        Err(e) => {
-                            return Err(std::io::Error::other(format!(
-                                "corrupt journal line {}: {e}",
-                                i + 1
-                            )));
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
+        };
+        let complete = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        let text = std::str::from_utf8(&bytes[..complete]).map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("journal: {e}"))
+        })?;
+        let mut events = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let ev = serde_json::from_str::<JournalEvent>(line).map_err(|e| {
+                std::io::Error::other(format!("corrupt journal line {}: {e}", i + 1))
+            })?;
+            events.push(ev);
+        }
+        if complete < bytes.len() {
+            // The crash tore the final append mid-line: cut it off, or the
+            // next append would be glued onto it.
+            let file = OpenOptions::new().write(true).open(&path)?;
+            file.set_len(complete as u64)?;
+            file.sync_all()?;
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok((
@@ -165,6 +174,7 @@ impl Journal {
 mod tests {
     use super::*;
     use examl_core::RunConfig;
+    use proptest::prelude::*;
 
     fn spec(tenant: &str) -> JobSpec {
         JobSpec {
@@ -265,5 +275,126 @@ mod tests {
         assert_eq!(replayed[0].id(), 6);
         assert!(matches!(replayed[1], JournalEvent::Started { id: 6 }));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_before_the_next_append() {
+        let dir = tmpdir("torn-append");
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            j.append(&JournalEvent::Started { id: 1 }).unwrap();
+        }
+        let path = Journal::path_in(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"Started\":{\"id\"");
+        std::fs::write(&path, &bytes).unwrap();
+        {
+            let (mut j, replayed) = Journal::open(&dir).unwrap();
+            assert_eq!(replayed.len(), 1);
+            j.append(&JournalEvent::Started { id: 2 }).unwrap();
+        }
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        let ids: Vec<JobId> = replayed.iter().map(JournalEvent::id).collect();
+        assert_eq!(ids, vec![1, 2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One event of a random journal: (variant, id, tenant, lnl).
+    fn event((what, id, tenant, lnl): (u8, u64, u8, f64)) -> JournalEvent {
+        match what {
+            0 => JournalEvent::Submitted {
+                id,
+                spec: Box::new(spec(["a", "bee", "c\"d"][tenant as usize])),
+            },
+            1 => JournalEvent::Started { id },
+            2 => JournalEvent::Preempted { id },
+            3 => JournalEvent::Cancelled { id },
+            4 => JournalEvent::Completed {
+                id,
+                lnl,
+                iterations: id % 9,
+            },
+            _ => JournalEvent::Failed {
+                id,
+                error: format!("run {id} failed: \u{e9}\n"),
+            },
+        }
+    }
+
+    fn lines(events: &[JournalEvent]) -> Vec<String> {
+        events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap())
+            .collect()
+    }
+
+    fn case_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        tmpdir(&format!("{tag}-{}", CASE.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A journal cut at any byte replays exactly its complete lines,
+        /// and keeps appending after them.
+        #[test]
+        fn a_truncated_journal_replays_its_complete_lines(
+            raw in prop::collection::vec((0u8..6, 0u64..1000, 0u8..3, -1e6f64..0.0), 1..8),
+            cut in 0.0f64..1.0,
+        ) {
+            let events: Vec<JournalEvent> = raw.into_iter().map(event).collect();
+            let dir = case_dir("truncate");
+            {
+                let (mut j, _) = Journal::open(&dir).unwrap();
+                for ev in &events {
+                    j.append(ev).unwrap();
+                }
+            }
+            let path = Journal::path_in(&dir);
+            let bytes = std::fs::read(&path).unwrap();
+            let at = ((bytes.len() + 1) as f64 * cut) as usize;
+            std::fs::write(&path, &bytes[..at]).unwrap();
+            let complete = bytes[..at].iter().filter(|&&b| b == b'\n').count();
+
+            let (mut j, replayed) = Journal::open(&dir).unwrap();
+            prop_assert_eq!(lines(&replayed), lines(&events[..complete]));
+            let last = JournalEvent::Started { id: 4242 };
+            j.append(&last).unwrap();
+            drop(j);
+            let (_, replayed) = Journal::open(&dir).unwrap();
+            let mut want = events[..complete].to_vec();
+            want.push(last);
+            prop_assert_eq!(lines(&replayed), lines(&want));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// Any single flipped bit: `open` answers `Ok` or a typed error,
+        /// and never panics.
+        #[test]
+        fn a_bit_flipped_journal_opens_or_errs(
+            raw in prop::collection::vec((0u8..6, 0u64..1000, 0u8..3, -1e6f64..0.0), 1..8),
+            at in 0.0f64..1.0,
+            bit in 0u8..8,
+        ) {
+            let events: Vec<JournalEvent> = raw.into_iter().map(event).collect();
+            let dir = case_dir("flip");
+            {
+                let (mut j, _) = Journal::open(&dir).unwrap();
+                for ev in &events {
+                    j.append(ev).unwrap();
+                }
+            }
+            let path = Journal::path_in(&dir);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = (bytes.len() as f64 * at) as usize;
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok((_, replayed)) = Journal::open(&dir) {
+                prop_assert!(replayed.len() <= events.len());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

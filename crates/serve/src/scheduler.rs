@@ -1,11 +1,13 @@
 //! Weighted deficit round-robin fair-share scheduling.
 //!
-//! Each tenant owns a priority-ordered queue and a *deficit counter*. Every
-//! [`FairShare::next`] call credits every backlogged tenant its `weight`
-//! in deficit, then walks the tenants round-robin from a
-//! rotating cursor and dispatches the first head job its tenant can afford,
-//! debiting the job's cost. The counter resets when a tenant's queue
-//! drains, so idle tenants cannot bank credit.
+//! Each tenant owns a priority-ordered queue and a *deficit counter*. A
+//! [`FairShare::next`] call runs credit rounds — each credits every
+//! backlogged tenant its `weight` in deficit, then walks the tenants
+//! round-robin from a rotating cursor — until some tenant can afford its
+//! head job, which it dispatches, debiting the job's cost. The rounds are
+//! counted in closed form, so a call costs one pass over the tenants
+//! whatever the costs. The counter resets when a tenant's queue drains, so
+//! idle tenants cannot bank credit.
 //!
 //! Priorities form *strict global classes*: a dispatch always comes from
 //! the highest priority class that has an eligible job, and the weighted
@@ -200,47 +202,93 @@ impl FairShare {
             .map(|t| t.queue[0].priority)
             .max()?;
         let eligible = move |t: &TenantState| quota_ok(t) && t.queue[0].priority == top;
-        // Each round credits every eligible tenant once; the head job with
-        // the largest cost bounds the rounds needed before someone affords.
-        let max_cost = self
+        // Each credit round adds every eligible tenant's weight, and the
+        // first round in which some tenant affords its head job ends the
+        // accrual: that is round `r* = min over tenants of r_t`, where
+        // `r_t = max(1, ceil((cost − deficit) / weight))`. Crediting
+        // `r*·weight` at once leaves the deficits `r*` single rounds
+        // leave (saturation included), whatever the costs.
+        let rounds = self
             .tenants
             .iter()
             .filter(|t| eligible(t))
-            .filter_map(|t| t.queue.first().map(|j| j.cost))
-            .max()
-            .unwrap_or(1);
-        let rounds = max_cost as usize + 1;
-        let n = self.tenants.len();
-        for _ in 0..rounds {
-            for t in self.tenants.iter_mut().filter(|t| eligible(t)) {
-                t.deficit = t.deficit.saturating_add(t.cfg.weight);
-            }
-            for i in 0..n {
-                let idx = (self.cursor + i) % n;
-                let t = &mut self.tenants[idx];
-                if !eligible(t) {
-                    continue;
-                }
-                let head_cost = t.queue[0].cost;
-                if t.deficit >= head_cost {
-                    t.deficit -= head_cost;
-                    let job = t.queue.remove(0);
-                    if t.queue.is_empty() {
-                        t.deficit = 0;
-                    }
-                    t.dispatched += 1;
-                    self.cursor = (idx + 1) % n;
-                    return Some(job);
-                }
-            }
+            .map(|t| {
+                let short = t.queue[0].cost.saturating_sub(t.deficit);
+                short.div_ceil(t.cfg.weight).max(1)
+            })
+            .min()?;
+        for t in self.tenants.iter_mut().filter(|t| eligible(t)) {
+            t.deficit = t
+                .deficit
+                .saturating_add(rounds.saturating_mul(t.cfg.weight));
         }
-        unreachable!("deficit accrual must afford the cheapest head job within {rounds} rounds");
+        // Round `r*`'s cursor walk: the first eligible tenant from the
+        // cursor that now affords its head job.
+        let n = self.tenants.len();
+        let idx = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&idx| {
+                let t = &self.tenants[idx];
+                eligible(t) && t.deficit >= t.queue[0].cost
+            })
+            .expect("the tenant that sets the round count affords its head job");
+        let t = &mut self.tenants[idx];
+        t.deficit -= t.queue[0].cost;
+        let job = t.queue.remove(0);
+        if t.queue.is_empty() {
+            t.deficit = 0;
+        }
+        t.dispatched += 1;
+        self.cursor = (idx + 1) % n;
+        Some(job)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl FairShare {
+        /// [`FairShare::next`] as the per-round loop it replaces: one credit
+        /// round and one cursor walk at a time, until some tenant affords its
+        /// head job. The oracle of the closed form.
+        fn next_by_rounds(&mut self, running: &dyn Fn(&str) -> usize) -> Option<QueuedJob> {
+            let quota_ok =
+                |t: &TenantState| !t.queue.is_empty() && running(&t.name) < t.cfg.max_running;
+            let top = self
+                .tenants
+                .iter()
+                .filter(|t| quota_ok(t))
+                .map(|t| t.queue[0].priority)
+                .max()?;
+            let eligible = move |t: &TenantState| quota_ok(t) && t.queue[0].priority == top;
+            let n = self.tenants.len();
+            loop {
+                for t in self.tenants.iter_mut().filter(|t| eligible(t)) {
+                    t.deficit = t.deficit.saturating_add(t.cfg.weight);
+                }
+                for i in 0..n {
+                    let idx = (self.cursor + i) % n;
+                    let t = &mut self.tenants[idx];
+                    if !eligible(t) {
+                        continue;
+                    }
+                    let head_cost = t.queue[0].cost;
+                    if t.deficit >= head_cost {
+                        t.deficit -= head_cost;
+                        let job = t.queue.remove(0);
+                        if t.queue.is_empty() {
+                            t.deficit = 0;
+                        }
+                        t.dispatched += 1;
+                        self.cursor = (idx + 1) % n;
+                        return Some(job);
+                    }
+                }
+            }
+        }
+    }
 
     fn no_running(_: &str) -> usize {
         0
@@ -368,5 +416,92 @@ mod tests {
             (3..=6).contains(&before_expensive),
             "cost-5 job should wait ~4 dispatches, waited {before_expensive}"
         );
+    }
+
+    #[test]
+    fn huge_head_costs_dispatch_at_once() {
+        for cost in [1_000_000_000_000, u64::MAX] {
+            let mut s = FairShare::new(TenantConfig::default());
+            s.enqueue(1, "a", 0, cost);
+            s.enqueue(2, "b", 0, 3);
+            s.set_tenant(
+                "b",
+                TenantConfig {
+                    weight: 2,
+                    max_running: usize::MAX,
+                },
+            );
+            let t0 = std::time::Instant::now();
+            assert_eq!(s.next(&no_running).unwrap().id, 2, "cost {cost}");
+            assert_eq!(s.next(&no_running).unwrap().id, 1, "cost {cost}");
+            assert!(s.next(&no_running).is_none());
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(1),
+                "cost {cost}: {:?}",
+                t0.elapsed()
+            );
+        }
+    }
+
+    proptest! {
+        /// The closed form dispatches exactly what the per-round loop
+        /// dispatches, and leaves the same deficits and cursor, over random
+        /// small costs, weights, quotas and running counts.
+        #[test]
+        fn closed_form_matches_the_round_loop(
+            weights in (1u64..5, 1u64..5, 1u64..5),
+            quotas in (1usize..4, 1usize..4, 1usize..4),
+            // (what, tenant, priority, cost, running counts): what 0 is an
+            // enqueue, 1 a requeue at the front, 2 a cancel, 3.. a dispatch.
+            ops in prop::collection::vec(
+                (0u8..6, 0u8..3, 0u32..3, 1u64..12, (0u8..3, 0u8..3, 0u8..3)),
+                1..80,
+            ),
+        ) {
+            let name = |t: u8| ["a", "b", "c"][t as usize];
+            let weights = [weights.0, weights.1, weights.2];
+            let quotas = [quotas.0, quotas.1, quotas.2];
+            let build = || {
+                let mut s = FairShare::new(TenantConfig::default());
+                for t in 0..3u8 {
+                    s.set_tenant(name(t), TenantConfig {
+                        weight: weights[t as usize],
+                        max_running: quotas[t as usize],
+                    });
+                }
+                s
+            };
+            let (mut fast, mut slow) = (build(), build());
+            for (id, (what, tenant, priority, cost, running)) in ops.into_iter().enumerate() {
+                let id = id as u64;
+                let tenant = name(tenant);
+                match what {
+                    0 => {
+                        fast.enqueue(id, tenant, priority, cost);
+                        slow.enqueue(id, tenant, priority, cost);
+                    }
+                    1 => {
+                        fast.requeue_front(id, tenant, priority, cost);
+                        slow.requeue_front(id, tenant, priority, cost);
+                    }
+                    2 => {
+                        let target = (cost * 7) % (id + 1);
+                        prop_assert_eq!(fast.cancel(target), slow.cancel(target));
+                    }
+                    _ => {
+                        let running = |t: &str| match t {
+                            "a" => running.0 as usize,
+                            "b" => running.1 as usize,
+                            _ => running.2 as usize,
+                        };
+                        prop_assert_eq!(fast.next(&running), slow.next_by_rounds(&running));
+                    }
+                }
+                let deficits =
+                    |s: &FairShare| s.tenants.iter().map(|t| t.deficit).collect::<Vec<_>>();
+                prop_assert_eq!(deficits(&fast), deficits(&slow));
+                prop_assert_eq!(fast.cursor, slow.cursor);
+            }
+        }
     }
 }
