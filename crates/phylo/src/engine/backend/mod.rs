@@ -15,10 +15,11 @@
 //! Both backends are **bitwise-identical by construction**: the SIMD code
 //! uses no FMA contraction and reproduces the scalar association order in
 //! every reduction (per-lane `((a·b₀ + a·b₁) + a·b₂) + a·b₃` row-dots,
-//! in-order horizontal sums). This keeps checkpoints portable across
-//! backends and makes the replica-divergence sentinel's bitwise fingerprint
-//! contract backend-independent — what must stay uniform across ranks is the
-//! backend *identity* (fingerprinted separately), not the arithmetic.
+//! per-pattern sums in lanes over patterns after a transpose). This keeps
+//! checkpoints portable across backends and makes the replica-divergence
+//! sentinel's bitwise fingerprint contract backend-independent — what must
+//! stay uniform across ranks is the backend *identity* (fingerprinted
+//! separately), not the arithmetic.
 //!
 //! Backends are selected per [`Engine`](super::Engine) at construction,
 //! from the run's [`KernelChoice`] resolved on the host; every rank resolves
@@ -303,10 +304,11 @@ impl dyn KernelBackend {
         d: &TraversalDescriptor,
         mut terms: Option<&mut Vec<f64>>,
     ) -> (f64, u64) {
+        let n_patterns = part.data.n_patterns();
         if let Some(sink) = terms.as_deref_mut() {
             sink.clear();
+            sink.reserve(n_patterns);
         }
-        let n_patterns = part.data.n_patterns();
         let cats = part.rates.clv_categories();
         let t = Engine::branch_length(&d.root_lengths, part.data.global_index);
 
@@ -419,11 +421,13 @@ impl dyn KernelBackend {
         t: f64,
         mut terms: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
     ) -> (f64, f64, u64) {
+        let n_patterns = part.data.n_patterns();
         if let Some((s1, s2)) = terms.as_mut() {
             s1.clear();
             s2.clear();
+            s1.reserve(n_patterns);
+            s2.reserve(n_patterns);
         }
-        let n_patterns = part.data.n_patterns();
         let cats = part.rates.clv_categories();
 
         let mut scratch = std::mem::take(&mut part.scratch);
@@ -628,11 +632,20 @@ impl<'a> RootSide<'a> {
     /// `rows[i]` for inner nodes).
     #[inline]
     pub(crate) fn state_slice(&self, i: usize, c: usize, cats: usize) -> &[f64] {
-        match self {
-            RootSide::Tip(codes) => &TIP_STATE[codes[i] as usize & 0xf],
+        let (states, stride) = self.pattern_states(i, cats);
+        &states[c * stride..c * stride + NUM_STATES]
+    }
+
+    /// Every category's state vector of pattern `i`, category `c` at
+    /// `c · stride`: the CLV row `rows[i]` (stride 4), or for tips the one
+    /// [`TIP_STATE`] row all categories share (stride 0).
+    #[inline]
+    pub(crate) fn pattern_states(&self, i: usize, cats: usize) -> (&'a [f64], usize) {
+        match *self {
+            RootSide::Tip(codes) => (&TIP_STATE[codes[i] as usize & 0xf], 0),
             RootSide::Inner { clv, rows, .. } => {
-                let base = (rows[i] as usize * cats + c) * NUM_STATES;
-                &clv[base..base + NUM_STATES]
+                let len = cats * NUM_STATES;
+                (&clv[rows[i] as usize * len..][..len], NUM_STATES)
             }
         }
     }

@@ -22,8 +22,20 @@
 //!   `((P[s][0]·b₀ + P[s][1]·b₁) + P[s][2]·b₂) + P[s][3]·b₃` — the scalar
 //!   row-dot order. Tip tables add whole columns, as the scalar loops add
 //!   strided ones ([`super::tip_tables_into`]).
-//! * Horizontal sums extract lanes and accumulate in lane order starting
-//!   from `0.0`, matching the scalar `acc += …` loops.
+//! * The root-edge loops (`evaluate`, the derivatives) have no horizontal
+//!   sums: they take four patterns per block, one pattern per lane. One
+//!   in-register 4×4 transpose makes state-major vectors of four patterns'
+//!   state vectors — `evaluate`'s products `(π·x_a)·P x_b`, formed with
+//!   lanes over states as above, or the derivatives' sumtable rows, which
+//!   are then multiplied by `ex` and `λr` state by state (elementwise
+//!   products: the same bits in either layout) — and every lane adds
+//!   `acc + t₀ + t₁ + t₂ + t₃` from `0.0` and over categories in the
+//!   scalar `acc += …` order. The floor `max(·, MIN_POSITIVE)` (NaN
+//!   maps to the floor, as with `f64::max`), the divisions and the
+//!   `weight·(…)` are vector ops on the same operands, `ln` is libm's,
+//!   once per lane, and the per-pattern terms are summed and handed to the
+//!   sinks lane by lane in pattern order. A last, partial block fills its
+//!   spare lanes with its last pattern and drops their results.
 //!
 //! The one documented exception: `newview`'s rescaling max is computed with
 //! vector max, which treats NaN differently from `f64::max`; NaN CLVs only
@@ -197,42 +209,84 @@ mod avx2 {
         }
     }
 
-    /// `P·b` over a column-major P: per-lane
+    /// The four columns of a column-major P, one vector each.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_cols(cols: &ProbMatrix) -> [__m256d; NUM_STATES] {
+        // SAFETY: a column is 4 contiguous f64, one unaligned 256-bit load.
+        cols.map(|col| unsafe { _mm256_loadu_pd(col.as_ptr()) })
+    }
+
+    /// `P·b` over the columns of a column-major P: per-lane
     /// `((P[s][0]·b₀ + P[s][1]·b₁) + P[s][2]·b₂) + P[s][3]·b₃`, the scalar
     /// row-dot association order.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn matvec(cols: &ProbMatrix, b: &[f64]) -> __m256d {
-        unsafe {
-            let mut acc = _mm256_mul_pd(_mm256_loadu_pd(cols[0].as_ptr()), _mm256_set1_pd(b[0]));
-            acc = _mm256_add_pd(
-                acc,
-                _mm256_mul_pd(_mm256_loadu_pd(cols[1].as_ptr()), _mm256_set1_pd(b[1])),
-            );
-            acc = _mm256_add_pd(
-                acc,
-                _mm256_mul_pd(_mm256_loadu_pd(cols[2].as_ptr()), _mm256_set1_pd(b[2])),
-            );
-            acc = _mm256_add_pd(
-                acc,
-                _mm256_mul_pd(_mm256_loadu_pd(cols[3].as_ptr()), _mm256_set1_pd(b[3])),
-            );
-            acc
-        }
+    fn matvec(cols: &[__m256d; NUM_STATES], b: &[f64]) -> __m256d {
+        let term = |t: usize| _mm256_mul_pd(cols[t], _mm256_set1_pd(b[t]));
+        _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(term(0), term(1)), term(2)),
+            term(3),
+        )
     }
 
-    /// In-lane-order horizontal sum starting from `0.0`, matching the
-    /// scalar `acc = 0.0; for s { acc += t[s] }` loops bitwise.
+    /// Patterns per block of the root-edge loops: one pattern per lane.
+    const LANES: usize = 4;
+
+    /// The four patterns of a block starting at `start`; the lanes past the
+    /// last of `n_patterns` repeat it, so they read nothing out of range,
+    /// and their results are dropped. Returns the indices and how many
+    /// lanes are live.
+    #[inline]
+    fn block(start: usize, n_patterns: usize) -> ([usize; LANES], usize) {
+        let live = (n_patterns - start).min(LANES);
+        (std::array::from_fn(|l| start + l.min(live - 1)), live)
+    }
+
+    /// The 4×4 transpose: `v[l]` holds pattern `l`'s four states, output
+    /// `k` holds state `k` of the four patterns, in lane order.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn hsum_ordered(v: __m256d) -> f64 {
-        let mut arr = [0.0f64; NUM_STATES];
-        unsafe { _mm256_storeu_pd(arr.as_mut_ptr(), v) };
-        let mut acc = 0.0;
-        for x in arr {
-            acc += x;
-        }
-        acc
+    fn transpose(v: &[__m256d; LANES]) -> [__m256d; LANES] {
+        // [p0[0] p1[0] p0[2] p1[2]], [p0[1] p1[1] p0[3] p1[3]], likewise p2/p3.
+        let lo01 = _mm256_unpacklo_pd(v[0], v[1]);
+        let hi01 = _mm256_unpackhi_pd(v[0], v[1]);
+        let lo23 = _mm256_unpacklo_pd(v[2], v[3]);
+        let hi23 = _mm256_unpackhi_pd(v[2], v[3]);
+        [
+            _mm256_permute2f128_pd(lo01, lo23, 0x20),
+            _mm256_permute2f128_pd(hi01, hi23, 0x20),
+            _mm256_permute2f128_pd(lo01, lo23, 0x31),
+            _mm256_permute2f128_pd(hi01, hi23, 0x31),
+        ]
+    }
+
+    /// `acc + s₀ + s₁ + s₂ + s₃` per lane, `s_k` state `k` of [`transpose`]:
+    /// the scalar `acc += t[s]` order in every lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_states(acc: __m256d, v: &[__m256d; LANES]) -> __m256d {
+        transpose(v)
+            .into_iter()
+            .fold(acc, |acc, s| _mm256_add_pd(acc, s))
+    }
+
+    /// The lanes of `v` as an array, in pattern order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lanes(v: __m256d) -> [f64; LANES] {
+        let mut out = [0.0; LANES];
+        // SAFETY: `out` is 4 contiguous f64, one unaligned 256-bit store.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// Four values as one vector, lane `l` = `v[l]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn from_lanes(v: [f64; LANES]) -> __m256d {
+        // SAFETY: `v` is 4 contiguous f64, one unaligned 256-bit load.
+        unsafe { _mm256_loadu_pd(v.as_ptr()) }
     }
 
     /// One child's contribution at pattern `i` (an inner child's row
@@ -248,7 +302,7 @@ mod avx2 {
             },
             Child::Inner { clv, rows, ps, .. } => {
                 let base = (rows[i] as usize * cats + c) * NUM_STATES;
-                matvec(&ps[k], &clv[base..base + NUM_STATES])
+                matvec(&load_cols(&ps[k]), &clv[base..base + NUM_STATES])
             }
         }
     }
@@ -299,6 +353,10 @@ mod avx2 {
         }
     }
 
+    /// Four patterns per block, one per lane: each pattern's
+    /// `(π·x_a)·P x_b` with lanes over states, transposed so that every lane
+    /// sums its own pattern's states from `0.0` and then its categories,
+    /// the scalar loop's order; `ln` by libm, lane by lane.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) fn evaluate_patterns(
@@ -313,26 +371,50 @@ mod avx2 {
         cat_weight: f64,
         mut term_sink: Option<&mut Vec<f64>>,
     ) -> f64 {
+        let zero = _mm256_setzero_pd();
+        // SAFETY: `freqs` is 4 contiguous f64, one unaligned 256-bit load.
         let fv = unsafe { _mm256_loadu_pd(freqs.as_ptr()) };
+        let cw = _mm256_set1_pd(cat_weight);
+        // Under Γ the four lanes of a category share matrix `c`: one load of
+        // its columns. Decided per call: a per-block test of the four PSR
+        // categories read slower under PSR, where lanes share by chance.
+        let shared = matches!(rates, RateHeterogeneity::Gamma { .. });
         let mut lnl = 0.0f64;
-        for i in 0..n_patterns {
-            let mut site = 0.0f64;
+        for start in (0..n_patterns).step_by(LANES) {
+            let (idx, live) = block(start, n_patterns);
+            let xa = idx.map(|i| a.pattern_states(i, cats));
+            let xb = idx.map(|i| b.pattern_states(i, cats));
+            let mut site = zero;
             for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let xa = a.state_slice(i, c, cats);
-                let xb = b.state_slice(i, c, cats);
-                let pb = matvec(&cols[k], xb);
-                let xav = unsafe { _mm256_loadu_pd(xa.as_ptr()) };
-                let terms = _mm256_mul_pd(_mm256_mul_pd(fv, xav), pb);
-                site += cat_weight * hsum_ordered(terms);
+                let k = idx.map(|i| cat_index(rates, i, c));
+                let xb_c = |l: usize| &xb[l].0[c * xb[l].1..];
+                let pb: [__m256d; LANES] = if shared {
+                    let p = load_cols(&cols[k[0]]);
+                    std::array::from_fn(|l| matvec(&p, xb_c(l)))
+                } else {
+                    std::array::from_fn(|l| matvec(&load_cols(&cols[k[l]]), xb_c(l)))
+                };
+                let terms: [__m256d; LANES] = std::array::from_fn(|l| {
+                    let (ra, sa) = xa[l];
+                    // SAFETY: a 4-wide slice, one unaligned 256-bit load.
+                    let xav = unsafe { _mm256_loadu_pd(ra[c * sa..][..NUM_STATES].as_ptr()) };
+                    _mm256_mul_pd(_mm256_mul_pd(fv, xav), pb[l])
+                });
+                site = _mm256_add_pd(site, _mm256_mul_pd(cw, add_states(zero, &terms)));
             }
-            let count = a.scale_of(i) + b.scale_of(i);
-            let site = site.max(f64::MIN_POSITIVE);
-            let term = weights[i] * (site.ln() + count as f64 * LN_MIN_LIKELIHOOD);
-            if let Some(sink) = term_sink.as_deref_mut() {
-                sink.push(term);
+            let site = _mm256_max_pd(site, _mm256_set1_pd(f64::MIN_POSITIVE));
+            let ln = from_lanes(lanes(site).map(f64::ln));
+            let count = from_lanes(idx.map(|i| (a.scale_of(i) + b.scale_of(i)) as f64));
+            let term = _mm256_mul_pd(
+                from_lanes(idx.map(|i| weights[i])),
+                _mm256_add_pd(ln, _mm256_mul_pd(count, _mm256_set1_pd(LN_MIN_LIKELIHOOD))),
+            );
+            for term in &lanes(term)[..live] {
+                if let Some(sink) = term_sink.as_deref_mut() {
+                    sink.push(*term);
+                }
+                lnl += term;
             }
-            lnl += term;
         }
         lnl
     }
@@ -382,6 +464,10 @@ mod avx2 {
         }
     }
 
+    /// Four patterns per block, one per lane: their sumtable rows transposed
+    /// to state-major vectors, then `st·ex`, `·λr` and `·λr` again state by
+    /// state, and each lane's three sums over categories and states in the
+    /// scalar loop's order; the ratios and weights as vector ops.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) fn derivative_patterns(
@@ -395,53 +481,58 @@ mod avx2 {
         cat_weight: f64,
         mut term_sink: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
     ) -> (f64, f64) {
+        let zero = _mm256_setzero_pd();
+        let cw = _mm256_set1_pd(cat_weight);
+        // The raw-pointer loads below read block `(i·cats + c)·4` of it.
+        assert!(n_patterns * cats * NUM_STATES <= sumtable.len());
         let mut d1_sum = 0.0f64;
         let mut d2_sum = 0.0f64;
-        for i in 0..n_patterns {
-            let mut l = 0.0f64;
-            let mut l1 = 0.0f64;
-            let mut l2 = 0.0f64;
+        for start in (0..n_patterns).step_by(LANES) {
+            let (idx, live) = block(start, n_patterns);
+            let (mut l, mut l1, mut l2) = (zero, zero, zero);
             for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let base = (i * cats + c) * NUM_STATES;
-                let (w, wl1, wl2);
-                unsafe {
-                    let st = _mm256_loadu_pd(sumtable.as_ptr().add(base));
-                    let ev = _mm256_loadu_pd(ex[k].as_ptr());
-                    let lkv = _mm256_loadu_pd(lr[k].as_ptr());
-                    w = _mm256_mul_pd(st, ev);
-                    wl1 = _mm256_mul_pd(w, lkv);
-                    wl2 = _mm256_mul_pd(wl1, lkv);
-                }
-                let mut wa = [0.0f64; NUM_STATES];
-                let mut w1a = [0.0f64; NUM_STATES];
-                let mut w2a = [0.0f64; NUM_STATES];
-                unsafe {
-                    _mm256_storeu_pd(wa.as_mut_ptr(), w);
-                    _mm256_storeu_pd(w1a.as_mut_ptr(), wl1);
-                    _mm256_storeu_pd(w2a.as_mut_ptr(), wl2);
-                }
+                let k = idx.map(|i| cat_index(rates, i, c));
+                // SAFETY: block `(i·cats + c)·4` lies inside `sumtable` by the
+                // assert above; each row is 4 contiguous f64.
+                let st = transpose(&idx.map(|i| unsafe {
+                    _mm256_loadu_pd(sumtable.as_ptr().add((i * cats + c) * NUM_STATES))
+                }));
+                // State `s` of each lane's factors: broadcasts when the four
+                // lanes share a rate (always under Γ), a transpose otherwise.
+                let by_state = |rows: &[[f64; NUM_STATES]]| -> [__m256d; LANES] {
+                    if k.iter().all(|&kl| kl == k[0]) {
+                        rows[k[0]].map(|x| _mm256_set1_pd(x))
+                    } else {
+                        // SAFETY: a factor row is 4 contiguous f64.
+                        transpose(&k.map(|kl| unsafe { _mm256_loadu_pd(rows[kl].as_ptr()) }))
+                    }
+                };
+                let (ev, lkv) = (by_state(ex), by_state(lr));
                 for s in 0..NUM_STATES {
-                    l += wa[s];
-                    l1 += w1a[s];
-                    l2 += w2a[s];
+                    let w = _mm256_mul_pd(st[s], ev[s]);
+                    let wl1 = _mm256_mul_pd(w, lkv[s]);
+                    l = _mm256_add_pd(l, w);
+                    l1 = _mm256_add_pd(l1, wl1);
+                    l2 = _mm256_add_pd(l2, _mm256_mul_pd(wl1, lkv[s]));
                 }
             }
-            l *= cat_weight;
-            l1 *= cat_weight;
-            l2 *= cat_weight;
-            let l = l.max(f64::MIN_POSITIVE);
-            let ratio1 = l1 / l;
-            let ratio2 = l2 / l;
-            let wgt = weights[i];
-            let t1 = wgt * ratio1;
-            let t2 = wgt * (ratio2 - ratio1 * ratio1);
-            if let Some((s1, s2)) = term_sink.as_mut() {
-                s1.push(t1);
-                s2.push(t2);
+            let l = _mm256_max_pd(_mm256_mul_pd(l, cw), _mm256_set1_pd(f64::MIN_POSITIVE));
+            let ratio1 = _mm256_div_pd(_mm256_mul_pd(l1, cw), l);
+            let ratio2 = _mm256_div_pd(_mm256_mul_pd(l2, cw), l);
+            let wgt = from_lanes(idx.map(|i| weights[i]));
+            let t1 = lanes(_mm256_mul_pd(wgt, ratio1));
+            let t2 = lanes(_mm256_mul_pd(
+                wgt,
+                _mm256_sub_pd(ratio2, _mm256_mul_pd(ratio1, ratio1)),
+            ));
+            for (&t1, &t2) in t1[..live].iter().zip(&t2[..live]) {
+                if let Some((s1, s2)) = term_sink.as_mut() {
+                    s1.push(t1);
+                    s2.push(t2);
+                }
+                d1_sum += t1;
+                d2_sum += t2;
             }
-            d1_sum += t1;
-            d2_sum += t2;
         }
         (d1_sum, d2_sum)
     }
@@ -491,57 +582,103 @@ mod tests {
 
     /// An engine over a fixed [`slice`] with the repeat setting pinned (the
     /// drivers are called with an explicit backend, so its own is unused).
-    fn engine(kind: RateModelKind, repeats: SiteRepeats) -> Engine {
-        let s = slice(N_TAXA, 41, 77);
-        Engine::with_config(N_TAXA, vec![s], kind, 0.6, KernelKind::Scalar, repeats)
+    fn engine(kind: RateModelKind, repeats: SiteRepeats, s: &PartitionSlice) -> Engine {
+        let n_taxa = s.tips.len();
+        Engine::with_config(
+            n_taxa,
+            vec![s.clone()],
+            kind,
+            0.6,
+            KernelKind::Scalar,
+            repeats,
+        )
     }
 
     /// Run the scalar and the AVX2 loops (where the host has them) through
     /// the shared drivers over the same traversal, with subtree repeats on
     /// (representative lists) and off (identity lists), and assert every
-    /// observable output — CLVs, scale counts, lnl, sumtable, derivatives —
-    /// is bitwise identical.
-    fn check_paths(kind: RateModelKind) {
+    /// observable output — CLVs, scale counts, lnl and its per-pattern
+    /// terms, sumtable, derivatives and their terms — is bitwise identical.
+    /// Branch lengths are multiplied by `stretch`; under PSR one rate round
+    /// first spreads the patterns over several categories. Returns the
+    /// scale count the root-edge loops read at each pattern (empty without
+    /// AVX2).
+    fn check_paths(kind: RateModelKind, s: &PartitionSlice, stretch: f64) -> Vec<u32> {
         let Some(simd) = SimdBackend::detect() else {
-            return;
+            return Vec::new();
         };
         let (scalar, simd): (_, &'static dyn KernelBackend) =
             (backend_for(KernelKind::Scalar), simd);
+        let (n_taxa, n_patterns) = (s.tips.len(), s.n_patterns());
+        let mut root_counts = Vec::new();
         for repeats in [SiteRepeats::On, SiteRepeats::Off] {
-            let mut tree = Tree::random(N_TAXA, 1, 5);
+            let mut tree = Tree::random(n_taxa, 1, 5);
+            for e in 0..tree.n_edges() {
+                tree.set_length(e, 0, tree.edge(e).length(0) * stretch);
+            }
+            let mut eng_scalar = engine(kind, repeats, s);
+            let mut eng_avx = engine(kind, repeats, s);
+            if kind == RateModelKind::Psr && n_patterns > 0 {
+                let d = tree.full_traversal_descriptor(0);
+                for eng in [&mut eng_scalar, &mut eng_avx] {
+                    eng.execute(&d);
+                    let (num, den) = eng.optimize_site_rates(&d);
+                    eng.finalize_site_rates(den / num);
+                }
+                tree.invalidate_all();
+            }
             let d = tree.full_traversal_descriptor(0);
-            let mut eng_scalar = engine(kind, repeats);
-            let mut eng_avx = engine(kind, repeats);
             for entry in &d.entries {
-                scalar.newview_entry(&mut eng_scalar.parts[0], N_TAXA, entry);
-                simd.newview_entry(&mut eng_avx.parts[0], N_TAXA, entry);
+                scalar.newview_entry(&mut eng_scalar.parts[0], n_taxa, entry);
+                simd.newview_entry(&mut eng_avx.parts[0], n_taxa, entry);
             }
             assert_eq!(eng_scalar.parts[0].clv, eng_avx.parts[0].clv, "{repeats}");
             assert_eq!(
                 eng_scalar.parts[0].scale, eng_avx.parts[0].scale,
                 "{repeats}"
             );
+            let part = &eng_scalar.parts[0];
+            let (ra, rb) = (
+                root_side(part, n_taxa, d.root_a),
+                root_side(part, n_taxa, d.root_b),
+            );
+            root_counts = (0..n_patterns)
+                .map(|i| ra.scale_of(i) + rb.scale_of(i))
+                .collect();
 
+            let case = format!("{kind:?}, {n_patterns} patterns, {repeats}");
             let mut terms_s = Vec::new();
             let mut terms_a = Vec::new();
             let (lnl_s, w_s) =
-                scalar.evaluate_root(&mut eng_scalar.parts[0], N_TAXA, &d, Some(&mut terms_s));
+                scalar.evaluate_root(&mut eng_scalar.parts[0], n_taxa, &d, Some(&mut terms_s));
             let (lnl_a, w_a) =
-                simd.evaluate_root(&mut eng_avx.parts[0], N_TAXA, &d, Some(&mut terms_a));
-            assert_eq!(lnl_s.to_bits(), lnl_a.to_bits(), "{lnl_s} vs {lnl_a}");
+                simd.evaluate_root(&mut eng_avx.parts[0], n_taxa, &d, Some(&mut terms_a));
+            assert_eq!(
+                lnl_s.to_bits(),
+                lnl_a.to_bits(),
+                "{lnl_s} vs {lnl_a} ({case})"
+            );
             assert_eq!(w_s, w_a);
-            assert_eq!(terms_s.len(), 41);
-            assert_eq!(terms_s, terms_a, "per-pattern lnl terms differ");
-            let replayed: f64 = terms_s.iter().sum();
+            assert_eq!(terms_s.len(), n_patterns);
+            assert_eq!(
+                bits_of(&terms_s),
+                bits_of(&terms_a),
+                "per-pattern lnl terms differ ({case})"
+            );
+            let replayed = replay(&terms_s);
             assert_eq!(
                 replayed.to_bits(),
                 lnl_s.to_bits(),
-                "terms do not replay lnl"
+                "terms do not replay lnl ({case})"
             );
 
-            scalar.make_sumtable(&mut eng_scalar.parts[0], N_TAXA, &d);
-            simd.make_sumtable(&mut eng_avx.parts[0], N_TAXA, &d);
-            assert_eq!(eng_scalar.parts[0].sumtable, eng_avx.parts[0].sumtable);
+            scalar.make_sumtable(&mut eng_scalar.parts[0], n_taxa, &d);
+            simd.make_sumtable(&mut eng_avx.parts[0], n_taxa, &d);
+            assert_eq!(
+                bits_of(&eng_scalar.parts[0].sumtable),
+                bits_of(&eng_avx.parts[0].sumtable),
+                "{case}"
+            );
 
             for t in [1e-6, 0.07, 0.9] {
                 let (mut s1, mut s2) = (Vec::new(), Vec::new());
@@ -556,14 +693,27 @@ mod tests {
                     t,
                     Some((&mut v1, &mut v2)),
                 );
-                assert_eq!(a1.to_bits(), b1.to_bits(), "d1 at {t}");
-                assert_eq!(a2.to_bits(), b2.to_bits(), "d2 at {t}");
-                assert_eq!(s1, v1, "d1 terms at {t}");
-                assert_eq!(s2, v2, "d2 terms at {t}");
-                assert_eq!(s1.iter().sum::<f64>().to_bits(), a1.to_bits());
-                assert_eq!(s2.iter().sum::<f64>().to_bits(), a2.to_bits());
+                assert_eq!(a1.to_bits(), b1.to_bits(), "d1 at {t} ({case})");
+                assert_eq!(a2.to_bits(), b2.to_bits(), "d2 at {t} ({case})");
+                assert_eq!(s1.len(), n_patterns);
+                assert_eq!(bits_of(&s1), bits_of(&v1), "d1 terms at {t} ({case})");
+                assert_eq!(bits_of(&s2), bits_of(&v2), "d2 terms at {t} ({case})");
+                assert_eq!(replay(&s1).to_bits(), a1.to_bits());
+                assert_eq!(replay(&s2).to_bits(), a2.to_bits());
             }
         }
+        root_counts
+    }
+
+    /// The kernels' pattern-order sum from `+0.0` (`Iterator::sum` starts
+    /// at `-0.0`).
+    fn replay(terms: &[f64]) -> f64 {
+        terms.iter().fold(0.0, |acc, t| acc + t)
+    }
+
+    /// The bits of a slice of values, so NaN and signed zeros compare.
+    fn bits_of(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The gradient-sweep entry point must hold the same bitwise contract
@@ -594,7 +744,7 @@ mod tests {
                     .expect("plan must start at a root endpoint");
 
                 let run = |backend: &'static dyn KernelBackend| -> (Vec<f64>, Vec<u32>, u64) {
-                    let mut eng = engine(kind, repeats);
+                    let mut eng = engine(kind, repeats, &slice(N_TAXA, 41, 77));
                     for entry in &d.entries {
                         scalar.newview_entry(&mut eng.parts[0], N_TAXA, entry);
                     }
@@ -679,11 +829,49 @@ mod tests {
 
     #[test]
     fn avx2_loops_match_scalar_bitwise_gamma() {
-        check_paths(RateModelKind::Gamma);
+        check_paths(RateModelKind::Gamma, &slice(N_TAXA, 41, 77), 1.0);
     }
 
     #[test]
     fn avx2_loops_match_scalar_bitwise_psr() {
-        check_paths(RateModelKind::Psr);
+        check_paths(RateModelKind::Psr, &slice(N_TAXA, 41, 77), 1.0);
+    }
+
+    /// The root-edge loops run four patterns per block: every remainder mod
+    /// 4 of the last block, less than one block, and no pattern at all.
+    #[test]
+    fn avx2_blocks_and_tails_match_scalar_bitwise() {
+        for n_patterns in 0..=9 {
+            for kind in [RateModelKind::Gamma, RateModelKind::Psr] {
+                check_paths(kind, &slice(N_TAXA, n_patterns, 77), 1.0);
+            }
+        }
+    }
+
+    /// 256 taxa on saturated branches: CLV rows rescale. Pattern `i` has
+    /// its first `28·(5i mod 9)` taxa gapped, so likelihoods differ within
+    /// a block and its lanes read different, non-zero scale counts.
+    #[test]
+    fn avx2_loops_match_scalar_bitwise_while_rescaling() {
+        if SimdBackend::detect().is_none() {
+            return;
+        }
+        let mut s = slice(256, 9, 77);
+        for (t, codes) in std::sync::Arc::make_mut(&mut s.tips).iter_mut().enumerate() {
+            for (i, code) in codes.iter_mut().enumerate() {
+                if t < 28 * (5 * i % 9) {
+                    *code = 0xf;
+                }
+            }
+        }
+        for kind in [RateModelKind::Gamma, RateModelKind::Psr] {
+            let counts = check_paths(kind, &s, 20.0);
+            let (lo, hi) = (counts.iter().min(), counts.iter().max());
+            assert!(hi > Some(&0), "{kind:?}: rescaling never fired: {counts:?}");
+            assert!(
+                lo < hi,
+                "{kind:?}: one scale count for every pattern: {counts:?}"
+            );
+        }
     }
 }

@@ -65,25 +65,36 @@ fn engine_with(
 }
 
 /// [`assert_backends_agree_with`] under both subtree-repeat settings.
-fn assert_backends_agree(n_taxa: usize, sites: usize, seed: u64, kind: RateModelKind) {
+fn assert_backends_agree(
+    n_taxa: usize,
+    sites: usize,
+    seed: u64,
+    kind: RateModelKind,
+    stretch: f64,
+) {
     for repeats in REPEATS {
-        assert_backends_agree_with(n_taxa, sites, seed, kind, repeats);
+        assert_backends_agree_with(n_taxa, sites, seed, kind, stretch, repeats);
     }
 }
 
 /// Drive both backends through the full kernel surface (newview over a full
 /// traversal, evaluate, sumtable + derivatives at several branch lengths,
-/// then a partial traversal after a branch change) and assert bitwise
-/// agreement at every observable output.
+/// then a partial traversal after a branch change) on a random tree whose
+/// branch lengths are multiplied by `stretch`, and assert bitwise agreement
+/// at every observable output.
 fn assert_backends_agree_with(
     n_taxa: usize,
     sites: usize,
     seed: u64,
     kind: RateModelKind,
+    stretch: f64,
     repeats: SiteRepeats,
 ) {
     let aln = random_alignment(n_taxa, sites, seed);
     let mut tree = Tree::random(n_taxa, 1, seed);
+    for e in 0..tree.n_edges() {
+        tree.set_length(e, 0, tree.edge(e).length(0) * stretch);
+    }
     let mut scalar = engine_with(&aln, kind, KernelKind::Scalar, 0.7, repeats);
     let mut simd = engine_with(&aln, kind, KernelKind::Simd, 0.7, repeats);
     assert_eq!(scalar.kernel_kind(), KernelKind::Scalar);
@@ -167,16 +178,20 @@ fn assert_backends_agree_with(
 #[test]
 fn backends_agree_bitwise_under_gamma() {
     for seed in [1u64, 7, 42, 1234] {
-        assert_backends_agree(8, 120, seed, RateModelKind::Gamma);
+        assert_backends_agree(8, 120, seed, RateModelKind::Gamma, 1.0);
     }
-    // Long branches force CLV rescaling on both paths.
-    assert_backends_agree(40, 40, 99, RateModelKind::Gamma);
+    // 256 taxa on saturated branches force CLV rescaling on both paths (40
+    // taxa never reach 2⁻²⁵⁶: a tip costs a CLV entry ≈ 1.5–2 bits). The
+    // scale counts are crate-private: the in-crate tests of this regime
+    // (`avx2_loops_match_scalar_bitwise_while_rescaling`,
+    // `rows_match_columns_in_the_rescaling_regime`) assert that they fire.
+    assert_backends_agree(256, 40, 99, RateModelKind::Gamma, 20.0);
 }
 
 #[test]
 fn backends_agree_bitwise_under_psr() {
     for seed in [3u64, 11, 77] {
-        assert_backends_agree(7, 90, seed, RateModelKind::Psr);
+        assert_backends_agree(7, 90, seed, RateModelKind::Psr, 1.0);
     }
 }
 

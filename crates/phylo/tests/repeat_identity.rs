@@ -208,18 +208,19 @@ fn assert_on_off_identical(
 
 #[test]
 fn on_off_identical_in_the_rescaling_regime() {
-    // 40 taxa forces CLV rescaling on interior nodes (the same regime the
-    // backend-agreement suite uses for its rescaling coverage): scale-count
-    // copies must stay consistent with the representative's CLV copy.
+    // 256 taxa on saturated branches force CLV rescaling on interior nodes
+    // (the regime of the in-crate `rows_match_columns_in_the_rescaling_regime`,
+    // which asserts that counts fire): a row's scale count must be its
+    // class's.
     for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         assert_on_off_identical(
             kernel,
             RateModelKind::Gamma,
-            40,
+            256,
             60,
             6,
             99,
-            3.0,
+            20.0,
             &[(5, 1, 2)],
         );
     }
