@@ -30,6 +30,10 @@ use crate::patterns::{CompressedAlignment, CompressedPartition};
 
 const MAGIC: &[u8; 4] = b"EXML";
 const VERSION: u32 = 1;
+/// The smallest encoding of a string: its `u64` length.
+const STR_MIN: usize = 8;
+/// The smallest encoding of a partition: name, pattern and site counts.
+const PARTITION_MIN: usize = STR_MIN + 16;
 
 /// FNV-1a 64-bit, used as an integrity checksum for the binary file. The
 /// implementation is shared with the replica-fingerprint machinery and
@@ -77,10 +81,12 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, BioError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn len(&mut self, what: &str) -> Result<usize, BioError> {
+    /// A count of `what`, each encoded in at least `min_bytes`: refused
+    /// when the bytes left cannot hold that many, so no length prefix sizes
+    /// an allocation beyond what the file holds.
+    fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, BioError> {
         let v = self.u64()?;
-        // Guard against absurd lengths from corrupt files before allocating.
-        if v > self.buf.len() as u64 {
+        if v > ((self.buf.len() - self.pos) / min_bytes) as u64 {
             return Err(BioError::BadBinary(format!(
                 "implausible {what} length {v}"
             )));
@@ -88,7 +94,7 @@ impl<'a> Reader<'a> {
         Ok(v as usize)
     }
     fn str(&mut self) -> Result<String, BioError> {
-        let n = self.len("string")?;
+        let n = self.count("string", 1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| BioError::BadBinary("non-utf8 string".into()))
     }
@@ -148,17 +154,24 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedAlignment, BioError> {
             "unsupported version {version}"
         )));
     }
-    let n_taxa = r.len("taxa")?;
+    let n_taxa = r.count("taxa", STR_MIN)?;
     let mut taxa = Vec::with_capacity(n_taxa);
     for _ in 0..n_taxa {
         taxa.push(r.str()?);
     }
-    let n_parts = r.len("partition")?;
+    let n_parts = r.count("partition", PARTITION_MIN)?;
     let mut partitions = Vec::with_capacity(n_parts);
     for _ in 0..n_parts {
         let name = r.str()?;
-        let n_patterns = r.len("pattern")?;
-        let n_sites = r.len("site")?;
+        let n_patterns = r.count("pattern", 4)?;
+        // A partition is never empty; an empty one would cost `n_taxa`
+        // tip rows for no byte of the file.
+        if n_patterns == 0 {
+            return Err(BioError::BadBinary(format!(
+                "partition {name:?} has no patterns"
+            )));
+        }
+        let n_sites = r.count("site", 4)?;
         let mut weights = Vec::with_capacity(n_patterns);
         for _ in 0..n_patterns {
             weights.push(r.u32()?);
@@ -264,6 +277,62 @@ mod tests {
         let sum = fnv1a(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(from_bytes(&bytes), Err(BioError::BadBinary(_))));
+    }
+
+    /// Every count prefix set to `u64::MAX` (checksum restored): each is
+    /// refused as implausible before anything is sized by it.
+    #[test]
+    fn giant_counts_are_refused() {
+        let bytes = to_bytes(&sample());
+        let n_taxa_at = 8;
+        let n_parts_at = 8 + 8 + (8 + 3) * 3;
+        let name_at = n_parts_at + 8;
+        let n_patterns_at = name_at + 8 + "gene0".len();
+        for at in [
+            n_taxa_at,
+            n_taxa_at + 8,
+            n_parts_at,
+            name_at,
+            n_patterns_at,
+            n_patterns_at + 8,
+        ] {
+            let mut bad = bytes[..bytes.len() - 8].to_vec();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let sum = fnv1a(&bad);
+            bad.extend_from_slice(&sum.to_le_bytes());
+            match from_bytes(&bad) {
+                Err(BioError::BadBinary(msg)) => {
+                    assert!(msg.contains("implausible"), "{at}: {msg}")
+                }
+                other => panic!("count at {at}: {other:?}"),
+            }
+        }
+    }
+
+    /// Partitions without patterns are refused: each would allocate
+    /// `n_taxa` tip rows from a few bytes, so their memory would grow with
+    /// the square of the file.
+    #[test]
+    fn empty_partitions_are_refused() {
+        let mut w = Writer { buf: Vec::new() };
+        w.buf.extend_from_slice(MAGIC);
+        w.u32(VERSION);
+        w.u64(2000);
+        for _ in 0..2000 {
+            w.str("a");
+        }
+        w.u64(1900);
+        for _ in 0..1900 {
+            w.str("p");
+            w.u64(0);
+            w.u64(0);
+        }
+        let sum = fnv1a(&w.buf);
+        w.u64(sum);
+        match from_bytes(&w.buf) {
+            Err(BioError::BadBinary(msg)) => assert!(msg.contains("no patterns"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub fn parse_phylip(text: &str) -> Result<Alignment, BioError> {
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| BioError::Parse("bad PHYLIP header: site count".into()))?;
 
-    let mut taxa = Vec::with_capacity(n_taxa);
-    let mut rows = Vec::with_capacity(n_taxa);
+    let mut taxa = Vec::with_capacity(capacity(n_taxa, text));
+    let mut rows = Vec::with_capacity(capacity(n_taxa, text));
     for line in lines {
         let mut it = line.split_whitespace();
         let name = it
@@ -83,8 +83,8 @@ pub fn parse_phylip_interleaved(text: &str) -> Result<Alignment, BioError> {
         return Err(BioError::Parse("zero taxa".into()));
     }
 
-    let mut taxa: Vec<String> = Vec::with_capacity(n_taxa);
-    let mut seqs: Vec<String> = vec![String::new(); n_taxa];
+    let mut taxa: Vec<String> = Vec::with_capacity(capacity(n_taxa, text));
+    let mut seqs: Vec<String> = Vec::with_capacity(capacity(n_taxa, text));
     let mut row_in_block = 0usize;
     let mut first_block = true;
     for line in lines {
@@ -103,7 +103,7 @@ pub fn parse_phylip_interleaved(text: &str) -> Result<Alignment, BioError> {
                 .ok_or_else(|| BioError::Parse("sequence line without name".into()))?
                 .to_string();
             taxa.push(name);
-            seqs[row_in_block].extend(it.flat_map(|w| w.chars()));
+            seqs.push(it.flat_map(|w| w.chars()).collect());
         } else {
             seqs[row_in_block].extend(line.split_whitespace().flat_map(|w| w.chars()));
         }
@@ -123,7 +123,7 @@ pub fn parse_phylip_interleaved(text: &str) -> Result<Alignment, BioError> {
         return Err(BioError::Parse("file ends mid-block".into()));
     }
 
-    let mut rows = Vec::with_capacity(n_taxa);
+    let mut rows = Vec::with_capacity(taxa.len());
     for (name, seq) in taxa.iter().zip(&seqs) {
         let decoded = decode_sequence(seq).map_err(|(pos, ch)| BioError::InvalidCharacter {
             taxon: name.clone(),
@@ -140,6 +140,14 @@ pub fn parse_phylip_interleaved(text: &str) -> Result<Alignment, BioError> {
         )));
     }
     Ok(aln)
+}
+
+/// Room for the taxa a header declares, but never more than `text` can
+/// hold (a taxon line takes at least a name byte and a line break): a
+/// header count alone must not size an allocation. A file that falls
+/// short of its count is refused after the scan.
+fn capacity(n_taxa: usize, text: &str) -> usize {
+    n_taxa.min(text.len() / 2)
 }
 
 /// Parse PHYLIP, auto-detecting sequential vs interleaved layout: try
@@ -227,6 +235,22 @@ mod tests {
         assert_eq!(a.n_sites(), 8);
         assert_eq!(b.n_sites(), 8);
         assert_eq!(a.row_ascii(0), b.row_ascii(0));
+    }
+
+    /// A header count far beyond the file is a parse error in every
+    /// layout, not an allocation of that many taxa.
+    #[test]
+    fn giant_header_counts_are_parse_errors() {
+        for text in [
+            "100000000000 4\nt0 ACGT\n",
+            &format!("{} 4\nt0 ACGT\n", usize::MAX),
+            "100000000000 8\nt0 ACGT\n\nACGT\n",
+        ] {
+            for parse in [parse_phylip, parse_phylip_interleaved, parse_phylip_auto] {
+                let err = parse(text).unwrap_err();
+                assert!(matches!(err, BioError::Parse(_)), "{text:?}: {err:?}");
+            }
+        }
     }
 
     #[test]

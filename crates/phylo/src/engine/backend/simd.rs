@@ -22,6 +22,20 @@
 //!   `((P[s][0]·b₀ + P[s][1]·b₁) + P[s][2]·b₂) + P[s][3]·b₃` — the scalar
 //!   row-dot order. Tip tables add whole columns, as the scalar loops add
 //!   strided ones ([`super::tip_tables_into`]).
+//! * `newview` has one body per pair of child kinds and rate model. The
+//!   kinds and the model are matched once per call, not per (pattern,
+//!   category). Tip–tip, tip–inner and inner–inner are instantiations of
+//!   one generic body; an inner–tip pair runs the tip–inner body with its
+//!   operands swapped. That keeps the bits because an IEEE multiply
+//!   commutes: `a·b` and `b·a` are the same rounded product. The one
+//!   exception is two NaN factors, where x86 returns the first one's
+//!   payload. Under Γ a row has
+//!   [`GAMMA_CATEGORIES`](crate::model::rates::GAMMA_CATEGORIES) categories, a
+//!   compile-time count, and an inner child's P columns are loaded once
+//!   per call. Under PSR a row has one category, and its P index is read
+//!   once per pattern. Each child's CLV row (or tip-table row) is resolved
+//!   once per pattern. The products, the rescaling test and the ×2²⁵⁶ are
+//!   the scalar loop's, entry by entry.
 //! * The root-edge loops (`evaluate`, the derivatives) have no horizontal
 //!   sums: they take four patterns per block, one pattern per lane. One
 //!   in-register 4×4 transpose makes state-major vectors of four patterns'
@@ -37,9 +51,10 @@
 //!   sinks lane by lane in pattern order. A last, partial block fills its
 //!   spare lanes with its last pattern and drops their results.
 //!
-//! The one documented exception: `newview`'s rescaling max is computed with
-//! vector max, which treats NaN differently from `f64::max`; NaN CLVs only
-//! arise from already-broken inputs.
+//! The documented exceptions are NaN only: `newview`'s rescaling max is
+//! computed with vector max, which treats NaN differently from `f64::max`,
+//! and a swapped inner–tip product of two NaNs carries the other payload.
+//! NaN CLVs only arise from already-broken inputs.
 
 use super::{tip_tables_into, Child, KernelBackend, KernelKind, RootSide, TipTable};
 use crate::engine::PartitionState;
@@ -155,10 +170,10 @@ impl KernelBackend for SimdBackend {
 /// `#[target_feature(enable = "avx2")]`; callers must have verified AVX2
 /// support (see the module doc).
 mod avx2 {
-    use crate::engine::backend::{cat_index, Child, RootSide};
+    use crate::engine::backend::{cat_index, Child, RootSide, TipTable};
     use crate::engine::{LN_MIN_LIKELIHOOD, MIN_LIKELIHOOD, TWO_TO_256};
     use crate::model::pmatrix::ProbMatrix;
-    use crate::model::rates::RateHeterogeneity;
+    use crate::model::rates::{RateHeterogeneity, GAMMA_CATEGORIES};
     use crate::model::GtrModel;
     use crate::numerics::exp::avx2::exp4;
     use exa_bio::dna::NUM_STATES;
@@ -289,24 +304,114 @@ mod avx2 {
         unsafe { _mm256_loadu_pd(v.as_ptr()) }
     }
 
-    /// One child's contribution at pattern `i` (an inner child's row
-    /// `rows[i]`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn child_vec(child: &Child, i: usize, c: usize, cats: usize, k: usize) -> __m256d {
-        match child {
+    /// One child of a `newview` join as a body reads it. [`at`](Self::at)
+    /// resolves pattern `i`, whose category `c` reads P-matrix `k + c`,
+    /// once per pattern; [`vec`](Self::vec) is category `c`'s vector there.
+    trait Operand {
+        /// Pattern `i` resolved: its tables and code, or its CLV row.
+        type At: Copy;
+        fn at(&self, i: usize, k: usize) -> Self::At;
+        /// # Safety
+        /// AVX2 is available.
+        unsafe fn vec(&self, at: Self::At, c: usize) -> __m256d;
+        fn scale(at: Self::At) -> u32;
+    }
+
+    /// A tip child: the row of its code in each category's tip table.
+    struct Tip<'a, const CATS: usize> {
+        codes: &'a [u8],
+        lookup: &'a [TipTable],
+    }
+
+    impl<'a, const CATS: usize> Operand for Tip<'a, CATS> {
+        type At = (&'a [TipTable; CATS], usize);
+
+        #[inline]
+        fn at(&self, i: usize, k: usize) -> Self::At {
+            let tables = self.lookup[k..]
+                .first_chunk()
+                .expect("a tip table per category");
+            (tables, self.codes[i] as usize & 0xf)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn vec(&self, (tables, code): Self::At, c: usize) -> __m256d {
             // SAFETY: a tip-table row is 4 contiguous f64, one unaligned
             // 256-bit load.
-            Child::Tip { codes, lookup } => unsafe {
-                _mm256_loadu_pd(lookup[k][codes[i] as usize & 0xf].as_ptr())
-            },
-            Child::Inner { clv, rows, ps, .. } => {
-                let base = (rows[i] as usize * cats + c) * NUM_STATES;
-                matvec(&load_cols(&ps[k]), &clv[base..base + NUM_STATES])
+            unsafe { _mm256_loadu_pd(tables[c][code].as_ptr()) }
+        }
+
+        #[inline]
+        fn scale(_: Self::At) -> u32 {
+            0
+        }
+    }
+
+    /// An inner child: `P·x` over its CLV row `rows[i]`, the columns of
+    /// P-matrix `k` given by `cols(k)`.
+    struct Inner<'a, const CATS: usize, P> {
+        clv: &'a [f64],
+        scale: &'a [u32],
+        rows: &'a [u32],
+        cols: P,
+    }
+
+    impl<'a, const CATS: usize, P> Inner<'a, CATS, P> {
+        fn new(clv: &'a [f64], scale: &'a [u32], rows: &'a [u32], cols: P) -> Self {
+            // Every row with a scale count is inside the CLV: `at`'s
+            // unchecked row reads rest on this.
+            assert!(scale.len() * CATS * NUM_STATES <= clv.len());
+            Inner {
+                clv,
+                scale,
+                rows,
+                cols,
             }
         }
     }
 
+    impl<'a, const CATS: usize, P> Operand for Inner<'a, CATS, P>
+    where
+        P: Fn(usize) -> [__m256d; NUM_STATES],
+    {
+        type At = (&'a [[f64; NUM_STATES]; CATS], u32, usize);
+
+        #[inline]
+        fn at(&self, i: usize, k: usize) -> Self::At {
+            let row = self.rows[i] as usize;
+            let scale = self.scale[row];
+            // SAFETY: `row < scale.len()` by the index above, and the CLV
+            // holds `CATS · 4` values per scale count (`new`'s assert).
+            let x = unsafe {
+                &*self
+                    .clv
+                    .as_ptr()
+                    .add(row * CATS * NUM_STATES)
+                    .cast::<[[f64; NUM_STATES]; CATS]>()
+            };
+            (x, scale, k)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn vec(&self, (x, _, k): Self::At, c: usize) -> __m256d {
+            matvec(&(self.cols)(k + c), &x[c])
+        }
+
+        #[inline]
+        fn scale((_, scale, _): Self::At) -> u32 {
+            scale
+        }
+    }
+
+    /// `newview` by child kind and rate model: one [`join`] per kind pair
+    /// and model, the kinds and the model dispatched once per call. Γ rows
+    /// hold [`GAMMA_CATEGORIES`] categories, category `c` through matrix
+    /// `c`, and an inner child's columns are loaded once per call; a PSR
+    /// row holds one category, pattern `i`'s through matrix
+    /// `pattern_cat[i]`. An `(Inner, Tip)` join runs as `(Tip, Inner)`
+    /// with the operands swapped: the products are the same bits.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) fn newview_patterns(
@@ -318,39 +423,127 @@ mod avx2 {
         parent_clv: &mut [f64],
         parent_scale: &mut [u32],
     ) {
+        assert_eq!(cats, rates.clv_categories());
+        match rates {
+            RateHeterogeneity::Gamma { .. } => by_kind::<GAMMA_CATEGORIES, _>(
+                |_| 0,
+                |ps| {
+                    let cols: [_; GAMMA_CATEGORIES] = std::array::from_fn(|c| load_cols(&ps[c]));
+                    move |k| cols[k]
+                },
+                left,
+                right,
+                patterns,
+                parent_clv,
+                parent_scale,
+            ),
+            RateHeterogeneity::Psr { pattern_cat, .. } => by_kind::<1, _>(
+                |i| pattern_cat[i] as usize,
+                |ps| move |k| load_cols(&ps[k]),
+                left,
+                right,
+                patterns,
+                parent_clv,
+                parent_scale,
+            ),
+        }
+    }
+
+    /// [`join`] for the kinds of `left` and `right`, an inner child's
+    /// columns by `cols(ps)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn by_kind<'a, const CATS: usize, P>(
+        k_of: impl Fn(usize) -> usize,
+        cols: impl Fn(&'a [ProbMatrix]) -> P,
+        left: &Child<'a>,
+        right: &Child<'a>,
+        patterns: &[u32],
+        parent_clv: &mut [f64],
+        parent_scale: &mut [u32],
+    ) where
+        P: Fn(usize) -> [__m256d; NUM_STATES],
+    {
+        let side = |child: &Child<'a>| match *child {
+            Child::Tip { codes, lookup } => Side::Tip(Tip::<CATS> { codes, lookup }),
+            Child::Inner {
+                clv,
+                scale,
+                rows,
+                ps,
+            } => Side::Inner(Inner::<CATS, _>::new(clv, scale, rows, cols(ps))),
+        };
+        let out = (patterns, parent_clv, parent_scale);
+        match (side(left), side(right)) {
+            (Side::Tip(a), Side::Tip(b)) => join::<CATS, _, _>(k_of, &a, &b, out),
+            (Side::Tip(a), Side::Inner(b)) | (Side::Inner(b), Side::Tip(a)) => {
+                join::<CATS, _, _>(k_of, &a, &b, out)
+            }
+            (Side::Inner(a), Side::Inner(b)) => join::<CATS, _, _>(k_of, &a, &b, out),
+        }
+    }
+
+    /// A child as the operand of its kind.
+    enum Side<T, I> {
+        Tip(T),
+        Inner(I),
+    }
+
+    /// The `newview` body: for the `j`-th listed pattern `i`, row `j` of
+    /// the parent is `a ⊙ b` per category, rescaled by 2²⁵⁶ (and its count
+    /// bumped) when every entry's magnitude is below [`MIN_LIKELIHOOD`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn join<const CATS: usize, A: Operand, B: Operand>(
+        k_of: impl Fn(usize) -> usize,
+        a: &A,
+        b: &B,
+        (patterns, parent_clv, parent_scale): (&[u32], &mut [f64], &mut [u32]),
+    ) {
         let sign_mask = _mm256_set1_pd(-0.0);
         let upscale = _mm256_set1_pd(TWO_TO_256);
-        // Row `j` of the raw-pointer stores below stays inside the parent.
-        assert!(patterns.len() * cats * NUM_STATES <= parent_clv.len());
-        for (j, &ip) in patterns.iter().enumerate() {
-            let i = ip as usize;
-            let base_j = j * cats * NUM_STATES;
+        let min = _mm256_set1_pd(MIN_LIKELIHOOD);
+        let (rows, _) = parent_clv
+            .as_chunks_mut::<NUM_STATES>()
+            .0
+            .as_chunks_mut::<CATS>();
+        assert!(patterns.len() <= rows.len() && patterns.len() <= parent_scale.len());
+        for ((&i, out), count) in patterns.iter().zip(rows).zip(parent_scale) {
+            let i = i as usize;
+            let k = k_of(i);
+            let (ax, bx) = (a.at(i, k), b.at(i, k));
             let mut vmax = _mm256_setzero_pd();
-            for c in 0..cats {
-                let k = cat_index(rates, i, c);
-                let lv = child_vec(left, i, c, cats, k);
-                let rv = child_vec(right, i, c, cats, k);
-                let v = _mm256_mul_pd(lv, rv);
-                unsafe {
-                    _mm256_storeu_pd(parent_clv.as_mut_ptr().add(base_j + c * NUM_STATES), v);
-                }
+            for (c, o) in out.iter_mut().enumerate() {
+                // SAFETY: AVX2 is enabled here; `o` is 4 contiguous f64, one
+                // unaligned 256-bit store.
+                let v = unsafe { _mm256_mul_pd(a.vec(ax, c), b.vec(bx, c)) };
+                unsafe { _mm256_storeu_pd(o.as_mut_ptr(), v) };
                 vmax = _mm256_max_pd(vmax, _mm256_andnot_pd(sign_mask, v));
             }
-            let mut arr = [0.0f64; NUM_STATES];
-            unsafe { _mm256_storeu_pd(arr.as_mut_ptr(), vmax) };
-            let maxv = arr[0].max(arr[1]).max(arr[2]).max(arr[3]);
-            let mut count = left.scale_of(i) + right.scale_of(i);
-            if maxv < MIN_LIKELIHOOD {
-                for c in 0..cats {
+            let mut n = A::scale(ax) + B::scale(bx);
+            if below(vmax, min) {
+                for o in out.iter_mut() {
+                    // SAFETY: `o` is 4 contiguous f64.
                     unsafe {
-                        let p = parent_clv.as_mut_ptr().add(base_j + c * NUM_STATES);
+                        let p = o.as_mut_ptr();
                         _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), upscale));
                     }
                 }
-                count += 1;
+                n += 1;
             }
-            parent_scale[j] = count;
+            *count = n;
         }
+    }
+
+    /// `m₀.max(m₁).max(m₂).max(m₃) < min` over the lanes `m` of `v`, as
+    /// `f64::max` takes a NaN: no lane at or above `min`, and not every lane
+    /// NaN.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn below(v: __m256d, min: __m256d) -> bool {
+        let nge = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGE_UQ>(v, min));
+        let ordered = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_ORD_Q>(v, v));
+        nge == 0xf && ordered != 0
     }
 
     /// Four patterns per block, one per lane: each pattern's
@@ -824,6 +1017,158 @@ mod tests {
                 oracle::bits(&want_tips[0]),
                 "case {case}"
             );
+        }
+    }
+
+    /// The P sets, tip tables and rates of a partition as each backend
+    /// lays them out, at two branch lengths (the left and the right child);
+    /// under PSR after one rate round, so patterns use several matrices.
+    struct Sets {
+        rates: RateHeterogeneity,
+        cats: usize,
+        tips: Vec<Vec<u8>>,
+        /// `[scalar, simd]` × `[left, right]`.
+        ps: [[Vec<ProbMatrix>; 2]; 2],
+        lookup: [[Vec<TipTable>; 2]; 2],
+    }
+
+    fn sets(kind: RateModelKind, s: &PartitionSlice, simd: &'static dyn KernelBackend) -> Sets {
+        let mut eng = engine(kind, SiteRepeats::Off, s);
+        if kind == RateModelKind::Psr {
+            let d = Tree::random(s.tips.len(), 1, 5).full_traversal_descriptor(0);
+            eng.execute(&d);
+            let (num, den) = eng.optimize_site_rates(&d);
+            eng.finalize_site_rates(den / num);
+        }
+        let part = &eng.parts[0];
+        let mut ps: [[Vec<ProbMatrix>; 2]; 2] = Default::default();
+        let mut lookup: [[Vec<TipTable>; 2]; 2] = Default::default();
+        for (b, backend) in [backend_for(KernelKind::Scalar), simd]
+            .into_iter()
+            .enumerate()
+        {
+            for (side, t) in [0.13, 0.41].into_iter().enumerate() {
+                backend.p_matrices_into(part, t, &mut ps[b][side]);
+                backend.tip_tables(&ps[b][side], &mut lookup[b][side]);
+            }
+        }
+        Sets {
+            rates: part.rates.clone(),
+            cats: part.rates.clv_categories(),
+            tips: part.data.tips.to_vec(),
+            ps,
+            lookup,
+        }
+    }
+
+    /// An inner child's inputs over `n_rows` CLV rows: values in `(0, 1)`,
+    /// every third row scaled by 10⁻¹⁰⁰ (so a join with it rescales), and
+    /// scale counts that differ from row to row.
+    fn inner_rows(n_rows: usize, cats: usize, seed: u64) -> (Vec<f64>, Vec<u32>) {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let row_len = cats * NUM_STATES;
+        let clv = (0..n_rows * row_len)
+            .map(|e| {
+                let tiny = if (e / row_len).is_multiple_of(3) {
+                    1e-100
+                } else {
+                    1.0
+                };
+                (0.01 + 0.98 * next()) * tiny
+            })
+            .collect();
+        let scale = (0..n_rows as u32).map(|r| r % 5).collect();
+        (clv, scale)
+    }
+
+    /// `avx2::newview_patterns` against `ScalarBackend::newview_patterns`,
+    /// bit for bit in CLV rows and scale counts, for every (left, right)
+    /// kind pair, under Γ and under PSR after a rate round. Inner children
+    /// are read through identity rows and through a class map (fewer rows
+    /// than patterns, a subset of patterns listed); inner rows with and
+    /// without rescaling.
+    #[test]
+    fn every_kind_pair_matches_scalar_bitwise() {
+        let Some(simd) = SimdBackend::detect() else {
+            return;
+        };
+        let scalar = backend_for(KernelKind::Scalar);
+        let n_patterns = 43;
+        let s = slice(N_TAXA, n_patterns, 91);
+        for kind in [RateModelKind::Gamma, RateModelKind::Psr] {
+            let sets = sets(kind, &s, simd);
+            let cats = sets.cats;
+            if kind == RateModelKind::Psr {
+                let RateHeterogeneity::Psr { pattern_cat, .. } = &sets.rates else {
+                    unreachable!()
+                };
+                assert!(pattern_cat.iter().any(|&k| k != pattern_cat[0]));
+            }
+            let ident: Vec<u32> = (0..n_patterns as u32).collect();
+            let class_map: Vec<u32> = (0..n_patterns as u32).map(|i| (i * 7) % 11).collect();
+            let listed: Vec<u32> = (0..n_patterns as u32).filter(|i| i % 3 != 1).collect();
+            for (rows, n_rows, patterns) in
+                [(&ident, n_patterns, &ident), (&class_map, 11, &listed)]
+            {
+                let inputs = [inner_rows(n_rows, cats, 3), inner_rows(n_rows, cats, 4)];
+                let child = |b: usize, side: usize, inner: bool| {
+                    if inner {
+                        let (clv, scale) = &inputs[side];
+                        Child::Inner {
+                            clv,
+                            scale,
+                            rows,
+                            ps: &sets.ps[b][side],
+                        }
+                    } else {
+                        Child::Tip {
+                            codes: &sets.tips[2 + side],
+                            lookup: &sets.lookup[b][side],
+                        }
+                    }
+                };
+                for (l_inner, r_inner) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let case = format!("{kind:?}, {n_rows} rows, inner: {l_inner}/{r_inner}");
+                    let run = |b: usize, backend: &dyn KernelBackend| {
+                        let mut clv = vec![f64::NAN; patterns.len() * cats * NUM_STATES];
+                        let mut scale = vec![u32::MAX; patterns.len()];
+                        let (l, r) = (child(b, 0, l_inner), child(b, 1, r_inner));
+                        backend.newview_patterns(
+                            &sets.rates,
+                            &l,
+                            &r,
+                            patterns,
+                            cats,
+                            &mut clv,
+                            &mut scale,
+                        );
+                        let counts: Vec<u32> = patterns
+                            .iter()
+                            .map(|&i| l.scale_of(i as usize) + r.scale_of(i as usize))
+                            .collect();
+                        (bits_of(&clv), scale, counts)
+                    };
+                    let (clv_s, scale_s, counts) = run(0, scalar);
+                    let (clv_a, scale_a, _) = run(1, simd);
+                    assert_eq!(clv_s, clv_a, "CLV ({case})");
+                    assert_eq!(scale_s, scale_a, "scale ({case})");
+                    let rescaled = scale_s.iter().zip(&counts).filter(|(s, c)| s > c).count();
+                    if l_inner || r_inner {
+                        assert!(
+                            0 < rescaled && rescaled < patterns.len(),
+                            "{rescaled} rescaled ({case})"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -259,8 +259,11 @@ impl PartitionState {
             data,
             model,
             rates,
-            clv: vec![vec![0.0; n_patterns * cats * NUM_STATES]; n_inner],
-            scale: vec![vec![0; n_patterns]; n_inner],
+            // Zeroed per node: cloning one zeroed buffer would `memcpy` it.
+            clv: (0..n_inner)
+                .map(|_| vec![0.0; n_patterns * cats * NUM_STATES])
+                .collect(),
+            scale: (0..n_inner).map(|_| vec![0; n_patterns]).collect(),
             sumtable: vec![0.0; n_patterns * cats * NUM_STATES],
             psr_scratch: vec![1.0; n_patterns],
             psr_nodes: Vec::new(),

@@ -942,8 +942,18 @@ fn load_alignment(path: &Path, partitions: Option<&Path>) -> Result<CompressedAl
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read alignment {}: {e}", path.display()))?;
+    // When neither parser takes the text, report the error of the format
+    // it looks like: FASTA opens with `>`.
     let alignment = exa_bio::phylip::parse_phylip_auto(&text)
-        .or_else(|_| exa_bio::fasta::parse_fasta(&text))
+        .or_else(|phylip| {
+            exa_bio::fasta::parse_fasta(&text).map_err(|fasta| {
+                if text.trim_start().starts_with('>') {
+                    fasta
+                } else {
+                    phylip
+                }
+            })
+        })
         .map_err(|e| format!("cannot parse alignment {}: {e}", path.display()))?;
     let scheme = match partitions {
         Some(p) => {

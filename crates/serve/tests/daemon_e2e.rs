@@ -462,3 +462,36 @@ fn the_daemon_refuses_a_spec_no_run_can_have() {
     assert_eq!(daemon.health().queue_depth, 0);
     daemon.shutdown();
 }
+
+/// A submitted file whose PHYLIP header declares 10¹¹ taxa (23 bytes)
+/// fails its job with a parse error. The daemon parses alignments in its
+/// own process, so the header must not size an allocation: afterwards the
+/// daemon still answers `health` and completes a normal job.
+#[test]
+fn a_hostile_phylip_header_fails_its_job_not_the_daemon() {
+    let fx = Fixture::new("hostile_header");
+    let daemon = Daemon::start(DaemonConfig::new(fx.spool())).unwrap();
+    let hostile = fx.root.join("hostile.phy");
+    std::fs::write(&hostile, "100000000000 4\nt0 ACGT\n").unwrap();
+    let mut spec = fx.spec("batch", 0, 2);
+    spec.alignment = hostile;
+    let id = daemon.submit(spec).unwrap();
+    match wait_for(&daemon, id, JobState::is_terminal, "terminal") {
+        JobState::Failed { error } => {
+            assert!(
+                error.contains("header declares 100000000000 taxa"),
+                "{error}"
+            )
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert_eq!(daemon.health().failed, 1);
+
+    let normal = fx.spec("batch", 0, 2);
+    let want = fx.reference_lnl(&normal, "normal");
+    let id = daemon.submit(normal).unwrap();
+    let got = completed_lnl(&wait_for(&daemon, id, JobState::is_terminal, "terminal"));
+    assert_eq!(got.to_bits(), want.to_bits());
+    assert_eq!(daemon.health().completed, 1);
+    daemon.shutdown();
+}

@@ -118,6 +118,17 @@ cargo run -q --release -p exa-serve --bin examl -- \
 ranks0_status=$?
 set -e
 [ "$ranks0_status" -eq 2 ] || { echo "--ranks 0 must exit 2 (usage), got $ranks0_status"; exit 1; }
+# A PHYLIP header count must not size an allocation: 23 bytes declaring
+# 10^11 taxa are one parse-error line and exit 1, not an abort (134).
+printf '100000000000 4\nt0 ACGT\n' >"$tmp/hostile.phy"
+set +e
+cargo run -q --release -p exa-serve --bin examl -- \
+  --phylip "$tmp/hostile.phy" --quiet >/dev/null 2>"$tmp/hostile.err"
+hostile_status=$?
+set -e
+[ "$hostile_status" -eq 1 ] || { echo "a hostile PHYLIP header must exit 1, got $hostile_status"; cat "$tmp/hostile.err"; exit 1; }
+[ "$(wc -l <"$tmp/hostile.err")" -eq 1 ] && grep -q 'parse error' "$tmp/hostile.err" \
+  || { echo "a hostile PHYLIP header must give one parse-error line:"; cat "$tmp/hostile.err"; exit 1; }
 
 echo "==> replica sentinel at the command line (injected divergence exits 1)"
 # One flipped bit of alpha on rank 1 after collective 3 must stop the run at
