@@ -25,25 +25,10 @@ impl Nucleotide {
     /// Decode one IUPAC character (case-insensitive). Returns `None` for
     /// characters that are not valid nucleotide codes.
     pub fn from_char(c: char) -> Option<Nucleotide> {
-        let bits = match c.to_ascii_uppercase() {
-            'A' => 0b0001,
-            'C' => 0b0010,
-            'G' => 0b0100,
-            'T' | 'U' => 0b1000,
-            'R' => 0b0101, // A|G
-            'Y' => 0b1010, // C|T
-            'S' => 0b0110, // C|G
-            'W' => 0b1001, // A|T
-            'K' => 0b1100, // G|T
-            'M' => 0b0011, // A|C
-            'B' => 0b1110, // C|G|T
-            'D' => 0b1101, // A|G|T
-            'H' => 0b1011, // A|C|T
-            'V' => 0b0111, // A|C|G
-            'N' | '?' | 'X' | '-' | '.' | 'O' => 0b1111,
-            _ => return None,
-        };
-        Some(Nucleotide(bits))
+        match u8::try_from(c).map_or(0, |b| DECODE[b as usize]) {
+            0 | SKIP => None,
+            bits => Some(Nucleotide(bits)),
+        }
     }
 
     /// Encode back to the canonical IUPAC character.
@@ -98,14 +83,83 @@ impl std::fmt::Display for Nucleotide {
     }
 }
 
-/// Decode an ASCII sequence into nucleotides, reporting the first bad
-/// character's position.
+/// [`DECODE`]'s mark for the ASCII whitespace sequences may carry.
+const SKIP: u8 = 0x10;
+
+/// `DECODE[b]`: the 4-bit code of the IUPAC character `b` (either case),
+/// [`SKIP`] for ASCII whitespace (`char::is_whitespace`'s six bytes), and 0
+/// for every other byte, non-ASCII bytes included.
+static DECODE: [u8; 256] = decode_table();
+
+const fn decode_table() -> [u8; 256] {
+    const CODES: [(u8, u8); 21] = [
+        (b'A', 0b0001),
+        (b'C', 0b0010),
+        (b'G', 0b0100),
+        (b'T', 0b1000),
+        (b'U', 0b1000),
+        (b'R', 0b0101), // A|G
+        (b'Y', 0b1010), // C|T
+        (b'S', 0b0110), // C|G
+        (b'W', 0b1001), // A|T
+        (b'K', 0b1100), // G|T
+        (b'M', 0b0011), // A|C
+        (b'B', 0b1110), // C|G|T
+        (b'D', 0b1101), // A|G|T
+        (b'H', 0b1011), // A|C|T
+        (b'V', 0b0111), // A|C|G
+        (b'N', 0b1111),
+        (b'?', 0b1111),
+        (b'X', 0b1111),
+        (b'-', 0b1111),
+        (b'.', 0b1111),
+        (b'O', 0b1111),
+    ];
+    let mut table = [0u8; 256];
+    let mut k = 0;
+    while k < CODES.len() {
+        let (ch, bits) = CODES[k];
+        table[ch as usize] = bits;
+        table[ch.to_ascii_lowercase() as usize] = bits;
+        k += 1;
+    }
+    let whitespace = [b'\t', b'\n', 0x0b, 0x0c, b'\r', b' '];
+    let mut k = 0;
+    while k < whitespace.len() {
+        table[whitespace[k] as usize] = SKIP;
+        k += 1;
+    }
+    table
+}
+
+/// Decode a sequence into nucleotides, skipping whitespace and reporting
+/// the first bad character with its position among the non-whitespace
+/// characters. ASCII is decoded byte by byte through a 256-entry table;
+/// from the first non-ASCII byte on the rest is decoded by `char`, so
+/// Unicode whitespace is skipped and a bad character is reported whole.
 pub fn decode_sequence(s: &str) -> Result<Vec<Nucleotide>, (usize, char)> {
-    s.chars()
-        .filter(|c| !c.is_whitespace())
-        .enumerate()
-        .map(|(i, c)| Nucleotide::from_char(c).ok_or((i, c)))
-        .collect()
+    // Grown, not pre-sized to `s.len()`: pre-sizing moves the heap layout
+    // of what is allocated after parsing, and `wide_gamma`'s wall measured
+    // 6–7 % slower with it (EXPERIMENTS.md).
+    let mut out = Vec::new();
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        match DECODE[b as usize] {
+            SKIP => {}
+            0 if b.is_ascii() => return Err((out.len(), b as char)),
+            0 => return decode_chars(&s[at..], out),
+            bits => out.push(Nucleotide(bits)),
+        }
+    }
+    Ok(out)
+}
+
+/// [`decode_sequence`]'s `char` loop, appending to `out`.
+fn decode_chars(s: &str, mut out: Vec<Nucleotide>) -> Result<Vec<Nucleotide>, (usize, char)> {
+    for c in s.chars().filter(|c| !c.is_whitespace()) {
+        let n = Nucleotide::from_char(c).ok_or((out.len(), c))?;
+        out.push(n);
+    }
+    Ok(out)
 }
 
 /// Encode nucleotides back to an ASCII string.
@@ -168,6 +222,61 @@ mod tests {
         assert_eq!(decode_sequence("ACGZ"), Err((3, 'Z')));
         let seq = decode_sequence("AC GT\n").unwrap();
         assert_eq!(encode_sequence(&seq), "ACGT");
+    }
+
+    #[test]
+    fn decode_error_after_embedded_whitespace_counts_bases_only() {
+        assert_eq!(decode_sequence("AC\tG T\r\n\x0bZA"), Err((4, 'Z')));
+    }
+
+    #[test]
+    fn decode_reports_a_non_ascii_character_whole() {
+        assert_eq!(decode_sequence("AC GTé"), Err((4, 'é')));
+        assert_eq!(decode_sequence("A\u{00a0}C\u{03a9}"), Err((2, 'Ω')));
+    }
+
+    #[test]
+    fn decode_skips_a_no_break_space_between_bases() {
+        let seq = decode_sequence("AC\u{00a0}GT\u{2003}a").unwrap();
+        assert_eq!(encode_sequence(&seq), "ACGTA");
+    }
+
+    #[test]
+    fn table_agrees_with_a_match_on_every_byte() {
+        for b in 0..=255u8 {
+            let c = b as char;
+            let want = match c.to_ascii_uppercase() {
+                'A' => Some(0b0001),
+                'C' => Some(0b0010),
+                'G' => Some(0b0100),
+                'T' | 'U' => Some(0b1000),
+                'R' => Some(0b0101),
+                'Y' => Some(0b1010),
+                'S' => Some(0b0110),
+                'W' => Some(0b1001),
+                'K' => Some(0b1100),
+                'M' => Some(0b0011),
+                'B' => Some(0b1110),
+                'D' => Some(0b1101),
+                'H' => Some(0b1011),
+                'V' => Some(0b0111),
+                'N' | '?' | 'X' | '-' | '.' | 'O' => Some(0b1111),
+                _ => None,
+            };
+            assert_eq!(Nucleotide::from_char(c), want.map(Nucleotide), "{c:?}");
+            let text = format!("A{c}C");
+            let decoded = decode_sequence(&text);
+            match want {
+                Some(bits) => assert_eq!(
+                    decoded,
+                    Ok(vec![Nucleotide::A, Nucleotide(bits), Nucleotide::C])
+                ),
+                None if c.is_whitespace() => {
+                    assert_eq!(decoded, Ok(vec![Nucleotide::A, Nucleotide::C]))
+                }
+                None => assert_eq!(decoded, Err((1, c)), "{c:?}"),
+            }
+        }
     }
 
     #[test]

@@ -207,8 +207,6 @@ pub(crate) struct PartitionState {
     pub sumtable: Vec<f64>,
     /// Scratch: per-pattern rates during PSR optimization.
     pub psr_scratch: Vec<f64>,
-    /// Scratch: the inner nodes of one single-pattern PSR traversal.
-    pub psr_nodes: Vec<site_rates::PatternNode>,
     /// Reusable kernel scratch (P-matrices, tip lookups) — refilled per edge
     /// instead of reallocated.
     pub scratch: KernelScratch,
@@ -266,7 +264,6 @@ impl PartitionState {
             scale: (0..n_inner).map(|_| vec![0; n_patterns]).collect(),
             sumtable: vec![0.0; n_patterns * cats * NUM_STATES],
             psr_scratch: vec![1.0; n_patterns],
-            psr_nodes: Vec::new(),
             scratch: KernelScratch::default(),
             repeats: match site_repeats {
                 SiteRepeats::On => vec![NodeRepeats::default(); n_inner],
@@ -659,8 +656,9 @@ impl Engine {
         self.newview(d, true);
     }
 
-    /// The one writer of `PartitionState::clv`: any other writer would have
-    /// to clear `last_full`.
+    /// The writer of `PartitionState::clv` besides the PSR grid passes of
+    /// [`Engine::optimize_site_rates`], which clear `last_full`; any other
+    /// writer would have to clear it too.
     fn newview(&mut self, d: &TraversalDescriptor, reuse: bool) {
         let _span = exa_obs::region(exa_obs::RegionKind::Newview);
         let started = std::time::Instant::now();
@@ -884,13 +882,22 @@ impl Engine {
 
     /// Locally optimize per-pattern PSR rates (see the `site_rates` module) —
     /// returns `(Σ w·r, Σ w)` over local patterns so the caller can compute
-    /// the global normalization with one small allreduce.
+    /// the global normalization with one small allreduce. `d` must be a full
+    /// traversal; under PSR its grid passes leave every CLV at a candidate
+    /// rate, so the caller must recompute them (as after
+    /// [`Engine::finalize_site_rates`]).
     pub fn optimize_site_rates(&mut self, d: &TraversalDescriptor) -> (f64, f64) {
         let started = std::time::Instant::now();
         let n_taxa = self.n_taxa;
+        let backend = self.backend;
         let results = self.for_each_part(None, |_, part| {
-            site_rates::optimize_partition(part, n_taxa, d)
+            site_rates::optimize_partition(backend, part, n_taxa, d)
         });
+        if self.kind == RateModelKind::Psr {
+            // The grid passes wrote the CLVs: a `refresh` must not replay
+            // over them, even when finalizing changes no rate bit.
+            self.last_full = None;
+        }
         // The num/den accumulation order is observable in the f64 bits:
         // sum serially in local-partition order, exactly as before.
         let mut num = 0.0;

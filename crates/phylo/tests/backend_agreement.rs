@@ -146,32 +146,36 @@ fn assert_backends_agree_with(
     );
 
     if kind == RateModelKind::Psr {
-        let d2 = tree.full_traversal_descriptor(0);
-        let (na, da) = scalar.optimize_site_rates(&d2);
-        let (nb, db) = simd.optimize_site_rates(&d2);
-        assert_eq!(
-            na.to_bits(),
-            nb.to_bits(),
-            "psr numerator (seed {seed}, repeats {repeats})"
-        );
-        assert_eq!(
-            da.to_bits(),
-            db.to_bits(),
-            "psr denominator (seed {seed}, repeats {repeats})"
-        );
-        scalar.finalize_site_rates(da / na);
-        simd.finalize_site_rates(db / nb);
-        tree.invalidate_all();
-        let d3 = tree.full_traversal_descriptor(0);
-        scalar.execute(&d3);
-        simd.execute(&d3);
-        let a = scalar.evaluate(&d3)[0];
-        let b = simd.evaluate(&d3)[0];
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "post-PSR evaluate (seed {seed}, repeats {repeats})"
-        );
+        // The first round starts from one category at rate 1; the later
+        // ones run the grid passes over several categories.
+        for round in 0..3 {
+            let d2 = tree.full_traversal_descriptor(0);
+            let (na, da) = scalar.optimize_site_rates(&d2);
+            let (nb, db) = simd.optimize_site_rates(&d2);
+            let case = format!("round {round}, seed {seed}, repeats {repeats}");
+            assert_eq!(na.to_bits(), nb.to_bits(), "psr numerator ({case})");
+            assert_eq!(da.to_bits(), db.to_bits(), "psr denominator ({case})");
+            scalar.finalize_site_rates(da / na);
+            simd.finalize_site_rates(db / nb);
+            let rates = scalar.model_state(0).1;
+            assert!(
+                rates.same_bits(&simd.model_state(0).1),
+                "psr rates ({case})"
+            );
+            if round > 0 {
+                assert!(
+                    rates.distinct_rates().len() > 1,
+                    "one PSR category after round {round} ({case})"
+                );
+            }
+            tree.invalidate_all();
+            let d3 = tree.full_traversal_descriptor(0);
+            scalar.execute(&d3);
+            simd.execute(&d3);
+            let a = scalar.evaluate(&d3)[0];
+            let b = simd.evaluate(&d3)[0];
+            assert_eq!(a.to_bits(), b.to_bits(), "post-PSR evaluate ({case})");
+        }
     }
 }
 
@@ -193,6 +197,8 @@ fn backends_agree_bitwise_under_psr() {
     for seed in [3u64, 11, 77] {
         assert_backends_agree(7, 90, seed, RateModelKind::Psr, 1.0);
     }
+    // The rescaling regime of the Γ case, through the PSR grid passes.
+    assert_backends_agree(256, 40, 99, RateModelKind::Psr, 20.0);
 }
 
 /// Distance in units-in-the-last-place between two finite doubles.

@@ -190,13 +190,16 @@ echo "trajectories: $flag_sets flag sets replay the 1-rank reference bit for bit
 # PSR folds each pattern's rate category into the site-repeat class key (a
 # second pairing round), so its trajectory checks compressed CLV rows end to
 # end. At 1 rank only: PSR still depends on the rank count (ROADMAP item 3).
-reproducible_run psr_ref --ranks 1 --model PSR
+# Over simgen's two 60-site partitions, so the rate rounds run per partition
+# and `--threads 2` has two tasks to share.
+printf 'DNA, p0 = 1-60\nDNA, p1 = 61-120\n' >"$tmp/smoke.part"
+reproducible_run psr_ref --ranks 1 --model PSR --partitions "$tmp/smoke.part"
 [ -s "$tmp/traj_psr_ref.txt" ] || { echo "the PSR reference wrote no heartbeats"; exit 1; }
 psr_sets=0
 while IFS='|' read -r flags label; do
   psr_sets=$((psr_sets + 1))
   # shellcheck disable=SC2086 # FLAGS is a list of words
-  reproducible_run "psr_$psr_sets" --ranks 1 --model PSR $flags
+  reproducible_run "psr_$psr_sets" --ranks 1 --model PSR --partitions "$tmp/smoke.part" $flags
   cmp -s "$tmp/traj_psr_ref.txt" "$tmp/traj_psr_$psr_sets.txt" \
     || { echo "PSR lnL trajectory of '$flags' differs from the PSR reference"; diff "$tmp/traj_psr_ref.txt" "$tmp/traj_psr_$psr_sets.txt"; exit 1; }
   tail -n 1 "$tmp/traj_psr_$psr_sets.jsonl" | jq -e "$label" >/dev/null \
@@ -204,6 +207,7 @@ while IFS='|' read -r flags label; do
 done <<'PSR_SETS'
 --site-repeats off|.modes.site_repeats == "off"
 --kernel scalar|.modes.kernel == "scalar"
+--threads 2 --batch off|.modes.threads == "2"
 PSR_SETS
 echo "trajectories: $psr_sets PSR flag sets replay the 1-rank PSR reference bit for bit"
 
